@@ -139,9 +139,9 @@ impl ShardRouter {
         }
     }
 
-    /// The lane a transport reader thread delivers an inbound message about
+    /// The lane a transport delivery thread hands an inbound message about
     /// `key` to, *without* a live protocol instance in hand — the per-worker
-    /// ingress demux runs on the reader threads, which own no engine.
+    /// ingress demux runs on the transport's thread, which owns no engine.
     ///
     /// Equivalent to [`ShardRouter::lane_for_msg`] for protocols whose
     /// [`msg_serializes`](crate::ReplicaProtocol::msg_serializes) hook is

@@ -13,19 +13,22 @@
 //!   for in-process clusters (used by examples and integration tests), with
 //!   optional probabilistic fault injection.
 //! * [`TcpNet`] / [`TcpEndpoint`] — length-prefixed Wings frames over real
-//!   `std::net` TCP sockets, with per-peer writer threads, per-connection
-//!   reader threads and automatic reconnect-with-backoff: the transport
-//!   that runs a replica group as separate OS processes (DESIGN.md §4).
+//!   `std::net` TCP sockets: senders write their own frames to the peer
+//!   socket, one link-poller thread per node reads, dials (with backoff)
+//!   and finishes short writes. The transport that runs a replica group as
+//!   separate OS processes (DESIGN.md §4).
 //!
 //! The in-process and TCP transports implement the pluggable
 //! [`Transport`]/[`Endpoint`] trait pair, so cluster runtimes are written
 //! once and deployed over either. Ingress is push-based ([`NetEvent`]s into
 //! an [`IngressSink`]), which is what gives runtimes event-driven wakeup.
 //!
-//! The crate also provides the readiness substrate of the sharded-poller
-//! client plane (DESIGN.md §7): a [`Poller`] multiplexes thousands of
-//! non-blocking sockets per thread (epoll on Linux, `poll(2)` elsewhere),
-//! and a [`Waker`] lets worker threads interrupt a blocked wait.
+//! The crate also provides the readiness substrate under both network
+//! edges — the replica links above and the sharded-poller client plane
+//! (DESIGN.md §7): a [`Poller`] multiplexes thousands of non-blocking
+//! sockets per thread (epoll on Linux, `poll(2)` elsewhere), and a
+//! [`Waker`] lets worker threads interrupt a blocked wait, coalescing
+//! bursts of wakes into one.
 //!
 //! # Examples
 //!
@@ -54,7 +57,7 @@ pub use inproc::{InProcEndpoint, InProcNet, InProcSender, NetFaults};
 pub use poll::{Interest, PollEvent, Poller, Waker};
 pub use simnet::{DeliveryOutcome, SimNet, SimNetConfig};
 pub use tcp::{
-    read_frame_deadline, read_frame_from, reap_finished, write_frame_to, FrameRead, TcpConfig,
-    TcpEndpoint, TcpNet, TcpSender, TcpStats,
+    read_frame_deadline, read_frame_from, write_frame_to, FrameRead, TcpConfig, TcpEndpoint,
+    TcpNet, TcpSender, TcpStats,
 };
 pub use transport::{Endpoint, IngressGuard, IngressSink, NetEvent, NetSender, Transport};

@@ -1,5 +1,6 @@
 //! Readiness-driven socket polling: the engine under the sharded-poller
-//! client plane (DESIGN.md §7).
+//! client plane (DESIGN.md §7) and the replica links' one poller per node
+//! (DESIGN.md §4).
 //!
 //! The paper's RDMA runtime never spends a thread per peer: each worker
 //! polls its own receive queues. Our TCP stand-in gets the same shape from
@@ -28,6 +29,7 @@
 use std::io;
 use std::net::{Ipv4Addr, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Which readiness transitions a registration subscribes to.
@@ -429,10 +431,20 @@ impl Poller {
 /// the receiving socket is registered in the poller like any session, and
 /// the poller thread [`drain`](Waker::drain)s it on readiness. `wake` is
 /// cheap, non-blocking and safe from any thread.
+///
+/// Wakes coalesce through a latch: the first `wake` after a `drain` sends
+/// the datagram, later ones only see the latch set. The contract that makes
+/// this lossless is the order on the poller side — `drain` empties the
+/// socket *then* releases the latch, and the poller looks at its work
+/// sources only *after* `drain` returns. A poster that found the latch set
+/// published its work before the release, so that look sees it; a poster
+/// that finds it clear sends a fresh datagram.
 #[derive(Debug)]
 pub struct Waker {
     tx: UdpSocket,
     rx: UdpSocket,
+    /// Set while a wake datagram is in flight or undrained.
+    armed: AtomicBool,
 }
 
 impl Waker {
@@ -449,20 +461,31 @@ impl Waker {
         tx.set_nonblocking(true)?;
         tx.connect(rx.local_addr()?)?;
         poller.register(rx.as_raw_fd(), token, Interest::READ)?;
-        Ok(Waker { tx, rx })
+        Ok(Waker {
+            tx,
+            rx,
+            armed: AtomicBool::new(false),
+        })
     }
 
-    /// Interrupts the poller's current (or next) `wait`. Best-effort: a
-    /// full loopback send buffer just means wakes are already pending.
+    /// Interrupts the poller's current (or next) `wait`, unless a wake is
+    /// already pending. Publish the work first, then call this.
     pub fn wake(&self) {
-        let _ = self.tx.send(&[1]);
+        // AcqRel: the release half publishes the caller's work to the
+        // `drain` that clears the latch; see the type-level contract.
+        if !self.armed.swap(true, Ordering::AcqRel) && self.tx.send(&[1]).is_err() {
+            // Nothing went out: let the next poster try again.
+            self.armed.store(false, Ordering::Release);
+        }
     }
 
-    /// Discards pending wake datagrams (the poller thread calls this when
-    /// the waker's token reports readable).
+    /// Discards pending wake datagrams and re-opens the latch (the poller
+    /// thread calls this when the waker's token reports readable, *before*
+    /// it examines whatever `wake` callers published).
     pub fn drain(&self) {
         let mut buf = [0u8; 16];
         while self.rx.recv(&mut buf).is_ok() {}
+        self.armed.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -584,6 +607,65 @@ mod tests {
             .unwrap();
         assert!(events.is_empty());
         h.join().unwrap();
+    }
+
+    /// The latch contract under fire: work published before `wake` is seen
+    /// by the poller's look after `drain`, or a fresh datagram follows — at
+    /// no point does an item sit until the (10 s) wait times out. Pairs of
+    /// posts a few microseconds apart put the second one at every point of
+    /// the poller's wake-up → drain → look sequence.
+    #[test]
+    fn coalesced_wakes_never_strand_published_work() {
+        use std::sync::mpsc;
+        let poller = Poller::new().unwrap();
+        let waker = Arc::new(Waker::new(&poller, 1).unwrap());
+        let (work_tx, work_rx) = mpsc::channel::<Option<u64>>();
+        let (done_tx, done_rx) = mpsc::channel::<u64>();
+        let consumer = {
+            let waker = Arc::clone(&waker);
+            std::thread::spawn(move || {
+                let mut events = Vec::new();
+                loop {
+                    events.clear();
+                    poller
+                        .wait(&mut events, Some(Duration::from_secs(10)))
+                        .unwrap();
+                    if !events.is_empty() {
+                        waker.drain();
+                    }
+                    while let Ok(item) = work_rx.try_recv() {
+                        match item {
+                            Some(i) => done_tx.send(i).unwrap(),
+                            None => return,
+                        }
+                    }
+                }
+            })
+        };
+        let post = |item| {
+            work_tx.send(item).unwrap();
+            waker.wake();
+        };
+        for round in 0..20_000u64 {
+            post(Some(2 * round));
+            let gap = Instant::now();
+            while gap.elapsed() < Duration::from_nanos(round % 40 * 500) {
+                std::hint::spin_loop();
+            }
+            let posted = Instant::now();
+            post(Some(2 * round + 1));
+            for want in [2 * round, 2 * round + 1] {
+                let got = done_rx.recv_timeout(Duration::from_secs(20));
+                assert_eq!(got, Ok(want), "item stranded");
+            }
+            let waited = posted.elapsed();
+            assert!(
+                waited < Duration::from_millis(50),
+                "an item waited {waited:?}"
+            );
+        }
+        post(None);
+        consumer.join().unwrap();
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! [`InProcNet`]: crate::InProcNet
 //! [`TcpNet`]: crate::TcpNet
 
+use crate::poll::Waker;
 use bytes::Bytes;
 use hermes_common::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,8 +48,8 @@ pub enum NetEvent {
 /// Consumes ingress events; returns `false` when the receiver is gone and
 /// delivery threads should stop.
 ///
-/// Shared across however many reader threads a transport runs, so it must
-/// be callable concurrently.
+/// Shared across however many delivery threads a transport runs, so it
+/// must be callable concurrently.
 pub type IngressSink = Arc<dyn Fn(NetEvent) -> bool + Send + Sync>;
 
 /// The transmit half of a node's network attachment.
@@ -98,12 +99,26 @@ pub trait Transport {
 pub struct IngressGuard {
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
+    /// Interrupts a delivery thread blocked in a readiness wait so it
+    /// sees `stop` at once (threads that poll the flag need none).
+    waker: Option<Arc<Waker>>,
 }
 
 impl IngressGuard {
     /// Builds a guard over `handles`, all of which watch `stop`.
     pub fn new(stop: Arc<AtomicBool>, handles: Vec<JoinHandle<()>>) -> Self {
-        IngressGuard { stop, handles }
+        IngressGuard {
+            stop,
+            handles,
+            waker: None,
+        }
+    }
+
+    /// Also rings `waker` on stop, for delivery threads parked in a
+    /// [`Poller`](crate::Poller) wait rather than polling the flag.
+    pub(crate) fn waking(mut self, waker: Arc<Waker>) -> Self {
+        self.waker = Some(waker);
+        self
     }
 
     /// Signals every delivery thread to stop and joins them.
@@ -113,6 +128,9 @@ impl IngressGuard {
 
     fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }

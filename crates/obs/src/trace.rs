@@ -162,7 +162,8 @@ pub enum Phase {
     LocalApply,
     /// Follower: the ack was enqueued into the Wings batcher.
     AckEnqueue,
-    /// Follower: the ack batch was flushed into the transport writer.
+    /// Follower: the ack batch was handed to the transport — over TCP, the
+    /// lane's own socket write returned (the frame is in the kernel).
     AckWrite,
 }
 

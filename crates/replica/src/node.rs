@@ -795,26 +795,69 @@ fn build_registry(
     );
 
     // Transport.
+    type TcpRead = fn(&TcpStats) -> u64;
+    let tcp_counters: [(&str, &str, TcpRead); 10] = [
+        (
+            "hermes_tcp_dials_total",
+            "Successful outbound peer dials (connects and reconnects).",
+            TcpStats::dials,
+        ),
+        (
+            "hermes_tcp_accepts_total",
+            "Inbound peer connections accepted.",
+            TcpStats::accepts,
+        ),
+        (
+            "hermes_tcp_disconnects_total",
+            "Peer connections that died (either direction, injected kills included).",
+            TcpStats::disconnects,
+        ),
+        (
+            "hermes_tcp_frames_sent_total",
+            "Wings frames handed to the kernel on peer sockets.",
+            TcpStats::frames_sent,
+        ),
+        (
+            "hermes_tcp_frames_received_total",
+            "Wings frames received from peers.",
+            TcpStats::frames_received,
+        ),
+        (
+            "hermes_tcp_frames_dropped_total",
+            "Frames dropped: peer unreachable, link died with them queued, or outbox full.",
+            TcpStats::frames_dropped,
+        ),
+        (
+            "hermes_tcp_bytes_sent_total",
+            "Frame payload bytes handed to the kernel on peer sockets.",
+            TcpStats::bytes_sent,
+        ),
+        (
+            "hermes_tcp_bytes_received_total",
+            "Frame payload bytes received from peers.",
+            TcpStats::bytes_received,
+        ),
+        (
+            "hermes_tcp_writes_inline_total",
+            "Frames written to the socket by the sending lane itself.",
+            TcpStats::writes_inline,
+        ),
+        (
+            "hermes_tcp_writes_deferred_total",
+            "Frames the link poller wrote (queued by a dial or a full socket).",
+            TcpStats::writes_deferred,
+        ),
+    ];
+    for (name, help, read) in tcp_counters {
+        let t = Arc::clone(tcp);
+        r.counter_fn(name, help, vec![], move || read(&t));
+    }
     let t = Arc::clone(tcp);
-    r.counter_fn(
-        "hermes_tcp_dials_total",
-        "Successful outbound peer dials (connects and reconnects).",
+    r.gauge_fn(
+        "hermes_tcp_egress_backlog_bytes",
+        "Bytes queued in peer outboxes waiting for their sockets.",
         vec![],
-        move || t.dials(),
-    );
-    let t = Arc::clone(tcp);
-    r.counter_fn(
-        "hermes_tcp_frames_sent_total",
-        "Wings frames written to peers.",
-        vec![],
-        move || t.frames_sent(),
-    );
-    let t = Arc::clone(tcp);
-    r.counter_fn(
-        "hermes_tcp_frames_received_total",
-        "Wings frames received from peers.",
-        vec![],
-        move || t.frames_received(),
+        move || t.egress_backlog_bytes(),
     );
 
     // Transactions (process-wide: server executors + in-process sessions).

@@ -65,8 +65,9 @@ pub(crate) type MetricsSource = dyn Fn() -> String + Send + Sync;
 pub(crate) type TracesSource = dyn Fn() -> Vec<hermes_obs::TraceSpan> + Send + Sync;
 
 /// Upper bound on a shard's blocked wait: the stop flag is re-checked at
-/// least this often even if the waker datagram is lost.
-const POLL_TIMEOUT: Duration = Duration::from_millis(500);
+/// least this often even if the waker datagram is lost. Unit tests stretch
+/// it so a lost wake-up shows as a stall instead of hiding behind it.
+const POLL_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 10_000 } else { 500 });
 
 /// The waker's registration token in every shard's poller.
 const TOKEN_WAKE: u64 = 0;
@@ -155,14 +156,12 @@ impl PlaneGauges {
 /// What a worker lane (or the transaction pool) needs to hand a result
 /// back to the shard owning the session: its inbox plus its waker.
 ///
-/// Wakes coalesce: `armed` is set by the first poster and cleared by the
-/// shard right before it drains the inbox, so a burst of completions costs
-/// one wake datagram, not one per completion.
+/// Wakes coalesce inside the [`Waker`]: a burst of completions costs one
+/// wake datagram, not one per completion.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardHandle {
     tx: Sender<Inbound>,
     waker: Arc<Waker>,
-    armed: Arc<AtomicBool>,
 }
 
 impl ShardHandle {
@@ -181,7 +180,7 @@ impl ShardHandle {
     }
 
     fn deliver(&self, item: Inbound) {
-        if self.tx.send(item).is_ok() && !self.armed.swap(true, Ordering::AcqRel) {
+        if self.tx.send(item).is_ok() {
             self.waker.wake();
         }
     }
@@ -563,13 +562,11 @@ impl ClientPlane {
             let poller = Poller::new()?;
             let waker = Arc::new(Waker::new(&poller, TOKEN_WAKE)?);
             let (tx, rx) = unbounded::<Inbound>();
-            let armed = Arc::new(AtomicBool::new(false));
             shards.push(ShardHandle {
                 tx,
                 waker: Arc::clone(&waker),
-                armed: Arc::clone(&armed),
             });
-            prepared.push((poller, waker, rx, armed));
+            prepared.push((poller, waker, rx));
         }
         prepared[0]
             .0
@@ -578,13 +575,12 @@ impl ClientPlane {
         let next_client = Arc::new(AtomicU64::new(0));
         let mut listener = Some(listener);
         let mut threads = Vec::with_capacity(pollers);
-        for (i, (poller, waker, inbox, armed)) in prepared.into_iter().enumerate() {
+        for (i, (poller, waker, inbox)) in prepared.into_iter().enumerate() {
             let shard = Shard {
                 index: i,
                 poller,
                 waker,
                 inbox,
-                armed,
                 listener: if i == 0 { listener.take() } else { None },
                 fd_budget: nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM)),
                 accept_paused: false,
@@ -679,7 +675,6 @@ struct Shard {
     poller: Poller,
     waker: Arc<Waker>,
     inbox: Receiver<Inbound>,
-    armed: Arc<AtomicBool>,
     /// The client listener (shard 0 only): accepted connections round-robin
     /// across all shards.
     listener: Option<TcpListener>,
@@ -722,9 +717,9 @@ impl Shard {
             if self.poller.wait(&mut events, Some(POLL_TIMEOUT)).is_err() {
                 break;
             }
-            // Clear the wake latch *before* draining so a completion
-            // posted during the drain rings the waker again.
-            self.armed.store(false, Ordering::Release);
+            // The waker's latch re-opens only after its datagrams are
+            // gone, and the inbox is read only after that: a completion
+            // posted at any point either is seen below or rings again.
             for ev in &events {
                 if ev.token == TOKEN_WAKE {
                     self.waker.drain();
@@ -1167,7 +1162,9 @@ fn drain_write(sess: &mut Session) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_common::Value;
+    use crate::sharded::ShardedEngine;
+    use hermes_common::{MembershipView, Value};
+    use hermes_core::ProtocolConfig;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut f = (payload.len() as u32).to_le_bytes().to_vec();
@@ -1382,6 +1379,76 @@ mod tests {
         assert!(!m.is_dead());
         assert!(!m.on_push(PushEvent::Evict));
         assert!(m.is_dead(), "a laggard subscriber is torn down");
+    }
+
+    /// Regression for the lost wake-up behind PR 13's 504 ms `rtt_max`:
+    /// the shard used to clear its wake latch *before* draining the waker,
+    /// so a completion posted in between had its datagram eaten and left
+    /// the latch set — and the next completion skipped the wake and waited
+    /// out `POLL_TIMEOUT` (10 s under test). Two completions a few
+    /// microseconds apart land the second in that window; the reply to the
+    /// round after would then stall.
+    #[test]
+    fn completions_never_wait_out_the_poll_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (lane, _lane_rx) = unbounded::<Command>();
+        let gauges = Arc::new(PlaneGauges::new(1));
+        let router = ShardedEngine::new(
+            NodeId(0),
+            MembershipView::initial(1),
+            ProtocolConfig::default(),
+            1,
+        )
+        .router();
+        let mut plane = ClientPlane::start(
+            listener,
+            vec![lane],
+            router,
+            PlaneConfig {
+                pollers: 1,
+                txn_executors: 1,
+                credits: CreditConfig::default(),
+                max_frame: 1 << 20,
+            },
+            Arc::clone(&gauges),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(|| unreachable!("the test sends no stats query")),
+            Arc::new(String::new),
+            Arc::new(Vec::new),
+            Arc::new(NodeObs::new(0, 1)),
+        )
+        .unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(2 * POLL_TIMEOUT)).unwrap();
+        while gauges.open_sessions() == 0 {
+            std::thread::yield_now();
+        }
+        let shard = plane.shards[0].clone();
+        let session = ClientId(REMOTE_CLIENT_BASE);
+        let mut reply = [0u8; 64];
+        for round in 0..20_000u64 {
+            shard.complete(OpId::new(session, 2 * round), Reply::WriteOk);
+            // Sweep the gap so the second post meets the shard at every
+            // point between waking up and going back to sleep.
+            let gap = Instant::now();
+            while gap.elapsed() < Duration::from_nanos(round % 40 * 1_000) {
+                std::hint::spin_loop();
+            }
+            let posted = Instant::now();
+            shard.complete(OpId::new(session, 2 * round + 1), Reply::WriteOk);
+            for _ in 0..2 {
+                client.read_exact(&mut reply[..4]).unwrap();
+                let len = u32::from_le_bytes(reply[..4].try_into().unwrap()) as usize;
+                client.read_exact(&mut reply[..len]).unwrap();
+            }
+            let waited = posted.elapsed();
+            assert!(
+                waited < Duration::from_millis(50),
+                "a completion waited {waited:?} for its shard to wake"
+            );
+        }
+        plane.stop();
     }
 
     #[test]

@@ -240,9 +240,9 @@ pub(crate) enum Command {
         /// ([`TraceId::NONE`] when the originating op was not sampled).
         trace: TraceId,
     },
-    /// Raw transport ingress (lane 0 only): the transport's reader threads
-    /// push frames and connectivity events straight into the pump's command
-    /// queue — the unified wakeup path.
+    /// Raw transport ingress (lane 0 only): the transport's delivery thread
+    /// pushes control frames and connectivity events straight into the
+    /// pump's command queue — the unified wakeup path.
     Net(NetEvent),
     /// A reconfigured membership view (installed on every lane).
     InstallView(MembershipView),
@@ -793,7 +793,7 @@ pub(crate) fn spawn_node<E: Endpoint>(
     }
     // Started last: events arriving before the worker threads run just
     // queue. Data-plane frames are decoded right here on the transport's
-    // reader threads and delivered straight into the lane owning each
+    // delivery thread and delivered straight into the lane owning each
     // message's key — the per-worker ingress demux (DESIGN.md §7); only
     // control frames (membership, shadow catch-up) and connectivity
     // events still funnel through lane 0's pump, which hosts them.
@@ -821,12 +821,12 @@ pub(crate) fn spawn_node<E: Endpoint>(
 }
 
 /// Per-worker network ingress: decodes one data-plane Wings frame on the
-/// transport reader thread that received it and delivers each message
+/// transport thread that received it and delivers each message
 /// directly into the command queue of the lane owning its key — no bounce
 /// through lane 0. Safe for Hermes because no message serializes
 /// ([`ShardRouter::lane_for_ingress`]); per-(peer, key) FIFO is preserved
-/// because each peer connection has exactly one reader thread. Returns
-/// `false` once the lanes are gone (shutdown), stopping the reader.
+/// because each peer connection is read by exactly one thread. Returns
+/// `false` once the lanes are gone (shutdown), closing the connection.
 fn deliver_frame(
     lanes: &[Sender<Command>],
     router: ShardRouter,
@@ -909,7 +909,7 @@ struct Worker<S: NetSender> {
     /// now (so [`Worker::emit_effect`] can mark the ACK enqueue on it).
     net_span: Option<Span>,
     /// Follower-side INV spans awaiting their final `ack_write` mark: the
-    /// ACK's frame is handed to the transport writer at the next
+    /// ACK's frame is written to the peer socket at the next
     /// [`Worker::flush`], which completes them into the lane's ring.
     net_spans: Vec<(Span, Key)>,
     fx: Vec<Effect<Msg>>,
@@ -1080,7 +1080,7 @@ impl<S: NetSender> Worker<S> {
             if is_inv {
                 // The ACK was enqueued during the drain; its final
                 // `ack_write` mark lands when the batch is handed to the
-                // transport writer, at the next flush.
+                // transport (over TCP: to the kernel), at the next flush.
                 self.net_spans.push((span, key));
             } else {
                 self.obs.lane_traces[self.lane].complete(&span, || format!("val key={}", key.0));
@@ -1110,8 +1110,9 @@ impl<S: NetSender> Worker<S> {
     }
 
     /// Emits every pending Wings frame into the node's shared egress, then
-    /// closes follower-side INV spans: the ACK frame just left for the
-    /// transport writer, so `ack_write` is their final phase mark.
+    /// closes follower-side INV spans: `send` has returned, so over TCP the
+    /// ACK frame is in the kernel (this lane wrote it), and `ack_write` is
+    /// their final phase mark.
     fn flush(&mut self) {
         let net = &self.net;
         self.batcher.flush_into(|to, frame| net.send(to, frame));
@@ -1850,7 +1851,7 @@ fn pump_command<S: NetSender>(
 /// Lane 0 of every node: network ingress demux plus a full worker lane
 /// (and the serialization lane, for protocols that need one).
 ///
-/// Fully event-driven: the transport's reader threads and the clients'
+/// Fully event-driven: the transport's delivery thread and the clients'
 /// submit paths push into the *same* command queue, so one blocking `recv`
 /// covers both and a lone client op at an idle node wakes the pump
 /// immediately (no idle-poll latency floor). Idle sleeps run to the next

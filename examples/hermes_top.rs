@@ -141,12 +141,16 @@ fn scrape_round(opts: &Options, round: u64) {
         let ops = node_sum(&merged, "hermes_op_latency_us_count", i);
         let invs = node_sum(&merged, "hermes_invalidations_sent_total", i);
         let views = node_sum(&merged, "hermes_view_changes_total", i);
-        match node_p99(&merged, i) {
-            Some(p99) => println!(
-                "  n{i} {addr}: ops={ops} p99={p99:.0}us invals_sent={invs} view_changes={views}"
-            ),
-            None => println!("  n{i} {addr}: ops={ops} invals_sent={invs} view_changes={views}"),
-        }
+        // Share of peer frames the sending lane wrote to the socket itself
+        // (the rest waited for the link poller: a dial or a full socket).
+        let inline = node_sum(&merged, "hermes_tcp_writes_inline_total", i);
+        let frames = inline + node_sum(&merged, "hermes_tcp_writes_deferred_total", i);
+        let inline_pct = 100.0 * inline / frames.max(1.0);
+        let p99 = node_p99(&merged, i).map_or(String::new(), |p99| format!(" p99={p99:.0}us"));
+        println!(
+            "  n{i} {addr}: ops={ops}{p99} invals_sent={invs} view_changes={views} \
+             tcp_inline={inline_pct:.1}%"
+        );
     }
     if opts.expose {
         print!("{merged}");

@@ -123,6 +123,17 @@ fn metrics_rpc_exposes_live_histograms() {
         "hermes_open_sessions",
         "hermes_accepts_total",
         "hermes_poller_decode_us_count",
+        "hermes_tcp_dials_total",
+        "hermes_tcp_accepts_total",
+        "hermes_tcp_disconnects_total",
+        "hermes_tcp_frames_sent_total",
+        "hermes_tcp_frames_received_total",
+        "hermes_tcp_frames_dropped_total",
+        "hermes_tcp_bytes_sent_total",
+        "hermes_tcp_bytes_received_total",
+        "hermes_tcp_writes_inline_total",
+        "hermes_tcp_writes_deferred_total",
+        "hermes_tcp_egress_backlog_bytes",
     ] {
         assert!(
             sum_samples(&text, family) >= 0.0 && text.contains(family),
