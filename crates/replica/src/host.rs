@@ -1,0 +1,563 @@
+//! The thin host around a replica's [`Lane`]s: one [`Node`] owns the lane
+//! threads, their queues, the transport ingress and the node-wide shared
+//! state, whichever deployment shape wraps it
+//! ([`ThreadCluster`](crate::ThreadCluster) is a `Vec<Node>`,
+//! [`NodeRuntime`](crate::NodeRuntime) a `Node` plus a client plane).
+//!
+//! Per node:
+//!
+//! * every lane runs the same loop, [`lane_main`]: block on the lane's one
+//!   command queue — client operations, peer messages and control events
+//!   all arrive there, so a lone op at an idle node wakes the lane at once
+//!   — then step the lane with the clock reading the loop took;
+//! * the transport's delivery thread decodes each data-plane Wings frame
+//!   where it was received and hands every message straight to the lane
+//!   owning its key ([`deliver_frame`], DESIGN.md §7);
+//! * lane 0 additionally carries the [`Pump`]: control frames (membership,
+//!   shadow catch-up), connectivity events and the membership driver's
+//!   tick — the node-wide duties that need one thread, not one per lane;
+//! * all lanes mirror committed per-key state into one shared seqlock
+//!   [`Store`], which serves cross-thread lock-free local reads (§4.1).
+
+use crate::lane::{Command, Lane, Lanes, MLT, PUMP_LANE};
+use crate::membership::{boot_view, MembershipOptions, MembershipStatus};
+use crate::metrics::NodeObs;
+use crate::sharded::ShardedEngine;
+use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use hermes_common::{Key, MembershipView, NodeId, Value};
+use hermes_core::{Msg, ProtocolConfig};
+use hermes_membership::{wire, MembershipDriver, RmEffect, RmMsg};
+use hermes_net::{Endpoint, IngressGuard, NetEvent, NetSender};
+use hermes_obs::{obs_info, obs_warn, Phase, Span, TraceSpan};
+use hermes_store::{SlotState, Store, StoreConfig};
+use hermes_wings::control::{self, ControlMsg, SyncEntry};
+use hermes_wings::{codec, decode_frame};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Commands a lane drains per wake-up beyond the one that woke it, before
+/// it turns to timers and the batch flush.
+const DRAIN_BATCH: usize = 64;
+
+/// One running replica: its lanes and their threads, the transport
+/// ingress feeding them, and the state they share.
+#[derive(Debug)]
+pub(crate) struct Node {
+    lanes: Lanes,
+    threads: Vec<JoinHandle<()>>,
+    /// The transport's delivery threads (taken on stop).
+    guard: Option<IngressGuard>,
+    running: Arc<AtomicBool>,
+    store: Arc<Store>,
+    status: Arc<MembershipStatus>,
+    obs: Arc<NodeObs>,
+}
+
+impl Node {
+    /// Spawns one replica's lane threads over `ep` and points the
+    /// transport's ingress at them.
+    ///
+    /// With `membership` set, lane 0's pump additionally hosts the node's
+    /// [`MembershipDriver`]: heartbeats and view agreement ride as Wings
+    /// control frames over the same transport, agreed views are installed
+    /// into every lane, and client operations are lease-gated through
+    /// [`Node::status`].
+    pub(crate) fn spawn<E: Endpoint>(
+        ep: E,
+        view: MembershipView,
+        protocol: ProtocolConfig,
+        workers: usize,
+        membership: Option<MembershipOptions>,
+    ) -> Node {
+        let me = ep.node_id();
+        let join = membership.is_some_and(|m| m.join);
+        let boot = boot_view(view, me, join);
+        let status = Arc::new(MembershipStatus::new(boot, boot.is_serving(me), !join));
+        let (router, shards) = ShardedEngine::new(me, boot, protocol, workers).into_shards();
+        let (txs, rxs): (Vec<_>, Vec<Receiver<Command>>) =
+            shards.iter().map(|_| unbounded()).unzip();
+        let lanes = Lanes::new(txs, router);
+        let net_tx = ep.sender();
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
+        let running = Arc::new(AtomicBool::new(true));
+        let mut threads = Vec::new();
+        for (index, (engine, rx)) in shards.into_iter().zip(rxs).enumerate() {
+            let lane = Lane::new(
+                index,
+                workers,
+                engine,
+                Arc::clone(&store),
+                net_tx.clone(),
+                Arc::clone(&status),
+                Arc::clone(&obs),
+            );
+            let pump = (index == PUMP_LANE).then(|| Pump {
+                obs: Arc::clone(&obs),
+                membership: membership.map(|m| {
+                    let driver = if m.join {
+                        MembershipDriver::joiner(me, boot, m.rm)
+                    } else {
+                        MembershipDriver::new(me, boot, m.rm)
+                    };
+                    PumpMembership::new(
+                        driver,
+                        lanes.clone(),
+                        net_tx.clone(),
+                        Arc::clone(&status),
+                        Arc::clone(&obs),
+                    )
+                }),
+            });
+            let running = Arc::clone(&running);
+            threads.push(std::thread::spawn(move || {
+                lane_main(lane, rx, running, pump)
+            }));
+        }
+        // Started last: events arriving before the lane threads run just
+        // queue. Control frames and connectivity events go to lane 0's
+        // pump; everything else is decoded right here.
+        let ingress = lanes.clone();
+        let guard = ep.start(Arc::new(move |ev| match ev {
+            NetEvent::Frame(from, ref frame) if !control::is_control(frame) => {
+                deliver_frame(&ingress, from, frame)
+            }
+            other => ingress.control(other),
+        }));
+        Node {
+            lanes,
+            threads,
+            guard: Some(guard),
+            running,
+            store,
+            status,
+            obs,
+        }
+    }
+
+    /// The lanes' command queues.
+    pub(crate) fn lanes(&self) -> &Lanes {
+        &self.lanes
+    }
+
+    /// Live membership gauges (current view, serving state, view changes).
+    pub(crate) fn status(&self) -> &Arc<MembershipStatus> {
+        &self.status
+    }
+
+    /// Gauges, histograms and trace rings shared by every layer.
+    pub(crate) fn obs(&self) -> &Arc<NodeObs> {
+        &self.obs
+    }
+
+    /// Peer connections the transport observed dying.
+    pub(crate) fn peer_disconnects(&self) -> u64 {
+        self.obs.peer_downs.load(Ordering::Relaxed)
+    }
+
+    /// Client operations handled per lane since start.
+    pub(crate) fn lane_ops(&self) -> Vec<u64> {
+        NodeObs::per_lane(&self.obs.lane_ops)
+    }
+
+    /// Peer messages handled per lane since start.
+    pub(crate) fn lane_ingress(&self) -> Vec<u64> {
+        NodeObs::per_lane(&self.obs.lane_ingress)
+    }
+
+    /// Live client cache subscriptions across all lanes.
+    pub(crate) fn subscriptions(&self) -> u64 {
+        self.obs.subscriptions.load(Ordering::Relaxed)
+    }
+
+    /// Push events sent to client sessions since start.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.obs.pushes.load(Ordering::Relaxed)
+    }
+
+    /// Drains every captured trace span from this node's rings.
+    pub(crate) fn trace_spans(&self) -> Vec<TraceSpan> {
+        self.obs.drain_spans()
+    }
+
+    /// Lock-free local read straight from the seqlock KVS mirror,
+    /// bypassing the lanes — the CRCW fast path of paper §4.1. `None` when
+    /// the key is invalidated (a protocol read would stall), or when the
+    /// replica is not serving (expired lease, deposed from the view,
+    /// shadow): the mirror may be stale then, and serving it would break
+    /// linearizability.
+    pub(crate) fn read_local(&self, key: Key) -> Option<Value> {
+        if !self.status.serving() {
+            return None;
+        }
+        let mut buf = Vec::new();
+        match self.store.get(key, &mut buf) {
+            None => Some(Value::EMPTY),
+            Some(meta) if meta.state == SlotState::Valid => Some(Value::from(buf)),
+            Some(_) => None,
+        }
+    }
+
+    /// Tells every lane thread to exit without waiting for it, so a
+    /// cluster's nodes wind down together rather than one after another.
+    pub(crate) fn signal_stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.lanes.fan_out(None, || Command::Shutdown);
+    }
+
+    /// Stops and joins the lane threads, then the transport ingress.
+    pub(crate) fn stop(&mut self) {
+        self.signal_stop();
+        for h in self.threads.drain(..) {
+            let _ = h.join();
+        }
+        if let Some(g) = self.guard.take() {
+            g.stop();
+        }
+    }
+}
+
+/// Per-lane network ingress: decodes one data-plane Wings frame on the
+/// transport thread that received it and hands each message to the lane
+/// owning its key — no bounce through lane 0. Per-(peer, key) FIFO is
+/// preserved because each peer connection is read by exactly one thread.
+/// Returns `false` once the lanes are gone (shutdown), closing the
+/// connection.
+fn deliver_frame(lanes: &Lanes, from: NodeId, frame: &Bytes) -> bool {
+    let Ok(msgs) = decode_frame(frame) else {
+        return true; // Malformed frame: drop it.
+    };
+    let mut alive = true;
+    for raw in msgs {
+        if let Ok((msg, trace)) = codec::decode_traced(&raw) {
+            alive &= lanes.deliver(from, msg, trace);
+        }
+    }
+    alive
+}
+
+/// Follower-side fault hook: delay every incoming `INV` by this many
+/// microseconds (`HERMES_FAULT_INV_DELAY_US`, read once). Used by the
+/// trace-smoke harness to force one replica to be the slow hop of a
+/// cross-node timeline; zero (the default) is free.
+fn inv_delay_us() -> u64 {
+    static DELAY: OnceLock<u64> = OnceLock::new();
+    *DELAY.get_or_init(|| {
+        std::env::var("HERMES_FAULT_INV_DELAY_US")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0)
+    })
+}
+
+/// The loop of every lane thread. Fully event-driven: the transport's
+/// delivery thread and the clients' submit paths push into the *same*
+/// command queue, so one blocking `recv` covers both and a lone client op
+/// at an idle node wakes the lane immediately (no idle-poll latency
+/// floor). Idle sleeps run to the next armed timer deadline, capped at
+/// [`MLT`] so the shutdown flag stays responsive and the pump's
+/// membership driver ticks finer than its heartbeat interval.
+fn lane_main<S: NetSender>(
+    mut lane: Lane<S>,
+    commands: Receiver<Command>,
+    running: Arc<AtomicBool>,
+    mut pump: Option<Pump<S>>,
+) {
+    while running.load(Ordering::Relaxed) {
+        let wait = lane
+            .next_deadline()
+            .map(|at| at.saturating_duration_since(Instant::now()).min(MLT))
+            .unwrap_or(MLT);
+        match commands.recv_timeout(wait) {
+            Ok(first) => {
+                let more = std::iter::from_fn(|| commands.try_recv().ok()).take(DRAIN_BATCH);
+                for cmd in std::iter::once(first).chain(more) {
+                    match cmd {
+                        Command::Shutdown => return,
+                        Command::Net(ev) => {
+                            if let Some(p) = pump.as_mut() {
+                                p.on_net(&mut lane, ev, Instant::now());
+                            }
+                        }
+                        cmd => {
+                            let inv = matches!(
+                                cmd,
+                                Command::Deliver {
+                                    msg: Msg::Inv { .. },
+                                    ..
+                                }
+                            );
+                            let delay = if inv { inv_delay_us() } else { 0 };
+                            if delay > 0 {
+                                std::thread::sleep(Duration::from_micros(delay));
+                            }
+                            lane.handle(cmd, Instant::now());
+                        }
+                    }
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        let now = Instant::now();
+        if let Some(m) = pump.as_mut().and_then(|p| p.membership.as_mut()) {
+            m.tick(&mut lane, now);
+        }
+        lane.on_tick(now);
+    }
+}
+
+/// Lane 0's extra duties: the node-wide events that need exactly one
+/// thread — control frames, connectivity events, the membership driver.
+struct Pump<S: NetSender> {
+    obs: Arc<NodeObs>,
+    membership: Option<PumpMembership<S>>,
+}
+
+impl<S: NetSender> Pump<S> {
+    fn on_net(&mut self, lane: &mut Lane<S>, ev: NetEvent, now: Instant) {
+        match ev {
+            // Only control frames come this way, and only the membership
+            // subsystem speaks them.
+            NetEvent::Frame(from, frame) => {
+                if let Some(m) = self.membership.as_mut() {
+                    m.on_frame(lane, from, &frame, now);
+                }
+            }
+            NetEvent::PeerDown(peer) => {
+                // Surface the disconnect (tests/operators observe the
+                // count). The data plane needs nothing — message-loss
+                // timeouts cover whatever the dead connection swallowed —
+                // but the failure detector takes it as an early suspicion
+                // hint (a live peer's next heartbeat clears it, and the
+                // lease-expiry wait still guards reconfiguration).
+                NodeObs::bump(&self.obs.peer_downs, 1);
+                if let Some(m) = self.membership.as_mut() {
+                    m.driver.on_peer_down(peer);
+                }
+            }
+            NetEvent::PeerUp(_) => {}
+        }
+    }
+}
+
+/// Re-request a shadow's bulk sync after this long without completing it
+/// (lost chunks re-stream; installs are idempotent by timestamp).
+const SYNC_RETRY: Duration = Duration::from_millis(250);
+
+/// The live membership subsystem as hosted on a node's pump: a
+/// [`MembershipDriver`] whose effects travel as Wings control frames over
+/// the node's existing transport, whose agreed views are installed into
+/// every lane, and whose lease verdict gates client service through the
+/// shared [`MembershipStatus`] (DESIGN.md §5).
+struct PumpMembership<S: NetSender> {
+    driver: MembershipDriver,
+    lanes: Lanes,
+    net: S,
+    status: Arc<MembershipStatus>,
+    rmfx: Vec<RmEffect>,
+    /// Last serving verdict; a true→false edge flushes client caches.
+    was_serving: bool,
+    /// Lanes of the sync source that finished streaming chunks to us.
+    marks: HashSet<u32>,
+    /// Lane count announced by the sync source's marks.
+    lanes_expected: Option<u32>,
+    last_sync_request: Option<Instant>,
+    /// Node-wide observability state (view-change outage accounting).
+    obs: Arc<NodeObs>,
+    /// Span covering the current not-serving window, if one is open.
+    outage: Option<Span>,
+}
+
+impl<S: NetSender> PumpMembership<S> {
+    fn new(
+        driver: MembershipDriver,
+        lanes: Lanes,
+        net: S,
+        status: Arc<MembershipStatus>,
+        obs: Arc<NodeObs>,
+    ) -> Self {
+        PumpMembership {
+            driver,
+            lanes,
+            net,
+            status,
+            rmfx: Vec::new(),
+            was_serving: false,
+            marks: HashSet::new(),
+            lanes_expected: None,
+            last_sync_request: None,
+            obs,
+            outage: None,
+        }
+    }
+
+    /// Runs one command on every lane: queued to the others, inline on
+    /// the pump's own.
+    fn on_every_lane(&self, lane: &mut Lane<S>, now: Instant, make: impl Fn() -> Command) {
+        self.lanes.fan_out(Some(PUMP_LANE), &make);
+        lane.handle(make(), now);
+    }
+
+    /// Installs one catch-up entry on the lane owning its key.
+    fn install(&self, lane: &mut Lane<S>, entry: SyncEntry, now: Instant) {
+        if self.lanes.owner(entry.key) == PUMP_LANE {
+            lane.handle(Command::InstallChunk(entry), now);
+        } else {
+            self.lanes.install_chunk(entry);
+        }
+    }
+
+    /// Periodic drive: heartbeats, failure detection, view agreement, the
+    /// join state machine, sync (re-)requests and the serving gate.
+    fn tick(&mut self, lane: &mut Lane<S>, now: Instant) {
+        self.driver.tick(&mut self.rmfx);
+        self.apply_effects(lane, now);
+        if self.driver.needs_sync() {
+            let due = self
+                .last_sync_request
+                .is_none_or(|at| now.saturating_duration_since(at) >= SYNC_RETRY);
+            if due {
+                self.last_sync_request = Some(now);
+                if let Some(source) = self.driver.view().members.min() {
+                    self.net
+                        .send(source, control::encode(&ControlMsg::SyncRequest));
+                }
+            }
+        }
+        let serving = self.driver.serving();
+        if self.was_serving && !serving {
+            // Serving loss (lease expiry, deposed mid-reconfiguration):
+            // clients must stop serving cached reads against this replica.
+            // Best-effort within the lease grace period — a partitioned
+            // client that cannot hear the flush also cannot be reached by
+            // anything else; DESIGN.md §8 discusses the window.
+            self.on_every_lane(lane, now, || Command::FlushClients);
+            obs_warn!(
+                "replica::membership",
+                "node {} stopped serving (epoch {})",
+                self.driver.node_id().0,
+                self.driver.view().epoch.0
+            );
+            if hermes_obs::recording_enabled() {
+                self.outage = Some(Span::begin(Phase::ViewChangeStart));
+            }
+        }
+        if !self.was_serving && serving {
+            // Serving restored: close the outage span — the span's total is
+            // exactly how long this replica refused operations, the paper's
+            // headline failover metric (§5.3).
+            if let Some(span) = self.outage.take() {
+                let epoch = self.driver.view().epoch.0;
+                let total = self
+                    .obs
+                    .pump_trace
+                    .complete(&span, || format!("view_change epoch={epoch}"));
+                self.obs.view_change_us.record(total);
+                NodeObs::bump(&self.obs.view_outages, 1);
+            }
+            obs_info!(
+                "replica::membership",
+                "node {} serving (epoch {})",
+                self.driver.node_id().0,
+                self.driver.view().epoch.0
+            );
+        }
+        self.was_serving = serving;
+        self.status.set_serving(serving);
+    }
+
+    /// Consumes one control frame (malformed ones are dropped).
+    fn on_frame(&mut self, lane: &mut Lane<S>, from: NodeId, frame: &Bytes, now: Instant) {
+        let Some(Ok(msg)) = control::decode(frame) else {
+            return;
+        };
+        match msg {
+            ControlMsg::Membership(payload) => {
+                self.driver.on_control(from, &payload, &mut self.rmfx);
+                self.apply_effects(lane, now);
+            }
+            // Every lane streams its shard.
+            ControlMsg::SyncRequest => {
+                self.on_every_lane(lane, now, || Command::SyncLane { to: from })
+            }
+            ControlMsg::SyncChunk {
+                key,
+                ts,
+                kind,
+                value,
+            } => {
+                let entry = SyncEntry {
+                    key,
+                    ts,
+                    kind,
+                    value,
+                };
+                self.install(lane, entry, now);
+            }
+            ControlMsg::SyncBatch { entries } => {
+                for entry in entries {
+                    self.install(lane, entry, now);
+                }
+            }
+            ControlMsg::SyncMark { lane, lanes: total } => {
+                if self.lanes_expected != Some(total) {
+                    self.marks.clear();
+                    self.lanes_expected = Some(total);
+                }
+                self.marks.insert(lane);
+                if self.driver.needs_sync() && self.marks.len() as u32 >= total {
+                    self.driver.mark_synced();
+                    self.status.set_synced(true);
+                }
+            }
+        }
+    }
+
+    fn apply_effects(&mut self, lane: &mut Lane<S>, now: Instant) {
+        let mut fx = std::mem::take(&mut self.rmfx);
+        for e in fx.drain(..) {
+            match e {
+                RmEffect::Send(to, msg) => self.net.send(to, rm_frame(&msg)),
+                RmEffect::Broadcast(msg) => {
+                    let frame = rm_frame(&msg);
+                    let me = self.driver.node_id();
+                    for to in self.driver.view().broadcast_set(me) {
+                        self.net.send(to, frame.clone());
+                    }
+                }
+                RmEffect::InstallView(view) => {
+                    if let Some(span) = self.outage.as_mut() {
+                        span.mark(Phase::ViewChangeInstalled);
+                    }
+                    obs_info!(
+                        "replica::membership",
+                        "node {} installing view epoch={} members={}",
+                        self.driver.node_id().0,
+                        view.epoch.0,
+                        view.members.len()
+                    );
+                    self.status.record_view(view);
+                    self.on_every_lane(lane, now, || Command::InstallView(view));
+                }
+            }
+        }
+        self.rmfx = fx;
+    }
+}
+
+/// Encodes one membership message as a complete Wings control frame.
+fn rm_frame(msg: &RmMsg) -> Bytes {
+    control::encode(&ControlMsg::Membership(Bytes::from(wire::encode(msg))))
+}
+
+/// Where a lane unit test starts its hand-advanced clock: `lane.rs` itself
+/// never reads one, not even under test.
+#[cfg(test)]
+pub(crate) fn test_epoch() -> Instant {
+    Instant::now()
+}

@@ -1,0 +1,1329 @@
+//! One worker lane of a replica: a key shard's protocol engine plus
+//! everything that interprets its effects — the client-cache hold rule,
+//! the push-ack eviction, the message-loss timers, the Wings batcher, the
+//! seqlock mirror and the trace marks (paper §4; DESIGN.md §3.3, §8).
+//!
+//! A [`Lane`] is stepped, never run: every entry point takes the current
+//! instant ([`Lane::handle`], [`Lane::on_tick`]) and the lane itself never
+//! reads a clock, sleeps, spawns, or looks at the environment. Its whole
+//! I/O boundary is the [`NetSender`] it is generic over and the
+//! [`ClientSink`]s handed to it, both of which a unit test can fake — so
+//! the hold rule and the eviction timer are tested below with no thread
+//! and no socket, under a hand-advanced `Instant`. The thread that steps a
+//! lane in production is `host::lane_main`.
+//!
+//! [`Command`] is a lane's mailbox and [`Lanes`] the one place that knows
+//! which lane a per-key event belongs to.
+
+use crate::membership::MembershipStatus;
+use crate::metrics::NodeObs;
+use crate::poller::ShardHandle;
+use crate::session::SessionEvent;
+use crate::timers::DeadlineQueue;
+use crossbeam::channel::Sender;
+use hermes_common::{
+    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardRouter,
+};
+use hermes_core::{HermesNode, KeyState, Msg, Ts};
+use hermes_net::{NetEvent, NetSender};
+use hermes_obs::{Phase, Span, TraceId};
+use hermes_store::{SlotMeta, Store};
+use hermes_wings::control::{self, ControlMsg, SyncEntry};
+use hermes_wings::{codec, Batcher};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Message-loss timeout (paper §3.4): retransmission/replay cadence.
+pub(crate) const MLT: Duration = Duration::from_millis(25);
+/// How long a lane waits for a remote subscriber to ack an invalidation
+/// push before evicting it and releasing the held effects — the client
+/// leg's analogue of the paper's bounded-delay assumption: a subscriber
+/// that cannot ack within a few MLTs is treated as failed.
+const PUSH_ACK_KICK: Duration = Duration::from_millis(75);
+/// The lane whose thread also carries the node's pump (control frames,
+/// connectivity events, the membership driver).
+pub(crate) const PUMP_LANE: usize = 0;
+
+/// One server→client push: an invalidation of a subscribed key, a
+/// subscription lifecycle ack, a flush-everything marker (view change or
+/// serving loss), or the eviction of a subscriber that stopped acking.
+///
+/// Pushes extend Hermes' invalidation phase one hop past the replicas:
+/// a client caching `key` is treated like a lightweight follower that must
+/// see the invalidation before the write's effects become visible anywhere
+/// (DESIGN.md §8).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PushEvent {
+    /// `key` changed: drop the cached entry. `epoch` lets clients detect
+    /// view changes they slept through.
+    Invalidate {
+        /// The invalidated key.
+        key: Key,
+        /// View epoch at the replica when the push was generated.
+        epoch: u64,
+    },
+    /// Subscription to `key` is live; pushed in response to `Subscribe`.
+    Subscribed {
+        /// Client-chosen request sequence number, echoed back.
+        seq: u64,
+        /// The subscribed key.
+        key: Key,
+        /// Current view epoch (seeds the client's epoch knowledge).
+        epoch: u64,
+    },
+    /// Subscription to `key` ended; pushed in response to `Unsubscribe`.
+    Unsubscribed {
+        /// Client-chosen request sequence number, echoed back.
+        seq: u64,
+        /// The unsubscribed key.
+        key: Key,
+    },
+    /// Drop *every* cached entry: the view changed (new `epoch`) or this
+    /// replica stopped serving.
+    Flush {
+        /// The epoch after the flush-triggering event.
+        epoch: u64,
+    },
+    /// The session failed to ack an invalidation within [`PUSH_ACK_KICK`]:
+    /// tear it down. A dead session serves nothing, so eviction preserves
+    /// coherence where waiting longer would stall writers.
+    Evict,
+}
+
+/// Where a lane sends what one client must hear: operation replies and
+/// push events, in one FIFO per client — a read reply that fills a cache
+/// and the invalidation that supersedes it arrive in emission order.
+#[derive(Clone, Debug)]
+pub(crate) enum ClientSink {
+    /// An in-process session's event queue. Enqueueing happens
+    /// synchronously with the write's apply on the lane thread, and the
+    /// session drains the queue before serving any cached read — so an
+    /// in-proc push is acknowledged by construction and never holds
+    /// effects back.
+    Session(Sender<SessionEvent>),
+    /// The poller shard owning a remote session (DESIGN.md §7), woken out
+    /// of its readiness wait to write the frame. The frame still has to
+    /// cross the network, so invalidation pushes stay pending until the
+    /// client's `InvalAck` returns.
+    Poller(ShardHandle),
+}
+
+impl ClientSink {
+    /// Delivers the reply of a completed operation.
+    pub(crate) fn reply(&self, op: OpId, reply: Reply) {
+        match self {
+            ClientSink::Session(tx) => {
+                let _ = tx.send(SessionEvent::Completion(op, reply));
+            }
+            ClientSink::Poller(shard) => shard.complete(op, reply),
+        }
+    }
+
+    /// Sends one push; returns whether it must be acked before effects
+    /// touching the key may leave this replica.
+    fn push(&self, client: ClientId, ev: PushEvent) -> bool {
+        match self {
+            ClientSink::Session(tx) => {
+                if let Some(ev) = SessionEvent::from_push(ev) {
+                    let _ = tx.send(ev);
+                }
+                false
+            }
+            ClientSink::Poller(shard) => {
+                shard.push(client, ev);
+                matches!(ev, PushEvent::Invalidate { .. })
+            }
+        }
+    }
+}
+
+/// Events delivered to one worker lane.
+pub(crate) enum Command {
+    /// A client operation routed to this lane.
+    Op {
+        op: OpId,
+        key: Key,
+        cop: ClientOp,
+        reply: ClientSink,
+    },
+    /// A peer protocol message, decoded and routed to this lane by the
+    /// transport thread that received its frame.
+    Deliver {
+        /// The sending peer.
+        from: NodeId,
+        /// The decoded protocol message.
+        msg: Msg,
+        /// Cross-node trace context carried by the message's Wings frame
+        /// ([`TraceId::NONE`] when the originating op was not sampled).
+        trace: TraceId,
+    },
+    /// Control frames and connectivity events ([`PUMP_LANE`] only;
+    /// consumed by the host's pump, never by the lane).
+    Net(NetEvent),
+    /// A reconfigured membership view (installed on every lane).
+    InstallView(MembershipView),
+    /// Stream this lane's committed per-key state to `to` as control-plane
+    /// sync batches, finishing with a lane mark (shadow catch-up, paper
+    /// §3.4 *Recovery*; a `SyncRequest` fans out to every lane).
+    SyncLane {
+        /// The catching-up shadow.
+        to: NodeId,
+    },
+    /// Install one key's committed state during shadow catch-up (routed to
+    /// the owning lane; newer-timestamp-wins).
+    InstallChunk(SyncEntry),
+    /// A client subscribes to invalidation pushes for `key` (routed to the
+    /// owning lane). Acked with [`PushEvent::Subscribed`] through `sink`.
+    Subscribe {
+        /// Client-chosen request sequence, echoed in the ack.
+        seq: u64,
+        /// The subscribing client.
+        client: ClientId,
+        /// The key to watch.
+        key: Key,
+        /// Where this client's pushes go.
+        sink: ClientSink,
+    },
+    /// A client drops its subscription to `key` (routed to the owning
+    /// lane). Acked with [`PushEvent::Unsubscribed`].
+    Unsubscribe {
+        /// Client-chosen request sequence, echoed in the ack.
+        seq: u64,
+        /// The unsubscribing client.
+        client: ClientId,
+        /// The key to stop watching.
+        key: Key,
+    },
+    /// A remote client acknowledged one invalidation push for `key`,
+    /// releasing held effects once every waiter has acked.
+    InvalAck {
+        /// The acking client.
+        client: ClientId,
+        /// The acked key.
+        key: Key,
+    },
+    /// A client session ended (reaped or dropped): clear every
+    /// subscription and pending ack it holds on this lane.
+    DropClient {
+        /// The departed client.
+        client: ClientId,
+    },
+    /// This replica stopped serving (lease loss, deposed from the view):
+    /// push [`PushEvent::Flush`] to every subscriber so no client keeps
+    /// serving cached reads against a replica that no longer may.
+    FlushClients,
+    /// Stop the lane's thread (consumed by the host).
+    Shutdown,
+}
+
+/// The command queues of one node's lanes, and the one place that decides
+/// which lane a per-key event goes to. Every send reports `false` once the
+/// lane is gone (node shutting down).
+#[derive(Clone, Debug)]
+pub(crate) struct Lanes {
+    txs: Vec<Sender<Command>>,
+    router: ShardRouter,
+}
+
+impl Lanes {
+    pub(crate) fn new(txs: Vec<Sender<Command>>, router: ShardRouter) -> Self {
+        Lanes { txs, router }
+    }
+
+    /// Worker lanes on this node.
+    pub(crate) fn workers(&self) -> usize {
+        self.txs.len()
+    }
+
+    /// The lane holding `key`'s engine state and subscriber registry.
+    pub(crate) fn owner(&self, key: Key) -> usize {
+        self.router.lane_for_op(key, &ClientOp::Read)
+    }
+
+    fn send(&self, lane: usize, cmd: Command) -> bool {
+        self.txs[lane].send(cmd).is_ok()
+    }
+
+    /// Submits a client operation; its reply goes to `reply`.
+    pub(crate) fn op(&self, op: OpId, key: Key, cop: ClientOp, reply: ClientSink) -> bool {
+        let lane = self.router.lane_for_op(key, &cop);
+        self.send(
+            lane,
+            Command::Op {
+                op,
+                key,
+                cop,
+                reply,
+            },
+        )
+    }
+
+    /// Hands a decoded peer message to the lane owning its key. Done on
+    /// the transport's delivery thread, which holds no engine; safe for
+    /// Hermes because no message serializes
+    /// ([`ShardRouter::lane_for_ingress`]).
+    pub(crate) fn deliver(&self, from: NodeId, msg: Msg, trace: TraceId) -> bool {
+        let lane = self.router.lane_for_ingress(msg.key());
+        self.send(lane, Command::Deliver { from, msg, trace })
+    }
+
+    /// Hands a control frame or connectivity event to the pump.
+    pub(crate) fn control(&self, ev: NetEvent) -> bool {
+        self.send(PUMP_LANE, Command::Net(ev))
+    }
+
+    pub(crate) fn subscribe(&self, seq: u64, client: ClientId, key: Key, sink: ClientSink) -> bool {
+        self.send(
+            self.owner(key),
+            Command::Subscribe {
+                seq,
+                client,
+                key,
+                sink,
+            },
+        )
+    }
+
+    pub(crate) fn unsubscribe(&self, seq: u64, client: ClientId, key: Key) -> bool {
+        self.send(self.owner(key), Command::Unsubscribe { seq, client, key })
+    }
+
+    pub(crate) fn inval_ack(&self, client: ClientId, key: Key) -> bool {
+        self.send(self.owner(key), Command::InvalAck { client, key })
+    }
+
+    pub(crate) fn install_chunk(&self, entry: SyncEntry) -> bool {
+        self.send(self.owner(entry.key), Command::InstallChunk(entry))
+    }
+
+    /// Sends one command to every lane except `skip` (the pump runs its
+    /// own lane's copy inline).
+    pub(crate) fn fan_out(&self, skip: Option<usize>, make: impl Fn() -> Command) {
+        for lane in (0..self.txs.len()).filter(|&l| Some(l) != skip) {
+            self.send(lane, make());
+        }
+    }
+
+    /// A departed client: every lane clears what it holds for it.
+    pub(crate) fn drop_client(&self, client: ClientId) {
+        self.fan_out(None, || Command::DropClient { client });
+    }
+}
+
+/// Outstanding invalidation pushes for one key: which remote subscribers
+/// still owe an ack, and when the lane gives up and evicts them.
+struct PendingAcks {
+    /// client id → unacked invalidation pushes to that client.
+    waiters: HashMap<u64, u32>,
+    /// Eviction deadline ([`PUSH_ACK_KICK`] past the newest push).
+    deadline: Instant,
+}
+
+/// One lane's subscriber registry: who caches which of this lane's keys,
+/// which pushes are still unacked, and the protocol effects held back
+/// until they are.
+#[derive(Default)]
+struct LaneSubs {
+    /// key → (client id → client sink).
+    by_key: HashMap<Key, HashMap<u64, ClientSink>>,
+    /// client id → keys it subscribes to on this lane (reap cleanup).
+    by_client: HashMap<u64, HashSet<Key>>,
+    /// Keys with unacked invalidation pushes to remote subscribers.
+    pending: HashMap<Key, PendingAcks>,
+    /// Last committed timestamp pushed per subscribed key — the change
+    /// detector that turns "this drain touched k" into "k's value moved".
+    pushed_ts: HashMap<Key, Ts>,
+    /// Protocol effects held while their key has unacked pushes.
+    held: HashMap<Key, Vec<Effect<Msg>>>,
+}
+
+/// One in-flight client operation: where its reply goes, plus (when
+/// observability recording is on) its protocol-phase trace span.
+struct PendingOp {
+    reply: ClientSink,
+    span: Option<Span>,
+}
+
+/// One worker lane: a shard's protocol engine plus the runtime state that
+/// interprets its effects. Generic over the transport's transmit half.
+pub(crate) struct Lane<S: NetSender> {
+    lane: usize,
+    /// Lanes on this node (announced in sync marks).
+    workers: usize,
+    node: HermesNode,
+    store: Arc<Store>,
+    net: S,
+    batcher: Batcher,
+    timers: DeadlineQueue,
+    clients: HashMap<OpId, PendingOp>,
+    /// Cached broadcast set of the current view, refreshed only on
+    /// membership change (not rebuilt per effect drain).
+    peers: Vec<NodeId>,
+    /// The node-wide serving gate (lease validity × view membership),
+    /// maintained by the pump's membership driver. One relaxed load per
+    /// client operation.
+    status: Arc<MembershipStatus>,
+    /// Client subscriptions to this lane's keys (invalidation pushes).
+    subs: LaneSubs,
+    /// Node-wide gauges, latency histograms, trace rings, phase counters.
+    obs: Arc<NodeObs>,
+    /// Trace context of the event currently draining: outgoing frames from
+    /// this drain carry it on the wire ([`codec::encode_traced`]). Set
+    /// when a client op mints a sampled id or an ingress message carries
+    /// one; [`TraceId::NONE`] otherwise — and then frames are
+    /// byte-identical to the untraced codec.
+    cur_trace: TraceId,
+    /// Follower-side span of the sampled peer message being handled right
+    /// now (so [`Lane::emit_effect`] can mark the ACK enqueue on it).
+    net_span: Option<Span>,
+    /// Follower-side INV spans awaiting their final `ack_write` mark: the
+    /// ACK's frame is written to the peer socket at the next
+    /// [`Lane::flush`], which completes them into the lane's ring.
+    net_spans: Vec<(Span, Key)>,
+    fx: Vec<Effect<Msg>>,
+}
+
+impl<S: NetSender> Lane<S> {
+    pub(crate) fn new(
+        lane: usize,
+        workers: usize,
+        node: HermesNode,
+        store: Arc<Store>,
+        net: S,
+        status: Arc<MembershipStatus>,
+        obs: Arc<NodeObs>,
+    ) -> Self {
+        let mut this = Lane {
+            lane,
+            workers,
+            node,
+            store,
+            net,
+            batcher: Batcher::new(1400, 32),
+            timers: DeadlineQueue::new(),
+            clients: HashMap::new(),
+            peers: Vec::new(),
+            status,
+            subs: LaneSubs::default(),
+            obs,
+            cur_trace: TraceId::NONE,
+            net_span: None,
+            net_spans: Vec::new(),
+            fx: Vec::new(),
+        };
+        this.refresh_peers();
+        this
+    }
+
+    /// When [`Lane::on_tick`] next has a message-loss timer to fire.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.timers.next_deadline()
+    }
+
+    fn refresh_peers(&mut self) {
+        self.peers = self
+            .node
+            .view()
+            .broadcast_set(self.node.node_id())
+            .iter()
+            .collect();
+    }
+
+    /// Runs one command at time `now`.
+    pub(crate) fn handle(&mut self, cmd: Command, now: Instant) {
+        match cmd {
+            Command::Op {
+                op,
+                key,
+                cop,
+                reply,
+            } => {
+                NodeObs::bump(&self.obs.lane_ops[self.lane], 1);
+                // Lease gate (paper §3.4): an expired lease — minority
+                // partition, mid-view-change, shadow — refuses service
+                // without touching the protocol.
+                if !self.status.serving() {
+                    reply.reply(op, Reply::NotOperational);
+                    return;
+                }
+                let issuer = op.client;
+                // Mint the op's cross-node trace context here, at issue:
+                // when sampled, every frame this op's protocol round emits
+                // (INV out, and — via the ACK echo — VAL out) carries the
+                // id, so follower-side phase marks land in *their* rings
+                // tagged with it.
+                let span = if hermes_obs::recording_enabled() {
+                    let trace = hermes_obs::maybe_trace();
+                    self.cur_trace = trace;
+                    Some(Span::begin_traced(Phase::Issued, trace))
+                } else {
+                    self.cur_trace = TraceId::NONE;
+                    None
+                };
+                self.clients.insert(op, PendingOp { reply, span });
+                self.node.on_client_op(op, key, cop, &mut self.fx);
+                self.drain_effects(Some(key), Some(issuer), Some(op), now);
+            }
+            Command::Deliver { from, msg, trace } => {
+                NodeObs::bump(&self.obs.lane_ingress[self.lane], 1);
+                self.handle_message(from, msg, trace, now);
+            }
+            Command::SyncLane { to } => self.sync_lane(to),
+            Command::InstallChunk(entry) => self.install_chunk(entry, now),
+            Command::Subscribe {
+                seq,
+                client,
+                key,
+                sink,
+            } => self.subscribe(seq, client, key, sink),
+            Command::Unsubscribe { seq, client, key } => self.unsubscribe(seq, client, key, now),
+            Command::InvalAck { client, key } => self.ack_push(client, key, now),
+            Command::DropClient { client } => self.drop_client(client, now),
+            Command::FlushClients => self.flush_subscribers(now),
+            Command::InstallView(view) => {
+                self.node.on_membership_update(view, &mut self.fx);
+                self.refresh_peers();
+                // Subscribers must not serve entries cached under the old
+                // view: flush them with the new epoch, and stop waiting on
+                // acks from the old world (held effects go out now).
+                self.flush_subscribers(now);
+                // No single key was touched. Mirroring a placeholder key
+                // here would have non-owner lanes overwrite the owner's
+                // slot with empty state; affected keys re-mirror when their
+                // own events next fire on their owning lane.
+                self.drain_effects(None, None, None, now);
+            }
+            // The host's: its loop consumes both before they get here.
+            Command::Net(_) | Command::Shutdown => {}
+        }
+    }
+
+    /// Processes a peer message this lane owns. `trace` is the cross-node
+    /// trace context its frame carried; a sampled INV/VAL opens a
+    /// follower-side span here so the originating coordinator's timeline
+    /// gains this replica's ingress → apply → ack phases, and a sampled
+    /// ACK re-arms `cur_trace` so the VAL broadcast it triggers inherits
+    /// the id without the coordinator storing any per-op trace map.
+    fn handle_message(&mut self, from: NodeId, msg: Msg, trace: TraceId, now: Instant) {
+        let key = msg.key();
+        let recording = hermes_obs::recording_enabled();
+        if recording {
+            if let Msg::Ack { .. } = msg {
+                NodeObs::bump(&self.obs.invals_acked, 1);
+            }
+        }
+        self.cur_trace = trace;
+        let follower = match msg {
+            Msg::Inv { .. } => Some(Phase::InvIngress),
+            Msg::Val { .. } => Some(Phase::ValIngress),
+            Msg::Ack { .. } => None,
+        }
+        .filter(|_| trace.is_sampled() && recording);
+        self.net_span = follower.map(|ingress| Span::begin_traced(ingress, trace));
+        self.node.on_message(from, msg, &mut self.fx);
+        if let Some(s) = self.net_span.as_mut() {
+            s.mark(Phase::LocalApply);
+        }
+        self.drain_effects(Some(key), None, None, now);
+        if let Some(span) = self.net_span.take() {
+            if follower == Some(Phase::InvIngress) {
+                // The ACK was enqueued during the drain; its final
+                // `ack_write` mark lands when the batch is handed to the
+                // transport (over TCP: to the kernel), at the next flush.
+                self.net_spans.push((span, key));
+            } else {
+                self.obs.lane_traces[self.lane].complete(&span, || format!("val key={}", key.0));
+            }
+        }
+    }
+
+    /// The periodic step: fires every message-loss timer due at `now`,
+    /// evicts subscribers whose invalidation acks are overdue, and flushes
+    /// outstanding frames (opportunistic batching: never hold).
+    pub(crate) fn on_tick(&mut self, now: Instant) {
+        // Retransmissions belong to no single traced op: drop the trace
+        // context so replayed frames go out untagged.
+        self.cur_trace = TraceId::NONE;
+        while let Some(key) = self.timers.pop_due(now) {
+            // Re-arm first (retransmission cadence); effects may disarm.
+            self.timers.arm(key, now + MLT);
+            self.node.on_mlt_timeout(key, &mut self.fx);
+            self.drain_effects(Some(key), None, None, now);
+        }
+        self.kick_stalled_pushes(now);
+        self.flush();
+    }
+
+    /// Emits every pending Wings frame into the node's shared egress, then
+    /// closes follower-side INV spans: `send` has returned, so over TCP the
+    /// ACK frame is in the kernel (this lane wrote it), and `ack_write` is
+    /// their final phase mark.
+    fn flush(&mut self) {
+        let net = &self.net;
+        self.batcher.flush_into(|to, frame| net.send(to, frame));
+        for (mut span, key) in self.net_spans.drain(..) {
+            span.mark(Phase::AckWrite);
+            self.obs.lane_traces[self.lane].complete(&span, || format!("inv key={}", key.0));
+        }
+    }
+
+    /// Installs one key's state from a shadow catch-up chunk
+    /// (newer-timestamp-wins, [`HermesNode::install_chunk`]) and mirrors it
+    /// so local reads observe the synced value.
+    fn install_chunk(&mut self, e: SyncEntry, now: Instant) {
+        NodeObs::bump(&self.obs.sync_chunks, 1);
+        NodeObs::bump(&self.obs.sync_bytes, e.value.as_bytes().len() as u64);
+        self.node.install_chunk(e.key, e.ts, e.value, e.kind);
+        self.mirror_key(e.key);
+        // Catch-up can move a key's committed timestamp outside a normal
+        // effect drain; subscribers still need to hear about it.
+        self.push_invalidations(e.key, None, now);
+    }
+
+    /// Streams this lane's per-key state to the catching-up shadow `to` as
+    /// control frames, ending with this lane's mark. Entries are batched
+    /// into [`ControlMsg::SyncBatch`] frames up to the
+    /// [`SYNC_BATCH_BUDGET`](control::SYNC_BATCH_BUDGET) size cap,
+    /// amortizing framing overhead across keys (one oversized value still
+    /// ships alone). Values still in flight are safe to ship: anything
+    /// non-final here has a coordinator driving it through the
+    /// shadow-inclusive view, and the shadow merges by timestamp.
+    fn sync_lane(&mut self, to: NodeId) {
+        let mut entries: Vec<SyncEntry> = Vec::new();
+        let mut batched = 0usize;
+        for (key, e) in self.node.entries() {
+            let entry = SyncEntry {
+                key: *key,
+                ts: e.ts,
+                kind: e.kind,
+                value: e.value.clone(),
+            };
+            if !entries.is_empty() && batched + entry.wire_size() > control::SYNC_BATCH_BUDGET {
+                let batch = ControlMsg::SyncBatch {
+                    entries: std::mem::take(&mut entries),
+                };
+                self.net.send(to, control::encode(&batch));
+                batched = 0;
+            }
+            batched += entry.wire_size();
+            entries.push(entry);
+        }
+        if !entries.is_empty() {
+            self.net
+                .send(to, control::encode(&ControlMsg::SyncBatch { entries }));
+        }
+        let mark = ControlMsg::SyncMark {
+            lane: self.lane as u32,
+            lanes: self.workers as u32,
+        };
+        self.net.send(to, control::encode(&mark));
+    }
+
+    /// Mirrors `key`'s protocol state into the shared seqlock KVS (paper
+    /// §4.1) so other threads serve lock-free local reads.
+    fn mirror_key(&mut self, key: Key) {
+        let (state, ts, value) = self.node.key_mirror(key);
+        let meta = if state == KeyState::Valid {
+            SlotMeta::valid(ts.version, ts.cid)
+        } else {
+            SlotMeta::invalid(ts.version, ts.cid)
+        };
+        let bytes = value.map_or(&[][..], |v| v.as_bytes());
+        self.store.put(key, meta, bytes);
+    }
+
+    /// Mirrors the touched key's state into the seqlock KVS so other
+    /// threads can serve lock-free local reads (paper §4.1), then
+    /// interprets the effects of the protocol transition. The mirror comes
+    /// *first*: once a client sees its `Effect::Reply`, a `read_local` on
+    /// this node must already observe the committed state. `touched` is
+    /// `None` for transitions with no single subject key (view installs),
+    /// which must not mirror: this lane may not own the state it would
+    /// write. `issuer` is the client whose own operation caused the
+    /// transition, if any — it already dropped its cached entry at submit
+    /// time and is excluded from the invalidation fan-out.
+    ///
+    /// While the touched key has unacked invalidation pushes to remote
+    /// subscribers, every message/reply effect for it is *held*: the write
+    /// must not become visible anywhere (follower ACKs, the coordinator's
+    /// INV broadcast, the client's `WriteOk`) before each subscriber can no
+    /// longer serve the superseded value. Timer effects always apply —
+    /// message-loss retransmissions simply regenerate (and re-hold) the
+    /// messages, and duplicates are idempotent.
+    fn drain_effects(
+        &mut self,
+        touched: Option<Key>,
+        issuer: Option<ClientId>,
+        op: Option<OpId>,
+        now: Instant,
+    ) {
+        if let Some(touched) = touched {
+            self.mirror_key(touched);
+            self.push_invalidations(touched, issuer, now);
+        }
+        let held = touched.filter(|k| self.subs.pending.contains_key(k));
+        let mut fx = std::mem::take(&mut self.fx);
+        for e in fx.drain(..) {
+            let timer = matches!(e, Effect::ArmTimer { .. } | Effect::DisarmTimer { .. });
+            match held {
+                Some(key) if !timer => {
+                    // A reply parked behind unacked cache pushes: mark the
+                    // hold on the op's trace span before shelving it.
+                    if let Effect::Reply { op, .. } = &e {
+                        self.mark_op(*op, Phase::ReplyHeld);
+                    }
+                    self.subs.held.entry(key).or_default().push(e);
+                }
+                _ => {
+                    // The issuing drain's Inv broadcast is the op's
+                    // invalidation phase (paper §3.1); mark it on the span.
+                    if let (
+                        Some(op),
+                        Effect::Broadcast {
+                            msg: Msg::Inv { .. },
+                        },
+                    ) = (op, &e)
+                    {
+                        self.mark_op(op, Phase::InvalBroadcast);
+                    }
+                    self.emit_effect(e, now);
+                }
+            }
+        }
+        self.fx = fx;
+    }
+
+    /// Marks `phase` on the trace span of in-flight operation `op`.
+    fn mark_op(&mut self, op: OpId, phase: Phase) {
+        if let Some(span) = self.clients.get_mut(&op).and_then(|p| p.span.as_mut()) {
+            span.mark(phase);
+        }
+    }
+
+    /// Emits one protocol effect that nothing holds back.
+    fn emit_effect(&mut self, e: Effect<Msg>, now: Instant) {
+        match e {
+            Effect::Send { to, msg } => {
+                if let (Msg::Ack { .. }, Some(span)) = (&msg, self.net_span.as_mut()) {
+                    span.mark(Phase::AckEnqueue);
+                }
+                let encoded = codec::encode_traced(&msg, self.cur_trace);
+                if let Some((to, frame)) = self.batcher.push(to, &encoded) {
+                    self.net.send(to, frame);
+                }
+            }
+            Effect::Broadcast { msg } => {
+                if hermes_obs::recording_enabled() {
+                    match msg {
+                        Msg::Inv { .. } => {
+                            NodeObs::bump(&self.obs.invals_sent, self.peers.len() as u64);
+                        }
+                        Msg::Val { .. } => {
+                            NodeObs::bump(&self.obs.vals_sent, self.peers.len() as u64);
+                        }
+                        _ => {}
+                    }
+                }
+                let encoded = codec::encode_traced(&msg, self.cur_trace);
+                for &to in &self.peers {
+                    if let Some((to, frame)) = self.batcher.push(to, &encoded) {
+                        self.net.send(to, frame);
+                    }
+                }
+            }
+            Effect::Reply { op, reply } => {
+                if let Some(pending) = self.clients.remove(&op) {
+                    if let Some(mut span) = pending.span {
+                        // A write's reply means its acks are in (§3.1);
+                        // reads commit without an invalidation round.
+                        if span
+                            .marks()
+                            .iter()
+                            .any(|&(p, _)| p == Phase::InvalBroadcast)
+                        {
+                            span.mark(Phase::AcksCollected);
+                        }
+                        span.mark(Phase::Committed);
+                        span.mark(Phase::ReplyReleased);
+                        let total = self.obs.lane_traces[self.lane].complete(&span, || {
+                            format!("op client={} seq={}", op.client.0, op.seq)
+                        });
+                        self.obs.lane_latency[self.lane].record(total);
+                    }
+                    pending.reply.reply(op, reply);
+                }
+            }
+            Effect::ArmTimer { key } => self.timers.arm(key, now + MLT),
+            Effect::DisarmTimer { key } => self.timers.disarm(key),
+        }
+    }
+
+    /// Fans an invalidation push out to `key`'s subscribers when its
+    /// committed timestamp moved since the last push. Remote subscribers
+    /// become ack waiters (their pushes gate this drain's effects);
+    /// in-proc sinks are synchronously coherent and never wait.
+    fn push_invalidations(&mut self, key: Key, issuer: Option<ClientId>, now: Instant) {
+        let Some(subscribers) = self.subs.by_key.get(&key) else {
+            return;
+        };
+        let (_, ts, _) = self.node.key_mirror(key);
+        if self.subs.pushed_ts.insert(key, ts) == Some(ts) {
+            return;
+        }
+        let epoch = self.node.view().epoch.0;
+        let mut need_ack = Vec::new();
+        for (&client, sink) in subscribers {
+            if issuer.is_some_and(|c| c.0 == client) {
+                // The issuer dropped its own entry at submit time; pushing
+                // to it would make every writer wait on itself.
+                continue;
+            }
+            NodeObs::bump(&self.obs.pushes, 1);
+            if sink.push(ClientId(client), PushEvent::Invalidate { key, epoch }) {
+                need_ack.push(client);
+            }
+        }
+        if !need_ack.is_empty() {
+            let p = self.subs.pending.entry(key).or_insert(PendingAcks {
+                waiters: HashMap::new(),
+                deadline: now,
+            });
+            p.deadline = now + PUSH_ACK_KICK;
+            for client in need_ack {
+                *p.waiters.entry(client).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// One remote subscriber acknowledged one invalidation push for `key`.
+    /// Pushes are counted per client — an ack for an older push must not
+    /// release effects a newer, still-unacked push is guarding.
+    fn ack_push(&mut self, client: ClientId, key: Key, now: Instant) {
+        if hermes_obs::recording_enabled() {
+            NodeObs::bump(&self.obs.push_acks, 1);
+        }
+        if let Some(p) = self.subs.pending.get_mut(&key) {
+            if let Some(n) = p.waiters.get_mut(&client.0) {
+                *n -= 1;
+                if *n == 0 {
+                    p.waiters.remove(&client.0);
+                }
+            }
+        }
+        self.release_if_acked(key, now);
+    }
+
+    /// Drops `client` from `key`'s ack waiters entirely (it unsubscribed,
+    /// died, or was evicted — no ack is coming), releasing held effects if
+    /// it was the last waiter.
+    fn clear_waiter(&mut self, client: u64, key: Key, now: Instant) {
+        if let Some(p) = self.subs.pending.get_mut(&key) {
+            p.waiters.remove(&client);
+        }
+        self.release_if_acked(key, now);
+    }
+
+    /// Releases `key`'s held effects once nobody owes an ack for it.
+    fn release_if_acked(&mut self, key: Key, now: Instant) {
+        if self
+            .subs
+            .pending
+            .get(&key)
+            .is_some_and(|p| p.waiters.is_empty())
+        {
+            self.subs.pending.remove(&key);
+            self.release_held(key, now);
+        }
+    }
+
+    /// Emits every effect held for `key`, in the order it was produced.
+    fn release_held(&mut self, key: Key, now: Instant) {
+        // Held effects may release long after the drain that produced
+        // them, under an unrelated trace context: emit them untagged
+        // rather than mislabeled.
+        self.cur_trace = TraceId::NONE;
+        if let Some(held) = self.subs.held.remove(&key) {
+            NodeObs::bump(&self.obs.holds_released, held.len() as u64);
+            for e in held {
+                self.emit_effect(e, now);
+            }
+        }
+    }
+
+    /// Evicts remote subscribers whose invalidation acks are overdue and
+    /// releases the effects they were holding. Mirrors the paper's
+    /// bounded-delay assumption at the client hop: past [`PUSH_ACK_KICK`]
+    /// the subscriber is treated as failed and torn down (a dead session
+    /// serves nothing, so coherence survives the forced release).
+    fn kick_stalled_pushes(&mut self, now: Instant) {
+        if self.subs.pending.is_empty() {
+            return;
+        }
+        let expired: Vec<Key> = self
+            .subs
+            .pending
+            .iter()
+            .filter(|(_, p)| now >= p.deadline)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in expired {
+            let Some(p) = self.subs.pending.remove(&key) else {
+                continue;
+            };
+            for &client in p.waiters.keys() {
+                if let Some(sink) = self.remove_subscription(client, key) {
+                    sink.push(ClientId(client), PushEvent::Evict);
+                }
+            }
+            self.release_held(key, now);
+        }
+    }
+
+    /// Registers `client` for pushes on `key` and acks through `sink`.
+    fn subscribe(&mut self, seq: u64, client: ClientId, key: Key, sink: ClientSink) {
+        // Seed the change detector at the current committed timestamp so
+        // the first post-subscribe write pushes exactly once.
+        let (_, ts, _) = self.node.key_mirror(key);
+        self.subs.pushed_ts.insert(key, ts);
+        let epoch = self.node.view().epoch.0;
+        let fresh = self
+            .subs
+            .by_key
+            .entry(key)
+            .or_default()
+            .insert(client.0, sink.clone())
+            .is_none();
+        if fresh {
+            self.subs.by_client.entry(client.0).or_default().insert(key);
+            NodeObs::bump(&self.obs.subscriptions, 1);
+        }
+        NodeObs::bump(&self.obs.pushes, 1);
+        sink.push(client, PushEvent::Subscribed { seq, key, epoch });
+    }
+
+    /// Ends `client`'s subscription to `key`, acking through the removed
+    /// sink.
+    fn unsubscribe(&mut self, seq: u64, client: ClientId, key: Key, now: Instant) {
+        if let Some(sink) = self.remove_subscription(client.0, key) {
+            self.clear_waiter(client.0, key, now);
+            NodeObs::bump(&self.obs.pushes, 1);
+            sink.push(client, PushEvent::Unsubscribed { seq, key });
+        }
+    }
+
+    /// Removes one (client, key) subscription edge; returns the sink if it
+    /// existed.
+    fn remove_subscription(&mut self, client: u64, key: Key) -> Option<ClientSink> {
+        let m = self.subs.by_key.get_mut(&key)?;
+        let sink = m.remove(&client)?;
+        if m.is_empty() {
+            self.subs.by_key.remove(&key);
+            self.subs.pushed_ts.remove(&key);
+        }
+        if let Some(keys) = self.subs.by_client.get_mut(&client) {
+            keys.remove(&key);
+            if keys.is_empty() {
+                self.subs.by_client.remove(&client);
+            }
+        }
+        self.obs.subscriptions.fetch_sub(1, Ordering::Relaxed);
+        Some(sink)
+    }
+
+    /// Clears every subscription and pending ack held by a departed
+    /// client.
+    fn drop_client(&mut self, client: ClientId, now: Instant) {
+        let Some(keys) = self.subs.by_client.remove(&client.0) else {
+            return;
+        };
+        for key in keys {
+            self.remove_subscription(client.0, key);
+            self.clear_waiter(client.0, key, now);
+        }
+    }
+
+    /// Pushes [`PushEvent::Flush`] to every subscriber (view change or
+    /// serving loss: cached entries from the old world must die), clears
+    /// all pending acks and emits all held effects. Subscriptions stay
+    /// registered — a still-live client refills from fresh reads.
+    fn flush_subscribers(&mut self, now: Instant) {
+        let epoch = self.node.view().epoch.0;
+        let mut seen: HashSet<u64> = HashSet::new();
+        for subs in self.subs.by_key.values() {
+            for (&client, sink) in subs {
+                if seen.insert(client) {
+                    NodeObs::bump(&self.obs.pushes, 1);
+                    sink.push(ClientId(client), PushEvent::Flush { epoch });
+                }
+            }
+        }
+        let stalled: Vec<Key> = self.subs.pending.drain().map(|(key, _)| key).collect();
+        for key in stalled {
+            self.release_held(key, now);
+        }
+        // Reset the change detector: post-change timestamps may replay, so
+        // be conservative and push on the next touch of every key.
+        self.subs.pushed_ts.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::poller::Inbound;
+    use bytes::Bytes;
+    use crossbeam::channel::{unbounded, Receiver};
+    use hermes_common::{Epoch, Value};
+    use hermes_core::{ProtocolConfig, UpdateKind};
+    use hermes_store::StoreConfig;
+    use hermes_wings::decode_frame;
+    use std::sync::Mutex;
+
+    const MS: Duration = Duration::from_millis(1);
+    /// The in-process writer and the remote (ack-owing) subscriber.
+    const A: ClientId = ClientId(1);
+    const B: ClientId = ClientId(2);
+
+    /// A `NetSender` that records frames instead of sending them.
+    #[derive(Clone)]
+    struct RecordingNet {
+        frames: Arc<Mutex<Vec<(NodeId, Bytes)>>>,
+    }
+
+    impl NetSender for RecordingNet {
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+
+        fn send(&self, to: NodeId, payload: Bytes) {
+            self.frames.lock().unwrap().push((to, payload));
+        }
+    }
+
+    /// Node 0's only lane in a `nodes`-replica view, with the clock, the
+    /// network and both kinds of client sink in the test's hands.
+    struct Rig {
+        lane: Lane<RecordingNet>,
+        net: RecordingNet,
+        obs: Arc<NodeObs>,
+        t0: Instant,
+        a: ClientSink,
+        a_events: Receiver<SessionEvent>,
+        b: ClientSink,
+        b_inbox: Receiver<Inbound>,
+        next_seq: u64,
+    }
+
+    fn rig(nodes: usize) -> Rig {
+        let view = MembershipView::initial(nodes);
+        let net = RecordingNet {
+            frames: Arc::default(),
+        };
+        let obs = Arc::new(NodeObs::new(0, 1));
+        let lane = Lane::new(
+            0,
+            1,
+            HermesNode::new(NodeId(0), view, ProtocolConfig::default()),
+            Arc::new(Store::new(StoreConfig::default())),
+            net.clone(),
+            Arc::new(MembershipStatus::new(view, true, true)),
+            Arc::clone(&obs),
+        );
+        let (a_tx, a_events) = unbounded();
+        let (shard, b_inbox) = ShardHandle::detached();
+        Rig {
+            lane,
+            net,
+            obs,
+            t0: crate::host::test_epoch(),
+            a: ClientSink::Session(a_tx),
+            a_events,
+            b: ClientSink::Poller(shard),
+            b_inbox,
+            next_seq: 0,
+        }
+    }
+
+    impl Rig {
+        /// Subscribes remote client B to `key` and consumes the ack.
+        fn subscribe_b(&mut self, key: Key) {
+            let cmd = Command::Subscribe {
+                seq: 0,
+                client: B,
+                key,
+                sink: self.b.clone(),
+            };
+            self.lane.handle(cmd, self.t0);
+            let epoch = 0;
+            assert_eq!(
+                self.b_pushes(),
+                vec![PushEvent::Subscribed { seq: 0, key, epoch }]
+            );
+        }
+
+        /// Submits `cop` on `key` as `client` at time `at`.
+        fn op(&mut self, client: ClientId, key: Key, cop: ClientOp, at: Instant) -> OpId {
+            let op = OpId::new(client, self.next_seq);
+            self.next_seq += 1;
+            let reply = if client == A { &self.a } else { &self.b }.clone();
+            self.lane.handle(
+                Command::Op {
+                    op,
+                    key,
+                    cop,
+                    reply,
+                },
+                at,
+            );
+            op
+        }
+
+        fn deliver(&mut self, from: u32, msg: Msg, at: Instant) {
+            let cmd = Command::Deliver {
+                from: NodeId(from),
+                msg,
+                trace: TraceId::NONE,
+            };
+            self.lane.handle(cmd, at);
+        }
+
+        /// Ticks the lane at `at` and returns every protocol message that
+        /// reached the network since the last call, in send order.
+        fn tick(&mut self, at: Instant) -> Vec<(u32, Msg)> {
+            self.lane.on_tick(at);
+            let mut out = Vec::new();
+            for (to, frame) in self.net.frames.lock().unwrap().drain(..) {
+                for raw in decode_frame(&frame).expect("data frame") {
+                    out.push((to.0, codec::decode_traced(&raw).expect("message").0));
+                }
+            }
+            out
+        }
+
+        /// Everything pushed to remote client B since the last call.
+        fn b_pushes(&mut self) -> Vec<PushEvent> {
+            let mut out = Vec::new();
+            while let Ok(item) = self.b_inbox.try_recv() {
+                match item {
+                    Inbound::Push(client, ev) => {
+                        assert_eq!(client, B);
+                        out.push(ev);
+                    }
+                    other => panic!("B only subscribes, got {other:?}"),
+                }
+            }
+            out
+        }
+
+        /// Every reply released to in-process client A since the last call.
+        fn a_replies(&mut self) -> Vec<(OpId, Reply)> {
+            let mut out = Vec::new();
+            while let Ok(ev) = self.a_events.try_recv() {
+                match ev {
+                    SessionEvent::Completion(op, reply) => out.push((op, reply)),
+                    other => panic!("A never subscribes, got {other:?}"),
+                }
+            }
+            out
+        }
+    }
+
+    fn write(v: u64) -> ClientOp {
+        ClientOp::Write(Value::from_u64(v))
+    }
+
+    fn invalidate(key: Key) -> PushEvent {
+        PushEvent::Invalidate { key, epoch: 0 }
+    }
+
+    /// The peers `msgs` carries an INV to, ascending (the batcher flushes
+    /// peers in no particular order).
+    fn inv_targets(msgs: &[(u32, Msg)]) -> Vec<u32> {
+        let mut peers: Vec<u32> = msgs
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::Inv { .. }))
+            .map(|&(to, _)| to)
+            .collect();
+        peers.sort_unstable();
+        peers
+    }
+
+    #[test]
+    fn unacked_push_holds_frames_and_replies_until_inval_ack() {
+        let mut r = rig(3);
+        let (k, epoch, t0) = (Key(7), Epoch(0), r.t0);
+        r.subscribe_b(k);
+
+        // Coordinator side: A's write may not even start its INV round
+        // while B can still serve the old value from its cache.
+        let w = r.op(A, k, write(1), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k)]);
+        assert_eq!(r.tick(t0), vec![], "INV left before the subscriber acked");
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        let out = r.tick(t0);
+        assert_eq!(inv_targets(&out), vec![1, 2]);
+        assert_eq!(out.len(), 2);
+        let ts = out[0].1.ts();
+        for peer in [1, 2] {
+            assert_eq!(r.a_replies(), vec![]);
+            r.deliver(peer, Msg::Ack { key: k, ts, epoch }, t0);
+        }
+        assert_eq!(r.a_replies(), vec![(w, Reply::WriteOk)]);
+        assert_eq!(r.b_pushes(), vec![], "the commit moves no timestamp");
+        assert!(matches!(
+            r.tick(t0)[..],
+            [(_, Msg::Val { .. }), (_, Msg::Val { .. })]
+        ));
+
+        // Follower side: peer 1 overwrites k. The ACKs this lane owes and
+        // the reply of a read that the VAL unblocks are all held behind
+        // B's ack, and leave in the order the engine produced them.
+        let ts2 = Ts::new(ts.version + 2, 1);
+        let inv = |ts| Msg::Inv {
+            key: k,
+            ts,
+            value: Value::from_u64(2),
+            kind: UpdateKind::Write,
+            epoch,
+        };
+        r.deliver(1, inv(ts2), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k)]);
+        r.deliver(1, inv(ts), t0); // A stale duplicate: acked, not adopted.
+        let read = r.op(A, k, ClientOp::Read, t0);
+        r.deliver(
+            1,
+            Msg::Val {
+                key: k,
+                ts: ts2,
+                epoch,
+            },
+            t0,
+        );
+        assert_eq!(
+            r.tick(t0),
+            vec![],
+            "an ACK left before the subscriber acked"
+        );
+        assert_eq!(
+            r.a_replies(),
+            vec![],
+            "a reply left before the subscriber acked"
+        );
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(
+            r.a_replies(),
+            vec![(read, Reply::ReadOk(Value::from_u64(2)))]
+        );
+        let acks: Vec<(u32, Ts)> = r.tick(t0).iter().map(|(to, m)| (*to, m.ts())).collect();
+        assert_eq!(acks, vec![(1, ts2), (1, ts)]);
+        assert_eq!(r.obs.holds_released.load(Ordering::Relaxed), 1 + 3);
+    }
+
+    #[test]
+    fn acks_are_counted_per_client_so_one_ack_cannot_release_two_pushes() {
+        let mut r = rig(3);
+        let (k, epoch, t0) = (Key(7), Epoch(0), r.t0);
+        r.subscribe_b(k);
+        let inv = |version| Msg::Inv {
+            key: k,
+            ts: Ts::new(version, 1),
+            value: Value::from_u64(version),
+            kind: UpdateKind::Write,
+            epoch,
+        };
+        r.deliver(1, inv(2), t0);
+        r.deliver(1, inv(4), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k), invalidate(k)]);
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(r.tick(t0), vec![], "the newer push is still unacked");
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(r.tick(t0).len(), 2, "both ACKs leave with the second ack");
+    }
+
+    #[test]
+    fn a_subscriber_silent_for_push_ack_kick_is_evicted_and_the_write_proceeds() {
+        let mut r = rig(3);
+        let (k, t0) = (Key(7), r.t0);
+        r.subscribe_b(k);
+        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1);
+        r.op(A, k, write(1), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k)]);
+
+        assert_eq!(r.tick(t0 + PUSH_ACK_KICK - MS), vec![]);
+        assert_eq!(r.b_pushes(), vec![]);
+        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1);
+
+        let out = r.tick(t0 + PUSH_ACK_KICK);
+        assert_eq!(r.b_pushes(), vec![PushEvent::Evict]);
+        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            inv_targets(&out),
+            vec![1, 1, 2, 2],
+            "the INV and its retransmissions"
+        );
+        // The evicted client is forgotten: nothing more is pushed to it.
+        r.lane.handle(Command::FlushClients, t0 + PUSH_ACK_KICK);
+        assert_eq!(r.b_pushes(), vec![]);
+    }
+
+    #[test]
+    fn view_install_and_flush_reach_each_subscriber_once_and_release_what_is_held() {
+        for install_view in [true, false] {
+            let mut r = rig(3);
+            let t0 = r.t0;
+            r.subscribe_b(Key(7));
+            r.subscribe_b(Key(8));
+            r.op(A, Key(7), write(1), t0);
+            assert_eq!(r.b_pushes(), vec![invalidate(Key(7))]);
+            assert_eq!(r.tick(t0), vec![]);
+
+            let (cmd, epoch) = if install_view {
+                let next = MembershipView::initial(3).without_node(NodeId(2));
+                (Command::InstallView(next), next.epoch.0)
+            } else {
+                (Command::FlushClients, 0)
+            };
+            r.lane.handle(cmd, t0);
+            assert_eq!(
+                r.b_pushes(),
+                vec![PushEvent::Flush { epoch }],
+                "one flush per subscriber, however many keys it holds"
+            );
+            assert!(!r.tick(t0).is_empty(), "held INVs go out with the flush");
+            // No ack is owed any more: a late one finds nothing to release.
+            let key = Key(7);
+            r.lane.handle(Command::InvalAck { client: B, key }, t0);
+            assert_eq!(r.tick(t0), vec![]);
+            assert_eq!(r.b_pushes(), vec![]);
+            assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 2);
+        }
+    }
+
+    #[test]
+    fn an_unacked_inv_is_retransmitted_at_exactly_mlt() {
+        let mut r = rig(3);
+        let (k, t0) = (Key(7), r.t0);
+        r.op(A, k, write(1), t0);
+        assert_eq!(inv_targets(&r.tick(t0)), vec![1, 2]);
+        assert_eq!(r.lane.next_deadline(), Some(t0 + MLT));
+        assert_eq!(r.tick(t0 + MLT - MS), vec![]);
+        assert_eq!(inv_targets(&r.tick(t0 + MLT)), vec![1, 2]);
+        assert_eq!(r.lane.next_deadline(), Some(t0 + MLT + MLT));
+    }
+
+    #[test]
+    fn the_issuer_of_a_write_is_never_pushed_its_own_invalidation() {
+        let mut r = rig(3);
+        let (k, t0) = (Key(7), r.t0);
+        r.subscribe_b(k);
+        r.op(B, k, write(1), t0);
+        assert_eq!(r.b_pushes(), vec![]);
+        assert_eq!(
+            inv_targets(&r.tick(t0)),
+            vec![1, 2],
+            "a writer never waits on itself"
+        );
+    }
+}

@@ -1,8 +1,7 @@
 //! # hermes-replica — cluster runtimes
 //!
 //! Binds protocol state machines (Hermes and the baselines) to the
-//! substrates: networks, stores, membership and workloads. Two runtimes are
-//! provided (DESIGN.md §3.3):
+//! substrates: networks, stores, membership and workloads (DESIGN.md §3.3).
 //!
 //! * [`run_sim`] — a deterministic discrete-event cluster: N nodes × W
 //!   worker servers with a calibrated [`CostModel`], closed-loop client
@@ -10,23 +9,22 @@
 //!   membership and crash injection, producing throughput/latency
 //!   [`RunReport`]s. Every figure of the paper's evaluation is regenerated
 //!   through this entry point.
-//! * [`ThreadCluster`] — a real multi-threaded Hermes deployment in one
-//!   process: N replicas × W worker threads, each worker owning one key
-//!   shard with its own protocol engine ([`ShardedEngine`]), Wings-framed
-//!   datagrams over any pluggable transport (crossbeam channels or loopback
-//!   TCP), per-node seqlock KVS mirrors serving lock-free local reads (the
-//!   HermesKV architecture of paper §4), and pipelined [`ClientSession`]s
-//!   with many operations in flight.
+//! * The real runtime is one replica `Node` in two deployment shapes. A
+//!   node is W worker lanes — each a clock-free `Lane` owning one key
+//!   shard's protocol engine ([`ShardedEngine`]), stepped by its own
+//!   thread — Wings-framed datagrams over any pluggable transport, and a
+//!   per-node seqlock KVS mirror serving lock-free local reads (the
+//!   HermesKV architecture of paper §4):
+//!   * [`ThreadCluster`] holds N nodes in one process, over crossbeam
+//!     channels or loopback TCP, reached through pipelined
+//!     [`ClientSession`]s with many operations in flight;
+//!   * [`NodeRuntime`] holds one node per OS process over the TCP
+//!     transport and adds a client-facing RPC port, across which
+//!     [`RemoteChannel`] connects a [`ClientSession`] (the `hermesd`
+//!     daemon of `examples/hermesd.rs`, DESIGN.md §4).
 //!
-//! A third deployment shape runs each replica as its own OS process:
-//! [`NodeRuntime`] serves one node over the TCP transport plus a
-//! client-facing RPC port, and [`RemoteChannel`] connects a
-//! [`ClientSession`] to it across the network (the `hermesd` daemon of
-//! `examples/hermesd.rs`, DESIGN.md §4).
-//!
-//! Both the threaded and the per-process runtimes can additionally run the
-//! **live membership subsystem** (DESIGN.md §5): each node's pump lane
-//! hosts a wall-clock
+//! Either shape can additionally run the **live membership subsystem**
+//! (DESIGN.md §5): lane 0 of each node hosts a wall-clock
 //! [`MembershipDriver`](hermes_membership::MembershipDriver) whose
 //! heartbeats and Paxos view agreement travel as Wings control frames over
 //! the same transport, so a replica group survives real process crashes —
@@ -38,6 +36,8 @@
 #![warn(missing_debug_implementations)]
 
 mod cost;
+mod host;
+mod lane;
 mod membership;
 mod metrics;
 mod node;

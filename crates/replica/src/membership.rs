@@ -1,8 +1,8 @@
 //! Observable membership state of a running replica.
 //!
 //! The live membership subsystem (DESIGN.md §5) runs a
-//! [`MembershipDriver`](hermes_membership::MembershipDriver) on each
-//! node's pump lane; [`MembershipStatus`] is the lock-free window into it
+//! [`MembershipDriver`](hermes_membership::MembershipDriver) on lane 0 of
+//! each node; [`MembershipStatus`] is the lock-free window into it
 //! shared with every worker lane (the serving gate checked per client
 //! operation), with runtimes' public accessors
 //! ([`ThreadCluster::membership`](crate::ThreadCluster::membership),
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Lock-free gauges describing one replica's live membership state.
 ///
-/// Written by the pump lane's membership driver, read by every worker lane
+/// Written by lane 0's membership driver, read by every worker lane
 /// (one atomic load per client operation) and by observers. On runtimes
 /// without the membership subsystem the status is static: the initial
 /// view, serving forever.

@@ -1,22 +1,22 @@
 //! Runtime observability state shared across the threaded node, its
 //! client plane, and the metrics exposition.
 //!
-//! [`NodeObs`] is one `Arc` created in `spawn_node` and threaded through
-//! every layer: worker lanes record op latencies and protocol-phase
-//! counters into it, the pump records view-change outages and sync
-//! catch-up throughput, and the client-plane pollers record accept /
-//! decode / write-drain / credit-stall timings. `NodeRuntime::serve`
-//! registers all of it (plus the pre-existing runtime gauges) into a
+//! [`NodeObs`] is one `Arc` created by `Node::spawn` and threaded through
+//! every layer: worker lanes record op counts, op latencies, cache-push
+//! gauges and protocol-phase counters into it, the pump records peer
+//! disconnects, view-change outages and sync catch-up throughput, and the
+//! client-plane pollers record accept / decode / write-drain /
+//! credit-stall timings. `NodeRuntime::serve` registers all of it into a
 //! [`hermes_obs::Registry`] whose rendering backs the `Metrics` client
 //! RPC and `hermesd --metrics-dump`.
 //!
-//! Transaction accounting is process-wide ([`txn_counters`]) because
-//! transactions are driven from two places — server-side executors inside
-//! the client plane and client-side [`crate::ClientSession::drive_txn`] —
-//! and both should land in one set of counters.
+//! Transaction accounting is process-wide ([`txn_counters`]): every
+//! transaction, wherever its session lives (a client process, a
+//! `ThreadCluster` caller, a daemon's executor pool), is driven by
+//! [`crate::ClientSession::txn`] and lands in one set of counters.
 
 use hermes_common::TxnAbort;
-use hermes_obs::{Histogram, TraceRing};
+use hermes_obs::{Histogram, TraceRing, TraceSpan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,6 +24,18 @@ use std::sync::Arc;
 /// rendered on demand by the metrics exposition.
 #[derive(Debug)]
 pub(crate) struct NodeObs {
+    /// Client operations handled per worker lane — the gauge that shows
+    /// multi-key transactions fanning their sub-operations across lanes.
+    pub(crate) lane_ops: Vec<AtomicU64>,
+    /// Peer messages handled per worker lane, each delivered straight into
+    /// the lane's queue by the transport thread that decoded its frame.
+    pub(crate) lane_ingress: Vec<AtomicU64>,
+    /// Peer connections the transport observed dying.
+    pub(crate) peer_downs: AtomicU64,
+    /// Live (key, client) cache subscriptions across all lanes.
+    pub(crate) subscriptions: AtomicU64,
+    /// Push events sent to clients since start.
+    pub(crate) pushes: AtomicU64,
     /// Per-lane client-op latency (us), recorded at reply release.
     pub(crate) lane_latency: Vec<Arc<Histogram>>,
     /// Per-lane slow-op trace rings.
@@ -64,6 +76,11 @@ pub(crate) struct NodeObs {
 impl NodeObs {
     pub(crate) fn new(node: usize, lanes: usize) -> Self {
         NodeObs {
+            lane_ops: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            lane_ingress: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            peer_downs: AtomicU64::new(0),
+            subscriptions: AtomicU64::new(0),
+            pushes: AtomicU64::new(0),
             lane_latency: (0..lanes).map(|_| Arc::new(Histogram::new())).collect(),
             lane_traces: (0..lanes)
                 .map(|l| TraceRing::labeled(format!("n{node}/lane{l}"), node as u32, l as u32))
@@ -89,6 +106,23 @@ impl NodeObs {
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// A snapshot of one per-lane counter vector.
+    pub(crate) fn per_lane(counters: &[AtomicU64]) -> Vec<u64> {
+        counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Drains every captured trace span (slow ops and sampled ops) from
+    /// all worker lanes' rings plus the pump's, in lane order. Each span
+    /// is returned exactly once across every caller.
+    pub(crate) fn drain_spans(&self) -> Vec<TraceSpan> {
+        let mut spans = Vec::new();
+        for ring in &self.lane_traces {
+            spans.extend(ring.drain_spans());
+        }
+        spans.extend(self.pump_trace.drain_spans());
+        spans
     }
 }
 
@@ -178,6 +212,7 @@ mod tests {
         let obs = NodeObs::new(1, 3);
         assert_eq!(obs.lane_latency.len(), 3);
         assert_eq!(obs.lane_traces.len(), 3);
+        assert_eq!(NodeObs::per_lane(&obs.lane_ops), vec![0, 0, 0]);
         NodeObs::bump(&obs.invals_sent, 4);
         assert_eq!(obs.invals_sent.load(Ordering::Relaxed), 4);
     }

@@ -1,9 +1,9 @@
 //! One replica as its own OS process: the `hermesd` runtime.
 //!
 //! [`NodeRuntime::serve`] binds this node's replication listener (TCP,
-//! [`TcpEndpoint`]), spawns the same sharded worker threads as
-//! [`ThreadCluster`](crate::ThreadCluster) — the runtime code is shared,
-//! only the transport differs — and additionally serves a **client port**:
+//! [`TcpEndpoint`]), spawns the same `Node` — lane threads, ingress, shared
+//! store — that [`ThreadCluster`](crate::ThreadCluster) holds N of, and
+//! additionally serves a **client port**:
 //! a TCP listener speaking the `hermes_wings::client` RPC format, where
 //! each connection is one pipelined session.
 //!
@@ -21,41 +21,26 @@
 //! `examples/tcp_cluster.rs` (DESIGN.md §4); the session-scaling evidence
 //! lives in `examples/session_scaling.rs`.
 
+use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::{txn_counters, NodeObs};
 use crate::poller::{
     ClientPlane, MetricsSource, PlaneConfig, PlaneGauges, StatsSource, TracesSource,
 };
-use crate::threaded::{spawn_node, Command, Completion, NodeHandle, PushGauges, ReplyTo};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use hermes_common::{
-    ClientId, MembershipView, NodeId, NodeSet, OpId, Reply, ShardRouter, TxnAbort, TxnOp, TxnReply,
-};
+use hermes_common::{Key, MembershipView, NodeId, NodeSet, Reply, TxnOp, TxnReply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
 use hermes_net::{
     read_frame_deadline, write_frame_to, FrameRead, TcpConfig, TcpEndpoint, TcpStats,
 };
 use hermes_obs::{Registry, TraceSpan};
-use hermes_store::{Store, StoreConfig};
-use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
 use hermes_wings::{client as rpc, CreditConfig};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Server-side transaction coordinators submit their sub-operations under
-/// ids above this base (one fresh id per transaction, so lock tokens and
-/// `OpId`s are globally unique).
-const TXN_CLIENT_BASE: u64 = 1 << 34;
-
-/// Allocator for [`TXN_CLIENT_BASE`] ids, shared by every transaction
-/// executor of the process.
-static NEXT_TXN_CLIENT: AtomicU64 = AtomicU64::new(0);
 
 /// Request frames larger than this kill the client connection.
 pub(crate) const MAX_CLIENT_FRAME: usize = 16 << 20;
@@ -228,28 +213,16 @@ impl NodeOptions {
 /// plus the client-port RPC service.
 #[derive(Debug)]
 pub struct NodeRuntime {
-    node: NodeId,
+    id: NodeId,
     client_addr: SocketAddr,
-    lanes: Vec<Sender<Command>>,
-    router: ShardRouter,
-    store: Arc<Store>,
-    running: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-    ingress: Option<hermes_net::IngressGuard>,
+    /// The lanes, their threads, the transport ingress and the state they
+    /// share — the same value a `ThreadCluster` holds per replica.
+    node: Node,
     /// The sharded-poller client plane owning every remote session
     /// (stopped first on shutdown, before the worker lanes).
     client_plane: Option<ClientPlane>,
     /// Session-occupancy gauges shared with the client plane.
     plane_gauges: Arc<PlaneGauges>,
-    /// Subscription/push gauges shared with the worker lanes.
-    push_gauges: Arc<PushGauges>,
-    peer_downs: Arc<AtomicU64>,
-    status: Arc<MembershipStatus>,
-    /// Client operations handled per worker lane (stats RPC gauge).
-    lane_ops: Arc<Vec<AtomicU64>>,
-    /// Peer messages delivered directly into each worker lane by the
-    /// transport readers (per-worker ingress demux gauge).
-    lane_ingress: Arc<Vec<AtomicU64>>,
     tcp_stats: Arc<TcpStats>,
     /// Raised when a client connection delivers the shutdown RPC; the
     /// daemon's main loop polls it and winds the process down.
@@ -258,9 +231,6 @@ pub struct NodeRuntime {
     /// [`NodeRuntime::metrics_text`]; every runtime gauge, histogram and
     /// protocol-phase counter is registered here at startup.
     registry: Arc<Registry>,
-    /// The shared observability state (trace rings backing the `Traces`
-    /// RPC and [`NodeRuntime::trace_spans`]).
-    obs: Arc<NodeObs>,
 }
 
 impl NodeRuntime {
@@ -284,32 +254,20 @@ impl NodeRuntime {
         let client_listener = TcpListener::bind(opts.client_addr)?;
         client_listener.set_nonblocking(true)?;
         let client_addr = client_listener.local_addr()?;
-        let store = Arc::new(Store::new(StoreConfig::default()));
-        let running = Arc::new(AtomicBool::new(true));
         let view = MembershipView::initial(opts.peers.len());
         let membership = opts.membership.map(|rm| MembershipOptions {
             rm,
             join: opts.join,
         });
-        let node = spawn_node(
-            ep,
-            view,
-            opts.protocol,
-            opts.workers,
-            Arc::clone(&store),
-            Arc::clone(&running),
-            membership,
-        );
+        let node = Node::spawn(ep, view, opts.protocol, opts.workers, membership);
         let shutdown_requested = Arc::new(AtomicBool::new(false));
         // The gauges exist before the plane so the stats closure the plane
         // captures can already read them.
         let plane_gauges = Arc::new(PlaneGauges::new(opts.pollers.max(1)));
         let stats_source: Arc<StatsSource> = {
-            let status = Arc::clone(&node.status);
-            let lane_ops = Arc::clone(&node.lane_ops);
-            let lane_ingress = Arc::clone(&node.lane_ingress);
+            let status = Arc::clone(node.status());
+            let obs = Arc::clone(node.obs());
             let gauges = Arc::clone(&plane_gauges);
-            let push_gauges = Arc::clone(&node.push_gauges);
             Arc::new(move || rpc::StatsPayload {
                 epoch: status.epoch(),
                 view_changes: status.view_changes(),
@@ -317,15 +275,12 @@ impl NodeRuntime {
                 shadows: status.shadows(),
                 serving: status.serving(),
                 synced: status.synced(),
-                lane_ops: lane_ops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+                lane_ops: NodeObs::per_lane(&obs.lane_ops),
                 open_sessions: gauges.open_sessions(),
                 sessions_per_shard: gauges.sessions_per_shard(),
-                lane_ingress: lane_ingress
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                subscriptions: push_gauges.subscriptions.load(Ordering::Relaxed),
-                pushes: push_gauges.pushes.load(Ordering::Relaxed),
+                lane_ingress: NodeObs::per_lane(&obs.lane_ingress),
+                subscriptions: obs.subscriptions.load(Ordering::Relaxed),
+                pushes: obs.pushes.load(Ordering::Relaxed),
                 accept_stalls: gauges.accept_stalls(),
             })
         };
@@ -335,13 +290,12 @@ impl NodeRuntime {
             Arc::new(move || registry.render())
         };
         let traces_source: Arc<TracesSource> = {
-            let obs = Arc::clone(&node.obs);
-            Arc::new(move || drain_trace_spans(&obs))
+            let obs = Arc::clone(node.obs());
+            Arc::new(move || obs.drain_spans())
         };
         let client_plane = ClientPlane::start(
             client_listener,
-            node.lanes.clone(),
-            node.router,
+            node.lanes().clone(),
             PlaneConfig {
                 pollers: opts.pollers.max(1),
                 txn_executors: TXN_EXECUTORS,
@@ -353,29 +307,17 @@ impl NodeRuntime {
             stats_source,
             metrics_source,
             traces_source,
-            Arc::clone(&node.obs),
+            Arc::clone(node.obs()),
         )?;
-        let obs = Arc::clone(&node.obs);
         Ok(NodeRuntime {
-            node: opts.node,
+            id: opts.node,
             client_addr,
-            lanes: node.lanes,
-            router: node.router,
-            store,
-            running,
-            handles: node.handles,
-            ingress: Some(node.guard),
+            node,
             client_plane: Some(client_plane),
             plane_gauges,
-            push_gauges: node.push_gauges,
-            peer_downs: node.peer_downs,
-            status: node.status,
-            lane_ops: node.lane_ops,
-            lane_ingress: node.lane_ingress,
             tcp_stats,
             shutdown_requested,
             registry,
-            obs,
         })
     }
 
@@ -390,12 +332,12 @@ impl NodeRuntime {
     /// serves remotely ([`query_traces`]). Each span is returned exactly
     /// once across local drains and RPC scrapes.
     pub fn trace_spans(&self) -> Vec<TraceSpan> {
-        drain_trace_spans(&self.obs)
+        self.node.trace_spans()
     }
 
     /// This replica's node id.
     pub fn node_id(&self) -> NodeId {
-        self.node
+        self.id
     }
 
     /// The client-port address actually bound (resolves `:0`).
@@ -405,17 +347,17 @@ impl NodeRuntime {
 
     /// Worker lanes on this node.
     pub fn workers(&self) -> usize {
-        self.router.spec().workers()
+        self.node.lanes().workers()
     }
 
-    /// Peer connections this node's transport readers observed dying.
+    /// Peer connections this node's transport observed dying.
     pub fn peer_disconnects(&self) -> u64 {
-        self.peer_downs.load(Ordering::Relaxed)
+        self.node.peer_disconnects()
     }
 
     /// Live membership gauges (current view, serving state, view changes).
     pub fn membership(&self) -> &MembershipStatus {
-        &self.status
+        self.node.status()
     }
 
     /// TCP transport counters (frames, dials, accepts, disconnects).
@@ -425,19 +367,14 @@ impl NodeRuntime {
 
     /// Client operations handled per worker lane since start.
     pub fn lane_ops(&self) -> Vec<u64> {
-        self.lane_ops
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.node.lane_ops()
     }
 
-    /// Peer messages the transport readers delivered directly into each
-    /// worker lane's queue (per-worker ingress demux, DESIGN.md §7).
+    /// Peer messages handled per worker lane, each delivered straight into
+    /// the lane's queue by the transport thread that decoded its frame
+    /// (DESIGN.md §7).
     pub fn lane_ingress(&self) -> Vec<u64> {
-        self.lane_ingress
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.node.lane_ingress()
     }
 
     /// Remote client sessions currently open on the poller plane.
@@ -452,12 +389,12 @@ impl NodeRuntime {
 
     /// Live client push subscriptions across all worker lanes.
     pub fn subscriptions(&self) -> u64 {
-        self.push_gauges.subscriptions.load(Ordering::Relaxed)
+        self.node.subscriptions()
     }
 
     /// Push frames (invalidations, acks, flushes) sent to clients.
     pub fn pushes(&self) -> u64 {
-        self.push_gauges.pushes.load(Ordering::Relaxed)
+        self.node.pushes()
     }
 
     /// Times the client plane paused accepting because open fds neared
@@ -468,13 +405,14 @@ impl NodeRuntime {
 
     /// One coherent operator-facing snapshot of this replica's health.
     pub fn stats(&self) -> NodeStats {
+        let status = self.node.status();
         NodeStats {
-            epoch: self.status.epoch(),
-            view_changes: self.status.view_changes(),
-            members: self.status.members(),
-            shadows: self.status.shadows(),
-            serving: self.status.serving(),
-            synced: self.status.synced(),
+            epoch: status.epoch(),
+            view_changes: status.view_changes(),
+            members: status.members(),
+            shadows: status.shadows(),
+            serving: status.serving(),
+            synced: status.synced(),
             peer_disconnects: self.peer_disconnects(),
             reconnect_dials: self.tcp_stats.dials(),
             frames_sent: self.tcp_stats.frames_sent(),
@@ -500,18 +438,8 @@ impl NodeRuntime {
     /// `None` when the key is invalidated mid-write, or when this replica
     /// is not serving (expired lease, deposed from the view, shadow) —
     /// the mirror may be stale then.
-    pub fn read_local(&self, key: hermes_common::Key) -> Option<hermes_common::Value> {
-        if !self.status.serving() {
-            return None;
-        }
-        let mut buf = Vec::new();
-        match self.store.get(key, &mut buf) {
-            None => Some(hermes_common::Value::EMPTY),
-            Some(meta) if meta.state == hermes_store::SlotState::Valid => {
-                Some(hermes_common::Value::from(buf))
-            }
-            Some(_) => None,
-        }
+    pub fn read_local(&self, key: Key) -> Option<Value> {
+        self.node.read_local(key)
     }
 
     fn stop(&mut self) {
@@ -520,16 +448,7 @@ impl NodeRuntime {
         if let Some(mut plane) = self.client_plane.take() {
             plane.stop();
         }
-        self.running.store(false, Ordering::SeqCst);
-        for tx in &self.lanes {
-            let _ = tx.send(Command::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(g) = self.ingress.take() {
-            g.stop();
-        }
+        self.node.stop();
     }
 
     /// Stops the client service, the worker threads and the transport.
@@ -594,36 +513,37 @@ pub struct NodeStats {
 /// can merge the expositions of all replicas without collisions.
 fn build_registry(
     id: NodeId,
-    node: &NodeHandle,
+    node: &Node,
     plane: &Arc<PlaneGauges>,
     tcp: &Arc<TcpStats>,
 ) -> Registry {
     let r = Registry::with_base_labels(vec![("node", id.0.to_string())]);
-    let obs = &node.obs;
+    let obs = node.obs();
+    let status = node.status();
 
     // Membership / serving state.
-    let s = Arc::clone(&node.status);
+    let s = Arc::clone(status);
     r.gauge_fn(
         "hermes_view_epoch",
         "Epoch of the installed membership view.",
         vec![],
         move || s.epoch(),
     );
-    let s = Arc::clone(&node.status);
+    let s = Arc::clone(status);
     r.counter_fn(
         "hermes_view_changes_total",
         "Reconfigured views installed since start.",
         vec![],
         move || s.view_changes(),
     );
-    let s = Arc::clone(&node.status);
+    let s = Arc::clone(status);
     r.gauge_fn(
         "hermes_serving",
         "Whether this replica serves client operations (0/1).",
         vec![],
         move || s.serving() as u64,
     );
-    let s = Arc::clone(&node.status);
+    let s = Arc::clone(status);
     r.gauge_fn(
         "hermes_synced",
         "Whether shadow catch-up completed (0/1).",
@@ -645,22 +565,20 @@ fn build_registry(
     );
 
     // Worker lanes: op throughput, ingress demux, op latency, slow ops.
-    for lane in 0..node.lane_ops.len() {
-        let ops = Arc::clone(&node.lane_ops);
+    for lane in 0..obs.lane_ops.len() {
+        let o = Arc::clone(obs);
         r.counter_fn(
             "hermes_lane_ops_total",
             "Client operations handled per worker lane.",
             vec![("lane", lane.to_string())],
-            move || ops[lane].load(Ordering::Relaxed),
+            move || o.lane_ops[lane].load(Ordering::Relaxed),
         );
-    }
-    for lane in 0..node.lane_ingress.len() {
-        let ing = Arc::clone(&node.lane_ingress);
+        let o = Arc::clone(obs);
         r.counter_fn(
             "hermes_lane_ingress_total",
             "Peer messages delivered directly into each worker lane's queue.",
             vec![("lane", lane.to_string())],
-            move || ing[lane].load(Ordering::Relaxed),
+            move || o.lane_ingress[lane].load(Ordering::Relaxed),
         );
     }
     for (lane, h) in obs.lane_latency.iter().enumerate() {
@@ -717,19 +635,19 @@ fn build_registry(
     }
 
     // Client cache plane: subscriptions, pushes, acks, held releases.
-    let pg = Arc::clone(&node.push_gauges);
+    let o = Arc::clone(obs);
     r.gauge_fn(
         "hermes_cache_subscriptions",
         "Live client push subscriptions across all worker lanes.",
         vec![],
-        move || pg.subscriptions.load(Ordering::Relaxed),
+        move || o.subscriptions.load(Ordering::Relaxed),
     );
-    let pg = Arc::clone(&node.push_gauges);
+    let o = Arc::clone(obs);
     r.counter_fn(
         "hermes_cache_pushes_total",
         "Push frames (invalidations, acks, flushes) sent to clients.",
         vec![],
-        move || pg.pushes.load(Ordering::Relaxed),
+        move || o.pushes.load(Ordering::Relaxed),
     );
     let o = Arc::clone(obs);
     r.counter_fn(
@@ -860,7 +778,8 @@ fn build_registry(
         move || t.egress_backlog_bytes(),
     );
 
-    // Transactions (process-wide: server executors + in-process sessions).
+    // Transactions (process-wide: every session driving one, the executor
+    // pool's included).
     let tc = txn_counters();
     r.counter_fn(
         "hermes_txn_attempts_total",
@@ -897,17 +816,6 @@ fn build_registry(
     r
 }
 
-/// Drains every captured trace span from one node's rings (all worker
-/// lanes plus the pump), in lane order.
-fn drain_trace_spans(obs: &NodeObs) -> Vec<TraceSpan> {
-    let mut spans = Vec::new();
-    for ring in &obs.lane_traces {
-        spans.extend(ring.drain_spans());
-    }
-    spans.extend(obs.pump_trace.drain_spans());
-    spans
-}
-
 /// Asks the replica daemon at `addr` (its client port) to shut down
 /// cleanly, waiting up to `timeout` for the acknowledgement.
 ///
@@ -919,79 +827,6 @@ pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> std::io::Result<
     match rpc::decode_reply(&frame) {
         Ok((_, Reply::WriteOk)) => Ok(()),
         _ => Err(std::io::Error::other("unexpected shutdown ack")),
-    }
-}
-
-/// Per-sub-op completion deadline of a server-side coordinator; generous —
-/// the lanes are in-process, so only a replica that stops serving
-/// (lease expiry, shutdown) can stall a sub-operation this long.
-const SERVER_TXN_WAIT: Duration = Duration::from_secs(10);
-
-/// Coordinates one whole transaction received over the client RPC port:
-/// the same `hermes-txn` machine a client-side session drives, hosted on
-/// one of the client plane's executor threads (lane 0 and the workers
-/// carry no transaction state). Because sub-operations run against
-/// in-process lanes, the only failure mode is replica shutdown/lease
-/// loss, reported as [`TxnAbort::NotOperational`] (outcome unresolved —
-/// clients treat it like an in-doubt transaction, not a guaranteed no-op).
-pub(crate) fn drive_server_txn(
-    lanes: &[Sender<Command>],
-    router: ShardRouter,
-    op: TxnOp,
-) -> TxnReply {
-    let client = ClientId(TXN_CLIENT_BASE + NEXT_TXN_CLIENT.fetch_add(1, Ordering::Relaxed));
-    let token = TxnToken::new(client.0, 0);
-    let mut machine = TxnMachine::new(token, op, TxnConfig::default());
-    let (tx, rx): (Sender<Completion>, Receiver<Completion>) = unbounded();
-    let mut subs = Vec::new();
-    let mut paced_attempt = machine.attempts();
-    loop {
-        if let Some(reply) = machine.outcome() {
-            let abort = match reply {
-                TxnReply::Aborted(cause) => Some(*cause),
-                _ => None,
-            };
-            txn_counters().finish(machine.attempts().into(), abort);
-            return reply.clone();
-        }
-        if machine.in_doubt() {
-            // Lanes gone mid-transaction: the process is shutting down.
-            txn_counters().in_doubt.fetch_add(1, Ordering::Relaxed);
-            return TxnReply::Aborted(TxnAbort::NotOperational);
-        }
-        if machine.attempts() > paced_attempt {
-            // A lock conflict restarted acquisition: back off briefly
-            // (jittered by the txn's client id) before submitting the
-            // retry's first lock CAS — the same pacing as the client-side
-            // session driver, so contending daemon-coordinated
-            // transactions do not burn the whole retry budget in lockstep.
-            paced_attempt = machine.attempts();
-            txn_counters().backoffs.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(conflict_backoff(paced_attempt, client.0));
-        }
-        machine.poll(&mut subs);
-        for sub in subs.drain(..) {
-            // The machine's sub-op tag rides as the OpId sequence number,
-            // so completions map straight back.
-            let op_id = OpId::new(client, sub.tag);
-            let lane = router.lane_for_op(sub.key, &sub.cop);
-            let cmd = Command::Op {
-                op: op_id,
-                key: sub.key,
-                cop: sub.cop,
-                reply: ReplyTo::Channel(tx.clone()),
-            };
-            if lanes[lane].send(cmd).is_err() {
-                machine.on_reply(op_id.seq, Reply::NotOperational);
-            }
-        }
-        match rx.recv_timeout(SERVER_TXN_WAIT) {
-            Ok((op_id, reply)) => machine.on_reply(op_id.seq, reply),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                txn_counters().in_doubt.fetch_add(1, Ordering::Relaxed);
-                return TxnReply::Aborted(TxnAbort::NotOperational);
-            }
-        }
     }
 }
 
@@ -1050,9 +885,11 @@ pub fn query_traces(addr: SocketAddr, timeout: Duration) -> std::io::Result<Vec<
 }
 
 /// Executes one whole multi-key transaction against the replica daemon at
-/// `addr` as a single RPC: the daemon's connection thread coordinates it
-/// (`hermes-txn`) and answers with the final [`TxnReply`]. The one-call
-/// remote counterpart of [`ClientSession::txn`](crate::ClientSession::txn).
+/// `addr` as a single RPC: one of the daemon's executor threads runs it
+/// through [`ClientSession::txn`](crate::ClientSession::txn) on an
+/// in-process session and answers with the final [`TxnReply`]; an outcome
+/// left in doubt (the replica stopped serving mid-transaction) reads as
+/// `Aborted(NotOperational)`.
 ///
 /// # Errors
 ///
@@ -1091,6 +928,62 @@ fn exchange_frame(addr: SocketAddr, request: &Bytes, timeout: Duration) -> std::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{ClientSession, LaneChannel, TxnResult};
+    use hermes_common::{ClientId, TxnAbort};
+
+    /// The one transaction driver on the server path: a replica that is
+    /// not serving answers every sub-operation `NotOperational`, so the
+    /// driver stops in doubt — which the executor pool reports to its
+    /// remote client as `Aborted(NotOperational)`.
+    #[test]
+    fn a_txn_at_a_replica_that_is_not_serving_ends_in_doubt_and_leaves_nothing_behind() {
+        // A lone joiner has nobody to admit it: it never serves.
+        let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let runtime = NodeRuntime::serve(NodeOptions {
+            node: NodeId(0),
+            peers: vec![loopback],
+            client_addr: loopback,
+            workers: 2,
+            pollers: 1,
+            protocol: ProtocolConfig::default(),
+            tcp: TcpConfig::default(),
+            run_for: None,
+            membership: Some(RmConfig::wall_clock()),
+            join: true,
+            metrics_dump: None,
+        })
+        .unwrap();
+        assert!(!runtime.membership().serving());
+        let in_doubt = || {
+            hermes_obs::sample_value(&runtime.metrics_text(), "hermes_txn_in_doubt_total")
+                .expect("exported")
+        };
+        let op = TxnOp::MultiPut(vec![
+            (Key(1), Value::from_u64(1)),
+            (Key(2), Value::from_u64(2)),
+        ]);
+
+        // Exactly what an executor thread holds and calls.
+        let before = in_doubt();
+        let lanes = runtime.node.lanes().clone();
+        let channel = LaneChannel::new(ClientId(u64::MAX), lanes);
+        let mut session = ClientSession::new(channel, CreditConfig::default());
+        assert!(matches!(session.txn(op.clone()), TxnResult::InDoubt(_)));
+        assert_eq!(in_doubt(), before + 1.0);
+        assert_eq!(session.outstanding(), 0);
+        drop(session);
+
+        // The same driver behind the `Txn` RPC.
+        let reply = remote_txn(runtime.client_addr(), &op, Duration::from_secs(5)).unwrap();
+        assert_eq!(reply, TxnReply::Aborted(TxnAbort::NotOperational));
+        assert_eq!(in_doubt(), before + 2.0);
+
+        // Every sub-operation was answered at the lease gate and neither
+        // session subscribed: the lanes hold nothing for them.
+        assert_eq!(runtime.subscriptions(), 0);
+        assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 2);
+        runtime.shutdown();
+    }
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()

@@ -24,17 +24,18 @@
 //!   level-triggered readiness does not spin) — until completions return
 //!   credits. A client cannot grow the replica's queues without bound.
 //!
-//! Whole transactions still need a blocking coordinator
-//! ([`drive_server_txn`](crate::node) waits on lane completions), so they
-//! hop to a tiny fixed **transaction executor pool**; the final
-//! [`TxnReply`] comes back through the owning shard's inbox like any
-//! completion. Thread count is a property of the deployment (pollers +
-//! executors), not of the session count.
+//! Whole transactions need a blocking coordinator
+//! ([`ClientSession::txn`] waits on lane completions), so they hop to a
+//! tiny fixed **transaction executor pool** whose threads each own one
+//! in-process session; the final [`TxnReply`] comes back through the
+//! owning shard's inbox like any completion. Thread count is a property
+//! of the deployment (pollers + executors), not of the session count.
 
+use crate::lane::{ClientSink, Lanes, PushEvent};
 use crate::metrics::NodeObs;
-use crate::threaded::{Command, PushEvent, PushSink, ReplyTo};
+use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hermes_common::{ClientId, ClientOp, Key, NodeId, OpId, Reply, ShardRouter, TxnOp, TxnReply};
+use hermes_common::{ClientId, ClientOp, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
 use hermes_obs::obs_warn;
 use hermes_wings::client as rpc;
@@ -51,6 +52,12 @@ use std::time::{Duration, Instant};
 /// Remote connections' protocol-level client ids live above this base so
 /// they can never collide with in-process session ids.
 pub(crate) const REMOTE_CLIENT_BASE: u64 = 1 << 33;
+
+/// The executor pool's in-process sessions take ids above this base, from
+/// a process-wide counter: their ids name transaction lock tokens, which
+/// must stay distinct between daemons sharing one process.
+const EXECUTOR_CLIENT_BASE: u64 = 1 << 34;
+static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
 
 /// Provider of the stats-RPC payload, captured from the runtime's gauges.
 pub(crate) type StatsSource = dyn Fn() -> rpc::StatsPayload + Send + Sync;
@@ -161,18 +168,19 @@ impl PlaneGauges {
 #[derive(Clone, Debug)]
 pub(crate) struct ShardHandle {
     tx: Sender<Inbound>,
-    waker: Arc<Waker>,
+    /// `None` only for [`ShardHandle::detached`] inboxes.
+    waker: Option<Arc<Waker>>,
 }
 
 impl ShardHandle {
     /// Posts one completed client operation (called from worker lanes via
-    /// [`ReplyTo::Poller`]).
+    /// [`ClientSink::Poller`]).
     pub(crate) fn complete(&self, op: OpId, reply: Reply) {
         self.deliver(Inbound::Done(op, reply));
     }
 
     /// Posts one push event for a subscribed remote session (called from
-    /// worker lanes via [`PushSink::Poller`]). Rides the same inbox as
+    /// worker lanes via [`ClientSink::Poller`]). Rides the same inbox as
     /// completions, so a reply and the push that supersedes it reach the
     /// session's write buffer in lane order.
     pub(crate) fn push(&self, client: ClientId, ev: PushEvent) {
@@ -181,12 +189,19 @@ impl ShardHandle {
 
     fn deliver(&self, item: Inbound) {
         if self.tx.send(item).is_ok() {
-            self.waker.wake();
+            self.wake();
+        }
+    }
+
+    fn wake(&self) {
+        if let Some(waker) = &self.waker {
+            waker.wake();
         }
     }
 }
 
 /// Everything that reaches a shard from outside its poll loop.
+#[derive(Debug)]
 pub(crate) enum Inbound {
     /// A freshly accepted connection assigned to this shard.
     Conn(TcpStream),
@@ -530,8 +545,7 @@ impl ClientPlane {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         listener: TcpListener,
-        lanes: Vec<Sender<Command>>,
-        router: ShardRouter,
+        lanes: Lanes,
         cfg: PlaneConfig,
         gauges: Arc<PlaneGauges>,
         shutdown: Arc<AtomicBool>,
@@ -550,7 +564,7 @@ impl ClientPlane {
             executors.push(
                 std::thread::Builder::new()
                     .name(format!("hermes-txn-{i}"))
-                    .spawn(move || txn_executor_main(rx, lanes, router))?,
+                    .spawn(move || txn_executor_main(rx, lanes, cfg.credits))?,
             );
         }
         drop(txn_rx);
@@ -564,7 +578,7 @@ impl ClientPlane {
             let (tx, rx) = unbounded::<Inbound>();
             shards.push(ShardHandle {
                 tx,
-                waker: Arc::clone(&waker),
+                waker: Some(Arc::clone(&waker)),
             });
             prepared.push((poller, waker, rx));
         }
@@ -592,7 +606,6 @@ impl ClientPlane {
                 sessions: HashMap::new(),
                 by_client: HashMap::new(),
                 lanes: lanes.clone(),
-                router,
                 txn_jobs: txn_tx.clone(),
                 stop: Arc::clone(&stop),
                 shutdown: Arc::clone(&shutdown),
@@ -624,7 +637,7 @@ impl ClientPlane {
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for s in &self.shards {
-            s.waker.wake();
+            s.wake();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -645,11 +658,22 @@ impl Drop for ClientPlane {
 }
 
 /// Executor pool worker: coordinates whole transactions (each blocks on
-/// lane completions, which is why they cannot run on a poller thread) and
-/// posts the reply back to the session's shard.
-fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Vec<Sender<Command>>, router: ShardRouter) {
+/// lane completions, which is why they cannot run on a poller thread)
+/// through an in-process session of its own — the same `hermes-txn`
+/// driver every client uses, hosted next to the lanes — and posts the
+/// reply back to the remote session's shard. Sub-operations run against
+/// in-process lanes, so the only way one goes unanswered is the replica
+/// losing its lease or shutting down: the outcome is then unresolved, and
+/// the client hears [`TxnAbort::NotOperational`] — to be treated like an
+/// in-doubt transaction, not a guaranteed no-op.
+fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Lanes, credits: CreditConfig) {
+    let client = ClientId(EXECUTOR_CLIENT_BASE + NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed));
+    let mut session = ClientSession::new(LaneChannel::new(client, lanes), credits);
     while let Ok(job) = jobs.recv() {
-        let reply = crate::node::drive_server_txn(&lanes, router, job.op);
+        let reply = session
+            .txn(job.op)
+            .as_reply()
+            .unwrap_or(TxnReply::Aborted(TxnAbort::NotOperational));
         job.home
             .deliver(Inbound::TxnDone(job.client, job.seq, reply));
     }
@@ -692,8 +716,7 @@ struct Shard {
     next_client: Arc<AtomicU64>,
     sessions: HashMap<u64, Session>,
     by_client: HashMap<u64, u64>,
-    lanes: Vec<Sender<Command>>,
-    router: ShardRouter,
+    lanes: Lanes,
     txn_jobs: Sender<TxnJob>,
     stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
@@ -791,8 +814,7 @@ impl Shard {
                         // Nothing went to the client, so no ack will come
                         // back: ack the lane on its behalf rather than
                         // making the writer wait for the kick timeout.
-                        let lane = self.router.lane_for_op(key, &ClientOp::Read);
-                        let _ = self.lanes[lane].send(Command::InvalAck { client, key });
+                        self.lanes.inval_ack(client, key);
                     }
                 }
                 self.finish_io(token);
@@ -936,7 +958,7 @@ impl Shard {
     }
 
     /// Routes the machine's effects: operations to their owning lanes
-    /// (completing back as [`ReplyTo::Poller`]), transactions to the
+    /// (completing back as [`ClientSink::Poller`]), transactions to the
     /// executor pool, stats/shutdown answered from the runtime's state.
     fn apply_effects(&mut self, token: u64, fx: &mut Vec<SessionEffect>) {
         for e in fx.drain(..) {
@@ -946,15 +968,8 @@ impl Shard {
             let client = sess.client;
             match e {
                 SessionEffect::Submit { seq, key, cop } => {
-                    let op = OpId::new(client, seq);
-                    let lane = self.router.lane_for_op(key, &cop);
-                    let cmd = Command::Op {
-                        op,
-                        key,
-                        cop,
-                        reply: ReplyTo::Poller(self.me.clone()),
-                    };
-                    if self.lanes[lane].send(cmd).is_err() {
+                    let sink = ClientSink::Poller(self.me.clone());
+                    if !self.lanes.op(OpId::new(client, seq), key, cop, sink) {
                         // Replica shutting down: answer inline. Any frames
                         // the returned credit unstalls would fail the same
                         // way, so their effects are dropped.
@@ -994,25 +1009,17 @@ impl Shard {
                         sess.machine.enqueue_frame(&payload);
                     }
                 }
+                // Lane sends fail only at teardown; the client observes
+                // the hangup instead of an ack.
                 SessionEffect::Subscribe { seq, key } => {
-                    let lane = self.router.lane_for_op(key, &ClientOp::Read);
-                    let cmd = Command::Subscribe {
-                        seq,
-                        client,
-                        key,
-                        sink: PushSink::Poller(self.me.clone()),
-                    };
-                    // Send fails only at teardown; the client observes the
-                    // hangup instead of an ack.
-                    let _ = self.lanes[lane].send(cmd);
+                    let sink = ClientSink::Poller(self.me.clone());
+                    self.lanes.subscribe(seq, client, key, sink);
                 }
                 SessionEffect::Unsubscribe { seq, key } => {
-                    let lane = self.router.lane_for_op(key, &ClientOp::Read);
-                    let _ = self.lanes[lane].send(Command::Unsubscribe { seq, client, key });
+                    self.lanes.unsubscribe(seq, client, key);
                 }
                 SessionEffect::InvalAck { key } => {
-                    let lane = self.router.lane_for_op(key, &ClientOp::Read);
-                    let _ = self.lanes[lane].send(Command::InvalAck { client, key });
+                    self.lanes.inval_ack(client, key);
                 }
                 SessionEffect::Shutdown => {
                     self.shutdown.store(true, Ordering::SeqCst);
@@ -1074,20 +1081,16 @@ impl Shard {
     /// Closes and forgets one session: deregisters the socket (the fd
     /// closes with the stream), frees its client-id mapping, and returns
     /// its gauge counts. In-flight completions for it are dropped on
-    /// arrival by the `by_client` miss. Every worker lane hears
-    /// [`Command::DropClient`] so subscriptions and pending invalidation
-    /// acks held by the departed session die with it.
+    /// arrival by the `by_client` miss. Every worker lane hears of the
+    /// departure ([`Lanes::drop_client`]) so subscriptions and pending
+    /// invalidation acks held by the session die with it.
     fn reap(&mut self, token: u64) {
         if let Some(sess) = self.sessions.remove(&token) {
             let _ = self.poller.deregister(sess.stream.as_raw_fd());
             self.by_client.remove(&sess.client.0);
             self.gauges.open.fetch_sub(1, Ordering::Relaxed);
             self.gauges.per_shard[self.index].fetch_sub(1, Ordering::Relaxed);
-            for lane in &self.lanes {
-                let _ = lane.send(Command::DropClient {
-                    client: sess.client,
-                });
-            }
+            self.lanes.drop_client(sess.client);
         }
     }
 }
@@ -1156,6 +1159,16 @@ fn drain_write(sess: &mut Session) -> bool {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
+    }
+}
+
+#[cfg(test)]
+impl ShardHandle {
+    /// A handle whose inbox the caller owns and no shard polls: what a
+    /// lane unit test hands a lane as a remote session's sink.
+    pub(crate) fn detached() -> (ShardHandle, Receiver<Inbound>) {
+        let (tx, rx) = unbounded();
+        (ShardHandle { tx, waker: None }, rx)
     }
 }
 
@@ -1392,7 +1405,7 @@ mod tests {
     fn completions_never_wait_out_the_poll_timeout() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (lane, _lane_rx) = unbounded::<Command>();
+        let (lane, _lane_rx) = unbounded::<crate::lane::Command>();
         let gauges = Arc::new(PlaneGauges::new(1));
         let router = ShardedEngine::new(
             NodeId(0),
@@ -1403,8 +1416,7 @@ mod tests {
         .router();
         let mut plane = ClientPlane::start(
             listener,
-            vec![lane],
-            router,
+            Lanes::new(vec![lane], router),
             PlaneConfig {
                 pollers: 1,
                 txn_executors: 1,

@@ -25,12 +25,11 @@
 //! [`ThreadCluster`]: crate::ThreadCluster
 //! [`ThreadCluster::session`]: crate::ThreadCluster::session
 
+use crate::lane::{ClientSink, Lanes, PushEvent};
 use crate::metrics::txn_counters;
-use crate::threaded::{Command, PushEvent, PushSink, ReplyTo};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{
-    ClientId, ClientOp, Key, NodeId, OpId, Reply, RmwOp, ShardRouter, TxnAbort, TxnOp, TxnReply,
-    Value,
+    ClientId, ClientOp, Key, NodeId, OpId, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value,
 };
 use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
@@ -172,22 +171,24 @@ pub trait SessionChannel {
 #[derive(Debug)]
 pub struct LaneChannel {
     client: ClientId,
-    router: ShardRouter,
-    lanes: Vec<Sender<Command>>,
+    lanes: Lanes,
     events_tx: Sender<SessionEvent>,
     events_rx: Receiver<SessionEvent>,
 }
 
 impl LaneChannel {
-    pub(crate) fn new(client: ClientId, router: ShardRouter, lanes: Vec<Sender<Command>>) -> Self {
+    pub(crate) fn new(client: ClientId, lanes: Lanes) -> Self {
         let (events_tx, events_rx) = unbounded();
         LaneChannel {
             client,
-            router,
             lanes,
             events_tx,
             events_rx,
         }
+    }
+
+    fn sink(&self) -> ClientSink {
+        ClientSink::Session(self.events_tx.clone())
     }
 }
 
@@ -197,14 +198,8 @@ impl SessionChannel for LaneChannel {
     }
 
     fn submit(&mut self, seq: u64, key: Key, cop: ClientOp) -> bool {
-        let lane = self.router.lane_for_op(key, &cop);
-        let cmd = Command::Op {
-            op: OpId::new(self.client, seq),
-            key,
-            cop,
-            reply: ReplyTo::Session(self.events_tx.clone()),
-        };
-        self.lanes[lane].send(cmd).is_ok()
+        let op = OpId::new(self.client, seq);
+        self.lanes.op(op, key, cop, self.sink())
     }
 
     fn try_recv(&mut self) -> Option<SessionEvent> {
@@ -216,24 +211,11 @@ impl SessionChannel for LaneChannel {
     }
 
     fn subscribe(&mut self, seq: u64, key: Key) -> bool {
-        let lane = self.router.lane_for_op(key, &ClientOp::Read);
-        let cmd = Command::Subscribe {
-            seq,
-            client: self.client,
-            key,
-            sink: PushSink::Session(self.events_tx.clone()),
-        };
-        self.lanes[lane].send(cmd).is_ok()
+        self.lanes.subscribe(seq, self.client, key, self.sink())
     }
 
     fn unsubscribe(&mut self, seq: u64, key: Key) -> bool {
-        let lane = self.router.lane_for_op(key, &ClientOp::Read);
-        let cmd = Command::Unsubscribe {
-            seq,
-            client: self.client,
-            key,
-        };
-        self.lanes[lane].send(cmd).is_ok()
+        self.lanes.unsubscribe(seq, self.client, key)
     }
 }
 
@@ -241,11 +223,7 @@ impl Drop for LaneChannel {
     fn drop(&mut self) {
         // Lanes keep a clone of `events_tx` per subscription; tell them
         // the client is gone so the registry (and the gauges) drain.
-        for lane in &self.lanes {
-            let _ = lane.send(Command::DropClient {
-                client: self.client,
-            });
-        }
+        self.lanes.drop_client(self.client);
     }
 }
 
@@ -745,12 +723,14 @@ impl<C: SessionChannel> ClientSession<C> {
     /// Executes one multi-key transaction (`hermes-txn`, DESIGN.md §6),
     /// blocking until it commits or aborts.
     ///
-    /// The coordinator lives entirely client-side: the transaction's
+    /// The coordinator lives entirely in the session: the transaction's
     /// single-key sub-operations (lock CASes, reads, writes, unlocks) ride
     /// this session's ordinary pipelined submit path, fanning across shard
     /// lanes in-process or across a TCP connection — the worker lanes host
-    /// no transaction state. Sub-operations of one phase are pipelined;
-    /// lock acquisition is sequential in sorted key order.
+    /// no transaction state. This is the only transaction driver: a
+    /// daemon's `Txn` RPC runs it too, on an in-process session owned by
+    /// one of its executor threads. Sub-operations of one phase are
+    /// pipelined; lock acquisition is sequential in sorted key order.
     ///
     /// If the transport dies mid-transaction the result is
     /// [`TxnResult::InDoubt`], carrying the coordinator state: open a

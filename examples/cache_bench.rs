@@ -21,10 +21,12 @@
 //!    asserts meets the acceptance bar.
 //!
 //! `--smoke` shrinks the fleet and window to CI size (and relaxes the
-//! ratio bar — a loaded 1-core CI box squeezes the gap). `--node`
-//! switches to daemon mode.
+//! ratio bar — a loaded 1-core CI box squeezes the gap) and records under
+//! `target/bench/` instead. `--node` switches to daemon mode.
 
-use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::harness::{
+    check_linearizable_per_key, run_recorded_session, write_bench_record, RecordedOp,
+};
 use hermes::prelude::*;
 use hermes::sim::rng::Rng;
 use hermes::workload::KeyChooser;
@@ -122,10 +124,9 @@ fn main() {
         uncached.to_json(),
         cached.to_json(),
     );
-    let path = "BENCH_client_cache.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote both modes to {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
+    match write_bench_record("client_cache", smoke, &json) {
+        Ok(path) => println!("wrote both modes to {}", path.display()),
+        Err(e) => eprintln!("failed to write the record: {e}"),
     }
     assert!(
         speedup >= bar,

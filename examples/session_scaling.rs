@@ -29,9 +29,12 @@
 //!    (ops/s, p50/p99 latency, gauges, thread count).
 //!
 //! `--smoke` runs a single 256-session level with a short window (CI
-//! size). `--node` switches to daemon mode.
+//! size) and records it under `target/bench/` instead. `--node` switches
+//! to daemon mode.
 
-use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::harness::{
+    check_linearizable_per_key, run_recorded_session, write_bench_record, RecordedOp,
+};
 use hermes::net::{Interest, PollEvent, Poller};
 use hermes::prelude::*;
 use hermes::wings::client as rpc;
@@ -88,10 +91,9 @@ fn main() {
         window.as_secs_f64(),
         records.join(",\n")
     );
-    let path = "BENCH_session_scaling.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {} sweep levels to {path}", sweep.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
+    match write_bench_record("session_scaling", smoke, &json) {
+        Ok(path) => println!("\nwrote {} sweep levels to {}", sweep.len(), path.display()),
+        Err(e) => eprintln!("\nfailed to write the record: {e}"),
     }
 }
 

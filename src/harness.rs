@@ -15,7 +15,28 @@ use hermes_common::{ClientOp, Key, Reply, RmwOp, TxnOp, Value};
 use hermes_model::{check_linearizable, HistoryOp, OpKind, Outcome};
 use hermes_replica::{ClientSession, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Writes a bench example's JSON record and returns where it went. A full
+/// run refreshes the committed `BENCH_<name>.json` in the working
+/// directory (the repository root); a `--smoke` run — what CI executes —
+/// goes to `target/bench/<name>.json`, so a one-point smoke record can
+/// never replace a recorded baseline.
+///
+/// # Errors
+///
+/// Fails if the directory cannot be created or the file not written.
+pub fn write_bench_record(name: &str, smoke: bool, json: &str) -> std::io::Result<PathBuf> {
+    let path = if smoke {
+        std::fs::create_dir_all("target/bench")?;
+        PathBuf::from(format!("target/bench/{name}.json"))
+    } else {
+        PathBuf::from(format!("BENCH_{name}.json"))
+    };
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
 
 /// One operation as observed by the client that issued it.
 #[derive(Clone, Debug)]

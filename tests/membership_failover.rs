@@ -2,9 +2,9 @@
 //! subsystem (DESIGN.md §5).
 //!
 //! The harness spawns **three copies of this very test binary** as replica
-//! daemons (libtest re-execution: each child runs only `daemon_process`,
-//! which serves a [`NodeRuntime`] configured through environment
-//! variables), then:
+//! daemons (libtest re-execution, `tests/support/daemon.rs`: each child
+//! runs only `daemon_process`, which serves a [`NodeRuntime`] configured
+//! through environment variables), then:
 //!
 //! 1. drives concurrent recorded client sessions against nodes 0 and 1
 //!    over real TCP;
@@ -22,12 +22,14 @@
 //! client-port **stats RPC** ([`query_stats`]) — the harness no longer
 //! parses daemon logs for it.
 
+#[path = "support/daemon.rs"]
+mod daemon;
+
+use daemon::Daemons;
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::prelude::*;
 use hermes::wings::client::StatsPayload;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,99 +45,10 @@ const CANARY_KEY: Key = Key(100);
 const CANARY_VALUE: u64 = 777_000;
 
 /// Daemon half of the re-execution trick: inert under a plain `cargo
-/// test`, a full replica daemon when the harness spawns this binary with
-/// the `HERMES_FAILOVER_NODE` environment set.
+/// test`, a full replica daemon when the harness spawns this binary.
 #[test]
 fn daemon_process() {
-    let Ok(node) = std::env::var("HERMES_FAILOVER_NODE") else {
-        return; // Normal test run: nothing to do.
-    };
-    let peers = std::env::var("HERMES_FAILOVER_PEERS").expect("peers env");
-    let client = std::env::var("HERMES_FAILOVER_CLIENT").expect("client env");
-    let mut args = vec![
-        "--node".to_string(),
-        node,
-        "--peers".to_string(),
-        peers,
-        "--client".to_string(),
-        client,
-        "--workers".to_string(),
-        "2".to_string(),
-    ];
-    if std::env::var("HERMES_FAILOVER_JOIN").is_ok() {
-        args.push("--join".to_string());
-    }
-    let opts = NodeOptions::parse(&args).expect("daemon options");
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).expect("daemon serves");
-    println!("failover-daemon: node {node} serving");
-    // Serve until the harness hangs up our stdin (or SIGKILLs us); a
-    // watcher thread turns stdin EOF into a flag so the main loop can keep
-    // logging view transitions while the pipe sits open and empty.
-    let stdin_closed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watcher = {
-        let stdin_closed = Arc::clone(&stdin_closed);
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 64];
-            let mut stdin = std::io::stdin();
-            while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-            stdin_closed.store(true, std::sync::atomic::Ordering::SeqCst);
-        })
-    };
-    let mut last = (u64::MAX, false, false);
-    while !stdin_closed.load(std::sync::atomic::Ordering::SeqCst) {
-        let stats = runtime.stats();
-        let now = (stats.epoch, stats.serving, stats.synced);
-        if now != last {
-            last = now;
-            println!(
-                "failover-daemon: node {node} epoch={} members={:?} shadows={:?} serving={} synced={}",
-                stats.epoch, stats.members, stats.shadows, stats.serving, stats.synced
-            );
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    runtime.shutdown();
-    drop(watcher); // Detached: parked in read() until our stdin closed.
-    println!("failover-daemon: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-fn spawn_daemon(node: usize, peers: &str, client: SocketAddr, join: bool) -> ChildGuard {
-    let exe = std::env::current_exe().expect("own path");
-    let mut cmd = Command::new(exe);
-    cmd.args(["daemon_process", "--exact", "--nocapture"])
-        .env("HERMES_FAILOVER_NODE", node.to_string())
-        .env("HERMES_FAILOVER_PEERS", peers)
-        .env("HERMES_FAILOVER_CLIENT", client.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    if join {
-        cmd.env("HERMES_FAILOVER_JOIN", "1");
-    }
-    ChildGuard(Some(cmd.spawn().expect("spawn replica daemon")))
+    daemon::daemon_process();
 }
 
 /// Polls `addr` until a session channel connects and `op` yields a
@@ -188,58 +101,13 @@ fn poll_stats(
     }
 }
 
-fn hangup_and_reap(mut guard: ChildGuard, name: &str) -> String {
-    let mut child = guard.0.take().expect("child alive");
-    drop(child.stdin.take()); // EOF = orderly shutdown request.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("wait child") {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{name} did not exit after stdin hangup"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    };
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("piped stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let mut err = String::new();
-    if let Some(mut stderr) = child.stderr.take() {
-        let _ = stderr.read_to_string(&mut err);
-    }
-    assert!(
-        status.success(),
-        "{name} exited with {status}; stdout:\n{out}\nstderr:\n{err}"
-    );
-    assert!(
-        out.contains("clean shutdown"),
-        "{name} missing shutdown marker; stdout:\n{out}"
-    );
-    out
-}
-
 #[test]
 fn three_process_cluster_survives_kill_and_rejoins() {
-    if std::env::var("HERMES_FAILOVER_NODE").is_ok() {
+    if daemon::is_child() {
         return; // We are a daemon child; only daemon_process runs.
     }
-    let repl_addrs = reserve_loopback_addrs(NODES);
-    let client_addrs = reserve_loopback_addrs(NODES);
-    let peers = repl_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-
-    let mut children: Vec<ChildGuard> = (0..NODES)
-        .map(|i| spawn_daemon(i, &peers, client_addrs[i], false))
-        .collect();
+    let mut daemons = Daemons::launch(NODES, |_| Vec::new());
+    let client_addrs = daemons.clients.clone();
 
     // Wait for the cluster to serve, then commit the canary through node 0.
     let reply = poll_until_served(client_addrs[0], CANARY_KEY, Duration::from_secs(20), |r| {
@@ -279,11 +147,7 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     // until the survivors agree on a view without it (suspicion fed by the
     // TCP readers' PeerDown, reconfiguration gated on lease expiry).
     std::thread::sleep(Duration::from_millis(100));
-    {
-        let victim = children[2].0.as_mut().expect("victim alive");
-        victim.kill().expect("SIGKILL node 2");
-        let _ = victim.wait();
-    }
+    daemons.kill(2);
 
     let mut all: Vec<RecordedOp> = Vec::new();
     for j in joins {
@@ -334,7 +198,7 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     // promotion. Once promoted it serves reads locally, and the canary —
     // written before it was killed, so only obtainable via the sync —
     // must come back intact.
-    children[2] = spawn_daemon(2, &peers, client_addrs[2], true);
+    daemons.rejoin(2);
     let reply = poll_until_served(client_addrs[2], CANARY_KEY, Duration::from_secs(30), |r| {
         *r == Reply::ReadOk(Value::from_u64(CANARY_VALUE))
     });
@@ -358,7 +222,5 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     );
 
     // Orderly teardown: clean exits, no orphaned processes.
-    for (i, guard) in children.drain(..).enumerate() {
-        hangup_and_reap(guard, &format!("node {i}"));
-    }
+    daemons.shutdown();
 }

@@ -7,7 +7,7 @@
 //!
 //! The harness spawns **three copies of this very test binary** as
 //! replica daemons (the libtest re-execution trick of
-//! `membership_failover.rs`): every child samples all traces
+//! `tests/support/daemon.rs`): every child samples all traces
 //! (`HERMES_TRACE_SAMPLE=1`), and node 2 alone carries
 //! `HERMES_FAULT_INV_DELAY_US` — a deterministic stall injected at its
 //! INV ingress. Writes driven through node 0 then broadcast INVs whose
@@ -15,11 +15,14 @@
 //! in its own ring tagged with the originating trace id, and the
 //! aggregator's stitched timeline pins the latency on `@n2`.
 
+#[path = "support/daemon.rs"]
+mod daemon;
+
+use daemon::Daemons;
 use hermes::prelude::*;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 const NODES: usize = 3;
@@ -31,73 +34,10 @@ const DELAY_US: u64 = 20_000;
 const SLOW_US: u64 = 10_000;
 
 /// Daemon half of the re-execution trick: inert under a plain
-/// `cargo test`, a replica daemon when spawned with the env set.
+/// `cargo test`, a replica daemon when spawned by the harness.
 #[test]
 fn daemon_process() {
-    let Ok(node) = std::env::var("HERMES_TRACE_SMOKE_NODE") else {
-        return; // Normal test run: nothing to do.
-    };
-    let peers = std::env::var("HERMES_TRACE_SMOKE_PEERS").expect("peers env");
-    let client = std::env::var("HERMES_TRACE_SMOKE_CLIENT").expect("client env");
-    let args = vec![
-        "--node".to_string(),
-        node,
-        "--peers".to_string(),
-        peers,
-        "--client".to_string(),
-        client,
-        "--workers".to_string(),
-        "2".to_string(),
-    ];
-    let opts = NodeOptions::parse(&args).expect("daemon options");
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).expect("daemon serves");
-    println!("trace-smoke-daemon: node {node} serving");
-    // Serve until the harness hangs up our stdin.
-    let mut sink = [0u8; 64];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("trace-smoke-daemon: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-fn spawn_daemon(node: usize, peers: &str, client: SocketAddr) -> ChildGuard {
-    let exe = std::env::current_exe().expect("own path");
-    let mut cmd = Command::new(exe);
-    cmd.args(["daemon_process", "--exact", "--nocapture"])
-        .env("HERMES_TRACE_SMOKE_NODE", node.to_string())
-        .env("HERMES_TRACE_SMOKE_PEERS", peers)
-        .env("HERMES_TRACE_SMOKE_CLIENT", client.to_string())
-        .env("HERMES_TRACE_SAMPLE", "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    if node == DELAYED_NODE {
-        cmd.env("HERMES_FAULT_INV_DELAY_US", DELAY_US.to_string());
-    }
-    ChildGuard(Some(cmd.spawn().expect("spawn replica daemon")))
+    daemon::daemon_process();
 }
 
 /// Polls `addr` until a write commits — the cluster is serving.
@@ -146,60 +86,29 @@ fn hermes_top_exe() -> PathBuf {
     top
 }
 
-fn hangup_and_reap(mut guard: ChildGuard, name: &str) {
-    let mut child = guard.0.take().expect("child alive");
-    drop(child.stdin.take()); // EOF = orderly shutdown request.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("wait child") {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{name} did not exit after stdin hangup"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    };
-    let mut out = String::new();
-    let _ = child
-        .stdout
-        .take()
-        .expect("piped stdout")
-        .read_to_string(&mut out);
-    assert!(status.success(), "{name} exited with {status}:\n{out}");
-    assert!(
-        out.contains("clean shutdown"),
-        "{name} missing shutdown marker:\n{out}"
-    );
-}
-
 /// The acceptance gate: a forced follower-side delay in a real 3-process
 /// cluster is attributed to that follower by the stitched cross-node
 /// timeline `hermes_top --once` prints.
 #[test]
 fn hermes_top_attributes_forced_follower_delay() {
-    if std::env::var("HERMES_TRACE_SMOKE_NODE").is_ok() {
+    if daemon::is_child() {
         return; // We are a daemon child; only daemon_process runs.
     }
-    let repl_addrs = reserve_loopback_addrs(NODES);
-    let client_addrs = reserve_loopback_addrs(NODES);
-    let peers = repl_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
     let top = hermes_top_exe();
 
-    let children: Vec<ChildGuard> = (0..NODES)
-        .map(|i| spawn_daemon(i, &peers, client_addrs[i]))
-        .collect();
+    // Every daemon samples all traces; the delayed node alone carries the
+    // INV-ingress fault hook.
+    let daemons = Daemons::launch(NODES, |node| {
+        let mut env = vec![("HERMES_TRACE_SAMPLE", "1".to_string())];
+        if node == DELAYED_NODE {
+            env.push(("HERMES_FAULT_INV_DELAY_US", DELAY_US.to_string()));
+        }
+        env
+    });
+    let client_addrs = daemons.clients.clone();
     poll_until_served(client_addrs[0], Duration::from_secs(20));
 
-    let nodes_flag = client_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
+    let nodes_flag = daemon::addr_list(&client_addrs);
     let channel = RemoteChannel::connect_within(client_addrs[0], Duration::from_secs(5))
         .expect("node 0 client port");
     let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
@@ -265,7 +174,5 @@ fn hermes_top_attributes_forced_follower_delay() {
     );
 
     drop(session);
-    for (i, child) in children.into_iter().enumerate() {
-        hangup_and_reap(child, &format!("node {i}"));
-    }
+    daemons.shutdown();
 }

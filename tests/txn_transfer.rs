@@ -11,18 +11,20 @@
 //! * in-process: `ThreadCluster` sessions whose sub-operations fan across
 //!   worker shard lanes directly;
 //! * multi-process: three daemon replicas over loopback TCP (this test
-//!   binary re-executes itself as the daemons, like
-//!   `tests/membership_failover.rs`), remote sessions, a mid-workload
+//!   binary re-executes itself as the daemons,
+//!   `tests/support/daemon.rs`), remote sessions, a mid-workload
 //!   connection kill, and audits through the one-RPC server-side
 //!   transaction path (`remote_txn`).
 
+#[path = "support/daemon.rs"]
+mod daemon;
+
+use daemon::Daemons;
 use hermes::harness::observe_txn;
 use hermes::prelude::*;
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -167,69 +169,11 @@ fn in_proc_transfers_span_shards_and_conserve_total() {
 
 const NODES: usize = 3;
 
-/// Daemon half of the re-execution trick (see
-/// `tests/membership_failover.rs`): inert in a normal test run.
+/// Daemon half of the re-execution trick (`tests/support/daemon.rs`):
+/// inert in a normal test run.
 #[test]
 fn daemon_process() {
-    let Ok(node) = std::env::var("HERMES_TXN_NODE") else {
-        return;
-    };
-    let peers = std::env::var("HERMES_TXN_PEERS").expect("peers env");
-    let client = std::env::var("HERMES_TXN_CLIENT").expect("client env");
-    let args = vec![
-        "--node".to_string(),
-        node,
-        "--peers".to_string(),
-        peers,
-        "--client".to_string(),
-        client,
-        "--workers".to_string(),
-        "2".to_string(),
-    ];
-    let opts = NodeOptions::parse(&args).expect("daemon options");
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).expect("daemon serves");
-    println!("txn-daemon: node {node} serving");
-    let mut sink = [0u8; 64];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("txn-daemon: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
-fn spawn_daemon(node: usize, peers: &str, client: SocketAddr) -> ChildGuard {
-    let exe = std::env::current_exe().expect("own path");
-    let mut cmd = Command::new(exe);
-    cmd.args(["daemon_process", "--exact", "--nocapture"])
-        .env("HERMES_TXN_NODE", node.to_string())
-        .env("HERMES_TXN_PEERS", peers)
-        .env("HERMES_TXN_CLIENT", client.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    ChildGuard(Some(cmd.spawn().expect("spawn replica daemon")))
+    daemon::daemon_process();
 }
 
 fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {
@@ -240,19 +184,11 @@ fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {
 
 #[test]
 fn tcp_cluster_transfers_survive_connection_kill() {
-    if std::env::var("HERMES_TXN_NODE").is_ok() {
+    if daemon::is_child() {
         return; // Daemon child: only daemon_process runs.
     }
-    let repl_addrs = reserve_loopback_addrs(NODES);
-    let client_addrs = reserve_loopback_addrs(NODES);
-    let peers = repl_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut children: Vec<ChildGuard> = (0..NODES)
-        .map(|i| spawn_daemon(i, &peers, client_addrs[i]))
-        .collect();
+    let daemons = Daemons::launch(NODES, |_| Vec::new());
+    let client_addrs = daemons.clients.clone();
 
     // Wait for the cluster to serve, then fund the bank.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -390,34 +326,5 @@ fn tcp_cluster_transfers_survive_connection_kill() {
     assert!(total_lane_ops > 0, "no lane handled any client op");
 
     // Orderly teardown: hang up stdin, require clean exits.
-    for guard in &mut children {
-        let child = guard.0.as_mut().expect("child alive");
-        drop(child.stdin.take());
-    }
-    for (i, guard) in children.iter_mut().enumerate() {
-        let mut child = guard.0.take().expect("child alive");
-        let deadline = Instant::now() + Duration::from_secs(15);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("wait child") {
-                break status;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "node {i} did not exit after stdin hangup"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        let mut out = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut out)
-            .expect("read child stdout");
-        assert!(status.success(), "node {i} exited with {status}: {out}");
-        assert!(
-            out.contains("clean shutdown"),
-            "node {i} missing shutdown marker; stdout:\n{out}"
-        );
-    }
+    daemons.shutdown();
 }
