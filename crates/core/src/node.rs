@@ -734,9 +734,14 @@ impl HermesNode {
     /// replicas, and are retransmitted to stragglers; pending RMWs reset
     /// their ACKs and replay from scratch so they cannot commit on a mix of
     /// pre- and post-reconfiguration acknowledgments (rule CRMW-replay).
-    pub fn on_membership_update(&mut self, view: MembershipView, fx: &mut Fx) {
+    ///
+    /// Returns the keys whose protocol state the update may have moved (a
+    /// removed replica's was the last ACK a commit waited for), so a host
+    /// that mirrors key state elsewhere knows which to refresh. Leaving the
+    /// group moves none: parked work is failed, keys stay as they were.
+    pub fn on_membership_update(&mut self, view: MembershipView, fx: &mut Fx) -> Vec<Key> {
         if view.epoch <= self.view.epoch {
-            return; // stale update
+            return Vec::new(); // stale update
         }
         self.view = view;
         let in_group = view.members.contains(self.me) || view.shadows.contains(self.me);
@@ -774,7 +779,7 @@ impl HermesNode {
                 }
                 fx.push(Effect::DisarmTimer { key });
             }
-            return;
+            return Vec::new();
         }
 
         let required = view.ack_set().without(self.me);
@@ -785,7 +790,7 @@ impl HermesNode {
             .filter(|(_, e)| e.pending.is_some() || e.has_waiting())
             .map(|(k, _)| *k)
             .collect();
-        for key in active {
+        for &key in &active {
             let e = self.keys.get_mut(&key).expect("iterating existing keys");
             if let Some(p) = e.pending.as_mut() {
                 p.acks = p.acks.intersection(required);
@@ -826,6 +831,7 @@ impl HermesNode {
             // A removed replica may have been the only missing ACK.
             self.pump(key, fx);
         }
+        active
     }
 }
 

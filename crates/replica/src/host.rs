@@ -57,6 +57,32 @@ pub(crate) struct Node {
     obs: Arc<NodeObs>,
 }
 
+/// The paper's local-read rule (§3.1) against a node's seqlock mirror, for
+/// any thread that is not a lane — the CRCW fast path of §4.1: `key`'s
+/// value if a read of it may be answered here and now. Lanes write the
+/// mirror before any effect of a transition leaves them (DESIGN.md §3.3),
+/// so whoever hears of a transition reads its outcome. `None` when the key
+/// is invalidated (a protocol read would stall), or when the replica is
+/// not serving (expired lease, deposed from the view, shadow): the mirror
+/// may be stale then, and serving it would break linearizability.
+/// `scratch` takes the seqlock snapshot, so a caller that keeps it pays
+/// one allocation per read, the value's own.
+pub(crate) fn mirror_read(
+    store: &Store,
+    status: &MembershipStatus,
+    key: Key,
+    scratch: &mut Vec<u8>,
+) -> Option<Value> {
+    if !status.serving() {
+        return None;
+    }
+    match store.get(key, scratch).map(|meta| meta.state) {
+        None => Some(Value::EMPTY),
+        Some(SlotState::Valid) => Some(Value::from(Bytes::copy_from_slice(scratch))),
+        Some(_) => None,
+    }
+}
+
 impl Node {
     /// Spawns one replica's lane threads over `ep` and points the
     /// transport's ingress at them.
@@ -184,22 +210,15 @@ impl Node {
         self.obs.drain_spans()
     }
 
-    /// Lock-free local read straight from the seqlock KVS mirror,
-    /// bypassing the lanes — the CRCW fast path of paper §4.1. `None` when
-    /// the key is invalidated (a protocol read would stall), or when the
-    /// replica is not serving (expired lease, deposed from the view,
-    /// shadow): the mirror may be stale then, and serving it would break
-    /// linearizability.
+    /// The seqlock mirror every lane of this node writes.
+    pub(crate) fn store(&self) -> &Arc<Store> {
+        &self.store
+    }
+
+    /// Lock-free local read straight from the mirror, bypassing the lanes
+    /// ([`mirror_read`]).
     pub(crate) fn read_local(&self, key: Key) -> Option<Value> {
-        if !self.status.serving() {
-            return None;
-        }
-        let mut buf = Vec::new();
-        match self.store.get(key, &mut buf) {
-            None => Some(Value::EMPTY),
-            Some(meta) if meta.state == SlotState::Valid => Some(Value::from(buf)),
-            Some(_) => None,
-        }
+        mirror_read(&self.store, &self.status, key, &mut Vec::new())
     }
 
     /// Tells every lane thread to exit without waiting for it, so a
@@ -430,6 +449,10 @@ impl<S: NetSender> PumpMembership<S> {
             }
         }
         let serving = self.driver.serving();
+        // The gate moves before the flush below is posted: a poller that
+        // has framed a session's `Flush` then finds the gate closed, so no
+        // mirror read refills the cache it just emptied (DESIGN.md §8).
+        self.status.set_serving(serving);
         if self.was_serving && !serving {
             // Serving loss (lease expiry, deposed mid-reconfiguration):
             // clients must stop serving cached reads against this replica.
@@ -468,7 +491,6 @@ impl<S: NetSender> PumpMembership<S> {
             );
         }
         self.was_serving = serving;
-        self.status.set_serving(serving);
     }
 
     /// Consumes one control frame (malformed ones are dropped).

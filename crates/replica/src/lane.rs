@@ -121,20 +121,22 @@ impl ClientSink {
         }
     }
 
-    /// Sends one push; returns whether it must be acked before effects
-    /// touching the key may leave this replica.
-    fn push(&self, client: ClientId, ev: PushEvent) -> bool {
+    /// Whether an invalidation pushed here must be acked before effects
+    /// touching the key may leave this replica (an in-proc session drains
+    /// its queue before it serves from its cache, and owes nothing).
+    fn acks_invalidations(&self) -> bool {
+        matches!(self, ClientSink::Poller(_))
+    }
+
+    /// Sends one push.
+    fn push(&self, client: ClientId, ev: PushEvent) {
         match self {
             ClientSink::Session(tx) => {
                 if let Some(ev) = SessionEvent::from_push(ev) {
                     let _ = tx.send(ev);
                 }
-                false
             }
-            ClientSink::Poller(shard) => {
-                shard.push(client, ev);
-                matches!(ev, PushEvent::Invalidate { .. })
-            }
+            ClientSink::Poller(shard) => shard.push(client, ev),
         }
     }
 }
@@ -483,16 +485,20 @@ impl<S: NetSender> Lane<S> {
             Command::DropClient { client } => self.drop_client(client, now),
             Command::FlushClients => self.flush_subscribers(now),
             Command::InstallView(view) => {
-                self.node.on_membership_update(view, &mut self.fx);
+                // No single key was touched, and a placeholder would have
+                // non-owner lanes overwrite the owner's slot. But the update
+                // moves keys of this lane's own engine — the commit whose
+                // last missing ACK was the removed replica's, the queued
+                // update issued behind it: mirror those before anything
+                // leaves.
+                for key in self.node.on_membership_update(view, &mut self.fx) {
+                    self.mirror_key(key);
+                }
                 self.refresh_peers();
                 // Subscribers must not serve entries cached under the old
                 // view: flush them with the new epoch, and stop waiting on
                 // acks from the old world (held effects go out now).
                 self.flush_subscribers(now);
-                // No single key was touched. Mirroring a placeholder key
-                // here would have non-owner lanes overwrite the owner's
-                // slot with empty state; affected keys re-mirror when their
-                // own events next fire on their owning lane.
                 self.drain_effects(None, None, None, now);
             }
             // The host's: its loop consumes both before they get here.
@@ -576,10 +582,9 @@ impl<S: NetSender> Lane<S> {
         NodeObs::bump(&self.obs.sync_chunks, 1);
         NodeObs::bump(&self.obs.sync_bytes, e.value.as_bytes().len() as u64);
         self.node.install_chunk(e.key, e.ts, e.value, e.kind);
-        self.mirror_key(e.key);
         // Catch-up can move a key's committed timestamp outside a normal
         // effect drain; subscribers still need to hear about it.
-        self.push_invalidations(e.key, None, now);
+        self.mirror_and_push(e.key, None, now);
     }
 
     /// Streams this lane's per-key state to the catching-up shadow `to` as
@@ -622,10 +627,13 @@ impl<S: NetSender> Lane<S> {
     }
 
     /// Mirrors `key`'s protocol state into the shared seqlock KVS (paper
-    /// §4.1) so other threads serve lock-free local reads.
-    fn mirror_key(&mut self, key: Key) {
+    /// §4.1) so other threads serve lock-free local reads. A key with
+    /// unacked cache pushes is mirrored as not readable whatever its state:
+    /// until its subscribers ack, the transition is visible nowhere, and a
+    /// read of it belongs at this lane, held with everything else (§8).
+    fn mirror_key(&self, key: Key) {
         let (state, ts, value) = self.node.key_mirror(key);
-        let meta = if state == KeyState::Valid {
+        let meta = if state == KeyState::Valid && !self.subs.pending.contains_key(&key) {
             SlotMeta::valid(ts.version, ts.cid)
         } else {
             SlotMeta::invalid(ts.version, ts.cid)
@@ -637,11 +645,11 @@ impl<S: NetSender> Lane<S> {
     /// Mirrors the touched key's state into the seqlock KVS so other
     /// threads can serve lock-free local reads (paper §4.1), then
     /// interprets the effects of the protocol transition. The mirror comes
-    /// *first*: once a client sees its `Effect::Reply`, a `read_local` on
-    /// this node must already observe the committed state. `touched` is
-    /// `None` for transitions with no single subject key (view installs),
-    /// which must not mirror: this lane may not own the state it would
-    /// write. `issuer` is the client whose own operation caused the
+    /// *first*: whoever hears of the transition — a client its reply or
+    /// push, a peer its ACK — may turn around and read the mirror from
+    /// another thread, and must find the outcome there (DESIGN.md §3.3).
+    /// `touched` is `None` for view installs, which mirror the keys they
+    /// moved themselves. `issuer` is the client whose own operation caused the
     /// transition, if any — it already dropped its cached entry at submit
     /// time and is excluded from the invalidation fan-out.
     ///
@@ -660,8 +668,7 @@ impl<S: NetSender> Lane<S> {
         now: Instant,
     ) {
         if let Some(touched) = touched {
-            self.mirror_key(touched);
-            self.push_invalidations(touched, issuer, now);
+            self.mirror_and_push(touched, issuer, now);
         }
         let held = touched.filter(|k| self.subs.pending.contains_key(k));
         let mut fx = std::mem::take(&mut self.fx);
@@ -760,40 +767,44 @@ impl<S: NetSender> Lane<S> {
         }
     }
 
-    /// Fans an invalidation push out to `key`'s subscribers when its
-    /// committed timestamp moved since the last push. Remote subscribers
-    /// become ack waiters (their pushes gate this drain's effects);
-    /// in-proc sinks are synchronously coherent and never wait.
-    fn push_invalidations(&mut self, key: Key, issuer: Option<ClientId>, now: Instant) {
-        let Some(subscribers) = self.subs.by_key.get(&key) else {
-            return;
-        };
+    /// Mirrors `key`, and fans an invalidation push out to its subscribers
+    /// when its committed timestamp moved since the last push. Remote
+    /// subscribers become ack waiters (their pushes gate this drain's
+    /// effects); in-proc sinks are synchronously coherent and never wait.
+    /// The order is the mirror rule's: waiters are registered first, so
+    /// that the mirror write already shows the key held, and the pushes
+    /// leave after it.
+    fn mirror_and_push(&mut self, key: Key, issuer: Option<ClientId>, now: Instant) {
         let (_, ts, _) = self.node.key_mirror(key);
-        if self.subs.pushed_ts.insert(key, ts) == Some(ts) {
-            return;
-        }
-        let epoch = self.node.view().epoch.0;
-        let mut need_ack = Vec::new();
-        for (&client, sink) in subscribers {
-            if issuer.is_some_and(|c| c.0 == client) {
-                // The issuer dropped its own entry at submit time; pushing
-                // to it would make every writer wait on itself.
-                continue;
-            }
-            NodeObs::bump(&self.obs.pushes, 1);
-            if sink.push(ClientId(client), PushEvent::Invalidate { key, epoch }) {
-                need_ack.push(client);
-            }
-        }
-        if !need_ack.is_empty() {
+        let subscribers = self.subs.by_key.get(&key);
+        let moved = subscribers.is_some() && self.subs.pushed_ts.insert(key, ts) != Some(ts);
+        // The issuer dropped its own entry at submit time; pushing to it
+        // would make every writer wait on itself.
+        let pushed = subscribers
+            .filter(|_| moved)
+            .into_iter()
+            .flatten()
+            .filter(|(&client, _)| issuer.is_none_or(|c| c.0 != client));
+        let owing: Vec<u64> = pushed
+            .clone()
+            .filter(|(_, sink)| sink.acks_invalidations())
+            .map(|(&client, _)| client)
+            .collect();
+        if !owing.is_empty() {
             let p = self.subs.pending.entry(key).or_insert(PendingAcks {
                 waiters: HashMap::new(),
                 deadline: now,
             });
             p.deadline = now + PUSH_ACK_KICK;
-            for client in need_ack {
+            for client in owing {
                 *p.waiters.entry(client).or_insert(0) += 1;
             }
+        }
+        self.mirror_key(key);
+        let epoch = self.node.view().epoch.0;
+        for (&client, sink) in pushed {
+            NodeObs::bump(&self.obs.pushes, 1);
+            sink.push(ClientId(client), PushEvent::Invalidate { key, epoch });
         }
     }
 
@@ -844,6 +855,9 @@ impl<S: NetSender> Lane<S> {
         // them, under an unrelated trace context: emit them untagged
         // rather than mislabeled.
         self.cur_trace = TraceId::NONE;
+        // Nobody owes an ack for the key any more: it is readable again,
+        // and by the mirror rule says so before what was held goes out.
+        self.mirror_key(key);
         if let Some(held) = self.subs.held.remove(&key) {
             NodeObs::bump(&self.obs.holds_released, held.len() as u64);
             for e in held {
@@ -972,12 +986,14 @@ impl<S: NetSender> Lane<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::mirror_read;
     use crate::poller::Inbound;
     use bytes::Bytes;
     use crossbeam::channel::{unbounded, Receiver};
-    use hermes_common::{Epoch, Value};
+    use hermes_common::{Epoch, RmwOp, Value};
     use hermes_core::{ProtocolConfig, UpdateKind};
-    use hermes_store::StoreConfig;
+    use hermes_sim::rng::Rng;
+    use hermes_store::{SlotState, StoreConfig};
     use hermes_wings::decode_frame;
     use std::sync::Mutex;
 
@@ -986,10 +1002,14 @@ mod tests {
     const A: ClientId = ClientId(1);
     const B: ClientId = ClientId(2);
 
-    /// A `NetSender` that records frames instead of sending them.
+    /// A `NetSender` that records frames instead of sending them — and, at
+    /// the instant each reaches it, checks the frame against the mirror.
     #[derive(Clone)]
     struct RecordingNet {
         frames: Arc<Mutex<Vec<(NodeId, Bytes)>>>,
+        store: Arc<Store>,
+        /// Messages that left before the mirror showed their transition.
+        unmirrored: Arc<Mutex<Vec<Msg>>>,
     }
 
     impl NetSender for RecordingNet {
@@ -998,6 +1018,23 @@ mod tests {
         }
 
         fn send(&self, to: NodeId, payload: Bytes) {
+            for raw in decode_frame(&payload).expect("data frame") {
+                let msg = codec::decode_traced(&raw).expect("message").0;
+                // Mirror-before-effects (DESIGN.md §3.3): a message about
+                // timestamp `ts` may leave only once the mirror no longer
+                // shows the key's state from before `ts` — and a VAL only
+                // once the mirror serves what it validates.
+                let (at, valid) = self
+                    .store
+                    .get(msg.key(), &mut Vec::new())
+                    .map_or((Ts::ZERO, true), |m| {
+                        (Ts::new(m.version, m.cid), m.state == SlotState::Valid)
+                    });
+                let val = matches!(msg, Msg::Val { .. });
+                if at < msg.ts() || (at == msg.ts() && val && !valid) {
+                    self.unmirrored.lock().unwrap().push(msg);
+                }
+            }
             self.frames.lock().unwrap().push((to, payload));
         }
     }
@@ -1007,6 +1044,7 @@ mod tests {
     struct Rig {
         lane: Lane<RecordingNet>,
         net: RecordingNet,
+        status: Arc<MembershipStatus>,
         obs: Arc<NodeObs>,
         t0: Instant,
         a: ClientSink,
@@ -1018,17 +1056,21 @@ mod tests {
 
     fn rig(nodes: usize) -> Rig {
         let view = MembershipView::initial(nodes);
+        let store = Arc::new(Store::new(StoreConfig::default()));
         let net = RecordingNet {
             frames: Arc::default(),
+            store: Arc::clone(&store),
+            unmirrored: Arc::default(),
         };
         let obs = Arc::new(NodeObs::new(0, 1));
+        let status = Arc::new(MembershipStatus::new(view, true, true));
         let lane = Lane::new(
             0,
             1,
             HermesNode::new(NodeId(0), view, ProtocolConfig::default()),
-            Arc::new(Store::new(StoreConfig::default())),
+            store,
             net.clone(),
-            Arc::new(MembershipStatus::new(view, true, true)),
+            Arc::clone(&status),
             Arc::clone(&obs),
         );
         let (a_tx, a_events) = unbounded();
@@ -1036,6 +1078,7 @@ mod tests {
         Rig {
             lane,
             net,
+            status,
             obs,
             t0: crate::host::test_epoch(),
             a: ClientSink::Session(a_tx),
@@ -1047,6 +1090,11 @@ mod tests {
     }
 
     impl Rig {
+        /// What a poller reading the mirror would answer a read of `key`.
+        fn mirror(&self, key: Key) -> Option<Value> {
+            mirror_read(&self.net.store, &self.status, key, &mut Vec::new())
+        }
+
         /// Subscribes remote client B to `key` and consumes the ack.
         fn subscribe_b(&mut self, key: Key) {
             let cmd = Command::Subscribe {
@@ -1221,6 +1269,44 @@ mod tests {
         assert_eq!(r.obs.holds_released.load(Ordering::Relaxed), 1 + 3);
     }
 
+    /// The hold rule covers the mirror: in a one-member view a write
+    /// commits in the transition that issues it, so the engine's key is
+    /// `Valid` with the new value while a subscriber's cache may still
+    /// serve the old one. A poller must not answer a third session's read
+    /// with the new value yet (the subscriber could then serve the old one
+    /// *after* it): until the ack — or the eviction — the mirror refuses,
+    /// and the read goes to the lane, where its reply is held.
+    #[test]
+    fn a_key_with_unacked_pushes_is_unreadable_in_the_mirror_too() {
+        let mut r = rig(1);
+        let (k, t0) = (Key(7), r.t0);
+        let read = |r: &Rig| r.mirror(k);
+        r.subscribe_b(k);
+        assert_eq!(read(&r), Some(Value::EMPTY));
+
+        let w = r.op(A, k, write(1), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k)]);
+        assert_eq!(r.lane.node.local_read(k), Some(Value::from_u64(1)));
+        assert_eq!(read(&r), None, "visible before the subscriber acked");
+        let held_read = r.op(A, k, ClientOp::Read, t0);
+        assert_eq!(r.a_replies(), vec![]);
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(read(&r), Some(Value::from_u64(1)));
+        assert_eq!(
+            r.a_replies(),
+            vec![
+                (w, Reply::WriteOk),
+                (held_read, Reply::ReadOk(Value::from_u64(1)))
+            ]
+        );
+
+        // A subscriber that never acks is evicted, and the key reads again.
+        r.op(A, k, write(2), t0);
+        assert_eq!(read(&r), None);
+        r.tick(t0 + PUSH_ACK_KICK);
+        assert_eq!(read(&r), Some(Value::from_u64(2)));
+    }
+
     #[test]
     fn acks_are_counted_per_client_so_one_ack_cannot_release_two_pushes() {
         let mut r = rig(3);
@@ -1325,5 +1411,138 @@ mod tests {
             vec![1, 2],
             "a writer never waits on itself"
         );
+    }
+
+    /// Rule 1 behind the poller's mirror reads (DESIGN.md §3.3), as an
+    /// executable check over seeded schedules of everything that moves a
+    /// key: client ops, INV/ACK/VAL from two peers, timer ticks, view
+    /// installs that remove the peers mid-write one after the other (3 → 2
+    /// → 1 members) and then this node itself, catch-up chunks, and a
+    /// remote subscriber that acks late or never. After every step the mirror
+    /// answers every key exactly as the core would; and no message reaches
+    /// the network ahead of the mirror write of its transition (the check
+    /// runs inside [`RecordingNet::send`], at the instant of the send).
+    #[test]
+    fn the_mirror_equals_the_core_after_every_step_and_leads_every_frame() {
+        const KEYS: u64 = 4;
+        let (mut committed, mut alone, mut deposed) = (0, 0, 0);
+        for seed in 0..48 {
+            let mut rng = Rng::seeded(seed);
+            let mut r = rig(3);
+            let mut now = r.t0;
+            let mut view = MembershipView::initial(3);
+            // Timestamps peers have invalidated with, and this node's own
+            // INVs seen on the wire: what later VALs and ACKs refer to.
+            let mut peer_invs: Vec<(Key, Ts, u32)> = Vec::new();
+            let mut own_invs: Vec<(Key, Ts)> = Vec::new();
+            let mut top = [0u64; KEYS as usize];
+            r.subscribe_b(Key(0));
+            for step in 0..400 {
+                let key = Key(rng.gen_range(KEYS));
+                // A peer still in the view, while there is one.
+                let peers = view.members.without(NodeId(0));
+                let peer = peers
+                    .iter()
+                    .nth(rng.gen_range(2) as usize % peers.len().max(1));
+                let epoch = view.epoch;
+                match (rng.gen_range(12), peer.map(|p| p.0)) {
+                    (0 | 1, _) => {
+                        r.op(A, key, ClientOp::Read, now);
+                    }
+                    (2 | 3, _) if key.0 < 2 => {
+                        // Two such INVs fill a Wings batch, so every other
+                        // one is sent from inside the drain that made it.
+                        let big = Value::filled(rng.next_u64() as u8, 1000);
+                        r.op(A, key, ClientOp::Write(big), now);
+                    }
+                    (2, _) => {
+                        r.op(A, key, write(rng.next_u64()), now);
+                    }
+                    (3, _) => {
+                        let rmw = ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 });
+                        r.op(A, key, rmw, now);
+                    }
+                    (4 | 5, Some(peer)) => {
+                        let k = key.0 as usize;
+                        top[k] = top[k].max(r.lane.node.key_ts(key).version) + 1 + rng.gen_range(3);
+                        let ts = Ts::new(top[k], peer);
+                        peer_invs.push((key, ts, peer));
+                        let inv = Msg::Inv {
+                            key,
+                            ts,
+                            value: Value::from_u64(rng.next_u64()),
+                            kind: UpdateKind::Write,
+                            epoch,
+                        };
+                        r.deliver(peer, inv, now);
+                    }
+                    (6, _) if !peer_invs.is_empty() => {
+                        let (key, ts, from) = *rng.choose(&peer_invs);
+                        r.deliver(from, Msg::Val { key, ts, epoch }, now);
+                    }
+                    (7 | 8, Some(peer)) if !own_invs.is_empty() => {
+                        let (key, ts) = *rng.choose(&own_invs);
+                        r.deliver(peer, Msg::Ack { key, ts, epoch }, now);
+                    }
+                    (9, Some(peer)) => {
+                        let ts = Ts::new(r.lane.node.key_ts(key).version + rng.gen_range(3), peer);
+                        let entry = SyncEntry {
+                            key,
+                            ts,
+                            kind: UpdateKind::Write,
+                            value: Value::from_u64(rng.next_u64()),
+                        };
+                        r.lane.handle(Command::InstallChunk(entry), now);
+                    }
+                    (10, _) if rng.gen_bool(0.5) => {
+                        let cmd = Command::InvalAck { client: B, key };
+                        r.lane.handle(cmd, now);
+                    }
+                    (11, _) if step > 150 && view.epoch < Epoch(3) && rng.gen_bool(0.2) => {
+                        let out = NodeId(2 - view.epoch.0 as u32);
+                        view = view.without_node(out);
+                        peer_invs.retain(|&(_, _, from)| from != out.0);
+                        r.lane.handle(Command::InstallView(view), now);
+                        // The host's pump closes the serving gate in the
+                        // tick that installed a view without this node.
+                        r.status.set_serving(view.is_serving(NodeId(0)));
+                    }
+                    _ => {
+                        now += MS * rng.gen_range(30) as u32;
+                        for (_, msg) in r.tick(now) {
+                            if let Msg::Inv { key, ts, .. } = msg {
+                                own_invs.push((key, ts));
+                            }
+                        }
+                    }
+                }
+                for k in 0..KEYS {
+                    // A key B still owes an ack for is held, mirror included.
+                    let held = r.lane.subs.pending.contains_key(&Key(k));
+                    let core = r.lane.node.local_read(Key(k)).filter(|_| !held);
+                    assert_eq!(
+                        r.mirror(Key(k)),
+                        core,
+                        "seed {seed} step {step}: the mirror of key {k} left the core"
+                    );
+                }
+                let unmirrored = r.net.unmirrored.lock().unwrap();
+                assert!(
+                    unmirrored.is_empty(),
+                    "seed {seed} step {step}: left ahead of the mirror: {unmirrored:?}"
+                );
+            }
+            committed += r
+                .a_replies()
+                .iter()
+                .filter(|(_, reply)| matches!(reply, Reply::WriteOk | Reply::RmwOk { .. }))
+                .count();
+            alone += u64::from(view.epoch >= Epoch(2));
+            deposed += u64::from(view.epoch == Epoch(3));
+        }
+        // The schedules reach what they are for.
+        assert!(committed > 100, "only {committed} updates committed");
+        assert!(alone > 24, "only {alone} schedules shrank to one member");
+        assert!(deposed > 12, "only {deposed} schedules removed this node");
     }
 }

@@ -65,6 +65,13 @@ pub(crate) struct NodeObs {
     pub(crate) accepts: AtomicU64,
     /// Sessions whose read interest was parked on credit exhaustion.
     pub(crate) read_parks: AtomicU64,
+    /// Client reads a poller answered from the seqlock mirror, no lane
+    /// involved (DESIGN.md §7).
+    pub(crate) mirror_reads: AtomicU64,
+    /// Client reads a poller queued at a lane instead: key not `Valid`,
+    /// replica not serving, or the session's own update of the key still
+    /// in flight.
+    pub(crate) mirror_read_fallbacks: AtomicU64,
     /// Poller time spent decoding + applying one session's readable burst (us).
     pub(crate) poller_decode_us: Arc<Histogram>,
     /// Poller time spent draining one session's write buffer (us).
@@ -97,6 +104,8 @@ impl NodeObs {
             sync_bytes: AtomicU64::new(0),
             accepts: AtomicU64::new(0),
             read_parks: AtomicU64::new(0),
+            mirror_reads: AtomicU64::new(0),
+            mirror_read_fallbacks: AtomicU64::new(0),
             poller_decode_us: Arc::new(Histogram::new()),
             poller_write_us: Arc::new(Histogram::new()),
             credit_stall_us: Arc::new(Histogram::new()),

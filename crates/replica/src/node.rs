@@ -24,9 +24,7 @@
 use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::{txn_counters, NodeObs};
-use crate::poller::{
-    ClientPlane, MetricsSource, PlaneConfig, PlaneGauges, StatsSource, TracesSource,
-};
+use crate::poller::{ClientPlane, PlaneConfig, PlaneGauges};
 use bytes::Bytes;
 use hermes_common::{Key, MembershipView, NodeId, NodeSet, Reply, TxnOp, TxnReply, Value};
 use hermes_core::ProtocolConfig;
@@ -34,7 +32,7 @@ use hermes_membership::RmConfig;
 use hermes_net::{
     read_frame_deadline, write_frame_to, FrameRead, TcpConfig, TcpEndpoint, TcpStats,
 };
-use hermes_obs::{Registry, TraceSpan};
+use hermes_obs::{Histogram, Registry, TraceSpan};
 use hermes_wings::{client as rpc, CreditConfig};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -261,38 +259,8 @@ impl NodeRuntime {
         });
         let node = Node::spawn(ep, view, opts.protocol, opts.workers, membership);
         let shutdown_requested = Arc::new(AtomicBool::new(false));
-        // The gauges exist before the plane so the stats closure the plane
-        // captures can already read them.
         let plane_gauges = Arc::new(PlaneGauges::new(opts.pollers.max(1)));
-        let stats_source: Arc<StatsSource> = {
-            let status = Arc::clone(node.status());
-            let obs = Arc::clone(node.obs());
-            let gauges = Arc::clone(&plane_gauges);
-            Arc::new(move || rpc::StatsPayload {
-                epoch: status.epoch(),
-                view_changes: status.view_changes(),
-                members: status.members(),
-                shadows: status.shadows(),
-                serving: status.serving(),
-                synced: status.synced(),
-                lane_ops: NodeObs::per_lane(&obs.lane_ops),
-                open_sessions: gauges.open_sessions(),
-                sessions_per_shard: gauges.sessions_per_shard(),
-                lane_ingress: NodeObs::per_lane(&obs.lane_ingress),
-                subscriptions: obs.subscriptions.load(Ordering::Relaxed),
-                pushes: obs.pushes.load(Ordering::Relaxed),
-                accept_stalls: gauges.accept_stalls(),
-            })
-        };
         let registry = Arc::new(build_registry(opts.node, &node, &plane_gauges, &tcp_stats));
-        let metrics_source: Arc<MetricsSource> = {
-            let registry = Arc::clone(&registry);
-            Arc::new(move || registry.render())
-        };
-        let traces_source: Arc<TracesSource> = {
-            let obs = Arc::clone(node.obs());
-            Arc::new(move || obs.drain_spans())
-        };
         let client_plane = ClientPlane::start(
             client_listener,
             node.lanes().clone(),
@@ -304,10 +272,10 @@ impl NodeRuntime {
             },
             Arc::clone(&plane_gauges),
             Arc::clone(&shutdown_requested),
-            stats_source,
-            metrics_source,
-            traces_source,
+            Arc::clone(&registry),
             Arc::clone(node.obs()),
+            Arc::clone(node.store()),
+            Arc::clone(node.status()),
         )?;
         Ok(NodeRuntime {
             id: opts.node,
@@ -505,6 +473,232 @@ pub struct NodeStats {
     pub accept_stalls: u64,
 }
 
+/// Everything an unlabelled sample of the exposition reads from.
+struct Sources {
+    obs: Arc<NodeObs>,
+    status: Arc<MembershipStatus>,
+    plane: Arc<PlaneGauges>,
+    tcp: Arc<TcpStats>,
+}
+
+/// How one [`Row`] reads and renders.
+enum Sample {
+    Counter(fn(&Sources) -> u64),
+    Gauge(fn(&Sources) -> u64),
+    Summary(fn(&NodeObs) -> &Arc<Histogram>),
+}
+use Sample::{Counter, Gauge, Summary};
+
+/// One unlabelled sample of a replica's exposition: `(name, help, reader)`.
+type Row = (&'static str, &'static str, Sample);
+
+/// Membership and serving state: rendered ahead of the per-lane families.
+const MEMBERSHIP: &[Row] = &[
+    (
+        "hermes_view_epoch",
+        "Epoch of the installed membership view.",
+        Gauge(|s| s.status.epoch()),
+    ),
+    (
+        "hermes_view_changes_total",
+        "Reconfigured views installed since start.",
+        Counter(|s| s.status.view_changes()),
+    ),
+    (
+        "hermes_serving",
+        "Whether this replica serves client operations (0/1).",
+        Gauge(|s| s.status.serving() as u64),
+    ),
+    (
+        "hermes_synced",
+        "Whether shadow catch-up completed (0/1).",
+        Gauge(|s| s.status.synced() as u64),
+    ),
+    (
+        "hermes_view_change_outage_us",
+        "Not-serving window per view-change outage (us).",
+        Summary(|o| &o.view_change_us),
+    ),
+    (
+        "hermes_view_change_outages_total",
+        "Completed serving outages (serving lost then restored).",
+        Counter(|s| s.obs.view_outages.load(Ordering::Relaxed)),
+    ),
+];
+
+/// Every other unlabelled sample, in rendering order after the per-lane
+/// families: protocol phases (paper §3.1: INV broadcast, ACK collection,
+/// VAL broadcast), the client cache plane, the client plane, the
+/// transport, and transactions (process-wide: every session driving one,
+/// the executor pool's included).
+const SCALARS: &[Row] = &[
+    (
+        "hermes_invalidations_sent_total",
+        "Invalidation (INV) messages sent to peers.",
+        Counter(|s| s.obs.invals_sent.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_invalidation_acks_total",
+        "Invalidation acks (ACK) received from peers.",
+        Counter(|s| s.obs.invals_acked.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_validations_sent_total",
+        "Validation (VAL) messages sent to peers.",
+        Counter(|s| s.obs.vals_sent.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_sync_chunks_total",
+        "Shadow catch-up chunks installed.",
+        Counter(|s| s.obs.sync_chunks.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_sync_bytes_total",
+        "Shadow catch-up payload bytes installed.",
+        Counter(|s| s.obs.sync_bytes.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_cache_subscriptions",
+        "Live client push subscriptions across all worker lanes.",
+        Gauge(|s| s.obs.subscriptions.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_cache_pushes_total",
+        "Push frames (invalidations, acks, flushes) sent to clients.",
+        Counter(|s| s.obs.pushes.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_cache_push_acks_total",
+        "Client invalidation-push acks received.",
+        Counter(|s| s.obs.push_acks.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_cache_holds_released_total",
+        "Effects released after their guarding cache-push acks arrived.",
+        Counter(|s| s.obs.holds_released.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_open_sessions",
+        "Remote client sessions currently open.",
+        Gauge(|s| s.plane.open_sessions()),
+    ),
+    (
+        "hermes_accept_stalls_total",
+        "Times the listener paused accepting near the fd budget.",
+        Counter(|s| s.plane.accept_stalls()),
+    ),
+    (
+        "hermes_accepts_total",
+        "Client connections accepted.",
+        Counter(|s| s.obs.accepts.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_credit_parks_total",
+        "Sessions whose read interest parked on credit exhaustion.",
+        Counter(|s| s.obs.read_parks.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_mirror_reads_total",
+        "Client reads a poller answered from the seqlock mirror, no lane involved.",
+        Counter(|s| s.obs.mirror_reads.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_mirror_read_fallbacks_total",
+        "Client reads queued at a lane: key not Valid, not serving, or own update in flight.",
+        Counter(|s| s.obs.mirror_read_fallbacks.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_poller_decode_us",
+        "Poller time decoding one session's readable burst (us).",
+        Summary(|o| &o.poller_decode_us),
+    ),
+    (
+        "hermes_poller_write_us",
+        "Poller time draining one session's write buffer (us).",
+        Summary(|o| &o.poller_write_us),
+    ),
+    (
+        "hermes_credit_stall_us",
+        "How long a session's read interest stayed parked for credit (us).",
+        Summary(|o| &o.credit_stall_us),
+    ),
+    (
+        "hermes_tcp_dials_total",
+        "Successful outbound peer dials (connects and reconnects).",
+        Counter(|s| s.tcp.dials()),
+    ),
+    (
+        "hermes_tcp_accepts_total",
+        "Inbound peer connections accepted.",
+        Counter(|s| s.tcp.accepts()),
+    ),
+    (
+        "hermes_tcp_disconnects_total",
+        "Peer connections that died (either direction, injected kills included).",
+        Counter(|s| s.tcp.disconnects()),
+    ),
+    (
+        "hermes_tcp_frames_sent_total",
+        "Wings frames handed to the kernel on peer sockets.",
+        Counter(|s| s.tcp.frames_sent()),
+    ),
+    (
+        "hermes_tcp_frames_received_total",
+        "Wings frames received from peers.",
+        Counter(|s| s.tcp.frames_received()),
+    ),
+    (
+        "hermes_tcp_frames_dropped_total",
+        "Frames dropped: peer unreachable, link died with them queued, or outbox full.",
+        Counter(|s| s.tcp.frames_dropped()),
+    ),
+    (
+        "hermes_tcp_bytes_sent_total",
+        "Frame payload bytes handed to the kernel on peer sockets.",
+        Counter(|s| s.tcp.bytes_sent()),
+    ),
+    (
+        "hermes_tcp_bytes_received_total",
+        "Frame payload bytes received from peers.",
+        Counter(|s| s.tcp.bytes_received()),
+    ),
+    (
+        "hermes_tcp_writes_inline_total",
+        "Frames written to the socket by the sending lane itself.",
+        Counter(|s| s.tcp.writes_inline()),
+    ),
+    (
+        "hermes_tcp_writes_deferred_total",
+        "Frames the link poller wrote (queued by a dial or a full socket).",
+        Counter(|s| s.tcp.writes_deferred()),
+    ),
+    (
+        "hermes_tcp_egress_backlog_bytes",
+        "Bytes queued in peer outboxes waiting for their sockets.",
+        Gauge(|s| s.tcp.egress_backlog_bytes()),
+    ),
+    (
+        "hermes_txn_attempts_total",
+        "Transaction protocol attempts (lock acquisition rounds).",
+        Counter(|_| txn_counters().attempts.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_txn_commits_total",
+        "Transactions committed.",
+        Counter(|_| txn_counters().commits.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_txn_backoffs_total",
+        "Conflict backoff sleeps taken by transaction drivers.",
+        Counter(|_| txn_counters().backoffs.load(Ordering::Relaxed)),
+    ),
+    (
+        "hermes_txn_in_doubt_total",
+        "Transactions whose fate was unresolved (coordinator lost lanes).",
+        Counter(|_| txn_counters().in_doubt.load(Ordering::Relaxed)),
+    ),
+];
+
 /// Registers every runtime gauge, protocol-phase counter and latency
 /// histogram of one replica into a fresh metrics registry. All handles are
 /// closures or shared `Arc`s over state the runtime already maintains —
@@ -519,50 +713,23 @@ fn build_registry(
 ) -> Registry {
     let r = Registry::with_base_labels(vec![("node", id.0.to_string())]);
     let obs = node.obs();
-    let status = node.status();
-
-    // Membership / serving state.
-    let s = Arc::clone(status);
-    r.gauge_fn(
-        "hermes_view_epoch",
-        "Epoch of the installed membership view.",
-        vec![],
-        move || s.epoch(),
-    );
-    let s = Arc::clone(status);
-    r.counter_fn(
-        "hermes_view_changes_total",
-        "Reconfigured views installed since start.",
-        vec![],
-        move || s.view_changes(),
-    );
-    let s = Arc::clone(status);
-    r.gauge_fn(
-        "hermes_serving",
-        "Whether this replica serves client operations (0/1).",
-        vec![],
-        move || s.serving() as u64,
-    );
-    let s = Arc::clone(status);
-    r.gauge_fn(
-        "hermes_synced",
-        "Whether shadow catch-up completed (0/1).",
-        vec![],
-        move || s.synced() as u64,
-    );
-    r.histogram_shared(
-        "hermes_view_change_outage_us",
-        "Not-serving window per view-change outage (us).",
-        vec![],
-        Arc::clone(&obs.view_change_us),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_view_change_outages_total",
-        "Completed serving outages (serving lost then restored).",
-        vec![],
-        move || o.view_outages.load(Ordering::Relaxed),
-    );
+    let src = Arc::new(Sources {
+        obs: Arc::clone(obs),
+        status: Arc::clone(node.status()),
+        plane: Arc::clone(plane),
+        tcp: Arc::clone(tcp),
+    });
+    let scalars = |rows: &[Row]| {
+        for &(name, help, ref sample) in rows {
+            let s = Arc::clone(&src);
+            match *sample {
+                Counter(read) => r.counter_fn(name, help, vec![], move || read(&s)),
+                Gauge(read) => r.gauge_fn(name, help, vec![], move || read(&s)),
+                Summary(hist) => r.histogram_shared(name, help, vec![], Arc::clone(hist(obs))),
+            }
+        }
+    };
+    scalars(MEMBERSHIP);
 
     // Worker lanes: op throughput, ingress demux, op latency, slow ops.
     for lane in 0..obs.lane_ops.len() {
@@ -599,213 +766,8 @@ fn build_registry(
         );
     }
 
-    // Protocol-phase counters (paper §3.1: INV broadcast, ACK collection,
-    // VAL broadcast).
-    type PhaseReader = fn(&crate::metrics::NodeObs) -> u64;
-    let phase: [(&'static str, &'static str, PhaseReader); 5] = [
-        (
-            "hermes_invalidations_sent_total",
-            "Invalidation (INV) messages sent to peers.",
-            |o| o.invals_sent.load(Ordering::Relaxed),
-        ),
-        (
-            "hermes_invalidation_acks_total",
-            "Invalidation acks (ACK) received from peers.",
-            |o| o.invals_acked.load(Ordering::Relaxed),
-        ),
-        (
-            "hermes_validations_sent_total",
-            "Validation (VAL) messages sent to peers.",
-            |o| o.vals_sent.load(Ordering::Relaxed),
-        ),
-        (
-            "hermes_sync_chunks_total",
-            "Shadow catch-up chunks installed.",
-            |o| o.sync_chunks.load(Ordering::Relaxed),
-        ),
-        (
-            "hermes_sync_bytes_total",
-            "Shadow catch-up payload bytes installed.",
-            |o| o.sync_bytes.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, read) in phase {
-        let o = Arc::clone(obs);
-        r.counter_fn(name, help, vec![], move || read(&o));
-    }
-
-    // Client cache plane: subscriptions, pushes, acks, held releases.
-    let o = Arc::clone(obs);
-    r.gauge_fn(
-        "hermes_cache_subscriptions",
-        "Live client push subscriptions across all worker lanes.",
-        vec![],
-        move || o.subscriptions.load(Ordering::Relaxed),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_cache_pushes_total",
-        "Push frames (invalidations, acks, flushes) sent to clients.",
-        vec![],
-        move || o.pushes.load(Ordering::Relaxed),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_cache_push_acks_total",
-        "Client invalidation-push acks received.",
-        vec![],
-        move || o.push_acks.load(Ordering::Relaxed),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_cache_holds_released_total",
-        "Effects released after their guarding cache-push acks arrived.",
-        vec![],
-        move || o.holds_released.load(Ordering::Relaxed),
-    );
-
-    // Client plane: sessions, accepts, poller timings, credit stalls.
-    let g = Arc::clone(plane);
-    r.gauge_fn(
-        "hermes_open_sessions",
-        "Remote client sessions currently open.",
-        vec![],
-        move || g.open_sessions(),
-    );
-    let g = Arc::clone(plane);
-    r.counter_fn(
-        "hermes_accept_stalls_total",
-        "Times the listener paused accepting near the fd budget.",
-        vec![],
-        move || g.accept_stalls(),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_accepts_total",
-        "Client connections accepted.",
-        vec![],
-        move || o.accepts.load(Ordering::Relaxed),
-    );
-    let o = Arc::clone(obs);
-    r.counter_fn(
-        "hermes_credit_parks_total",
-        "Sessions whose read interest parked on credit exhaustion.",
-        vec![],
-        move || o.read_parks.load(Ordering::Relaxed),
-    );
-    r.histogram_shared(
-        "hermes_poller_decode_us",
-        "Poller time decoding one session's readable burst (us).",
-        vec![],
-        Arc::clone(&obs.poller_decode_us),
-    );
-    r.histogram_shared(
-        "hermes_poller_write_us",
-        "Poller time draining one session's write buffer (us).",
-        vec![],
-        Arc::clone(&obs.poller_write_us),
-    );
-    r.histogram_shared(
-        "hermes_credit_stall_us",
-        "How long a session's read interest stayed parked for credit (us).",
-        vec![],
-        Arc::clone(&obs.credit_stall_us),
-    );
-
-    // Transport.
-    type TcpRead = fn(&TcpStats) -> u64;
-    let tcp_counters: [(&str, &str, TcpRead); 10] = [
-        (
-            "hermes_tcp_dials_total",
-            "Successful outbound peer dials (connects and reconnects).",
-            TcpStats::dials,
-        ),
-        (
-            "hermes_tcp_accepts_total",
-            "Inbound peer connections accepted.",
-            TcpStats::accepts,
-        ),
-        (
-            "hermes_tcp_disconnects_total",
-            "Peer connections that died (either direction, injected kills included).",
-            TcpStats::disconnects,
-        ),
-        (
-            "hermes_tcp_frames_sent_total",
-            "Wings frames handed to the kernel on peer sockets.",
-            TcpStats::frames_sent,
-        ),
-        (
-            "hermes_tcp_frames_received_total",
-            "Wings frames received from peers.",
-            TcpStats::frames_received,
-        ),
-        (
-            "hermes_tcp_frames_dropped_total",
-            "Frames dropped: peer unreachable, link died with them queued, or outbox full.",
-            TcpStats::frames_dropped,
-        ),
-        (
-            "hermes_tcp_bytes_sent_total",
-            "Frame payload bytes handed to the kernel on peer sockets.",
-            TcpStats::bytes_sent,
-        ),
-        (
-            "hermes_tcp_bytes_received_total",
-            "Frame payload bytes received from peers.",
-            TcpStats::bytes_received,
-        ),
-        (
-            "hermes_tcp_writes_inline_total",
-            "Frames written to the socket by the sending lane itself.",
-            TcpStats::writes_inline,
-        ),
-        (
-            "hermes_tcp_writes_deferred_total",
-            "Frames the link poller wrote (queued by a dial or a full socket).",
-            TcpStats::writes_deferred,
-        ),
-    ];
-    for (name, help, read) in tcp_counters {
-        let t = Arc::clone(tcp);
-        r.counter_fn(name, help, vec![], move || read(&t));
-    }
-    let t = Arc::clone(tcp);
-    r.gauge_fn(
-        "hermes_tcp_egress_backlog_bytes",
-        "Bytes queued in peer outboxes waiting for their sockets.",
-        vec![],
-        move || t.egress_backlog_bytes(),
-    );
-
-    // Transactions (process-wide: every session driving one, the executor
-    // pool's included).
-    let tc = txn_counters();
-    r.counter_fn(
-        "hermes_txn_attempts_total",
-        "Transaction protocol attempts (lock acquisition rounds).",
-        vec![],
-        || txn_counters().attempts.load(Ordering::Relaxed),
-    );
-    r.counter_fn(
-        "hermes_txn_commits_total",
-        "Transactions committed.",
-        vec![],
-        || txn_counters().commits.load(Ordering::Relaxed),
-    );
-    r.counter_fn(
-        "hermes_txn_backoffs_total",
-        "Conflict backoff sleeps taken by transaction drivers.",
-        vec![],
-        || txn_counters().backoffs.load(Ordering::Relaxed),
-    );
-    r.counter_fn(
-        "hermes_txn_in_doubt_total",
-        "Transactions whose fate was unresolved (coordinator lost lanes).",
-        vec![],
-        || txn_counters().in_doubt.load(Ordering::Relaxed),
-    );
-    for (cause, slot) in tc.aborts_by_cause() {
+    scalars(SCALARS);
+    for (cause, slot) in txn_counters().aborts_by_cause() {
         r.counter_fn(
             "hermes_txn_aborts_total",
             "Transactions aborted, by cause.",

@@ -14,6 +14,10 @@
 //!   ([`SessionMachine`]): bytes in → decoded requests out as
 //!   [`SessionEffect`]s, completions in → reply frames accumulated in a
 //!   write buffer — no I/O, no threads, unit-testable in isolation;
+//! * a read of a `Valid` key never leaves the shard: the machine answers
+//!   it from the node's seqlock mirror ([`ReadHook`]) in the pass that
+//!   decoded it — the paper's local read (§3.1), on the thread that
+//!   received it; every other read takes the lane path;
 //! * worker lanes finishing an operation do not touch sockets: they post
 //!   the completion into the owning shard's inbox and ring its [`Waker`]
 //!   ([`ShardHandle::complete`]), and the shard writes the reply frame on
@@ -31,13 +35,18 @@
 //! owning shard's inbox like any completion. Thread count is a property
 //! of the deployment (pollers + executors), not of the session count.
 
+use crate::host::mirror_read;
 use crate::lane::{ClientSink, Lanes, PushEvent};
+use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hermes_common::{ClientId, ClientOp, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply};
+use hermes_common::{
+    ClientId, ClientOp, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply, Value,
+};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
-use hermes_obs::obs_warn;
+use hermes_obs::{obs_warn, Registry};
+use hermes_store::Store;
 use hermes_wings::client as rpc;
 use hermes_wings::{CreditConfig, CreditFlow};
 use std::collections::{HashMap, HashSet};
@@ -58,18 +67,6 @@ pub(crate) const REMOTE_CLIENT_BASE: u64 = 1 << 33;
 /// must stay distinct between daemons sharing one process.
 const EXECUTOR_CLIENT_BASE: u64 = 1 << 34;
 static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
-
-/// Provider of the stats-RPC payload, captured from the runtime's gauges.
-pub(crate) type StatsSource = dyn Fn() -> rpc::StatsPayload + Send + Sync;
-
-/// Provider of the metrics-RPC exposition text, captured from the
-/// runtime's [`hermes_obs::Registry`].
-pub(crate) type MetricsSource = dyn Fn() -> String + Send + Sync;
-
-/// Provider of the traces-RPC payload: drains every captured span (slow
-/// ops and sampled ops) from the runtime's trace rings, so each scrape
-/// sees each span exactly once.
-pub(crate) type TracesSource = dyn Fn() -> Vec<hermes_obs::TraceSpan> + Send + Sync;
 
 /// Upper bound on a shard's blocked wait: the stop flag is re-checked at
 /// least this often even if the waker datagram is lost. Unit tests stretch
@@ -121,8 +118,8 @@ pub(crate) struct PlaneConfig {
     pub(crate) max_frame: usize,
 }
 
-/// Live occupancy gauges of the plane, shared with the stats RPC. Created
-/// before the plane starts so the stats closure can capture it.
+/// Live occupancy gauges of the plane, shared with the runtime's accessors
+/// and its metrics registry.
 #[derive(Debug)]
 pub(crate) struct PlaneGauges {
     open: AtomicU64,
@@ -274,10 +271,14 @@ pub(crate) enum SessionEffect {
     Shutdown,
 }
 
+/// The node's seqlock mirror as a [`SessionMachine`] sees it: the value iff
+/// a read of the key may be answered here and now ([`mirror_read`] in a
+/// shard, a closure over a map in a unit test).
+pub(crate) type ReadHook = Box<dyn FnMut(Key) -> Option<Value> + Send>;
+
 /// One remote session as a non-blocking state machine: accumulate request
 /// bytes, decode complete frames into [`SessionEffect`]s under the Wings
 /// credit budget, frame completions into a write buffer. Performs no I/O.
-#[derive(Debug)]
 pub(crate) struct SessionMachine {
     /// Received-but-undecoded bytes (partial frames, credit-stalled frames).
     inbuf: Vec<u8>,
@@ -292,6 +293,11 @@ pub(crate) struct SessionMachine {
     credits: CreditFlow,
     /// Transactions currently at the executor pool for this session.
     inflight_txns: u32,
+    /// Submitted, uncompleted updates `(seq, key)` of this session: a read
+    /// of such a key must queue behind the update at its lane, not pass it
+    /// through the mirror. At most one entry per credit.
+    own_updates: Vec<(u64, Key)>,
+    mirror: ReadHook,
     /// Keys this session subscribed to for invalidation pushes: the
     /// per-session filter that keeps a lane's fan-out from reaching
     /// sessions that already unsubscribed (frames in flight race).
@@ -301,7 +307,7 @@ pub(crate) struct SessionMachine {
 }
 
 impl SessionMachine {
-    pub(crate) fn new(credits: CreditConfig, max_frame: usize) -> SessionMachine {
+    pub(crate) fn new(credits: CreditConfig, max_frame: usize, mirror: ReadHook) -> SessionMachine {
         SessionMachine {
             inbuf: Vec::new(),
             parsed: 0,
@@ -309,6 +315,8 @@ impl SessionMachine {
             out_at: 0,
             credits: CreditFlow::new(1, credits),
             inflight_txns: 0,
+            own_updates: Vec::new(),
+            mirror,
             subs: HashSet::new(),
             max_frame,
             dead: false,
@@ -332,6 +340,7 @@ impl SessionMachine {
             return;
         }
         self.credits.on_implicit_credit(SERVER);
+        self.own_updates.retain(|&(s, _)| s != seq);
         self.enqueue_frame(&rpc::encode_reply_bytes(seq, reply));
         self.decode_pending(fx);
     }
@@ -388,55 +397,61 @@ impl SessionMachine {
             };
             match request {
                 rpc::Request::Op { seq, key, cop } => {
-                    if !self.credits.try_consume(SERVER) {
+                    // The local read (paper §3.1): answered from the mirror
+                    // in this pass, at no credit. Not past this session's
+                    // own in-flight update of the key, though — the lane
+                    // pushes an issuer no invalidation of its own write, so
+                    // a read that overtook it would leave the superseded
+                    // value in the client's cache for good (DESIGN.md §8).
+                    let local =
+                        !cop.is_update() && !self.own_updates.iter().any(|&(_, k)| k == key);
+                    if let Some(value) = local.then(|| (self.mirror)(key)).flatten() {
+                        self.enqueue_frame(&rpc::encode_reply_bytes(seq, &Reply::ReadOk(value)));
+                    } else if self.credits.try_consume(SERVER) {
+                        if cop.is_update() {
+                            self.own_updates.push((seq, key));
+                        }
+                        fx.push(SessionEffect::Submit { seq, key, cop });
+                    } else {
                         break; // Stalled: the frame stays buffered.
                     }
-                    self.parsed += 4 + len;
-                    fx.push(SessionEffect::Submit { seq, key, cop });
                 }
                 rpc::Request::Txn { seq, op } => {
                     self.inflight_txns += 1;
-                    self.parsed += 4 + len;
                     fx.push(SessionEffect::RunTxn { seq, op });
                 }
                 rpc::Request::Stats { seq } => {
-                    self.parsed += 4 + len;
                     fx.push(SessionEffect::SendStats { seq });
                 }
                 rpc::Request::Metrics { seq } => {
                     // Like Stats: no credit consumed — a scraper must not
                     // steal op pipelining capacity.
-                    self.parsed += 4 + len;
                     fx.push(SessionEffect::SendMetrics { seq });
                 }
                 rpc::Request::Traces { seq } => {
                     // Credit-exempt like Metrics: the trace aggregator
                     // polls alongside the metrics scraper.
-                    self.parsed += 4 + len;
                     fx.push(SessionEffect::SendTraces { seq });
                 }
                 rpc::Request::Subscribe { seq, key } => {
                     // Like Stats: no credit consumed — subscription traffic
                     // must not steal op pipelining capacity.
-                    self.parsed += 4 + len;
                     self.subs.insert(key.0);
                     fx.push(SessionEffect::Subscribe { seq, key });
                 }
                 rpc::Request::Unsubscribe { seq, key } => {
-                    self.parsed += 4 + len;
                     self.subs.remove(&key.0);
                     fx.push(SessionEffect::Unsubscribe { seq, key });
                 }
                 rpc::Request::InvalAck { key } => {
-                    self.parsed += 4 + len;
                     fx.push(SessionEffect::InvalAck { key });
                 }
                 rpc::Request::Shutdown { seq } => {
-                    self.parsed += 4 + len;
                     self.enqueue_frame(&rpc::encode_reply_bytes(seq, &Reply::WriteOk));
                     fx.push(SessionEffect::Shutdown);
                 }
             }
+            self.parsed += 4 + len;
         }
         if self.parsed > 0 {
             self.inbuf.drain(..self.parsed);
@@ -549,10 +564,10 @@ impl ClientPlane {
         cfg: PlaneConfig,
         gauges: Arc<PlaneGauges>,
         shutdown: Arc<AtomicBool>,
-        stats: Arc<StatsSource>,
-        metrics: Arc<MetricsSource>,
-        traces: Arc<TracesSource>,
+        registry: Arc<Registry>,
         obs: Arc<NodeObs>,
+        store: Arc<Store>,
+        status: Arc<MembershipStatus>,
     ) -> io::Result<ClientPlane> {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -609,13 +624,13 @@ impl ClientPlane {
                 txn_jobs: txn_tx.clone(),
                 stop: Arc::clone(&stop),
                 shutdown: Arc::clone(&shutdown),
-                stats: Arc::clone(&stats),
-                metrics: Arc::clone(&metrics),
-                traces: Arc::clone(&traces),
+                registry: Arc::clone(&registry),
                 obs: Arc::clone(&obs),
                 gauges: Arc::clone(&gauges),
                 cfg,
                 rdbuf: vec![0u8; READ_CHUNK],
+                store: Arc::clone(&store),
+                status: Arc::clone(&status),
                 fx: Vec::new(),
             };
             threads.push(
@@ -720,15 +735,20 @@ struct Shard {
     txn_jobs: Sender<TxnJob>,
     stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<StatsSource>,
-    metrics: Arc<MetricsSource>,
-    traces: Arc<TracesSource>,
-    /// Node-wide observability state (accept / decode / drain / stall
-    /// timings recorded by this shard).
+    /// The runtime's metrics registry: its rendering answers the metrics
+    /// RPC.
+    registry: Arc<Registry>,
+    /// Node-wide observability state: accept / decode / drain / stall
+    /// timings recorded by this shard, and the trace rings the traces RPC
+    /// drains (each scrape sees each span exactly once).
     obs: Arc<NodeObs>,
     gauges: Arc<PlaneGauges>,
     cfg: PlaneConfig,
     rdbuf: Vec<u8>,
+    /// The node's seqlock mirror and the serving gate in front of it, which
+    /// answer this shard's sessions' `Valid` reads.
+    store: Arc<Store>,
+    status: Arc<MembershipStatus>,
     fx: Vec<SessionEffect>,
 }
 
@@ -916,11 +936,19 @@ impl Shard {
         let client =
             ClientId(REMOTE_CLIENT_BASE + self.next_client.fetch_add(1, Ordering::Relaxed));
         self.by_client.insert(client.0, token);
+        // The session's local reads: the node's mirror, counted.
+        let (store, status, obs) = (self.store.clone(), self.status.clone(), self.obs.clone());
+        let mut scratch = Vec::new();
+        let mirror = Box::new(move |key| {
+            let value = mirror_read(&store, &status, key, &mut scratch)?;
+            NodeObs::bump(&obs.mirror_reads, 1);
+            Some(value)
+        });
         self.sessions.insert(
             token,
             Session {
                 stream,
-                machine: SessionMachine::new(self.cfg.credits, self.cfg.max_frame),
+                machine: SessionMachine::new(self.cfg.credits, self.cfg.max_frame, mirror),
                 client,
                 interest: Interest::READ,
                 parked_at: None,
@@ -961,23 +989,23 @@ impl Shard {
     /// (completing back as [`ClientSink::Poller`]), transactions to the
     /// executor pool, stats/shutdown answered from the runtime's state.
     fn apply_effects(&mut self, token: u64, fx: &mut Vec<SessionEffect>) {
+        let Some(sess) = self.sessions.get_mut(&token) else {
+            return fx.clear();
+        };
+        let client = sess.client;
         for e in fx.drain(..) {
-            let Some(sess) = self.sessions.get(&token) else {
-                continue;
-            };
-            let client = sess.client;
             match e {
                 SessionEffect::Submit { seq, key, cop } => {
+                    if !cop.is_update() {
+                        NodeObs::bump(&self.obs.mirror_read_fallbacks, 1);
+                    }
                     let sink = ClientSink::Poller(self.me.clone());
                     if !self.lanes.op(OpId::new(client, seq), key, cop, sink) {
                         // Replica shutting down: answer inline. Any frames
                         // the returned credit unstalls would fail the same
                         // way, so their effects are dropped.
-                        let mut sub = Vec::new();
-                        if let Some(sess) = self.sessions.get_mut(&token) {
-                            sess.machine
-                                .on_completion(seq, &Reply::NotOperational, &mut sub);
-                        }
+                        sess.machine
+                            .on_completion(seq, &Reply::NotOperational, &mut Vec::new());
                     }
                 }
                 SessionEffect::RunTxn { seq, op } => {
@@ -992,23 +1020,30 @@ impl Shard {
                     let _ = self.txn_jobs.send(job);
                 }
                 SessionEffect::SendStats { seq } => {
-                    let payload = rpc::encode_stats_reply_bytes(seq, &(self.stats)());
-                    if let Some(sess) = self.sessions.get_mut(&token) {
-                        sess.machine.enqueue_frame(&payload);
-                    }
+                    let stats = rpc::StatsPayload {
+                        epoch: self.status.epoch(),
+                        view_changes: self.status.view_changes(),
+                        members: self.status.members(),
+                        shadows: self.status.shadows(),
+                        serving: self.status.serving(),
+                        synced: self.status.synced(),
+                        lane_ops: NodeObs::per_lane(&self.obs.lane_ops),
+                        open_sessions: self.gauges.open_sessions(),
+                        sessions_per_shard: self.gauges.sessions_per_shard(),
+                        lane_ingress: NodeObs::per_lane(&self.obs.lane_ingress),
+                        subscriptions: self.obs.subscriptions.load(Ordering::Relaxed),
+                        pushes: self.obs.pushes.load(Ordering::Relaxed),
+                        accept_stalls: self.gauges.accept_stalls(),
+                    };
+                    sess.machine
+                        .enqueue_frame(&rpc::encode_stats_reply_bytes(seq, &stats));
                 }
-                SessionEffect::SendMetrics { seq } => {
-                    let payload = rpc::encode_metrics_reply_bytes(seq, &(self.metrics)());
-                    if let Some(sess) = self.sessions.get_mut(&token) {
-                        sess.machine.enqueue_frame(&payload);
-                    }
-                }
-                SessionEffect::SendTraces { seq } => {
-                    let payload = rpc::encode_traces_reply_bytes(seq, &(self.traces)());
-                    if let Some(sess) = self.sessions.get_mut(&token) {
-                        sess.machine.enqueue_frame(&payload);
-                    }
-                }
+                SessionEffect::SendMetrics { seq } => sess.machine.enqueue_frame(
+                    &rpc::encode_metrics_reply_bytes(seq, &self.registry.render()),
+                ),
+                SessionEffect::SendTraces { seq } => sess.machine.enqueue_frame(
+                    &rpc::encode_traces_reply_bytes(seq, &self.obs.drain_spans()),
+                ),
                 // Lane sends fail only at teardown; the client observes
                 // the hangup instead of an ack.
                 SessionEffect::Subscribe { seq, key } => {
@@ -1176,8 +1211,9 @@ impl ShardHandle {
 mod tests {
     use super::*;
     use crate::sharded::ShardedEngine;
-    use hermes_common::{MembershipView, Value};
+    use hermes_common::{MembershipView, RmwOp};
     use hermes_core::ProtocolConfig;
+    use hermes_store::StoreConfig;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut f = (payload.len() as u32).to_le_bytes().to_vec();
@@ -1185,13 +1221,29 @@ mod tests {
         f
     }
 
+    fn write(v: u64) -> ClientOp {
+        ClientOp::Write(Value::from_u64(v))
+    }
+
+    /// A machine over the mirror of a replica that can answer nothing
+    /// locally (not `Valid` and not serving look the same from here).
     fn machine_with_credits(n: u32) -> SessionMachine {
+        machine_over(n, &[])
+    }
+
+    /// A machine over a mirror in which exactly `valid` is readable.
+    fn machine_over(credits: u32, valid: &[(Key, u64)]) -> SessionMachine {
+        let valid: HashMap<Key, Value> = valid
+            .iter()
+            .map(|&(k, v)| (k, Value::from_u64(v)))
+            .collect();
         SessionMachine::new(
             CreditConfig {
-                credits_per_peer: n,
+                credits_per_peer: credits,
                 ..CreditConfig::default()
             },
             1 << 20,
+            Box::new(move |key| valid.get(&key).cloned()),
         )
     }
 
@@ -1253,9 +1305,123 @@ mod tests {
         assert_eq!((seq, reply), (0, Reply::ReadOk(Value::EMPTY)));
     }
 
+    fn op_frame(seq: u64, key: Key, cop: &ClientOp) -> Vec<u8> {
+        frame(&rpc::encode_request_bytes(seq, key, cop))
+    }
+
+    /// Every reply frame waiting in the machine's write buffer, drained.
+    fn framed_replies(m: &mut SessionMachine) -> Vec<(u64, Reply)> {
+        let mut out = Vec::new();
+        let mut buf = m.write_chunk();
+        while !buf.is_empty() {
+            let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+            out.push(rpc::decode_reply(&buf[4..4 + len]).unwrap());
+            buf = &buf[4 + len..];
+        }
+        let n = m.write_chunk().len();
+        m.advance_write(n);
+        out
+    }
+
+    fn submit(seq: u64, key: Key, cop: ClientOp) -> SessionEffect {
+        SessionEffect::Submit { seq, key, cop }
+    }
+
+    #[test]
+    fn a_valid_read_is_framed_from_the_mirror_at_no_credit_and_with_no_effect() {
+        let mut m = machine_over(1, &[(Key(1), 11), (Key(2), 22)]);
+        let mut fx = Vec::new();
+        let mut wire = op_frame(0, Key(1), &ClientOp::Read);
+        wire.extend(op_frame(1, Key(2), &ClientOp::Read));
+        m.on_bytes(&wire, &mut fx);
+        assert_eq!(fx, vec![], "a mirror read reaches no lane");
+        assert_eq!(
+            framed_replies(&mut m),
+            vec![
+                (0, Reply::ReadOk(Value::from_u64(11))),
+                (1, Reply::ReadOk(Value::from_u64(22))),
+            ],
+            "framed in the pass that decoded them, in request order"
+        );
+        assert!(m.wants_read(), "the only credit is still there");
+    }
+
+    #[test]
+    fn a_mirror_miss_is_submitted_to_its_lane_exactly_as_before() {
+        let mut m = machine_with_credits(2);
+        let mut fx = Vec::new();
+        m.on_bytes(&op_frame(0, Key(1), &ClientOp::Read), &mut fx);
+        assert_eq!(fx, vec![submit(0, Key(1), ClientOp::Read)]);
+        assert!(!m.wants_write(), "nothing framed until the lane answers");
+        m.on_bytes(&op_frame(1, Key(1), &ClientOp::Read), &mut fx);
+        assert!(!m.wants_read(), "each fallback read spends a credit");
+    }
+
+    #[test]
+    fn a_credit_stalled_session_still_serves_a_valid_read_once_decoding_reaches_it() {
+        let mut m = machine_over(1, &[(Key(9), 99)]);
+        let mut fx = Vec::new();
+        let mut wire = op_frame(0, Key(1), &write(1));
+        wire.extend(op_frame(1, Key(2), &write(2)));
+        wire.extend(op_frame(2, Key(9), &ClientOp::Read));
+        m.on_bytes(&wire, &mut fx);
+        // Decode order is unchanged: the second write stalls for a credit
+        // and the read behind it is not looked at, `Valid` or not.
+        assert_eq!(fx, vec![submit(0, Key(1), write(1))]);
+        assert_eq!(framed_replies(&mut m), vec![]);
+        fx.clear();
+        m.on_completion(0, &Reply::WriteOk, &mut fx);
+        assert_eq!(fx, vec![submit(1, Key(2), write(2))]);
+        assert!(!m.wants_read(), "stalled again: the credit went to seq 1");
+        assert_eq!(
+            framed_replies(&mut m),
+            vec![(0, Reply::WriteOk), (2, Reply::ReadOk(Value::from_u64(99)))],
+            "the read behind the unstalled write needed no credit"
+        );
+    }
+
+    #[test]
+    fn a_read_never_passes_the_sessions_own_update_of_the_same_key() {
+        let updates = [write(5), ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 })];
+        for update in updates {
+            let mut m = machine_over(8, &[(Key(1), 10), (Key(2), 20)]);
+            let mut fx = Vec::new();
+            let mut wire = op_frame(0, Key(1), &update);
+            wire.extend(op_frame(1, Key(1), &ClientOp::Read));
+            wire.extend(op_frame(2, Key(2), &ClientOp::Read));
+            m.on_bytes(&wire, &mut fx);
+            assert_eq!(
+                fx,
+                vec![
+                    submit(0, Key(1), update.clone()),
+                    submit(1, Key(1), ClientOp::Read),
+                ],
+                "the read of the key being updated queues behind the update"
+            );
+            assert_eq!(
+                framed_replies(&mut m),
+                vec![(2, Reply::ReadOk(Value::from_u64(20)))],
+                "other keys are still served"
+            );
+            fx.clear();
+            // The fallback read's completion does not lift the guard...
+            m.on_completion(1, &Reply::ReadOk(Value::EMPTY), &mut fx);
+            m.on_bytes(&op_frame(3, Key(1), &ClientOp::Read), &mut fx);
+            assert_eq!(fx, vec![submit(3, Key(1), ClientOp::Read)]);
+            // ...the update's own completion does.
+            m.on_completion(0, &Reply::WriteOk, &mut fx);
+            framed_replies(&mut m);
+            m.on_bytes(&op_frame(4, Key(1), &ClientOp::Read), &mut fx);
+            assert_eq!(
+                framed_replies(&mut m),
+                vec![(4, Reply::ReadOk(Value::from_u64(10)))]
+            );
+        }
+    }
+
     #[test]
     fn oversized_and_malformed_frames_kill_the_session() {
-        let mut m = SessionMachine::new(CreditConfig::default(), 64);
+        let mut m = SessionMachine::new(CreditConfig::default(), 64, Box::new(|_| None));
         let mut fx = Vec::new();
         m.on_bytes(&(65u32).to_le_bytes(), &mut fx);
         assert!(m.is_dead(), "length beyond max_frame");
@@ -1425,10 +1591,14 @@ mod tests {
             },
             Arc::clone(&gauges),
             Arc::new(AtomicBool::new(false)),
-            Arc::new(|| unreachable!("the test sends no stats query")),
-            Arc::new(String::new),
-            Arc::new(Vec::new),
+            Arc::new(Registry::new()),
             Arc::new(NodeObs::new(0, 1)),
+            Arc::new(Store::new(StoreConfig::default())),
+            Arc::new(MembershipStatus::new(
+                MembershipView::initial(1),
+                true,
+                true,
+            )),
         )
         .unwrap();
         let mut client = TcpStream::connect(addr).unwrap();

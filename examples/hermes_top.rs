@@ -146,10 +146,16 @@ fn scrape_round(opts: &Options, round: u64) {
         let inline = node_sum(&merged, "hermes_tcp_writes_inline_total", i);
         let frames = inline + node_sum(&merged, "hermes_tcp_writes_deferred_total", i);
         let inline_pct = 100.0 * inline / frames.max(1.0);
+        // Share of remote sessions' reads a poller answered from the mirror
+        // (the rest queued at a lane: key not Valid, not serving, or behind
+        // the session's own update).
+        let mirror = node_sum(&merged, "hermes_mirror_reads_total", i);
+        let reads = mirror + node_sum(&merged, "hermes_mirror_read_fallbacks_total", i);
+        let mirror_pct = 100.0 * mirror / reads.max(1.0);
         let p99 = node_p99(&merged, i).map_or(String::new(), |p99| format!(" p99={p99:.0}us"));
         println!(
-            "  n{i} {addr}: ops={ops}{p99} invals_sent={invs} view_changes={views} \
-             tcp_inline={inline_pct:.1}%"
+            "  n{i} {addr}: ops={ops}{p99} reads={reads} mirror={mirror_pct:.1}% \
+             invals_sent={invs} view_changes={views} tcp_inline={inline_pct:.1}%"
         );
     }
     if opts.expose {

@@ -2,7 +2,9 @@
 //! mid-pipeline are reaped (gauges return to baseline, no fd leak, late
 //! completions dropped), the daemon's thread count does not grow with its
 //! session count, and concurrent histories spanning a kill stay
-//! linearizable.
+//! linearizable — also with reads answered on the poller thread from the
+//! seqlock mirror (DESIGN.md §7), whose two safety rules are tested here
+//! over real sockets on a three-replica cluster.
 //!
 //! These tests talk to an **in-process** [`NodeRuntime`], so procfs
 //! observations (`Threads:`, `/proc/self/fd`) see the daemon itself.
@@ -15,8 +17,8 @@ use hermes::prelude::*;
 use hermes::wings::client as rpc;
 use hermes::wings::CreditConfig;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::AtomicU64;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -44,6 +46,54 @@ fn serve_single_node() -> NodeRuntime {
         metrics_dump: None,
     };
     NodeRuntime::serve(opts).expect("single-node daemon")
+}
+
+/// Three replicas in this process under a pinned view, so that a key is
+/// `Invalid` at two of them for the length of every write.
+fn serve_three_nodes() -> Vec<NodeRuntime> {
+    let peers: Vec<SocketAddr> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .map(|l| l.local_addr().expect("local addr"))
+        .collect();
+    (0..3)
+        .map(|i| {
+            NodeRuntime::serve(NodeOptions {
+                node: NodeId(i),
+                peers: peers.clone(),
+                client_addr: "127.0.0.1:0".parse().unwrap(),
+                workers: 2,
+                pollers: 1,
+                protocol: ProtocolConfig::default(),
+                tcp: hermes::net::TcpConfig::default(),
+                run_for: None,
+                membership: None,
+                join: false,
+                metrics_dump: None,
+            })
+            .expect("replica binds its loopback ports")
+        })
+        .collect()
+}
+
+fn remote_session(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
+    let channel = RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
+        .expect("client port");
+    ClientSession::new(channel, CreditConfig::default())
+}
+
+/// Reads answered from the mirror and reads handed to a lane, summed over
+/// `nodes`' expositions.
+fn mirror_reads_and_fallbacks(nodes: &[NodeRuntime]) -> (f64, f64) {
+    let sum = |name: &str| -> f64 {
+        nodes
+            .iter()
+            .map(|n| hermes::obs::sample_value(&n.metrics_text(), name).expect("exported"))
+            .sum()
+    };
+    (
+        sum("hermes_mirror_reads_total"),
+        sum("hermes_mirror_read_fallbacks_total"),
+    )
 }
 
 /// Sends one length-prefixed client frame.
@@ -391,5 +441,115 @@ fn histories_stay_linearizable_across_a_mid_run_kill() {
     match Arc::try_unwrap(runtime) {
         Ok(r) => r.shutdown(),
         Err(_) => panic!("runtime still shared"),
+    }
+}
+
+/// Rule 2 of the poller's mirror reads (DESIGN.md §8): a read never passes
+/// its own session's in-flight update of the same key. A subscribed
+/// session pipelines `write(k, v)` and `read(k)` without waiting; were the
+/// read answered from the mirror ahead of the write, its (superseded)
+/// value would fill the session's cache, and since a lane pushes an issuer
+/// no invalidation of its own write, the cache would go on serving it after
+/// the write was acknowledged. A second session writes `k` at another
+/// replica throughout, so the key also goes `Invalid` under the reader and
+/// pushes race the fills.
+#[test]
+fn a_pipelined_read_never_parks_a_value_older_than_the_sessions_own_write() {
+    let _serial = serial();
+    const K: Key = Key(5);
+    const ROUNDS: u64 = 300;
+    /// The other writer's values: never mistaken for the session's own.
+    const OTHER: u64 = 1 << 40;
+    let nodes = serve_three_nodes();
+    let mut session = remote_session(&nodes[0]);
+    assert!(session.subscribe(K));
+    let stop = Arc::new(AtomicBool::new(false));
+    let other = {
+        let mut writer = remote_session(&nodes[1]);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut n = OTHER;
+            while !stop.load(Ordering::Relaxed) {
+                n += 1;
+                let t = writer.write(K, Value::from_u64(n));
+                assert_eq!(writer.wait(t), Reply::WriteOk);
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        })
+    };
+
+    for round in 1..=ROUNDS {
+        let w = session.write(K, Value::from_u64(round));
+        let r = session.read(K);
+        assert_eq!(session.wait(w), Reply::WriteOk);
+        assert!(matches!(session.wait(r), Reply::ReadOk(_)));
+        // The write is acknowledged: whatever now answers a read of `K` —
+        // the cache, the mirror or a lane — holds this round's value or a
+        // later write of the other session, never an earlier round's.
+        let t = session.read(K);
+        let Reply::ReadOk(value) = session.wait(t) else {
+            panic!("round {round}: read failed");
+        };
+        let seen = value.to_u64().expect("u64 payloads");
+        assert!(
+            seen == round || seen > OTHER,
+            "round {round}: a read after the acknowledged write returned round {seen}'s value"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    other.join().expect("writer thread");
+    assert!(session.cache_hits() > 0, "the cache never served a read");
+    let (_, fallbacks) = mirror_reads_and_fallbacks(&nodes);
+    assert!(
+        fallbacks > 0.0,
+        "no pipelined read queued behind its session's write"
+    );
+    drop(session);
+    for node in nodes {
+        node.shutdown();
+    }
+}
+
+/// Rule 1 (DESIGN.md §3.3) end to end: with reads answered from the mirror
+/// wherever the key is `Valid`, and by a lane wherever it is not, sessions
+/// at all three replicas writing, reading and fetch-adding the same four
+/// keys produce a linearizable history — and both read paths were taken.
+#[test]
+fn histories_stay_linearizable_with_reads_served_from_the_mirror() {
+    let _serial = serial();
+    const SESSIONS: usize = 4;
+    const KEYS: u64 = 4;
+    const OPS_PER_SESSION: u64 = 40;
+    const DEPTH: usize = 4;
+
+    let nodes = serve_three_nodes();
+    let clock = Arc::new(AtomicU64::new(0));
+    let joins: Vec<_> = (0..SESSIONS)
+        .map(|sid| {
+            let mut session = remote_session(&nodes[sid % nodes.len()]);
+            let clock = Arc::clone(&clock);
+            std::thread::spawn(move || {
+                run_recorded_session(
+                    &mut session,
+                    &clock,
+                    sid as u64,
+                    KEYS,
+                    OPS_PER_SESSION,
+                    DEPTH,
+                )
+            })
+        })
+        .collect();
+    let mut all: Vec<RecordedOp> = Vec::new();
+    for j in joins {
+        all.extend(j.join().expect("session thread"));
+    }
+    assert_eq!(all.len(), SESSIONS * OPS_PER_SESSION as usize);
+    check_linearizable_per_key(&all, KEYS).expect("history linearizable with mirror reads");
+    let (mirror, fallbacks) = mirror_reads_and_fallbacks(&nodes);
+    assert!(mirror > 0.0, "no read was answered from the mirror");
+    assert!(fallbacks > 0.0, "no read took the lane path");
+    for node in nodes {
+        node.shutdown();
     }
 }
