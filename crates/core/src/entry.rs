@@ -84,8 +84,9 @@ pub struct KeyEntry {
     /// the \[O3\] optimization to exclude the write's driver from the ACK
     /// set a follower waits for.
     pub driver: NodeId,
-    /// In-flight update this replica drives, if any.
-    pub(crate) pending: Option<Pending>,
+    /// In-flight update this replica drives, if any. Boxed: every key pays
+    /// for its entry, only a coordinating one for the bookkeeping.
+    pub(crate) pending: Option<Box<Pending>>,
     /// Parked client requests, lazily allocated (most keys never stall).
     pub(crate) waiting: Option<Box<Waiting>>,
     /// \[O3\] timestamp the ACK tracker refers to.
@@ -93,6 +94,9 @@ pub struct KeyEntry {
     /// \[O3\] replicas whose broadcast ACKs for `o3_ts` have been seen.
     pub(crate) o3_acks: NodeSet,
 }
+
+/// The engine's share of what a key costs in memory, per replica.
+const _: () = assert!(std::mem::size_of::<KeyEntry>() <= 96);
 
 impl KeyEntry {
     /// A fresh entry for a never-written key: Valid, version 0, empty value.

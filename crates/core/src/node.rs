@@ -279,13 +279,13 @@ impl HermesNode {
 
         e.apply(ts, value.clone(), kind, me);
         e.state = KeyState::Write;
-        e.pending = Some(Pending {
+        e.pending = Some(Box::new(Pending {
             ts,
             kind,
             value: value.clone(),
             acks: NodeSet::EMPTY,
             client,
-        });
+        }));
         fx.push(Effect::Broadcast {
             msg: Msg::Inv {
                 key,
@@ -703,13 +703,13 @@ impl HermesNode {
         debug_assert!(e.pending.is_none());
         e.state = KeyState::Replay;
         e.driver = me;
-        e.pending = Some(Pending {
+        e.pending = Some(Box::new(Pending {
             ts: e.ts,
             kind: e.kind,
             value: e.value.clone(),
             acks: NodeSet::EMPTY,
             client: None,
-        });
+        }));
         let msg = Msg::Inv {
             key,
             ts: e.ts,

@@ -16,10 +16,27 @@ fn process_threads() -> usize {
         .expect("Threads: line")
 }
 
+/// The thread count once it has stopped changing: two equal reads 10 ms
+/// apart. `join` returns a moment before the joined thread leaves the
+/// kernel's count, so a single read right after it can be one too high.
+/// Waits for quiet, not for a value — the caller asserts the value.
+fn settled_threads() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut last = process_threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = process_threads();
+        if now == last || Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// Starts an `n`-node loopback mesh, connects every ordered pair, and
 /// returns how many threads that added once the dials have finished.
 fn threads_added_by_mesh(n: usize) -> usize {
-    let before = process_threads();
+    let before = settled_threads();
     let endpoints = TcpNet::loopback(n).unwrap().into_endpoints();
     let stats: Vec<Arc<TcpStats>> = endpoints.iter().map(|e| e.stats()).collect();
     let senders: Vec<_> = endpoints.iter().map(|e| e.sender()).collect();
@@ -43,10 +60,10 @@ fn threads_added_by_mesh(n: usize) -> usize {
         assert!(Instant::now() < deadline, "mesh did not connect: {stats:?}");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let added = process_threads() - before;
+    let added = settled_threads() - before;
     drop(guards);
     assert_eq!(
-        process_threads(),
+        settled_threads(),
         before,
         "stop joins every transport thread"
     );

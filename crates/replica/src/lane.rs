@@ -631,6 +631,9 @@ impl<S: NetSender> Lane<S> {
     /// unacked cache pushes is mirrored as not readable whatever its state:
     /// until its subscribers ack, the transition is visible nowhere, and a
     /// read of it belongs at this lane, held with everything else (§8).
+    /// Called on every transition; the store copies the value only when the
+    /// timestamp moved, so a VAL, a commit or a released hold costs the
+    /// metadata words.
     fn mirror_key(&self, key: Key) {
         let (state, ts, value) = self.node.key_mirror(key);
         let meta = if state == KeyState::Valid && !self.subs.pending.contains_key(&key) {
@@ -1305,6 +1308,65 @@ mod tests {
         assert_eq!(read(&r), None);
         r.tick(t0 + PUSH_ACK_KICK);
         assert_eq!(read(&r), Some(Value::from_u64(2)));
+    }
+
+    /// A transition that moves a key's state and not its timestamp — the
+    /// VAL at a follower, the commit at a coordinator — writes the mirror's
+    /// metadata and copies no value byte: the value went in with the INV,
+    /// or at issue. Shown with a marker the test plants in the slot between
+    /// the two transitions, under the timestamp the slot holds: a second
+    /// value write would put the engine's value back over it.
+    #[test]
+    fn a_value_enters_the_mirror_once_and_the_state_flip_moves_metadata_only() {
+        let mut r = rig(3);
+        let (epoch, t0) = (Epoch(0), r.t0);
+        let marker = Value::from_u64(u64::MAX);
+        let slot = |r: &Rig, key| {
+            let mut value = Vec::new();
+            let meta = r.net.store.get(key, &mut value).expect("mirrored");
+            (Ts::new(meta.version, meta.cid), meta.state, value)
+        };
+        // A put under the held timestamp and length would itself be
+        // metadata-only, hence the detour over another timestamp.
+        let plant = |r: &Rig, key, ts: Ts| {
+            r.net.store.put(key, SlotMeta::invalid(0, 0), &[]);
+            let held = SlotMeta::invalid(ts.version, ts.cid);
+            r.net.store.put(key, held, marker.as_bytes());
+        };
+
+        // Follower: INV, then VAL.
+        let (k, ts) = (Key(7), Ts::new(2, 1));
+        let inv = Msg::Inv {
+            key: k,
+            ts,
+            value: Value::from_u64(5),
+            kind: UpdateKind::Write,
+            epoch,
+        };
+        r.deliver(1, inv, t0);
+        let written = Value::from_u64(5).as_bytes().to_vec();
+        assert_eq!(slot(&r, k), (ts, SlotState::Invalid, written));
+        plant(&r, k, ts);
+        r.deliver(1, Msg::Val { key: k, ts, epoch }, t0);
+        assert_eq!(r.lane.node.local_read(k), Some(Value::from_u64(5)));
+        assert_eq!(
+            r.mirror(k),
+            Some(marker.clone()),
+            "the VAL moved value bytes"
+        );
+
+        // Coordinator: issue, then commit on the second ACK.
+        let k = Key(8);
+        let w = r.op(A, k, write(6), t0);
+        let ts = r.lane.node.key_ts(k);
+        let written = Value::from_u64(6).as_bytes().to_vec();
+        assert_eq!(slot(&r, k), (ts, SlotState::Invalid, written));
+        plant(&r, k, ts);
+        for peer in [1, 2] {
+            r.deliver(peer, Msg::Ack { key: k, ts, epoch }, t0);
+        }
+        assert_eq!(r.a_replies(), vec![(w, Reply::WriteOk)]);
+        assert_eq!(r.mirror(k), Some(marker), "the commit moved value bytes");
     }
 
     #[test]

@@ -4,17 +4,24 @@
 //! concurrent-read-concurrent-write (CRCW) access using **seqlocks**, which
 //! allow lock-free reads (paper §4.1). This crate reproduces that substrate:
 //!
-//! * [`SeqLock`] — a sequence lock for `Copy` data: readers never write
-//!   shared state and retry on torn snapshots; writers are mutually excluded
-//!   by an odd/even sequence counter;
-//! * [`Store`] — a sharded hash index of seqlock-guarded slots holding
-//!   `(protocol metadata, value)` pairs, supporting lock-free reads
-//!   concurrent with writes, as the Hermes threaded runtime requires for its
-//!   local reads.
+//! [`Store`] is a sharded hash index of seqlock-guarded slots holding
+//! `(protocol metadata, value)` pairs, supporting lock-free reads concurrent
+//! with writes, as the Hermes threaded runtime requires for its local reads.
+//! A reader takes its shard's read guard and copies a snapshot between two
+//! equal, even reads of the slot's sequence word, retrying on a torn one; it
+//! writes nothing but the guard's reader count — not the slot, not a
+//! counter. Writers of one slot exclude each other by taking that word from
+//! even to odd.
+//!
+//! A slot is one allocation as long as the longest value its key has held —
+//! four header words plus the value rounded up to a word — so a key costs
+//! what it holds. A value that outgrows its slot gets a longer one, swapped
+//! in under the shard's write guard; every other access to a slot happens
+//! under the read guard, so none overlaps the swap.
 //!
 //! The implementation avoids `unsafe`: slot payloads are stored as arrays of
-//! relaxed atomics bracketed by the sequence counter's acquire/release
-//! pairs, which is the data-race-free formulation of a seqlock.
+//! relaxed atomics bracketed by the sequence word's acquire/release pairs,
+//! which is the data-race-free formulation of a seqlock.
 //!
 //! # Examples
 //!
@@ -33,8 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod seqlock;
 mod store;
 
-pub use seqlock::SeqLock;
 pub use store::{SlotMeta, SlotState, Store, StoreConfig, StoreStats};

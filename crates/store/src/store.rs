@@ -1,8 +1,7 @@
 use hermes_common::Key;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Protocol state of a slot, as stored in the KVS (the per-key metadata of
 /// paper Figure 3, §4.1).
@@ -64,91 +63,107 @@ impl SlotMeta {
     }
 }
 
-/// One key's storage cell: a sequence-locked `(meta, value)` pair.
+/// Header words of a slot, ahead of the value words.
+const SEQ: usize = 0;
+const VERSION: usize = 1;
+const CID_STATE: usize = 2;
+const LEN: usize = 3;
+const HEADER: usize = 4;
+
+/// One key's storage cell: a sequence-locked `(meta, value)` pair in a
+/// single allocation — four header words, then the value, eight bytes to
+/// a word, as long as the longest value the key has held.
 ///
 /// Readers are lock-free (retry loop over relaxed atomic words bracketed by
-/// the acquire/release sequence protocol, exactly the crossbeam `SeqLock`
-/// memory-ordering recipe); writers serialize on a per-slot mutex.
+/// the acquire/release sequence protocol, the crossbeam `SeqLock`
+/// memory-ordering recipe); writers exclude each other by taking the
+/// sequence word from even to odd with a compare-exchange. A slot is only
+/// reached through its shard's guard, so replacing it by a longer one under
+/// the write guard overlaps no reader and no writer of the old one.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    writer: Mutex<()>,
-    meta0: AtomicU64,
-    meta1: AtomicU64,
-    len: AtomicU64,
-    words: Box<[AtomicU64]>,
-}
+struct Slot(Box<[AtomicU64]>);
 
 impl Slot {
-    fn new(capacity_words: usize) -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            writer: Mutex::new(()),
-            meta0: AtomicU64::new(0),
-            meta1: AtomicU64::new(0),
-            len: AtomicU64::new(0),
-            words: (0..capacity_words).map(|_| AtomicU64::new(0)).collect(),
-        }
+    fn new(meta: SlotMeta, value: &[u8]) -> Self {
+        let words = HEADER + value.len().div_ceil(8);
+        let slot = Slot((0..words).map(|_| AtomicU64::new(0)).collect());
+        let fits = slot.write(meta, value);
+        debug_assert!(fits);
+        slot
     }
 
-    fn write(&self, meta: SlotMeta, value: &[u8]) {
-        assert!(
-            value.len() <= self.words.len() * 8,
-            "value of {} bytes exceeds slot capacity of {} bytes",
-            value.len(),
-            self.words.len() * 8
-        );
-        let _guard = self.writer.lock();
-        // Odd sequence: readers will retry. Acquire keeps the data stores
-        // from being reordered before this increment.
-        self.seq.fetch_add(1, Ordering::Acquire);
+    /// Writes `(meta, value)` in place and returns `true`, or writes
+    /// nothing and returns `false` when `value` is longer than the slot.
+    ///
+    /// The value bytes move only when the timestamp does: a Hermes
+    /// timestamp names one value (equal timestamps carry equal values,
+    /// paper §3.1), so when the slot already holds `meta`'s
+    /// `(version, cid)` and `value`'s length, only the state is rewritten —
+    /// the Invalid → Valid flip of a VAL or a commit.
+    fn write(&self, meta: SlotMeta, value: &[u8]) -> bool {
+        let (head, words) = self.0.split_at(HEADER);
+        if value.len() > words.len() * 8 {
+            return false;
+        }
+        // Writer lock: the sequence goes even → odd by compare-exchange,
+        // and readers retry while it is odd. Acquire pairs with the last
+        // writer's Release publish; the Release fence keeps the data stores
+        // below behind the odd sequence for a reader whose Acquire fence
+        // follows its data loads.
+        let seq = loop {
+            let seq = head[SEQ].load(Ordering::Relaxed);
+            let free = seq & 1 == 0;
+            if free
+                && head[SEQ]
+                    .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break seq;
+            }
+            std::thread::yield_now();
+        };
+        fence(Ordering::Release);
         let (w0, w1) = meta.pack();
-        self.meta0.store(w0, Ordering::Relaxed);
-        self.meta1.store(w1, Ordering::Relaxed);
-        self.len.store(value.len() as u64, Ordering::Relaxed);
-        for (i, chunk) in value.chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.words[i].store(u64::from_le_bytes(word), Ordering::Relaxed);
+        let len = value.len() as u64;
+        let held = head[VERSION].load(Ordering::Relaxed) == w0
+            && head[CID_STATE].load(Ordering::Relaxed) >> 8 == w1 >> 8
+            && head[LEN].load(Ordering::Relaxed) == len;
+        head[VERSION].store(w0, Ordering::Relaxed);
+        head[CID_STATE].store(w1, Ordering::Relaxed);
+        if !held {
+            head[LEN].store(len, Ordering::Relaxed);
+            for (word, chunk) in words.iter().zip(value.chunks(8)) {
+                let mut bytes = [0u8; 8];
+                bytes[..chunk.len()].copy_from_slice(chunk);
+                word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+            }
         }
         // Even sequence: publish. Release keeps the data stores above it.
-        self.seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// Updates only the metadata, leaving the value bytes in place.
-    fn write_meta(&self, meta: SlotMeta) {
-        let _guard = self.writer.lock();
-        self.seq.fetch_add(1, Ordering::Acquire);
-        let (w0, w1) = meta.pack();
-        self.meta0.store(w0, Ordering::Relaxed);
-        self.meta1.store(w1, Ordering::Relaxed);
-        self.seq.fetch_add(1, Ordering::Release);
+        head[SEQ].store(seq + 2, Ordering::Release);
+        true
     }
 
     /// Lock-free consistent snapshot; returns the number of retries.
     fn read(&self, buf: &mut Vec<u8>) -> (SlotMeta, u64) {
+        let (head, words) = self.0.split_at(HEADER);
         let mut retries = 0;
         loop {
-            let s1 = self.seq.load(Ordering::Acquire);
+            let s1 = head[SEQ].load(Ordering::Acquire);
             if s1 & 1 == 0 {
-                let w0 = self.meta0.load(Ordering::Relaxed);
-                let w1 = self.meta1.load(Ordering::Relaxed);
-                let len = self.len.load(Ordering::Relaxed) as usize;
+                let w0 = head[VERSION].load(Ordering::Relaxed);
+                let w1 = head[CID_STATE].load(Ordering::Relaxed);
+                let len = head[LEN].load(Ordering::Relaxed) as usize;
                 buf.clear();
-                if len <= self.words.len() * 8 {
-                    let n_words = len.div_ceil(8);
-                    for i in 0..n_words {
-                        let word = self.words[i].load(Ordering::Relaxed).to_le_bytes();
-                        let take = (len - i * 8).min(8);
-                        buf.extend_from_slice(&word[..take]);
-                    }
-                    // The fence orders the relaxed data loads before the
-                    // validation load of the sequence.
-                    fence(Ordering::Acquire);
-                    let s2 = self.seq.load(Ordering::Relaxed);
-                    if s1 == s2 {
-                        return (SlotMeta::unpack(w0, w1), retries);
-                    }
+                // Every length ever stored here fits this slot, torn or not.
+                for word in &words[..len.div_ceil(8)] {
+                    buf.extend_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+                }
+                buf.truncate(len);
+                // The fence orders the relaxed data loads before the
+                // validation load of the sequence.
+                fence(Ordering::Acquire);
+                if head[SEQ].load(Ordering::Relaxed) == s1 {
+                    return (SlotMeta::unpack(w0, w1), retries);
                 }
             }
             retries += 1;
@@ -162,29 +177,23 @@ impl Slot {
 pub struct StoreConfig {
     /// Number of index shards (power of two recommended).
     pub shards: usize,
-    /// Maximum value size in bytes per slot (the paper evaluates up to
-    /// 1 KiB objects, Figure 8).
-    pub value_capacity: usize,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            shards: 64,
-            value_capacity: 1024,
-        }
+        StoreConfig { shards: 64 }
     }
 }
 
-/// Aggregate operation counters (approximate, relaxed atomics).
+/// Counters of the store's rare events (approximate, relaxed atomics).
+/// Nothing here is touched by a read that did not retry or a write that
+/// fitted its slot.
 #[derive(Debug, Default)]
 pub struct StoreStats {
-    /// Completed reads.
-    pub gets: AtomicU64,
-    /// Completed writes (full value or metadata-only).
-    pub puts: AtomicU64,
     /// Seqlock read retries (contention indicator).
     pub read_retries: AtomicU64,
+    /// Slots replaced by a longer one because a value outgrew them.
+    pub grows: AtomicU64,
 }
 
 /// A sharded CRCW key-value store with lock-free reads (the ccKVS/MICA
@@ -194,8 +203,7 @@ pub struct StoreStats {
 /// threads via `Arc`.
 #[derive(Debug)]
 pub struct Store {
-    shards: Vec<RwLock<HashMap<Key, Arc<Slot>>>>,
-    capacity_words: usize,
+    shards: Vec<RwLock<HashMap<Key, Slot>>>,
     stats: StoreStats,
 }
 
@@ -211,44 +219,32 @@ impl Store {
             shards: (0..config.shards)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            capacity_words: config.value_capacity.div_ceil(8),
             stats: StoreStats::default(),
         }
     }
 
-    fn slot(&self, key: Key) -> Option<Arc<Slot>> {
-        let shard = &self.shards[key.shard(self.shards.len())];
-        shard.read().get(&key).cloned()
-    }
-
-    fn slot_or_insert(&self, key: Key) -> Arc<Slot> {
-        let shard = &self.shards[key.shard(self.shards.len())];
-        if let Some(slot) = shard.read().get(&key) {
-            return Arc::clone(slot);
-        }
-        let mut write = shard.write();
-        Arc::clone(
-            write
-                .entry(key)
-                .or_insert_with(|| Arc::new(Slot::new(self.capacity_words))),
-        )
-    }
-
-    /// Writes `value` with `meta` for `key`, creating the slot if needed.
+    /// Writes `value` with `meta` for `key`. A key's slot is as long as the
+    /// longest value it has held: a value that fits is written in place
+    /// under the shard's read guard, a first or longer one gets a slot of
+    /// its own size swapped in under the write guard. Either way the write
+    /// is in the store when `put` returns, and a `get` that starts after
+    /// that finds it or a later one.
     ///
-    /// # Panics
-    ///
-    /// Panics if `value` exceeds the configured value capacity.
+    /// `meta`'s `(version, cid)` must name `value`: a put under the
+    /// timestamp and length the slot already holds rewrites the state only.
     pub fn put(&self, key: Key, meta: SlotMeta, value: &[u8]) {
-        self.slot_or_insert(key).write(meta, value);
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Updates only the metadata of `key` (e.g. Invalid → Valid on a VAL
-    /// message), creating an empty slot if needed.
-    pub fn put_meta(&self, key: Key, meta: SlotMeta) {
-        self.slot_or_insert(key).write_meta(meta);
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
+        let shard = &self.shards[key.shard(self.shards.len())];
+        let in_place = |slot: &Slot| slot.write(meta, value);
+        if shard.read().get(&key).is_some_and(in_place) {
+            return;
+        }
+        // Checked again under the write guard: another put may have grown
+        // the slot in between, and a slot never shrinks.
+        let mut map = shard.write();
+        if !map.get(&key).is_some_and(in_place) && map.insert(key, Slot::new(meta, value)).is_some()
+        {
+            self.stats.grows.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Reads `key`'s value into `buf` and returns its metadata, or `None`
@@ -257,9 +253,8 @@ impl Store {
     /// Lock-free with respect to concurrent writers: retries until it
     /// obtains a consistent snapshot.
     pub fn get(&self, key: Key, buf: &mut Vec<u8>) -> Option<SlotMeta> {
-        let slot = self.slot(key)?;
-        let (meta, retries) = slot.read(buf);
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
+        let map = self.shards[key.shard(self.shards.len())].read();
+        let (meta, retries) = map.get(&key)?.read(buf);
         if retries > 0 {
             self.stats
                 .read_retries
@@ -278,27 +273,20 @@ impl Store {
         self.len() == 0
     }
 
-    /// Operation counters.
+    /// Rare-event counters.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
     }
 
     /// Visits every key with a consistent snapshot of its `(meta, value)`.
-    ///
-    /// Used for shadow-replica chunk reads during recovery (paper §3.4):
-    /// the iteration is not atomic across keys, which is fine because the
-    /// joining replica re-checks timestamps per key.
+    /// The iteration is not atomic across keys. `f` runs under the shard's
+    /// read guard and must not call back into the store.
     pub fn for_each(&self, mut f: impl FnMut(Key, SlotMeta, &[u8])) {
         let mut buf = Vec::new();
         for shard in &self.shards {
-            let keys: Vec<(Key, Arc<Slot>)> = shard
-                .read()
-                .iter()
-                .map(|(k, s)| (*k, Arc::clone(s)))
-                .collect();
-            for (key, slot) in keys {
+            for (key, slot) in shard.read().iter() {
                 let (meta, _) = slot.read(&mut buf);
-                f(key, meta, &buf);
+                f(*key, meta, &buf);
             }
         }
     }
@@ -307,6 +295,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -346,13 +335,25 @@ mod tests {
 
     #[test]
     fn put_meta_keeps_value() {
+        // A put under the timestamp and length the slot holds moves the
+        // state and no value byte: "lost" would show if it did.
         let store = Store::new(StoreConfig::default());
         store.put(Key(9), SlotMeta::invalid(4, 3), b"kept");
-        store.put_meta(Key(9), SlotMeta::valid(4, 3));
+        store.put(Key(9), SlotMeta::valid(4, 3), b"lost");
         let mut buf = Vec::new();
         let meta = store.get(Key(9), &mut buf).unwrap();
-        assert_eq!(meta.state, SlotState::Valid);
+        assert_eq!(meta, SlotMeta::valid(4, 3));
         assert_eq!(&buf, b"kept");
+        // Another cid, version or length is another value.
+        for (meta, value) in [
+            (SlotMeta::valid(4, 2), &b"cid."[..]),
+            (SlotMeta::valid(5, 2), b"ver."),
+            (SlotMeta::valid(5, 2), b"length"),
+        ] {
+            store.put(Key(9), meta, value);
+            assert_eq!(store.get(Key(9), &mut buf), Some(meta));
+            assert_eq!(buf, value);
+        }
     }
 
     #[test]
@@ -367,27 +368,46 @@ mod tests {
 
     #[test]
     fn values_up_to_capacity_roundtrip() {
-        let store = Store::new(StoreConfig {
-            shards: 4,
-            value_capacity: 1024,
-        });
-        for len in [1usize, 7, 8, 9, 63, 64, 65, 1023, 1024] {
-            let value: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            store.put(Key(len as u64), SlotMeta::valid(1, 0), &value);
-            let mut buf = Vec::new();
-            store.get(Key(len as u64), &mut buf).unwrap();
-            assert_eq!(buf, value, "roundtrip failed for len {len}");
+        // On one key per length, and on one key across all of them: up
+        // through the growth path and back down inside the grown slot.
+        let store = Store::new(StoreConfig { shards: 4 });
+        let lens = [1usize, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 4096, 65536];
+        let mut buf = Vec::new();
+        for (i, len) in lens.iter().chain(lens.iter().rev()).enumerate() {
+            let value: Vec<u8> = (0..*len).map(|b| (b % 251) as u8).collect();
+            for key in [Key(*len as u64), Key(0)] {
+                store.put(key, SlotMeta::valid(i as u64 + 1, 0), &value);
+                store.get(key, &mut buf).unwrap();
+                assert_eq!(buf, value, "roundtrip failed for len {len}");
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds slot capacity")]
-    fn oversized_value_panics() {
-        let store = Store::new(StoreConfig {
-            shards: 1,
-            value_capacity: 16,
-        });
-        store.put(Key(1), SlotMeta::valid(1, 0), &[0u8; 17]);
+    fn a_slot_grows_to_its_longest_value_and_never_shrinks() {
+        let store = Store::new(StoreConfig::default());
+        let grows = || store.stats().grows.load(Ordering::Relaxed);
+        let put = |version: u64, len: usize| {
+            store.put(
+                Key(1),
+                SlotMeta::valid(version, 0),
+                &vec![version as u8; len],
+            );
+            let mut buf = Vec::new();
+            assert_eq!(store.get(Key(1), &mut buf).unwrap().version, version);
+            assert_eq!(buf, vec![version as u8; len]);
+        };
+        put(1, 8);
+        assert_eq!(grows(), 0, "the first slot is built, not grown");
+        put(2, 100);
+        assert_eq!(grows(), 1);
+        put(3, 8);
+        put(4, 100);
+        put(5, 104);
+        assert_eq!(grows(), 1, "100 B hold 13 words: 104 B fit them");
+        put(6, 105);
+        assert_eq!(grows(), 2);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -402,56 +422,114 @@ mod tests {
         }
     }
 
+    /// 16 B under an even version, 900 B under an odd one, every byte the
+    /// version's low byte: a snapshot mixing two writes shows in one of
+    /// `(meta, len, value)`.
+    fn payload(version: u64) -> Vec<u8> {
+        vec![version as u8; if version.is_multiple_of(2) { 16 } else { 900 }]
+    }
+
+    /// Reads `key` until `stop`, counting into `reads`: every snapshot is
+    /// whole, and (with one writer) versions never go backwards.
+    fn read_until(
+        store: &Store,
+        key: &AtomicU64,
+        stop: &AtomicU64,
+        rising: bool,
+        reads: &AtomicU64,
+    ) {
+        let (mut buf, mut last) = (Vec::new(), 0);
+        while stop.load(Ordering::Acquire) == 0 {
+            let Some(meta) = store.get(Key(key.load(Ordering::Acquire)), &mut buf) else {
+                continue;
+            };
+            assert_eq!(buf, payload(meta.version), "torn under {meta:?}");
+            assert!(
+                !rising || meta.version >= last,
+                "{} after {last}",
+                meta.version
+            );
+            last = meta.version;
+            reads.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn concurrent_readers_and_writers_no_torn_values() {
-        // Writers alternate between two self-consistent payloads; readers
-        // must never observe a mix.
-        let store = Arc::new(Store::new(StoreConfig {
-            shards: 4,
-            value_capacity: 256,
-        }));
-        let all_a = vec![0xAAu8; 128];
-        let all_b = vec![0xBBu8; 64];
-        store.put(Key(0), SlotMeta::valid(0, 0), &all_a);
-        let stop = Arc::new(AtomicU64::new(0));
+        // One writer, three readers. A slot never shrinks, so the growth
+        // path is crossed once per key: the writer takes a fresh key every
+        // four writes (build 16 B, grow to 900 B, then both in place) and
+        // the readers follow it. It writes on until the readers have taken
+        // their share of snapshots alongside it.
+        const MIN_KEYS: u64 = 2_000;
+        const MAX_KEYS: u64 = 20_000;
+        let store = Store::new(StoreConfig { shards: 4 });
+        let (key, stop, reads) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let start = Barrier::new(4);
+        thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    start.wait();
+                    read_until(&store, &key, &stop, true, &reads);
+                });
+            }
+            start.wait();
+            let mut k = 0;
+            while k < MIN_KEYS || reads.load(Ordering::Relaxed) < 3 * MIN_KEYS {
+                assert!(k < MAX_KEYS, "the readers never ran alongside the writer");
+                for version in 4 * k..4 * k + 4 {
+                    store.put(Key(k), SlotMeta::valid(version, 0), &payload(version));
+                    key.store(k, Ordering::Release);
+                }
+                k += 1;
+            }
+            stop.store(1, Ordering::Release);
+        });
+        assert_eq!(
+            store.stats().grows.load(Ordering::Relaxed),
+            store.len() as u64
+        );
+    }
 
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
+    #[test]
+    fn two_writers_on_one_key_lose_no_update() {
+        // Each round two writers meet on a fresh key: one builds 16 B and
+        // grows to 900 B, the other builds 900 B and shrinks in place to
+        // 16 B, so building, growing and in-place writes race each other.
+        // Whichever order the slot saw, it ends on one writer's *last* put
+        // — an earlier one there is a lost update. Readers check no
+        // snapshot is torn meanwhile.
+        const ROUNDS: u64 = 3_000;
+        let store = Store::new(StoreConfig { shards: 2 });
+        let (key, stop, reads) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let round = Barrier::new(2);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| read_until(&store, &key, &stop, false, &reads));
+            }
+            let writer = |versions: [u64; 2]| {
+                let (store, key, round) = (&store, &key, &round);
+                move || {
                     let mut buf = Vec::new();
-                    let mut reads = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        store.get(Key(0), &mut buf).unwrap();
-                        let ok = (buf.len() == 128 && buf.iter().all(|&b| b == 0xAA))
-                            || (buf.len() == 64 && buf.iter().all(|&b| b == 0xBB));
-                        assert!(ok, "torn value: len {} {:02x?}", buf.len(), &buf[..4]);
-                        reads += 1;
-                    }
-                    reads
-                })
-            })
-            .collect();
-
-        let writer = {
-            let store = Arc::clone(&store);
-            let all_a = all_a.clone();
-            thread::spawn(move || {
-                for i in 0..30_000u64 {
-                    if i % 2 == 0 {
-                        store.put(Key(0), SlotMeta::valid(i, 0), &all_b);
-                    } else {
-                        store.put(Key(0), SlotMeta::valid(i, 0), &all_a);
+                    for k in 0..ROUNDS {
+                        round.wait();
+                        key.store(k, Ordering::Release);
+                        for v in versions {
+                            store.put(Key(k), SlotMeta::valid(4 * k + v, 0), &payload(4 * k + v));
+                        }
+                        round.wait();
+                        let last = store.get(Key(k), &mut buf).unwrap().version - 4 * k;
+                        assert!(last == 1 || last == 2, "round {k} ended on put {last}");
                     }
                 }
-            })
-        };
-        writer.join().unwrap();
-        stop.store(1, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().unwrap() > 0);
-        }
+            };
+            let a = s.spawn(writer([0, 1]));
+            let b = s.spawn(writer([3, 2]));
+            a.join().unwrap();
+            b.join().unwrap();
+            stop.store(1, Ordering::Release);
+        });
+        assert_eq!(store.len() as u64, ROUNDS);
     }
 
     #[test]
@@ -475,15 +553,12 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.len(), 800);
-        assert_eq!(store.stats().puts.load(Ordering::Relaxed), 40_000);
+        assert_eq!(store.stats().grows.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn for_each_visits_every_key_once() {
-        let store = Store::new(StoreConfig {
-            shards: 8,
-            value_capacity: 64,
-        });
+        let store = Store::new(StoreConfig { shards: 8 });
         for i in 0..100u64 {
             store.put(Key(i), SlotMeta::valid(i, 0), &i.to_le_bytes());
         }

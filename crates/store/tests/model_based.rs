@@ -8,28 +8,40 @@ use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Put { key: u8, version: u64, len: u8 },
-    PutMeta { key: u8, version: u64 },
-    Get { key: u8 },
+    Put {
+        key: u8,
+        version: u64,
+        len: u16,
+    },
+    /// Re-puts the key's `(version, cid, value)` under the other state: the
+    /// metadata-only write of a VAL or a commit.
+    Flip {
+        key: u8,
+    },
+    Get {
+        key: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (any::<u8>(), 1u64..1000, any::<u8>()).prop_map(|(key, version, len)| Op::Put {
+        // 0 – 2 000 B: sequences grow a slot, shrink inside it and re-grow.
+        3 => (any::<u8>(), 1u64..1000, 0u16..2001).prop_map(|(key, version, len)| Op::Put {
             key: key % 16,
             version,
             len
         }),
-        1 => (any::<u8>(), 1u64..1000).prop_map(|(key, version)| Op::PutMeta {
-            key: key % 16,
-            version
-        }),
+        1 => any::<u8>().prop_map(|key| Op::Flip { key: key % 16 }),
         4 => any::<u8>().prop_map(|key| Op::Get { key: key % 16 }),
     ]
 }
 
-fn payload(version: u64, len: u8) -> Vec<u8> {
-    (0..len).map(|i| (version as u8).wrapping_add(i)).collect()
+/// A function of `(version, len)` alone: the store may take a put under the
+/// `(version, cid)` and length it holds as carrying the bytes it holds.
+fn payload(version: u64, len: u16) -> Vec<u8> {
+    (0..len)
+        .map(|i| (version as u8).wrapping_add(i as u8))
+        .collect()
 }
 
 proptest! {
@@ -37,7 +49,7 @@ proptest! {
 
     #[test]
     fn store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let store = Store::new(StoreConfig { shards: 4, value_capacity: 256 });
+        let store = Store::new(StoreConfig { shards: 4 });
         let mut reference: BTreeMap<u8, (SlotMeta, Vec<u8>)> = BTreeMap::new();
         let mut buf = Vec::new();
 
@@ -49,15 +61,14 @@ proptest! {
                     store.put(Key(key as u64), meta, &value);
                     reference.insert(key, (meta, value));
                 }
-                Op::PutMeta { key, version } => {
-                    let meta = SlotMeta {
-                        version,
-                        cid: 3,
-                        state: SlotState::Invalid,
-                    };
-                    store.put_meta(Key(key as u64), meta);
-                    let entry = reference.entry(key).or_insert((meta, Vec::new()));
-                    entry.0 = meta;
+                Op::Flip { key } => {
+                    if let Some((meta, value)) = reference.get_mut(&key) {
+                        meta.state = match meta.state {
+                            SlotState::Valid => SlotState::Invalid,
+                            SlotState::Invalid => SlotState::Valid,
+                        };
+                        store.put(Key(key as u64), *meta, value);
+                    }
                 }
                 Op::Get { key } => {
                     let got = store.get(Key(key as u64), &mut buf);
@@ -81,8 +92,8 @@ proptest! {
     }
 
     #[test]
-    fn for_each_agrees_with_gets(puts in proptest::collection::vec((any::<u8>(), 0u8..64), 1..60)) {
-        let store = Store::new(StoreConfig { shards: 8, value_capacity: 64 });
+    fn for_each_agrees_with_gets(puts in proptest::collection::vec((any::<u8>(), 0u16..64), 1..60)) {
+        let store = Store::new(StoreConfig { shards: 8 });
         let mut reference: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
         for (i, (key, len)) in puts.iter().enumerate() {
             let value = payload(i as u64, *len);

@@ -124,3 +124,32 @@ fn o3_configuration_works_threaded() {
     }
     cluster.shutdown();
 }
+
+/// A value's size is bounded by the wire, not by the mirror: a slot is as
+/// long as what it holds. (A 1 025 B write used to trip a fixed slot's
+/// capacity assert inside the owning lane, and every later operation on
+/// that lane with it.)
+#[test]
+fn values_of_any_size_write_through_and_read_back_on_every_replica() {
+    let cluster = ThreadCluster::start(3, ProtocolConfig::default());
+    let key = Key(3);
+    let read_everywhere = |value: &Value| {
+        for node in 0..3 {
+            assert_eq!(cluster.read(node, key), Reply::ReadOk(value.clone()));
+            assert_eq!(cluster.read_local(node, key).as_ref(), Some(value));
+        }
+    };
+    for (fill, len) in [(7u8, 1025usize), (8, 4 << 10), (9, 64 << 10)] {
+        let value = Value::filled(fill, len);
+        assert_eq!(cluster.write(0, key, value.clone()), Reply::WriteOk);
+        read_everywhere(&value);
+    }
+    // A short value over a long one reads back short.
+    let short = Value::from_u64(1);
+    assert_eq!(cluster.write(0, key, short.clone()), Reply::WriteOk);
+    read_everywhere(&short);
+    // The lane that took the long writes still serves.
+    assert_eq!(cluster.write(1, key, Value::EMPTY), Reply::WriteOk);
+    read_everywhere(&Value::EMPTY);
+    cluster.shutdown();
+}
