@@ -56,8 +56,5 @@ mod transport;
 pub use inproc::{InProcEndpoint, InProcNet, InProcSender, NetFaults};
 pub use poll::{Interest, PollEvent, Poller, Waker};
 pub use simnet::{DeliveryOutcome, SimNet, SimNetConfig};
-pub use tcp::{
-    read_frame_deadline, read_frame_from, write_frame_to, FrameRead, TcpConfig, TcpEndpoint,
-    TcpNet, TcpSender, TcpStats,
-};
+pub use tcp::{TcpConfig, TcpEndpoint, TcpNet, TcpSender, TcpStats};
 pub use transport::{Endpoint, IngressGuard, IngressSink, NetEvent, NetSender, Transport};

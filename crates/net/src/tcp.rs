@@ -944,105 +944,6 @@ fn dial(me: NodeId, addr: SocketAddr) -> io::Result<TcpStream> {
     Ok(s)
 }
 
-/// Writes one length-prefixed frame to any stream speaking this
-/// transport's framing (`u32` little-endian length, then the payload).
-/// Blocking; used by the client-port sessions and RPCs in `hermes-replica`,
-/// not by the replica links above.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error; callers treat any error as a dead
-/// connection.
-pub fn write_frame_to(s: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    // One buffer, one write: avoids a small-prefix packet even if the
-    // kernel decides to flush between writes.
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    s.write_all(&buf)
-}
-
-/// Result of [`read_frame_from`].
-#[derive(Debug)]
-pub enum FrameRead {
-    /// One complete frame payload.
-    Frame(Vec<u8>),
-    /// The stream closed (EOF or error) — orderly for a client hanging up.
-    Closed,
-    /// The stop flag was raised mid-read.
-    Stopped,
-}
-
-/// Reads one length-prefixed frame, polling `stop` between read timeouts
-/// (the stream must have a read timeout configured). Frames longer than
-/// `max_bytes` read as [`FrameRead::Closed`] (protocol error).
-pub fn read_frame_from(s: &mut TcpStream, max_bytes: usize, stop: &AtomicBool) -> FrameRead {
-    read_frame_bounded(s, max_bytes, stop, None)
-}
-
-/// [`read_frame_from`] with an absolute deadline: once it passes, the read
-/// gives up and reports [`FrameRead::Closed`] even though the connection
-/// may still be alive. For one-shot RPC-style exchanges (e.g. the shutdown
-/// RPC's acknowledgement) where a wedged peer must not hang the caller.
-pub fn read_frame_deadline(
-    s: &mut TcpStream,
-    max_bytes: usize,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> FrameRead {
-    read_frame_bounded(s, max_bytes, stop, Some(deadline))
-}
-
-fn read_frame_bounded(
-    s: &mut TcpStream,
-    max_bytes: usize,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> FrameRead {
-    let mut len_buf = [0u8; 4];
-    if let Err(end) = read_exact_polled(s, &mut len_buf, stop, deadline) {
-        return end;
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_bytes {
-        return FrameRead::Closed;
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_polled(s, &mut payload, stop, deadline) {
-        Ok(()) => FrameRead::Frame(payload),
-        Err(end) => end,
-    }
-}
-
-/// `read_exact` that polls the stop flag between read timeouts, tolerating
-/// partial reads across poll windows. An optional `deadline` bounds the
-/// whole read (expiry reads as the stream closing). `Err` carries why the
-/// buffer was not filled: [`FrameRead::Closed`] or [`FrameRead::Stopped`].
-fn read_exact_polled(
-    s: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> Result<(), FrameRead> {
-    let mut at = 0usize;
-    while at < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Err(FrameRead::Stopped);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(FrameRead::Closed);
-        }
-        match s.read(&mut buf[at..]) {
-            Ok(0) => return Err(FrameRead::Closed),
-            Ok(n) => at += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(FrameRead::Closed),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,6 @@
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::poller::ShardHandle;
-use crate::session::SessionEvent;
 use crate::timers::DeadlineQueue;
 use crossbeam::channel::Sender;
 use hermes_common::{
@@ -28,6 +27,7 @@ use hermes_core::{HermesNode, KeyState, Msg, Ts};
 use hermes_net::{NetEvent, NetSender};
 use hermes_obs::{Phase, Span, TraceId};
 use hermes_store::{SlotMeta, Store};
+use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
 use std::collections::{HashMap, HashSet};
@@ -92,6 +92,22 @@ pub(crate) enum PushEvent {
     Evict,
 }
 
+impl PushEvent {
+    /// The push as a client reads it. `Evict` is server-only (in-proc
+    /// sinks never have unacked pushes) and has no frame.
+    fn frame(self) -> Option<ServerFrame> {
+        Some(match self {
+            PushEvent::Invalidate { key, epoch } => ServerFrame::Invalidate { key, epoch },
+            PushEvent::Subscribed { seq, key, epoch } => {
+                ServerFrame::Subscribed { seq, key, epoch }
+            }
+            PushEvent::Unsubscribed { seq, key } => ServerFrame::Unsubscribed { seq, key },
+            PushEvent::Flush { epoch } => ServerFrame::Flush { epoch },
+            PushEvent::Evict => return None,
+        })
+    }
+}
+
 /// Where a lane sends what one client must hear: operation replies and
 /// push events, in one FIFO per client — a read reply that fills a cache
 /// and the invalidation that supersedes it arrive in emission order.
@@ -102,7 +118,7 @@ pub(crate) enum ClientSink {
     /// session drains the queue before serving any cached read — so an
     /// in-proc push is acknowledged by construction and never holds
     /// effects back.
-    Session(Sender<SessionEvent>),
+    Session(Sender<ServerFrame>),
     /// The poller shard owning a remote session (DESIGN.md §7), woken out
     /// of its readiness wait to write the frame. The frame still has to
     /// cross the network, so invalidation pushes stay pending until the
@@ -115,7 +131,7 @@ impl ClientSink {
     pub(crate) fn reply(&self, op: OpId, reply: Reply) {
         match self {
             ClientSink::Session(tx) => {
-                let _ = tx.send(SessionEvent::Completion(op, reply));
+                let _ = tx.send(ServerFrame::Reply(op.seq, reply));
             }
             ClientSink::Poller(shard) => shard.complete(op, reply),
         }
@@ -132,8 +148,8 @@ impl ClientSink {
     fn push(&self, client: ClientId, ev: PushEvent) {
         match self {
             ClientSink::Session(tx) => {
-                if let Some(ev) = SessionEvent::from_push(ev) {
-                    let _ = tx.send(ev);
+                if let Some(frame) = ev.frame() {
+                    let _ = tx.send(frame);
                 }
             }
             ClientSink::Poller(shard) => shard.push(client, ev),
@@ -1051,7 +1067,7 @@ mod tests {
         obs: Arc<NodeObs>,
         t0: Instant,
         a: ClientSink,
-        a_events: Receiver<SessionEvent>,
+        a_events: Receiver<ServerFrame>,
         b: ClientSink,
         b_inbox: Receiver<Inbound>,
         next_seq: u64,
@@ -1173,7 +1189,7 @@ mod tests {
             let mut out = Vec::new();
             while let Ok(ev) = self.a_events.try_recv() {
                 match ev {
-                    SessionEvent::Completion(op, reply) => out.push((op, reply)),
+                    ServerFrame::Reply(seq, reply) => out.push((OpId::new(A, seq), reply)),
                     other => panic!("A never subscribes, got {other:?}"),
                 }
             }

@@ -56,9 +56,7 @@ pub use node::{
     NodeRuntime, NodeStats,
 };
 pub use remote::{KillSwitch, RemoteChannel};
-pub use session::{
-    ClientSession, LaneChannel, PendingTxn, SessionChannel, SessionEvent, Ticket, TxnResult,
-};
+pub use session::{ClientSession, LaneChannel, PendingTxn, SessionChannel, Ticket, TxnResult};
 pub use sharded::ShardedEngine;
 pub use simrun::{run_sim, RunReport, SimConfig};
 pub use threaded::{ClusterConfig, ThreadCluster};

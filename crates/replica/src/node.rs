@@ -25,13 +25,12 @@ use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::{txn_counters, NodeObs};
 use crate::poller::{ClientPlane, PlaneConfig, PlaneGauges};
-use bytes::Bytes;
+use crate::remote::Conn;
+use bytes::{BufMut, Bytes};
 use hermes_common::{Key, MembershipView, NodeId, NodeSet, Reply, TxnOp, TxnReply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
-use hermes_net::{
-    read_frame_deadline, write_frame_to, FrameRead, TcpConfig, TcpEndpoint, TcpStats,
-};
+use hermes_net::{TcpConfig, TcpEndpoint, TcpStats};
 use hermes_obs::{Histogram, Registry, TraceSpan};
 use hermes_wings::{client as rpc, CreditConfig};
 use std::io::ErrorKind;
@@ -868,22 +867,22 @@ pub fn remote_txn(addr: SocketAddr, op: &TxnOp, timeout: Duration) -> std::io::R
 /// One request/response exchange on a fresh client-port connection.
 fn exchange_frame(addr: SocketAddr, request: &Bytes, timeout: Duration) -> std::io::Result<Bytes> {
     let deadline = Instant::now() + timeout;
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-    write_frame_to(&mut stream, request)?;
-    let stop = AtomicBool::new(false);
-    match read_frame_deadline(&mut stream, MAX_CLIENT_FRAME, &stop, deadline) {
-        FrameRead::Frame(payload) => Ok(Bytes::from(payload)),
-        FrameRead::Stopped => unreachable!("stop flag is never raised"),
-        FrameRead::Closed if Instant::now() >= deadline => Err(std::io::Error::new(
-            ErrorKind::TimedOut,
-            "no reply before deadline",
-        )),
-        FrameRead::Closed => Err(std::io::Error::new(
-            ErrorKind::ConnectionAborted,
-            "daemon hung up before replying",
-        )),
+    let conn = Conn::new(TcpStream::connect_timeout(&addr, timeout)?)?;
+    conn.send(|out| out.put_slice(request))?;
+    let mut reply = None;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            let e = std::io::Error::new(ErrorKind::TimedOut, "no reply before deadline");
+            return Err(e);
+        }
+        conn.read_frames(Some(left), |payload| {
+            reply.get_or_insert_with(|| Bytes::copy_from_slice(payload));
+            Ok(())
+        })?;
+        if let Some(reply) = reply.take() {
+            return Ok(reply);
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 //! [`ThreadCluster`]: crate::ThreadCluster
 //! [`ThreadCluster::session`]: crate::ThreadCluster::session
 
-use crate::lane::{ClientSink, Lanes, PushEvent};
+use crate::lane::{ClientSink, Lanes};
 use crate::metrics::txn_counters;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{
@@ -33,6 +33,7 @@ use hermes_common::{
 };
 use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
+use hermes_wings::client::ServerFrame;
 use hermes_wings::{CreditConfig, CreditFlow};
 use hermes_workload::PipelinedKv;
 use std::collections::{HashMap, HashSet};
@@ -42,10 +43,6 @@ use std::time::{Duration, Instant};
 /// Give up on an individual operation after this long (matches the blocking
 /// cluster API: an unreachable replica reads as [`Reply::NotOperational`]).
 const WAIT_LIMIT: Duration = Duration::from_secs(10);
-
-/// While stalled on flow control, re-check the credit budget at least this
-/// often (completions normally wake the stall much sooner).
-const STALL_POLL: Duration = Duration::from_millis(100);
 
 /// The session's single flow-control peer: its replica.
 const SERVER: NodeId = NodeId(0);
@@ -64,68 +61,15 @@ impl Ticket {
     }
 }
 
-/// Everything a session's replica can send it, in one FIFO stream:
-/// operation completions interleaved with server-initiated push events
-/// (DESIGN.md §8). One queue is load-bearing for cache coherence — a read
-/// reply that fills the cache and the invalidation that supersedes it
-/// arrive in the order the worker lane emitted them, so the session can
-/// never process the fill after the invalidation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SessionEvent {
-    /// An operation completed.
-    Completion(OpId, Reply),
-    /// A subscribed key changed at the replica: drop the cached entry
-    /// (`epoch` detects view changes the session slept through).
-    Invalidate {
-        /// The invalidated key.
-        key: Key,
-        /// View epoch at the replica when the push was generated.
-        epoch: u64,
-    },
-    /// A subscription went live.
-    Subscribed {
-        /// Echo of the subscribe request's sequence number.
-        seq: u64,
-        /// The subscribed key.
-        key: Key,
-        /// Current view epoch at the replica.
-        epoch: u64,
-    },
-    /// A subscription ended.
-    Unsubscribed {
-        /// Echo of the unsubscribe request's sequence number.
-        seq: u64,
-        /// The unsubscribed key.
-        key: Key,
-    },
-    /// Drop every cached entry: the view changed or the replica stopped
-    /// serving.
-    Flush {
-        /// The epoch after the flush-triggering event.
-        epoch: u64,
-    },
-}
-
-impl SessionEvent {
-    /// Maps a lane push onto the client event stream. `Evict` is remote-only
-    /// (in-proc sinks never have unacked pushes) and carries no event.
-    pub(crate) fn from_push(ev: PushEvent) -> Option<SessionEvent> {
-        Some(match ev {
-            PushEvent::Invalidate { key, epoch } => SessionEvent::Invalidate { key, epoch },
-            PushEvent::Subscribed { seq, key, epoch } => {
-                SessionEvent::Subscribed { seq, key, epoch }
-            }
-            PushEvent::Unsubscribed { seq, key } => SessionEvent::Unsubscribed { seq, key },
-            PushEvent::Flush { epoch } => SessionEvent::Flush { epoch },
-            PushEvent::Evict => return None,
-        })
-    }
-}
-
 /// The wire between a [`ClientSession`] and its replica: submits
-/// operations, yields completions and push events. Implementations must
-/// not block in [`SessionChannel::submit`] beyond the cost of handing the
-/// operation to the transport.
+/// operations, yields everything the replica sends back as one FIFO stream
+/// of [`ServerFrame`]s — operation replies interleaved with server-initiated
+/// push events (DESIGN.md §8). One queue is load-bearing for cache
+/// coherence: a read reply that fills the cache and the invalidation that
+/// supersedes it arrive in the order the worker lane emitted them, so the
+/// session can never process the fill after the invalidation.
+/// Implementations must not block in [`SessionChannel::submit`] beyond the
+/// cost of handing the operation to the transport.
 pub trait SessionChannel {
     /// The session id this channel submits as.
     fn client_id(&self) -> ClientId;
@@ -136,13 +80,13 @@ pub trait SessionChannel {
     fn submit(&mut self, seq: u64, key: Key, cop: ClientOp) -> bool;
 
     /// Non-blocking event poll.
-    fn try_recv(&mut self) -> Option<SessionEvent>;
+    fn try_recv(&mut self) -> Option<ServerFrame>;
 
     /// Blocks up to `timeout` for one event.
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<SessionEvent>;
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame>;
 
     /// Asks the replica to push invalidations for `key` (acked by a
-    /// [`SessionEvent::Subscribed`]). Returns `false` when the channel
+    /// [`ServerFrame::Subscribed`]). Returns `false` when the channel
     /// cannot carry the request; the default declines — channels without
     /// a push path simply never cache.
     fn subscribe(&mut self, seq: u64, key: Key) -> bool {
@@ -151,7 +95,7 @@ pub trait SessionChannel {
     }
 
     /// Drops the push subscription for `key` (acked by a
-    /// [`SessionEvent::Unsubscribed`]).
+    /// [`ServerFrame::Unsubscribed`]).
     fn unsubscribe(&mut self, seq: u64, key: Key) -> bool {
         let _ = (seq, key);
         false
@@ -172,8 +116,8 @@ pub trait SessionChannel {
 pub struct LaneChannel {
     client: ClientId,
     lanes: Lanes,
-    events_tx: Sender<SessionEvent>,
-    events_rx: Receiver<SessionEvent>,
+    events_tx: Sender<ServerFrame>,
+    events_rx: Receiver<ServerFrame>,
 }
 
 impl LaneChannel {
@@ -202,11 +146,11 @@ impl SessionChannel for LaneChannel {
         self.lanes.op(op, key, cop, self.sink())
     }
 
-    fn try_recv(&mut self) -> Option<SessionEvent> {
+    fn try_recv(&mut self) -> Option<ServerFrame> {
         self.events_rx.try_recv().ok()
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<SessionEvent> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame> {
         self.events_rx.recv_timeout(timeout).ok()
     }
 
@@ -304,10 +248,10 @@ struct ReadCache {
 }
 
 impl ReadCache {
-    fn on_event(&mut self, ev: &SessionEvent) {
+    fn on_event(&mut self, ev: &ServerFrame) {
         match *ev {
-            SessionEvent::Completion(..) => {}
-            SessionEvent::Invalidate { key, epoch } => {
+            ServerFrame::Reply(..) => {}
+            ServerFrame::Invalidate { key, epoch } => {
                 self.invalidations += 1;
                 if epoch > self.epoch {
                     // The push outran the flush for a view change this
@@ -320,15 +264,15 @@ impl ReadCache {
                     self.entries.remove(&key);
                 }
             }
-            SessionEvent::Subscribed { key, epoch, .. } => {
+            ServerFrame::Subscribed { key, epoch, .. } => {
                 self.subscribed.insert(key);
                 self.epoch = self.epoch.max(epoch);
             }
-            SessionEvent::Unsubscribed { key, .. } => {
+            ServerFrame::Unsubscribed { key, .. } => {
                 self.subscribed.remove(&key);
                 self.entries.remove(&key);
             }
-            SessionEvent::Flush { epoch } => {
+            ServerFrame::Flush { epoch } => {
                 self.flushes += 1;
                 self.entries.clear();
                 self.epoch = self.epoch.max(epoch);
@@ -430,16 +374,12 @@ impl<C: SessionChannel> ClientSession<C> {
         }
         let op = OpId::new(self.channel.client_id(), self.next_seq);
         self.next_seq += 1;
-        let deadline = Instant::now() + WAIT_LIMIT;
-        while !self.flow.try_consume(SERVER) {
-            let now = Instant::now();
-            if now >= deadline {
-                // Out of credits and nothing completing: the service is
-                // effectively gone for this session.
-                self.ready.insert(op, Reply::NotOperational);
-                return Ticket { op };
-            }
-            self.pump(Some((deadline - now).min(STALL_POLL)));
+        let credit = self.block_on(|s| s.flow.try_consume(SERVER).then_some(()));
+        if credit.is_none() {
+            // Out of credits and nothing completing: the service is
+            // effectively gone for this session.
+            self.ready.insert(op, Reply::NotOperational);
+            return Ticket { op };
         }
         if self.channel.submit(op.seq, key, cop) {
             self.in_flight += 1;
@@ -485,18 +425,8 @@ impl<C: SessionChannel> ClientSession<C> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if !self.channel.subscribe(seq, key) {
-            return false;
-        }
-        let deadline = Instant::now() + WAIT_LIMIT;
-        while !self.cache.subscribed.contains(&key) {
-            let now = Instant::now();
-            if now >= deadline || !self.channel.is_alive() {
-                return false;
-            }
-            self.pump(Some((deadline - now).min(STALL_POLL)));
-        }
-        true
+        self.channel.subscribe(seq, key)
+            && (self.block_on(|s| s.cache.subscribed.contains(&key).then_some(()))).is_some()
     }
 
     /// Drops the push subscription for `key`, blocking until the replica
@@ -508,18 +438,8 @@ impl<C: SessionChannel> ClientSession<C> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if !self.channel.unsubscribe(seq, key) {
-            return false;
-        }
-        let deadline = Instant::now() + WAIT_LIMIT;
-        while self.cache.subscribed.contains(&key) {
-            let now = Instant::now();
-            if now >= deadline || !self.channel.is_alive() {
-                return false;
-            }
-            self.pump(Some((deadline - now).min(STALL_POLL)));
-        }
-        true
+        self.channel.unsubscribe(seq, key)
+            && (self.block_on(|s| (!s.cache.subscribed.contains(&key)).then_some(()))).is_some()
     }
 
     /// Whether `key` currently has a live push subscription.
@@ -582,32 +502,50 @@ impl<C: SessionChannel> ClientSession<C> {
     }
 
     /// Drains arrived events into the session (completions into `ready`,
-    /// pushes into the cache); with a timeout, blocks until at least one
-    /// event arrives or the timeout elapses. Returns whether any
-    /// completion was collected — but returns after *any* event, so every
-    /// blocking caller's loop condition (a ready reply, a credit, a
-    /// subscription ack) is rechecked the moment it can have changed.
-    fn pump(&mut self, block_for: Option<Duration>) -> bool {
-        let mut got = false;
+    /// pushes into the cache); with a timeout and nothing to drain, blocks
+    /// until one event arrives or the timeout elapses. It returns after
+    /// *any* event, so the condition of whoever is blocking (a ready reply,
+    /// a credit, a subscription ack) is rechecked the moment it can have
+    /// changed.
+    fn pump(&mut self, block_for: Option<Duration>) {
+        let mut any = false;
         while let Some(ev) = self.channel.try_recv() {
-            got |= self.on_event(ev);
+            any = true;
+            self.on_event(ev);
         }
-        if got {
-            return true;
-        }
-        let Some(timeout) = block_for else {
-            return false;
-        };
-        match self.channel.recv_timeout(timeout) {
-            Some(ev) => self.on_event(ev),
-            None => false,
+        if let (false, Some(timeout)) = (any, block_for) {
+            if let Some(ev) = self.channel.recv_timeout(timeout) {
+                self.on_event(ev);
+            }
         }
     }
 
-    /// Applies one channel event. Returns whether it surfaced a completion.
-    fn on_event(&mut self, ev: SessionEvent) -> bool {
+    /// Pumps until `done` yields: the one loop under every blocking call.
+    /// It gives up when [`WAIT_LIMIT`] has passed or the channel has died —
+    /// a dead channel's `recv_timeout` returns at once, so waiting on it
+    /// would spin the limit out — in both cases after a last drain of what
+    /// the channel still held and a last look at `done`.
+    fn block_on<T>(&mut self, mut done: impl FnMut(&mut Self) -> Option<T>) -> Option<T> {
+        let deadline = Instant::now() + WAIT_LIMIT;
+        loop {
+            if let Some(out) = done(self) {
+                return Some(out);
+            }
+            let now = Instant::now();
+            if now >= deadline || !self.channel.is_alive() {
+                self.pump(None);
+                return done(self);
+            }
+            self.pump(Some(deadline - now));
+        }
+    }
+
+    /// Applies one channel event.
+    fn on_event(&mut self, ev: ServerFrame) {
         match ev {
-            SessionEvent::Completion(op, reply) => self.accept((op, reply)),
+            ServerFrame::Reply(seq, reply) => {
+                self.accept(OpId::new(self.channel.client_id(), seq), reply);
+            }
             other => {
                 // An invalidation also cancels pending fills for its key: a
                 // read reply held at the replica (pending earlier inval
@@ -617,29 +555,27 @@ impl<C: SessionChannel> ClientSession<C> {
                 // the cache has not seen) cancels every pending fill for
                 // the same reason.
                 match other {
-                    SessionEvent::Invalidate { key, epoch } => {
+                    ServerFrame::Invalidate { key, epoch } => {
                         if epoch > self.cache.epoch {
                             self.read_keys.clear();
                         } else {
                             self.read_keys.retain(|_, rk| *rk != key);
                         }
                     }
-                    SessionEvent::Flush { .. } => self.read_keys.clear(),
-                    SessionEvent::Unsubscribed { key, .. } => {
+                    ServerFrame::Flush { .. } => self.read_keys.clear(),
+                    ServerFrame::Unsubscribed { key, .. } => {
                         self.read_keys.retain(|_, rk| *rk != key);
                     }
                     _ => {}
                 }
                 self.cache.on_event(&other);
-                false
             }
         }
     }
 
     /// Books one completion, returning its flow-control credit; late
-    /// completions of abandoned (timed-out) ops are dropped. Returns
-    /// whether the completion became visible.
-    fn accept(&mut self, (op, reply): (OpId, Reply)) -> bool {
+    /// completions of abandoned (timed-out) ops are dropped.
+    fn accept(&mut self, op: OpId, reply: Reply) {
         self.in_flight = self.in_flight.saturating_sub(1);
         self.flow.on_implicit_credit(SERVER);
         if let Some(t0) = self.issued_at.remove(&op) {
@@ -661,11 +597,9 @@ impl<C: SessionChannel> ClientSession<C> {
                 }
             }
         }
-        if self.abandoned.remove(&op) {
-            return false;
+        if !self.abandoned.remove(&op) {
+            self.ready.insert(op, reply);
         }
-        self.ready.insert(op, reply);
-        true
     }
 
     /// Non-blocking completion check: the reply, if `ticket` has completed.
@@ -675,49 +609,34 @@ impl<C: SessionChannel> ClientSession<C> {
     }
 
     /// Blocks until `ticket` completes. An operation that does not complete
-    /// within the internal limit reads as [`Reply::NotOperational`] and is
-    /// abandoned: a completion arriving later is silently dropped, so no
-    /// operation is ever observed twice.
+    /// within the internal limit, or whose channel died first, reads as
+    /// [`Reply::NotOperational`] and is abandoned: a completion arriving
+    /// later is silently dropped, so no operation is ever observed twice.
     pub fn wait(&mut self, ticket: Ticket) -> Reply {
-        let deadline = Instant::now() + WAIT_LIMIT;
-        loop {
-            if let Some(reply) = self.ready.remove(&ticket.op) {
-                return reply;
-            }
-            let now = Instant::now();
-            if now >= deadline {
+        self.block_on(|s| s.ready.remove(&ticket.op))
+            .unwrap_or_else(|| {
                 if ticket.op.seq < self.next_seq {
                     self.abandoned.insert(ticket.op);
                     // A late completion must not record a bogus 10s+ RTT.
                     self.issued_at.remove(&ticket.op);
                 }
-                return Reply::NotOperational;
-            }
-            self.pump(Some(deadline - now));
-        }
+                Reply::NotOperational
+            })
     }
 
     /// Blocks until *any* outstanding operation completes and returns it
     /// (completions arrive out of order under inter-key concurrency).
-    /// Returns `None` when nothing is outstanding or the wait limit passes.
+    /// Returns `None` when nothing is outstanding, the channel died, or the
+    /// wait limit passes.
     pub fn wait_any(&mut self) -> Option<(Ticket, Reply)> {
-        let deadline = Instant::now() + WAIT_LIMIT;
-        loop {
-            if let Some(&op) = self.ready.keys().next() {
-                let reply = self.ready.remove(&op).expect("key just observed");
-                return Some((Ticket { op }, reply));
-            }
-            if self.in_flight == 0 {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // Keep pumping: a dropped late completion of an abandoned op
-            // must not read as "service gone" while others are in flight.
-            self.pump(Some(deadline - now));
-        }
+        // Keeps pumping past a dropped late completion of an abandoned op:
+        // that must not read as "service gone" while others are in flight.
+        self.block_on(|s| match s.ready.keys().next().copied() {
+            Some(op) => Some(s.ready.remove(&op).map(|reply| (Ticket { op }, reply))),
+            // Nothing outstanding ends the wait as well, empty-handed.
+            None => (s.in_flight == 0).then_some(None),
+        })
+        .flatten()
     }
 
     /// Executes one multi-key transaction (`hermes-txn`, DESIGN.md §6),
@@ -816,29 +735,11 @@ impl<C: SessionChannel> ClientSession<C> {
     /// Blocks until a completion belonging to `tags` arrives (completions
     /// of the caller's unrelated operations stay queued in `ready`).
     fn wait_txn_completion(&mut self, tags: &HashMap<Ticket, u64>) -> Option<(Ticket, Reply)> {
-        let deadline = Instant::now() + WAIT_LIMIT;
-        loop {
-            let hit = self
-                .ready
-                .keys()
-                .copied()
-                .map(|op| Ticket { op })
-                .find(|t| tags.contains_key(t));
-            if let Some(ticket) = hit {
-                let reply = self.ready.remove(&ticket.op).expect("key just observed");
-                return Some((ticket, reply));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if !self.channel.is_alive() {
-                // Connection cut: queued completions were already drained
-                // above, so nothing for this transaction can arrive.
-                return None;
-            }
-            self.pump(Some(deadline - now));
-        }
+        self.block_on(|s| {
+            let mine = |op: &&OpId| tags.contains_key(&Ticket { op: **op });
+            let op = s.ready.keys().find(mine).copied()?;
+            s.ready.remove(&op).map(|reply| (Ticket { op }, reply))
+        })
     }
 
     /// Drops any not-yet-collected completions of an in-doubt transaction

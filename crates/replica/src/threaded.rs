@@ -25,12 +25,13 @@
 use crate::host::Node;
 use crate::lane::{ClientSink, Command};
 use crate::membership::{MembershipOptions, MembershipStatus};
-use crate::session::{ClientSession, LaneChannel, SessionEvent};
+use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::unbounded;
 use hermes_common::{ClientId, ClientOp, Key, MembershipView, OpId, Reply, RmwOp, Value};
 use hermes_core::ProtocolConfig;
 use hermes_net::{Endpoint, InProcNet, NetFaults, Transport};
 use hermes_obs::TraceSpan;
+use hermes_wings::client::ServerFrame;
 use hermes_wings::CreditConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -257,7 +258,7 @@ impl ThreadCluster {
             .op(op, key, cop, ClientSink::Session(tx));
         assert!(sent, "replica worker alive");
         match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(SessionEvent::Completion(_, reply)) => reply,
+            Ok(ServerFrame::Reply(_, reply)) => reply,
             _ => Reply::NotOperational,
         }
     }

@@ -10,8 +10,8 @@
 //! request's sequence number.
 //!
 //! Requests and responses ride inside the same `u32` length-prefixed
-//! framing as replica-to-replica traffic (`hermes_net::write_frame_to`);
-//! this module encodes only the payloads. All integers little-endian.
+//! framing as replica-to-replica traffic (DESIGN.md §4); this module
+//! encodes only the payloads. All integers little-endian.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hermes_common::{ClientOp, Key, NodeSet, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value};
@@ -125,13 +125,35 @@ impl<'a> Cursor<'a> {
 
     fn value(&mut self) -> Result<Value, ClientCodecError> {
         let len = self.u32()? as usize;
-        Ok(Value::from(self.take(len)?.to_vec()))
+        Ok(Value::from(Bytes::copy_from_slice(self.take(len)?)))
     }
 }
 
 fn put_value(out: &mut BytesMut, v: &Value) {
     out.put_u32_le(v.len() as u32);
     out.put_slice(v.as_bytes());
+}
+
+/// Bytes [`put_value`] appends for `v`.
+fn value_len(v: &Value) -> usize {
+    4 + v.len()
+}
+
+/// Bytes of a request that is only its header: sequence number, key slot
+/// and tag.
+const REQUEST_HEADER: usize = 8 + 8 + 1;
+/// Bytes of a response that is only its header: sequence number and tag.
+const REPLY_HEADER: usize = 8 + 1;
+
+/// Encodes a header-only request into a buffer of exactly its size.
+/// Requests about no key pass `Key(0)`: the slot goes unused, which keeps
+/// one request layout.
+fn header_request_bytes(seq: u64, key: Key, tag: u8) -> Bytes {
+    let mut out = BytesMut::with_capacity(REQUEST_HEADER);
+    out.put_u64_le(seq);
+    out.put_u64_le(key.0);
+    out.put_u8(tag);
+    out.freeze()
 }
 
 /// Encodes one client request (appending to `out`).
@@ -156,10 +178,17 @@ pub fn encode_request(out: &mut BytesMut, seq: u64, key: Key, cop: &ClientOp) {
     }
 }
 
-/// Encodes one client request into a fresh buffer.
+/// Encodes one client request into a fresh buffer of exactly its size.
 pub fn encode_request_bytes(seq: u64, key: Key, cop: &ClientOp) -> Bytes {
-    let mut out = BytesMut::new();
+    let body = match cop {
+        ClientOp::Read => 0,
+        ClientOp::Write(v) => value_len(v),
+        ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }) => value_len(expect) + value_len(new),
+        ClientOp::Rmw(RmwOp::FetchAdd { .. }) => 8,
+    };
+    let mut out = BytesMut::with_capacity(REQUEST_HEADER + body);
     encode_request(&mut out, seq, key, cop);
+    debug_assert_eq!(out.len(), REQUEST_HEADER + body);
     out.freeze()
 }
 
@@ -344,11 +373,7 @@ pub struct StatsPayload {
 
 /// Encodes a shutdown request into a fresh buffer.
 pub fn encode_shutdown_bytes(seq: u64) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(0); // Key slot, unused: keeps one request layout.
-    out.put_u8(REQ_SHUTDOWN);
-    out.freeze()
+    header_request_bytes(seq, Key(0), REQ_SHUTDOWN)
 }
 
 /// Encodes one whole multi-key transaction request into a fresh buffer.
@@ -389,25 +414,17 @@ pub fn encode_txn_bytes(seq: u64, op: &TxnOp) -> Bytes {
 
 /// Encodes a stats query into a fresh buffer.
 pub fn encode_stats_request_bytes(seq: u64) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(0); // Key slot, unused: keeps one request layout.
-    out.put_u8(REQ_STATS);
-    out.freeze()
+    header_request_bytes(seq, Key(0), REQ_STATS)
 }
 
 /// Encodes a metrics query into a fresh buffer.
 pub fn encode_metrics_request_bytes(seq: u64) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(0); // Key slot, unused: keeps one request layout.
-    out.put_u8(REQ_METRICS);
-    out.freeze()
+    header_request_bytes(seq, Key(0), REQ_METRICS)
 }
 
 /// Encodes one metrics reply (UTF-8 exposition text) into a fresh buffer.
 pub fn encode_metrics_reply_bytes(seq: u64, text: &str) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + 4 + text.len());
     out.put_u64_le(seq);
     out.put_u8(RSP_METRICS);
     out.put_u32_le(text.len() as u32);
@@ -436,11 +453,7 @@ pub fn decode_metrics_reply(buf: &[u8]) -> Result<(u64, String), ClientCodecErro
 
 /// Encodes a trace-drain query into a fresh buffer.
 pub fn encode_traces_request_bytes(seq: u64) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(0); // Key slot, unused: keeps one request layout.
-    out.put_u8(REQ_TRACES);
-    out.freeze()
+    header_request_bytes(seq, Key(0), REQ_TRACES)
 }
 
 fn put_str(out: &mut BytesMut, s: &str) {
@@ -520,30 +533,18 @@ pub fn decode_traces_reply(buf: &[u8]) -> Result<(u64, Vec<TraceSpan>), ClientCo
 
 /// Encodes a subscribe request into a fresh buffer.
 pub fn encode_subscribe_bytes(seq: u64, key: Key) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(key.0);
-    out.put_u8(REQ_SUBSCRIBE);
-    out.freeze()
+    header_request_bytes(seq, key, REQ_SUBSCRIBE)
 }
 
 /// Encodes an unsubscribe request into a fresh buffer.
 pub fn encode_unsubscribe_bytes(seq: u64, key: Key) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(key.0);
-    out.put_u8(REQ_UNSUBSCRIBE);
-    out.freeze()
+    header_request_bytes(seq, key, REQ_UNSUBSCRIBE)
 }
 
 /// Encodes an invalidation ack into a fresh buffer (seq slot zero: acks
 /// are fire-and-forget and never answered).
 pub fn encode_inval_ack_bytes(key: Key) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(0);
-    out.put_u64_le(key.0);
-    out.put_u8(REQ_INVAL_ACK);
-    out.freeze()
+    header_request_bytes(0, key, REQ_INVAL_ACK)
 }
 
 fn decode_txn_op(c: &mut Cursor<'_>) -> Result<TxnOp, ClientCodecError> {
@@ -783,10 +784,17 @@ pub fn encode_reply(out: &mut BytesMut, seq: u64, reply: &Reply) {
     }
 }
 
-/// Encodes one client response into a fresh buffer.
+/// Encodes one client response into a fresh buffer of exactly its size.
 pub fn encode_reply_bytes(seq: u64, reply: &Reply) -> Bytes {
-    let mut out = BytesMut::new();
+    let body = match reply {
+        Reply::ReadOk(v) | Reply::RmwOk { prior: v } | Reply::CasFailed { current: v } => {
+            value_len(v)
+        }
+        Reply::WriteOk | Reply::RmwAborted | Reply::NotOperational | Reply::Unsupported => 0,
+    };
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + body);
     encode_reply(&mut out, seq, reply);
+    debug_assert_eq!(out.len(), REPLY_HEADER + body);
     out.freeze()
 }
 
@@ -816,7 +824,7 @@ pub fn decode_reply(buf: &[u8]) -> Result<(u64, Reply), ClientCodecError> {
 
 /// Encodes one invalidation push into a fresh buffer.
 pub fn encode_invalidate_bytes(key: Key, epoch: u64) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + 16);
     out.put_u64_le(0); // Seq slot, unused: pushes are not replies.
     out.put_u8(RSP_INVALIDATE);
     out.put_u64_le(key.0);
@@ -826,7 +834,7 @@ pub fn encode_invalidate_bytes(key: Key, epoch: u64) -> Bytes {
 
 /// Encodes one subscription acknowledgement into a fresh buffer.
 pub fn encode_subscribed_bytes(seq: u64, key: Key, epoch: u64) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + 16);
     out.put_u64_le(seq);
     out.put_u8(RSP_SUBSCRIBED);
     out.put_u64_le(key.0);
@@ -836,7 +844,7 @@ pub fn encode_subscribed_bytes(seq: u64, key: Key, epoch: u64) -> Bytes {
 
 /// Encodes one unsubscription acknowledgement into a fresh buffer.
 pub fn encode_unsubscribed_bytes(seq: u64, key: Key) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + 8);
     out.put_u64_le(seq);
     out.put_u8(RSP_UNSUBSCRIBED);
     out.put_u64_le(key.0);
@@ -845,7 +853,7 @@ pub fn encode_unsubscribed_bytes(seq: u64, key: Key) -> Bytes {
 
 /// Encodes one flush-everything push into a fresh buffer.
 pub fn encode_flush_bytes(epoch: u64) -> Bytes {
-    let mut out = BytesMut::new();
+    let mut out = BytesMut::with_capacity(REPLY_HEADER + 8);
     out.put_u64_le(0); // Seq slot, unused: pushes are not replies.
     out.put_u8(RSP_FLUSH);
     out.put_u64_le(epoch);

@@ -162,6 +162,12 @@ impl BytesMut {
         self.0.is_empty()
     }
 
+    /// Empties the buffer, keeping its allocation for reuse.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Converts the buffer into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.0)

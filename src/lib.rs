@@ -75,7 +75,7 @@ pub mod prelude {
     pub use hermes_replica::{
         query_metrics, query_stats, query_traces, remote_txn, request_shutdown, run_sim,
         ClientSession, ClusterConfig, CostModel, MembershipOptions, MembershipStatus, NodeOptions,
-        NodeRuntime, NodeStats, PendingTxn, RemoteChannel, RunReport, SessionChannel, SessionEvent,
+        NodeRuntime, NodeStats, PendingTxn, RemoteChannel, RunReport, SessionChannel,
         ShardedEngine, SimConfig, ThreadCluster, Ticket, TxnResult,
     };
     pub use hermes_txn::{check_txns_serializable, lock_key, TxnConfig, TxnMachine, TxnObs};

@@ -1,0 +1,216 @@
+//! The client side of a remote session, as a process sees it: a
+//! [`RemoteChannel`] that never subscribed owns no thread (the session's
+//! thread reads its own socket), a subscription costs exactly one, frames
+//! far larger than any buffer involved cross in both directions intact, and
+//! a connection that dies — by its peer or by a [`KillSwitch`] — releases
+//! whoever is blocked on it at once instead of after the 10 s wait limit.
+//!
+//! The frame decoding and the hand-over of the read half to the reader
+//! thread are unit-tested in `crates/replica/src/remote.rs`.
+#![cfg(target_os = "linux")]
+
+use hermes::prelude::*;
+use hermes::wings::CreditConfig;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// These tests read process-wide counters (threads, CPU time), so they
+/// must not overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn serve_single_node() -> NodeRuntime {
+    NodeRuntime::serve(NodeOptions {
+        node: NodeId(0),
+        peers: vec!["127.0.0.1:0".parse().unwrap()],
+        client_addr: "127.0.0.1:0".parse().unwrap(),
+        workers: 2,
+        pollers: 2,
+        protocol: ProtocolConfig::default(),
+        tcp: hermes::net::TcpConfig::default(),
+        run_for: None,
+        membership: Some(RmConfig::wall_clock()),
+        join: false,
+        metrics_dump: None,
+    })
+    .expect("single-node daemon")
+}
+
+fn remote_session(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
+    RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
+        .expect("client port")
+        .into_session()
+}
+
+/// A channel whose peer is a bare accepted socket: nothing ever answers.
+fn channel_to_a_silent_peer(subscribed: bool) -> (RemoteChannel, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let mut channel =
+        RemoteChannel::connect(listener.local_addr().expect("local addr")).expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    if subscribed {
+        // At the channel, not through the session: the session would wait
+        // for an ack that this peer never sends. The reader thread runs
+        // from here on.
+        assert!(channel.subscribe(u64::MAX, Key(0)));
+    }
+    (channel, peer)
+}
+
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+    line.and_then(|v| v.trim().parse().ok())
+        .expect("Threads: line")
+}
+
+/// The thread count once it has stopped changing: two equal reads 10 ms
+/// apart (`join` returns a moment before the joined thread leaves the
+/// kernel's count). Waits for quiet, not for a value.
+fn settled_threads() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut last = process_threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = process_threads();
+        if now == last || Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// CPU time of the whole process so far, user plus system, in ms
+/// (`/proc/self/stat` fields 14 and 15, in 10 ms ticks).
+fn process_cpu_ms() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("procfs");
+    let after_comm = &stat[stat.rfind(')').expect("comm field") + 1..];
+    let mut fields = after_comm.split_whitespace().skip(11);
+    let mut ticks = || -> u64 { fields.next().and_then(|f| f.parse().ok()).expect("ticks") };
+    (ticks() + ticks()) * 10
+}
+
+#[test]
+fn only_a_subscription_costs_the_client_a_thread() {
+    let _serial = serial();
+    let runtime = serve_single_node();
+    let before = settled_threads();
+    let mut sessions: Vec<_> = (0..64).map(|_| remote_session(&runtime)).collect();
+    for (i, session) in sessions.iter_mut().enumerate() {
+        let (key, value) = (Key(i as u64), Value::from_u64(i as u64));
+        let t = session.write(key, value.clone());
+        assert_eq!(session.wait(t), Reply::WriteOk);
+        let t = session.read(key);
+        assert_eq!(session.wait(t), Reply::ReadOk(value));
+    }
+    assert_eq!(
+        settled_threads(),
+        before,
+        "64 sessions that never subscribed"
+    );
+    assert!(sessions[0].subscribe(Key(0)));
+    assert_eq!(settled_threads(), before + 1, "the first subscription");
+    assert!(sessions[0].subscribe(Key(1)));
+    assert_eq!(
+        settled_threads(),
+        before + 1,
+        "one reader, however many keys"
+    );
+    drop(sessions.swap_remove(0));
+    assert_eq!(
+        settled_threads(),
+        before,
+        "the reader goes with its session"
+    );
+    drop(sessions);
+    runtime.shutdown();
+}
+
+/// 8 MiB each way through one session, against a real daemon: every reply
+/// spans many reads, so the receive buffer grows to a frame, and the
+/// requests overrun the socket buffer whenever the daemon's poller falls
+/// behind (the unit test in `remote.rs` forces that with a peer that reads
+/// nothing until the socket has backed up).
+#[test]
+fn pipelined_quarter_mebibyte_values_cross_intact_both_ways() {
+    let _serial = serial();
+    const LEN: usize = 256 << 10;
+    let runtime = serve_single_node();
+    let mut session = remote_session(&runtime);
+    let value = |k: u64| -> Value {
+        let bytes = (0..LEN).map(|i| (i as u64 * (2 * k + 1) % 251) as u8);
+        Value::from(bytes.collect::<Vec<u8>>())
+    };
+    let writes: Vec<Ticket> = (0..32).map(|k| session.write(Key(k), value(k))).collect();
+    for t in writes {
+        assert_eq!(session.wait(t), Reply::WriteOk);
+    }
+    let reads: Vec<Ticket> = (0..32).map(|k| session.read(Key(k))).collect();
+    for (k, t) in reads.into_iter().enumerate() {
+        let Reply::ReadOk(got) = session.wait(t) else {
+            panic!("read of key {k} failed");
+        };
+        assert!(got == value(k as u64), "key {k} came back different");
+    }
+    drop(session);
+    runtime.shutdown();
+}
+
+#[test]
+fn a_kill_from_another_thread_wakes_a_blocked_wait() {
+    let _serial = serial();
+    for subscribed in [false, true] {
+        let (channel, _peer) = channel_to_a_silent_peer(subscribed);
+        let switch = channel.kill_switch().expect("kill switch");
+        let mut session = channel.into_session();
+        let ticket = session.read(Key(1));
+        let killer = std::thread::spawn(move || {
+            // Long enough for `wait` below to be blocked when it fires; the
+            // assertion holds in the other order too.
+            std::thread::sleep(Duration::from_millis(100));
+            switch.kill();
+        });
+        let start = Instant::now();
+        assert_eq!(session.wait(ticket), Reply::NotOperational);
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_secs(2),
+            "subscribed={subscribed}: {waited:?}"
+        );
+        killer.join().expect("killer");
+    }
+}
+
+/// Regression: on a channel whose peer hung up, `wait` used to return
+/// after the full 10 s limit having spun on a queue that answers
+/// "disconnected" at once, and so did `wait_any` and a submit stalled on
+/// credits.
+#[test]
+fn a_dead_channel_fails_its_waiters_at_once_and_burns_no_cpu() {
+    let _serial = serial();
+    for subscribed in [false, true] {
+        let (channel, peer) = channel_to_a_silent_peer(subscribed);
+        let one_credit = CreditConfig {
+            credits_per_peer: 1,
+            ..CreditConfig::default()
+        };
+        let mut session = ClientSession::new(channel, one_credit);
+        let in_flight = session.write(Key(1), Value::from_u64(1));
+        drop(peer);
+        let (start, cpu) = (Instant::now(), process_cpu_ms());
+        let stalled = session.write(Key(2), Value::from_u64(2));
+        assert_eq!(session.wait(stalled), Reply::NotOperational);
+        assert_eq!(session.wait_any(), None, "one op still in flight");
+        assert_eq!(session.wait(in_flight), Reply::NotOperational);
+        let (waited, burnt) = (start.elapsed(), process_cpu_ms() - cpu);
+        assert!(
+            waited < Duration::from_secs(1),
+            "subscribed={subscribed}: {waited:?}"
+        );
+        assert!(burnt < 100, "subscribed={subscribed}: {burnt} ms of CPU");
+    }
+}

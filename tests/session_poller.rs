@@ -9,8 +9,9 @@
 //! These tests talk to an **in-process** [`NodeRuntime`], so procfs
 //! observations (`Threads:`, `/proc/self/fd`) see the daemon itself.
 //! Sessions are driven over raw framed sockets where thread/fd accounting
-//! matters — a [`RemoteChannel`] would add a client-side reader thread
-//! per session and muddy the measurement.
+//! matters — a [`RemoteChannel`] brings an epoll fd of its own per session,
+//! and a reader thread once it subscribes (`tests/remote_channel.rs` counts
+//! those), which would muddy the daemon's numbers.
 
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::prelude::*;
