@@ -1349,6 +1349,328 @@ mod tests {
         }
     }
 
+    // The client port's wire, byte for byte: one sample of every request
+    // kind and every server frame kind, as hex with one group per field
+    // (integers little-endian). Requests are `seq key tag body`, server
+    // frames `seq tag body`, a value or string is `len bytes`.
+    const G_READ: &str = "0100000000000000 0200000000000000 00";
+    const G_WRITE: &str = "0700000000000000 ffffffffffffffff 01 06000000 6865726d6573";
+    const G_WRITE_EMPTY: &str = "0800000000000000 0200000000000000 01 00000000";
+    const G_CAS: &str = "0900000000000000 0300000000000000 02 00000000 08000000 0500000000000000";
+    const G_FETCH_ADD: &str = "ffffffffffffffff 0400000000000000 03 7b00000000000000";
+    const G_SHUTDOWN: &str = "1100000000000000 0000000000000000 04";
+    const G_MULTI_GET: &str =
+        "0500000000000000 0000000000000000 05 00 02000000 0100000000000000 ffffffffffffffff";
+    const G_MULTI_GET_EMPTY: &str = "0500000000000000 0000000000000000 05 00 00000000";
+    const G_MULTI_PUT: &str = "0700000000000000 0000000000000000 05 01 02000000 \
+         0300000000000000 08000000 0700000000000000 0400000000000000 00000000";
+    const G_MULTI_PUT_EMPTY: &str = "0600000000000000 0000000000000000 05 01 00000000";
+    const G_TRANSFER: &str = "0800000000000000 0000000000000000 05 02 \
+         0a00000000000000 0b00000000000000 ffffffffffffffff";
+    const G_STATS_REQ: &str = "0300000000000000 0000000000000000 06";
+    const G_SUBSCRIBE: &str = "0300000000000000 2a00000000000000 07";
+    const G_UNSUBSCRIBE: &str = "0400000000000000 ffffffffffffffff 08";
+    const G_INVAL_ACK: &str = "0000000000000000 0700000000000000 09";
+    const G_METRICS_REQ: &str = "0800000000000000 0000000000000000 0a";
+    const G_TRACES_REQ: &str = "0c00000000000000 0000000000000000 0b";
+
+    const G_READ_OK: &str = "0000000000000000 00 08000000 0900000000000000";
+    const G_READ_OK_EMPTY: &str = "0100000000000000 00 00000000";
+    const G_WRITE_OK: &str = "0200000000000000 01";
+    const G_RMW_OK: &str = "0300000000000000 02 06000000 6865726d6573";
+    const G_CAS_FAILED: &str = "0400000000000000 03 08000000 0100000000000000";
+    const G_RMW_ABORTED: &str = "0500000000000000 04";
+    const G_NOT_OPERATIONAL: &str = "0600000000000000 05";
+    const G_UNSUPPORTED: &str = "ffffffffffffffff 06";
+    const G_TXN_COMMITTED: &str = "0100000000000000 07 00 02000000 \
+         0100000000000000 08000000 0900000000000000 0200000000000000 00000000";
+    const G_TXN_COMMITTED_EMPTY: &str = "0000000000000000 07 00 00000000";
+    const G_TXN_CONFLICT: &str = "0200000000000000 07 01";
+    const G_TXN_FUNDS: &str = "0300000000000000 07 02";
+    const G_TXN_INVALID: &str = "0400000000000000 07 03";
+    const G_TXN_NOT_OPERATIONAL: &str = "0500000000000000 07 04";
+    const G_TXN_OVERFLOW: &str = "0600000000000000 07 05";
+    const G_STATS: &str = "0900000000000000 08 0200000000000000 0100000000000000 \
+         0300000000000000 0400000000000000 01 00 02000000 0a00000000000000 0700000000000000 \
+         d204000000000000 01000000 6902000000000000 00000000 \
+         0c00000000000000 5901000000000000 0600000000000000";
+    /// What a newer daemon might append to [`G_STATS`]: a `u64` and a
+    /// length-prefixed vector this client has never heard of.
+    const G_STATS_UNKNOWN_TAIL: &str =
+        "6300000000000000 02000000 0b00000000000000 1600000000000000";
+    const G_INVALIDATE: &str = "0000000000000000 09 0500000000000000 0200000000000000";
+    const G_SUBSCRIBED: &str = "0900000000000000 0a ffffffffffffffff 0100000000000000";
+    const G_UNSUBSCRIBED: &str = "0a00000000000000 0b 0000000000000000";
+    const G_FLUSH: &str = "0000000000000000 0c 0700000000000000";
+    const G_METRICS: &str = "0800000000000000 0d 09000000 6f705f75732034320a";
+    const G_METRICS_EMPTY: &str = "0900000000000000 0d 00000000";
+    const G_TRACES: &str = "0c00000000000000 0e 02000000 \
+         edfe000000000000 01000000 ffffffff 0500000000000000 ae01000000000000 \
+         02000000 6f70 02000000 06000000 697373756564 0000000000000000 \
+         04000000 646f6e65 ae01000000000000 \
+         0000000000000000 02000000 00000000 0000000000000000 0000000000000000 \
+         00000000 00000000";
+    const G_TRACES_EMPTY: &str = "0d00000000000000 0e 00000000";
+
+    fn hex(golden: &str) -> Vec<u8> {
+        let digits: Vec<u8> = golden
+            .bytes()
+            .filter(|b| !b.is_ascii_whitespace())
+            .collect();
+        assert!(digits.len().is_multiple_of(2), "odd hex: {golden}");
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    fn golden_stats() -> StatsPayload {
+        StatsPayload {
+            epoch: 2,
+            view_changes: 1,
+            members: NodeSet::first_n(2),
+            shadows: NodeSet::from_bits(0b100),
+            serving: true,
+            synced: false,
+            lane_ops: vec![10, 7],
+            open_sessions: 1234,
+            sessions_per_shard: vec![617],
+            lane_ingress: vec![],
+            subscriptions: 12,
+            pushes: 345,
+            accept_stalls: 6,
+        }
+    }
+
+    fn golden_spans() -> Vec<TraceSpan> {
+        vec![
+            TraceSpan {
+                trace: 0xfeed,
+                node: 1,
+                lane: u32::MAX,
+                start_unix_us: 5,
+                total_us: 430,
+                label: "op".into(),
+                phases: vec![("issued".into(), 0), ("done".into(), 430)],
+            },
+            TraceSpan {
+                trace: 0,
+                node: 2,
+                lane: 0,
+                start_unix_us: 0,
+                total_us: 0,
+                label: String::new(),
+                phases: vec![],
+            },
+        ]
+    }
+
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        let op = |seq, key, cop| Request::Op {
+            seq,
+            key: Key(key),
+            cop,
+        };
+        let txn = |seq, op| Request::Txn { seq, op };
+        let hermes = Value::from_static(b"hermes");
+        let cas = RmwOp::CompareAndSwap {
+            expect: Value::EMPTY,
+            new: Value::from_u64(5),
+        };
+        let puts = vec![(Key(3), Value::from_u64(7)), (Key(4), Value::EMPTY)];
+        let transfer = TxnOp::Transfer {
+            debit: Key(10),
+            credit: Key(11),
+            amount: u64::MAX,
+        };
+        vec![
+            (op(1, 2, ClientOp::Read), G_READ),
+            (op(7, u64::MAX, ClientOp::Write(hermes)), G_WRITE),
+            (op(8, 2, ClientOp::Write(Value::EMPTY)), G_WRITE_EMPTY),
+            (op(9, 3, ClientOp::Rmw(cas)), G_CAS),
+            (
+                op(u64::MAX, 4, ClientOp::Rmw(RmwOp::FetchAdd { delta: 123 })),
+                G_FETCH_ADD,
+            ),
+            (Request::Shutdown { seq: 17 }, G_SHUTDOWN),
+            (
+                txn(5, TxnOp::MultiGet(vec![Key(1), Key(u64::MAX)])),
+                G_MULTI_GET,
+            ),
+            (txn(5, TxnOp::MultiGet(vec![])), G_MULTI_GET_EMPTY),
+            (txn(7, TxnOp::MultiPut(puts)), G_MULTI_PUT),
+            (txn(6, TxnOp::MultiPut(vec![])), G_MULTI_PUT_EMPTY),
+            (txn(8, transfer), G_TRANSFER),
+            (Request::Stats { seq: 3 }, G_STATS_REQ),
+            (
+                Request::Subscribe {
+                    seq: 3,
+                    key: Key(42),
+                },
+                G_SUBSCRIBE,
+            ),
+            (
+                Request::Unsubscribe {
+                    seq: 4,
+                    key: Key(u64::MAX),
+                },
+                G_UNSUBSCRIBE,
+            ),
+            (Request::InvalAck { key: Key(7) }, G_INVAL_ACK),
+            (Request::Metrics { seq: 8 }, G_METRICS_REQ),
+            (Request::Traces { seq: 12 }, G_TRACES_REQ),
+        ]
+    }
+
+    /// `request` through the encoder its kind has today.
+    fn encode_request_sample(request: &Request) -> Bytes {
+        match request {
+            Request::Op { seq, key, cop } => encode_request_bytes(*seq, *key, cop),
+            Request::Txn { seq, op } => encode_txn_bytes(*seq, op),
+            Request::Stats { seq } => encode_stats_request_bytes(*seq),
+            Request::Metrics { seq } => encode_metrics_request_bytes(*seq),
+            Request::Traces { seq } => encode_traces_request_bytes(*seq),
+            Request::Shutdown { seq } => encode_shutdown_bytes(*seq),
+            Request::Subscribe { seq, key } => encode_subscribe_bytes(*seq, *key),
+            Request::Unsubscribe { seq, key } => encode_unsubscribe_bytes(*seq, *key),
+            Request::InvalAck { key } => encode_inval_ack_bytes(*key),
+        }
+    }
+
+    #[test]
+    fn golden_request_bytes() {
+        for (request, golden) in golden_requests() {
+            let wire = hex(golden);
+            assert_eq!(
+                &encode_request_sample(&request)[..],
+                &wire[..],
+                "{request:?}"
+            );
+            assert_eq!(decode_any(&wire), Ok(request));
+        }
+    }
+
+    #[test]
+    fn golden_server_frame_bytes() {
+        let replies = vec![
+            (0, Reply::ReadOk(Value::from_u64(9)), G_READ_OK),
+            (1, Reply::ReadOk(Value::EMPTY), G_READ_OK_EMPTY),
+            (2, Reply::WriteOk, G_WRITE_OK),
+            (
+                3,
+                Reply::RmwOk {
+                    prior: Value::from_static(b"hermes"),
+                },
+                G_RMW_OK,
+            ),
+            (
+                4,
+                Reply::CasFailed {
+                    current: Value::from_u64(1),
+                },
+                G_CAS_FAILED,
+            ),
+            (5, Reply::RmwAborted, G_RMW_ABORTED),
+            (6, Reply::NotOperational, G_NOT_OPERATIONAL),
+            (u64::MAX, Reply::Unsupported, G_UNSUPPORTED),
+        ];
+        for (seq, reply, golden) in replies {
+            let wire = hex(golden);
+            assert_eq!(&encode_reply_bytes(seq, &reply)[..], &wire[..], "{reply:?}");
+            assert_eq!(
+                decode_server_frame(&wire),
+                Ok(ServerFrame::Reply(seq, reply))
+            );
+        }
+
+        let values = vec![(Key(1), Value::from_u64(9)), (Key(2), Value::EMPTY)];
+        let txn_replies = vec![
+            (1, TxnReply::Committed { values }, G_TXN_COMMITTED),
+            (
+                0,
+                TxnReply::Committed { values: vec![] },
+                G_TXN_COMMITTED_EMPTY,
+            ),
+            (2, TxnReply::Aborted(TxnAbort::Conflict), G_TXN_CONFLICT),
+            (
+                3,
+                TxnReply::Aborted(TxnAbort::InsufficientFunds),
+                G_TXN_FUNDS,
+            ),
+            (4, TxnReply::Aborted(TxnAbort::Invalid), G_TXN_INVALID),
+            (
+                5,
+                TxnReply::Aborted(TxnAbort::NotOperational),
+                G_TXN_NOT_OPERATIONAL,
+            ),
+            (6, TxnReply::Aborted(TxnAbort::Overflow), G_TXN_OVERFLOW),
+        ];
+        for (seq, reply, golden) in txn_replies {
+            let wire = hex(golden);
+            assert_eq!(
+                &encode_txn_reply_bytes(seq, &reply)[..],
+                &wire[..],
+                "{reply:?}"
+            );
+            assert_eq!(decode_txn_reply(&wire), Ok((seq, reply)));
+        }
+
+        let wire = hex(G_STATS);
+        assert_eq!(&encode_stats_reply_bytes(9, &golden_stats())[..], &wire[..]);
+        assert_eq!(decode_stats_reply(&wire), Ok((9, golden_stats())));
+        let extended = [wire, hex(G_STATS_UNKNOWN_TAIL)].concat();
+        assert_eq!(decode_stats_reply(&extended), Ok((9, golden_stats())));
+
+        for (seq, text, golden) in [(8, "op_us 42\n", G_METRICS), (9, "", G_METRICS_EMPTY)] {
+            let wire = hex(golden);
+            assert_eq!(&encode_metrics_reply_bytes(seq, text)[..], &wire[..]);
+            assert_eq!(decode_metrics_reply(&wire), Ok((seq, text.to_string())));
+        }
+        for (seq, spans, golden) in [(12, golden_spans(), G_TRACES), (13, vec![], G_TRACES_EMPTY)] {
+            let wire = hex(golden);
+            assert_eq!(&encode_traces_reply_bytes(seq, &spans)[..], &wire[..]);
+            assert_eq!(decode_traces_reply(&wire), Ok((seq, spans)));
+        }
+
+        let pushes = vec![
+            (
+                encode_invalidate_bytes(Key(5), 2),
+                ServerFrame::Invalidate {
+                    key: Key(5),
+                    epoch: 2,
+                },
+                G_INVALIDATE,
+            ),
+            (
+                encode_subscribed_bytes(9, Key(u64::MAX), 1),
+                ServerFrame::Subscribed {
+                    seq: 9,
+                    key: Key(u64::MAX),
+                    epoch: 1,
+                },
+                G_SUBSCRIBED,
+            ),
+            (
+                encode_unsubscribed_bytes(10, Key(0)),
+                ServerFrame::Unsubscribed {
+                    seq: 10,
+                    key: Key(0),
+                },
+                G_UNSUBSCRIBED,
+            ),
+            (
+                encode_flush_bytes(7),
+                ServerFrame::Flush { epoch: 7 },
+                G_FLUSH,
+            ),
+        ];
+        for (encoded, frame, golden) in pushes {
+            let wire = hex(golden);
+            assert_eq!(&encoded[..], &wire[..], "{frame:?}");
+            assert_eq!(decode_server_frame(&wire), Ok(frame));
+        }
+    }
+
     #[test]
     fn declared_value_length_is_bounded_by_buffer() {
         let mut req =
