@@ -46,71 +46,15 @@ const PUSH_ACK_KICK: Duration = Duration::from_millis(75);
 /// connectivity events, the membership driver).
 pub(crate) const PUMP_LANE: usize = 0;
 
-/// One server→client push: an invalidation of a subscribed key, a
-/// subscription lifecycle ack, a flush-everything marker (view change or
-/// serving loss), or the eviction of a subscriber that stopped acking.
+/// Where a lane sends what one client must hear: operation replies and the
+/// pushes of the invalidation stream, as [`ServerFrame`]s in one FIFO per
+/// client — a read reply that fills a cache and the invalidation that
+/// supersedes it arrive in emission order.
 ///
-/// Pushes extend Hermes' invalidation phase one hop past the replicas:
-/// a client caching `key` is treated like a lightweight follower that must
+/// Pushes extend Hermes' invalidation phase one hop past the replicas: a
+/// client caching a key is treated like a lightweight follower that must
 /// see the invalidation before the write's effects become visible anywhere
 /// (DESIGN.md §8).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PushEvent {
-    /// `key` changed: drop the cached entry. `epoch` lets clients detect
-    /// view changes they slept through.
-    Invalidate {
-        /// The invalidated key.
-        key: Key,
-        /// View epoch at the replica when the push was generated.
-        epoch: u64,
-    },
-    /// Subscription to `key` is live; pushed in response to `Subscribe`.
-    Subscribed {
-        /// Client-chosen request sequence number, echoed back.
-        seq: u64,
-        /// The subscribed key.
-        key: Key,
-        /// Current view epoch (seeds the client's epoch knowledge).
-        epoch: u64,
-    },
-    /// Subscription to `key` ended; pushed in response to `Unsubscribe`.
-    Unsubscribed {
-        /// Client-chosen request sequence number, echoed back.
-        seq: u64,
-        /// The unsubscribed key.
-        key: Key,
-    },
-    /// Drop *every* cached entry: the view changed (new `epoch`) or this
-    /// replica stopped serving.
-    Flush {
-        /// The epoch after the flush-triggering event.
-        epoch: u64,
-    },
-    /// The session failed to ack an invalidation within [`PUSH_ACK_KICK`]:
-    /// tear it down. A dead session serves nothing, so eviction preserves
-    /// coherence where waiting longer would stall writers.
-    Evict,
-}
-
-impl PushEvent {
-    /// The push as a client reads it. `Evict` is server-only (in-proc
-    /// sinks never have unacked pushes) and has no frame.
-    fn frame(self) -> Option<ServerFrame> {
-        Some(match self {
-            PushEvent::Invalidate { key, epoch } => ServerFrame::Invalidate { key, epoch },
-            PushEvent::Subscribed { seq, key, epoch } => {
-                ServerFrame::Subscribed { seq, key, epoch }
-            }
-            PushEvent::Unsubscribed { seq, key } => ServerFrame::Unsubscribed { seq, key },
-            PushEvent::Flush { epoch } => ServerFrame::Flush { epoch },
-            PushEvent::Evict => return None,
-        })
-    }
-}
-
-/// Where a lane sends what one client must hear: operation replies and
-/// push events, in one FIFO per client — a read reply that fills a cache
-/// and the invalidation that supersedes it arrive in emission order.
 #[derive(Clone, Debug)]
 pub(crate) enum ClientSink {
     /// An in-process session's event queue. Enqueueing happens
@@ -127,13 +71,13 @@ pub(crate) enum ClientSink {
 }
 
 impl ClientSink {
-    /// Delivers the reply of a completed operation.
-    pub(crate) fn reply(&self, op: OpId, reply: Reply) {
+    /// Sends `client` one frame.
+    pub(crate) fn send(&self, client: ClientId, frame: ServerFrame) {
         match self {
             ClientSink::Session(tx) => {
-                let _ = tx.send(ServerFrame::Reply(op.seq, reply));
+                let _ = tx.send(frame);
             }
-            ClientSink::Poller(shard) => shard.complete(op, reply),
+            ClientSink::Poller(shard) => shard.send(client, frame),
         }
     }
 
@@ -144,15 +88,13 @@ impl ClientSink {
         matches!(self, ClientSink::Poller(_))
     }
 
-    /// Sends one push.
-    fn push(&self, client: ClientId, ev: PushEvent) {
-        match self {
-            ClientSink::Session(tx) => {
-                if let Some(frame) = ev.frame() {
-                    let _ = tx.send(frame);
-                }
-            }
-            ClientSink::Poller(shard) => shard.push(client, ev),
+    /// Tears `client`'s session down: it failed to ack an invalidation
+    /// within [`PUSH_ACK_KICK`]. A dead session serves nothing, so eviction
+    /// preserves coherence where waiting longer would stall writers. Only
+    /// a sink that owes acks can come to this.
+    fn evict(&self, client: ClientId) {
+        if let ClientSink::Poller(shard) = self {
+            shard.evict(client);
         }
     }
 }
@@ -193,7 +135,7 @@ pub(crate) enum Command {
     /// the owning lane; newer-timestamp-wins).
     InstallChunk(SyncEntry),
     /// A client subscribes to invalidation pushes for `key` (routed to the
-    /// owning lane). Acked with [`PushEvent::Subscribed`] through `sink`.
+    /// owning lane). Acked with [`ServerFrame::Subscribed`] through `sink`.
     Subscribe {
         /// Client-chosen request sequence, echoed in the ack.
         seq: u64,
@@ -205,7 +147,7 @@ pub(crate) enum Command {
         sink: ClientSink,
     },
     /// A client drops its subscription to `key` (routed to the owning
-    /// lane). Acked with [`PushEvent::Unsubscribed`].
+    /// lane). Acked with [`ServerFrame::Unsubscribed`].
     Unsubscribe {
         /// Client-chosen request sequence, echoed in the ack.
         seq: u64,
@@ -229,7 +171,7 @@ pub(crate) enum Command {
         client: ClientId,
     },
     /// This replica stopped serving (lease loss, deposed from the view):
-    /// push [`PushEvent::Flush`] to every subscriber so no client keeps
+    /// push [`ServerFrame::Flush`] to every subscriber so no client keeps
     /// serving cached reads against a replica that no longer may.
     FlushClients,
     /// Stop the lane's thread (consumed by the host).
@@ -463,7 +405,7 @@ impl<S: NetSender> Lane<S> {
                 // partition, mid-view-change, shadow — refuses service
                 // without touching the protocol.
                 if !self.status.serving() {
-                    reply.reply(op, Reply::NotOperational);
+                    reply.send(op.client, ServerFrame::Reply(op.seq, Reply::NotOperational));
                     return;
                 }
                 let issuer = op.client;
@@ -778,7 +720,9 @@ impl<S: NetSender> Lane<S> {
                         });
                         self.obs.lane_latency[self.lane].record(total);
                     }
-                    pending.reply.reply(op, reply);
+                    pending
+                        .reply
+                        .send(op.client, ServerFrame::Reply(op.seq, reply));
                 }
             }
             Effect::ArmTimer { key } => self.timers.arm(key, now + MLT),
@@ -823,7 +767,7 @@ impl<S: NetSender> Lane<S> {
         let epoch = self.node.view().epoch.0;
         for (&client, sink) in pushed {
             NodeObs::bump(&self.obs.pushes, 1);
-            sink.push(ClientId(client), PushEvent::Invalidate { key, epoch });
+            sink.send(ClientId(client), ServerFrame::Invalidate { key, epoch });
         }
     }
 
@@ -907,7 +851,7 @@ impl<S: NetSender> Lane<S> {
             };
             for &client in p.waiters.keys() {
                 if let Some(sink) = self.remove_subscription(client, key) {
-                    sink.push(ClientId(client), PushEvent::Evict);
+                    sink.evict(ClientId(client));
                 }
             }
             self.release_held(key, now);
@@ -933,7 +877,7 @@ impl<S: NetSender> Lane<S> {
             NodeObs::bump(&self.obs.subscriptions, 1);
         }
         NodeObs::bump(&self.obs.pushes, 1);
-        sink.push(client, PushEvent::Subscribed { seq, key, epoch });
+        sink.send(client, ServerFrame::Subscribed { seq, key, epoch });
     }
 
     /// Ends `client`'s subscription to `key`, acking through the removed
@@ -942,7 +886,7 @@ impl<S: NetSender> Lane<S> {
         if let Some(sink) = self.remove_subscription(client.0, key) {
             self.clear_waiter(client.0, key, now);
             NodeObs::bump(&self.obs.pushes, 1);
-            sink.push(client, PushEvent::Unsubscribed { seq, key });
+            sink.send(client, ServerFrame::Unsubscribed { seq, key });
         }
     }
 
@@ -977,7 +921,7 @@ impl<S: NetSender> Lane<S> {
         }
     }
 
-    /// Pushes [`PushEvent::Flush`] to every subscriber (view change or
+    /// Pushes [`ServerFrame::Flush`] to every subscriber (view change or
     /// serving loss: cached entries from the old world must die), clears
     /// all pending acks and emits all held effects. Subscriptions stay
     /// registered — a still-live client refills from fresh reads.
@@ -988,7 +932,7 @@ impl<S: NetSender> Lane<S> {
             for (&client, sink) in subs {
                 if seen.insert(client) {
                     NodeObs::bump(&self.obs.pushes, 1);
-                    sink.push(ClientId(client), PushEvent::Flush { epoch });
+                    sink.send(ClientId(client), ServerFrame::Flush { epoch });
                 }
             }
         }
@@ -1070,6 +1014,8 @@ mod tests {
         a_events: Receiver<ServerFrame>,
         b: ClientSink,
         b_inbox: Receiver<Inbound>,
+        /// Whether B's shard has been told to tear B down.
+        b_evicted: bool,
         next_seq: u64,
     }
 
@@ -1104,6 +1050,7 @@ mod tests {
             a_events,
             b: ClientSink::Poller(shard),
             b_inbox,
+            b_evicted: false,
             next_seq: 0,
         }
     }
@@ -1126,7 +1073,7 @@ mod tests {
             let epoch = 0;
             assert_eq!(
                 self.b_pushes(),
-                vec![PushEvent::Subscribed { seq: 0, key, epoch }]
+                vec![ServerFrame::Subscribed { seq: 0, key, epoch }]
             );
         }
 
@@ -1169,15 +1116,14 @@ mod tests {
             out
         }
 
-        /// Everything pushed to remote client B since the last call.
-        fn b_pushes(&mut self) -> Vec<PushEvent> {
+        /// Everything pushed to remote client B since the last call; its
+        /// eviction is noted in `b_evicted`.
+        fn b_pushes(&mut self) -> Vec<ServerFrame> {
             let mut out = Vec::new();
             while let Ok(item) = self.b_inbox.try_recv() {
                 match item {
-                    Inbound::Push(client, ev) => {
-                        assert_eq!(client, B);
-                        out.push(ev);
-                    }
+                    Inbound::Frame(B, frame) => out.push(frame),
+                    Inbound::Evict(B) => self.b_evicted = true,
                     other => panic!("B only subscribes, got {other:?}"),
                 }
             }
@@ -1201,8 +1147,8 @@ mod tests {
         ClientOp::Write(Value::from_u64(v))
     }
 
-    fn invalidate(key: Key) -> PushEvent {
-        PushEvent::Invalidate { key, epoch: 0 }
+    fn invalidate(key: Key) -> ServerFrame {
+        ServerFrame::Invalidate { key, epoch: 0 }
     }
 
     /// The peers `msgs` carries an INV to, ascending (the batcher flushes
@@ -1419,8 +1365,10 @@ mod tests {
         assert_eq!(r.b_pushes(), vec![]);
         assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1);
 
+        assert!(!r.b_evicted);
         let out = r.tick(t0 + PUSH_ACK_KICK);
-        assert_eq!(r.b_pushes(), vec![PushEvent::Evict]);
+        assert_eq!(r.b_pushes(), vec![]);
+        assert!(r.b_evicted, "evicted, and sent nothing else");
         assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 0);
         assert_eq!(
             inv_targets(&out),
@@ -1452,7 +1400,7 @@ mod tests {
             r.lane.handle(cmd, t0);
             assert_eq!(
                 r.b_pushes(),
-                vec![PushEvent::Flush { epoch }],
+                vec![ServerFrame::Flush { epoch }],
                 "one flush per subscriber, however many keys it holds"
             );
             assert!(!r.tick(t0).is_empty(), "held INVs go out with the flush");

@@ -25,15 +25,15 @@ use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::{txn_counters, NodeObs};
 use crate::poller::{ClientPlane, PlaneConfig, PlaneGauges};
-use crate::remote::Conn;
-use bytes::{BufMut, Bytes};
+use crate::remote::{invalid, Conn};
 use hermes_common::{Key, MembershipView, NodeId, NodeSet, Reply, TxnOp, TxnReply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
 use hermes_net::{TcpConfig, TcpEndpoint, TcpStats};
 use hermes_obs::{Histogram, Registry, TraceSpan};
-use hermes_wings::{client as rpc, CreditConfig};
-use std::io::ErrorKind;
+use hermes_wings::client::{Request, ServerFrame, StatsPayload};
+use hermes_wings::CreditConfig;
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -783,11 +783,10 @@ fn build_registry(
 /// # Errors
 ///
 /// Fails if the daemon is unreachable or hangs up before acknowledging.
-pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> std::io::Result<()> {
-    let frame = exchange_frame(addr, &rpc::encode_shutdown_bytes(0), timeout)?;
-    match rpc::decode_reply(&frame) {
-        Ok((_, Reply::WriteOk)) => Ok(()),
-        _ => Err(std::io::Error::other("unexpected shutdown ack")),
+pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
+    match call(addr, &Request::Shutdown { seq: 0 }, timeout)? {
+        ServerFrame::Reply(_, Reply::WriteOk) => Ok(()),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -800,11 +799,10 @@ pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> std::io::Result<
 ///
 /// Fails if the daemon is unreachable or answers with a malformed frame
 /// before `timeout` elapses.
-pub fn query_stats(addr: SocketAddr, timeout: Duration) -> std::io::Result<rpc::StatsPayload> {
-    let frame = exchange_frame(addr, &rpc::encode_stats_request_bytes(0), timeout)?;
-    match rpc::decode_stats_reply(&frame) {
-        Ok((_, stats)) => Ok(stats),
-        Err(e) => Err(std::io::Error::other(format!("bad stats reply: {e}"))),
+pub fn query_stats(addr: SocketAddr, timeout: Duration) -> io::Result<StatsPayload> {
+    match call(addr, &Request::Stats { seq: 0 }, timeout)? {
+        ServerFrame::Stats(_, stats) => Ok(*stats),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -818,11 +816,10 @@ pub fn query_stats(addr: SocketAddr, timeout: Duration) -> std::io::Result<rpc::
 ///
 /// Fails if the daemon is unreachable or answers with a malformed frame
 /// before `timeout` elapses.
-pub fn query_metrics(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    let frame = exchange_frame(addr, &rpc::encode_metrics_request_bytes(0), timeout)?;
-    match rpc::decode_metrics_reply(&frame) {
-        Ok((_, text)) => Ok(text),
-        Err(e) => Err(std::io::Error::other(format!("bad metrics reply: {e}"))),
+pub fn query_metrics(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
+    match call(addr, &Request::Metrics { seq: 0 }, timeout)? {
+        ServerFrame::Metrics(_, text) => Ok(text),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -837,11 +834,10 @@ pub fn query_metrics(addr: SocketAddr, timeout: Duration) -> std::io::Result<Str
 ///
 /// Fails if the daemon is unreachable or answers with a malformed frame
 /// before `timeout` elapses.
-pub fn query_traces(addr: SocketAddr, timeout: Duration) -> std::io::Result<Vec<TraceSpan>> {
-    let frame = exchange_frame(addr, &rpc::encode_traces_request_bytes(0), timeout)?;
-    match rpc::decode_traces_reply(&frame) {
-        Ok((_, spans)) => Ok(spans),
-        Err(e) => Err(std::io::Error::other(format!("bad traces reply: {e}"))),
+pub fn query_traces(addr: SocketAddr, timeout: Duration) -> io::Result<Vec<TraceSpan>> {
+    match call(addr, &Request::Traces { seq: 0 }, timeout)? {
+        ServerFrame::Traces(_, spans) => Ok(spans),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -856,28 +852,37 @@ pub fn query_traces(addr: SocketAddr, timeout: Duration) -> std::io::Result<Vec<
 ///
 /// Fails if the daemon is unreachable or hangs up before replying; the
 /// transaction's own fate is then unknown (it may still commit server-side).
-pub fn remote_txn(addr: SocketAddr, op: &TxnOp, timeout: Duration) -> std::io::Result<TxnReply> {
-    let frame = exchange_frame(addr, &rpc::encode_txn_bytes(0, op), timeout)?;
-    match rpc::decode_txn_reply(&frame) {
-        Ok((_, reply)) => Ok(reply),
-        Err(e) => Err(std::io::Error::other(format!("bad txn reply: {e}"))),
+pub fn remote_txn(addr: SocketAddr, op: &TxnOp, timeout: Duration) -> io::Result<TxnReply> {
+    let op = op.clone();
+    match call(addr, &Request::Txn { seq: 0, op }, timeout)? {
+        ServerFrame::Txn(_, reply) => Ok(reply),
+        other => Err(unexpected(other)),
     }
 }
 
+/// A well-formed frame that does not answer the request it came back for.
+fn unexpected(frame: ServerFrame) -> io::Error {
+    io::Error::other(format!("unexpected reply: {frame:?}"))
+}
+
 /// One request/response exchange on a fresh client-port connection.
-fn exchange_frame(addr: SocketAddr, request: &Bytes, timeout: Duration) -> std::io::Result<Bytes> {
+fn call(addr: SocketAddr, request: &Request, timeout: Duration) -> io::Result<ServerFrame> {
     let deadline = Instant::now() + timeout;
     let conn = Conn::new(TcpStream::connect_timeout(&addr, timeout)?)?;
-    conn.send(|out| out.put_slice(request))?;
+    conn.send(request)?;
     let mut reply = None;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            let e = std::io::Error::new(ErrorKind::TimedOut, "no reply before deadline");
-            return Err(e);
+            return Err(io::Error::new(
+                ErrorKind::TimedOut,
+                "no reply before deadline",
+            ));
         }
         conn.read_frames(Some(left), |payload| {
-            reply.get_or_insert_with(|| Bytes::copy_from_slice(payload));
+            if reply.is_none() {
+                reply = Some(ServerFrame::decode(payload).map_err(invalid)?);
+            }
             Ok(())
         })?;
         if let Some(reply) = reply.take() {

@@ -11,43 +11,43 @@
 //!   readiness multiplexer ([`Poller`], epoll on Linux) that owns thousands
 //!   of non-blocking client sockets;
 //! * each connection is a sans-io **session state machine**
-//!   ([`SessionMachine`]): bytes in → decoded requests out as
-//!   [`SessionEffect`]s, completions in → reply frames accumulated in a
-//!   write buffer — no I/O, no threads, unit-testable in isolation;
+//!   ([`SessionMachine`]): bytes in → the [`Request`]s it admits out,
+//!   [`ServerFrame`]s in → encoded behind their length prefix in a write
+//!   buffer — no I/O, no threads, unit-testable in isolation;
 //! * a read of a `Valid` key never leaves the shard: the machine answers
 //!   it from the node's seqlock mirror ([`ReadHook`]) in the pass that
 //!   decoded it — the paper's local read (§3.1), on the thread that
 //!   received it; every other read takes the lane path;
 //! * worker lanes finishing an operation do not touch sockets: they post
-//!   the completion into the owning shard's inbox and ring its [`Waker`]
-//!   ([`ShardHandle::complete`]), and the shard writes the reply frame on
-//!   its own thread;
+//!   the reply frame into the owning shard's inbox and ring its [`Waker`]
+//!   ([`ShardHandle::send`]), and the shard writes it on its own thread;
 //! * Wings credit flow control ([`CreditFlow`], paper §4.2) runs *in* the
-//!   state machine: a session out of credits stops being decoded — and its
-//!   socket stops being read ([`Interest::NONE`] parks it, so
-//!   level-triggered readiness does not spin) — until completions return
-//!   credits. A client cannot grow the replica's queues without bound.
+//!   state machine: an operation that finds no credit stays buffered, and
+//!   from then until a completion returns one the socket is not read
+//!   ([`Interest::NONE`] parks it, so level-triggered readiness does not
+//!   spin). A client cannot grow the replica's queues without bound — and
+//!   one that keeps to its budget is always read, so the credit-exempt
+//!   `InvalAck` of a session with every credit in flight still arrives
+//!   (DESIGN.md §8: an ack never waits behind a full pipeline).
 //!
 //! Whole transactions need a blocking coordinator
 //! ([`ClientSession::txn`] waits on lane completions), so they hop to a
 //! tiny fixed **transaction executor pool** whose threads each own one
 //! in-process session; the final [`TxnReply`] comes back through the
-//! owning shard's inbox like any completion. Thread count is a property
+//! owning shard's inbox like any other frame. Thread count is a property
 //! of the deployment (pollers + executors), not of the session count.
 
 use crate::host::mirror_read;
-use crate::lane::{ClientSink, Lanes, PushEvent};
+use crate::lane::{ClientSink, Lanes};
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hermes_common::{
-    ClientId, ClientOp, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply, Value,
-};
+use hermes_common::{ClientId, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply, Value};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
 use hermes_obs::{obs_warn, Registry};
 use hermes_store::Store;
-use hermes_wings::client as rpc;
+use hermes_wings::client::{self as rpc, Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, ErrorKind, Read, Write};
@@ -170,18 +170,18 @@ pub(crate) struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Posts one completed client operation (called from worker lanes via
-    /// [`ClientSink::Poller`]).
-    pub(crate) fn complete(&self, op: OpId, reply: Reply) {
-        self.deliver(Inbound::Done(op, reply));
+    /// Posts one frame for `client`'s session (called from worker lanes via
+    /// [`ClientSink::Poller`], and from the transaction pool). Replies and
+    /// pushes ride one inbox, so a reply and the push that supersedes it
+    /// reach the session's write buffer in lane order.
+    pub(crate) fn send(&self, client: ClientId, frame: ServerFrame) {
+        self.deliver(Inbound::Frame(client, frame));
     }
 
-    /// Posts one push event for a subscribed remote session (called from
-    /// worker lanes via [`ClientSink::Poller`]). Rides the same inbox as
-    /// completions, so a reply and the push that supersedes it reach the
-    /// session's write buffer in lane order.
-    pub(crate) fn push(&self, client: ClientId, ev: PushEvent) {
-        self.deliver(Inbound::Push(client, ev));
+    /// Has `client`'s session torn down: its lane gave up waiting for an
+    /// invalidation ack.
+    pub(crate) fn evict(&self, client: ClientId) {
+        self.deliver(Inbound::Evict(client));
     }
 
     fn deliver(&self, item: Inbound) {
@@ -202,73 +202,12 @@ impl ShardHandle {
 pub(crate) enum Inbound {
     /// A freshly accepted connection assigned to this shard.
     Conn(TcpStream),
-    /// A client operation completed on a worker lane.
-    Done(OpId, Reply),
-    /// A whole transaction resolved on the executor pool.
-    TxnDone(ClientId, u64, TxnReply),
-    /// A push event for one of this shard's subscribed sessions.
-    Push(ClientId, PushEvent),
-}
-
-/// What a [`SessionMachine`] asks its shard to do — the sans-io boundary:
-/// the machine decodes and frames bytes, the shard owns sockets, lanes and
-/// the executor pool.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum SessionEffect {
-    /// Submit one operation to the worker lane owning its key.
-    Submit {
-        /// Session-local sequence number (rides as the `OpId` seq).
-        seq: u64,
-        /// Target key.
-        key: Key,
-        /// The operation.
-        cop: ClientOp,
-    },
-    /// Hand a whole transaction to the executor pool.
-    RunTxn {
-        /// Session-local sequence number echoed by the reply.
-        seq: u64,
-        /// The transaction.
-        op: TxnOp,
-    },
-    /// Answer a stats query from the runtime's gauges.
-    SendStats {
-        /// Session-local sequence number echoed by the reply.
-        seq: u64,
-    },
-    /// Answer a metrics query with the runtime's rendered exposition.
-    SendMetrics {
-        /// Session-local sequence number echoed by the reply.
-        seq: u64,
-    },
-    /// Answer a traces query by draining the runtime's trace rings.
-    SendTraces {
-        /// Session-local sequence number echoed by the reply.
-        seq: u64,
-    },
-    /// Register this session for invalidation pushes on `key` at the
-    /// owning worker lane (no credit consumed; acked by a push frame).
-    Subscribe {
-        /// Session-local sequence number echoed by the ack.
-        seq: u64,
-        /// The key to watch.
-        key: Key,
-    },
-    /// Drop this session's subscription to `key` at the owning lane.
-    Unsubscribe {
-        /// Session-local sequence number echoed by the ack.
-        seq: u64,
-        /// The key to stop watching.
-        key: Key,
-    },
-    /// Forward the client's invalidation ack to the owning lane so it can
-    /// release the effects held behind the push.
-    InvalAck {
-        /// The acked key.
-        key: Key,
-    },
-    /// The client asked the daemon to exit (ack already enqueued).
-    Shutdown,
+    /// A frame for one of this shard's sessions: the reply of an operation
+    /// completed on a worker lane or of a transaction resolved on the
+    /// executor pool, or a push of the invalidation stream.
+    Frame(ClientId, ServerFrame),
+    /// One of this shard's sessions is to be torn down.
+    Evict(ClientId),
 }
 
 /// The node's seqlock mirror as a [`SessionMachine`] sees it: the value iff
@@ -276,9 +215,14 @@ pub(crate) enum SessionEffect {
 /// shard, a closure over a map in a unit test).
 pub(crate) type ReadHook = Box<dyn FnMut(Key) -> Option<Value> + Send>;
 
-/// One remote session as a non-blocking state machine: accumulate request
-/// bytes, decode complete frames into [`SessionEffect`]s under the Wings
-/// credit budget, frame completions into a write buffer. Performs no I/O.
+/// One remote session as a non-blocking state machine — the sans-io
+/// boundary: the machine decodes and frames bytes, the shard owns sockets,
+/// lanes and the executor pool. Request bytes in ([`SessionMachine::on_bytes`])
+/// and, under the Wings credit budget, the admitted subsequence of the
+/// [`Request`]s they decode to out, for the shard to act on: a read served
+/// from the mirror and a frame stalled for a credit are the ones that do
+/// not appear. Everything outbound in ([`SessionMachine::on_frame`]) and
+/// into a write buffer. Performs no I/O.
 pub(crate) struct SessionMachine {
     /// Received-but-undecoded bytes (partial frames, credit-stalled frames).
     inbuf: Vec<u8>,
@@ -291,6 +235,9 @@ pub(crate) struct SessionMachine {
     /// Wings flow control against the replica's single server slot: one
     /// credit per submitted op, returned by its completion (paper §4.2).
     credits: CreditFlow,
+    /// Whether a complete operation frame is buffered with no credit to run
+    /// it: set where decoding stops for that, cleared when it next runs.
+    stalled: bool,
     /// Transactions currently at the executor pool for this session.
     inflight_txns: u32,
     /// Submitted, uncompleted updates `(seq, key)` of this session: a read
@@ -314,6 +261,7 @@ impl SessionMachine {
             out: Vec::new(),
             out_at: 0,
             credits: CreditFlow::new(1, credits),
+            stalled: false,
             inflight_txns: 0,
             own_updates: Vec::new(),
             mirror,
@@ -325,7 +273,7 @@ impl SessionMachine {
 
     /// Bytes arrived from the socket: accumulate and decode what the
     /// credit budget allows.
-    pub(crate) fn on_bytes(&mut self, data: &[u8], fx: &mut Vec<SessionEffect>) {
+    pub(crate) fn on_bytes(&mut self, data: &[u8], fx: &mut Vec<Request>) {
         if self.dead {
             return;
         }
@@ -333,45 +281,51 @@ impl SessionMachine {
         self.decode_pending(fx);
     }
 
-    /// A submitted operation completed: return its credit, frame the
-    /// reply, and resume decoding frames the stall was holding back.
-    pub(crate) fn on_completion(&mut self, seq: u64, reply: &Reply, fx: &mut Vec<SessionEffect>) {
+    /// A frame for this session's client, whoever made it — a lane, the
+    /// executor pool, the shard answering a query: does what its kind means
+    /// for the session's books, appends it to the write buffer, and, where
+    /// it is the reply that frames were held back for (a credit returned,
+    /// the transaction gate opened), resumes decoding them. Returns whether
+    /// it was framed — when an `Invalidate` was not (the subscription
+    /// filter raced an unsubscribe, or the session died), the shard acks
+    /// the lane on the client's behalf so the held effects release promptly.
+    pub(crate) fn on_frame(&mut self, frame: &ServerFrame, fx: &mut Vec<Request>) -> bool {
         if self.dead {
-            return;
+            return false;
         }
-        self.credits.on_implicit_credit(SERVER);
-        self.own_updates.retain(|&(s, _)| s != seq);
-        self.enqueue_frame(&rpc::encode_reply_bytes(seq, reply));
-        self.decode_pending(fx);
+        match *frame {
+            ServerFrame::Reply(seq, _) => {
+                self.credits.on_implicit_credit(SERVER);
+                self.own_updates.retain(|&(s, _)| s != seq);
+            }
+            ServerFrame::Txn(..) => self.inflight_txns = self.inflight_txns.saturating_sub(1),
+            ServerFrame::Invalidate { key, .. } if !self.subs.contains(&key.0) => return false,
+            ServerFrame::Unsubscribed { key, .. } => {
+                self.subs.remove(&key.0);
+            }
+            _ => {}
+        }
+        self.frame(frame);
+        if matches!(frame, ServerFrame::Reply(..) | ServerFrame::Txn(..)) {
+            self.decode_pending(fx);
+        }
+        !self.dead
     }
 
-    /// A transaction resolved at the executor pool.
-    pub(crate) fn on_txn_reply(&mut self, seq: u64, reply: &TxnReply, fx: &mut Vec<SessionEffect>) {
-        if self.dead {
-            return;
-        }
-        self.inflight_txns = self.inflight_txns.saturating_sub(1);
-        self.enqueue_frame(&rpc::encode_txn_reply_bytes(seq, reply));
-        self.decode_pending(fx);
-    }
-
-    /// Appends one length-prefixed frame to the write buffer.
-    pub(crate) fn enqueue_frame(&mut self, payload: &[u8]) {
-        if self.dead {
-            return;
-        }
-        if self.out.len() - self.out_at + 4 + payload.len() > OUT_CAP {
+    /// Appends one frame to the write buffer, encoded in place.
+    fn frame(&mut self, frame: &ServerFrame) {
+        let at = self.out.len();
+        rpc::put_frame(&mut self.out, |out| frame.encode(out));
+        if self.out.len() - self.out_at > OUT_CAP {
             // The client stopped reading long ago: cut it loose rather
             // than buffer without bound.
+            self.out.truncate(at);
             self.dead = true;
-            return;
         }
-        self.out
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.out.extend_from_slice(payload);
     }
 
-    fn decode_pending(&mut self, fx: &mut Vec<SessionEffect>) {
+    fn decode_pending(&mut self, fx: &mut Vec<Request>) {
+        self.stalled = false;
         loop {
             // A transaction in flight gates *all* later requests (the old
             // per-connection semantics: one request stream, transactions
@@ -379,24 +333,21 @@ impl SessionMachine {
             if self.dead || self.inflight_txns >= MAX_SESSION_TXNS {
                 break;
             }
-            let buf = &self.inbuf[self.parsed..];
-            if buf.len() < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-            if len > self.max_frame {
-                self.dead = true;
-                break;
-            }
-            if buf.len() < 4 + len {
-                break;
-            }
-            let Ok(request) = rpc::decode_any(&buf[4..4 + len]) else {
+            let payload = match rpc::split_frame(&self.inbuf[self.parsed..], self.max_frame) {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            };
+            let len = payload.len();
+            let Ok(request) = Request::decode(payload) else {
                 self.dead = true; // Protocol error: drop the connection.
                 break;
             };
             match request {
-                rpc::Request::Op { seq, key, cop } => {
+                Request::Op { seq, key, ref cop } => {
                     // The local read (paper §3.1): answered from the mirror
                     // in this pass, at no credit. Not past this session's
                     // own in-flight update of the key, though — the lane
@@ -406,50 +357,42 @@ impl SessionMachine {
                     let local =
                         !cop.is_update() && !self.own_updates.iter().any(|&(_, k)| k == key);
                     if let Some(value) = local.then(|| (self.mirror)(key)).flatten() {
-                        self.enqueue_frame(&rpc::encode_reply_bytes(seq, &Reply::ReadOk(value)));
+                        self.frame(&ServerFrame::Reply(seq, Reply::ReadOk(value)));
                     } else if self.credits.try_consume(SERVER) {
                         if cop.is_update() {
                             self.own_updates.push((seq, key));
                         }
-                        fx.push(SessionEffect::Submit { seq, key, cop });
+                        fx.push(request);
                     } else {
-                        break; // Stalled: the frame stays buffered.
+                        self.stalled = true;
+                        break; // The frame stays buffered.
                     }
                 }
-                rpc::Request::Txn { seq, op } => {
+                // No credit consumed by any of the rest: a scraper, the
+                // trace aggregator polling beside it and subscription
+                // traffic must not steal op pipelining capacity, and an
+                // `InvalAck` must never wait behind a full pipeline.
+                Request::Txn { .. } => {
                     self.inflight_txns += 1;
-                    fx.push(SessionEffect::RunTxn { seq, op });
+                    fx.push(request);
                 }
-                rpc::Request::Stats { seq } => {
-                    fx.push(SessionEffect::SendStats { seq });
-                }
-                rpc::Request::Metrics { seq } => {
-                    // Like Stats: no credit consumed — a scraper must not
-                    // steal op pipelining capacity.
-                    fx.push(SessionEffect::SendMetrics { seq });
-                }
-                rpc::Request::Traces { seq } => {
-                    // Credit-exempt like Metrics: the trace aggregator
-                    // polls alongside the metrics scraper.
-                    fx.push(SessionEffect::SendTraces { seq });
-                }
-                rpc::Request::Subscribe { seq, key } => {
-                    // Like Stats: no credit consumed — subscription traffic
-                    // must not steal op pipelining capacity.
+                Request::Subscribe { key, .. } => {
                     self.subs.insert(key.0);
-                    fx.push(SessionEffect::Subscribe { seq, key });
+                    fx.push(request);
                 }
-                rpc::Request::Unsubscribe { seq, key } => {
+                Request::Unsubscribe { key, .. } => {
                     self.subs.remove(&key.0);
-                    fx.push(SessionEffect::Unsubscribe { seq, key });
+                    fx.push(request);
                 }
-                rpc::Request::InvalAck { key } => {
-                    fx.push(SessionEffect::InvalAck { key });
+                Request::Shutdown { seq } => {
+                    // Acked here; the shard raises the flag.
+                    self.frame(&ServerFrame::Reply(seq, Reply::WriteOk));
+                    fx.push(request);
                 }
-                rpc::Request::Shutdown { seq } => {
-                    self.enqueue_frame(&rpc::encode_reply_bytes(seq, &Reply::WriteOk));
-                    fx.push(SessionEffect::Shutdown);
-                }
+                Request::Stats { .. }
+                | Request::Metrics { .. }
+                | Request::Traces { .. }
+                | Request::InvalAck { .. } => fx.push(request),
             }
             self.parsed += 4 + len;
         }
@@ -459,50 +402,14 @@ impl SessionMachine {
         }
     }
 
-    /// A push event arrived from a worker lane: frame it for the client if
-    /// the session's subscription filter admits it. Returns whether an
-    /// `Invalidate` was actually framed — when it was not (the filter
-    /// raced an unsubscribe, or the session died), the shard acks the lane
-    /// on the client's behalf so the held effects release promptly.
-    pub(crate) fn on_push(&mut self, ev: PushEvent) -> bool {
-        if self.dead {
-            return false;
-        }
-        match ev {
-            PushEvent::Invalidate { key, epoch } => {
-                if !self.subs.contains(&key.0) {
-                    return false;
-                }
-                self.enqueue_frame(&rpc::encode_invalidate_bytes(key, epoch));
-                !self.dead
-            }
-            PushEvent::Subscribed { seq, key, epoch } => {
-                self.enqueue_frame(&rpc::encode_subscribed_bytes(seq, key, epoch));
-                false
-            }
-            PushEvent::Unsubscribed { seq, key } => {
-                self.subs.remove(&key.0);
-                self.enqueue_frame(&rpc::encode_unsubscribed_bytes(seq, key));
-                false
-            }
-            PushEvent::Flush { epoch } => {
-                self.enqueue_frame(&rpc::encode_flush_bytes(epoch));
-                false
-            }
-            PushEvent::Evict => {
-                // The lane gave up waiting for this session's ack: kill it
-                // (the shard reaps on the next finish_io).
-                self.dead = true;
-                false
-            }
-        }
-    }
-
-    /// Whether the socket should be read. False while backpressured (out
-    /// of credits, or a transaction in flight): the shard parks read
-    /// interest and the client's bytes wait in the kernel buffer.
+    /// Whether the socket should be read. False while backpressured (an
+    /// operation frame is waiting for a credit, or a transaction is in
+    /// flight): the shard parks read interest and the client's bytes wait
+    /// in the kernel buffer. Out of credits with nothing waiting is not
+    /// backpressure: what a client that keeps to its budget sends then is
+    /// credit-exempt, an `InvalAck` among it, and has to be read.
     pub(crate) fn wants_read(&self) -> bool {
-        !self.dead && self.credits.available(SERVER) > 0 && self.inflight_txns < MAX_SESSION_TXNS
+        !self.dead && !self.stalled && self.inflight_txns < MAX_SESSION_TXNS
     }
 
     /// Whether reply bytes are waiting to be written.
@@ -525,8 +432,8 @@ impl SessionMachine {
         }
     }
 
-    /// Marks the session dead (socket EOF / error / protocol violation);
-    /// the shard reaps it.
+    /// Marks the session dead (socket EOF / error / protocol violation /
+    /// eviction); the shard reaps it.
     pub(crate) fn kill(&mut self) {
         self.dead = true;
     }
@@ -689,8 +596,7 @@ fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Lanes, credits: CreditConfig
             .txn(job.op)
             .as_reply()
             .unwrap_or(TxnReply::Aborted(TxnAbort::NotOperational));
-        job.home
-            .deliver(Inbound::TxnDone(job.client, job.seq, reply));
+        job.home.send(job.client, ServerFrame::Txn(job.seq, reply));
     }
 }
 
@@ -749,7 +655,7 @@ struct Shard {
     /// answer this shard's sessions' `Valid` reads.
     store: Arc<Store>,
     status: Arc<MembershipStatus>,
-    fx: Vec<SessionEffect>,
+    fx: Vec<Request>,
 }
 
 impl Shard {
@@ -792,52 +698,35 @@ impl Shard {
     fn on_inbound(&mut self, item: Inbound) {
         match item {
             Inbound::Conn(stream) => self.install(stream),
-            Inbound::Done(op, reply) => {
-                // A miss means the session was reaped with ops in flight:
-                // the completion has nowhere to go, drop it.
-                let Some(&token) = self.by_client.get(&op.client.0) else {
-                    return;
-                };
-                let mut fx = std::mem::take(&mut self.fx);
-                if let Some(sess) = self.sessions.get_mut(&token) {
-                    sess.machine.on_completion(op.seq, &reply, &mut fx);
-                }
-                self.apply_effects(token, &mut fx);
-                self.fx = fx;
-                self.finish_io(token);
-            }
-            Inbound::TxnDone(client, seq, reply) => {
+            Inbound::Frame(client, frame) => {
+                // A miss means the session was reaped: a reply has nowhere
+                // to go, and the lane's DropClient broadcast (sent at reap)
+                // clears whatever ack a push was waiting on. Drop it.
                 let Some(&token) = self.by_client.get(&client.0) else {
                     return;
                 };
                 let mut fx = std::mem::take(&mut self.fx);
-                if let Some(sess) = self.sessions.get_mut(&token) {
-                    sess.machine.on_txn_reply(seq, &reply, &mut fx);
-                }
-                self.apply_effects(token, &mut fx);
-                self.fx = fx;
-                self.finish_io(token);
-            }
-            Inbound::Push(client, ev) => {
-                // A miss means the session was reaped; the lane's
-                // DropClient broadcast (sent at reap) clears whatever ack
-                // this push was waiting on.
-                let Some(&token) = self.by_client.get(&client.0) else {
-                    return;
-                };
                 let framed = match self.sessions.get_mut(&token) {
-                    Some(sess) => sess.machine.on_push(ev),
+                    Some(sess) => sess.machine.on_frame(&frame, &mut fx),
                     None => false,
                 };
-                if let PushEvent::Invalidate { key, .. } = ev {
-                    if !framed {
-                        // Nothing went to the client, so no ack will come
-                        // back: ack the lane on its behalf rather than
-                        // making the writer wait for the kick timeout.
-                        self.lanes.inval_ack(client, key);
-                    }
+                if let (ServerFrame::Invalidate { key, .. }, false) = (frame, framed) {
+                    // Nothing went to the client, so no ack will come
+                    // back: ack the lane on its behalf rather than making
+                    // the writer wait for the kick timeout.
+                    self.lanes.inval_ack(client, key);
                 }
+                self.apply_effects(token, &mut fx);
+                self.fx = fx;
                 self.finish_io(token);
+            }
+            Inbound::Evict(client) => {
+                if let Some(&token) = self.by_client.get(&client.0) {
+                    if let Some(sess) = self.sessions.get_mut(&token) {
+                        sess.machine.kill();
+                    }
+                    self.finish_io(token);
+                }
             }
         }
     }
@@ -985,17 +874,20 @@ impl Shard {
         self.finish_io(token);
     }
 
-    /// Routes the machine's effects: operations to their owning lanes
-    /// (completing back as [`ClientSink::Poller`]), transactions to the
-    /// executor pool, stats/shutdown answered from the runtime's state.
-    fn apply_effects(&mut self, token: u64, fx: &mut Vec<SessionEffect>) {
+    /// Acts on the requests the machine admitted: operations to their
+    /// owning lanes (replying through [`ClientSink::Poller`]), transactions
+    /// to the executor pool, queries answered from the runtime's state.
+    fn apply_effects(&mut self, token: u64, fx: &mut Vec<Request>) {
         let Some(sess) = self.sessions.get_mut(&token) else {
             return fx.clear();
         };
         let client = sess.client;
-        for e in fx.drain(..) {
-            match e {
-                SessionEffect::Submit { seq, key, cop } => {
+        // An answer made here. What it unstalls goes nowhere: nothing, but
+        // in the one case below that returns a credit.
+        let mut reply = |frame| sess.machine.on_frame(&frame, &mut Vec::new());
+        for request in fx.drain(..) {
+            match request {
+                Request::Op { seq, key, cop } => {
                     if !cop.is_update() {
                         NodeObs::bump(&self.obs.mirror_read_fallbacks, 1);
                     }
@@ -1004,11 +896,10 @@ impl Shard {
                         // Replica shutting down: answer inline. Any frames
                         // the returned credit unstalls would fail the same
                         // way, so their effects are dropped.
-                        sess.machine
-                            .on_completion(seq, &Reply::NotOperational, &mut Vec::new());
+                        reply(ServerFrame::Reply(seq, Reply::NotOperational));
                     }
                 }
-                SessionEffect::RunTxn { seq, op } => {
+                Request::Txn { seq, op } => {
                     let job = TxnJob {
                         client,
                         seq,
@@ -1019,7 +910,7 @@ impl Shard {
                     // about to be dropped with it.
                     let _ = self.txn_jobs.send(job);
                 }
-                SessionEffect::SendStats { seq } => {
+                Request::Stats { seq } => {
                     let stats = rpc::StatsPayload {
                         epoch: self.status.epoch(),
                         view_changes: self.status.view_changes(),
@@ -1035,30 +926,28 @@ impl Shard {
                         pushes: self.obs.pushes.load(Ordering::Relaxed),
                         accept_stalls: self.gauges.accept_stalls(),
                     };
-                    sess.machine
-                        .enqueue_frame(&rpc::encode_stats_reply_bytes(seq, &stats));
+                    reply(ServerFrame::Stats(seq, Box::new(stats)));
                 }
-                SessionEffect::SendMetrics { seq } => sess.machine.enqueue_frame(
-                    &rpc::encode_metrics_reply_bytes(seq, &self.registry.render()),
-                ),
-                SessionEffect::SendTraces { seq } => sess.machine.enqueue_frame(
-                    &rpc::encode_traces_reply_bytes(seq, &self.obs.drain_spans()),
-                ),
+                Request::Metrics { seq } => {
+                    reply(ServerFrame::Metrics(seq, self.registry.render()));
+                }
+                Request::Traces { seq } => {
+                    reply(ServerFrame::Traces(seq, self.obs.drain_spans()));
+                }
                 // Lane sends fail only at teardown; the client observes
                 // the hangup instead of an ack.
-                SessionEffect::Subscribe { seq, key } => {
+                Request::Subscribe { seq, key } => {
                     let sink = ClientSink::Poller(self.me.clone());
                     self.lanes.subscribe(seq, client, key, sink);
                 }
-                SessionEffect::Unsubscribe { seq, key } => {
+                Request::Unsubscribe { seq, key } => {
                     self.lanes.unsubscribe(seq, client, key);
                 }
-                SessionEffect::InvalAck { key } => {
+                Request::InvalAck { key } => {
                     self.lanes.inval_ack(client, key);
                 }
-                SessionEffect::Shutdown => {
-                    self.shutdown.store(true, Ordering::SeqCst);
-                }
+                // The machine has framed the ack.
+                Request::Shutdown { .. } => self.shutdown.store(true, Ordering::SeqCst),
             }
         }
     }
@@ -1166,7 +1055,7 @@ fn nofile_limit() -> Option<u64> {
 /// Reads while the machine wants bytes; returns `false` when the peer
 /// closed or the socket failed. Bounded by the credit budget: a stalled
 /// machine stops the loop, leaving the rest in the kernel buffer.
-fn drain_read(sess: &mut Session, buf: &mut [u8], fx: &mut Vec<SessionEffect>) -> bool {
+fn drain_read(sess: &mut Session, buf: &mut [u8], fx: &mut Vec<Request>) -> bool {
     while sess.machine.wants_read() {
         match sess.stream.read(buf) {
             Ok(0) => return false,
@@ -1211,18 +1100,35 @@ impl ShardHandle {
 mod tests {
     use super::*;
     use crate::sharded::ShardedEngine;
-    use hermes_common::{MembershipView, RmwOp};
+    use hermes_common::{ClientOp, MembershipView, RmwOp};
     use hermes_core::ProtocolConfig;
     use hermes_store::StoreConfig;
 
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut f = (payload.len() as u32).to_le_bytes().to_vec();
-        f.extend_from_slice(payload);
-        f
+    /// `request` as it arrives on the wire.
+    fn wire(request: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        rpc::put_frame(&mut out, |out| request.encode(out));
+        out
+    }
+
+    fn op(seq: u64, key: Key, cop: ClientOp) -> Request {
+        Request::Op { seq, key, cop }
+    }
+
+    fn read(seq: u64, key: Key) -> Request {
+        op(seq, key, ClientOp::Read)
     }
 
     fn write(v: u64) -> ClientOp {
         ClientOp::Write(Value::from_u64(v))
+    }
+
+    fn reply(seq: u64, reply: Reply) -> ServerFrame {
+        ServerFrame::Reply(seq, reply)
+    }
+
+    fn invalidate(key: Key) -> ServerFrame {
+        ServerFrame::Invalidate { key, epoch: 1 }
     }
 
     /// A machine over the mirror of a replica that can answer nothing
@@ -1247,27 +1153,30 @@ mod tests {
         )
     }
 
+    /// Every frame waiting in the machine's write buffer, drained.
+    fn framed(m: &mut SessionMachine) -> Vec<ServerFrame> {
+        let mut out = Vec::new();
+        let mut buf = m.write_chunk();
+        while let Some(payload) = rpc::split_frame(buf, usize::MAX).unwrap() {
+            out.push(ServerFrame::decode(payload).unwrap());
+            buf = &buf[4 + payload.len()..];
+        }
+        assert!(buf.is_empty(), "half a frame in the write buffer");
+        let n = m.write_chunk().len();
+        m.advance_write(n);
+        out
+    }
+
     #[test]
     fn decodes_requests_across_arbitrary_byte_splits() {
-        let wire = frame(&rpc::encode_request_bytes(
-            7,
-            Key(3),
-            &ClientOp::Write(Value::from_u64(9)),
-        ));
+        let request = op(7, Key(3), write(9));
+        let wire = wire(&request);
         for cut in 0..=wire.len() {
             let mut m = machine_with_credits(8);
             let mut fx = Vec::new();
             m.on_bytes(&wire[..cut], &mut fx);
             m.on_bytes(&wire[cut..], &mut fx);
-            assert_eq!(
-                fx,
-                vec![SessionEffect::Submit {
-                    seq: 7,
-                    key: Key(3),
-                    cop: ClientOp::Write(Value::from_u64(9)),
-                }],
-                "split at {cut}"
-            );
+            assert_eq!(fx, vec![request.clone()], "split at {cut}");
             assert!(!m.is_dead());
         }
     }
@@ -1275,107 +1184,121 @@ mod tests {
     #[test]
     fn credit_stall_parks_reading_and_completion_resumes() {
         let mut m = machine_with_credits(2);
-        let mut wire = Vec::new();
-        for seq in 0..3u64 {
-            wire.extend_from_slice(&frame(&rpc::encode_request_bytes(
-                seq,
-                Key(seq),
-                &ClientOp::Read,
-            )));
-        }
+        let bytes: Vec<u8> = (0..3).flat_map(|seq| wire(&read(seq, Key(seq)))).collect();
         let mut fx = Vec::new();
-        m.on_bytes(&wire, &mut fx);
+        m.on_bytes(&bytes, &mut fx);
         // Two credits: two submissions; the third frame stays buffered and
         // the machine asks the shard to stop reading the socket.
         assert_eq!(fx.len(), 2);
         assert!(!m.wants_read(), "out of credits must park reads");
         fx.clear();
-        m.on_completion(0, &Reply::ReadOk(Value::EMPTY), &mut fx);
+        m.on_frame(&reply(0, Reply::ReadOk(Value::EMPTY)), &mut fx);
         assert_eq!(
             fx,
-            vec![SessionEffect::Submit {
-                seq: 2,
-                key: Key(2),
-                cop: ClientOp::Read,
-            }],
+            vec![read(2, Key(2))],
             "returned credit must unstall the buffered frame"
         );
         assert!(m.wants_write(), "completion framed a reply");
-        let (seq, reply) = rpc::decode_reply(&m.write_chunk()[4..]).unwrap();
-        assert_eq!((seq, reply), (0, Reply::ReadOk(Value::EMPTY)));
+        assert_eq!(framed(&mut m), vec![reply(0, Reply::ReadOk(Value::EMPTY))]);
     }
 
-    fn op_frame(seq: u64, key: Key, cop: &ClientOp) -> Vec<u8> {
-        frame(&rpc::encode_request_bytes(seq, key, cop))
-    }
+    /// Parking is for a frame that waits for a credit, not for a budget
+    /// that reads zero: a client that keeps to its credits sends only
+    /// credit-exempt frames then — the `InvalAck` that every one of its
+    /// in-flight operations may be held behind among them (DESIGN.md §8).
+    #[test]
+    fn an_empty_budget_still_reads_and_only_a_frame_waiting_for_a_credit_parks() {
+        let mut m = machine_with_credits(2);
+        let mut fx = Vec::new();
+        m.on_bytes(&wire(&op(0, Key(1), write(1))), &mut fx);
+        m.on_bytes(&wire(&op(1, Key(1), write(2))), &mut fx);
+        assert_eq!(fx.len(), 2);
+        assert!(
+            m.wants_read(),
+            "no credit left, and nothing waiting for one"
+        );
+        m.on_bytes(&wire(&Request::InvalAck { key: Key(1) }), &mut fx);
+        assert_eq!(fx[2..], [Request::InvalAck { key: Key(1) }]);
+        assert!(m.wants_read());
 
-    /// Every reply frame waiting in the machine's write buffer, drained.
-    fn framed_replies(m: &mut SessionMachine) -> Vec<(u64, Reply)> {
-        let mut out = Vec::new();
-        let mut buf = m.write_chunk();
-        while !buf.is_empty() {
-            let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-            out.push(rpc::decode_reply(&buf[4..4 + len]).unwrap());
-            buf = &buf[4 + len..];
-        }
-        let n = m.write_chunk().len();
-        m.advance_write(n);
-        out
-    }
-
-    fn submit(seq: u64, key: Key, cop: ClientOp) -> SessionEffect {
-        SessionEffect::Submit { seq, key, cop }
+        // A client that overruns its budget is parked on its first surplus
+        // operation, and nothing behind that frame is looked at.
+        fx.clear();
+        m.on_bytes(&wire(&op(2, Key(1), write(3))), &mut fx);
+        assert!(!m.wants_read(), "a whole frame with no credit to run it");
+        m.on_bytes(&wire(&Request::InvalAck { key: Key(1) }), &mut fx);
+        assert_eq!(fx, vec![]);
+        m.on_frame(&reply(0, Reply::WriteOk), &mut fx);
+        assert_eq!(
+            fx,
+            vec![op(2, Key(1), write(3)), Request::InvalAck { key: Key(1) }]
+        );
+        assert!(m.wants_read(), "the completion un-parks");
     }
 
     #[test]
     fn a_valid_read_is_framed_from_the_mirror_at_no_credit_and_with_no_effect() {
         let mut m = machine_over(1, &[(Key(1), 11), (Key(2), 22)]);
         let mut fx = Vec::new();
-        let mut wire = op_frame(0, Key(1), &ClientOp::Read);
-        wire.extend(op_frame(1, Key(2), &ClientOp::Read));
-        m.on_bytes(&wire, &mut fx);
+        let mut bytes = wire(&read(0, Key(1)));
+        bytes.extend(wire(&read(1, Key(2))));
+        m.on_bytes(&bytes, &mut fx);
         assert_eq!(fx, vec![], "a mirror read reaches no lane");
         assert_eq!(
-            framed_replies(&mut m),
+            framed(&mut m),
             vec![
-                (0, Reply::ReadOk(Value::from_u64(11))),
-                (1, Reply::ReadOk(Value::from_u64(22))),
+                reply(0, Reply::ReadOk(Value::from_u64(11))),
+                reply(1, Reply::ReadOk(Value::from_u64(22))),
             ],
             "framed in the pass that decoded them, in request order"
         );
-        assert!(m.wants_read(), "the only credit is still there");
+        // Had either spent the only credit, this write would stall.
+        m.on_bytes(&wire(&op(2, Key(3), write(1))), &mut fx);
+        assert_eq!(fx, vec![op(2, Key(3), write(1))]);
     }
 
     #[test]
     fn a_mirror_miss_is_submitted_to_its_lane_exactly_as_before() {
         let mut m = machine_with_credits(2);
         let mut fx = Vec::new();
-        m.on_bytes(&op_frame(0, Key(1), &ClientOp::Read), &mut fx);
-        assert_eq!(fx, vec![submit(0, Key(1), ClientOp::Read)]);
+        m.on_bytes(&wire(&read(0, Key(1))), &mut fx);
+        assert_eq!(fx, vec![read(0, Key(1))]);
         assert!(!m.wants_write(), "nothing framed until the lane answers");
-        m.on_bytes(&op_frame(1, Key(1), &ClientOp::Read), &mut fx);
-        assert!(!m.wants_read(), "each fallback read spends a credit");
+        m.on_bytes(&wire(&read(1, Key(1))), &mut fx);
+        m.on_bytes(&wire(&read(2, Key(1))), &mut fx);
+        assert_eq!(fx.len(), 2);
+        assert!(
+            !m.wants_read(),
+            "each fallback read spent a credit: the third finds none"
+        );
     }
 
     #[test]
     fn a_credit_stalled_session_still_serves_a_valid_read_once_decoding_reaches_it() {
         let mut m = machine_over(1, &[(Key(9), 99)]);
         let mut fx = Vec::new();
-        let mut wire = op_frame(0, Key(1), &write(1));
-        wire.extend(op_frame(1, Key(2), &write(2)));
-        wire.extend(op_frame(2, Key(9), &ClientOp::Read));
-        m.on_bytes(&wire, &mut fx);
+        let mut bytes = wire(&op(0, Key(1), write(1)));
+        bytes.extend(wire(&op(1, Key(2), write(2))));
+        bytes.extend(wire(&read(2, Key(9))));
+        m.on_bytes(&bytes, &mut fx);
         // Decode order is unchanged: the second write stalls for a credit
         // and the read behind it is not looked at, `Valid` or not.
-        assert_eq!(fx, vec![submit(0, Key(1), write(1))]);
-        assert_eq!(framed_replies(&mut m), vec![]);
+        assert_eq!(fx, vec![op(0, Key(1), write(1))]);
+        assert_eq!(framed(&mut m), vec![]);
+        assert!(!m.wants_read());
         fx.clear();
-        m.on_completion(0, &Reply::WriteOk, &mut fx);
-        assert_eq!(fx, vec![submit(1, Key(2), write(2))]);
-        assert!(!m.wants_read(), "stalled again: the credit went to seq 1");
+        m.on_frame(&reply(0, Reply::WriteOk), &mut fx);
+        assert_eq!(fx, vec![op(1, Key(2), write(2))]);
+        assert!(
+            m.wants_read(),
+            "the credit went to seq 1, and no frame waits for another"
+        );
         assert_eq!(
-            framed_replies(&mut m),
-            vec![(0, Reply::WriteOk), (2, Reply::ReadOk(Value::from_u64(99)))],
+            framed(&mut m),
+            vec![
+                reply(0, Reply::WriteOk),
+                reply(2, Reply::ReadOk(Value::from_u64(99)))
+            ],
             "the read behind the unstalled write needed no credit"
         );
     }
@@ -1386,35 +1309,32 @@ mod tests {
         for update in updates {
             let mut m = machine_over(8, &[(Key(1), 10), (Key(2), 20)]);
             let mut fx = Vec::new();
-            let mut wire = op_frame(0, Key(1), &update);
-            wire.extend(op_frame(1, Key(1), &ClientOp::Read));
-            wire.extend(op_frame(2, Key(2), &ClientOp::Read));
-            m.on_bytes(&wire, &mut fx);
+            let mut bytes = wire(&op(0, Key(1), update.clone()));
+            bytes.extend(wire(&read(1, Key(1))));
+            bytes.extend(wire(&read(2, Key(2))));
+            m.on_bytes(&bytes, &mut fx);
             assert_eq!(
                 fx,
-                vec![
-                    submit(0, Key(1), update.clone()),
-                    submit(1, Key(1), ClientOp::Read),
-                ],
+                vec![op(0, Key(1), update.clone()), read(1, Key(1))],
                 "the read of the key being updated queues behind the update"
             );
             assert_eq!(
-                framed_replies(&mut m),
-                vec![(2, Reply::ReadOk(Value::from_u64(20)))],
+                framed(&mut m),
+                vec![reply(2, Reply::ReadOk(Value::from_u64(20)))],
                 "other keys are still served"
             );
             fx.clear();
             // The fallback read's completion does not lift the guard...
-            m.on_completion(1, &Reply::ReadOk(Value::EMPTY), &mut fx);
-            m.on_bytes(&op_frame(3, Key(1), &ClientOp::Read), &mut fx);
-            assert_eq!(fx, vec![submit(3, Key(1), ClientOp::Read)]);
+            m.on_frame(&reply(1, Reply::ReadOk(Value::EMPTY)), &mut fx);
+            m.on_bytes(&wire(&read(3, Key(1))), &mut fx);
+            assert_eq!(fx, vec![read(3, Key(1))]);
             // ...the update's own completion does.
-            m.on_completion(0, &Reply::WriteOk, &mut fx);
-            framed_replies(&mut m);
-            m.on_bytes(&op_frame(4, Key(1), &ClientOp::Read), &mut fx);
+            m.on_frame(&reply(0, Reply::WriteOk), &mut fx);
+            framed(&mut m);
+            m.on_bytes(&wire(&read(4, Key(1))), &mut fx);
             assert_eq!(
-                framed_replies(&mut m),
-                vec![(4, Reply::ReadOk(Value::from_u64(10)))]
+                framed(&mut m),
+                vec![reply(4, Reply::ReadOk(Value::from_u64(10)))]
             );
         }
     }
@@ -1427,7 +1347,9 @@ mod tests {
         assert!(m.is_dead(), "length beyond max_frame");
 
         let mut m = machine_with_credits(4);
-        m.on_bytes(&frame(b"\xffgarbage"), &mut fx);
+        let mut garbage = Vec::new();
+        rpc::put_frame(&mut garbage, |out| out.extend_from_slice(b"\xffgarbage"));
+        m.on_bytes(&garbage, &mut fx);
         assert!(m.is_dead(), "undecodable request");
         assert!(fx.is_empty());
     }
@@ -1435,39 +1357,40 @@ mod tests {
     #[test]
     fn one_txn_in_flight_gates_later_requests() {
         let mut m = machine_with_credits(8);
-        let op = TxnOp::MultiPut(vec![(Key(2), Value::from_u64(1))]);
-        let mut wire = frame(&rpc::encode_txn_bytes(0, &op));
-        wire.extend_from_slice(&frame(&rpc::encode_request_bytes(
-            1,
-            Key(9),
-            &ClientOp::Read,
-        )));
+        let txn = Request::Txn {
+            seq: 0,
+            op: TxnOp::MultiPut(vec![(Key(2), Value::from_u64(1))]),
+        };
+        let mut bytes = wire(&txn);
+        bytes.extend(wire(&read(1, Key(9))));
         let mut fx = Vec::new();
-        m.on_bytes(&wire, &mut fx);
-        assert_eq!(fx.len(), 1, "the read waits behind the txn");
-        assert!(matches!(fx[0], SessionEffect::RunTxn { seq: 0, .. }));
+        m.on_bytes(&bytes, &mut fx);
+        assert_eq!(fx, vec![txn], "the read waits behind the txn");
         assert!(!m.wants_read());
         fx.clear();
-        m.on_txn_reply(0, &TxnReply::Committed { values: Vec::new() }, &mut fx);
-        assert_eq!(fx.len(), 1, "txn reply releases the gated read");
-        assert!(matches!(fx[0], SessionEffect::Submit { seq: 1, .. }));
+        let committed = TxnReply::Committed { values: Vec::new() };
+        m.on_frame(&ServerFrame::Txn(0, committed), &mut fx);
+        assert_eq!(
+            fx,
+            vec![read(1, Key(9))],
+            "txn reply releases the gated read"
+        );
     }
 
     #[test]
     fn shutdown_request_acks_then_surfaces_the_effect() {
         let mut m = machine_with_credits(4);
         let mut fx = Vec::new();
-        m.on_bytes(&frame(&rpc::encode_shutdown_bytes(5)), &mut fx);
-        assert_eq!(fx, vec![SessionEffect::Shutdown]);
-        let (seq, reply) = rpc::decode_reply(&m.write_chunk()[4..]).unwrap();
-        assert_eq!((seq, reply), (5, Reply::WriteOk));
+        m.on_bytes(&wire(&Request::Shutdown { seq: 5 }), &mut fx);
+        assert_eq!(fx, vec![Request::Shutdown { seq: 5 }]);
+        assert_eq!(framed(&mut m), vec![reply(5, Reply::WriteOk)]);
     }
 
     #[test]
     fn write_buffer_drains_incrementally() {
         let mut m = machine_with_credits(4);
         let mut fx = Vec::new();
-        m.on_completion(1, &Reply::WriteOk, &mut fx);
+        m.on_frame(&reply(1, Reply::WriteOk), &mut fx);
         let total = m.write_chunk().len();
         m.advance_write(3);
         assert_eq!(m.write_chunk().len(), total - 3);
@@ -1481,71 +1404,40 @@ mod tests {
         let mut fx = Vec::new();
         // Consume the only credit with an op, then subscribe: the
         // subscription decodes anyway (no credit needed).
-        let mut wire = frame(&rpc::encode_request_bytes(0, Key(1), &ClientOp::Read));
-        wire.extend_from_slice(&frame(&rpc::encode_subscribe_bytes(1, Key(7))));
-        m.on_bytes(&wire, &mut fx);
-        assert_eq!(fx.len(), 2);
-        assert!(matches!(
-            fx[1],
-            SessionEffect::Subscribe {
-                seq: 1,
-                key: Key(7)
-            }
-        ));
+        let subscribe = Request::Subscribe {
+            seq: 1,
+            key: Key(7),
+        };
+        let mut bytes = wire(&read(0, Key(1)));
+        bytes.extend(wire(&subscribe));
+        m.on_bytes(&bytes, &mut fx);
+        assert_eq!(fx, vec![read(0, Key(1)), subscribe]);
 
         // The filter admits pushes for the subscribed key only.
-        assert!(m.on_push(PushEvent::Invalidate {
-            key: Key(7),
-            epoch: 1
-        }));
+        assert!(m.on_frame(&invalidate(Key(7)), &mut fx));
         assert!(
-            !m.on_push(PushEvent::Invalidate {
-                key: Key(8),
-                epoch: 1
-            }),
+            !m.on_frame(&invalidate(Key(8)), &mut fx),
             "unsubscribed key must be filtered (and acked on the client's behalf)"
         );
-        let framed = m.write_chunk();
-        let (seq, frame) = {
-            let len = u32::from_le_bytes(framed[..4].try_into().unwrap()) as usize;
-            (0u64, rpc::decode_server_frame(&framed[4..4 + len]).unwrap())
-        };
-        let _ = seq;
-        assert_eq!(
-            frame,
-            rpc::ServerFrame::Invalidate {
-                key: Key(7),
-                epoch: 1
-            }
-        );
+        assert_eq!(framed(&mut m), vec![invalidate(Key(7))]);
     }
 
     #[test]
     fn unsubscribe_clears_the_filter_and_acks_arrive_as_effects() {
         let mut m = machine_with_credits(4);
         let mut fx = Vec::new();
-        m.on_bytes(&frame(&rpc::encode_subscribe_bytes(1, Key(3))), &mut fx);
-        m.on_bytes(&frame(&rpc::encode_unsubscribe_bytes(2, Key(3))), &mut fx);
-        m.on_bytes(&frame(&rpc::encode_inval_ack_bytes(Key(3))), &mut fx);
-        assert_eq!(
-            fx,
-            vec![
-                SessionEffect::Subscribe {
-                    seq: 1,
-                    key: Key(3)
-                },
-                SessionEffect::Unsubscribe {
-                    seq: 2,
-                    key: Key(3)
-                },
-                SessionEffect::InvalAck { key: Key(3) },
-            ]
-        );
+        let (seq, key) = (1, Key(3));
+        let requests = vec![
+            Request::Subscribe { seq, key },
+            Request::Unsubscribe { seq: 2, key },
+            Request::InvalAck { key },
+        ];
+        for request in &requests {
+            m.on_bytes(&wire(request), &mut fx);
+        }
+        assert_eq!(fx, requests);
         assert!(
-            !m.on_push(PushEvent::Invalidate {
-                key: Key(3),
-                epoch: 1
-            }),
+            !m.on_frame(&invalidate(key), &mut fx),
             "post-unsubscribe pushes must be filtered"
         );
     }
@@ -1554,10 +1446,14 @@ mod tests {
     fn evict_push_kills_the_machine() {
         let mut m = machine_with_credits(4);
         let mut fx = Vec::new();
-        m.on_bytes(&frame(&rpc::encode_subscribe_bytes(1, Key(3))), &mut fx);
+        let (seq, key) = (1, Key(3));
+        m.on_bytes(&wire(&Request::Subscribe { seq, key }), &mut fx);
         assert!(!m.is_dead());
-        assert!(!m.on_push(PushEvent::Evict));
+        m.kill(); // What the shard does with an `Inbound::Evict`.
         assert!(m.is_dead(), "a laggard subscriber is torn down");
+        // And a push that crosses the eviction is acked on its behalf.
+        assert!(!m.on_frame(&invalidate(key), &mut fx));
+        assert!(!m.wants_write());
     }
 
     /// Regression for the lost wake-up behind PR 13's 504 ms `rtt_max`:
@@ -1610,7 +1506,7 @@ mod tests {
         let session = ClientId(REMOTE_CLIENT_BASE);
         let mut reply = [0u8; 64];
         for round in 0..20_000u64 {
-            shard.complete(OpId::new(session, 2 * round), Reply::WriteOk);
+            shard.send(session, ServerFrame::Reply(2 * round, Reply::WriteOk));
             // Sweep the gap so the second post meets the shard at every
             // point between waking up and going back to sleep.
             let gap = Instant::now();
@@ -1618,7 +1514,7 @@ mod tests {
                 std::hint::spin_loop();
             }
             let posted = Instant::now();
-            shard.complete(OpId::new(session, 2 * round + 1), Reply::WriteOk);
+            shard.send(session, ServerFrame::Reply(2 * round + 1, Reply::WriteOk));
             for _ in 0..2 {
                 client.read_exact(&mut reply[..4]).unwrap();
                 let len = u32::from_le_bytes(reply[..4].try_into().unwrap()) as usize;

@@ -11,14 +11,14 @@
 //! done, not from an option:
 //!
 //! * **Never subscribed:** the thread that waits is the thread that reads.
-//!   `try_recv` pumps, `recv_timeout` blocks in [`Poller::wait`] and then
-//!   pumps. The channel owns no thread, and a reply costs its reader no
-//!   hand-off.
+//!   `recv` pumps, after blocking in [`Poller::wait`] when given a wait. The
+//!   channel owns no thread, and a reply costs its reader no hand-off.
 //! * **Subscribed:** a lane evicts a subscriber that has not acked a pushed
 //!   `Invalidate` within 75 ms (DESIGN.md §8), and a session's owner may be
-//!   elsewhere for longer than that — so the channel's first `subscribe`
-//!   spawns a reader thread that takes over the read half, undecoded bytes
-//!   included, and runs the same pump into a queue the session drains.
+//!   elsewhere for longer than that — so the channel's first
+//!   [`Request::Subscribe`] spawns a reader thread that takes over the read
+//!   half, undecoded bytes included, and runs the same pump into a queue
+//!   the session drains.
 //!
 //! In both, whoever decodes an `Invalidate` queues it for the session
 //! before writing its ack.
@@ -27,11 +27,10 @@
 
 use crate::node::MAX_CLIENT_FRAME;
 use crate::session::{ClientSession, SessionChannel};
-use bytes::{BufMut, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use hermes_common::{ClientId, ClientOp, Key};
+use hermes_common::ClientId;
 use hermes_net::{Interest, PollEvent, Poller};
-use hermes_wings::client::{self as rpc, ServerFrame};
+use hermes_wings::client::{self as rpc, Request, ServerFrame};
 use hermes_wings::CreditConfig;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -63,7 +62,7 @@ pub(crate) struct Conn {
     reader: Mutex<ReadHalf>,
     /// The reused frame buffer. Its lock spans a whole frame, so a session's
     /// requests and its reader thread's acks never interleave.
-    writer: Mutex<BytesMut>,
+    writer: Mutex<Vec<u8>>,
 }
 
 impl Conn {
@@ -80,16 +79,13 @@ impl Conn {
         })
     }
 
-    /// Writes one frame, whose payload `encode` appends behind the length
+    /// Writes `request` as one frame, encoded straight behind its length
     /// prefix. A socket that stops taking bytes mid-frame is waited on and
     /// the same frame finished; an error leaves the stream unusable.
-    pub(crate) fn send(&self, encode: impl FnOnce(&mut BytesMut)) -> io::Result<()> {
+    pub(crate) fn send(&self, request: &Request) -> io::Result<()> {
         let mut frame = self.writer.lock().expect("no writer panics mid-frame");
         frame.clear();
-        frame.put_u32_le(0);
-        encode(&mut frame);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
+        rpc::put_frame(&mut frame, |out| request.encode(out));
         let mut rest = &frame[..];
         while !rest.is_empty() {
             match (&self.stream).write(rest) {
@@ -164,16 +160,11 @@ impl ReadHalf {
     ) -> io::Result<()> {
         self.filled += n;
         let mut at = 0;
-        while let Some(prefix) = self.buf[at..self.filled].first_chunk::<4>() {
-            let len = u32::from_le_bytes(*prefix) as usize;
-            if len > MAX_CLIENT_FRAME {
-                return Err(ErrorKind::InvalidData.into());
-            }
-            let Some(payload) = self.buf[at + 4..self.filled].get(..len) else {
-                break;
-            };
+        while let Some(payload) =
+            rpc::split_frame(&self.buf[at..self.filled], MAX_CLIENT_FRAME).map_err(invalid)?
+        {
             on_frame(payload)?;
-            at += 4 + len;
+            at += 4 + payload.len();
         }
         if at > 0 {
             self.buf.copy_within(at..self.filled, 0);
@@ -183,8 +174,8 @@ impl ReadHalf {
     }
 }
 
-fn decode(payload: &[u8]) -> io::Result<ServerFrame> {
-    rpc::decode_server_frame(payload).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))
+pub(crate) fn invalid(e: rpc::ClientCodecError) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, e)
 }
 
 /// The pump, on whichever thread reads `conn`: one read (see
@@ -195,15 +186,18 @@ fn decode(payload: &[u8]) -> io::Result<ServerFrame> {
 /// session's queue (DESIGN.md §8). `Err`: the connection is finished.
 fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) -> io::Result<()> {
     conn.read_frames(wait, |payload| {
-        let frame = decode(payload)?;
+        let frame = ServerFrame::decode(payload).map_err(invalid)?;
         let ack = match frame {
-            ServerFrame::Invalidate { key, .. } => Some(key),
+            ServerFrame::Invalidate { key, .. } => Some(Request::InvalAck { key }),
+            // The reply to a request no session sends.
+            ServerFrame::Txn(..)
+            | ServerFrame::Stats(..)
+            | ServerFrame::Metrics(..)
+            | ServerFrame::Traces(..) => return Err(ErrorKind::InvalidData.into()),
             _ => None,
         };
         sink(frame);
-        ack.map_or(Ok(()), |key| {
-            conn.send(|out| out.put_slice(&rpc::encode_inval_ack_bytes(key)))
-        })
+        ack.map_or(Ok(()), |ack| conn.send(&ack))
     })
 }
 
@@ -271,29 +265,6 @@ impl RemoteChannel {
             stream: self.conn.stream.try_clone()?,
         })
     }
-
-    fn send(&mut self, encode: impl FnOnce(&mut BytesMut)) -> bool {
-        self.alive = self.alive && self.conn.send(encode).is_ok();
-        self.alive
-    }
-
-    /// The next frame, blocking up to `wait` for it when given one. A dead
-    /// channel hands over what it had decoded and then nothing, at once.
-    fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
-        if let Some(frame) = self.ready.pop_front() {
-            return Some(frame);
-        }
-        if !self.alive {
-            return None;
-        }
-        let Some((queue, _)) = &self.reader else {
-            self.alive = pump(&self.conn, wait, |frame| self.ready.push_back(frame)).is_ok();
-            return self.ready.pop_front();
-        };
-        let got = queue.recv_timeout(wait.unwrap_or_default());
-        self.alive = got != Err(RecvTimeoutError::Disconnected);
-        got.ok()
-    }
 }
 
 /// Kills a [`RemoteChannel`]'s TCP connection on demand (fault injection).
@@ -316,33 +287,36 @@ impl SessionChannel for RemoteChannel {
         self.client
     }
 
-    fn submit(&mut self, seq: u64, key: Key, cop: ClientOp) -> bool {
-        self.send(|out| rpc::encode_request(out, seq, key, &cop))
-    }
-
-    fn try_recv(&mut self) -> Option<ServerFrame> {
-        self.recv(None)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame> {
-        self.recv(Some(timeout))
-    }
-
-    fn subscribe(&mut self, seq: u64, key: Key) -> bool {
+    fn send(&mut self, request: Request) -> bool {
         // The reader thread first: from the first push on, acks must not
         // wait for this session's owner to come back. It takes over the
         // read half as it stands; frames in `ready` stay ahead of its queue.
-        if self.reader.is_none() {
+        if matches!(request, Request::Subscribe { .. }) && self.reader.is_none() {
             let (conn, (tx, rx)) = (Arc::clone(&self.conn), unbounded());
             let forever = Some(Duration::MAX);
             let run = move || while pump(&conn, forever, |frame| drop(tx.send(frame))).is_ok() {};
             self.reader = Some((rx, std::thread::spawn(run)));
         }
-        self.send(|out| out.put_slice(&rpc::encode_subscribe_bytes(seq, key)))
+        self.alive = self.alive && self.conn.send(&request).is_ok();
+        self.alive
     }
 
-    fn unsubscribe(&mut self, seq: u64, key: Key) -> bool {
-        self.send(|out| out.put_slice(&rpc::encode_unsubscribe_bytes(seq, key)))
+    /// A dead channel hands over what it had decoded and then nothing, at
+    /// once.
+    fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
+        if let Some(frame) = self.ready.pop_front() {
+            return Some(frame);
+        }
+        if !self.alive {
+            return None;
+        }
+        let Some((queue, _)) = &self.reader else {
+            self.alive = pump(&self.conn, wait, |frame| self.ready.push_back(frame)).is_ok();
+            return self.ready.pop_front();
+        };
+        let got = queue.recv_timeout(wait.unwrap_or_default());
+        self.alive = got != Err(RecvTimeoutError::Disconnected);
+        got.ok()
     }
 
     fn is_alive(&self) -> bool {
@@ -363,20 +337,22 @@ impl Drop for RemoteChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_common::{Reply, Value};
+    use hermes_common::{ClientOp, Key, Reply, Value};
     use std::net::TcpListener;
 
     fn on_the_wire(frame: &ServerFrame) -> Vec<u8> {
-        let payload = match *frame {
-            ServerFrame::Reply(seq, ref reply) => rpc::encode_reply_bytes(seq, reply),
-            ServerFrame::Invalidate { key, epoch } => rpc::encode_invalidate_bytes(key, epoch),
-            ServerFrame::Subscribed { seq, key, epoch } => {
-                rpc::encode_subscribed_bytes(seq, key, epoch)
-            }
-            ServerFrame::Unsubscribed { seq, key } => rpc::encode_unsubscribed_bytes(seq, key),
-            ServerFrame::Flush { epoch } => rpc::encode_flush_bytes(epoch),
-        };
-        [&(payload.len() as u32).to_le_bytes()[..], &payload[..]].concat()
+        let mut wire = Vec::new();
+        rpc::put_frame(&mut wire, |out| frame.encode(out));
+        wire
+    }
+
+    fn decode(payload: &[u8]) -> io::Result<ServerFrame> {
+        ServerFrame::decode(payload).map_err(invalid)
+    }
+
+    fn read(seq: u64, key: Key) -> Request {
+        let cop = ClientOp::Read;
+        Request::Op { seq, key, cop }
     }
 
     /// What a fresh read half makes of `pieces` arriving one read each.
@@ -457,7 +433,7 @@ mod tests {
     fn next(channel: &mut RemoteChannel) -> Option<ServerFrame> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match channel.recv_timeout(Duration::from_millis(100)) {
+            match channel.recv(Some(Duration::from_millis(100))) {
                 None if channel.is_alive() && Instant::now() < deadline => {}
                 got => return got,
             }
@@ -480,9 +456,9 @@ mod tests {
             // Dead is final and costs no wait: nothing after the bad frame
             // is delivered, nothing more is sent.
             let start = Instant::now();
-            assert_eq!(channel.recv_timeout(Duration::from_secs(5)), None);
+            assert_eq!(channel.recv(Some(Duration::from_secs(5))), None);
             assert!(start.elapsed() < Duration::from_secs(1));
-            assert!(!channel.submit(8, Key(1), ClientOp::Read));
+            assert!(!channel.send(read(8, Key(1))));
         }
     }
 
@@ -495,7 +471,7 @@ mod tests {
         let (mut channel, mut peer) = channel_and_peer();
         let mut want = Vec::new();
         for seq in 0..16 {
-            assert!(channel.submit(seq, Key(seq), ClientOp::Read));
+            assert!(channel.send(read(seq, Key(seq))));
             let value = Value::filled(seq as u8, 3_000);
             want.push(ServerFrame::Reply(seq, Reply::ReadOk(value)));
         }
@@ -509,14 +485,15 @@ mod tests {
         peer.write_all(&wire[..cut]).unwrap();
         let mut got = vec![next(&mut channel).expect("first reply")];
         assert!(channel.reader.is_none(), "no thread yet");
-        assert!(channel.subscribe(16, Key(3)));
+        let (seq, key) = (16, Key(3));
+        assert!(channel.send(Request::Subscribe { seq, key }));
         assert!(channel.reader.is_some());
         peer.write_all(&wire[cut..]).unwrap();
         while got.len() < want.len() {
             got.push(next(&mut channel).expect("a frame went missing"));
         }
         assert_eq!(got, want);
-        assert_eq!(channel.recv_timeout(Duration::from_millis(50)), None);
+        assert_eq!(channel.recv(Some(Duration::from_millis(50))), None);
         assert!(channel.is_alive(), "nothing more, not dead");
     }
 
@@ -532,7 +509,8 @@ mod tests {
         let value = |seq: u64| Value::filled(seq as u8, 256 << 10);
         let stall = Duration::from_millis(200);
         let (mut channel, mut peer) = channel_and_peer();
-        assert!(channel.subscribe(0, Key(0)));
+        let (seq, key) = (0, Key(0));
+        assert!(channel.send(Request::Subscribe { seq, key }));
         let start = Instant::now();
         let reader = std::thread::spawn(move || {
             for k in 0..PUSHES {
@@ -546,28 +524,34 @@ mod tests {
             peer.set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
             let (mut writes, mut acks) = (0, 0);
+            let (mut received, mut chunk) = (Vec::new(), vec![0u8; 64 << 10]);
             while writes < WRITES || acks < PUSHES {
-                let mut len = [0u8; 4];
-                peer.read_exact(&mut len).unwrap();
-                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-                peer.read_exact(&mut payload).unwrap();
-                match rpc::decode_any(&payload).expect("a whole frame") {
-                    rpc::Request::Op { seq, key, cop } => {
+                let Some(payload) = rpc::split_frame(&received, MAX_CLIENT_FRAME).unwrap() else {
+                    let n = peer.read(&mut chunk).unwrap();
+                    assert!(n > 0, "the channel hung up");
+                    received.extend_from_slice(&chunk[..n]);
+                    continue;
+                };
+                let len = 4 + payload.len();
+                match Request::decode(payload).expect("a whole frame") {
+                    Request::Op { seq, key, cop } => {
                         assert_eq!((seq, key), (writes, Key(writes)));
                         assert!(cop == ClientOp::Write(value(seq)), "write {seq} garbled");
                         writes += 1;
                     }
-                    rpc::Request::InvalAck { key } => {
+                    Request::InvalAck { key } => {
                         assert_eq!(key, Key(acks));
                         acks += 1;
                     }
-                    rpc::Request::Subscribe { .. } => {}
+                    Request::Subscribe { .. } => {}
                     other => panic!("nobody sent {other:?}"),
                 }
+                received.drain(..len);
             }
         });
         for seq in 0..WRITES {
-            assert!(channel.submit(seq, Key(seq), ClientOp::Write(value(seq))));
+            let (key, cop) = (Key(seq), ClientOp::Write(value(seq)));
+            assert!(channel.send(Request::Op { seq, key, cop }));
         }
         assert!(start.elapsed() >= stall, "the socket never backed up");
         reader.join().unwrap();

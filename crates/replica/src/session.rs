@@ -33,7 +33,7 @@ use hermes_common::{
 };
 use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
-use hermes_wings::client::ServerFrame;
+use hermes_wings::client::{Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
 use hermes_workload::PipelinedKv;
 use std::collections::{HashMap, HashSet};
@@ -61,52 +61,32 @@ impl Ticket {
     }
 }
 
-/// The wire between a [`ClientSession`] and its replica: submits
-/// operations, yields everything the replica sends back as one FIFO stream
-/// of [`ServerFrame`]s — operation replies interleaved with server-initiated
+/// The wire between a [`ClientSession`] and its replica: [`Request`]s one
+/// way, and everything the replica sends back as one FIFO stream of
+/// [`ServerFrame`]s — operation replies interleaved with server-initiated
 /// push events (DESIGN.md §8). One queue is load-bearing for cache
 /// coherence: a read reply that fills the cache and the invalidation that
 /// supersedes it arrive in the order the worker lane emitted them, so the
 /// session can never process the fill after the invalidation.
-/// Implementations must not block in [`SessionChannel::submit`] beyond the
-/// cost of handing the operation to the transport.
 pub trait SessionChannel {
     /// The session id this channel submits as.
     fn client_id(&self) -> ClientId;
 
-    /// Starts operation `seq` on the replica. Returns `false` when the
-    /// service is unreachable (the session completes the operation as
-    /// [`Reply::NotOperational`] without submitting).
-    fn submit(&mut self, seq: u64, key: Key, cop: ClientOp) -> bool;
+    /// Hands `request` to the transport, blocking no longer than that
+    /// takes. Returns `false` when the service is unreachable, or the
+    /// channel cannot carry that kind of request: the session completes an
+    /// operation as [`Reply::NotOperational`] then, and a session that
+    /// cannot subscribe simply never caches.
+    fn send(&mut self, request: Request) -> bool;
 
-    /// Non-blocking event poll.
-    fn try_recv(&mut self) -> Option<ServerFrame>;
-
-    /// Blocks up to `timeout` for one event.
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame>;
-
-    /// Asks the replica to push invalidations for `key` (acked by a
-    /// [`ServerFrame::Subscribed`]). Returns `false` when the channel
-    /// cannot carry the request; the default declines — channels without
-    /// a push path simply never cache.
-    fn subscribe(&mut self, seq: u64, key: Key) -> bool {
-        let _ = (seq, key);
-        false
-    }
-
-    /// Drops the push subscription for `key` (acked by a
-    /// [`ServerFrame::Unsubscribed`]).
-    fn unsubscribe(&mut self, seq: u64, key: Key) -> bool {
-        let _ = (seq, key);
-        false
-    }
+    /// The next frame from the replica, blocking up to `wait` for it when
+    /// given one.
+    fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame>;
 
     /// Whether the channel can still carry traffic. A dead channel (TCP
     /// connection cut) lets blocking waiters fail fast instead of running
     /// out their timeout; in-process channels never die.
-    fn is_alive(&self) -> bool {
-        true
-    }
+    fn is_alive(&self) -> bool;
 }
 
 /// In-process channel: operations go straight to the worker lane owning
@@ -141,25 +121,35 @@ impl SessionChannel for LaneChannel {
         self.client
     }
 
-    fn submit(&mut self, seq: u64, key: Key, cop: ClientOp) -> bool {
-        let op = OpId::new(self.client, seq);
-        self.lanes.op(op, key, cop, self.sink())
+    fn send(&mut self, request: Request) -> bool {
+        let client = self.client;
+        match request {
+            Request::Op { seq, key, cop } => {
+                let op = OpId::new(client, seq);
+                self.lanes.op(op, key, cop, self.sink())
+            }
+            Request::Subscribe { seq, key } => self.lanes.subscribe(seq, client, key, self.sink()),
+            Request::Unsubscribe { seq, key } => self.lanes.unsubscribe(seq, client, key),
+            // An in-process session owes no acks (`ClientSink::Session`),
+            // and the rest is asked of a daemon, not of its lanes.
+            Request::InvalAck { .. }
+            | Request::Txn { .. }
+            | Request::Stats { .. }
+            | Request::Metrics { .. }
+            | Request::Traces { .. }
+            | Request::Shutdown { .. } => false,
+        }
     }
 
-    fn try_recv(&mut self) -> Option<ServerFrame> {
-        self.events_rx.try_recv().ok()
+    fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
+        match wait {
+            Some(wait) => self.events_rx.recv_timeout(wait).ok(),
+            None => self.events_rx.try_recv().ok(),
+        }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame> {
-        self.events_rx.recv_timeout(timeout).ok()
-    }
-
-    fn subscribe(&mut self, seq: u64, key: Key) -> bool {
-        self.lanes.subscribe(seq, self.client, key, self.sink())
-    }
-
-    fn unsubscribe(&mut self, seq: u64, key: Key) -> bool {
-        self.lanes.unsubscribe(seq, self.client, key)
+    fn is_alive(&self) -> bool {
+        true
     }
 }
 
@@ -250,7 +240,6 @@ struct ReadCache {
 impl ReadCache {
     fn on_event(&mut self, ev: &ServerFrame) {
         match *ev {
-            ServerFrame::Reply(..) => {}
             ServerFrame::Invalidate { key, epoch } => {
                 self.invalidations += 1;
                 if epoch > self.epoch {
@@ -277,6 +266,12 @@ impl ReadCache {
                 self.entries.clear();
                 self.epoch = self.epoch.max(epoch);
             }
+            // Replies: of no concern to the cache.
+            ServerFrame::Reply(..)
+            | ServerFrame::Txn(..)
+            | ServerFrame::Stats(..)
+            | ServerFrame::Metrics(..)
+            | ServerFrame::Traces(..) => {}
         }
     }
 
@@ -381,7 +376,8 @@ impl<C: SessionChannel> ClientSession<C> {
             self.ready.insert(op, Reply::NotOperational);
             return Ticket { op };
         }
-        if self.channel.submit(op.seq, key, cop) {
+        let seq = op.seq;
+        if self.channel.send(Request::Op { seq, key, cop }) {
             self.in_flight += 1;
             if is_read && self.cache.subscribed.contains(&key) {
                 self.read_keys.insert(op, key);
@@ -425,7 +421,7 @@ impl<C: SessionChannel> ClientSession<C> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.channel.subscribe(seq, key)
+        self.channel.send(Request::Subscribe { seq, key })
             && (self.block_on(|s| s.cache.subscribed.contains(&key).then_some(()))).is_some()
     }
 
@@ -438,7 +434,7 @@ impl<C: SessionChannel> ClientSession<C> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.channel.unsubscribe(seq, key)
+        self.channel.send(Request::Unsubscribe { seq, key })
             && (self.block_on(|s| (!s.cache.subscribed.contains(&key)).then_some(()))).is_some()
     }
 
@@ -509,12 +505,12 @@ impl<C: SessionChannel> ClientSession<C> {
     /// changed.
     fn pump(&mut self, block_for: Option<Duration>) {
         let mut any = false;
-        while let Some(ev) = self.channel.try_recv() {
+        while let Some(ev) = self.channel.recv(None) {
             any = true;
             self.on_event(ev);
         }
-        if let (false, Some(timeout)) = (any, block_for) {
-            if let Some(ev) = self.channel.recv_timeout(timeout) {
+        if !any && block_for.is_some() {
+            if let Some(ev) = self.channel.recv(block_for) {
                 self.on_event(ev);
             }
         }
@@ -522,7 +518,7 @@ impl<C: SessionChannel> ClientSession<C> {
 
     /// Pumps until `done` yields: the one loop under every blocking call.
     /// It gives up when [`WAIT_LIMIT`] has passed or the channel has died —
-    /// a dead channel's `recv_timeout` returns at once, so waiting on it
+    /// a dead channel's `recv` returns at once, so waiting on it
     /// would spin the limit out — in both cases after a last drain of what
     /// the channel still held and a last look at `done`.
     fn block_on<T>(&mut self, mut done: impl FnMut(&mut Self) -> Option<T>) -> Option<T> {

@@ -1,17 +1,20 @@
 //! Wire format for the client-facing RPC port of a replica daemon.
 //!
 //! The paper's clients talk to HermesKV over the network like any KVS
-//! clients (§2.1, §5.2); this module gives the reproduction's `hermesd`
-//! daemon the matching wire vocabulary: a request carries the session-local
-//! sequence number, the key and the [`ClientOp`]; a response carries the
-//! sequence number back with the [`Reply`]. Sessions pipeline by keeping
-//! many sequence numbers outstanding per connection; responses return out
-//! of order (inter-key concurrency), which is why every response echoes its
+//! clients (§2.1, §5.2); this module is the whole vocabulary of that
+//! conversation for the reproduction's `hermesd` daemon: a [`Request`]
+//! going up, a [`ServerFrame`] coming down. A request carries the
+//! session-local sequence number, the key and what is asked; a reply
+//! carries the sequence number back. Sessions pipeline by keeping many
+//! sequence numbers outstanding per connection; replies return out of
+//! order (inter-key concurrency), which is why every reply echoes its
 //! request's sequence number.
 //!
-//! Requests and responses ride inside the same `u32` length-prefixed
-//! framing as replica-to-replica traffic (DESIGN.md §4); this module
-//! encodes only the payloads. All integers little-endian.
+//! Each message is one frame — a `u32` length prefix and a payload, the
+//! framing replica-to-replica traffic uses too (DESIGN.md §4) — written by
+//! [`put_frame`] around [`Request::encode`] / [`ServerFrame::encode`] and
+//! taken apart by [`split_frame`] and the two `decode`s. All integers
+//! little-endian.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hermes_common::{ClientOp, Key, NodeSet, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value};
@@ -37,25 +40,20 @@ const RSP_CAS_FAILED: u8 = 3;
 const RSP_RMW_ABORTED: u8 = 4;
 const RSP_NOT_OPERATIONAL: u8 = 5;
 const RSP_UNSUPPORTED: u8 = 6;
-/// Transaction and stats responses use their own tag space so they can
-/// never be mistaken for single-key completions (they ride on dedicated
-/// request/response exchanges, not the pipelined session stream).
+/// Transaction, stats, metrics and traces replies answer dedicated
+/// request/response exchanges, not the pipelined session stream, and have
+/// tags of their own so they can never be mistaken for single-key
+/// completions.
 const RSP_TXN: u8 = 7;
 const RSP_STATS: u8 = 8;
 /// Server-initiated push frames (invalidation stream) and subscription
-/// acknowledgements. They carry no meaningful sequence number (the seq
-/// slot is zero for pushes) and are deliberately **not** decodable by
-/// [`decode_reply`]: only the superset [`decode_server_frame`] accepts
-/// them, so callers that never subscribed keep their strict decoder.
+/// acknowledgements. Pushes carry no meaningful sequence number (the seq
+/// slot is zero).
 const RSP_INVALIDATE: u8 = 9;
 const RSP_SUBSCRIBED: u8 = 10;
 const RSP_UNSUBSCRIBED: u8 = 11;
 const RSP_FLUSH: u8 = 12;
-/// Metrics exposition reply: like stats, a dedicated request/response
-/// exchange (never part of the pipelined session stream).
 const RSP_METRICS: u8 = 13;
-/// Trace-span drain reply: like metrics, a dedicated request/response
-/// exchange (never part of the pipelined session stream).
 const RSP_TRACES: u8 = 14;
 
 const TXN_MULTI_GET: u8 = 0;
@@ -76,6 +74,8 @@ pub enum ClientCodecError {
     Truncated,
     /// Unknown request/response tag byte.
     BadTag(u8),
+    /// A frame's length prefix declares more than the receiver accepts.
+    Oversized(usize),
 }
 
 impl std::fmt::Display for ClientCodecError {
@@ -83,11 +83,41 @@ impl std::fmt::Display for ClientCodecError {
         match self {
             ClientCodecError::Truncated => write!(f, "client message truncated"),
             ClientCodecError::BadTag(t) => write!(f, "unknown client message tag {t}"),
+            ClientCodecError::Oversized(len) => write!(f, "client frame of {len} bytes"),
         }
     }
 }
 
 impl std::error::Error for ClientCodecError {}
+
+/// Appends one frame to `out`: the length prefix, then whatever `encode`
+/// appends, which is the frame's payload.
+pub fn put_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    encode(out);
+    let len = u32::try_from(out.len() - at - 4).expect("a frame is under 4 GiB");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The payload of the frame `buf` starts with, once all of it is there
+/// (`None` until then). Consumes nothing: the frame is `4 + payload.len()`
+/// bytes, for the caller to skip when it is done with the payload.
+///
+/// # Errors
+///
+/// [`ClientCodecError::Oversized`] as soon as the length prefix declares
+/// more than `max` bytes, before any of them is waited for.
+pub fn split_frame(buf: &[u8], max: usize) -> Result<Option<&[u8]>, ClientCodecError> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > max {
+        return Err(ClientCodecError::Oversized(len));
+    }
+    Ok(rest.get(..len))
+}
 
 /// Minimal cursor over a decode buffer.
 struct Cursor<'a> {
@@ -127,11 +157,55 @@ impl<'a> Cursor<'a> {
         let len = self.u32()? as usize;
         Ok(Value::from(Bytes::copy_from_slice(self.take(len)?)))
     }
+
+    /// A string; `tag` names the reply it belongs to if it is not UTF-8.
+    fn string(&mut self, tag: u8) -> Result<String, ClientCodecError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| ClientCodecError::BadTag(tag))
+    }
+
+    /// `count` items, each read by `item`. The count came off the wire:
+    /// what is reserved ahead of reading is capped, so a declared length
+    /// larger than the buffer fails on the missing bytes, not on memory.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ClientCodecError>,
+    ) -> Result<Vec<T>, ClientCodecError> {
+        let count = self.u32()? as usize;
+        let mut items = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn keyed_value(&mut self) -> Result<(Key, Value), ClientCodecError> {
+        Ok((Key(self.u64()?), self.value()?))
+    }
 }
 
-fn put_value(out: &mut BytesMut, v: &Value) {
-    out.put_u32_le(v.len() as u32);
-    out.put_slice(v.as_bytes());
+fn put_bytes(out: &mut impl BufMut, bytes: &[u8]) {
+    out.put_u32_le(bytes.len() as u32);
+    out.put_slice(bytes);
+}
+
+fn put_value(out: &mut impl BufMut, v: &Value) {
+    put_bytes(out, v.as_bytes());
+}
+
+fn put_u64s(out: &mut impl BufMut, items: &[u64]) {
+    out.put_u32_le(items.len() as u32);
+    for item in items {
+        out.put_u64_le(*item);
+    }
+}
+
+fn put_keyed_values(out: &mut impl BufMut, items: &[(Key, Value)]) {
+    out.put_u32_le(items.len() as u32);
+    for (k, v) in items {
+        out.put_u64_le(k.0);
+        put_value(out, v);
+    }
 }
 
 /// Bytes [`put_value`] appends for `v`.
@@ -145,80 +219,63 @@ const REQUEST_HEADER: usize = 8 + 8 + 1;
 /// Bytes of a response that is only its header: sequence number and tag.
 const REPLY_HEADER: usize = 8 + 1;
 
-/// Encodes a header-only request into a buffer of exactly its size.
-/// Requests about no key pass `Key(0)`: the slot goes unused, which keeps
-/// one request layout.
-fn header_request_bytes(seq: u64, key: Key, tag: u8) -> Bytes {
-    let mut out = BytesMut::with_capacity(REQUEST_HEADER);
+/// The header every request starts with. Requests about no key pass
+/// `Key(0)`: the slot goes unused, which keeps one request layout.
+fn put_request_header(out: &mut impl BufMut, seq: u64, key: Key, tag: u8) {
     out.put_u64_le(seq);
     out.put_u64_le(key.0);
     out.put_u8(tag);
-    out.freeze()
 }
 
-/// Encodes one client request (appending to `out`).
-pub fn encode_request(out: &mut BytesMut, seq: u64, key: Key, cop: &ClientOp) {
+/// The header every server frame starts with. Pushes pass sequence number
+/// zero: they are not replies.
+fn put_reply_header(out: &mut impl BufMut, seq: u64, tag: u8) {
     out.put_u64_le(seq);
-    out.put_u64_le(key.0);
+    out.put_u8(tag);
+}
+
+fn put_op(out: &mut impl BufMut, seq: u64, key: Key, cop: &ClientOp) {
     match cop {
-        ClientOp::Read => out.put_u8(REQ_READ),
+        ClientOp::Read => put_request_header(out, seq, key, REQ_READ),
         ClientOp::Write(v) => {
-            out.put_u8(REQ_WRITE);
+            put_request_header(out, seq, key, REQ_WRITE);
             put_value(out, v);
         }
         ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }) => {
-            out.put_u8(REQ_CAS);
+            put_request_header(out, seq, key, REQ_CAS);
             put_value(out, expect);
             put_value(out, new);
         }
         ClientOp::Rmw(RmwOp::FetchAdd { delta }) => {
-            out.put_u8(REQ_FETCH_ADD);
+            put_request_header(out, seq, key, REQ_FETCH_ADD);
             out.put_u64_le(*delta);
         }
     }
 }
 
-/// Encodes one client request into a fresh buffer of exactly its size.
-pub fn encode_request_bytes(seq: u64, key: Key, cop: &ClientOp) -> Bytes {
-    let body = match cop {
-        ClientOp::Read => 0,
-        ClientOp::Write(v) => value_len(v),
-        ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }) => value_len(expect) + value_len(new),
-        ClientOp::Rmw(RmwOp::FetchAdd { .. }) => 8,
+fn put_reply(out: &mut impl BufMut, seq: u64, reply: &Reply) {
+    let (tag, value) = match reply {
+        Reply::ReadOk(v) => (RSP_READ_OK, Some(v)),
+        Reply::WriteOk => (RSP_WRITE_OK, None),
+        Reply::RmwOk { prior } => (RSP_RMW_OK, Some(prior)),
+        Reply::CasFailed { current } => (RSP_CAS_FAILED, Some(current)),
+        Reply::RmwAborted => (RSP_RMW_ABORTED, None),
+        Reply::NotOperational => (RSP_NOT_OPERATIONAL, None),
+        Reply::Unsupported => (RSP_UNSUPPORTED, None),
     };
-    let mut out = BytesMut::with_capacity(REQUEST_HEADER + body);
-    encode_request(&mut out, seq, key, cop);
-    debug_assert_eq!(out.len(), REQUEST_HEADER + body);
-    out.freeze()
-}
-
-/// Decodes one client request.
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag
-/// (including the transaction, stats and admin shutdown tags — use
-/// [`decode_any`] to accept those).
-pub fn decode_request(buf: &[u8]) -> Result<(u64, Key, ClientOp), ClientCodecError> {
-    match decode_any(buf)? {
-        Request::Op { seq, key, cop } => Ok((seq, key, cop)),
-        Request::Txn { .. } => Err(ClientCodecError::BadTag(REQ_TXN)),
-        Request::Stats { .. } => Err(ClientCodecError::BadTag(REQ_STATS)),
-        Request::Metrics { .. } => Err(ClientCodecError::BadTag(REQ_METRICS)),
-        Request::Traces { .. } => Err(ClientCodecError::BadTag(REQ_TRACES)),
-        Request::Shutdown { .. } => Err(ClientCodecError::BadTag(REQ_SHUTDOWN)),
-        Request::Subscribe { .. } => Err(ClientCodecError::BadTag(REQ_SUBSCRIBE)),
-        Request::Unsubscribe { .. } => Err(ClientCodecError::BadTag(REQ_UNSUBSCRIBE)),
-        Request::InvalAck { .. } => Err(ClientCodecError::BadTag(REQ_INVAL_ACK)),
+    put_reply_header(out, seq, tag);
+    if let Some(v) = value {
+        put_value(out, v);
     }
 }
 
 /// Everything a client-port connection can ask of a replica daemon: a data
-/// operation, a whole multi-key transaction, an operator stats query, or
-/// the administrative shutdown of the whole daemon.
+/// operation, a whole multi-key transaction, cache-subscription traffic,
+/// an operator query, or the administrative shutdown of the whole daemon.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// A key-value operation (the common case).
+    /// A key-value operation (the common case), answered with one
+    /// [`ServerFrame::Reply`].
     Op {
         /// Session-local sequence number echoed by the response.
         seq: u64,
@@ -227,9 +284,10 @@ pub enum Request {
         /// The operation.
         cop: ClientOp,
     },
-    /// A multi-key transaction, coordinated by the daemon's connection
-    /// thread (the lane workers host no transaction state) and answered
-    /// with one [`TxnReply`] frame ([`encode_txn_reply_bytes`]).
+    /// A multi-key transaction, run by one of the daemon's transaction
+    /// executor threads through an in-process session (the lane workers
+    /// host no transaction state) and answered with one
+    /// [`ServerFrame::Txn`]. Later requests of the connection wait for it.
     Txn {
         /// Session-local sequence number echoed by the reply.
         seq: u64,
@@ -237,24 +295,24 @@ pub enum Request {
         op: TxnOp,
     },
     /// Ask for the daemon's membership/runtime gauges, answered with one
-    /// [`StatsPayload`] frame ([`encode_stats_reply_bytes`]) — the RPC
-    /// that lets harnesses observe view changes without parsing logs.
+    /// [`ServerFrame::Stats`] — the RPC that lets harnesses observe view
+    /// changes without parsing logs.
     Stats {
         /// Session-local sequence number echoed by the reply.
         seq: u64,
     },
     /// Ask for the daemon's full metrics registry as Prometheus text
-    /// exposition, answered with one [`encode_metrics_reply_bytes`] frame:
-    /// per-lane latency histograms, protocol-phase counters, plane/cache
-    /// gauges. The machine-parseable superset of [`Request::Stats`].
+    /// exposition, answered with one [`ServerFrame::Metrics`]: per-lane
+    /// latency histograms, protocol-phase counters, plane/cache gauges.
+    /// The machine-parseable superset of [`Request::Stats`].
     Metrics {
         /// Session-local sequence number echoed by the reply.
         seq: u64,
     },
     /// Drain the daemon's captured trace spans (slow ops and sampled
-    /// cross-node traces), answered with one
-    /// [`encode_traces_reply_bytes`] frame. Each scrape consumes what it
-    /// returns, so a polling aggregator sees every span exactly once.
+    /// cross-node traces), answered with one [`ServerFrame::Traces`]. Each
+    /// scrape consumes what it returns, so a polling aggregator sees every
+    /// span exactly once.
     Traces {
         /// Session-local sequence number echoed by the reply.
         seq: u64,
@@ -284,24 +342,120 @@ pub enum Request {
         key: Key,
     },
     /// Confirm one received [`ServerFrame::Invalidate`] for `key`. Not
-    /// replied to: the ack releases the replica-side effect hold that
-    /// keeps the superseding write invisible until every subscribed cache
-    /// has dropped its entry (the client-side leg of Hermes' invalidation
-    /// round).
+    /// replied to (and its seq slot on the wire is zero): the ack releases
+    /// the replica-side effect hold that keeps the superseding write
+    /// invisible until every subscribed cache has dropped its entry (the
+    /// client-side leg of Hermes' invalidation round).
     InvalAck {
         /// Key whose invalidation push is being confirmed.
         key: Key,
     },
 }
 
-/// Everything a replica daemon can send down a client connection: an
-/// ordinary sequenced [`Reply`], or one of the server-initiated push
-/// frames of the invalidation stream. Decoded by [`decode_server_frame`];
-/// the strict [`decode_reply`] keeps rejecting push tags.
+impl Request {
+    /// Appends this request's payload to `out`.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        let no_key = Key(0);
+        match self {
+            Request::Op { seq, key, cop } => put_op(out, *seq, *key, cop),
+            Request::Txn { seq, op } => {
+                put_request_header(out, *seq, no_key, REQ_TXN);
+                match op {
+                    TxnOp::MultiGet(keys) => {
+                        out.put_u8(TXN_MULTI_GET);
+                        out.put_u32_le(keys.len() as u32);
+                        for k in keys {
+                            out.put_u64_le(k.0);
+                        }
+                    }
+                    TxnOp::MultiPut(puts) => {
+                        out.put_u8(TXN_MULTI_PUT);
+                        put_keyed_values(out, puts);
+                    }
+                    TxnOp::Transfer {
+                        debit,
+                        credit,
+                        amount,
+                    } => {
+                        out.put_u8(TXN_TRANSFER);
+                        out.put_u64_le(debit.0);
+                        out.put_u64_le(credit.0);
+                        out.put_u64_le(*amount);
+                    }
+                }
+            }
+            Request::Stats { seq } => put_request_header(out, *seq, no_key, REQ_STATS),
+            Request::Metrics { seq } => put_request_header(out, *seq, no_key, REQ_METRICS),
+            Request::Traces { seq } => put_request_header(out, *seq, no_key, REQ_TRACES),
+            Request::Shutdown { seq } => put_request_header(out, *seq, no_key, REQ_SHUTDOWN),
+            Request::Subscribe { seq, key } => put_request_header(out, *seq, *key, REQ_SUBSCRIBE),
+            Request::Unsubscribe { seq, key } => {
+                put_request_header(out, *seq, *key, REQ_UNSUBSCRIBE);
+            }
+            Request::InvalAck { key } => put_request_header(out, 0, *key, REQ_INVAL_ACK),
+        }
+    }
+
+    /// Decodes one request payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ClientCodecError`] on truncation or an unknown tag.
+    pub fn decode(buf: &[u8]) -> Result<Request, ClientCodecError> {
+        let mut c = Cursor::new(buf);
+        let seq = c.u64()?;
+        let key = Key(c.u64()?);
+        let cop = match c.u8()? {
+            REQ_READ => ClientOp::Read,
+            REQ_WRITE => ClientOp::Write(c.value()?),
+            REQ_CAS => ClientOp::Rmw(RmwOp::CompareAndSwap {
+                expect: c.value()?,
+                new: c.value()?,
+            }),
+            REQ_FETCH_ADD => ClientOp::Rmw(RmwOp::FetchAdd { delta: c.u64()? }),
+            REQ_TXN => {
+                let op = match c.u8()? {
+                    TXN_MULTI_GET => TxnOp::MultiGet(c.list(|c| Ok(Key(c.u64()?)))?),
+                    TXN_MULTI_PUT => TxnOp::MultiPut(c.list(Cursor::keyed_value)?),
+                    TXN_TRANSFER => TxnOp::Transfer {
+                        debit: Key(c.u64()?),
+                        credit: Key(c.u64()?),
+                        amount: c.u64()?,
+                    },
+                    other => return Err(ClientCodecError::BadTag(other)),
+                };
+                return Ok(Request::Txn { seq, op });
+            }
+            REQ_STATS => return Ok(Request::Stats { seq }),
+            REQ_METRICS => return Ok(Request::Metrics { seq }),
+            REQ_TRACES => return Ok(Request::Traces { seq }),
+            REQ_SHUTDOWN => return Ok(Request::Shutdown { seq }),
+            REQ_SUBSCRIBE => return Ok(Request::Subscribe { seq, key }),
+            REQ_UNSUBSCRIBE => return Ok(Request::Unsubscribe { seq, key }),
+            REQ_INVAL_ACK => return Ok(Request::InvalAck { key }),
+            other => return Err(ClientCodecError::BadTag(other)),
+        };
+        Ok(Request::Op { seq, key, cop })
+    }
+}
+
+/// Everything a replica daemon can send down a client connection: the
+/// reply to a request, or one of the server-initiated push frames of the
+/// invalidation stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServerFrame {
-    /// A sequenced reply to a client request.
+    /// The sequenced reply to a [`Request::Op`] (and the acknowledgement
+    /// of a [`Request::Shutdown`]).
     Reply(u64, Reply),
+    /// The outcome of a [`Request::Txn`].
+    Txn(u64, TxnReply),
+    /// The answer to a [`Request::Stats`].
+    Stats(u64, Box<StatsPayload>),
+    /// The answer to a [`Request::Metrics`]: UTF-8 exposition text.
+    Metrics(u64, String),
+    /// The answer to a [`Request::Traces`]: the span records drained from
+    /// the daemon's trace rings.
+    Traces(u64, Vec<TraceSpan>),
     /// Push: the key changed — drop any cached entry and confirm with
     /// [`Request::InvalAck`]. `epoch` newer than the last seen epoch means
     /// a view changed under the cache: drop **everything**.
@@ -334,6 +488,188 @@ pub enum ServerFrame {
         /// View epoch at the replica when the flush was issued.
         epoch: u64,
     },
+}
+
+// One of these crosses a queue per completed operation, in process and at
+// the poller alike: the rare reply kinds must not widen it.
+const _: () = assert!(std::mem::size_of::<ServerFrame>() <= 40);
+
+impl ServerFrame {
+    /// Appends this frame's payload to `out`.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        match self {
+            ServerFrame::Reply(seq, reply) => put_reply(out, *seq, reply),
+            ServerFrame::Txn(seq, reply) => {
+                put_reply_header(out, *seq, RSP_TXN);
+                match reply {
+                    TxnReply::Committed { values } => {
+                        out.put_u8(TXN_COMMITTED);
+                        put_keyed_values(out, values);
+                    }
+                    TxnReply::Aborted(abort) => out.put_u8(match abort {
+                        TxnAbort::Conflict => TXN_ABORT_CONFLICT,
+                        TxnAbort::InsufficientFunds => TXN_ABORT_FUNDS,
+                        TxnAbort::Invalid => TXN_ABORT_INVALID,
+                        TxnAbort::NotOperational => TXN_ABORT_NOT_OPERATIONAL,
+                        TxnAbort::Overflow => TXN_ABORT_OVERFLOW,
+                    }),
+                }
+            }
+            ServerFrame::Stats(seq, stats) => {
+                put_reply_header(out, *seq, RSP_STATS);
+                out.put_u64_le(stats.epoch);
+                out.put_u64_le(stats.view_changes);
+                out.put_u64_le(stats.members.bits());
+                out.put_u64_le(stats.shadows.bits());
+                out.put_u8(stats.serving as u8);
+                out.put_u8(stats.synced as u8);
+                put_u64s(out, &stats.lane_ops);
+                out.put_u64_le(stats.open_sessions);
+                put_u64s(out, &stats.sessions_per_shard);
+                put_u64s(out, &stats.lane_ingress);
+                out.put_u64_le(stats.subscriptions);
+                out.put_u64_le(stats.pushes);
+                out.put_u64_le(stats.accept_stalls);
+            }
+            ServerFrame::Metrics(seq, text) => {
+                put_reply_header(out, *seq, RSP_METRICS);
+                put_bytes(out, text.as_bytes());
+            }
+            ServerFrame::Traces(seq, spans) => {
+                put_reply_header(out, *seq, RSP_TRACES);
+                out.put_u32_le(spans.len() as u32);
+                for s in spans {
+                    out.put_u64_le(s.trace);
+                    out.put_u32_le(s.node);
+                    out.put_u32_le(s.lane);
+                    out.put_u64_le(s.start_unix_us);
+                    out.put_u64_le(s.total_us);
+                    put_bytes(out, s.label.as_bytes());
+                    out.put_u32_le(s.phases.len() as u32);
+                    for (phase, at) in &s.phases {
+                        put_bytes(out, phase.as_bytes());
+                        out.put_u64_le(*at);
+                    }
+                }
+            }
+            ServerFrame::Invalidate { key, epoch } => {
+                put_reply_header(out, 0, RSP_INVALIDATE);
+                out.put_u64_le(key.0);
+                out.put_u64_le(*epoch);
+            }
+            ServerFrame::Subscribed { seq, key, epoch } => {
+                put_reply_header(out, *seq, RSP_SUBSCRIBED);
+                out.put_u64_le(key.0);
+                out.put_u64_le(*epoch);
+            }
+            ServerFrame::Unsubscribed { seq, key } => {
+                put_reply_header(out, *seq, RSP_UNSUBSCRIBED);
+                out.put_u64_le(key.0);
+            }
+            ServerFrame::Flush { epoch } => {
+                put_reply_header(out, 0, RSP_FLUSH);
+                out.put_u64_le(*epoch);
+            }
+        }
+    }
+
+    /// Decodes one server frame payload.
+    ///
+    /// A stats reply is forward-compatible: a daemon newer than this client
+    /// may append fields after `accept_stalls`; any trailing bytes are
+    /// skipped, so old clients keep reading new daemons. (The reverse
+    /// direction — a new client reading an old daemon — requires any future
+    /// field to be decoded optionally with a default, which is why new
+    /// fields must only ever be *appended* there.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ClientCodecError`] on truncation, an unknown tag, or
+    /// text that is not UTF-8.
+    pub fn decode(buf: &[u8]) -> Result<ServerFrame, ClientCodecError> {
+        let mut c = Cursor::new(buf);
+        let seq = c.u64()?;
+        let reply = match c.u8()? {
+            RSP_READ_OK => Reply::ReadOk(c.value()?),
+            RSP_WRITE_OK => Reply::WriteOk,
+            RSP_RMW_OK => Reply::RmwOk { prior: c.value()? },
+            RSP_CAS_FAILED => Reply::CasFailed {
+                current: c.value()?,
+            },
+            RSP_RMW_ABORTED => Reply::RmwAborted,
+            RSP_NOT_OPERATIONAL => Reply::NotOperational,
+            RSP_UNSUPPORTED => Reply::Unsupported,
+            RSP_TXN => {
+                let reply = match c.u8()? {
+                    TXN_COMMITTED => TxnReply::Committed {
+                        values: c.list(Cursor::keyed_value)?,
+                    },
+                    TXN_ABORT_CONFLICT => TxnReply::Aborted(TxnAbort::Conflict),
+                    TXN_ABORT_FUNDS => TxnReply::Aborted(TxnAbort::InsufficientFunds),
+                    TXN_ABORT_INVALID => TxnReply::Aborted(TxnAbort::Invalid),
+                    TXN_ABORT_NOT_OPERATIONAL => TxnReply::Aborted(TxnAbort::NotOperational),
+                    TXN_ABORT_OVERFLOW => TxnReply::Aborted(TxnAbort::Overflow),
+                    other => return Err(ClientCodecError::BadTag(other)),
+                };
+                return Ok(ServerFrame::Txn(seq, reply));
+            }
+            RSP_STATS => {
+                let stats = StatsPayload {
+                    epoch: c.u64()?,
+                    view_changes: c.u64()?,
+                    members: NodeSet::from_bits(c.u64()?),
+                    shadows: NodeSet::from_bits(c.u64()?),
+                    serving: c.u8()? != 0,
+                    synced: c.u8()? != 0,
+                    lane_ops: c.list(Cursor::u64)?,
+                    open_sessions: c.u64()?,
+                    sessions_per_shard: c.list(Cursor::u64)?,
+                    lane_ingress: c.list(Cursor::u64)?,
+                    subscriptions: c.u64()?,
+                    pushes: c.u64()?,
+                    accept_stalls: c.u64()?,
+                };
+                return Ok(ServerFrame::Stats(seq, Box::new(stats)));
+            }
+            RSP_METRICS => return Ok(ServerFrame::Metrics(seq, c.string(RSP_METRICS)?)),
+            RSP_TRACES => {
+                let spans = c.list(|c| {
+                    Ok(TraceSpan {
+                        trace: c.u64()?,
+                        node: c.u32()?,
+                        lane: c.u32()?,
+                        start_unix_us: c.u64()?,
+                        total_us: c.u64()?,
+                        label: c.string(RSP_TRACES)?,
+                        phases: c.list(|c| Ok((c.string(RSP_TRACES)?, c.u64()?)))?,
+                    })
+                })?;
+                return Ok(ServerFrame::Traces(seq, spans));
+            }
+            RSP_INVALIDATE => {
+                return Ok(ServerFrame::Invalidate {
+                    key: Key(c.u64()?),
+                    epoch: c.u64()?,
+                })
+            }
+            RSP_SUBSCRIBED => {
+                return Ok(ServerFrame::Subscribed {
+                    seq,
+                    key: Key(c.u64()?),
+                    epoch: c.u64()?,
+                })
+            }
+            RSP_UNSUBSCRIBED => {
+                return Ok(ServerFrame::Unsubscribed {
+                    seq,
+                    key: Key(c.u64()?),
+                })
+            }
+            RSP_FLUSH => return Ok(ServerFrame::Flush { epoch: c.u64()? }),
+            other => return Err(ClientCodecError::BadTag(other)),
+        };
+        Ok(ServerFrame::Reply(seq, reply))
+    }
 }
 
 /// One replica daemon's operator-facing gauges, as served by the stats RPC
@@ -371,420 +707,36 @@ pub struct StatsPayload {
     pub accept_stalls: u64,
 }
 
-/// Encodes a shutdown request into a fresh buffer.
-pub fn encode_shutdown_bytes(seq: u64) -> Bytes {
-    header_request_bytes(seq, Key(0), REQ_SHUTDOWN)
-}
-
-/// Encodes one whole multi-key transaction request into a fresh buffer.
-pub fn encode_txn_bytes(seq: u64, op: &TxnOp) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u64_le(0); // Key slot, unused: keeps one request layout.
-    out.put_u8(REQ_TXN);
-    match op {
-        TxnOp::MultiGet(keys) => {
-            out.put_u8(TXN_MULTI_GET);
-            out.put_u32_le(keys.len() as u32);
-            for k in keys {
-                out.put_u64_le(k.0);
-            }
-        }
-        TxnOp::MultiPut(puts) => {
-            out.put_u8(TXN_MULTI_PUT);
-            out.put_u32_le(puts.len() as u32);
-            for (k, v) in puts {
-                out.put_u64_le(k.0);
-                put_value(&mut out, v);
-            }
-        }
-        TxnOp::Transfer {
-            debit,
-            credit,
-            amount,
-        } => {
-            out.put_u8(TXN_TRANSFER);
-            out.put_u64_le(debit.0);
-            out.put_u64_le(credit.0);
-            out.put_u64_le(*amount);
-        }
-    }
-    out.freeze()
-}
-
-/// Encodes a stats query into a fresh buffer.
-pub fn encode_stats_request_bytes(seq: u64) -> Bytes {
-    header_request_bytes(seq, Key(0), REQ_STATS)
-}
-
-/// Encodes a metrics query into a fresh buffer.
-pub fn encode_metrics_request_bytes(seq: u64) -> Bytes {
-    header_request_bytes(seq, Key(0), REQ_METRICS)
-}
-
-/// Encodes one metrics reply (UTF-8 exposition text) into a fresh buffer.
-pub fn encode_metrics_reply_bytes(seq: u64, text: &str) -> Bytes {
-    let mut out = BytesMut::with_capacity(REPLY_HEADER + 4 + text.len());
-    out.put_u64_le(seq);
-    out.put_u8(RSP_METRICS);
-    out.put_u32_le(text.len() as u32);
-    out.put_slice(text.as_bytes());
-    out.freeze()
-}
-
-/// Decodes one metrics reply back into exposition text.
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation, a wrong tag, or
-/// non-UTF-8 text.
-pub fn decode_metrics_reply(buf: &[u8]) -> Result<(u64, String), ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    let tag = c.u8()?;
-    if tag != RSP_METRICS {
-        return Err(ClientCodecError::BadTag(tag));
-    }
-    let len = c.u32()? as usize;
-    let text = String::from_utf8(c.take(len)?.to_vec())
-        .map_err(|_| ClientCodecError::BadTag(RSP_METRICS))?;
-    Ok((seq, text))
-}
-
-/// Encodes a trace-drain query into a fresh buffer.
-pub fn encode_traces_request_bytes(seq: u64) -> Bytes {
-    header_request_bytes(seq, Key(0), REQ_TRACES)
-}
-
-fn put_str(out: &mut BytesMut, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
-
-fn take_str(c: &mut Cursor<'_>) -> Result<String, ClientCodecError> {
-    let len = c.u32()? as usize;
-    String::from_utf8(c.take(len)?.to_vec()).map_err(|_| ClientCodecError::BadTag(RSP_TRACES))
-}
-
-/// Encodes one traces reply — the structured span records drained from
-/// the daemon's trace rings — into a fresh buffer.
-pub fn encode_traces_reply_bytes(seq: u64, spans: &[TraceSpan]) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u8(RSP_TRACES);
-    out.put_u32_le(spans.len() as u32);
-    for s in spans {
-        out.put_u64_le(s.trace);
-        out.put_u32_le(s.node);
-        out.put_u32_le(s.lane);
-        out.put_u64_le(s.start_unix_us);
-        out.put_u64_le(s.total_us);
-        put_str(&mut out, &s.label);
-        out.put_u32_le(s.phases.len() as u32);
-        for (phase, at) in &s.phases {
-            put_str(&mut out, phase);
-            out.put_u64_le(*at);
-        }
-    }
-    out.freeze()
-}
-
-/// Decodes one traces reply back into span records.
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation, a wrong tag, or
-/// non-UTF-8 strings.
-pub fn decode_traces_reply(buf: &[u8]) -> Result<(u64, Vec<TraceSpan>), ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    let tag = c.u8()?;
-    if tag != RSP_TRACES {
-        return Err(ClientCodecError::BadTag(tag));
-    }
-    let n = c.u32()? as usize;
-    let mut spans = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let trace = c.u64()?;
-        let node = c.u32()?;
-        let lane = c.u32()?;
-        let start_unix_us = c.u64()?;
-        let total_us = c.u64()?;
-        let label = take_str(&mut c)?;
-        let p = c.u32()? as usize;
-        let mut phases = Vec::with_capacity(p.min(1024));
-        for _ in 0..p {
-            let phase = take_str(&mut c)?;
-            let at = c.u64()?;
-            phases.push((phase, at));
-        }
-        spans.push(TraceSpan {
-            trace,
-            node,
-            lane,
-            start_unix_us,
-            total_us,
-            label,
-            phases,
-        });
-    }
-    Ok((seq, spans))
-}
-
-/// Encodes a subscribe request into a fresh buffer.
-pub fn encode_subscribe_bytes(seq: u64, key: Key) -> Bytes {
-    header_request_bytes(seq, key, REQ_SUBSCRIBE)
-}
-
-/// Encodes an unsubscribe request into a fresh buffer.
-pub fn encode_unsubscribe_bytes(seq: u64, key: Key) -> Bytes {
-    header_request_bytes(seq, key, REQ_UNSUBSCRIBE)
-}
-
-/// Encodes an invalidation ack into a fresh buffer (seq slot zero: acks
-/// are fire-and-forget and never answered).
-pub fn encode_inval_ack_bytes(key: Key) -> Bytes {
-    header_request_bytes(0, key, REQ_INVAL_ACK)
-}
-
-fn decode_txn_op(c: &mut Cursor<'_>) -> Result<TxnOp, ClientCodecError> {
-    let sub = c.u8()?;
-    Ok(match sub {
-        TXN_MULTI_GET => {
-            let n = c.u32()? as usize;
-            let mut keys = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                keys.push(Key(c.u64()?));
-            }
-            TxnOp::MultiGet(keys)
-        }
-        TXN_MULTI_PUT => {
-            let n = c.u32()? as usize;
-            let mut puts = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let k = Key(c.u64()?);
-                let v = c.value()?;
-                puts.push((k, v));
-            }
-            TxnOp::MultiPut(puts)
-        }
-        TXN_TRANSFER => TxnOp::Transfer {
-            debit: Key(c.u64()?),
-            credit: Key(c.u64()?),
-            amount: c.u64()?,
-        },
-        other => return Err(ClientCodecError::BadTag(other)),
-    })
-}
-
-/// Decodes one client request, admin requests included.
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag.
-pub fn decode_any(buf: &[u8]) -> Result<Request, ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    let key = Key(c.u64()?);
-    let tag = c.u8()?;
-    let cop = match tag {
-        REQ_READ => ClientOp::Read,
-        REQ_WRITE => ClientOp::Write(c.value()?),
-        REQ_CAS => ClientOp::Rmw(RmwOp::CompareAndSwap {
-            expect: c.value()?,
-            new: c.value()?,
-        }),
-        REQ_FETCH_ADD => ClientOp::Rmw(RmwOp::FetchAdd { delta: c.u64()? }),
-        REQ_TXN => {
-            let op = decode_txn_op(&mut c)?;
-            return Ok(Request::Txn { seq, op });
-        }
-        REQ_STATS => return Ok(Request::Stats { seq }),
-        REQ_METRICS => return Ok(Request::Metrics { seq }),
-        REQ_TRACES => return Ok(Request::Traces { seq }),
-        REQ_SHUTDOWN => return Ok(Request::Shutdown { seq }),
-        REQ_SUBSCRIBE => return Ok(Request::Subscribe { seq, key }),
-        REQ_UNSUBSCRIBE => return Ok(Request::Unsubscribe { seq, key }),
-        REQ_INVAL_ACK => return Ok(Request::InvalAck { key }),
-        other => return Err(ClientCodecError::BadTag(other)),
+/// [`Request::Op`]'s payload in a fresh buffer of exactly its size, from
+/// the operation by reference.
+pub fn encode_request_bytes(seq: u64, key: Key, cop: &ClientOp) -> Bytes {
+    let body = match cop {
+        ClientOp::Read => 0,
+        ClientOp::Write(v) => value_len(v),
+        ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }) => value_len(expect) + value_len(new),
+        ClientOp::Rmw(RmwOp::FetchAdd { .. }) => 8,
     };
-    Ok(Request::Op { seq, key, cop })
-}
-
-/// Encodes one transaction reply into a fresh buffer.
-pub fn encode_txn_reply_bytes(seq: u64, reply: &TxnReply) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u8(RSP_TXN);
-    match reply {
-        TxnReply::Committed { values } => {
-            out.put_u8(TXN_COMMITTED);
-            out.put_u32_le(values.len() as u32);
-            for (k, v) in values {
-                out.put_u64_le(k.0);
-                put_value(&mut out, v);
-            }
-        }
-        TxnReply::Aborted(abort) => out.put_u8(match abort {
-            TxnAbort::Conflict => TXN_ABORT_CONFLICT,
-            TxnAbort::InsufficientFunds => TXN_ABORT_FUNDS,
-            TxnAbort::Invalid => TXN_ABORT_INVALID,
-            TxnAbort::NotOperational => TXN_ABORT_NOT_OPERATIONAL,
-            TxnAbort::Overflow => TXN_ABORT_OVERFLOW,
-        }),
-    }
+    let mut out = BytesMut::with_capacity(REQUEST_HEADER + body);
+    put_op(&mut out, seq, key, cop);
+    debug_assert_eq!(out.len(), REQUEST_HEADER + body);
     out.freeze()
 }
 
-/// Decodes one transaction reply.
+/// [`Request::decode`] for a connection that carries data operations only.
 ///
 /// # Errors
 ///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag.
-pub fn decode_txn_reply(buf: &[u8]) -> Result<(u64, TxnReply), ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    if c.u8()? != RSP_TXN {
-        return Err(ClientCodecError::BadTag(buf[8]));
-    }
-    let reply = match c.u8()? {
-        TXN_COMMITTED => {
-            let n = c.u32()? as usize;
-            let mut values = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let k = Key(c.u64()?);
-                let v = c.value()?;
-                values.push((k, v));
-            }
-            TxnReply::Committed { values }
-        }
-        TXN_ABORT_CONFLICT => TxnReply::Aborted(TxnAbort::Conflict),
-        TXN_ABORT_FUNDS => TxnReply::Aborted(TxnAbort::InsufficientFunds),
-        TXN_ABORT_INVALID => TxnReply::Aborted(TxnAbort::Invalid),
-        TXN_ABORT_NOT_OPERATIONAL => TxnReply::Aborted(TxnAbort::NotOperational),
-        TXN_ABORT_OVERFLOW => TxnReply::Aborted(TxnAbort::Overflow),
-        other => return Err(ClientCodecError::BadTag(other)),
-    };
-    Ok((seq, reply))
-}
-
-/// Encodes one stats reply into a fresh buffer.
-pub fn encode_stats_reply_bytes(seq: u64, stats: &StatsPayload) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u64_le(seq);
-    out.put_u8(RSP_STATS);
-    out.put_u64_le(stats.epoch);
-    out.put_u64_le(stats.view_changes);
-    out.put_u64_le(stats.members.bits());
-    out.put_u64_le(stats.shadows.bits());
-    out.put_u8(stats.serving as u8);
-    out.put_u8(stats.synced as u8);
-    out.put_u32_le(stats.lane_ops.len() as u32);
-    for ops in &stats.lane_ops {
-        out.put_u64_le(*ops);
-    }
-    out.put_u64_le(stats.open_sessions);
-    out.put_u32_le(stats.sessions_per_shard.len() as u32);
-    for n in &stats.sessions_per_shard {
-        out.put_u64_le(*n);
-    }
-    out.put_u32_le(stats.lane_ingress.len() as u32);
-    for n in &stats.lane_ingress {
-        out.put_u64_le(*n);
-    }
-    out.put_u64_le(stats.subscriptions);
-    out.put_u64_le(stats.pushes);
-    out.put_u64_le(stats.accept_stalls);
-    out.freeze()
-}
-
-/// Decodes one stats reply.
-///
-/// Forward-compatible: a daemon newer than this client may append fields
-/// after `accept_stalls`; any trailing bytes are skipped, so old clients
-/// keep reading new daemons. (The reverse direction — a new client
-/// reading an old daemon — requires any future field to be decoded
-/// optionally with a default, which is why new fields must only ever be
-/// *appended* here.)
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag.
-pub fn decode_stats_reply(buf: &[u8]) -> Result<(u64, StatsPayload), ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    if c.u8()? != RSP_STATS {
-        return Err(ClientCodecError::BadTag(buf[8]));
-    }
-    let epoch = c.u64()?;
-    let view_changes = c.u64()?;
-    let members = NodeSet::from_bits(c.u64()?);
-    let shadows = NodeSet::from_bits(c.u64()?);
-    let serving = c.u8()? != 0;
-    let synced = c.u8()? != 0;
-    let n = c.u32()? as usize;
-    let mut lane_ops = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        lane_ops.push(c.u64()?);
-    }
-    let open_sessions = c.u64()?;
-    let n = c.u32()? as usize;
-    let mut sessions_per_shard = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        sessions_per_shard.push(c.u64()?);
-    }
-    let n = c.u32()? as usize;
-    let mut lane_ingress = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        lane_ingress.push(c.u64()?);
-    }
-    let subscriptions = c.u64()?;
-    let pushes = c.u64()?;
-    let accept_stalls = c.u64()?;
-    Ok((
-        seq,
-        StatsPayload {
-            epoch,
-            view_changes,
-            members,
-            shadows,
-            serving,
-            synced,
-            lane_ops,
-            open_sessions,
-            sessions_per_shard,
-            lane_ingress,
-            subscriptions,
-            pushes,
-            accept_stalls,
-        },
-    ))
-}
-
-/// Encodes one client response (appending to `out`).
-pub fn encode_reply(out: &mut BytesMut, seq: u64, reply: &Reply) {
-    out.put_u64_le(seq);
-    match reply {
-        Reply::ReadOk(v) => {
-            out.put_u8(RSP_READ_OK);
-            put_value(out, v);
-        }
-        Reply::WriteOk => out.put_u8(RSP_WRITE_OK),
-        Reply::RmwOk { prior } => {
-            out.put_u8(RSP_RMW_OK);
-            put_value(out, prior);
-        }
-        Reply::CasFailed { current } => {
-            out.put_u8(RSP_CAS_FAILED);
-            put_value(out, current);
-        }
-        Reply::RmwAborted => out.put_u8(RSP_RMW_ABORTED),
-        Reply::NotOperational => out.put_u8(RSP_NOT_OPERATIONAL),
-        Reply::Unsupported => out.put_u8(RSP_UNSUPPORTED),
+/// Returns a [`ClientCodecError`] on truncation or an unknown tag — and
+/// every other request's tag is unknown here.
+pub fn decode_request(buf: &[u8]) -> Result<(u64, Key, ClientOp), ClientCodecError> {
+    match Request::decode(buf)? {
+        Request::Op { seq, key, cop } => Ok((seq, key, cop)),
+        _ => Err(ClientCodecError::BadTag(buf[REQUEST_HEADER - 1])),
     }
 }
 
-/// Encodes one client response into a fresh buffer of exactly its size.
+/// [`ServerFrame::Reply`]'s payload in a fresh buffer of exactly its size,
+/// from the reply by reference.
 pub fn encode_reply_bytes(seq: u64, reply: &Reply) -> Bytes {
     let body = match reply {
         Reply::ReadOk(v) | Reply::RmwOk { prior: v } | Reply::CasFailed { current: v } => {
@@ -793,561 +745,23 @@ pub fn encode_reply_bytes(seq: u64, reply: &Reply) -> Bytes {
         Reply::WriteOk | Reply::RmwAborted | Reply::NotOperational | Reply::Unsupported => 0,
     };
     let mut out = BytesMut::with_capacity(REPLY_HEADER + body);
-    encode_reply(&mut out, seq, reply);
+    put_reply(&mut out, seq, reply);
     debug_assert_eq!(out.len(), REPLY_HEADER + body);
     out.freeze()
 }
 
-/// Decodes one client response.
+/// [`ServerFrame::decode`] under the name it had as a free function.
 ///
 /// # Errors
 ///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag.
-pub fn decode_reply(buf: &[u8]) -> Result<(u64, Reply), ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    let tag = c.u8()?;
-    let reply = match tag {
-        RSP_READ_OK => Reply::ReadOk(c.value()?),
-        RSP_WRITE_OK => Reply::WriteOk,
-        RSP_RMW_OK => Reply::RmwOk { prior: c.value()? },
-        RSP_CAS_FAILED => Reply::CasFailed {
-            current: c.value()?,
-        },
-        RSP_RMW_ABORTED => Reply::RmwAborted,
-        RSP_NOT_OPERATIONAL => Reply::NotOperational,
-        RSP_UNSUPPORTED => Reply::Unsupported,
-        other => return Err(ClientCodecError::BadTag(other)),
-    };
-    Ok((seq, reply))
-}
-
-/// Encodes one invalidation push into a fresh buffer.
-pub fn encode_invalidate_bytes(key: Key, epoch: u64) -> Bytes {
-    let mut out = BytesMut::with_capacity(REPLY_HEADER + 16);
-    out.put_u64_le(0); // Seq slot, unused: pushes are not replies.
-    out.put_u8(RSP_INVALIDATE);
-    out.put_u64_le(key.0);
-    out.put_u64_le(epoch);
-    out.freeze()
-}
-
-/// Encodes one subscription acknowledgement into a fresh buffer.
-pub fn encode_subscribed_bytes(seq: u64, key: Key, epoch: u64) -> Bytes {
-    let mut out = BytesMut::with_capacity(REPLY_HEADER + 16);
-    out.put_u64_le(seq);
-    out.put_u8(RSP_SUBSCRIBED);
-    out.put_u64_le(key.0);
-    out.put_u64_le(epoch);
-    out.freeze()
-}
-
-/// Encodes one unsubscription acknowledgement into a fresh buffer.
-pub fn encode_unsubscribed_bytes(seq: u64, key: Key) -> Bytes {
-    let mut out = BytesMut::with_capacity(REPLY_HEADER + 8);
-    out.put_u64_le(seq);
-    out.put_u8(RSP_UNSUBSCRIBED);
-    out.put_u64_le(key.0);
-    out.freeze()
-}
-
-/// Encodes one flush-everything push into a fresh buffer.
-pub fn encode_flush_bytes(epoch: u64) -> Bytes {
-    let mut out = BytesMut::with_capacity(REPLY_HEADER + 8);
-    out.put_u64_le(0); // Seq slot, unused: pushes are not replies.
-    out.put_u8(RSP_FLUSH);
-    out.put_u64_le(epoch);
-    out.freeze()
-}
-
-/// Decodes anything the server sends down a session stream: sequenced
-/// replies **or** push frames. Subscribing clients must use this instead
-/// of [`decode_reply`].
-///
-/// # Errors
-///
-/// Returns a [`ClientCodecError`] on truncation or an unknown tag.
+/// As [`ServerFrame::decode`].
 pub fn decode_server_frame(buf: &[u8]) -> Result<ServerFrame, ClientCodecError> {
-    let mut c = Cursor::new(buf);
-    let seq = c.u64()?;
-    let tag = c.u8()?;
-    Ok(match tag {
-        RSP_INVALIDATE => ServerFrame::Invalidate {
-            key: Key(c.u64()?),
-            epoch: c.u64()?,
-        },
-        RSP_SUBSCRIBED => ServerFrame::Subscribed {
-            seq,
-            key: Key(c.u64()?),
-            epoch: c.u64()?,
-        },
-        RSP_UNSUBSCRIBED => ServerFrame::Unsubscribed {
-            seq,
-            key: Key(c.u64()?),
-        },
-        RSP_FLUSH => ServerFrame::Flush { epoch: c.u64()? },
-        _ => {
-            let (seq, reply) = decode_reply(buf)?;
-            ServerFrame::Reply(seq, reply)
-        }
-    })
+    ServerFrame::decode(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn request_samples() -> Vec<(u64, Key, ClientOp)> {
-        vec![
-            (0, Key(1), ClientOp::Read),
-            (7, Key(u64::MAX), ClientOp::Write(Value::filled(0xCD, 32))),
-            (8, Key(2), ClientOp::Write(Value::EMPTY)),
-            (
-                9,
-                Key(3),
-                ClientOp::Rmw(RmwOp::CompareAndSwap {
-                    expect: Value::EMPTY,
-                    new: Value::from_u64(5),
-                }),
-            ),
-            (
-                u64::MAX,
-                Key(4),
-                ClientOp::Rmw(RmwOp::FetchAdd { delta: 123 }),
-            ),
-        ]
-    }
-
-    fn reply_samples() -> Vec<(u64, Reply)> {
-        vec![
-            (0, Reply::ReadOk(Value::from_u64(9))),
-            (1, Reply::ReadOk(Value::EMPTY)),
-            (2, Reply::WriteOk),
-            (
-                3,
-                Reply::RmwOk {
-                    prior: Value::filled(1, 64),
-                },
-            ),
-            (
-                4,
-                Reply::CasFailed {
-                    current: Value::from_u64(1),
-                },
-            ),
-            (5, Reply::RmwAborted),
-            (6, Reply::NotOperational),
-            (7, Reply::Unsupported),
-        ]
-    }
-
-    #[test]
-    fn requests_roundtrip() {
-        for (seq, key, cop) in request_samples() {
-            let encoded = encode_request_bytes(seq, key, &cop);
-            assert_eq!(decode_request(&encoded).unwrap(), (seq, key, cop));
-        }
-    }
-
-    #[test]
-    fn replies_roundtrip() {
-        for (seq, reply) in reply_samples() {
-            let encoded = encode_reply_bytes(seq, &reply);
-            assert_eq!(decode_reply(&encoded).unwrap(), (seq, reply));
-        }
-    }
-
-    #[test]
-    fn truncation_errors_everywhere() {
-        for (seq, key, cop) in request_samples() {
-            let full = encode_request_bytes(seq, key, &cop);
-            for cut in 0..full.len() {
-                assert_eq!(
-                    decode_request(&full[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "request cut at {cut}"
-                );
-            }
-        }
-        for (seq, reply) in reply_samples() {
-            let full = encode_reply_bytes(seq, &reply);
-            for cut in 0..full.len() {
-                assert_eq!(
-                    decode_reply(&full[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "reply cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bad_tags_error() {
-        let mut req = encode_request_bytes(1, Key(1), &ClientOp::Read).to_vec();
-        req[16] = 99;
-        assert_eq!(decode_request(&req), Err(ClientCodecError::BadTag(99)));
-        let mut rsp = encode_reply_bytes(1, &Reply::WriteOk).to_vec();
-        rsp[8] = 77;
-        assert_eq!(decode_reply(&rsp), Err(ClientCodecError::BadTag(77)));
-    }
-
-    #[test]
-    fn shutdown_request_roundtrips_and_is_rejected_by_the_op_decoder() {
-        let frame = encode_shutdown_bytes(17);
-        assert_eq!(decode_any(&frame).unwrap(), Request::Shutdown { seq: 17 });
-        // The op-only decoder refuses it (callers not expecting admin
-        // requests treat it as a protocol error).
-        assert_eq!(
-            decode_request(&frame),
-            Err(ClientCodecError::BadTag(REQ_SHUTDOWN))
-        );
-        // Data requests decode identically through both entry points.
-        let op = encode_request_bytes(5, Key(9), &ClientOp::Read);
-        assert_eq!(
-            decode_any(&op).unwrap(),
-            Request::Op {
-                seq: 5,
-                key: Key(9),
-                cop: ClientOp::Read
-            }
-        );
-    }
-
-    fn txn_op_samples() -> Vec<TxnOp> {
-        vec![
-            TxnOp::MultiGet(vec![Key(1), Key(u64::MAX), Key(0)]),
-            TxnOp::MultiGet(vec![]),
-            TxnOp::MultiPut(vec![
-                (Key(3), Value::from_u64(7)),
-                (Key(4), Value::EMPTY),
-                (Key(5), Value::filled(0xEE, 64)),
-            ]),
-            TxnOp::Transfer {
-                debit: Key(10),
-                credit: Key(11),
-                amount: u64::MAX,
-            },
-        ]
-    }
-
-    fn txn_reply_samples() -> Vec<TxnReply> {
-        vec![
-            TxnReply::Committed { values: vec![] },
-            TxnReply::Committed {
-                values: vec![(Key(1), Value::from_u64(9)), (Key(2), Value::EMPTY)],
-            },
-            TxnReply::Aborted(TxnAbort::Conflict),
-            TxnReply::Aborted(TxnAbort::InsufficientFunds),
-            TxnReply::Aborted(TxnAbort::Invalid),
-            TxnReply::Aborted(TxnAbort::NotOperational),
-            TxnReply::Aborted(TxnAbort::Overflow),
-        ]
-    }
-
-    #[test]
-    fn txn_requests_roundtrip_and_truncate_cleanly() {
-        for (seq, op) in txn_op_samples().into_iter().enumerate() {
-            let frame = encode_txn_bytes(seq as u64, &op);
-            assert_eq!(
-                decode_any(&frame).unwrap(),
-                Request::Txn {
-                    seq: seq as u64,
-                    op: op.clone()
-                }
-            );
-            // The single-key decoder refuses whole transactions.
-            assert_eq!(
-                decode_request(&frame),
-                Err(ClientCodecError::BadTag(REQ_TXN))
-            );
-            for cut in 0..frame.len() {
-                assert_eq!(
-                    decode_any(&frame[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "txn request {op:?} cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn txn_replies_roundtrip_and_truncate_cleanly() {
-        for (seq, reply) in txn_reply_samples().into_iter().enumerate() {
-            let frame = encode_txn_reply_bytes(seq as u64, &reply);
-            assert_eq!(
-                decode_txn_reply(&frame).unwrap(),
-                (seq as u64, reply.clone())
-            );
-            // A txn reply is not a single-key reply and vice versa.
-            assert!(decode_reply(&frame).is_err());
-            for cut in 0..frame.len() {
-                assert_eq!(
-                    decode_txn_reply(&frame[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "txn reply {reply:?} cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stats_rpc_roundtrips() {
-        let frame = encode_stats_request_bytes(3);
-        assert_eq!(decode_any(&frame).unwrap(), Request::Stats { seq: 3 });
-        assert_eq!(
-            decode_request(&frame),
-            Err(ClientCodecError::BadTag(REQ_STATS))
-        );
-        let stats = StatsPayload {
-            epoch: 2,
-            view_changes: 1,
-            members: NodeSet::first_n(2),
-            shadows: NodeSet::from_bits(0b100),
-            serving: true,
-            synced: false,
-            lane_ops: vec![10, 0, 7],
-            open_sessions: 1234,
-            sessions_per_shard: vec![617, 617],
-            lane_ingress: vec![42, 0, 99],
-            subscriptions: 12,
-            pushes: 345,
-            accept_stalls: 6,
-        };
-        let frame = encode_stats_reply_bytes(9, &stats);
-        assert_eq!(decode_stats_reply(&frame).unwrap(), (9, stats.clone()));
-        assert!(decode_reply(&frame).is_err());
-        for cut in 0..frame.len() {
-            assert_eq!(
-                decode_stats_reply(&frame[..cut]),
-                Err(ClientCodecError::Truncated),
-                "stats reply cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn stats_reply_skips_unknown_trailing_fields() {
-        // A newer daemon appends fields this client doesn't know. The
-        // decoder must read what it understands and skip the rest — old
-        // clients keep working against new daemons.
-        let stats = StatsPayload {
-            epoch: 5,
-            view_changes: 2,
-            members: NodeSet::first_n(3),
-            shadows: NodeSet::from_bits(0),
-            serving: true,
-            synced: true,
-            lane_ops: vec![1, 2],
-            open_sessions: 3,
-            sessions_per_shard: vec![3],
-            lane_ingress: vec![4],
-            subscriptions: 5,
-            pushes: 6,
-            accept_stalls: 7,
-        };
-        let mut extended = encode_stats_reply_bytes(1, &stats).to_vec();
-        // Hypothetical future fields: a u64 and a length-prefixed vec.
-        extended.extend_from_slice(&99u64.to_le_bytes());
-        extended.extend_from_slice(&2u32.to_le_bytes());
-        extended.extend_from_slice(&11u64.to_le_bytes());
-        extended.extend_from_slice(&22u64.to_le_bytes());
-        assert_eq!(decode_stats_reply(&extended).unwrap(), (1, stats.clone()));
-        // And the exact frame still round-trips byte-identically: what a
-        // new client encodes, an old daemon's payload shape decodes.
-        let exact = encode_stats_reply_bytes(1, &stats);
-        let (seq, decoded) = decode_stats_reply(&exact).unwrap();
-        assert_eq!((seq, &decoded), (1, &stats));
-        assert_eq!(encode_stats_reply_bytes(seq, &decoded), exact);
-    }
-
-    #[test]
-    fn metrics_rpc_roundtrips_and_truncates_cleanly() {
-        let frame = encode_metrics_request_bytes(8);
-        assert_eq!(decode_any(&frame).unwrap(), Request::Metrics { seq: 8 });
-        assert_eq!(
-            decode_request(&frame),
-            Err(ClientCodecError::BadTag(REQ_METRICS))
-        );
-        for cut in 0..frame.len() {
-            assert_eq!(
-                decode_any(&frame[..cut]),
-                Err(ClientCodecError::Truncated),
-                "metrics request cut at {cut}"
-            );
-        }
-
-        let text = "# HELP op_us Op latency.\n# TYPE op_us summary\n\
-                    op_us{lane=\"0\",quantile=\"0.99\"} 42\nop_us_count{lane=\"0\"} 7\n";
-        let reply = encode_metrics_reply_bytes(8, text);
-        assert_eq!(decode_metrics_reply(&reply).unwrap(), (8, text.to_string()));
-        // Neither the strict reply decoder nor the stats decoder accept it.
-        assert!(decode_reply(&reply).is_err());
-        assert!(decode_stats_reply(&reply).is_err());
-        for cut in 0..reply.len() {
-            assert_eq!(
-                decode_metrics_reply(&reply[..cut]),
-                Err(ClientCodecError::Truncated),
-                "metrics reply cut at {cut}"
-            );
-        }
-        // Empty exposition is legal (a daemon with recording off).
-        let empty = encode_metrics_reply_bytes(9, "");
-        assert_eq!(decode_metrics_reply(&empty).unwrap(), (9, String::new()));
-    }
-
-    #[test]
-    fn traces_rpc_roundtrips_and_truncates_cleanly() {
-        let frame = encode_traces_request_bytes(12);
-        assert_eq!(decode_any(&frame).unwrap(), Request::Traces { seq: 12 });
-        assert_eq!(
-            decode_request(&frame),
-            Err(ClientCodecError::BadTag(REQ_TRACES))
-        );
-        for cut in 0..frame.len() {
-            assert_eq!(
-                decode_any(&frame[..cut]),
-                Err(ClientCodecError::Truncated),
-                "traces request cut at {cut}"
-            );
-        }
-
-        let spans = vec![
-            TraceSpan {
-                trace: 0xfeed_f00d,
-                node: 1,
-                lane: 0,
-                start_unix_us: 1_700_000_000_000_000,
-                total_us: 430,
-                label: "n1/lane0 op client=4294967296 seq=9".into(),
-                phases: vec![
-                    ("issued".into(), 0),
-                    ("inval_broadcast".into(), 20),
-                    ("reply_released".into(), 430),
-                ],
-            },
-            TraceSpan {
-                trace: 0,
-                node: 2,
-                lane: u32::MAX,
-                start_unix_us: 0,
-                total_us: 120_000,
-                label: "n2/pump view_change epoch=3".into(),
-                phases: vec![("view_change_start".into(), 0)],
-            },
-        ];
-        let reply = encode_traces_reply_bytes(12, &spans);
-        assert_eq!(decode_traces_reply(&reply).unwrap(), (12, spans.clone()));
-        // No other decoder accepts a traces reply.
-        assert!(decode_reply(&reply).is_err());
-        assert!(decode_stats_reply(&reply).is_err());
-        assert!(decode_metrics_reply(&reply).is_err());
-        for cut in 0..reply.len() {
-            assert_eq!(
-                decode_traces_reply(&reply[..cut]),
-                Err(ClientCodecError::Truncated),
-                "traces reply cut at {cut}"
-            );
-        }
-        // An empty drain is the common steady-state answer.
-        let empty = encode_traces_reply_bytes(13, &[]);
-        assert_eq!(decode_traces_reply(&empty).unwrap(), (13, vec![]));
-    }
-
-    #[test]
-    fn subscription_requests_roundtrip_and_are_rejected_by_the_op_decoder() {
-        let sub = encode_subscribe_bytes(3, Key(42));
-        assert_eq!(
-            decode_any(&sub).unwrap(),
-            Request::Subscribe {
-                seq: 3,
-                key: Key(42)
-            }
-        );
-        assert_eq!(
-            decode_request(&sub),
-            Err(ClientCodecError::BadTag(REQ_SUBSCRIBE))
-        );
-        let unsub = encode_unsubscribe_bytes(4, Key(u64::MAX));
-        assert_eq!(
-            decode_any(&unsub).unwrap(),
-            Request::Unsubscribe {
-                seq: 4,
-                key: Key(u64::MAX)
-            }
-        );
-        assert_eq!(
-            decode_request(&unsub),
-            Err(ClientCodecError::BadTag(REQ_UNSUBSCRIBE))
-        );
-        let ack = encode_inval_ack_bytes(Key(7));
-        assert_eq!(decode_any(&ack).unwrap(), Request::InvalAck { key: Key(7) });
-        assert_eq!(
-            decode_request(&ack),
-            Err(ClientCodecError::BadTag(REQ_INVAL_ACK))
-        );
-        for frame in [sub, unsub, ack] {
-            for cut in 0..frame.len() {
-                assert_eq!(
-                    decode_any(&frame[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "subscription request cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn push_frames_roundtrip_only_through_the_superset_decoder() {
-        let samples = vec![
-            (
-                encode_invalidate_bytes(Key(5), 2),
-                ServerFrame::Invalidate {
-                    key: Key(5),
-                    epoch: 2,
-                },
-            ),
-            (
-                encode_subscribed_bytes(9, Key(u64::MAX), 1),
-                ServerFrame::Subscribed {
-                    seq: 9,
-                    key: Key(u64::MAX),
-                    epoch: 1,
-                },
-            ),
-            (
-                encode_unsubscribed_bytes(10, Key(0)),
-                ServerFrame::Unsubscribed {
-                    seq: 10,
-                    key: Key(0),
-                },
-            ),
-            (encode_flush_bytes(7), ServerFrame::Flush { epoch: 7 }),
-        ];
-        for (frame, want) in samples {
-            assert_eq!(decode_server_frame(&frame).unwrap(), want);
-            // The strict reply decoder refuses every push tag: sessions
-            // that never subscribed keep their narrow protocol.
-            assert!(matches!(
-                decode_reply(&frame),
-                Err(ClientCodecError::BadTag(_))
-            ));
-            for cut in 0..frame.len() {
-                assert_eq!(
-                    decode_server_frame(&frame[..cut]),
-                    Err(ClientCodecError::Truncated),
-                    "push frame {want:?} cut at {cut}"
-                );
-            }
-        }
-        // Ordinary replies pass through the superset decoder unchanged.
-        for (seq, reply) in reply_samples() {
-            let frame = encode_reply_bytes(seq, &reply);
-            assert_eq!(
-                decode_server_frame(&frame).unwrap(),
-                ServerFrame::Reply(seq, reply)
-            );
-        }
-    }
 
     // The client port's wire, byte for byte: one sample of every request
     // kind and every server frame kind, as hex with one group per field
@@ -1465,7 +879,8 @@ mod tests {
         ]
     }
 
-    fn golden_requests() -> Vec<(Request, &'static str)> {
+    /// One sample of every request kind, each with its golden bytes.
+    fn request_samples() -> Vec<(Request, &'static str)> {
         let op = |seq, key, cop| Request::Op {
             seq,
             key: Key(key),
@@ -1522,119 +937,70 @@ mod tests {
         ]
     }
 
-    /// `request` through the encoder its kind has today.
-    fn encode_request_sample(request: &Request) -> Bytes {
-        match request {
-            Request::Op { seq, key, cop } => encode_request_bytes(*seq, *key, cop),
-            Request::Txn { seq, op } => encode_txn_bytes(*seq, op),
-            Request::Stats { seq } => encode_stats_request_bytes(*seq),
-            Request::Metrics { seq } => encode_metrics_request_bytes(*seq),
-            Request::Traces { seq } => encode_traces_request_bytes(*seq),
-            Request::Shutdown { seq } => encode_shutdown_bytes(*seq),
-            Request::Subscribe { seq, key } => encode_subscribe_bytes(*seq, *key),
-            Request::Unsubscribe { seq, key } => encode_unsubscribe_bytes(*seq, *key),
-            Request::InvalAck { key } => encode_inval_ack_bytes(*key),
-        }
-    }
-
-    #[test]
-    fn golden_request_bytes() {
-        for (request, golden) in golden_requests() {
-            let wire = hex(golden);
-            assert_eq!(
-                &encode_request_sample(&request)[..],
-                &wire[..],
-                "{request:?}"
-            );
-            assert_eq!(decode_any(&wire), Ok(request));
-        }
-    }
-
-    #[test]
-    fn golden_server_frame_bytes() {
-        let replies = vec![
-            (0, Reply::ReadOk(Value::from_u64(9)), G_READ_OK),
-            (1, Reply::ReadOk(Value::EMPTY), G_READ_OK_EMPTY),
-            (2, Reply::WriteOk, G_WRITE_OK),
+    /// One sample of every server frame kind, each with its golden bytes.
+    fn server_frame_samples() -> Vec<(ServerFrame, &'static str)> {
+        let values = vec![(Key(1), Value::from_u64(9)), (Key(2), Value::EMPTY)];
+        let committed = |values| TxnReply::Committed { values };
+        let hermes = Value::from_static(b"hermes");
+        let one = Value::from_u64(1);
+        vec![
             (
-                3,
-                Reply::RmwOk {
-                    prior: Value::from_static(b"hermes"),
-                },
+                ServerFrame::Reply(0, Reply::ReadOk(Value::from_u64(9))),
+                G_READ_OK,
+            ),
+            (
+                ServerFrame::Reply(1, Reply::ReadOk(Value::EMPTY)),
+                G_READ_OK_EMPTY,
+            ),
+            (ServerFrame::Reply(2, Reply::WriteOk), G_WRITE_OK),
+            (
+                ServerFrame::Reply(3, Reply::RmwOk { prior: hermes }),
                 G_RMW_OK,
             ),
             (
-                4,
-                Reply::CasFailed {
-                    current: Value::from_u64(1),
-                },
+                ServerFrame::Reply(4, Reply::CasFailed { current: one }),
                 G_CAS_FAILED,
             ),
-            (5, Reply::RmwAborted, G_RMW_ABORTED),
-            (6, Reply::NotOperational, G_NOT_OPERATIONAL),
-            (u64::MAX, Reply::Unsupported, G_UNSUPPORTED),
-        ];
-        for (seq, reply, golden) in replies {
-            let wire = hex(golden);
-            assert_eq!(&encode_reply_bytes(seq, &reply)[..], &wire[..], "{reply:?}");
-            assert_eq!(
-                decode_server_frame(&wire),
-                Ok(ServerFrame::Reply(seq, reply))
-            );
-        }
-
-        let values = vec![(Key(1), Value::from_u64(9)), (Key(2), Value::EMPTY)];
-        let txn_replies = vec![
-            (1, TxnReply::Committed { values }, G_TXN_COMMITTED),
+            (ServerFrame::Reply(5, Reply::RmwAborted), G_RMW_ABORTED),
             (
-                0,
-                TxnReply::Committed { values: vec![] },
+                ServerFrame::Reply(6, Reply::NotOperational),
+                G_NOT_OPERATIONAL,
+            ),
+            (
+                ServerFrame::Reply(u64::MAX, Reply::Unsupported),
+                G_UNSUPPORTED,
+            ),
+            (ServerFrame::Txn(1, committed(values)), G_TXN_COMMITTED),
+            (
+                ServerFrame::Txn(0, committed(vec![])),
                 G_TXN_COMMITTED_EMPTY,
             ),
-            (2, TxnReply::Aborted(TxnAbort::Conflict), G_TXN_CONFLICT),
             (
-                3,
-                TxnReply::Aborted(TxnAbort::InsufficientFunds),
+                ServerFrame::Txn(2, TxnReply::Aborted(TxnAbort::Conflict)),
+                G_TXN_CONFLICT,
+            ),
+            (
+                ServerFrame::Txn(3, TxnReply::Aborted(TxnAbort::InsufficientFunds)),
                 G_TXN_FUNDS,
             ),
-            (4, TxnReply::Aborted(TxnAbort::Invalid), G_TXN_INVALID),
             (
-                5,
-                TxnReply::Aborted(TxnAbort::NotOperational),
+                ServerFrame::Txn(4, TxnReply::Aborted(TxnAbort::Invalid)),
+                G_TXN_INVALID,
+            ),
+            (
+                ServerFrame::Txn(5, TxnReply::Aborted(TxnAbort::NotOperational)),
                 G_TXN_NOT_OPERATIONAL,
             ),
-            (6, TxnReply::Aborted(TxnAbort::Overflow), G_TXN_OVERFLOW),
-        ];
-        for (seq, reply, golden) in txn_replies {
-            let wire = hex(golden);
-            assert_eq!(
-                &encode_txn_reply_bytes(seq, &reply)[..],
-                &wire[..],
-                "{reply:?}"
-            );
-            assert_eq!(decode_txn_reply(&wire), Ok((seq, reply)));
-        }
-
-        let wire = hex(G_STATS);
-        assert_eq!(&encode_stats_reply_bytes(9, &golden_stats())[..], &wire[..]);
-        assert_eq!(decode_stats_reply(&wire), Ok((9, golden_stats())));
-        let extended = [wire, hex(G_STATS_UNKNOWN_TAIL)].concat();
-        assert_eq!(decode_stats_reply(&extended), Ok((9, golden_stats())));
-
-        for (seq, text, golden) in [(8, "op_us 42\n", G_METRICS), (9, "", G_METRICS_EMPTY)] {
-            let wire = hex(golden);
-            assert_eq!(&encode_metrics_reply_bytes(seq, text)[..], &wire[..]);
-            assert_eq!(decode_metrics_reply(&wire), Ok((seq, text.to_string())));
-        }
-        for (seq, spans, golden) in [(12, golden_spans(), G_TRACES), (13, vec![], G_TRACES_EMPTY)] {
-            let wire = hex(golden);
-            assert_eq!(&encode_traces_reply_bytes(seq, &spans)[..], &wire[..]);
-            assert_eq!(decode_traces_reply(&wire), Ok((seq, spans)));
-        }
-
-        let pushes = vec![
             (
-                encode_invalidate_bytes(Key(5), 2),
+                ServerFrame::Txn(6, TxnReply::Aborted(TxnAbort::Overflow)),
+                G_TXN_OVERFLOW,
+            ),
+            (ServerFrame::Stats(9, Box::new(golden_stats())), G_STATS),
+            (ServerFrame::Metrics(8, "op_us 42\n".into()), G_METRICS),
+            (ServerFrame::Metrics(9, String::new()), G_METRICS_EMPTY),
+            (ServerFrame::Traces(12, golden_spans()), G_TRACES),
+            (ServerFrame::Traces(13, vec![]), G_TRACES_EMPTY),
+            (
                 ServerFrame::Invalidate {
                     key: Key(5),
                     epoch: 2,
@@ -1642,7 +1008,6 @@ mod tests {
                 G_INVALIDATE,
             ),
             (
-                encode_subscribed_bytes(9, Key(u64::MAX), 1),
                 ServerFrame::Subscribed {
                     seq: 9,
                     key: Key(u64::MAX),
@@ -1651,32 +1016,270 @@ mod tests {
                 G_SUBSCRIBED,
             ),
             (
-                encode_unsubscribed_bytes(10, Key(0)),
                 ServerFrame::Unsubscribed {
                     seq: 10,
                     key: Key(0),
                 },
                 G_UNSUBSCRIBED,
             ),
-            (
-                encode_flush_bytes(7),
-                ServerFrame::Flush { epoch: 7 },
-                G_FLUSH,
-            ),
-        ];
-        for (encoded, frame, golden) in pushes {
-            let wire = hex(golden);
-            assert_eq!(&encoded[..], &wire[..], "{frame:?}");
-            assert_eq!(decode_server_frame(&wire), Ok(frame));
+            (ServerFrame::Flush { epoch: 7 }, G_FLUSH),
+        ]
+    }
+
+    /// The rows of both tables that `requests` / `frames` pick (at least
+    /// one) against everything a row promises: it encodes to its golden
+    /// bytes, they decode back to it, and every strict prefix of them is
+    /// `Truncated`. A request also meets the op-only decoder, which takes
+    /// a data operation and refuses every other kind by its tag.
+    fn check_rows(requests: impl Fn(&Request) -> bool, frames: impl Fn(&ServerFrame) -> bool) {
+        let mut rows = 0;
+        for (request, golden) in request_samples() {
+            if !requests(&request) {
+                continue;
+            }
+            rows += 1;
+            let (wire, mut encoded) = (hex(golden), Vec::new());
+            request.encode(&mut encoded);
+            assert_eq!(encoded, wire, "{request:?}");
+            assert_eq!(Request::decode(&wire), Ok(request.clone()));
+            for cut in 0..wire.len() {
+                let got = Request::decode(&wire[..cut]);
+                assert_eq!(
+                    got,
+                    Err(ClientCodecError::Truncated),
+                    "{request:?} at {cut}"
+                );
+            }
+            let op_only = match request {
+                Request::Op { seq, key, cop } => Ok((seq, key, cop)),
+                _ => Err(ClientCodecError::BadTag(wire[REQUEST_HEADER - 1])),
+            };
+            assert_eq!(decode_request(&wire), op_only);
+        }
+        for (frame, golden) in server_frame_samples() {
+            if !frames(&frame) {
+                continue;
+            }
+            rows += 1;
+            let (wire, mut encoded) = (hex(golden), Vec::new());
+            frame.encode(&mut encoded);
+            assert_eq!(encoded, wire, "{frame:?}");
+            assert_eq!(ServerFrame::decode(&wire), Ok(frame.clone()));
+            for cut in 0..wire.len() {
+                let got = ServerFrame::decode(&wire[..cut]);
+                assert_eq!(got, Err(ClientCodecError::Truncated), "{frame:?} at {cut}");
+            }
+        }
+        assert!(rows > 0, "no sample of that kind");
+    }
+
+    #[test]
+    fn golden_request_bytes() {
+        check_rows(|_| true, |_| false);
+    }
+
+    #[test]
+    fn golden_server_frame_bytes() {
+        check_rows(|_| false, |_| true);
+    }
+
+    // One test per exchange, so that a failure names it.
+
+    /// Data operations, also through the two by-reference encoders the
+    /// benchmark probe calls: same bytes, in a buffer of exactly their size.
+    #[test]
+    fn requests_roundtrip() {
+        check_rows(|r| matches!(r, Request::Op { .. }), |_| false);
+        for (request, golden) in request_samples() {
+            if let Request::Op { seq, key, cop } = request {
+                assert_eq!(&encode_request_bytes(seq, key, &cop)[..], &hex(golden)[..]);
+            }
         }
     }
 
     #[test]
+    fn replies_roundtrip() {
+        check_rows(|_| false, |f| matches!(f, ServerFrame::Reply(..)));
+        for (frame, golden) in server_frame_samples() {
+            if let ServerFrame::Reply(seq, reply) = &frame {
+                assert_eq!(&encode_reply_bytes(*seq, reply)[..], &hex(golden)[..]);
+                assert_eq!(decode_server_frame(&hex(golden)), Ok(frame));
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_request_roundtrips_and_is_rejected_by_the_op_decoder() {
+        check_rows(|r| matches!(r, Request::Shutdown { .. }), |_| false);
+        let got = decode_request(&hex(G_SHUTDOWN));
+        assert_eq!(got, Err(ClientCodecError::BadTag(REQ_SHUTDOWN)));
+    }
+
+    #[test]
+    fn txn_requests_roundtrip_and_truncate_cleanly() {
+        check_rows(|r| matches!(r, Request::Txn { .. }), |_| false);
+    }
+
+    #[test]
+    fn txn_replies_roundtrip_and_truncate_cleanly() {
+        check_rows(|_| false, |f| matches!(f, ServerFrame::Txn(..)));
+    }
+
+    #[test]
+    fn stats_rpc_roundtrips() {
+        check_rows(
+            |r| matches!(r, Request::Stats { .. }),
+            |f| matches!(f, ServerFrame::Stats(..)),
+        );
+    }
+
+    #[test]
+    fn metrics_rpc_roundtrips_and_truncates_cleanly() {
+        check_rows(
+            |r| matches!(r, Request::Metrics { .. }),
+            |f| matches!(f, ServerFrame::Metrics(..)),
+        );
+        // Text that is not UTF-8 is refused, under the reply's own tag.
+        let mut garbled = hex(G_METRICS);
+        *garbled.last_mut().unwrap() = 0xFF;
+        let got = ServerFrame::decode(&garbled);
+        assert_eq!(got, Err(ClientCodecError::BadTag(RSP_METRICS)));
+    }
+
+    #[test]
+    fn traces_rpc_roundtrips_and_truncates_cleanly() {
+        check_rows(
+            |r| matches!(r, Request::Traces { .. }),
+            |f| matches!(f, ServerFrame::Traces(..)),
+        );
+    }
+
+    /// The invalidation stream, both directions.
+    #[test]
+    fn subscription_requests_roundtrip_and_are_rejected_by_the_op_decoder() {
+        let up = |r: &Request| {
+            matches!(
+                r,
+                Request::Subscribe { .. } | Request::Unsubscribe { .. } | Request::InvalAck { .. }
+            )
+        };
+        let down = |f: &ServerFrame| {
+            !matches!(
+                f,
+                ServerFrame::Reply(..)
+                    | ServerFrame::Txn(..)
+                    | ServerFrame::Stats(..)
+                    | ServerFrame::Metrics(..)
+                    | ServerFrame::Traces(..)
+            )
+        };
+        check_rows(up, down);
+    }
+
+    /// Every kind at once: a row added to either table is checked whether
+    /// or not a test above picks it.
+    #[test]
+    fn truncation_errors_everywhere() {
+        check_rows(|_| true, |_| true);
+    }
+
+    /// Every byte value in the tag position of every sample: it decodes or
+    /// it errors, it never panics, and past the known tags the error names
+    /// the byte.
+    #[test]
+    fn bad_tags_error() {
+        for tag in 0..=u8::MAX {
+            for (_, golden) in request_samples() {
+                let mut wire = hex(golden);
+                wire[REQUEST_HEADER - 1] = tag;
+                let got = Request::decode(&wire);
+                if tag > REQ_TRACES {
+                    assert_eq!(got, Err(ClientCodecError::BadTag(tag)));
+                }
+            }
+            for (_, golden) in server_frame_samples() {
+                let mut wire = hex(golden);
+                wire[REPLY_HEADER - 1] = tag;
+                let got = ServerFrame::decode(&wire);
+                if tag > RSP_TRACES {
+                    assert_eq!(got, Err(ClientCodecError::BadTag(tag)));
+                }
+            }
+        }
+        // The sub-tags of a transaction and of its outcome likewise.
+        let mut txn = hex(G_TRANSFER);
+        txn[REQUEST_HEADER] = 99;
+        assert_eq!(Request::decode(&txn), Err(ClientCodecError::BadTag(99)));
+        let mut outcome = hex(G_TXN_CONFLICT);
+        outcome[REPLY_HEADER] = 77;
+        let got = ServerFrame::decode(&outcome);
+        assert_eq!(got, Err(ClientCodecError::BadTag(77)));
+    }
+
+    #[test]
+    fn stats_reply_skips_unknown_trailing_fields() {
+        // A newer daemon appends fields this client doesn't know. The
+        // decoder must read what it understands and skip the rest — old
+        // clients keep working against new daemons.
+        let want = ServerFrame::Stats(9, Box::new(golden_stats()));
+        let extended = [hex(G_STATS), hex(G_STATS_UNKNOWN_TAIL)].concat();
+        assert_eq!(ServerFrame::decode(&extended), Ok(want.clone()));
+        // And what was decoded encodes to the exact frame again: what a new
+        // client encodes, an old daemon's payload shape decodes.
+        let mut exact = Vec::new();
+        want.encode(&mut exact);
+        assert_eq!(exact, hex(G_STATS));
+    }
+
+    /// A length or count that came off the wire larger than the buffer
+    /// fails on the missing bytes; it is never allocated first.
+    #[test]
     fn declared_value_length_is_bounded_by_buffer() {
-        let mut req =
-            encode_request_bytes(1, Key(1), &ClientOp::Write(Value::from_u64(1))).to_vec();
-        // Inflate the declared value length past the buffer end.
-        req[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_request(&req), Err(ClientCodecError::Truncated));
+        // (sample, offset of a `u32` length or count in it)
+        let requests = [
+            (G_WRITE, REQUEST_HEADER),
+            (G_CAS, REQUEST_HEADER + 4),
+            (G_MULTI_GET, REQUEST_HEADER + 1),
+            (G_MULTI_PUT, REQUEST_HEADER + 1),
+            (G_MULTI_PUT, REQUEST_HEADER + 1 + 4 + 8),
+        ];
+        for (golden, at) in requests {
+            let mut wire = hex(golden);
+            wire[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let got = Request::decode(&wire);
+            assert_eq!(got, Err(ClientCodecError::Truncated), "{golden} at {at}");
+        }
+        let frames = [
+            (G_READ_OK, REPLY_HEADER),
+            (G_TXN_COMMITTED, REPLY_HEADER + 1),
+            (G_STATS, REPLY_HEADER + 34),
+            (G_METRICS, REPLY_HEADER),
+            (G_TRACES, REPLY_HEADER),
+            (G_TRACES, REPLY_HEADER + 4 + 32),
+            (G_TRACES, REPLY_HEADER + 4 + 32 + 4 + 2),
+        ];
+        for (golden, at) in frames {
+            let mut wire = hex(golden);
+            wire[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let got = ServerFrame::decode(&wire);
+            assert_eq!(got, Err(ClientCodecError::Truncated), "{golden} at {at}");
+        }
+    }
+
+    #[test]
+    fn frames_are_put_and_split_by_one_prefix() {
+        let mut wire = vec![0xAA];
+        put_frame(&mut wire, |out| out.extend_from_slice(b"hermes"));
+        put_frame(&mut wire, |_| {});
+        assert_eq!(wire, [&[0xAA, 6, 0, 0, 0][..], b"hermes", &[0; 4]].concat());
+        let stream = &wire[1..];
+        for cut in 0..4 + 6 {
+            assert_eq!(split_frame(&stream[..cut], 6), Ok(None), "cut at {cut}");
+        }
+        assert_eq!(split_frame(stream, 6), Ok(Some(&b"hermes"[..])));
+        assert_eq!(split_frame(&stream[4 + 6..], 6), Ok(Some(&[][..])));
+        // Refused on the prefix alone, before a byte of payload is there.
+        let got = split_frame(&stream[..4], 5);
+        assert_eq!(got, Err(ClientCodecError::Oversized(6)));
     }
 }

@@ -25,14 +25,13 @@
 //! daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, run_recorded_session, write_bench_record, RecordedOp,
+    check_linearizable_per_key, connect_within, daemon_main, reserve_loopback_addrs,
+    run_recorded_session, write_bench_record, ChildGuard, RecordedOp,
 };
 use hermes::prelude::*;
 use hermes::sim::rng::Rng;
 use hermes::workload::KeyChooser;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,48 +177,6 @@ impl ModeRecord {
     }
 }
 
-/// Daemon mode: serve one replica until stdin closes (same contract as
-/// `examples/hermesd.rs`).
-fn daemon_main(args: &[String]) {
-    let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
-        eprintln!("cache_bench daemon: {e}");
-        std::process::exit(2);
-    });
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
-        eprintln!("cache_bench daemon: node {node}: {e}");
-        std::process::exit(1);
-    });
-    println!("hermesd: node {} serving", runtime.node_id());
-    let mut sink = [0u8; 256];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("hermesd: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
 /// One full measured pass (fresh daemon, fleet, recorders) in one mode.
 fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeRecord {
     let mode = if cached { "cached" } else { "uncached" };
@@ -246,7 +203,7 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
             .spawn()
             .expect("spawn replica daemon"),
     ));
-    wait_for_port(client_addr, Duration::from_secs(20));
+    drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Pre-populate the hot set so first reads return real values.
     {
@@ -425,21 +382,4 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
         }
     }
     record
-}
-
-/// Blocking connect with retries (the daemon's listener may still be
-/// binding when the harness races ahead).
-fn wait_for_port(addr: SocketAddr, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(_) => return,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    panic!("connect {addr}: {e}");
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
 }

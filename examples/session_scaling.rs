@@ -33,16 +33,17 @@
 //! to daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, run_recorded_session, write_bench_record, RecordedOp,
+    check_linearizable_per_key, connect_within, daemon_main, reserve_loopback_addrs,
+    run_recorded_session, write_bench_record, ChildGuard, RecordedOp,
 };
 use hermes::net::{Interest, PollEvent, Poller};
 use hermes::prelude::*;
-use hermes::wings::client as rpc;
+use hermes::wings::client::{self as rpc, Request, ServerFrame};
 use hermes::wings::CreditConfig;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,6 +68,9 @@ const RECORDER_DEPTH: usize = 4;
 /// Fleet sessions write disjoint keys, far away from the recorders', so
 /// the recorded histories stay complete for the keys they cover.
 const FLEET_KEY_BASE: u64 = 1 << 20;
+/// Longest frame a fleet session accepts: all it is ever sent is the
+/// nine-byte `WriteOk` of its own write.
+const MAX_REPLY: usize = 64;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,48 +101,6 @@ fn main() {
     }
 }
 
-/// Daemon mode: serve one replica until stdin closes (same contract as
-/// `examples/hermesd.rs`).
-fn daemon_main(args: &[String]) {
-    let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
-        eprintln!("session_scaling daemon: {e}");
-        std::process::exit(2);
-    });
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
-        eprintln!("session_scaling daemon: node {node}: {e}");
-        std::process::exit(1);
-    });
-    println!("hermesd: node {} serving", runtime.node_id());
-    let mut sink = [0u8; 256];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("hermesd: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
-
 /// One fleet session: a closed loop of depth 1 driven sans-io. `seq`
 /// counts issued requests; a reply for the current `seq` immediately
 /// issues the next while the window is open.
@@ -156,14 +118,12 @@ struct FleetSession {
 impl FleetSession {
     fn issue(&mut self) {
         self.seq += 1;
-        let payload = rpc::encode_request_bytes(
-            self.seq,
-            self.key,
-            &ClientOp::Write(Value::from_u64(self.seq)),
-        );
-        self.out
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.out.extend_from_slice(&payload);
+        let request = Request::Op {
+            seq: self.seq,
+            key: self.key,
+            cop: ClientOp::Write(Value::from_u64(self.seq)),
+        };
+        rpc::put_frame(&mut self.out, |out| request.encode(out));
         self.issued = Some(Instant::now());
     }
 
@@ -199,7 +159,7 @@ fn run_level(sessions: usize, window: Duration) -> String {
             .expect("spawn replica daemon"),
     ));
     let pid = child.0.as_ref().expect("child alive").id();
-    wait_for_port(client_addr, Duration::from_secs(20));
+    drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Recorder fleet on its own threads: conventional blocking sessions
     // whose histories feed the linearizability checker while the big
@@ -280,16 +240,14 @@ fn run_level(sessions: usize, window: Duration) -> String {
                     }
                 }
                 let now = Instant::now();
-                while sess.inbuf.len() >= 4 {
-                    let len = u32::from_le_bytes(sess.inbuf[..4].try_into().unwrap()) as usize;
-                    if sess.inbuf.len() < 4 + len {
-                        break;
-                    }
-                    let (seq, reply) =
-                        rpc::decode_reply(&sess.inbuf[4..4 + len]).expect("well-formed reply");
-                    sess.inbuf.drain(..4 + len);
-                    assert_eq!(seq, sess.seq, "depth-1 loop sees replies in order");
-                    assert_eq!(reply, Reply::WriteOk, "fleet write failed");
+                let mut parsed = 0;
+                while let Some(payload) =
+                    rpc::split_frame(&sess.inbuf[parsed..], MAX_REPLY).expect("a reply frame")
+                {
+                    parsed += 4 + payload.len();
+                    let reply = ServerFrame::decode(payload).expect("well-formed reply");
+                    // A depth-1 loop sees its replies in order.
+                    assert_eq!(reply, ServerFrame::Reply(sess.seq, Reply::WriteOk));
                     let issued = sess.issued.take().expect("reply matches an issued op");
                     if now < window_end {
                         latencies.record(issued.elapsed().as_micros() as u64);
@@ -297,6 +255,7 @@ fn run_level(sessions: usize, window: Duration) -> String {
                         sess.issue();
                     }
                 }
+                sess.inbuf.drain(..parsed);
             }
             if ev.writable && sess.wants_write() {
                 loop {
@@ -408,27 +367,6 @@ fn run_level(sessions: usize, window: Duration) -> String {
          \"lane_ingress\": [{lane_ingress}]}}",
         stats.open_sessions
     )
-}
-
-/// Blocking connect with retries (the daemon's listener may still be
-/// binding, and a big fleet can transiently overflow the accept backlog).
-fn connect_within(addr: SocketAddr, timeout: Duration) -> TcpStream {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return s,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    panic!("connect {addr}: {e}");
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-}
-
-fn wait_for_port(addr: SocketAddr, timeout: Duration) {
-    drop(connect_within(addr, timeout));
 }
 
 /// The daemon's live thread count, from `/proc/<pid>/status`. Returns 0

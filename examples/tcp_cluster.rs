@@ -18,12 +18,14 @@
 //! `--smoke` shrinks the op count to CI size. Anything involving `--node`
 //! switches to daemon mode.
 
-use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::harness::{
+    check_linearizable_per_key, daemon_main, reserve_loopback_addrs, run_recorded_session,
+    ChildGuard, RecordedOp,
+};
 use hermes::prelude::*;
 use hermes_wings::CreditConfig;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,51 +44,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let ops_per_session: u64 = if smoke { 30 } else { 48 };
     harness_main(ops_per_session);
-}
-
-/// Daemon mode: serve one replica until stdin closes (same contract as
-/// `examples/hermesd.rs`).
-fn daemon_main(args: &[String]) {
-    let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
-        eprintln!("tcp_cluster daemon: {e}");
-        std::process::exit(2);
-    });
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
-        eprintln!("tcp_cluster daemon: node {node}: {e}");
-        std::process::exit(1);
-    });
-    println!("hermesd: node {} serving", runtime.node_id());
-    let mut sink = [0u8; 256];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("hermesd: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Reserves `n` distinct loopback addresses by binding ephemeral listeners
-/// and noting their ports. (The tiny bind race after dropping them is
-/// acceptable on loopback.)
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
 }
 
 fn harness_main(ops_per_session: u64) {

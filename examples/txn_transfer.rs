@@ -24,14 +24,14 @@
 //! `--smoke` shrinks the workload to CI size. `--node` switches to daemon
 //! mode.
 
-use hermes::harness::observe_txn;
+use hermes::harness::{daemon_main, observe_txn, reserve_loopback_addrs, ChildGuard};
 use hermes::prelude::*;
 use hermes::replica::{query_stats, remote_txn, KillSwitch};
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::net::SocketAddr;
+use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,47 +54,6 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     harness_main(if smoke { 6 } else { 14 });
-}
-
-/// Daemon mode: serve one replica until stdin closes.
-fn daemon_main(args: &[String]) {
-    let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
-        eprintln!("txn_transfer daemon: {e}");
-        std::process::exit(2);
-    });
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
-        eprintln!("txn_transfer daemon: node {node}: {e}");
-        std::process::exit(1);
-    });
-    println!("hermesd: node {} serving", runtime.node_id());
-    let mut sink = [0u8; 256];
-    let mut stdin = std::io::stdin();
-    while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-    runtime.shutdown();
-    println!("hermesd: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
 }
 
 fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {

@@ -10,13 +10,84 @@
 //! Timestamps come from one shared atomic counter, so real-time precedence
 //! across client threads is captured exactly (an operation that responded
 //! before another was invoked must be ordered before it).
+//!
+//! The multi-process harnesses also share their child-daemon plumbing from
+//! here: [`daemon_main`] is what a child runs, [`ChildGuard`],
+//! [`reserve_loopback_addrs`] and [`connect_within`] are what its parent
+//! spawns and reaches it with.
 
 use hermes_common::{ClientOp, Key, Reply, RmwOp, TxnOp, Value};
 use hermes_model::{check_linearizable, HistoryOp, OpKind, Outcome};
-use hermes_replica::{ClientSession, SessionChannel, Ticket, TxnResult};
+use hermes_replica::{ClientSession, NodeOptions, NodeRuntime, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Daemon mode of a harness binary that spawns copies of itself: serves
+/// one replica from `hermesd`'s own argument list (`--node <id> --peers …
+/// --client …`) until stdin reaches end of file — the parent hanging up is
+/// the shutdown request — and prints the `serving` and `clean shutdown`
+/// markers the parent looks for, as `examples/hermesd.rs` does.
+pub fn daemon_main(args: &[String]) {
+    let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
+        eprintln!("hermesd: {e}");
+        std::process::exit(2);
+    });
+    let node = opts.node;
+    let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
+        eprintln!("hermesd: node {node}: {e}");
+        std::process::exit(1);
+    });
+    println!("hermesd: node {node} serving");
+    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+    runtime.shutdown();
+    println!("hermesd: node {node} clean shutdown");
+}
+
+/// Kills the child on drop so a panicking harness leaves no orphans.
+pub struct ChildGuard(pub Option<std::process::Child>);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// `n` distinct loopback addresses that were free a moment ago: bound to
+/// port 0 all at once, then released. (The tiny bind race after dropping
+/// them is acceptable on loopback.)
+pub fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .collect();
+    listeners
+        .iter()
+        .map(|l| l.local_addr().expect("local addr"))
+        .collect()
+}
+
+/// Blocking connect with retries until `timeout` has passed: a
+/// just-spawned daemon's listener may still be binding, and a big fleet
+/// can transiently overflow its accept backlog.
+///
+/// # Panics
+///
+/// When `addr` still refuses at the deadline.
+pub fn connect_within(addr: SocketAddr, timeout: Duration) -> TcpStream {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return stream,
+            Err(e) if Instant::now() >= deadline => panic!("connect {addr}: {e}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
 
 /// Writes a bench example's JSON record and returns where it went. A full
 /// run refreshes the committed `BENCH_<name>.json` in the working

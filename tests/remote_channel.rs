@@ -56,7 +56,8 @@ fn channel_to_a_silent_peer(subscribed: bool) -> (RemoteChannel, TcpStream) {
         // At the channel, not through the session: the session would wait
         // for an ack that this peer never sends. The reader thread runs
         // from here on.
-        assert!(channel.subscribe(u64::MAX, Key(0)));
+        let (seq, key) = (u64::MAX, Key(0));
+        assert!(channel.send(hermes::wings::client::Request::Subscribe { seq, key }));
     }
     (channel, peer)
 }

@@ -15,9 +15,9 @@
 
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::prelude::*;
-use hermes::wings::client as rpc;
+use hermes::wings::client::{self as rpc, Request, ServerFrame};
 use hermes::wings::CreditConfig;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -97,32 +97,40 @@ fn mirror_reads_and_fallbacks(nodes: &[NodeRuntime]) -> (f64, f64) {
     )
 }
 
-/// Sends one length-prefixed client frame.
-fn send_frame(stream: &mut TcpStream, payload: &[u8]) {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
+fn write(seq: u64, key: Key, v: u64) -> Request {
+    let cop = ClientOp::Write(Value::from_u64(v));
+    Request::Op { seq, key, cop }
+}
+
+/// Sends one request as a length-prefixed frame.
+fn send_frame(stream: &mut TcpStream, request: &Request) {
+    let mut buf = Vec::new();
+    rpc::put_frame(&mut buf, |out| request.encode(out));
     stream.write_all(&buf).expect("send frame");
 }
 
-/// Reads one length-prefixed reply frame (blocking).
-fn recv_frame(stream: &mut TcpStream) -> Vec<u8> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).expect("reply length");
-    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut payload).expect("reply payload");
-    payload
+/// Reads one frame (blocking) — a byte at a time, so as to take nothing of
+/// the frame behind it.
+fn try_recv_frame(stream: &mut TcpStream) -> io::Result<ServerFrame> {
+    let mut buf = Vec::new();
+    loop {
+        if let Some(payload) = rpc::split_frame(&buf, 1 << 20).expect("frame length") {
+            return Ok(ServerFrame::decode(payload).expect("well-formed frame"));
+        }
+        let mut byte = [0u8];
+        stream.read_exact(&mut byte)?;
+        buf.push(byte[0]);
+    }
+}
+
+fn recv_frame(stream: &mut TcpStream) -> ServerFrame {
+    try_recv_frame(stream).expect("a frame")
 }
 
 /// One blocking write round-trip over a raw socket.
 fn raw_write(stream: &mut TcpStream, seq: u64, key: Key, v: u64) {
-    send_frame(
-        stream,
-        &rpc::encode_request_bytes(seq, key, &ClientOp::Write(Value::from_u64(v))),
-    );
-    let (got, reply) = rpc::decode_reply(&recv_frame(stream)).expect("well-formed reply");
-    assert_eq!(got, seq);
-    assert_eq!(reply, Reply::WriteOk);
+    send_frame(stream, &write(seq, key, v));
+    assert_eq!(recv_frame(stream), ServerFrame::Reply(seq, Reply::WriteOk));
 }
 
 /// Polls the runtime's `open_sessions` gauge until it reaches `target`.
@@ -172,10 +180,7 @@ fn mid_pipeline_kill_reaps_the_session() {
     assert_eq!(per_shard, 1, "shard gauges track the session");
 
     // Kill mid-pipeline: a request is on the wire, the reply never read.
-    send_frame(
-        &mut victim,
-        &rpc::encode_request_bytes(2, Key(2), &ClientOp::Write(Value::from_u64(9))),
-    );
+    send_frame(&mut victim, &write(2, Key(2), 9));
     victim.shutdown(Shutdown::Both).expect("kill socket");
     drop(victim);
     await_open_sessions(&runtime, 0);
@@ -187,14 +192,11 @@ fn mid_pipeline_kill_reaps_the_session() {
     // write itself committed (it reached the lanes before the kill).
     let mut fresh = TcpStream::connect(runtime.client_addr()).expect("reconnect");
     fresh.set_nodelay(true).expect("nodelay");
-    send_frame(
-        &mut fresh,
-        &rpc::encode_request_bytes(1, Key(2), &ClientOp::Read),
-    );
-    let (_, reply) = rpc::decode_reply(&recv_frame(&mut fresh)).expect("reply");
+    let (seq, key, cop) = (1, Key(2), ClientOp::Read);
+    send_frame(&mut fresh, &Request::Op { seq, key, cop });
     assert_eq!(
-        reply,
-        Reply::ReadOk(Value::from_u64(9)),
+        recv_frame(&mut fresh),
+        ServerFrame::Reply(1, Reply::ReadOk(Value::from_u64(9))),
         "orphaned write still applied"
     );
     runtime.shutdown();
@@ -253,10 +255,7 @@ fn session_churn_leaks_no_fds() {
             raw_write(&mut s, 1, Key(round), round);
         } else {
             // Mid-pipeline kill: bytes in flight, reply never read.
-            send_frame(
-                &mut s,
-                &rpc::encode_request_bytes(1, Key(round), &ClientOp::Write(Value::from_u64(round))),
-            );
+            send_frame(&mut s, &write(1, Key(round), round));
         }
         drop(s);
     }
@@ -292,9 +291,10 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
     // The victim subscribes over a raw socket and confirms the ack.
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect victim");
     victim.set_nodelay(true).expect("nodelay");
-    send_frame(&mut victim, &rpc::encode_subscribe_bytes(1, Key(77)));
-    match rpc::decode_server_frame(&recv_frame(&mut victim)).expect("subscribe ack") {
-        rpc::ServerFrame::Subscribed { seq, key, .. } => {
+    let (seq, key) = (1, Key(77));
+    send_frame(&mut victim, &Request::Subscribe { seq, key });
+    match recv_frame(&mut victim) {
+        ServerFrame::Subscribed { seq, key, .. } => {
             assert_eq!((seq, key), (1, Key(77)));
         }
         other => panic!("expected Subscribed ack, got {other:?}"),
@@ -333,6 +333,82 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
         "a reaped session received a push"
     );
     drop(writer);
+    await_open_sessions(&runtime, 0);
+    runtime.shutdown();
+}
+
+/// Regression: a subscriber that acks every push the moment it reads it is
+/// never evicted, however full its pipeline. The shard used to stop
+/// reading a session's socket at zero credits, so with every credit in
+/// flight the session's `InvalAck` — credit-exempt by design — sat in the
+/// kernel; and with every one of those operations held behind a key that a
+/// *silent* subscriber owed an ack for, no credit came back until the
+/// lane's eviction timer fired and evicted all who still owed, the prompt
+/// acker with the silent one (DESIGN.md §8: a coherence ack must never
+/// wait behind a full pipeline).
+#[test]
+fn a_prompt_acker_with_every_credit_in_flight_is_not_evicted_with_a_silent_one() {
+    let _serial = serial();
+    const K: Key = Key(7);
+    let in_flight = u64::from(CreditConfig::default().credits_per_peer);
+    let runtime = serve_single_node();
+    let connect = || {
+        let stream = TcpStream::connect(runtime.client_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let patience = Some(Duration::from_secs(5));
+        stream.set_read_timeout(patience).expect("read timeout");
+        stream
+    };
+    let (mut acker, mut silent, mut writer) = (connect(), connect(), connect());
+    for subscriber in [&mut acker, &mut silent] {
+        send_frame(subscriber, &Request::Subscribe { seq: 0, key: K });
+        let ack = recv_frame(subscriber);
+        assert!(matches!(ack, ServerFrame::Subscribed { key: K, .. }));
+    }
+    let ack_next_push = |acker: &mut TcpStream| {
+        let push = recv_frame(acker);
+        assert!(matches!(push, ServerFrame::Invalidate { key: K, .. }));
+        send_frame(acker, &Request::InvalAck { key: K });
+    };
+
+    // The silent subscriber never acks this write's push, so from here to
+    // its eviction the key is held, and every write of it with it.
+    send_frame(&mut writer, &write(1, K, 100));
+    ack_next_push(&mut acker);
+    for seq in 1..=in_flight {
+        send_frame(&mut acker, &write(seq, K, seq));
+    }
+    // A push for the prompt acker, who has no credit left to its name.
+    send_frame(&mut writer, &write(2, K, 200));
+    ack_next_push(&mut acker);
+
+    // Only the silent one is evicted, and what was held comes out.
+    let mut completed = 0;
+    while completed < in_flight {
+        match try_recv_frame(&mut acker) {
+            Ok(ServerFrame::Reply(_, Reply::WriteOk)) => completed += 1,
+            Ok(other) => panic!("the acker was sent {other:?}"),
+            Err(_) => break, // Hung up on, or nothing for 5 s.
+        }
+    }
+    assert_eq!(
+        completed, in_flight,
+        "the prompt acker's writes completed (it is evicted if none did)"
+    );
+    await_open_sessions(&runtime, 2);
+    // The silent subscriber's session was reaped: behind the pushes it
+    // never read, its stream ends.
+    let mut unread = Vec::new();
+    silent
+        .read_to_end(&mut unread)
+        .expect("hung up on, in time");
+    for seq in [1, 2] {
+        let reply = recv_frame(&mut writer);
+        assert_eq!(reply, ServerFrame::Reply(seq, Reply::WriteOk));
+    }
+    raw_write(&mut writer, 3, Key(8), 300);
+    raw_write(&mut acker, in_flight + 1, Key(8), 301);
+    drop((acker, silent, writer));
     await_open_sessions(&runtime, 0);
     runtime.shutdown();
 }
@@ -415,10 +491,7 @@ fn histories_stay_linearizable_across_a_mid_run_kill() {
     // Mid-run, a bystander session dies with a request in flight.
     std::thread::sleep(Duration::from_millis(5));
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect victim");
-    send_frame(
-        &mut victim,
-        &rpc::encode_request_bytes(1, Key(1 << 20), &ClientOp::Write(Value::from_u64(1))),
-    );
+    send_frame(&mut victim, &write(1, Key(1 << 20), 1));
     victim.shutdown(Shutdown::Both).expect("kill victim");
     drop(victim);
 

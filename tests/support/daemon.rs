@@ -13,10 +13,11 @@
 // Each test binary uses the subset its scenario needs.
 #![allow(dead_code)]
 
+use hermes::harness::{reserve_loopback_addrs, ChildGuard};
 use hermes::prelude::*;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::net::SocketAddr;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,29 +86,6 @@ pub fn daemon_process() {
     runtime.shutdown();
     watcher.join().expect("stdin watcher");
     println!("test-daemon: node {node} clean shutdown");
-}
-
-/// Kills the child on drop so a panicking harness leaves no orphans.
-struct ChildGuard(Option<Child>);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Addresses that were free a moment ago (bound to port 0, then released).
-fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
 }
 
 /// `a,b,c` — the form `--peers` and `hermes_top --nodes` take.
