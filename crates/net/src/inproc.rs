@@ -1,9 +1,13 @@
-use crate::transport::{Endpoint, IngressGuard, IngressSink, NetEvent, NetSender, Transport};
+use crate::poll::{PollEvent, Wait};
+use crate::transport::{
+    Endpoint, IngressGuard, IngressSink, LaneLinks, NetEvent, NetSender, Transport,
+};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hermes_common::NodeId;
 use hermes_sim::rng::Rng;
 use parking_lot::Mutex;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -265,6 +269,7 @@ impl InProcEndpoint {
 
 impl Endpoint for InProcEndpoint {
     type Sender = InProcSender;
+    type Links = InProcLinks;
 
     fn node_id(&self) -> NodeId {
         self.tx.me
@@ -280,7 +285,8 @@ impl Endpoint for InProcEndpoint {
     fn start(self, sink: IngressSink) -> IngressGuard {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
+        let thread = std::thread::Builder::new().name("hermes-link".into());
+        let handle = thread.spawn(move || {
             while !thread_stop.load(Ordering::Relaxed) {
                 match self.rx.recv_timeout(FORWARD_POLL) {
                     Ok((from, payload)) => {
@@ -297,7 +303,46 @@ impl Endpoint for InProcEndpoint {
                 }
             }
         });
-        IngressGuard::new(stop, vec![handle])
+        IngressGuard::new(stop, vec![handle.expect("spawn the delivery thread")])
+    }
+
+    /// Every lane gets the node's sender and its own wait; the delivery
+    /// thread of [`Endpoint::start`] keeps moving datagrams into `sink`,
+    /// owned by lane 0's link set.
+    fn split(self, waits: Vec<Wait>, sink: IngressSink) -> io::Result<Vec<InProcLinks>> {
+        let tx = self.tx.clone();
+        let mut delivery = Some(self.start(sink));
+        let links = waits.into_iter().map(|wait| InProcLinks {
+            tx: tx.clone(),
+            wait,
+            ready: Vec::new(),
+            _delivery: delivery.take(),
+        });
+        Ok(links.collect())
+    }
+}
+
+/// One lane's share of an in-process endpoint: nothing to read — the
+/// endpoint's delivery thread pushes every datagram into the sink — so its
+/// wait holds only the lane's waker.
+#[derive(Debug)]
+pub struct InProcLinks {
+    tx: InProcSender,
+    wait: Wait,
+    ready: Vec<PollEvent>,
+    /// The delivery thread, joined when lane 0's set drops.
+    _delivery: Option<IngressGuard>,
+}
+
+impl LaneLinks for InProcLinks {
+    type Sender = InProcSender;
+
+    fn sender(&self) -> InProcSender {
+        self.tx.clone()
+    }
+
+    fn poll(&mut self, timeout: Duration, _deliver: &mut dyn FnMut(NetEvent) -> bool) {
+        self.wait.wait(&mut self.ready, timeout);
     }
 }
 

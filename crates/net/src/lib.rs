@@ -13,22 +13,26 @@
 //!   for in-process clusters (used by examples and integration tests), with
 //!   optional probabilistic fault injection.
 //! * [`TcpNet`] / [`TcpEndpoint`] — length-prefixed Wings frames over real
-//!   `std::net` TCP sockets: senders write their own frames to the peer
-//!   socket, one link-poller thread per node reads, dials (with backoff)
-//!   and finishes short writes. The transport that runs a replica group as
-//!   separate OS processes (DESIGN.md §4).
+//!   `std::net` TCP sockets: lane *i* of a node talks to lane *i* of each
+//!   peer over a connection only those two lanes touch, each lane writing
+//!   and reading its own links ([`TcpLinks`]), dialing with backoff. The
+//!   transport that runs a replica group as separate OS processes
+//!   (DESIGN.md §4).
 //!
 //! The in-process and TCP transports implement the pluggable
 //! [`Transport`]/[`Endpoint`] trait pair, so cluster runtimes are written
-//! once and deployed over either. Ingress is push-based ([`NetEvent`]s into
-//! an [`IngressSink`]), which is what gives runtimes event-driven wakeup.
+//! once and deployed over either: [`Endpoint::split`] gives every worker
+//! lane its [`LaneLinks`] — the lane's thread blocks in one [`Wait`] and
+//! gets what it reads handed to it — and [`Endpoint::start`] runs the same
+//! receive half on a thread of its own, pushing [`NetEvent`]s into an
+//! [`IngressSink`].
 //!
 //! The crate also provides the readiness substrate under both network
 //! edges — the replica links above and the sharded-poller client plane
 //! (DESIGN.md §7): a [`Poller`] multiplexes thousands of non-blocking
-//! sockets per thread (epoll on Linux, `poll(2)` elsewhere), and a
-//! [`Waker`] lets worker threads interrupt a blocked wait, coalescing
-//! bursts of wakes into one.
+//! sockets per thread (`epoll(7)`; the crate is Linux-only), and a
+//! [`Waker`] (an `eventfd`) lets other threads interrupt a blocked wait,
+//! coalescing bursts of wakes into one.
 //!
 //! # Examples
 //!
@@ -53,8 +57,10 @@ mod simnet;
 mod tcp;
 mod transport;
 
-pub use inproc::{InProcEndpoint, InProcNet, InProcSender, NetFaults};
-pub use poll::{Interest, PollEvent, Poller, Waker};
+pub use inproc::{InProcEndpoint, InProcLinks, InProcNet, InProcSender, NetFaults};
+pub use poll::{Interest, PollEvent, Poller, Wait, Waker};
 pub use simnet::{DeliveryOutcome, SimNet, SimNetConfig};
-pub use tcp::{TcpConfig, TcpEndpoint, TcpNet, TcpSender, TcpStats};
-pub use transport::{Endpoint, IngressGuard, IngressSink, NetEvent, NetSender, Transport};
+pub use tcp::{TcpConfig, TcpEndpoint, TcpLinks, TcpNet, TcpSender, TcpStats};
+pub use transport::{
+    Endpoint, IngressGuard, IngressSink, LaneLinks, NetEvent, NetSender, Transport,
+};

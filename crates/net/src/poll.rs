@@ -1,35 +1,31 @@
 //! Readiness-driven socket polling: the engine under the sharded-poller
-//! client plane (DESIGN.md §7) and the replica links' one poller per node
-//! (DESIGN.md §4).
+//! client plane (DESIGN.md §7) and under every worker lane's one blocking
+//! wait (DESIGN.md §4).
 //!
 //! The paper's RDMA runtime never spends a thread per peer: each worker
 //! polls its own receive queues. Our TCP stand-in gets the same shape from
-//! the OS readiness APIs — a [`Poller`] owns many non-blocking sockets and
-//! one `wait` call reports which of them can make progress, so a small
-//! fixed pool of poller threads drives tens of thousands of connections.
+//! the OS readiness API — a [`Poller`] owns many non-blocking sockets and
+//! one `wait` call reports which of them can make progress, O(ready) per
+//! wait however many sockets are registered, so a small fixed pool of
+//! threads drives tens of thousands of connections.
 //!
-//! Two backends, one API:
+//! Linux only: `epoll(7)` and `eventfd(2)`, reached through their libc
+//! symbols directly (`extern "C"`): the std runtime already links libc, and
+//! the offline build must not grow a dependency. Events are
+//! level-triggered — a socket that still has buffered bytes keeps
+//! reporting readable — which keeps the session state machines free of
+//! edge-trigger re-arming subtleties.
 //!
-//! * **Linux** — `epoll(7)`, O(ready) per wait regardless of how many
-//!   sockets are registered (the C10K-scaling path the client plane needs);
-//! * **other Unix** — `poll(2)`, O(registered) per wait; correct, just not
-//!   built for ten thousand sockets.
-//!
-//! Both are reached through their libc symbols directly (`extern "C"`):
-//! the std runtime already links libc, and the offline build must not grow
-//! a dependency. Events are level-triggered — a socket that still has
-//! buffered bytes keeps reporting readable — which keeps the session state
-//! machines free of edge-trigger re-arming subtleties.
-//!
-//! A [`Waker`] lets other threads (worker lanes completing operations, an
-//! acceptor handing over a socket) interrupt a blocked `wait`: it is a
-//! self-connected loopback UDP socket registered like any other, so it
-//! needs no extra OS machinery and works on every backend.
+//! A [`Waker`] lets other threads (lanes completing operations, a poster
+//! queueing a command) interrupt a blocked `wait`: it is an `eventfd`
+//! registered like any other fd. A [`Wait`] is a poller with a waker at a
+//! fixed token — the one place a worker lane's thread blocks.
 
-use std::io;
-use std::net::{Ipv4Addr, UdpSocket};
-use std::os::fd::{AsRawFd, RawFd};
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which readiness transitions a registration subscribes to.
@@ -79,261 +75,47 @@ pub struct PollEvent {
     pub hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    //! `epoll(7)` via its libc symbols (std links libc; no new crate).
-    use super::{Interest, PollEvent};
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::time::Duration;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EFD_NONBLOCK: i32 = 0o4000;
+const EFD_CLOEXEC: i32 = 0o2000000;
 
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// Kernel UAPI layout: packed on x86-64 (the one ABI where the struct
-    /// is not naturally aligned), natural elsewhere.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Backend {
-        epfd: OwnedFd,
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
-        if interest.read {
-            m |= EPOLLIN;
-        }
-        if interest.write {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    impl Backend {
-        pub(super) fn new() -> io::Result<Backend> {
-            // SAFETY: epoll_create1 takes no pointers; a valid fd (or -1)
-            // comes back and OwnedFd closes it on drop.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: fd is a freshly created epoll fd we exclusively own.
-            Ok(Backend {
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-            })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            // SAFETY: `ev` outlives the call; the kernel copies it.
-            let rc = unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub(super) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub(super) fn reregister(
-            &self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub(super) fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::NONE)
-        }
-
-        pub(super) fn wait(
-            &self,
-            out: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
-            let ms = super::timeout_ms(timeout);
-            // SAFETY: buf is a valid writable array of its declared length.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    buf.as_mut_ptr(),
-                    buf.len() as i32,
-                    ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(()); // Signal during wait: report nothing.
-                }
-                return Err(e);
-            }
-            for ev in &buf[..n as usize] {
-                // Copy out of the (possibly packed) struct before use.
-                let events = { ev.events };
-                let data = { ev.data };
-                out.push(PollEvent {
-                    token: data,
-                    readable: events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: events & EPOLLOUT != 0,
-                    hangup: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
+/// Kernel UAPI layout: packed on x86-64 (the one ABI where the struct is
+/// not naturally aligned), natural elsewhere.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! Portable fallback: `poll(2)` over the registration table. O(n) per
-    //! wait — correct everywhere Unix, but not the C10K path.
-    use super::{Interest, PollEvent};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Backend {
-        table: Mutex<BTreeMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Backend {
-        pub(super) fn new() -> io::Result<Backend> {
-            Ok(Backend {
-                table: Mutex::new(BTreeMap::new()),
-            })
-        }
-
-        pub(super) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.table.lock().unwrap().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub(super) fn reregister(
-            &self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.register(fd, token, interest)
-        }
-
-        pub(super) fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.table.lock().unwrap().remove(&fd);
-            Ok(())
-        }
-
-        pub(super) fn wait(
-            &self,
-            out: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let mut fds: Vec<(PollFd, u64)> = self
-                .table
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(&fd, &(token, interest))| {
-                    let mut events = 0i16;
-                    if interest.read {
-                        events |= POLLIN;
-                    }
-                    if interest.write {
-                        events |= POLLOUT;
-                    }
-                    (
-                        PollFd {
-                            fd,
-                            events,
-                            revents: 0,
-                        },
-                        token,
-                    )
-                })
-                .collect();
-            let mut raw: Vec<PollFd> = fds
-                .iter()
-                .map(|(p, _)| PollFd {
-                    fd: p.fd,
-                    events: p.events,
-                    revents: 0,
-                })
-                .collect();
-            let ms = super::timeout_ms(timeout);
-            // SAFETY: raw is a valid writable array of its declared length.
-            let n = unsafe { poll(raw.as_mut_ptr(), raw.len() as u64, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (p, (_, token)) in raw.iter().zip(fds.drain(..)) {
-                if p.revents == 0 {
-                    continue;
-                }
-                out.push(PollEvent {
-                    token,
-                    readable: p.revents & (POLLIN | POLLHUP) != 0,
-                    writable: p.revents & POLLOUT != 0,
-                    hangup: p.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
 }
 
-/// Clamps an optional wait budget into the millisecond argument the OS
-/// readiness calls take (`-1` blocks; sub-millisecond waits round up so a
+/// Takes ownership of the fd a libc constructor returned (`-1`: its error).
+fn owned(fd: i32) -> io::Result<OwnedFd> {
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` was just returned by epoll_create1/eventfd, is valid,
+    // and nothing else owns it; OwnedFd closes it on drop.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+}
+
+/// Clamps an optional wait budget into the millisecond argument
+/// `epoll_wait` takes (`-1` blocks; sub-millisecond waits round up so a
 /// positive budget never becomes a busy spin).
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
@@ -346,7 +128,7 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 /// A readiness multiplexer over many non-blocking sockets.
 ///
 /// Register each fd under a caller-chosen `token`; [`Poller::wait`] reports
-/// which tokens can make progress. Level-triggered on every backend.
+/// which tokens can make progress. Level-triggered.
 ///
 /// # Examples
 ///
@@ -369,7 +151,7 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 /// ```
 #[derive(Debug)]
 pub struct Poller {
-    backend: sys::Backend,
+    epfd: OwnedFd,
 }
 
 impl Poller {
@@ -377,11 +159,30 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Fails if the OS readiness object cannot be created.
+    /// Fails if the epoll instance cannot be created.
     pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            backend: sys::Backend::new()?,
-        })
+        // SAFETY: epoll_create1 takes no pointers.
+        let epfd = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Poller { epfd })
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut events = EPOLLRDHUP;
+        if interest.read {
+            events |= EPOLLIN;
+        }
+        if interest.write {
+            events |= EPOLLOUT;
+        }
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call; the kernel copies it.
+        if unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// Starts watching `fd` under `token`. The fd must stay open until
@@ -391,7 +192,7 @@ impl Poller {
     ///
     /// Fails if the fd cannot be added (already registered, invalid).
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.register(fd, token, interest)
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Replaces the token/interest of an already-registered fd.
@@ -400,7 +201,7 @@ impl Poller {
     ///
     /// Fails if the fd is not registered.
     pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.reregister(fd, token, interest)
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Stops watching `fd`.
@@ -409,7 +210,7 @@ impl Poller {
     ///
     /// Fails if the fd is not registered.
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.backend.deregister(fd)
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::NONE)
     }
 
     /// Appends ready events to `out` (which is *not* cleared), blocking up
@@ -421,49 +222,65 @@ impl Poller {
     ///
     /// Fails only on unexpected OS errors (`EINTR` is absorbed).
     pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        self.backend.wait(out, timeout)
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+        let (epfd, ms) = (self.epfd.as_raw_fd(), timeout_ms(timeout));
+        // SAFETY: buf is a valid writable array of its declared length.
+        let n = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as i32, ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(()); // Signal during wait: report nothing.
+            }
+            return Err(e);
+        }
+        for ev in &buf[..n as usize] {
+            // Copy out of the (possibly packed) struct before use.
+            let (events, token) = ({ ev.events }, { ev.data });
+            out.push(PollEvent {
+                token,
+                readable: events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: events & EPOLLOUT != 0,
+                hangup: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(())
     }
 }
 
 /// Cross-thread wakeup for a blocked [`Poller::wait`].
 ///
-/// A self-connected loopback UDP socket pair: `wake` sends one datagram,
-/// the receiving socket is registered in the poller like any session, and
-/// the poller thread [`drain`](Waker::drain)s it on readiness. `wake` is
-/// cheap, non-blocking and safe from any thread.
+/// A non-blocking `eventfd`: `wake` adds one to its counter, the fd is
+/// registered in the poller like any session, and the poller thread
+/// [`drain`](Waker::drain)s it on readiness. `wake` is cheap, non-blocking
+/// and safe from any thread.
 ///
-/// Wakes coalesce through a latch: the first `wake` after a `drain` sends
-/// the datagram, later ones only see the latch set. The contract that makes
-/// this lossless is the order on the poller side — `drain` empties the
-/// socket *then* releases the latch, and the poller looks at its work
+/// Wakes coalesce through a latch: the first `wake` after a `drain` writes
+/// the counter, later ones only see the latch set. The contract that makes
+/// this lossless is the order on the poller side — `drain` zeroes the
+/// counter *then* releases the latch, and the poller looks at its work
 /// sources only *after* `drain` returns. A poster that found the latch set
 /// published its work before the release, so that look sees it; a poster
-/// that finds it clear sends a fresh datagram.
+/// that finds it clear writes the counter afresh.
 #[derive(Debug)]
 pub struct Waker {
-    tx: UdpSocket,
-    rx: UdpSocket,
-    /// Set while a wake datagram is in flight or undrained.
+    fd: File,
+    /// Set while a wake is written and undrained.
     armed: AtomicBool,
 }
 
 impl Waker {
-    /// Builds a waker and registers its receive side in `poller` under
-    /// `token` (read interest).
+    /// Builds a waker and registers it in `poller` under `token` (read
+    /// interest).
     ///
     /// # Errors
     ///
-    /// Fails if the loopback sockets cannot be created or registered.
+    /// Fails if the eventfd cannot be created or registered.
     pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-        let rx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-        rx.set_nonblocking(true)?;
-        let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-        tx.set_nonblocking(true)?;
-        tx.connect(rx.local_addr()?)?;
-        poller.register(rx.as_raw_fd(), token, Interest::READ)?;
+        // SAFETY: eventfd takes no pointers.
+        let fd = File::from(owned(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?);
+        poller.register(fd.as_raw_fd(), token, Interest::READ)?;
         Ok(Waker {
-            tx,
-            rx,
+            fd,
             armed: AtomicBool::new(false),
         })
     }
@@ -473,19 +290,70 @@ impl Waker {
     pub fn wake(&self) {
         // AcqRel: the release half publishes the caller's work to the
         // `drain` that clears the latch; see the type-level contract.
-        if !self.armed.swap(true, Ordering::AcqRel) && self.tx.send(&[1]).is_err() {
+        if !self.armed.swap(true, Ordering::AcqRel)
+            && (&self.fd).write(&1u64.to_ne_bytes()).is_err()
+        {
             // Nothing went out: let the next poster try again.
             self.armed.store(false, Ordering::Release);
         }
     }
 
-    /// Discards pending wake datagrams and re-opens the latch (the poller
-    /// thread calls this when the waker's token reports readable, *before*
-    /// it examines whatever `wake` callers published).
+    /// Zeroes the pending wake and re-opens the latch (the poller thread
+    /// calls this when the waker's token reports readable, *before* it
+    /// examines whatever `wake` callers published).
     pub fn drain(&self) {
-        let mut buf = [0u8; 16];
-        while self.rx.recv(&mut buf).is_ok() {}
+        // One read returns the whole counter and resets it.
+        let _ = (&self.fd).read(&mut [0u8; 8]);
         self.armed.swap(false, Ordering::AcqRel);
+    }
+}
+
+/// One thread's single blocking point: a [`Poller`] with a [`Waker`] at
+/// token [`Wait::WAKE`]. Every worker lane blocks in one of these — the
+/// waker rings for its command queue, and its links' sockets share the
+/// poller (DESIGN.md §4).
+#[derive(Debug)]
+pub struct Wait {
+    pub(crate) poller: Poller,
+    waker: Arc<Waker>,
+}
+
+impl Wait {
+    /// The token of the waker; sockets use the others.
+    pub(crate) const WAKE: u64 = 0;
+
+    /// A fresh poller and its waker.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the epoll instance or the eventfd cannot be created.
+    pub fn new() -> io::Result<Wait> {
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new(&poller, Self::WAKE)?);
+        Ok(Wait { poller, waker })
+    }
+
+    /// The waker, for whoever posts work to this wait's thread.
+    pub fn waker(&self) -> Arc<Waker> {
+        Arc::clone(&self.waker)
+    }
+
+    /// Blocks up to `timeout`, leaves in `ready` the sockets that became
+    /// ready, and says whether the waker rang — draining it first, so that
+    /// the caller's next look at its work sources sees whatever the ringers
+    /// published (the [`Waker`] latch contract).
+    pub(crate) fn wait(&self, ready: &mut Vec<PollEvent>, timeout: Duration) -> bool {
+        ready.clear();
+        if self.poller.wait(ready, Some(timeout)).is_err() {
+            return false;
+        }
+        let before = ready.len();
+        ready.retain(|e| e.token != Self::WAKE);
+        let woken = ready.len() < before;
+        if woken {
+            self.waker.drain();
+        }
+        woken
     }
 }
 

@@ -1,49 +1,58 @@
 //! Real TCP transport: length-prefixed Wings frames over `std::net`, with
-//! no thread between a worker lane and the wire.
+//! no thread between a worker lane and the wire in either direction.
 //!
 //! This is the substrate that lets a Hermes replica group run as separate
 //! OS processes (one per node) serving real traffic — the deployment shape
 //! of the paper's evaluation, with loopback/ethernet TCP standing in for
 //! the RDMA NICs (DESIGN.md §4). The paper's workers post their own Wings
-//! batches to the NIC (§4.2); here, per node:
+//! batches and poll their own receive queues (§4.2); here, per node of W
+//! lanes:
 //!
-//! * **Lanes write.** [`TcpSender::send`] runs on the calling worker
-//!   thread: it queues the frame in the peer's outbox and, unless another
-//!   thread is already writing that socket, writes the outbox itself with
-//!   one non-blocking `writev` of `[len, payload]` pairs — no channel, no
-//!   copy, no hand-off. Threads that share a peer never wait on each
-//!   other's syscall: the lock covers only the queue, and whoever holds the
+//! * **Lane i talks to lane i.** Each lane has its own connection to every
+//!   peer: lane i dials lane i of the peer, and only it writes that
+//!   connection. The acceptor hands it to its lane `i % W`, and only that
+//!   lane reads it.
+//! * **Lanes write.** [`TcpSender::send`] runs on the calling lane: it
+//!   queues the frame in the link's outbox and, unless another thread is
+//!   already writing that socket, writes the outbox itself with one
+//!   non-blocking `writev` of `[len, payload]` pairs — no channel, no copy,
+//!   no hand-off. The lock covers only the queue, and whoever holds the
 //!   *drain role* writes everything queued behind it, in queue order (so
 //!   per-sender FIFO holds).
-//! * **One link poller reads, dials and drains.** A single thread per node
-//!   ([`Poller`], woken through one [`Waker`]) owns the peer listener, every
-//!   inbound connection (a sans-io `FrameReader`: handshake → accumulate
-//!   → split frames → [`IngressSink`]) and the slow half of egress: when a
-//!   socket stops taking bytes the remainder stays in the outbox and the
-//!   poller finishes it on writability. Transport threads per node: one,
-//!   whatever the cluster size.
-//! * **Dials are lazy and transient.** The first send to a peer with no
-//!   connection asks the poller for one; the poller runs the blocking
-//!   `connect` on a short-lived thread that exits when the attempt does.
-//!   Frames sent during the attempt wait in the outbox. After a failure the
-//!   next attempt waits out an exponential backoff.
+//! * **Lanes read.** A lane's [`TcpLinks`] registers its sockets in the
+//!   lane's one [`Wait`], beside the waker of its command queue;
+//!   [`LaneLinks::poll`] reads inbound connections through a sans-io
+//!   `FrameReader` (handshake → accumulate → split frames) and hands every
+//!   event to the lane, and finishes a short write on writability. Lane 0
+//!   also owns the peer listener and every connection whose handshake is
+//!   unfinished. Transport threads per node: none.
+//! * **Dials are lazy and transient.** The first send on a link with no
+//!   connection asks its lane for one; the lane runs the blocking `connect`
+//!   on a short-lived `hermes-dial` thread that posts the result back and
+//!   rings the lane. Frames sent during the attempt wait in the outbox.
+//!   After a failure the next attempt waits out an exponential backoff.
 //! * **Frames are datagrams.** A frame is dropped (and counted in
-//!   [`TcpStats::frames_dropped`]) when the peer is in backoff, when the
+//!   [`TcpStats::frames_dropped`]) when the link is in backoff, when the
 //!   dial or connection carrying it dies, or when the outbox is at
 //!   `OUTBOX_CAP` — `send` never blocks and never queues without bound.
 //!   Hermes' message-loss timeouts retransmit (paper §3.4).
+//! * **One link set, two hosts.** [`Endpoint::split`] gives each lane its
+//!   set; [`Endpoint::start`] runs a one-lane set on one `hermes-link`
+//!   thread feeding an [`IngressSink`] (tests and probes).
 //!
 //! Wire format, both directions, after a connection-scoped handshake of
-//! `b"HRM1"` + `u32` sender node id: each frame is a `u32` little-endian
-//! payload length followed by the payload (one Wings batch frame, whose
-//! internal layout is [`hermes-wings`]'s `u16` count + per-message `u32`
-//! length prefixes). A connection carries frames one way only, dialer to
-//! acceptor.
+//! `b"HRM2"` + `u32` dialer node + `u16` dialer lane + `u16` its lane
+//! count: each frame is a `u32` little-endian payload length followed by
+//! the payload (one Wings batch frame, whose internal layout is
+//! [`hermes-wings`]'s `u16` count + per-message `u32` length prefixes). A
+//! connection carries frames one way only, dialer to acceptor.
 //!
 //! [`hermes-wings`]: ../../hermes_wings/index.html
 
-use crate::poll::{Interest, PollEvent, Poller, Waker};
-use crate::transport::{Endpoint, IngressGuard, IngressSink, NetEvent, NetSender, Transport};
+use crate::poll::{Interest, PollEvent, Wait, Waker};
+use crate::transport::{
+    Endpoint, IngressGuard, IngressSink, LaneLinks, NetEvent, NetSender, Transport,
+};
 use bytes::Bytes;
 use hermes_common::NodeId;
 use parking_lot::{Mutex, MutexGuard};
@@ -52,23 +61,25 @@ use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Connection handshake preamble: protocol magic, then the dialer's id.
-const MAGIC: [u8; 4] = *b"HRM1";
+/// Connection handshake preamble: protocol magic, then the dialer's node,
+/// lane and lane count.
+const MAGIC: [u8; 4] = *b"HRM2";
+const HELLO_LEN: usize = 12;
 
-/// A connection that has not completed its 8-byte handshake within this
-/// long is not a peer; the link poller closes it. (Unit tests wait it out,
-/// so they run with a short one.)
+/// A connection that has not completed its handshake within this long is
+/// not a peer; lane 0 closes it. (Unit tests wait it out, so they run with
+/// a short one.)
 const HANDSHAKE_DEADLINE: Duration = Duration::from_millis(if cfg!(test) { 200 } else { 5_000 });
 
 /// Longest one dial attempt may take (its transient thread lives this long
 /// at most; frames sent meanwhile wait in the outbox).
 const DIAL_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Most bytes (length prefixes included) one peer's outbox may hold; a
+/// Most bytes (length prefixes included) one link's outbox may hold; a
 /// frame that would exceed it is dropped. Sized to absorb the bursts the
 /// protocol produces on purpose — a shadow's catch-up stream is the
 /// largest — while a peer that stops reading costs this much and no more.
@@ -77,16 +88,15 @@ pub(crate) const OUTBOX_CAP: usize = 256 << 20;
 /// Frames gathered into one `writev`.
 const WRITE_BATCH: usize = 16;
 
-/// Size of the poller's read buffer, and reads per readiness report before
+/// Size of a link set's read buffer, and reads per readiness report before
 /// it moves on (level-triggered readiness re-reports what is left).
 const READ_CHUNK: usize = 64 * 1024;
 const READS_PER_EVENT: usize = 16;
 
-/// Upper bound on the poller's blocked wait: `stop` is re-checked at least
-/// this often even if a wake datagram were lost.
+/// Upper bound on the `Endpoint::start` host's blocked wait: `stop` is
+/// re-checked at least this often even if a wake were lost.
 const IDLE_WAIT: Duration = Duration::from_millis(500);
 
-const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 /// Outbound link to peer `i` is token `TOKEN_LINK_BASE + i`; inbound
 /// connections are numbered upward from `TOKEN_LINK_BASE + cluster size`.
@@ -117,7 +127,8 @@ impl Default for TcpConfig {
 /// Declares [`TcpStats`]: one relaxed atomic and one getter per counter.
 macro_rules! tcp_stats {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Counters describing one node's TCP transport activity.
+        /// Counters describing one node's TCP transport activity, all
+        /// lanes together.
         ///
         /// All but the `egress_backlog_bytes` gauge are cumulative and
         /// monotone; read them through [`TcpEndpoint::stats`] /
@@ -143,7 +154,7 @@ tcp_stats! {
     frames_sent,
     /// Payload bytes handed to the kernel (excluding length prefixes).
     bytes_sent,
-    /// Frames dropped — the transport's "lost datagrams": peer in backoff,
+    /// Frames dropped — the transport's "lost datagrams": link in backoff,
     /// dial or connection died with the frame queued, outbox at its cap,
     /// or no such peer.
     frames_dropped,
@@ -160,13 +171,13 @@ tcp_stats! {
     /// [`TcpSender::kill_connection`].
     disconnects,
     /// Frames written by the thread that called `send` (or by another
-    /// sender holding the drain role): no transport thread was involved.
+    /// sender holding the drain role).
     writes_inline,
-    /// Frames the link poller wrote: queued during a dial, or left behind
-    /// when the socket stopped taking bytes.
+    /// Frames the link's own lane wrote from its poll: queued during a
+    /// dial, or left behind when the socket stopped taking bytes.
     writes_deferred,
     /// Bytes currently queued in outboxes, length prefixes included
-    /// (gauge; per peer it never exceeds the outbox cap).
+    /// (gauge; per link it never exceeds the outbox cap).
     egress_backlog_bytes,
 }
 
@@ -176,26 +187,26 @@ impl TcpStats {
     }
 }
 
-/// Where a peer's outbound connection stands.
+/// Where a link's outbound connection stands.
 #[derive(Default)]
 enum Conn {
-    /// None; a send at or after `retry_at` asks the poller to dial.
+    /// None; a send at or after `retry_at` asks the lane to dial.
     Down { retry_at: Instant },
     /// A dial was requested or is in flight; frames queue.
     Dialing,
-    /// Connected and registered with the poller.
+    /// Connected and registered with the lane's wait.
     Up(Arc<TcpStream>),
-    /// The poller has exited; every send drops.
+    /// The lane's link set is gone; every send drops.
     #[default]
     Closed,
 }
 
-/// The egress half of one peer link. The lock guards only this state —
-/// never a syscall.
+/// The egress half of one link (one lane, one peer). Its lock guards only
+/// this state — never a syscall.
 #[derive(Default)]
 struct Egress {
     conn: Conn,
-    /// A finished dial attempt waiting for the poller to install it.
+    /// A finished dial attempt waiting for the lane to install it.
     dialed: Option<io::Result<TcpStream>>,
     /// Frames not yet (fully) in the kernel, oldest first.
     outbox: VecDeque<Bytes>,
@@ -206,41 +217,54 @@ struct Egress {
     /// The drain role: a thread is writing `outbox` to the socket with the
     /// lock released and will write whatever is queued behind it.
     draining: bool,
-    /// The socket stopped taking bytes: senders only queue, and the poller
+    /// The socket stopped taking bytes: senders only queue, and the lane
     /// drains on writability.
     write_wanted: bool,
     /// Delay before the next dial if this connection or attempt fails.
     backoff: Duration,
 }
 
-struct Link {
-    addr: SocketAddr,
-    egress: Mutex<Egress>,
+/// One lane's links as its senders and dialers see them.
+struct LaneShared {
+    /// Outbound links by peer id; `None` at this node.
+    links: Vec<Option<Mutex<Egress>>>,
+    /// Rings the lane: a link wants its lane, or a connection was handed
+    /// over.
+    waker: Arc<Waker>,
+    /// Handshaken connections lane 0 accepted for this lane.
+    handed: Mutex<Vec<Inbound>>,
 }
 
-/// What a node's senders and its link poller share.
+/// What a node's senders, dialers and link sets share.
 struct Shared {
     me: NodeId,
-    /// Indexed by node id; `None` at `me`.
-    links: Vec<Option<Link>>,
+    /// Listen addresses, indexed by node id.
+    addrs: Vec<SocketAddr>,
     stats: Arc<TcpStats>,
     cfg: TcpConfig,
-    /// Registrations change only on the link poller thread.
-    poller: Poller,
-    waker: Arc<Waker>,
-    stop: Arc<AtomicBool>,
+    /// Per lane; set once, when the endpoint splits (a send before that
+    /// drops).
+    lanes: OnceLock<Vec<LaneShared>>,
 }
 
 impl Shared {
-    /// Queues `payload` for `to` and, if nobody else is writing that
-    /// socket, writes the outbox on the calling thread. `false`: dropped.
-    fn send(&self, to: NodeId, payload: Bytes) -> bool {
-        // Self-sends and out-of-range destinations drop silently,
-        // matching the in-process transport.
-        let Some(Some(link)) = self.links.get(to.index()) else {
+    fn lane(&self, lane: usize) -> &LaneShared {
+        &self.lanes.get().expect("link sets exist only once split")[lane]
+    }
+
+    /// Queues `payload` on `lane`'s link to `to` and, if nobody else is
+    /// writing that socket, writes the outbox on the calling thread.
+    /// `false`: dropped.
+    fn send(&self, lane: usize, to: NodeId, payload: Bytes) -> bool {
+        let Some(lane) = self.lanes.get().and_then(|lanes| lanes.get(lane)) else {
             return false;
         };
-        let mut eg = link.egress.lock();
+        // Self-sends and out-of-range destinations drop silently,
+        // matching the in-process transport.
+        let Some(Some(link)) = lane.links.get(to.index()) else {
+            return false;
+        };
+        let mut eg = link.lock();
         let stream = match &eg.conn {
             Conn::Up(stream) => Some(Arc::clone(stream)),
             Conn::Dialing => None,
@@ -269,7 +293,7 @@ impl Shared {
             }
         };
         if wake {
-            self.waker.wake();
+            lane.waker.wake();
         }
         true
     }
@@ -277,11 +301,11 @@ impl Shared {
     /// Writes `link`'s outbox to `stream` until it is empty or the socket
     /// stops taking bytes, crediting written frames to `tally`. The caller
     /// took the drain role under `eg`; the lock is released around every
-    /// write. Returns `true` when the socket filled up and the poller does
+    /// write. Returns `true` when the socket filled up and the lane does
     /// not know yet.
     fn drain<'a>(
         &self,
-        link: &'a Link,
+        link: &'a Mutex<Egress>,
         mut eg: MutexGuard<'a, Egress>,
         stream: &Arc<TcpStream>,
         tally: &AtomicU64,
@@ -296,7 +320,7 @@ impl Shared {
             drop(eg);
             let wanted = batch[..n].iter().map(|f| 4 + f.len()).sum::<usize>() - skip;
             let res = write_frames(stream, &batch[..n], skip);
-            eg = link.egress.lock();
+            eg = link.lock();
             if !matches!(&eg.conn, Conn::Up(s) if Arc::ptr_eq(s, stream)) {
                 // Torn down while we wrote: the teardown already dropped
                 // the outbox and released the role.
@@ -312,7 +336,7 @@ impl Shared {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                 Err(_) => {
-                    // The poller sees the hang-up and tears the link down.
+                    // The lane sees the hang-up and tears the link down.
                     let _ = stream.shutdown(Shutdown::Both);
                     eg.draining = false;
                     return false;
@@ -386,17 +410,19 @@ fn write_frames(mut stream: &TcpStream, frames: &[Bytes], skip: usize) -> io::Re
     stream.write_vectored(&slices[..2 * frames.len()])
 }
 
-/// The transmit half of a node's TCP attachment. Cloneable; every worker
-/// thread of a replica holds one.
+/// The transmit half of a node's TCP attachment, bound to one lane's
+/// links. Cloneable; every worker lane holds its own
+/// ([`LaneLinks::sender`]), and [`Endpoint::sender`] writes on lane 0's.
 #[derive(Clone)]
 pub struct TcpSender {
     shared: Arc<Shared>,
+    lane: usize,
 }
 
 impl TcpSender {
     /// Number of nodes in the peer table.
     pub fn cluster_size(&self) -> usize {
-        self.shared.links.len()
+        self.shared.addrs.len()
     }
 
     /// Transport counters of this node.
@@ -404,14 +430,17 @@ impl TcpSender {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Forcibly tears down the live outbound connection to `to` (no-op if
-    /// none). The transport reconnects with backoff on the next send —
-    /// this is the fault-injection hook behind the disconnect tests.
+    /// Forcibly tears down every lane's live outbound connection to `to`
+    /// (no-op where there is none). The transport reconnects with backoff
+    /// on the next send — this is the fault-injection hook behind the
+    /// disconnect tests.
     pub fn kill_connection(&self, to: NodeId) {
-        if let Some(Some(link)) = self.shared.links.get(to.index()) {
-            if let Conn::Up(stream) = &link.egress.lock().conn {
-                // The poller sees the hang-up and tears the link down.
-                let _ = stream.shutdown(Shutdown::Both);
+        for lane in self.shared.lanes.get().into_iter().flatten() {
+            if let Some(Some(link)) = lane.links.get(to.index()) {
+                if let Conn::Up(stream) = &link.lock().conn {
+                    // The lane sees the hang-up and tears the link down.
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
             }
         }
     }
@@ -423,7 +452,7 @@ impl NetSender for TcpSender {
     }
 
     fn send(&self, to: NodeId, payload: Bytes) {
-        if !self.shared.send(to, payload) {
+        if !self.shared.send(self.lane, to, payload) {
             TcpStats::add(&self.shared.stats.frames_dropped, 1);
         }
     }
@@ -433,12 +462,13 @@ impl std::fmt::Debug for TcpSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpSender")
             .field("me", &self.shared.me)
+            .field("lane", &self.lane)
             .field("cluster_size", &self.cluster_size())
             .finish()
     }
 }
 
-/// One node's TCP attachment: a bound listener plus the per-peer links.
+/// One node's TCP attachment: a bound listener plus its peers' addresses.
 pub struct TcpEndpoint {
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -446,7 +476,7 @@ pub struct TcpEndpoint {
 
 impl TcpEndpoint {
     /// Binds node `me`'s listener at `peers[me]` (connections are dialed
-    /// lazily, and no thread runs until [`Endpoint::start`]).
+    /// lazily, and nothing is read until the endpoint splits or starts).
     ///
     /// # Errors
     ///
@@ -465,7 +495,7 @@ impl TcpEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails if the readiness objects cannot be created.
+    /// Fails if the listener cannot be made non-blocking.
     pub fn from_listener(
         me: NodeId,
         listener: TcpListener,
@@ -473,30 +503,12 @@ impl TcpEndpoint {
         cfg: TcpConfig,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKE)?);
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        let link = |(i, &addr): (usize, &SocketAddr)| {
-            let egress = Egress {
-                conn: Conn::Down {
-                    retry_at: Instant::now(),
-                },
-                backoff: cfg.initial_backoff,
-                ..Egress::default()
-            };
-            (i != me.index()).then(|| Link {
-                addr,
-                egress: Mutex::new(egress),
-            })
-        };
         let shared = Arc::new(Shared {
             me,
-            links: peers.iter().enumerate().map(link).collect(),
+            addrs: peers.to_vec(),
             stats: Arc::default(),
             cfg,
-            poller,
-            waker,
-            stop: Arc::default(),
+            lanes: OnceLock::new(),
         });
         Ok(TcpEndpoint { listener, shared })
     }
@@ -518,6 +530,7 @@ impl TcpEndpoint {
 
 impl Endpoint for TcpEndpoint {
     type Sender = TcpSender;
+    type Links = TcpLinks;
 
     fn node_id(&self) -> NodeId {
         self.shared.me
@@ -526,26 +539,67 @@ impl Endpoint for TcpEndpoint {
     fn sender(&self) -> TcpSender {
         TcpSender {
             shared: Arc::clone(&self.shared),
+            lane: 0,
         }
     }
 
+    /// One `hermes-link` thread hosting a one-lane link set.
     fn start(self, sink: IngressSink) -> IngressGuard {
+        let wait = Wait::new().expect("the link thread's epoll and eventfd");
+        let waker = wait.waker();
+        let mut links = (self.split(vec![wait], Arc::clone(&sink)))
+            .expect("register the listener")
+            .remove(0);
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new().name("hermes-link".into());
+        let handle = thread.spawn(move || {
+            while !flag.load(Ordering::Relaxed) {
+                links.poll(IDLE_WAIT, &mut |ev| sink(ev));
+            }
+        });
+        IngressGuard::new(stop, vec![handle.expect("spawn the link thread")]).waking(waker)
+    }
+
+    /// Lanes read every connection themselves: `sink` is never called.
+    fn split(self, waits: Vec<Wait>, _sink: IngressSink) -> io::Result<Vec<TcpLinks>> {
         let TcpEndpoint { listener, shared } = self;
-        let peers = shared.links.len();
-        let (stop, waker) = (Arc::clone(&shared.stop), Arc::clone(&shared.waker));
-        let poller = LinkPoller {
-            shared,
-            listener,
-            sink,
+        if let Some(lane0) = waits.first() {
+            (lane0.poller).register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        }
+        let peers = shared.addrs.len();
+        let link = |i: usize| {
+            let egress = Egress {
+                conn: Conn::Down {
+                    retry_at: Instant::now(),
+                },
+                backoff: shared.cfg.initial_backoff,
+                ..Egress::default()
+            };
+            (i != shared.me.index()).then(|| Mutex::new(egress))
+        };
+        let lanes = waits.iter().map(|wait| LaneShared {
+            links: (0..peers).map(link).collect(),
+            waker: wait.waker(),
+            handed: Mutex::default(),
+        });
+        let fresh = shared.lanes.set(lanes.collect()).is_ok();
+        assert!(fresh, "an endpoint splits once: `split` consumes it");
+        let mut listener = Some(listener);
+        let links = waits.into_iter().enumerate().map(|(lane, wait)| TcpLinks {
+            shared: Arc::clone(&shared),
+            lane,
+            wait,
+            listener: listener.take(),
             inbound: HashMap::new(),
             next_token: TOKEN_LINK_BASE + peers as u64,
             dialers: (0..peers).map(|_| None).collect(),
             armed: vec![false; peers],
             rdbuf: vec![0u8; READ_CHUNK],
             events: Vec::new(),
-        };
-        let handle = std::thread::spawn(move || poller.run());
-        IngressGuard::new(stop, vec![handle]).waking(waker)
+            ready: Vec::new(),
+        });
+        Ok(links.collect())
     }
 }
 
@@ -554,7 +608,7 @@ impl std::fmt::Debug for TcpEndpoint {
         f.debug_struct("TcpEndpoint")
             .field("me", &self.shared.me)
             .field("listen", &self.listener.local_addr().ok())
-            .field("cluster_size", &self.shared.links.len())
+            .field("cluster_size", &self.shared.addrs.len())
             .finish()
     }
 }
@@ -631,8 +685,8 @@ impl Transport for TcpNet {
 pub(crate) struct FrameReader {
     /// The incomplete handshake or frame carried over to the next read.
     buf: Vec<u8>,
-    /// The dialer's id, once its handshake has arrived.
-    peer: Option<NodeId>,
+    /// The dialer's node and lane, once its handshake has arrived.
+    peer: Option<(NodeId, usize)>,
     handshake_by: Instant,
     max_frame: usize,
     dead: bool,
@@ -668,17 +722,20 @@ impl FrameReader {
     fn split(&mut self, src: &[u8], out: &mut Vec<NetEvent>) -> usize {
         let mut at = 0;
         let peer = match self.peer {
-            Some(peer) => peer,
-            None if src.len() < 8 => return 0,
+            Some((peer, _)) => peer,
+            None if src.len() < HELLO_LEN => return 0,
             None if src[..4] != MAGIC => {
                 self.dead = true; // Not one of ours: no peer event at all.
                 return 0;
             }
             None => {
                 let peer = NodeId(u32::from_le_bytes(src[4..8].try_into().expect("4 bytes")));
-                self.peer = Some(peer);
+                // The dialer's lane count (bytes 10..12) is informational:
+                // the acceptor routes by `lane % W` whatever it is.
+                let lane = u16::from_le_bytes(src[8..10].try_into().expect("2 bytes"));
+                self.peer = Some((peer, usize::from(lane)));
                 out.push(NetEvent::PeerUp(peer));
-                at = 8;
+                at = HELLO_LEN;
                 peer
             }
         };
@@ -699,7 +756,7 @@ impl FrameReader {
 
     /// The dialer's id, once known.
     pub(crate) fn peer(&self) -> Option<NodeId> {
-        self.peer
+        self.peer.map(|(peer, _)| peer)
     }
 
     pub(crate) fn is_dead(&self) -> bool {
@@ -717,12 +774,15 @@ struct Inbound {
     reader: FrameReader,
 }
 
-/// The node's one transport thread: owns the listener, every inbound
-/// connection, dialing, and the outboxes' slow path.
-struct LinkPoller {
+/// One lane's links: its outbound connections (dialing them and finishing
+/// their short writes), the inbound connections it reads and — on lane 0 —
+/// the listener and every connection not yet handshaken. Its sockets
+/// share the lane's [`Wait`] with the waker of the lane's command queue.
+pub struct TcpLinks {
     shared: Arc<Shared>,
-    listener: TcpListener,
-    sink: IngressSink,
+    lane: usize,
+    wait: Wait,
+    listener: Option<TcpListener>,
     inbound: HashMap<u64, Inbound>,
     next_token: u64,
     /// Per peer: the dial thread in flight, if any.
@@ -731,52 +791,60 @@ struct LinkPoller {
     armed: Vec<bool>,
     rdbuf: Vec<u8>,
     events: Vec<NetEvent>,
+    ready: Vec<PollEvent>,
 }
 
-impl LinkPoller {
-    fn run(mut self) {
-        let shared = Arc::clone(&self.shared);
-        let first_inbound = TOKEN_LINK_BASE + shared.links.len() as u64;
-        let mut ready: Vec<PollEvent> = Vec::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            ready.clear();
-            // Sleep no longer than the nearest unfinished handshake allows.
-            let deadline = self
-                .inbound
-                .values()
-                .filter_map(|c| c.reader.handshake_deadline())
-                .min();
-            let budget = deadline.map_or(IDLE_WAIT, |d| {
-                d.saturating_duration_since(Instant::now()).min(IDLE_WAIT)
-            });
-            if shared.poller.wait(&mut ready, Some(budget)).is_err() {
-                break;
-            }
-            for ev in &ready {
-                match ev.token {
-                    TOKEN_WAKE => {
-                        // Drain first: what the wakers published is looked
-                        // at only after the latch re-opens.
-                        shared.waker.drain();
-                        (0..shared.links.len()).for_each(|i| self.service_link(i, false));
-                    }
-                    TOKEN_LISTENER => self.accept_ready(),
-                    t if t >= first_inbound => self.inbound_ready(t),
-                    t => self.service_link((t - TOKEN_LINK_BASE) as usize, ev.hangup),
-                }
-            }
-            if deadline.is_some() {
-                let now = Instant::now();
-                let overdue = |c: &Inbound| c.reader.handshake_deadline().is_some_and(|d| now >= d);
-                let silent: Vec<u64> = (self.inbound.iter())
-                    .filter_map(|(&t, c)| overdue(c).then_some(t))
-                    .collect();
-                silent.into_iter().for_each(|t| self.close_inbound(t));
-            }
+impl LaneLinks for TcpLinks {
+    type Sender = TcpSender;
+
+    fn sender(&self) -> TcpSender {
+        TcpSender {
+            shared: Arc::clone(&self.shared),
+            lane: self.lane,
         }
-        self.close();
     }
 
+    fn poll(&mut self, timeout: Duration, deliver: &mut dyn FnMut(NetEvent) -> bool) {
+        // No longer than the nearest unfinished handshake allows.
+        let handshakes = self.inbound.values();
+        let deadline = handshakes
+            .filter_map(|c| c.reader.handshake_deadline())
+            .min();
+        let budget = deadline.map_or(timeout, |d| {
+            d.saturating_duration_since(Instant::now()).min(timeout)
+        });
+        let mut ready = std::mem::take(&mut self.ready);
+        if self.wait.wait(&mut ready, budget) {
+            // A sender, a dialer or lane 0 asked for this lane.
+            let handed = std::mem::take(&mut *self.shared.lane(self.lane).handed.lock());
+            for conn in handed {
+                self.adopt(conn);
+            }
+            (0..self.shared.addrs.len()).for_each(|i| self.service_link(i, false));
+        }
+        let first_inbound = TOKEN_LINK_BASE + self.shared.addrs.len() as u64;
+        for ev in &ready {
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready(),
+                t if t >= first_inbound => self.inbound_ready(t, deliver),
+                t => self.service_link((t - TOKEN_LINK_BASE) as usize, ev.hangup),
+            }
+        }
+        self.ready = ready;
+        if deadline.is_some() {
+            let now = Instant::now();
+            let overdue = |c: &Inbound| c.reader.handshake_deadline().is_some_and(|d| now >= d);
+            let silent: Vec<u64> = (self.inbound.iter())
+                .filter_map(|(&t, c)| overdue(c).then_some(t))
+                .collect();
+            for token in silent {
+                self.close_inbound(token, deliver);
+            }
+        }
+    }
+}
+
+impl TcpLinks {
     /// Brings link `idx` up to date with what its senders asked for and
     /// its socket reported: forgets a connection that hung up (peer gone,
     /// write error, injected kill — the next send re-dials), installs a
@@ -784,13 +852,13 @@ impl LinkPoller {
     /// and keeps the writability subscription equal to `write_wanted`.
     fn service_link(&mut self, idx: usize, hangup: bool) {
         let shared = &*self.shared;
-        let Some(link) = &shared.links[idx] else {
+        let Some(link) = &shared.lane(self.lane).links[idx] else {
             return;
         };
-        let token = TOKEN_LINK_BASE + idx as u64;
-        let mut eg = link.egress.lock();
+        let (poller, token) = (&self.wait.poller, TOKEN_LINK_BASE + idx as u64);
+        let mut eg = link.lock();
         if let (true, Conn::Up(stream)) = (hangup, &eg.conn) {
-            let _ = shared.poller.deregister(stream.as_raw_fd());
+            let _ = poller.deregister(stream.as_raw_fd());
             self.armed[idx] = false;
             TcpStats::add(&shared.stats.disconnects, 1);
             shared.fail(&mut eg);
@@ -799,8 +867,7 @@ impl LinkPoller {
             if let Some(dialer) = self.dialers[idx].take() {
                 let _ = dialer.join();
             }
-            let register =
-                |s: &TcpStream| shared.poller.register(s.as_raw_fd(), token, Interest::NONE);
+            let register = |s: &TcpStream| poller.register(s.as_raw_fd(), token, Interest::NONE);
             match dialed {
                 Ok(stream) if register(&stream).is_ok() => {
                     TcpStats::add(&shared.stats.dials, 1);
@@ -813,14 +880,21 @@ impl LinkPoller {
         let stream = match &eg.conn {
             Conn::Up(stream) => Arc::clone(stream),
             Conn::Dialing if self.dialers[idx].is_none() => {
-                let (dialer, addr) = (Arc::clone(&self.shared), link.addr);
-                self.dialers[idx] = Some(std::thread::spawn(move || {
-                    let dialed = dial(dialer.me, addr);
-                    if let Some(link) = &dialer.links[idx] {
-                        link.egress.lock().dialed = Some(dialed);
+                let (dialer, lane) = (Arc::clone(&self.shared), self.lane);
+                let thread = std::thread::Builder::new().name("hermes-dial".into());
+                let spawned = thread.spawn(move || {
+                    let lanes = dialer.lanes.get().map_or(1, Vec::len);
+                    let dialed = dial(dialer.me, lane, lanes, dialer.addrs[idx]);
+                    let target = dialer.lane(lane);
+                    if let Some(link) = &target.links[idx] {
+                        link.lock().dialed = Some(dialed);
                     }
-                    dialer.waker.wake();
-                }));
+                    target.waker.wake();
+                });
+                match spawned {
+                    Ok(dialer) => self.dialers[idx] = Some(dialer),
+                    Err(_) => shared.fail(&mut eg),
+                }
                 return;
             }
             _ => return,
@@ -828,7 +902,7 @@ impl LinkPoller {
         if !eg.draining && !eg.outbox.is_empty() {
             eg.draining = true;
             shared.drain(link, eg, &stream, &shared.stats.writes_deferred);
-            eg = link.egress.lock();
+            eg = link.lock();
         }
         let current = matches!(&eg.conn, Conn::Up(s) if Arc::ptr_eq(s, &stream));
         if current && eg.write_wanted != self.armed[idx] {
@@ -836,8 +910,7 @@ impl LinkPoller {
                 read: false,
                 write: eg.write_wanted,
             };
-            let fd = stream.as_raw_fd();
-            if shared.poller.reregister(fd, token, interest).is_ok() {
+            if (poller.reregister(stream.as_raw_fd(), token, interest)).is_ok() {
                 self.armed[idx] = eg.write_wanted;
             }
         }
@@ -846,34 +919,49 @@ impl LinkPoller {
     /// Takes every connection waiting on the listener (an error, usually
     /// `WouldBlock`, ends the batch; readiness re-reports what is left).
     fn accept_ready(&mut self) {
-        while let Ok((stream, _)) = self.listener.accept() {
-            let (fd, token) = (stream.as_raw_fd(), self.next_token);
-            let ready = stream.set_nonblocking(true).is_ok()
-                && stream.set_nodelay(true).is_ok()
-                && (self.shared.poller.register(fd, token, Interest::READ)).is_ok();
-            if ready {
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            let reader = FrameReader::new(self.shared.cfg.max_frame_bytes, Instant::now());
+            let ready = stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok();
+            if ready && self.adopt(Inbound { stream, reader }) {
                 TcpStats::add(&self.shared.stats.accepts, 1);
-                self.next_token += 1;
-                let reader = FrameReader::new(self.shared.cfg.max_frame_bytes, Instant::now());
-                self.inbound.insert(token, Inbound { stream, reader });
             }
         }
     }
 
+    /// Starts reading `conn` on this lane.
+    fn adopt(&mut self, conn: Inbound) -> bool {
+        let (fd, token) = (conn.stream.as_raw_fd(), self.next_token);
+        let registered = (self.wait.poller)
+            .register(fd, token, Interest::READ)
+            .is_ok();
+        if registered {
+            self.next_token += 1;
+            self.inbound.insert(token, conn);
+        }
+        registered
+    }
+
     /// Reads what `token`'s connection has, feeding its [`FrameReader`]
-    /// and the sink; closes it on EOF, error, protocol violation or a gone
-    /// receiver.
-    fn inbound_ready(&mut self, token: u64) {
+    /// and `deliver`; closes it on EOF, error, protocol violation or a gone
+    /// receiver, and hands it to the lane its handshake names.
+    fn inbound_ready(&mut self, token: u64, deliver: &mut dyn FnMut(NetEvent) -> bool) {
         let Some(conn) = self.inbound.get_mut(&token) else {
             return;
         };
         for _ in 0..READS_PER_EVENT {
-            let n = match conn.stream.read(&mut self.rdbuf) {
-                Ok(0) => return self.close_inbound(token),
+            // A handshake is read to its last byte and no further: the
+            // frames behind it are for the lane it names to read.
+            let handshaking = conn.reader.peer.is_none();
+            let want = match handshaking {
+                true => HELLO_LEN - conn.reader.buf.len(),
+                false => self.rdbuf.len(),
+            };
+            let n = match conn.stream.read(&mut self.rdbuf[..want]) {
+                Ok(0) => return self.close_inbound(token, deliver),
                 Ok(n) => n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return self.close_inbound(token),
+                Err(_) => return self.close_inbound(token, deliver),
             };
             conn.reader.on_bytes(&self.rdbuf[..n], &mut self.events);
             let mut alive = !conn.reader.is_dead();
@@ -883,41 +971,54 @@ impl LinkPoller {
                     frames += 1;
                     payload += frame.len() as u64;
                 }
-                alive &= (self.sink)(ev);
+                alive &= deliver(ev);
             }
             TcpStats::add(&self.shared.stats.frames_received, frames);
             TcpStats::add(&self.shared.stats.bytes_received, payload);
             if !alive {
-                return self.close_inbound(token);
+                return self.close_inbound(token, deliver);
             }
-            if n < self.rdbuf.len() {
+            if n < want {
                 return; // Short read: the socket is empty for now.
+            }
+            let lanes = self.shared.lanes.get().map_or(1, Vec::len);
+            let owner = (conn.reader.peer).map_or(self.lane, |(_, lane)| lane % lanes);
+            if handshaking && owner != self.lane {
+                // Handshaken: over to the lane that reads it.
+                let conn = self.inbound.remove(&token).expect("read just now");
+                let _ = self.wait.poller.deregister(conn.stream.as_raw_fd());
+                let target = self.shared.lane(owner);
+                target.handed.lock().push(conn);
+                return target.waker.wake();
             }
         }
     }
 
     /// Forgets an inbound connection; one that had identified itself
     /// surfaces as [`NetEvent::PeerDown`].
-    fn close_inbound(&mut self, token: u64) {
+    fn close_inbound(&mut self, token: u64, deliver: &mut dyn FnMut(NetEvent) -> bool) {
         let Some(conn) = self.inbound.remove(&token) else {
             return;
         };
-        let _ = self.shared.poller.deregister(conn.stream.as_raw_fd());
+        let _ = self.wait.poller.deregister(conn.stream.as_raw_fd());
         if let Some(peer) = conn.reader.peer() {
             TcpStats::add(&self.shared.stats.disconnects, 1);
-            let _ = (self.sink)(NetEvent::PeerDown(peer));
+            let _ = deliver(NetEvent::PeerDown(peer));
         }
     }
+}
 
-    /// Shutdown: no dial left running, every link closed for good.
-    fn close(mut self) {
+/// The lane is gone: no dial left running, each of its links closed for
+/// good.
+impl Drop for TcpLinks {
+    fn drop(&mut self) {
         for dialer in self.dialers.drain(..).flatten() {
             let _ = dialer.join();
         }
-        for link in self.shared.links.iter().flatten() {
-            let mut eg = link.egress.lock();
+        for link in self.shared.lane(self.lane).links.iter().flatten() {
+            let mut eg = link.lock();
             if let Conn::Up(stream) = &eg.conn {
-                let _ = self.shared.poller.deregister(stream.as_raw_fd());
+                let _ = self.wait.poller.deregister(stream.as_raw_fd());
                 let _ = stream.shutdown(Shutdown::Both);
             }
             self.shared.fail(&mut eg);
@@ -926,20 +1027,30 @@ impl LinkPoller {
     }
 }
 
-/// The handshake a dialer opens its connection with.
-fn hello(me: NodeId) -> [u8; 8] {
-    let mut hello = [0u8; 8];
+impl std::fmt::Debug for TcpLinks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lane = (self.shared.me, self.lane);
+        f.debug_struct("TcpLinks").field("lane", &lane).finish()
+    }
+}
+
+/// The handshake lane `lane` of `lanes` on node `me` opens a connection
+/// with. (A lane number past `u16` wraps; the acceptor routes any value.)
+fn hello(me: NodeId, lane: usize, lanes: usize) -> [u8; HELLO_LEN] {
+    let mut hello = [0u8; HELLO_LEN];
     hello[..4].copy_from_slice(&MAGIC);
-    hello[4..].copy_from_slice(&me.0.to_le_bytes());
+    hello[4..8].copy_from_slice(&me.0.to_le_bytes());
+    hello[8..10].copy_from_slice(&(lane as u16).to_le_bytes());
+    hello[10..].copy_from_slice(&(lanes as u16).to_le_bytes());
     hello
 }
 
 /// Dials `addr` and performs the identifying handshake; the stream comes
 /// back non-blocking.
-fn dial(me: NodeId, addr: SocketAddr) -> io::Result<TcpStream> {
+fn dial(me: NodeId, lane: usize, lanes: usize, addr: SocketAddr) -> io::Result<TcpStream> {
     let mut s = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?;
     s.set_nodelay(true)?;
-    s.write_all(&hello(me))?;
+    s.write_all(&hello(me, lane, lanes))?;
     s.set_nonblocking(true)?;
     Ok(s)
 }
@@ -1107,7 +1218,7 @@ mod tests {
     }
 
     fn hello(id: u32) -> Vec<u8> {
-        super::hello(NodeId(id)).to_vec()
+        super::hello(NodeId(id), 0, 1).to_vec()
     }
 
     fn framed(payload: &[u8]) -> Vec<u8> {
@@ -1145,8 +1256,9 @@ mod tests {
 
     #[test]
     fn frame_reader_drops_a_bad_magic_with_no_peer_event() {
-        let mut wire = b"HRM2".to_vec();
-        wire.extend_from_slice(&9u32.to_le_bytes());
+        // The previous protocol's greeting: magic, node 9, and no lanes.
+        let mut wire = b"HRM1".to_vec();
+        wire.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0]);
         wire.extend_from_slice(&framed(b"never delivered"));
         for cut in 0..=wire.len() {
             let (reader, events) = read_in_pieces(1 << 20, &[&wire[..cut], &wire[cut..]]);
@@ -1228,6 +1340,55 @@ mod tests {
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
         assert_eq!(stats.disconnects(), 1);
         guard.stop();
+    }
+
+    /// Lane-mode link sets, polled by hand. Lane 0 accepts and reads the
+    /// handshake to its last byte and no further; the connection, which
+    /// names lane 3 of a 4-lane dialer, goes to lane 3 % 2 = 1, which reads
+    /// its frames — and, on an oversized length, reports exactly one
+    /// `PeerDown` and closes it.
+    #[test]
+    fn a_connection_is_read_by_the_lane_its_handshake_names_modulo_w() {
+        let cfg = TcpConfig {
+            max_frame_bytes: 64,
+            ..TcpConfig::default()
+        };
+        let ep = TcpNet::loopback_with(1, cfg)
+            .unwrap()
+            .into_endpoints()
+            .remove(0);
+        let addr = ep.local_addr().unwrap();
+        let waits = vec![Wait::new().unwrap(), Wait::new().unwrap()];
+        let sink: IngressSink = Arc::new(|_| unreachable!("lanes read their own links"));
+        let mut lanes = ep.split(waits, sink).unwrap();
+        let mut heard: [Vec<NetEvent>; 2] = Default::default();
+        let mut poll_until = |heard: &mut [Vec<NetEvent>; 2], want: [usize; 2], within| {
+            let deadline = Instant::now() + within;
+            while [heard[0].len(), heard[1].len()] != want && Instant::now() < deadline {
+                for (links, heard) in lanes.iter_mut().zip(heard.iter_mut()) {
+                    links.poll(Duration::from_millis(5), &mut |ev| {
+                        heard.push(ev);
+                        true
+                    });
+                }
+            }
+        };
+        let mut s = TcpStream::connect(addr).unwrap();
+        let greeting = super::hello(NodeId(5), 3, 4).to_vec();
+        s.write_all(&[greeting, framed(b"for lane 1")].concat())
+            .unwrap();
+        let (long, short) = (Duration::from_secs(5), Duration::from_millis(50));
+        poll_until(&mut heard, [1, 1], long);
+        assert_eq!(heard[0], [NetEvent::PeerUp(NodeId(5))]);
+        let frame = Bytes::from_static(b"for lane 1");
+        assert_eq!(heard[1], [NetEvent::Frame(NodeId(5), frame.clone())]);
+        s.write_all(&65u32.to_le_bytes()).unwrap();
+        poll_until(&mut heard, [1, 2], long);
+        poll_until(&mut heard, [1, 3], short); // Nothing more comes.
+        let down = NetEvent::PeerDown(NodeId(5));
+        assert_eq!(heard[1], [NetEvent::Frame(NodeId(5), frame), down]);
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(s.read(&mut [0u8; 1]).unwrap_or(0), 0, "link was closed");
     }
 
     /// A raw listener standing in for a peer: the accepted stream comes
@@ -1315,7 +1476,7 @@ mod tests {
         let mut peer = accepted.recv_timeout(Duration::from_secs(5)).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let mut greeting = [0u8; 8];
+        let mut greeting = [0u8; HELLO_LEN];
         peer.read_exact(&mut greeting).unwrap();
         assert_eq!(greeting[..], hello(0)[..]);
         let mut next = [0u32; 2];

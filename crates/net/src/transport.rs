@@ -4,16 +4,19 @@
 //! runs the same protocol over whichever substrate fits the deployment:
 //! crossbeam channels inside one process ([`InProcNet`]) or length-prefixed
 //! frames over real TCP sockets ([`TcpNet`]) for multi-process clusters.
-//! Both implement the same two-trait contract so runtimes are written once:
+//! Both implement the same contract so runtimes are written once:
 //!
 //! * [`Transport`] — a factory producing one [`Endpoint`] per node;
 //! * [`Endpoint`] — one node's attachment: a cloneable transmit half
-//!   ([`NetSender`]) plus a *push-based* receive half. Instead of being
-//!   polled, an endpoint is [`Endpoint::start`]ed with an [`IngressSink`]
-//!   and delivers every [`NetEvent`] into it from its own threads. Runtimes
-//!   point the sink at the same queue that carries client commands, which
-//!   is what makes worker wakeup event-driven: one blocking `recv` covers
-//!   network ingress *and* client ingress, with no idle-poll floor.
+//!   ([`NetSender`]) plus a receive half, taken one of two ways.
+//!   [`Endpoint::split`] hands each worker lane its own [`LaneLinks`]: the
+//!   lane's thread blocks in one [`Wait`] covering its command queue and
+//!   the sockets it reads itself, and gets every [`NetEvent`] it reads
+//!   handed to it inline — no thread between the wire and the lane (the
+//!   in-process transport still delivers from a thread of its own, into
+//!   the sink `split` takes). [`Endpoint::start`] runs the same receive
+//!   half on a thread of the transport's and pushes every event into an
+//!   [`IngressSink`] — for tests, probes and anything that is not a lane.
 //!
 //! The service model every transport must preserve is the paper's (§3.4):
 //! datagrams may be dropped, duplicated and reordered — Hermes' message-loss
@@ -24,12 +27,14 @@
 //! [`InProcNet`]: crate::InProcNet
 //! [`TcpNet`]: crate::TcpNet
 
-use crate::poll::Waker;
+use crate::poll::{Wait, Waker};
 use bytes::Bytes;
 use hermes_common::NodeId;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// One event surfaced by a transport's ingress path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,10 +72,32 @@ pub trait NetSender: Clone + Send + 'static {
     fn send(&self, to: NodeId, payload: Bytes);
 }
 
+/// One worker lane's share of a node's links ([`Endpoint::split`]): the
+/// sender that writes on the lane's own connections, and the one blocking
+/// wait the lane's thread makes.
+pub trait LaneLinks: Send + 'static {
+    /// The transmit half that writes on this lane's links.
+    type Sender: NetSender;
+
+    /// A sender writing on this lane's links.
+    fn sender(&self) -> Self::Sender;
+
+    /// Blocks up to `timeout` (less if a link needs an earlier look) until
+    /// the lane's waker rings or a socket of this lane is ready, then does
+    /// what became possible — reads, finishes short writes, installs
+    /// dials — handing every ingress event read to `deliver` (`false`:
+    /// close the connection it came on). The lane looks at its command
+    /// queue after this returns.
+    fn poll(&mut self, timeout: Duration, deliver: &mut dyn FnMut(NetEvent) -> bool);
+}
+
 /// One node's attachment to a [`Transport`].
 pub trait Endpoint: Send + std::fmt::Debug + 'static {
     /// The transmit half this endpoint hands to worker threads.
     type Sender: NetSender;
+
+    /// One lane's share of the links ([`Endpoint::split`]).
+    type Links: LaneLinks<Sender = Self::Sender>;
 
     /// This endpoint's node id.
     fn node_id(&self) -> NodeId;
@@ -82,6 +109,17 @@ pub trait Endpoint: Send + std::fmt::Debug + 'static {
     /// from transport-owned threads. Delivery runs until the returned
     /// [`IngressGuard`] is stopped or the sink reports the receiver gone.
     fn start(self, sink: IngressSink) -> IngressGuard;
+
+    /// Consumes the endpoint and splits it into one [`LaneLinks`] per
+    /// `waits` entry, the i-th for lane i's thread, whose sockets register
+    /// in that wait. Ingress the lanes do not read themselves goes into
+    /// `sink` from a transport thread that the first link set owns (the
+    /// in-process transport's; the TCP transport has none).
+    ///
+    /// # Errors
+    ///
+    /// Fails if a socket cannot be registered in its wait.
+    fn split(self, waits: Vec<Wait>, sink: IngressSink) -> io::Result<Vec<Self::Links>>;
 }
 
 /// A network: one [`Endpoint`] per node, however they are wired.

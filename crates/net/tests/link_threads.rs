@@ -1,6 +1,8 @@
-//! Resource bound: the TCP transport runs one thread per node — the link
-//! poller — however many peers the node has. Alone in its test binary so
-//! no other test's threads are in the count.
+//! Resource bound: a TCP endpoint `start`ed with a sink runs one thread per
+//! node — the `hermes-link` thread hosting its link set — however many
+//! peers the node has (lanes of a running replica read their own links and
+//! run none: `tests/lane_links.rs`). Alone in its test binary so no other
+//! test's threads are in the count.
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
@@ -72,7 +74,7 @@ fn threads_added_by_mesh(n: usize) -> usize {
 
 #[test]
 fn transport_threads_are_independent_of_peer_count() {
-    assert_eq!(threads_added_by_mesh(3), 3, "one link poller per node");
+    assert_eq!(threads_added_by_mesh(3), 3, "one link thread per node");
     assert_eq!(
         threads_added_by_mesh(7),
         7,

@@ -1,18 +1,21 @@
 //! The thin host around a replica's [`Lane`]s: one [`Node`] owns the lane
-//! threads, their queues, the transport ingress and the node-wide shared
-//! state, whichever deployment shape wraps it
+//! threads, their queues and links, and the node-wide shared state,
+//! whichever deployment shape wraps it
 //! ([`ThreadCluster`](crate::ThreadCluster) is a `Vec<Node>`,
 //! [`NodeRuntime`](crate::NodeRuntime) a `Node` plus a client plane).
 //!
 //! Per node:
 //!
-//! * every lane runs the same loop, [`lane_main`]: block on the lane's one
-//!   command queue — client operations, peer messages and control events
-//!   all arrive there, so a lone op at an idle node wakes the lane at once
-//!   — then step the lane with the clock reading the loop took;
-//! * the transport's delivery thread decodes each data-plane Wings frame
-//!   where it was received and hands every message straight to the lane
-//!   owning its key ([`deliver_frame`], DESIGN.md §7);
+//! * every lane runs the same loop, [`lane_main`]: block in the lane's one
+//!   [`Wait`] — the waker of its command queue (client operations, messages
+//!   other threads received for it, control events) and the sockets of its
+//!   own links (DESIGN.md §4) — then step the lane with the clock reading
+//!   the loop took;
+//! * a data-plane Wings frame is decoded by whoever read it ([`route`]):
+//!   on a lane, each message its key puts on that lane is handled right
+//!   there, and the rest go to the owning lanes' queues — which happens
+//!   only when peers run different lane counts, or from the in-process
+//!   transport's delivery thread (DESIGN.md §7);
 //! * lane 0 additionally carries the [`Pump`]: control frames (membership,
 //!   shadow catch-up), connectivity events and the membership driver's
 //!   tick — the node-wide duties that need one thread, not one per lane;
@@ -24,33 +27,32 @@ use crate::membership::{boot_view, MembershipOptions, MembershipStatus};
 use crate::metrics::NodeObs;
 use crate::sharded::ShardedEngine;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use hermes_common::{Key, MembershipView, NodeId, Value};
 use hermes_core::{Msg, ProtocolConfig};
 use hermes_membership::{wire, MembershipDriver, RmEffect, RmMsg};
-use hermes_net::{Endpoint, IngressGuard, NetEvent, NetSender};
+use hermes_net::{Endpoint, LaneLinks, NetEvent, NetSender, Wait};
 use hermes_obs::{obs_info, obs_warn, Phase, Span, TraceSpan};
 use hermes_store::{SlotState, Store, StoreConfig};
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, decode_frame};
 use std::collections::HashSet;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Commands a lane drains per wake-up beyond the one that woke it, before
-/// it turns to timers and the batch flush.
+/// Commands a lane takes from its queue per wake-up before it turns to
+/// timers and the batch flush.
 const DRAIN_BATCH: usize = 64;
 
-/// One running replica: its lanes and their threads, the transport
-/// ingress feeding them, and the state they share.
+/// One running replica: its lanes and their threads (each with its share
+/// of the links), and the state they share.
 #[derive(Debug)]
 pub(crate) struct Node {
     lanes: Lanes,
     threads: Vec<JoinHandle<()>>,
-    /// The transport's delivery threads (taken on stop).
-    guard: Option<IngressGuard>,
     running: Arc<AtomicBool>,
     store: Arc<Store>,
     status: Arc<MembershipStatus>,
@@ -84,41 +86,52 @@ pub(crate) fn mirror_read(
 }
 
 impl Node {
-    /// Spawns one replica's lane threads over `ep` and points the
-    /// transport's ingress at them.
+    /// Splits `ep` into one link set per lane and spawns the lane threads
+    /// over them.
     ///
     /// With `membership` set, lane 0's pump additionally hosts the node's
     /// [`MembershipDriver`]: heartbeats and view agreement ride as Wings
     /// control frames over the same transport, agreed views are installed
     /// into every lane, and client operations are lease-gated through
     /// [`Node::status`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if a lane's wait cannot be created or a socket registered in
+    /// it.
     pub(crate) fn spawn<E: Endpoint>(
         ep: E,
         view: MembershipView,
         protocol: ProtocolConfig,
         workers: usize,
         membership: Option<MembershipOptions>,
-    ) -> Node {
+    ) -> io::Result<Node> {
         let me = ep.node_id();
         let join = membership.is_some_and(|m| m.join);
         let boot = boot_view(view, me, join);
         let status = Arc::new(MembershipStatus::new(boot, boot.is_serving(me), !join));
         let (router, shards) = ShardedEngine::new(me, boot, protocol, workers).into_shards();
+        let waits = (0..workers).map(|_| Wait::new());
+        let waits: Vec<Wait> = waits.collect::<io::Result<_>>()?;
         let (txs, rxs): (Vec<_>, Vec<Receiver<Command>>) =
             shards.iter().map(|_| unbounded()).unzip();
-        let lanes = Lanes::new(txs, router);
-        let net_tx = ep.sender();
+        let wakers = waits.iter().map(Wait::waker);
+        let lanes = Lanes::new(txs.into_iter().zip(wakers).collect(), router);
+        // What the transport delivers from threads of its own (the
+        // in-process one's) goes to the owning lanes' queues.
+        let ingress = lanes.clone();
+        let links = ep.split(waits, Arc::new(move |ev| route(&ingress, ev, None)))?;
         let store = Arc::new(Store::new(StoreConfig::default()));
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
-        for (index, (engine, rx)) in shards.into_iter().zip(rxs).enumerate() {
+        for (index, ((engine, rx), links)) in shards.into_iter().zip(rxs).zip(links).enumerate() {
             let lane = Lane::new(
                 index,
                 workers,
                 engine,
                 Arc::clone(&store),
-                net_tx.clone(),
+                links.sender(),
                 Arc::clone(&status),
                 Arc::clone(&obs),
             );
@@ -133,36 +146,26 @@ impl Node {
                     PumpMembership::new(
                         driver,
                         lanes.clone(),
-                        net_tx.clone(),
+                        links.sender(),
                         Arc::clone(&status),
                         Arc::clone(&obs),
                     )
                 }),
             });
-            let running = Arc::clone(&running);
-            threads.push(std::thread::spawn(move || {
-                lane_main(lane, rx, running, pump)
-            }));
+            let (lanes, running) = (lanes.clone(), Arc::clone(&running));
+            let thread = std::thread::Builder::new().name(format!("hermes-lane-{index}"));
+            let handle =
+                thread.spawn(move || lane_main(index, lane, links, rx, lanes, running, pump));
+            threads.push(handle.expect("spawn a lane thread"));
         }
-        // Started last: events arriving before the lane threads run just
-        // queue. Control frames and connectivity events go to lane 0's
-        // pump; everything else is decoded right here.
-        let ingress = lanes.clone();
-        let guard = ep.start(Arc::new(move |ev| match ev {
-            NetEvent::Frame(from, ref frame) if !control::is_control(frame) => {
-                deliver_frame(&ingress, from, frame)
-            }
-            other => ingress.control(other),
-        }));
-        Node {
+        Ok(Node {
             lanes,
             threads,
-            guard: Some(guard),
             running,
             store,
             status,
             obs,
-        }
+        })
     }
 
     /// The lanes' command queues.
@@ -228,32 +231,47 @@ impl Node {
         self.lanes.fan_out(None, || Command::Shutdown);
     }
 
-    /// Stops and joins the lane threads, then the transport ingress.
+    /// Stops and joins the lane threads, and with them their links.
     pub(crate) fn stop(&mut self) {
         self.signal_stop();
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
-        if let Some(g) = self.guard.take() {
-            g.stop();
-        }
     }
 }
 
-/// Per-lane network ingress: decodes one data-plane Wings frame on the
-/// transport thread that received it and hands each message to the lane
-/// owning its key — no bounce through lane 0. Per-(peer, key) FIFO is
-/// preserved because each peer connection is read by exactly one thread.
-/// Returns `false` once the lanes are gone (shutdown), closing the
+/// Network ingress, wherever it was read. A data-plane Wings frame is
+/// decoded here and each message handed to the lane owning its key:
+/// through `local` when that is the lane whose thread read it, else onto
+/// the owner's queue. Control frames and connectivity events go to lane
+/// 0's pump, the same way. Per-(peer, key) FIFO holds because each
+/// connection is read by one thread and a key's messages from it take one
+/// route. Returns `false` once the lanes are gone (shutdown), closing the
 /// connection.
-fn deliver_frame(lanes: &Lanes, from: NodeId, frame: &Bytes) -> bool {
-    let Ok(msgs) = decode_frame(frame) else {
+fn route(lanes: &Lanes, ev: NetEvent, mut local: Option<(usize, &mut dyn FnMut(Command))>) -> bool {
+    let (from, frame) = match ev {
+        NetEvent::Frame(from, frame) if !control::is_control(&frame) => (from, frame),
+        ev => match &mut local {
+            Some((PUMP_LANE, here)) => {
+                here(Command::Net(ev));
+                return true;
+            }
+            _ => return lanes.control(ev),
+        },
+    };
+    let Ok(msgs) = decode_frame(&frame) else {
         return true; // Malformed frame: drop it.
     };
     let mut alive = true;
     for raw in msgs {
-        if let Ok((msg, trace)) = codec::decode_traced(&raw) {
-            alive &= lanes.deliver(from, msg, trace);
+        let Ok((msg, trace)) = codec::decode_traced(&raw) else {
+            continue;
+        };
+        let owner = lanes.ingress_lane(msg.key());
+        let cmd = Command::Deliver { from, msg, trace };
+        match &mut local {
+            Some((lane, here)) if *lane == owner => here(cmd),
+            _ => alive &= lanes.send(owner, cmd),
         }
     }
     alive
@@ -273,60 +291,76 @@ fn inv_delay_us() -> u64 {
     })
 }
 
-/// The loop of every lane thread. Fully event-driven: the transport's
-/// delivery thread and the clients' submit paths push into the *same*
-/// command queue, so one blocking `recv` covers both and a lone client op
-/// at an idle node wakes the lane immediately (no idle-poll latency
-/// floor). Idle sleeps run to the next armed timer deadline, capped at
-/// [`MLT`] so the shutdown flag stays responsive and the pump's
-/// membership driver ticks finer than its heartbeat interval.
-fn lane_main<S: NetSender>(
-    mut lane: Lane<S>,
+/// The loop of every lane thread. Fully event-driven: the lane blocks in
+/// its links' one poll, which its command queue's waker shares with the
+/// sockets the lane reads, so a lone client op or a lone frame at an idle
+/// node wakes exactly this lane, at once (no idle-poll latency floor).
+/// What the lane reads itself is handled inline; then its queue, up to
+/// [`DRAIN_BATCH`] commands; then its timers and the batch flush. Idle
+/// sleeps run to the next armed timer deadline, capped at [`MLT`] so the
+/// shutdown flag stays responsive and the pump's membership driver ticks
+/// finer than its heartbeat interval.
+fn lane_main<L: LaneLinks>(
+    index: usize,
+    mut lane: Lane<L::Sender>,
+    mut links: L,
     commands: Receiver<Command>,
+    lanes: Lanes,
     running: Arc<AtomicBool>,
-    mut pump: Option<Pump<S>>,
+    mut pump: Option<Pump<L::Sender>>,
 ) {
+    let mut backlog = false;
     while running.load(Ordering::Relaxed) {
-        let wait = lane
-            .next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()).min(MLT))
-            .unwrap_or(MLT);
-        match commands.recv_timeout(wait) {
-            Ok(first) => {
-                let more = std::iter::from_fn(|| commands.try_recv().ok()).take(DRAIN_BATCH);
-                for cmd in std::iter::once(first).chain(more) {
-                    match cmd {
-                        Command::Shutdown => return,
-                        Command::Net(ev) => {
-                            if let Some(p) = pump.as_mut() {
-                                p.on_net(&mut lane, ev, Instant::now());
-                            }
-                        }
-                        cmd => {
-                            let inv = matches!(
-                                cmd,
-                                Command::Deliver {
-                                    msg: Msg::Inv { .. },
-                                    ..
-                                }
-                            );
-                            let delay = if inv { inv_delay_us() } else { 0 };
-                            if delay > 0 {
-                                std::thread::sleep(Duration::from_micros(delay));
-                            }
-                            lane.handle(cmd, Instant::now());
-                        }
-                    }
-                }
+        let wait = (lane.next_deadline()).map_or(MLT, |at| {
+            at.saturating_duration_since(Instant::now()).min(MLT)
+        });
+        let wait = if backlog { Duration::ZERO } else { wait };
+        let mut here = |cmd| run(&mut lane, &mut pump, cmd);
+        links.poll(wait, &mut |ev| route(&lanes, ev, Some((index, &mut here))));
+        let mut drained = 0;
+        while drained < DRAIN_BATCH {
+            match commands.try_recv() {
+                Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => return,
+                Ok(cmd) => run(&mut lane, &mut pump, cmd),
+                Err(TryRecvError::Empty) => break,
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            drained += 1;
         }
+        // A full batch may have left more queued behind it, whose wake the
+        // poll above already consumed: look again without blocking.
+        backlog = drained == DRAIN_BATCH;
         let now = Instant::now();
         if let Some(m) = pump.as_mut().and_then(|p| p.membership.as_mut()) {
             m.tick(&mut lane, now);
         }
         lane.on_tick(now);
+    }
+}
+
+/// Steps `lane` with one command: control frames and connectivity events
+/// go to the pump, everything else to the lane — an incoming `INV` after
+/// the follower-stall fault hook.
+fn run<S: NetSender>(lane: &mut Lane<S>, pump: &mut Option<Pump<S>>, cmd: Command) {
+    match cmd {
+        Command::Net(ev) => {
+            if let Some(p) = pump.as_mut() {
+                p.on_net(lane, ev, Instant::now());
+            }
+        }
+        cmd => {
+            let inv = matches!(
+                cmd,
+                Command::Deliver {
+                    msg: Msg::Inv { .. },
+                    ..
+                }
+            );
+            let delay = if inv { inv_delay_us() } else { 0 };
+            if delay > 0 {
+                std::thread::sleep(Duration::from_micros(delay));
+            }
+            lane.handle(cmd, Instant::now());
+        }
     }
 }
 

@@ -24,13 +24,13 @@ use hermes_common::{
     ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardRouter,
 };
 use hermes_core::{HermesNode, KeyState, Msg, Ts};
-use hermes_net::{NetEvent, NetSender};
+use hermes_net::{NetEvent, NetSender, Waker};
 use hermes_obs::{Phase, Span, TraceId};
 use hermes_store::{SlotMeta, Store};
 use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,8 +108,8 @@ pub(crate) enum Command {
         cop: ClientOp,
         reply: ClientSink,
     },
-    /// A peer protocol message, decoded and routed to this lane by the
-    /// transport thread that received its frame.
+    /// A peer protocol message, decoded where its frame was read and
+    /// handed to the lane owning its key.
     Deliver {
         /// The sending peer.
         from: NodeId,
@@ -183,18 +183,19 @@ pub(crate) enum Command {
 /// lane is gone (node shutting down).
 #[derive(Clone, Debug)]
 pub(crate) struct Lanes {
-    txs: Vec<Sender<Command>>,
+    /// Per lane: its queue, and the waker of the wait its thread blocks in.
+    queues: Vec<(Sender<Command>, Arc<Waker>)>,
     router: ShardRouter,
 }
 
 impl Lanes {
-    pub(crate) fn new(txs: Vec<Sender<Command>>, router: ShardRouter) -> Self {
-        Lanes { txs, router }
+    pub(crate) fn new(queues: Vec<(Sender<Command>, Arc<Waker>)>, router: ShardRouter) -> Self {
+        Lanes { queues, router }
     }
 
     /// Worker lanes on this node.
     pub(crate) fn workers(&self) -> usize {
-        self.txs.len()
+        self.queues.len()
     }
 
     /// The lane holding `key`'s engine state and subscriber registry.
@@ -202,8 +203,21 @@ impl Lanes {
         self.router.lane_for_op(key, &ClientOp::Read)
     }
 
-    fn send(&self, lane: usize, cmd: Command) -> bool {
-        self.txs[lane].send(cmd).is_ok()
+    /// The lane a peer message about `key` belongs to — the owner, for
+    /// Hermes, since no message serializes
+    /// ([`ShardRouter::lane_for_ingress`]).
+    pub(crate) fn ingress_lane(&self, key: Key) -> usize {
+        self.router.lane_for_ingress(key)
+    }
+
+    /// Queues `cmd` on `lane` and rings the lane.
+    pub(crate) fn send(&self, lane: usize, cmd: Command) -> bool {
+        let (tx, waker) = &self.queues[lane];
+        let sent = tx.send(cmd).is_ok();
+        if sent {
+            waker.wake();
+        }
+        sent
     }
 
     /// Submits a client operation; its reply goes to `reply`.
@@ -218,15 +232,6 @@ impl Lanes {
                 reply,
             },
         )
-    }
-
-    /// Hands a decoded peer message to the lane owning its key. Done on
-    /// the transport's delivery thread, which holds no engine; safe for
-    /// Hermes because no message serializes
-    /// ([`ShardRouter::lane_for_ingress`]).
-    pub(crate) fn deliver(&self, from: NodeId, msg: Msg, trace: TraceId) -> bool {
-        let lane = self.router.lane_for_ingress(msg.key());
-        self.send(lane, Command::Deliver { from, msg, trace })
     }
 
     /// Hands a control frame or connectivity event to the pump.
@@ -261,7 +266,7 @@ impl Lanes {
     /// Sends one command to every lane except `skip` (the pump runs its
     /// own lane's copy inline).
     pub(crate) fn fan_out(&self, skip: Option<usize>, make: impl Fn() -> Command) {
-        for lane in (0..self.txs.len()).filter(|&l| Some(l) != skip) {
+        for lane in (0..self.queues.len()).filter(|&l| Some(l) != skip) {
             self.send(lane, make());
         }
     }
@@ -270,15 +275,6 @@ impl Lanes {
     pub(crate) fn drop_client(&self, client: ClientId) {
         self.fan_out(None, || Command::DropClient { client });
     }
-}
-
-/// Outstanding invalidation pushes for one key: which remote subscribers
-/// still owe an ack, and when the lane gives up and evicts them.
-struct PendingAcks {
-    /// client id → unacked invalidation pushes to that client.
-    waiters: HashMap<u64, u32>,
-    /// Eviction deadline ([`PUSH_ACK_KICK`] past the newest push).
-    deadline: Instant,
 }
 
 /// One lane's subscriber registry: who caches which of this lane's keys,
@@ -290,8 +286,11 @@ struct LaneSubs {
     by_key: HashMap<Key, HashMap<u64, ClientSink>>,
     /// client id → keys it subscribes to on this lane (reap cleanup).
     by_client: HashMap<u64, HashSet<Key>>,
-    /// Keys with unacked invalidation pushes to remote subscribers.
-    pending: HashMap<Key, PendingAcks>,
+    /// Keys with unacked invalidation pushes to remote subscribers: per
+    /// waiting client, when each push it still owes an ack for was sent,
+    /// oldest first. A waiter is evicted [`PUSH_ACK_KICK`] after its
+    /// oldest.
+    pending: HashMap<Key, HashMap<u64, VecDeque<Instant>>>,
     /// Last committed timestamp pushed per subscribed key — the change
     /// detector that turns "this drain touched k" into "k's value moved".
     pushed_ts: HashMap<Key, Ts>,
@@ -754,13 +753,9 @@ impl<S: NetSender> Lane<S> {
             .map(|(&client, _)| client)
             .collect();
         if !owing.is_empty() {
-            let p = self.subs.pending.entry(key).or_insert(PendingAcks {
-                waiters: HashMap::new(),
-                deadline: now,
-            });
-            p.deadline = now + PUSH_ACK_KICK;
+            let waiters = self.subs.pending.entry(key).or_default();
             for client in owing {
-                *p.waiters.entry(client).or_insert(0) += 1;
+                waiters.entry(client).or_default().push_back(now);
             }
         }
         self.mirror_key(key);
@@ -771,18 +766,18 @@ impl<S: NetSender> Lane<S> {
         }
     }
 
-    /// One remote subscriber acknowledged one invalidation push for `key`.
-    /// Pushes are counted per client — an ack for an older push must not
-    /// release effects a newer, still-unacked push is guarding.
+    /// One remote subscriber acknowledged one invalidation push for `key`:
+    /// its oldest. Pushes are counted per client — an ack for an older push
+    /// must not release effects a newer, still-unacked push is guarding.
     fn ack_push(&mut self, client: ClientId, key: Key, now: Instant) {
         if hermes_obs::recording_enabled() {
             NodeObs::bump(&self.obs.push_acks, 1);
         }
-        if let Some(p) = self.subs.pending.get_mut(&key) {
-            if let Some(n) = p.waiters.get_mut(&client.0) {
-                *n -= 1;
-                if *n == 0 {
-                    p.waiters.remove(&client.0);
+        if let Some(waiters) = self.subs.pending.get_mut(&key) {
+            if let Some(owed) = waiters.get_mut(&client.0) {
+                owed.pop_front();
+                if owed.is_empty() {
+                    waiters.remove(&client.0);
                 }
             }
         }
@@ -793,20 +788,15 @@ impl<S: NetSender> Lane<S> {
     /// died, or was evicted — no ack is coming), releasing held effects if
     /// it was the last waiter.
     fn clear_waiter(&mut self, client: u64, key: Key, now: Instant) {
-        if let Some(p) = self.subs.pending.get_mut(&key) {
-            p.waiters.remove(&client);
+        if let Some(waiters) = self.subs.pending.get_mut(&key) {
+            waiters.remove(&client);
         }
         self.release_if_acked(key, now);
     }
 
     /// Releases `key`'s held effects once nobody owes an ack for it.
     fn release_if_acked(&mut self, key: Key, now: Instant) {
-        if self
-            .subs
-            .pending
-            .get(&key)
-            .is_some_and(|p| p.waiters.is_empty())
-        {
+        if self.subs.pending.get(&key).is_some_and(HashMap::is_empty) {
             self.subs.pending.remove(&key);
             self.release_held(key, now);
         }
@@ -829,32 +819,24 @@ impl<S: NetSender> Lane<S> {
         }
     }
 
-    /// Evicts remote subscribers whose invalidation acks are overdue and
-    /// releases the effects they were holding. Mirrors the paper's
-    /// bounded-delay assumption at the client hop: past [`PUSH_ACK_KICK`]
-    /// the subscriber is treated as failed and torn down (a dead session
-    /// serves nothing, so coherence survives the forced release).
+    /// Evicts each remote subscriber whose oldest unacked invalidation
+    /// push is [`PUSH_ACK_KICK`] old, releasing a key's held effects once
+    /// its last waiter is gone. Mirrors the paper's bounded-delay
+    /// assumption at the client hop: the subscriber is treated as failed
+    /// and torn down (a dead session serves nothing, so coherence survives
+    /// the forced release), while a waiter that acks in time is waited for
+    /// as before.
     fn kick_stalled_pushes(&mut self, now: Instant) {
-        if self.subs.pending.is_empty() {
-            return;
-        }
-        let expired: Vec<Key> = self
-            .subs
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.deadline)
-            .map(|(k, _)| *k)
+        let overdue: Vec<(Key, u64)> = (self.subs.pending.iter())
+            .flat_map(|(&key, waiters)| waiters.iter().map(move |(&c, owed)| (key, c, owed)))
+            .filter(|(_, _, owed)| owed.front().is_some_and(|&at| now >= at + PUSH_ACK_KICK))
+            .map(|(key, client, _)| (key, client))
             .collect();
-        for key in expired {
-            let Some(p) = self.subs.pending.remove(&key) else {
-                continue;
-            };
-            for &client in p.waiters.keys() {
-                if let Some(sink) = self.remove_subscription(client, key) {
-                    sink.evict(ClientId(client));
-                }
+        for (key, client) in overdue {
+            if let Some(sink) = self.remove_subscription(client, key) {
+                sink.evict(ClientId(client));
             }
-            self.release_held(key, now);
+            self.clear_waiter(client, key, now);
         }
     }
 
@@ -1378,6 +1360,74 @@ mod tests {
         // The evicted client is forgotten: nothing more is pushed to it.
         r.lane.handle(Command::FlushClients, t0 + PUSH_ACK_KICK);
         assert_eq!(r.b_pushes(), vec![]);
+    }
+
+    /// Writes to a key every 50 ms keep pushing to its subscribers: B never
+    /// acks, P acks each push at once. B is evicted 75 ms after the oldest
+    /// push it owes — not 75 ms after its newest, which under this stream
+    /// would be never — and P, which owes nothing for long, never is. The
+    /// writes held behind B go out with its eviction, and every later one
+    /// the moment P acks it.
+    #[test]
+    fn a_silent_subscriber_is_evicted_at_its_oldest_unacked_push_and_a_prompt_one_never() {
+        const P: ClientId = ClientId(3);
+        let mut r = rig(1);
+        let (k, t0) = (Key(7), r.t0);
+        r.subscribe_b(k);
+        let (shard, p_inbox) = ShardHandle::detached();
+        let sink = ClientSink::Poller(shard);
+        let subscribe = Command::Subscribe {
+            seq: 0,
+            client: P,
+            key: k,
+            sink,
+        };
+        r.lane.handle(subscribe, t0);
+        let p_pushes = || -> Vec<ServerFrame> {
+            let items = std::iter::from_fn(|| p_inbox.try_recv().ok());
+            let frame = |item| match item {
+                Inbound::Frame(P, frame) => frame,
+                other => panic!("P is never evicted, got {other:?}"),
+            };
+            items.map(frame).collect()
+        };
+        assert_eq!(
+            p_pushes(),
+            vec![ServerFrame::Subscribed {
+                seq: 0,
+                key: k,
+                epoch: 0
+            }]
+        );
+        let mut written = Vec::new();
+        for i in 0..6u32 {
+            let at = t0 + 50 * MS * i;
+            written.push(r.op(A, k, write(u64::from(i)), at));
+            assert_eq!(p_pushes(), vec![invalidate(k)]);
+            r.lane.handle(Command::InvalAck { client: P, key: k }, at);
+            let released: Vec<OpId> = r.a_replies().iter().map(|&(op, _)| op).collect();
+            if i < 2 {
+                assert_eq!(released, vec![], "write {i} is held behind B");
+            } else {
+                assert_eq!(released, written, "write {i} goes out with P's ack");
+                written.clear();
+            }
+            if i == 1 {
+                // B owes the pushes of t0 and t0 + 50 ms.
+                r.tick(t0 + PUSH_ACK_KICK - MS);
+                assert_eq!(r.b_pushes(), vec![invalidate(k), invalidate(k)]);
+                assert!(!r.b_evicted, "evicted before its oldest push was 75 ms old");
+                r.tick(t0 + PUSH_ACK_KICK);
+                assert_eq!(r.b_pushes(), vec![]);
+                assert!(r.b_evicted, "not evicted 75 ms after its oldest push");
+                let released: Vec<OpId> = r.a_replies().iter().map(|&(op, _)| op).collect();
+                assert_eq!(released, written, "the held writes go out with B");
+                written.clear();
+            }
+            r.tick(at + 49 * MS);
+        }
+        assert_eq!(p_pushes(), vec![]);
+        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1, "P stays");
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl NodeRuntime {
             rm,
             join: opts.join,
         });
-        let node = Node::spawn(ep, view, opts.protocol, opts.workers, membership);
+        let node = Node::spawn(ep, view, opts.protocol, opts.workers, membership)?;
         let shutdown_requested = Arc::new(AtomicBool::new(false));
         let plane_gauges = Arc::new(PlaneGauges::new(opts.pollers.max(1)));
         let registry = Arc::new(build_registry(opts.node, &node, &plane_gauges, &tcp_stats));
@@ -337,9 +337,8 @@ impl NodeRuntime {
         self.node.lane_ops()
     }
 
-    /// Peer messages handled per worker lane, each delivered straight into
-    /// the lane's queue by the transport thread that decoded its frame
-    /// (DESIGN.md §7).
+    /// Peer messages handled per worker lane, each read by the lane itself
+    /// off its own links (DESIGN.md §4, §7).
     pub fn lane_ingress(&self) -> Vec<u64> {
         self.node.lane_ingress()
     }
@@ -668,7 +667,7 @@ const SCALARS: &[Row] = &[
     ),
     (
         "hermes_tcp_writes_deferred_total",
-        "Frames the link poller wrote (queued by a dial or a full socket).",
+        "Frames the link's lane wrote from its poll (queued by a dial or a full socket).",
         Counter(|s| s.tcp.writes_deferred()),
     ),
     (

@@ -69,7 +69,7 @@ const EXECUTOR_CLIENT_BASE: u64 = 1 << 34;
 static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
 
 /// Upper bound on a shard's blocked wait: the stop flag is re-checked at
-/// least this often even if the waker datagram is lost. Unit tests stretch
+/// least this often even if a wake were lost. Unit tests stretch
 /// it so a lost wake-up shows as a stall instead of hiding behind it.
 const POLL_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 10_000 } else { 500 });
 
@@ -161,7 +161,7 @@ impl PlaneGauges {
 /// back to the shard owning the session: its inbox plus its waker.
 ///
 /// Wakes coalesce inside the [`Waker`]: a burst of completions costs one
-/// wake datagram, not one per completion.
+/// eventfd write, not one per completion.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardHandle {
     tx: Sender<Inbound>,
@@ -1102,6 +1102,7 @@ mod tests {
     use crate::sharded::ShardedEngine;
     use hermes_common::{ClientOp, MembershipView, RmwOp};
     use hermes_core::ProtocolConfig;
+    use hermes_net::Wait;
     use hermes_store::StoreConfig;
 
     /// `request` as it arrives on the wire.
@@ -1478,7 +1479,7 @@ mod tests {
         .router();
         let mut plane = ClientPlane::start(
             listener,
-            Lanes::new(vec![lane], router),
+            Lanes::new(vec![(lane, Wait::new().unwrap().waker())], router),
             PlaneConfig {
                 pollers: 1,
                 txn_executors: 1,

@@ -6,7 +6,7 @@
 //! concurrency the paper's evaluation measures (§2.3, §5.1.1).
 //!
 //! A [`ThreadCluster`] is nothing but its `Node`s: each one owns its lane
-//! threads, their queues, the transport ingress and the shared store
+//! threads, their queues and links, and the shared store
 //! (`host.rs`), and steps the lanes of `lane.rs`. This module only
 //! launches them and gives them a cluster-shaped face.
 //!
@@ -164,7 +164,8 @@ impl ThreadCluster {
         let nodes = endpoints
             .into_iter()
             .map(|ep| Node::spawn(ep, view, cfg.protocol, cfg.workers_per_node, membership))
-            .collect();
+            .collect::<std::io::Result<_>>()
+            .expect("a lane's epoll and eventfd, and its sockets registered in them");
         ThreadCluster {
             nodes,
             next_seq: AtomicU64::new(0),
@@ -221,9 +222,9 @@ impl ThreadCluster {
         self.nodes[node].lane_ops()
     }
 
-    /// Peer messages handled by each worker lane of replica `node`, each
-    /// delivered straight into the lane's queue by the transport thread
-    /// that decoded its frame. All-zero only before any replication
+    /// Peer messages handled by each worker lane of replica `node` — read
+    /// by the lane itself off its own links over TCP, queued to it by the
+    /// delivery thread in process. All-zero only before any replication
     /// traffic.
     pub fn lane_ingress(&self, node: usize) -> Vec<u64> {
         self.nodes[node].lane_ingress()

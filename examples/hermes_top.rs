@@ -142,7 +142,8 @@ fn scrape_round(opts: &Options, round: u64) {
         let invs = node_sum(&merged, "hermes_invalidations_sent_total", i);
         let views = node_sum(&merged, "hermes_view_changes_total", i);
         // Share of peer frames the sending lane wrote to the socket itself
-        // (the rest waited for the link poller: a dial or a full socket).
+        // (the rest waited for the link's lane to poll: a dial or a full
+        // socket).
         let inline = node_sum(&merged, "hermes_tcp_writes_inline_total", i);
         let frames = inline + node_sum(&merged, "hermes_tcp_writes_deferred_total", i);
         let inline_pct = 100.0 * inline / frames.max(1.0);

@@ -159,16 +159,25 @@ fn harness_main(transfers_per_client: u64) {
             let mut session = ClientSession::new(channel, CreditConfig::default());
             let mut bank = BankWorkload::new(BANK, 7 + sid as u64);
             let (mut committed, mut aborted, mut reconnects) = (0u64, 0u64, 0u64);
+            let mut killer = None;
             for i in 0..transfers_per_client {
                 let op = bank.next_transfer();
                 let invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 if i == 2 {
                     if let Some(switch) = switch.take() {
                         // Chop our own connection a moment into this txn.
-                        std::thread::spawn(move || {
+                        killer = Some(std::thread::spawn(move || {
                             std::thread::sleep(Duration::from_millis(2));
                             switch.kill();
-                        });
+                        }));
+                    }
+                }
+                if i == 3 {
+                    // A txn that finished inside those 2 ms leaves the kill
+                    // to land before this one, which then finds the
+                    // connection dead: the kill is mid-workload either way.
+                    if let Some(killer) = killer.take() {
+                        killer.join().expect("kill thread");
                     }
                 }
                 let mut result = session.txn(op.clone());

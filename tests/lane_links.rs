@@ -1,0 +1,88 @@
+//! Resource bound of the per-lane links (DESIGN.md §4): a threaded
+//! cluster over TCP runs its lanes and nothing else. Each lane reads and
+//! writes its own connections, so once the dials are done no transport
+//! thread is left. Alone in its test binary so no other test's threads are
+//! in the count.
+#![cfg(target_os = "linux")]
+
+use hermes::net::{TcpNet, TcpStats, Transport};
+use hermes::prelude::*;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("Threads:"));
+    line.and_then(|l| l["Threads:".len()..].trim().parse().ok())
+        .expect("Threads: line")
+}
+
+/// The thread count once it has stopped changing: two equal reads 10 ms
+/// apart (the settle rule of `crates/net/tests/link_threads.rs`).
+fn settled_threads() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut last = process_threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = process_threads();
+        if now == last || Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// The names of this process's threads.
+fn thread_names() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+    let names = tasks.filter_map(|t| t.ok().and_then(comm));
+    names.map(|n| n.trim().to_owned()).collect()
+}
+
+#[test]
+fn a_tcp_cluster_runs_its_lanes_and_no_transport_thread() {
+    const NODES: usize = 3;
+    const WORKERS: usize = 2;
+    let before = settled_threads();
+    let endpoints = TcpNet::loopback(NODES).unwrap().into_endpoints();
+    let stats: Vec<Arc<TcpStats>> = endpoints.iter().map(|e| e.stats()).collect();
+    let cfg = ClusterConfig {
+        nodes: NODES,
+        workers_per_node: WORKERS,
+        ..ClusterConfig::default()
+    };
+    let cluster = ThreadCluster::launch_endpoints(endpoints, cfg);
+    // Every node coordinates writes to keys of both its lanes, so every
+    // lane dials each peer's lane of the same number: INVs one way, ACKs
+    // the other.
+    for node in 0..NODES {
+        for key in 0..8 {
+            let reply = cluster.write(node, Key(key), Value::from_u64(key));
+            assert_eq!(reply, Reply::WriteOk);
+        }
+    }
+    // A dial is counted once its lane has joined the transient thread.
+    let links = (WORKERS * (NODES - 1)) as u64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats
+        .iter()
+        .any(|s| s.dials() < links || s.accepts() < links)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "links did not connect: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let added = settled_threads() - before;
+    let names = thread_names();
+    let lanes = names
+        .iter()
+        .filter(|n| n.starts_with("hermes-lane-"))
+        .count();
+    assert_eq!(lanes, NODES * WORKERS, "{names:?}");
+    assert_eq!(added, NODES * WORKERS, "lane threads only: {names:?}");
+    cluster.shutdown();
+    assert_eq!(settled_threads(), before, "shutdown joins every lane");
+}

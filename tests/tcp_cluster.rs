@@ -168,6 +168,74 @@ fn connection_kill_mid_run_surfaces_reconnects_and_stays_linearizable() {
     }
 }
 
+/// Peers may run different lane counts (catch-up already allows it:
+/// `SyncMark` announces `lanes`). A 2-lane and a 3-lane replica: lane *i*
+/// dials the peer's lane *i*, which the acceptor maps to its lane `i % W`
+/// (the 3-lane node's lane 2 lands on the 2-lane node's lane 0), and a
+/// message read by a lane that does not own its key is forwarded to the
+/// owner — the 3-lane node's lane 2 is reached by nothing else. Concurrent
+/// sessions at both replicas stay linearizable.
+#[test]
+fn replicas_with_different_lane_counts_replicate_linearizably() {
+    const SESSIONS: usize = 4;
+    const KEYS: u64 = 8;
+    const OPS_PER_SESSION: u64 = 48;
+    const DEPTH: usize = 4;
+
+    let peers = hermes::harness::reserve_loopback_addrs(2);
+    let serve = |node: u32, workers| {
+        NodeRuntime::serve(NodeOptions {
+            node: NodeId(node),
+            peers: peers.clone(),
+            client_addr: "127.0.0.1:0".parse().unwrap(),
+            workers,
+            pollers: 1,
+            protocol: ProtocolConfig::default(),
+            tcp: hermes::net::TcpConfig::default(),
+            run_for: None,
+            membership: None,
+            join: false,
+            metrics_dump: None,
+        })
+        .expect("replica binds its loopback ports")
+    };
+    let nodes = [serve(0, 2), serve(1, 3)];
+    let addrs: Vec<_> = nodes.iter().map(|n| n.client_addr()).collect();
+    let clock = Arc::new(AtomicU64::new(0));
+    let joins: Vec<_> = (0..SESSIONS)
+        .map(|sid| {
+            let (addr, clock) = (addrs[sid % 2], Arc::clone(&clock));
+            std::thread::spawn(move || {
+                let channel = RemoteChannel::connect_within(addr, Duration::from_secs(5))
+                    .expect("client port");
+                let credits = hermes::wings::CreditConfig::default();
+                let mut session = ClientSession::new(channel, credits);
+                let (sid, depth) = (sid as u64, DEPTH);
+                run_recorded_session(&mut session, &clock, sid, KEYS, OPS_PER_SESSION, depth)
+            })
+        })
+        .collect();
+    let mut all: Vec<RecordedOp> = Vec::new();
+    for j in joins {
+        all.extend(j.join().expect("session thread"));
+    }
+    assert_eq!(all.len(), SESSIONS * OPS_PER_SESSION as usize);
+    for o in &all {
+        if !matches!(o.kind, hermes::model::OpKind::FetchAdd { .. }) {
+            assert_eq!(o.outcome, hermes::model::Outcome::Completed, "{o:?}");
+        }
+    }
+    check_linearizable_per_key(&all, KEYS).expect("history linearizable across lane counts");
+    for node in &nodes {
+        let ingress = node.lane_ingress();
+        assert!(
+            ingress.iter().all(|&n| n > 0),
+            "a lane heard nothing: {ingress:?}"
+        );
+    }
+    nodes.into_iter().for_each(NodeRuntime::shutdown);
+}
+
 /// The shutdown RPC: a client-port frame asks the daemon to exit; the
 /// runtime surfaces it to the supervising loop, which tears down cleanly.
 #[test]
