@@ -139,9 +139,10 @@ impl ShardRouter {
         }
     }
 
-    /// The lane a transport delivery thread hands an inbound message about
-    /// `key` to, *without* a live protocol instance in hand — the per-worker
-    /// ingress demux runs on the transport's thread, which owns no engine.
+    /// The lane an inbound message about `key` belongs to, decided
+    /// *without* a live protocol instance in hand — the per-worker ingress
+    /// demux runs on whichever lane read the frame, before it knows whose
+    /// engine the message is for.
     ///
     /// Equivalent to [`ShardRouter::lane_for_msg`] for protocols whose
     /// [`msg_serializes`](crate::ReplicaProtocol::msg_serializes) hook is

@@ -38,7 +38,8 @@
 //!   Hermes' message-loss timeouts retransmit (paper §3.4).
 //! * **One link set, two hosts.** [`Endpoint::split`] gives each lane its
 //!   set; [`Endpoint::start`] runs a one-lane set on one `hermes-link`
-//!   thread feeding an [`IngressSink`] (tests and probes).
+//!   thread feeding an [`IngressSink`](crate::IngressSink) (tests and
+//!   probes).
 //!
 //! Wire format, both directions, after a connection-scoped handshake of
 //! `b"HRM2"` + `u32` dialer node + `u16` dialer lane + `u16` its lane
@@ -50,9 +51,7 @@
 //! [`hermes-wings`]: ../../hermes_wings/index.html
 
 use crate::poll::{Interest, PollEvent, Wait, Waker};
-use crate::transport::{
-    Endpoint, IngressGuard, IngressSink, LaneLinks, NetEvent, NetSender, Transport,
-};
+use crate::transport::{Endpoint, LaneLinks, NetEvent, NetSender, Transport};
 use bytes::Bytes;
 use hermes_common::NodeId;
 use parking_lot::{Mutex, MutexGuard};
@@ -60,7 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,10 +91,6 @@ const WRITE_BATCH: usize = 16;
 /// it moves on (level-triggered readiness re-reports what is left).
 const READ_CHUNK: usize = 64 * 1024;
 const READS_PER_EVENT: usize = 16;
-
-/// Upper bound on the `Endpoint::start` host's blocked wait: `stop` is
-/// re-checked at least this often even if a wake were lost.
-const IDLE_WAIT: Duration = Duration::from_millis(500);
 
 const TOKEN_LISTENER: u64 = 1;
 /// Outbound link to peer `i` is token `TOKEN_LINK_BASE + i`; inbound
@@ -543,26 +538,7 @@ impl Endpoint for TcpEndpoint {
         }
     }
 
-    /// One `hermes-link` thread hosting a one-lane link set.
-    fn start(self, sink: IngressSink) -> IngressGuard {
-        let wait = Wait::new().expect("the link thread's epoll and eventfd");
-        let waker = wait.waker();
-        let mut links = (self.split(vec![wait], Arc::clone(&sink)))
-            .expect("register the listener")
-            .remove(0);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new().name("hermes-link".into());
-        let handle = thread.spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                links.poll(IDLE_WAIT, &mut |ev| sink(ev));
-            }
-        });
-        IngressGuard::new(stop, vec![handle.expect("spawn the link thread")]).waking(waker)
-    }
-
-    /// Lanes read every connection themselves: `sink` is never called.
-    fn split(self, waits: Vec<Wait>, _sink: IngressSink) -> io::Result<Vec<TcpLinks>> {
+    fn split(self, waits: Vec<Wait>) -> io::Result<Vec<TcpLinks>> {
         let TcpEndpoint { listener, shared } = self;
         if let Some(lane0) = waits.first() {
             (lane0.poller).register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
@@ -1058,6 +1034,7 @@ fn dial(me: NodeId, lane: usize, lanes: usize, addr: SocketAddr) -> io::Result<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IngressGuard;
     use crossbeam::channel::{unbounded as chan, Receiver};
 
     /// Starts `ep` with a sink forwarding into a channel.
@@ -1359,8 +1336,7 @@ mod tests {
             .remove(0);
         let addr = ep.local_addr().unwrap();
         let waits = vec![Wait::new().unwrap(), Wait::new().unwrap()];
-        let sink: IngressSink = Arc::new(|_| unreachable!("lanes read their own links"));
-        let mut lanes = ep.split(waits, sink).unwrap();
+        let mut lanes = ep.split(waits).unwrap();
         let mut heard: [Vec<NetEvent>; 2] = Default::default();
         let mut poll_until = |heard: &mut [Vec<NetEvent>; 2], want: [usize; 2], within| {
             let deadline = Instant::now() + within;

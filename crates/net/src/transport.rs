@@ -11,11 +11,10 @@
 //!   ([`NetSender`]) plus a receive half, taken one of two ways.
 //!   [`Endpoint::split`] hands each worker lane its own [`LaneLinks`]: the
 //!   lane's thread blocks in one [`Wait`] covering its command queue and
-//!   the sockets it reads itself, and gets every [`NetEvent`] it reads
-//!   handed to it inline — no thread between the wire and the lane (the
-//!   in-process transport still delivers from a thread of its own, into
-//!   the sink `split` takes). [`Endpoint::start`] runs the same receive
-//!   half on a thread of the transport's and pushes every event into an
+//!   the links it reads itself — its sockets, or its in-process inbox —
+//!   and gets every [`NetEvent`] it reads handed to it inline: no thread
+//!   between the wire and the lane. [`Endpoint::start`] runs a one-lane
+//!   link set on one thread and pushes every event into an
 //!   [`IngressSink`] — for tests, probes and anything that is not a lane.
 //!
 //! The service model every transport must preserve is the paper's (§3.4):
@@ -36,6 +35,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Upper bound on the `Endpoint::start` host's blocked wait: `stop` is
+/// re-checked at least this often even if a wake were lost.
+const IDLE_WAIT: Duration = Duration::from_millis(500);
+
 /// One event surfaced by a transport's ingress path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetEvent {
@@ -50,11 +53,8 @@ pub enum NetEvent {
     PeerUp(NodeId),
 }
 
-/// Consumes ingress events; returns `false` when the receiver is gone and
-/// delivery threads should stop.
-///
-/// Shared across however many delivery threads a transport runs, so it
-/// must be callable concurrently.
+/// Consumes what an [`Endpoint::start`] host reads; `false` says the
+/// receiver is gone (a TCP host closes the connection the event came on).
 pub type IngressSink = Arc<dyn Fn(NetEvent) -> bool + Send + Sync>;
 
 /// The transmit half of a node's network attachment.
@@ -73,8 +73,8 @@ pub trait NetSender: Clone + Send + 'static {
 }
 
 /// One worker lane's share of a node's links ([`Endpoint::split`]): the
-/// sender that writes on the lane's own connections, and the one blocking
-/// wait the lane's thread makes.
+/// sender that writes on the lane's own links, and the one blocking wait
+/// the lane's thread makes.
 pub trait LaneLinks: Send + 'static {
     /// The transmit half that writes on this lane's links.
     type Sender: NetSender;
@@ -84,10 +84,10 @@ pub trait LaneLinks: Send + 'static {
 
     /// Blocks up to `timeout` (less if a link needs an earlier look) until
     /// the lane's waker rings or a socket of this lane is ready, then does
-    /// what became possible — reads, finishes short writes, installs
-    /// dials — handing every ingress event read to `deliver` (`false`:
-    /// close the connection it came on). The lane looks at its command
-    /// queue after this returns.
+    /// what became possible — reads its sockets or its inbox, finishes
+    /// short writes, installs dials — handing every ingress event read to
+    /// `deliver` (`false`: close the connection it came on). The lane
+    /// looks at its command queue after this returns.
     fn poll(&mut self, timeout: Duration, deliver: &mut dyn FnMut(NetEvent) -> bool);
 }
 
@@ -105,21 +105,48 @@ pub trait Endpoint: Send + std::fmt::Debug + 'static {
     /// A cloneable transmit handle for this node.
     fn sender(&self) -> Self::Sender;
 
-    /// Consumes the endpoint and starts delivering ingress into `sink`
-    /// from transport-owned threads. Delivery runs until the returned
-    /// [`IngressGuard`] is stopped or the sink reports the receiver gone.
-    fn start(self, sink: IngressSink) -> IngressGuard;
-
     /// Consumes the endpoint and splits it into one [`LaneLinks`] per
-    /// `waits` entry, the i-th for lane i's thread, whose sockets register
-    /// in that wait. Ingress the lanes do not read themselves goes into
-    /// `sink` from a transport thread that the first link set owns (the
-    /// in-process transport's; the TCP transport has none).
+    /// `waits` entry, the i-th for lane i's thread, which rings that wait
+    /// and reads its own links. No transport thread is left running.
     ///
     /// # Errors
     ///
     /// Fails if a socket cannot be registered in its wait.
-    fn split(self, waits: Vec<Wait>, sink: IngressSink) -> io::Result<Vec<Self::Links>>;
+    fn split(self, waits: Vec<Wait>) -> io::Result<Vec<Self::Links>>;
+
+    /// Consumes the endpoint and hosts it as a one-lane link set on one
+    /// `hermes-link` thread, which hands every ingress event to `sink`
+    /// until the returned [`IngressGuard`] is stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread's wait cannot be created or a socket
+    /// registered in it.
+    fn start(self, sink: IngressSink) -> IngressGuard
+    where
+        Self: Sized,
+    {
+        let wait = Wait::new().expect("the link thread's epoll and eventfd");
+        let waker = wait.waker();
+        let mut links = self
+            .split(vec![wait])
+            .expect("register the links")
+            .remove(0);
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new().name("hermes-link".into());
+        let handle = thread.spawn(move || {
+            while !flag.load(Ordering::Relaxed) {
+                links.poll(IDLE_WAIT, &mut |ev| sink(ev));
+            }
+        });
+        let thread = Some(handle.expect("spawn the link thread"));
+        IngressGuard {
+            stop,
+            thread,
+            waker,
+        }
+    }
 }
 
 /// A network: one [`Endpoint`] per node, however they are wired.
@@ -131,45 +158,26 @@ pub trait Transport {
     fn into_endpoints(self) -> Vec<Self::Endpoint>;
 }
 
-/// Owns the delivery threads spawned by [`Endpoint::start`]; stopping it
-/// signals them and joins them.
+/// Owns the `hermes-link` thread of [`Endpoint::start`]; stopping it
+/// rings the thread's wait and joins it.
 #[derive(Debug)]
 pub struct IngressGuard {
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-    /// Interrupts a delivery thread blocked in a readiness wait so it
-    /// sees `stop` at once (threads that poll the flag need none).
-    waker: Option<Arc<Waker>>,
+    thread: Option<JoinHandle<()>>,
+    /// Interrupts the thread's blocked wait so it sees `stop` at once.
+    waker: Arc<Waker>,
 }
 
 impl IngressGuard {
-    /// Builds a guard over `handles`, all of which watch `stop`.
-    pub fn new(stop: Arc<AtomicBool>, handles: Vec<JoinHandle<()>>) -> Self {
-        IngressGuard {
-            stop,
-            handles,
-            waker: None,
-        }
-    }
-
-    /// Also rings `waker` on stop, for delivery threads parked in a
-    /// [`Poller`](crate::Poller) wait rather than polling the flag.
-    pub(crate) fn waking(mut self, waker: Arc<Waker>) -> Self {
-        self.waker = Some(waker);
-        self
-    }
-
-    /// Signals every delivery thread to stop and joins them.
+    /// Signals the link thread to stop and joins it.
     pub fn stop(mut self) {
         self.halt();
     }
 
     fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-        for h in self.handles.drain(..) {
+        self.waker.wake();
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }

@@ -1,14 +1,14 @@
-//! Resource bound: a TCP endpoint `start`ed with a sink runs one thread per
+//! Resource bound: an endpoint `start`ed with a sink runs one thread per
 //! node — the `hermes-link` thread hosting its link set — however many
-//! peers the node has (lanes of a running replica read their own links and
-//! run none: `tests/lane_links.rs`). Alone in its test binary so no other
-//! test's threads are in the count.
+//! peers the node has, over TCP and in process alike (lanes of a running
+//! replica read their own links and run none: `tests/lane_links.rs`).
+//! Alone in its test binary so no other test's threads are in the count.
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use hermes_common::NodeId;
-use hermes_net::{Endpoint, IngressGuard, NetSender, TcpNet, TcpStats, Transport};
-use std::sync::Arc;
+use hermes_net::{Endpoint, InProcNet, IngressGuard, NetSender, TcpNet, TcpStats, Transport};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn process_threads() -> usize {
@@ -33,6 +33,14 @@ fn settled_threads() -> usize {
         }
         last = now;
     }
+}
+
+/// How many of this process's threads are named `name`.
+fn threads_named(name: &str) -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+    let names = tasks.filter_map(|t| t.ok().and_then(comm));
+    names.filter(|n| n.trim() == name).count()
 }
 
 /// Starts an `n`-node loopback mesh, connects every ordered pair, and
@@ -72,6 +80,41 @@ fn threads_added_by_mesh(n: usize) -> usize {
     added
 }
 
+/// Starts `n` in-process endpoints, has every node send to every other,
+/// and returns how many threads that added. An idle link thread blocks in
+/// its wait until `stop` rings it: no stop waits out a poll period.
+fn threads_added_in_process(n: usize) -> usize {
+    let before = settled_threads();
+    let endpoints = InProcNet::new(n).into_endpoints();
+    let senders: Vec<_> = endpoints.iter().map(|e| e.sender()).collect();
+    let (heard, frames) = mpsc::channel();
+    let guards: Vec<IngressGuard> = (endpoints.into_iter())
+        .map(|e| {
+            let heard = heard.clone();
+            e.start(Arc::new(move |ev| heard.send(ev).is_ok()))
+        })
+        .collect();
+    for (i, tx) in senders.iter().enumerate() {
+        for j in (0..n).filter(|&j| j != i) {
+            tx.send(NodeId(j as u32), Bytes::from_static(b"hi"));
+        }
+    }
+    for _ in 0..n * (n - 1) {
+        let frame = frames.recv_timeout(Duration::from_secs(10));
+        assert!(frame.is_ok(), "in-process mesh did not deliver");
+    }
+    let added = settled_threads() - before;
+    assert_eq!(threads_named("hermes-link"), n, "one link thread per node");
+    for guard in guards {
+        let stopping = Instant::now();
+        guard.stop();
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_millis(25), "idle stop took {took:?}");
+    }
+    assert_eq!(settled_threads(), before, "stop joins every link thread");
+    added
+}
+
 #[test]
 fn transport_threads_are_independent_of_peer_count() {
     assert_eq!(threads_added_by_mesh(3), 3, "one link thread per node");
@@ -80,4 +123,6 @@ fn transport_threads_are_independent_of_peer_count() {
         7,
         "still one per node with 6 peers each"
     );
+    assert_eq!(threads_added_in_process(3), 3, "in process too");
+    assert_eq!(threads_added_in_process(7), 7, "in process, 6 peers each");
 }

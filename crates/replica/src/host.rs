@@ -8,14 +8,13 @@
 //!
 //! * every lane runs the same loop, [`lane_main`]: block in the lane's one
 //!   [`Wait`] — the waker of its command queue (client operations, messages
-//!   other threads received for it, control events) and the sockets of its
-//!   own links (DESIGN.md §4) — then step the lane with the clock reading
-//!   the loop took;
-//! * a data-plane Wings frame is decoded by whoever read it ([`route`]):
-//!   on a lane, each message its key puts on that lane is handled right
+//!   other threads received for it, control events) and its own links —
+//!   sockets over TCP, an inbox in process (DESIGN.md §4) — then step the
+//!   lane with the clock reading the loop took;
+//! * a data-plane Wings frame is decoded by the lane that read it
+//!   ([`route`]): each message its key puts on that lane is handled right
 //!   there, and the rest go to the owning lanes' queues — which happens
-//!   only when peers run different lane counts, or from the in-process
-//!   transport's delivery thread (DESIGN.md §7);
+//!   only when peers run different lane counts (DESIGN.md §7);
 //! * lane 0 additionally carries the [`Pump`]: control frames (membership,
 //!   shadow catch-up), connectivity events and the membership driver's
 //!   tick — the node-wide duties that need one thread, not one per lane;
@@ -117,10 +116,7 @@ impl Node {
             shards.iter().map(|_| unbounded()).unzip();
         let wakers = waits.iter().map(Wait::waker);
         let lanes = Lanes::new(txs.into_iter().zip(wakers).collect(), router);
-        // What the transport delivers from threads of its own (the
-        // in-process one's) goes to the owning lanes' queues.
-        let ingress = lanes.clone();
-        let links = ep.split(waits, Arc::new(move |ev| route(&ingress, ev, None)))?;
+        let links = ep.split(waits)?;
         let store = Arc::new(Store::new(StoreConfig::default()));
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
         let running = Arc::new(AtomicBool::new(true));
@@ -240,24 +236,21 @@ impl Node {
     }
 }
 
-/// Network ingress, wherever it was read. A data-plane Wings frame is
-/// decoded here and each message handed to the lane owning its key:
-/// through `local` when that is the lane whose thread read it, else onto
-/// the owner's queue. Control frames and connectivity events go to lane
-/// 0's pump, the same way. Per-(peer, key) FIFO holds because each
-/// connection is read by one thread and a key's messages from it take one
-/// route. Returns `false` once the lanes are gone (shutdown), closing the
-/// connection.
-fn route(lanes: &Lanes, ev: NetEvent, mut local: Option<(usize, &mut dyn FnMut(Command))>) -> bool {
+/// Network ingress, as lane `lane` read it off its own links. A data-plane
+/// Wings frame is decoded here and each message handed to the lane owning
+/// its key: through `here` when that is this lane, else onto the owner's
+/// queue. Control frames and connectivity events go to lane 0's pump, the
+/// same way. Per-(peer, key) FIFO holds because each link is read by one
+/// lane and a key's messages from it take one route. Returns `false` once
+/// the lanes are gone (shutdown), closing the connection.
+fn route(lanes: &Lanes, ev: NetEvent, lane: usize, here: &mut dyn FnMut(Command)) -> bool {
     let (from, frame) = match ev {
         NetEvent::Frame(from, frame) if !control::is_control(&frame) => (from, frame),
-        ev => match &mut local {
-            Some((PUMP_LANE, here)) => {
-                here(Command::Net(ev));
-                return true;
-            }
-            _ => return lanes.control(ev),
-        },
+        ev if lane == PUMP_LANE => {
+            here(Command::Net(ev));
+            return true;
+        }
+        ev => return lanes.control(ev),
     };
     let Ok(msgs) = decode_frame(&frame) else {
         return true; // Malformed frame: drop it.
@@ -269,9 +262,10 @@ fn route(lanes: &Lanes, ev: NetEvent, mut local: Option<(usize, &mut dyn FnMut(C
         };
         let owner = lanes.ingress_lane(msg.key());
         let cmd = Command::Deliver { from, msg, trace };
-        match &mut local {
-            Some((lane, here)) if *lane == owner => here(cmd),
-            _ => alive &= lanes.send(owner, cmd),
+        if owner == lane {
+            here(cmd);
+        } else {
+            alive &= lanes.send(owner, cmd);
         }
     }
     alive
@@ -293,7 +287,7 @@ fn inv_delay_us() -> u64 {
 
 /// The loop of every lane thread. Fully event-driven: the lane blocks in
 /// its links' one poll, which its command queue's waker shares with the
-/// sockets the lane reads, so a lone client op or a lone frame at an idle
+/// links the lane reads, so a lone client op or a lone frame at an idle
 /// node wakes exactly this lane, at once (no idle-poll latency floor).
 /// What the lane reads itself is handled inline; then its queue, up to
 /// [`DRAIN_BATCH`] commands; then its timers and the batch flush. Idle
@@ -316,7 +310,7 @@ fn lane_main<L: LaneLinks>(
         });
         let wait = if backlog { Duration::ZERO } else { wait };
         let mut here = |cmd| run(&mut lane, &mut pump, cmd);
-        links.poll(wait, &mut |ev| route(&lanes, ev, Some((index, &mut here))));
+        links.poll(wait, &mut |ev| route(&lanes, ev, index, &mut here));
         let mut drained = 0;
         while drained < DRAIN_BATCH {
             match commands.try_recv() {

@@ -223,9 +223,8 @@ impl ThreadCluster {
     }
 
     /// Peer messages handled by each worker lane of replica `node` — read
-    /// by the lane itself off its own links over TCP, queued to it by the
-    /// delivery thread in process. All-zero only before any replication
-    /// traffic.
+    /// by the lane itself off its own links, its connections over TCP and
+    /// its inbox in process. All-zero only before any replication traffic.
     pub fn lane_ingress(&self, node: usize) -> Vec<u64> {
         self.nodes[node].lane_ingress()
     }

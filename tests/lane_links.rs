@@ -1,14 +1,23 @@
 //! Resource bound of the per-lane links (DESIGN.md §4): a threaded
-//! cluster over TCP runs its lanes and nothing else. Each lane reads and
-//! writes its own connections, so once the dials are done no transport
-//! thread is left. Alone in its test binary so no other test's threads are
-//! in the count.
+//! cluster runs its lanes and nothing else, over either transport. Each
+//! lane reads and writes its own links — connections over TCP, once the
+//! dials are done; an inbox in process — so no transport thread is left.
+//! Alone in its test binary, and its tests one at a time, so no other
+//! test's threads are in the count.
 #![cfg(target_os = "linux")]
 
 use hermes::net::{TcpNet, TcpStats, Transport};
 use hermes::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Held for a whole test: the counts below are process-wide.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
@@ -44,6 +53,7 @@ fn thread_names() -> Vec<String> {
 fn a_tcp_cluster_runs_its_lanes_and_no_transport_thread() {
     const NODES: usize = 3;
     const WORKERS: usize = 2;
+    let _serial = one_at_a_time();
     let before = settled_threads();
     let endpoints = TcpNet::loopback(NODES).unwrap().into_endpoints();
     let stats: Vec<Arc<TcpStats>> = endpoints.iter().map(|e| e.stats()).collect();
@@ -83,6 +93,44 @@ fn a_tcp_cluster_runs_its_lanes_and_no_transport_thread() {
         .count();
     assert_eq!(lanes, NODES * WORKERS, "{names:?}");
     assert_eq!(added, NODES * WORKERS, "lane threads only: {names:?}");
+    cluster.shutdown();
+    assert_eq!(settled_threads(), before, "shutdown joins every lane");
+}
+
+#[test]
+fn an_in_process_cluster_runs_its_lanes_and_no_transport_thread() {
+    const NODES: usize = 3;
+    const WORKERS: usize = 2;
+    let _serial = one_at_a_time();
+    let before = settled_threads();
+    let cluster = ThreadCluster::launch(ClusterConfig {
+        nodes: NODES,
+        workers_per_node: WORKERS,
+        ..ClusterConfig::default()
+    });
+    // Writes to keys of both lanes of every node: every lane sends INVs
+    // into its peers' same-numbered lanes and reads their ACKs itself.
+    for node in 0..NODES {
+        for key in 0..8 {
+            let reply = cluster.write(node, Key(key), Value::from_u64(key));
+            assert_eq!(reply, Reply::WriteOk);
+        }
+    }
+    let added = settled_threads() - before;
+    let names = thread_names();
+    let lanes = names
+        .iter()
+        .filter(|n| n.starts_with("hermes-lane-"))
+        .count();
+    assert_eq!(lanes, NODES * WORKERS, "{names:?}");
+    assert_eq!(added, NODES * WORKERS, "lane threads only: {names:?}");
+    for node in 0..NODES {
+        let ingress = cluster.lane_ingress(node);
+        assert!(
+            ingress.iter().all(|&n| n > 0),
+            "every lane read: {ingress:?}"
+        );
+    }
     cluster.shutdown();
     assert_eq!(settled_threads(), before, "shutdown joins every lane");
 }
