@@ -1,16 +1,18 @@
 //! # hermes-bench — the paper's evaluation harness
 //!
 //! One bench target per evaluation artifact of the paper (Tables 1–2,
-//! Figures 5–9), each printing the paper's reported series next to the
-//! values measured on this reproduction's simulated cluster, plus Criterion
-//! micro-benchmarks of the substrates. Run everything with
-//! `cargo bench --workspace`; scale the simulated op counts with the
-//! `HERMES_SCALE` environment variable (default `0.1`; `1.0` ≈ paper-scale).
+//! Figures 5–9, plus the ablation), each printing the paper's reported
+//! series next to the values measured on this reproduction's *simulated*
+//! cluster. Run everything with `cargo bench --workspace`; scale the
+//! simulated op counts with the `HERMES_SCALE` environment variable
+//! (default `0.1`; `1.0` ≈ paper-scale).
 //!
 //! The simulator reproduces *shapes* (who wins, by what factor, where
 //! crossovers fall), not the absolute testbed numbers — see DESIGN.md §1
 //! and EXPERIMENTS.md for the substitution rationale and the recorded
-//! paper-vs-measured comparisons.
+//! paper-vs-measured comparisons. Nothing here times the real runtime:
+//! that is `examples/runtime_bench`, down to per-layer probes of the core,
+//! store, codec and transports.
 
 #![warn(missing_docs)]
 

@@ -38,6 +38,6 @@ pub use error::{ClientError, ProtocolFault};
 pub use ids::{ClientId, Epoch, Key, NodeId, OpId};
 pub use nodeset::NodeSet;
 pub use protocol::{Capabilities, ClientOp, Effect, MembershipView, ReplicaProtocol, Reply, RmwOp};
-pub use shard::{ShardRouter, ShardSpec};
+pub use shard::ShardSpec;
 pub use txn::{TxnAbort, TxnOp, TxnReply};
 pub use value::Value;

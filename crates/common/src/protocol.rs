@@ -289,7 +289,10 @@ pub trait ReplicaProtocol {
     /// Protocols that totally order writes (ZAB's leader, lock-step SMR
     /// rounds) have an ordering step that cannot be parallelized across
     /// workers — the very property the paper contrasts with Hermes'
-    /// inter-key concurrency (§2.3, §5.1.1). Default: fully parallel.
+    /// inter-key concurrency (§2.3, §5.1.1). Only the simulator's cost
+    /// model (`hermes-replica`'s `run_sim`) asks; the real runtime hosts
+    /// Hermes alone and routes every message to the lane owning its key.
+    /// Default: fully parallel.
     fn msg_serializes(&self, msg: &Self::Msg) -> bool {
         let _ = msg;
         false

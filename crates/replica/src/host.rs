@@ -24,11 +24,10 @@
 use crate::lane::{Command, Lane, Lanes, MLT, PUMP_LANE};
 use crate::membership::{boot_view, MembershipOptions, MembershipStatus};
 use crate::metrics::NodeObs;
-use crate::sharded::ShardedEngine;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use hermes_common::{Key, MembershipView, NodeId, Value};
-use hermes_core::{Msg, ProtocolConfig};
+use hermes_core::{HermesNode, Msg, ProtocolConfig};
 use hermes_membership::{wire, MembershipDriver, RmEffect, RmMsg};
 use hermes_net::{Endpoint, LaneLinks, NetEvent, NetSender, Wait};
 use hermes_obs::{obs_info, obs_warn, Phase, Span, TraceSpan};
@@ -109,23 +108,22 @@ impl Node {
         let join = membership.is_some_and(|m| m.join);
         let boot = boot_view(view, me, join);
         let status = Arc::new(MembershipStatus::new(boot, boot.is_serving(me), !join));
-        let (router, shards) = ShardedEngine::new(me, boot, protocol, workers).into_shards();
         let waits = (0..workers).map(|_| Wait::new());
         let waits: Vec<Wait> = waits.collect::<io::Result<_>>()?;
         let (txs, rxs): (Vec<_>, Vec<Receiver<Command>>) =
-            shards.iter().map(|_| unbounded()).unzip();
+            (0..workers).map(|_| unbounded()).unzip();
         let wakers = waits.iter().map(Wait::waker);
-        let lanes = Lanes::new(txs.into_iter().zip(wakers).collect(), router);
+        let lanes = Lanes::new(txs.into_iter().zip(wakers).collect());
         let links = ep.split(waits)?;
         let store = Arc::new(Store::new(StoreConfig::default()));
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
-        for (index, ((engine, rx), links)) in shards.into_iter().zip(rxs).zip(links).enumerate() {
+        for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {
             let lane = Lane::new(
                 index,
                 workers,
-                engine,
+                HermesNode::new(me, boot, protocol),
                 Arc::clone(&store),
                 links.sender(),
                 Arc::clone(&status),
@@ -260,7 +258,7 @@ fn route(lanes: &Lanes, ev: NetEvent, lane: usize, here: &mut dyn FnMut(Command)
         let Ok((msg, trace)) = codec::decode_traced(&raw) else {
             continue;
         };
-        let owner = lanes.ingress_lane(msg.key());
+        let owner = lanes.owner(msg.key());
         let cmd = Command::Deliver { from, msg, trace };
         if owner == lane {
             here(cmd);

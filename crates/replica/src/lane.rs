@@ -21,7 +21,7 @@ use crate::poller::ShardHandle;
 use crate::timers::DeadlineQueue;
 use crossbeam::channel::Sender;
 use hermes_common::{
-    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardRouter,
+    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardSpec,
 };
 use hermes_core::{HermesNode, KeyState, Msg, Ts};
 use hermes_net::{NetEvent, NetSender, Waker};
@@ -185,12 +185,13 @@ pub(crate) enum Command {
 pub(crate) struct Lanes {
     /// Per lane: its queue, and the waker of the wait its thread blocks in.
     queues: Vec<(Sender<Command>, Arc<Waker>)>,
-    router: ShardRouter,
+    spec: ShardSpec,
 }
 
 impl Lanes {
-    pub(crate) fn new(queues: Vec<(Sender<Command>, Arc<Waker>)>, router: ShardRouter) -> Self {
-        Lanes { queues, router }
+    pub(crate) fn new(queues: Vec<(Sender<Command>, Arc<Waker>)>) -> Self {
+        let spec = ShardSpec::new(queues.len());
+        Lanes { queues, spec }
     }
 
     /// Worker lanes on this node.
@@ -198,16 +199,11 @@ impl Lanes {
         self.queues.len()
     }
 
-    /// The lane holding `key`'s engine state and subscriber registry.
+    /// The lane holding `key`'s engine state and subscriber registry: where
+    /// every operation, peer message, subscription and catch-up chunk about
+    /// `key` goes. Hermes has no ordering step to pin to one lane (paper §2.3).
     pub(crate) fn owner(&self, key: Key) -> usize {
-        self.router.lane_for_op(key, &ClientOp::Read)
-    }
-
-    /// The lane a peer message about `key` belongs to — the owner, for
-    /// Hermes, since no message serializes
-    /// ([`ShardRouter::lane_for_ingress`]).
-    pub(crate) fn ingress_lane(&self, key: Key) -> usize {
-        self.router.lane_for_ingress(key)
+        self.spec.owner(key)
     }
 
     /// Queues `cmd` on `lane` and rings the lane.
@@ -222,9 +218,8 @@ impl Lanes {
 
     /// Submits a client operation; its reply goes to `reply`.
     pub(crate) fn op(&self, op: OpId, key: Key, cop: ClientOp, reply: ClientSink) -> bool {
-        let lane = self.router.lane_for_op(key, &cop);
         self.send(
-            lane,
+            self.owner(key),
             Command::Op {
                 op,
                 key,

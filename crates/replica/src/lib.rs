@@ -11,8 +11,8 @@
 //!   through this entry point.
 //! * The real runtime is one replica `Node` in two deployment shapes. A
 //!   node is W worker lanes — each a clock-free `Lane` owning one key
-//!   shard's protocol engine ([`ShardedEngine`]), stepped by its own
-//!   thread — Wings-framed datagrams over any pluggable transport, and a
+//!   shard's `HermesNode` protocol engine, stepped by its own thread —
+//!   Wings-framed datagrams over any pluggable transport, and a
 //!   per-node seqlock KVS mirror serving lock-free local reads (the
 //!   HermesKV architecture of paper §4):
 //!   * [`ThreadCluster`] holds N nodes in one process, over crossbeam
@@ -44,7 +44,6 @@ mod node;
 mod poller;
 mod remote;
 mod session;
-mod sharded;
 mod simrun;
 mod threaded;
 mod timers;
@@ -57,7 +56,6 @@ pub use node::{
 };
 pub use remote::{KillSwitch, RemoteChannel};
 pub use session::{ClientSession, LaneChannel, PendingTxn, SessionChannel, Ticket, TxnResult};
-pub use sharded::ShardedEngine;
 pub use simrun::{run_sim, RunReport, SimConfig};
 pub use threaded::{ClusterConfig, ThreadCluster};
 pub use timers::DeadlineQueue;

@@ -1099,9 +1099,7 @@ impl ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::ShardedEngine;
     use hermes_common::{ClientOp, MembershipView, RmwOp};
-    use hermes_core::ProtocolConfig;
     use hermes_net::Wait;
     use hermes_store::StoreConfig;
 
@@ -1470,16 +1468,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let (lane, _lane_rx) = unbounded::<crate::lane::Command>();
         let gauges = Arc::new(PlaneGauges::new(1));
-        let router = ShardedEngine::new(
-            NodeId(0),
-            MembershipView::initial(1),
-            ProtocolConfig::default(),
-            1,
-        )
-        .router();
         let mut plane = ClientPlane::start(
             listener,
-            Lanes::new(vec![(lane, Wait::new().unwrap().waker())], router),
+            Lanes::new(vec![(lane, Wait::new().unwrap().waker())]),
             PlaneConfig {
                 pollers: 1,
                 txn_executors: 1,

@@ -35,7 +35,6 @@ use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
 use hermes_wings::client::{Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
-use hermes_workload::PipelinedKv;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -791,21 +790,4 @@ impl TxnResult {
 pub struct PendingTxn {
     /// Boxed: the coordinator state is large and the in-doubt case rare.
     machine: Box<TxnMachine>,
-}
-
-/// Lets [`hermes_workload::run_closed_loop`] drive sessions directly.
-impl<C: SessionChannel> PipelinedKv for ClientSession<C> {
-    type Ticket = Ticket;
-
-    fn submit(&mut self, key: Key, cop: ClientOp) -> Ticket {
-        ClientSession::submit(self, key, cop)
-    }
-
-    fn wait_any(&mut self) -> Option<Reply> {
-        ClientSession::wait_any(self).map(|(_, reply)| reply)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.outstanding()
-    }
 }

@@ -332,6 +332,7 @@ impl Drop for ThreadCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -433,14 +434,16 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn four_workers_per_node_converge() {
+    /// `workers` lanes per node: blocking writes through every node read
+    /// back from another, and a pipelined session's 16 writes, all in
+    /// flight at once across the lanes, each complete exactly once.
+    fn workers_per_node_converge(workers: usize) {
         let cluster = ThreadCluster::launch(ClusterConfig {
             nodes: 3,
-            workers_per_node: 4,
+            workers_per_node: workers,
             ..ClusterConfig::default()
         });
-        assert_eq!(cluster.workers_per_node(), 4);
+        assert_eq!(cluster.workers_per_node(), workers);
         for i in 0..32u64 {
             assert_eq!(
                 cluster.write((i % 3) as usize, Key(i), Value::from_u64(i * 3)),
@@ -454,7 +457,38 @@ mod tests {
                 "key {i}"
             );
         }
+        let mut session = cluster.session(1);
+        let mut pending: HashSet<_> = (0..16u64)
+            .map(|i| session.write(Key(100 + i), Value::from_u64(i)))
+            .collect();
+        while let Some((ticket, reply)) = session.wait_any() {
+            assert_eq!(reply, Reply::WriteOk, "W={workers}");
+            assert!(
+                pending.remove(&ticket),
+                "W={workers}: one completion per op"
+            );
+        }
+        assert!(
+            pending.is_empty(),
+            "W={workers}: {} ops lost",
+            pending.len()
+        );
         cluster.shutdown();
+    }
+
+    #[test]
+    fn one_worker_per_node_converges() {
+        workers_per_node_converge(1);
+    }
+
+    #[test]
+    fn four_workers_per_node_converge() {
+        workers_per_node_converge(4);
+    }
+
+    #[test]
+    fn eight_workers_per_node_converge() {
+        workers_per_node_converge(8);
     }
 
     #[test]
@@ -616,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn serialization_lane_routing_is_honored_for_reads_and_updates() {
+    fn reads_and_updates_run_on_the_lane_owning_their_key() {
         // Hermes serializes nothing: reads and updates alike run on the
         // lane owning their key.
         let cluster = ThreadCluster::launch(ClusterConfig {

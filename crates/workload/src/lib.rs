@@ -10,12 +10,14 @@
 //! * [`KeyChooser`] — uniform or zipfian key selection;
 //! * [`Workload`] — a full request stream: key choice, read/write/RMW mix,
 //!   and value payloads of configurable size;
-//! * [`run_closed_loop`] — a closed-loop multi-request driver over any
-//!   [`PipelinedKv`] service (the paper's outstanding-requests-per-session
-//!   client model, §5.2);
 //! * [`BankWorkload`] — the bank-transfer stream driving the multi-key
 //!   transaction subsystem (`hermes-txn`), with the conserved-total
 //!   invariant as its built-in oracle.
+//!
+//! The crate only generates. Whoever issues the operations keeps its own
+//! loop: the simulator's closed-loop sessions (`hermes-replica`'s
+//! `run_sim`), and on the real runtime `examples/runtime_bench`, whose load
+//! generator pairs every reply with the operation that asked for it.
 //!
 //! # Examples
 //!
@@ -36,10 +38,8 @@
 #![warn(missing_debug_implementations)]
 
 mod bank;
-mod driver;
 
 pub use bank::{BankConfig, BankWorkload};
-pub use driver::{run_closed_loop, ClosedLoopConfig, ClosedLoopReport, PipelinedKv};
 
 use hermes_common::{ClientOp, Key, RmwOp, Value};
 use hermes_sim::rng::Rng;

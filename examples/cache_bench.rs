@@ -25,13 +25,12 @@
 //! daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, connect_within, daemon_main, reserve_loopback_addrs,
-    run_recorded_session, write_bench_record, ChildGuard, RecordedOp,
+    check_linearizable_per_key, connect_within, daemon_main, run_recorded_session, spawn_daemons,
+    write_bench_record, RecordedOp,
 };
 use hermes::prelude::*;
 use hermes::sim::rng::Rng;
 use hermes::workload::KeyChooser;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,28 +180,8 @@ impl ModeRecord {
 fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeRecord {
     let mode = if cached { "cached" } else { "uncached" };
     println!("\n== {mode}: {sessions} sessions, {keys} hot keys, {window:?} ==");
-    let repl = reserve_loopback_addrs(1);
-    let client_addr = reserve_loopback_addrs(1)[0];
-    let exe = std::env::current_exe().expect("own path");
-    let mut child = ChildGuard(Some(
-        Command::new(&exe)
-            .args([
-                "--node",
-                "0",
-                "--peers",
-                &repl[0].to_string(),
-                "--client",
-                &client_addr.to_string(),
-                "--workers",
-                "2",
-                "--pollers",
-                "2",
-            ])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn replica daemon"),
-    ));
+    let daemon = spawn_daemons(1, &["--workers", "2", "--pollers", "2"]);
+    let client_addr = daemon.clients[0];
     drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Pre-populate the hot set so first reads return real values.
@@ -365,21 +344,6 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
     );
     println!("   recorder histories linearizable");
 
-    // Orderly teardown: hang up the daemon's stdin and wait.
-    {
-        let c = child.0.as_mut().expect("child alive");
-        drop(c.stdin.take());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if c.try_wait().expect("wait child").is_some() {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "daemon did not exit on stdin hangup"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
+    daemon.shutdown();
     record
 }

@@ -33,8 +33,8 @@
 //! to daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, connect_within, daemon_main, reserve_loopback_addrs,
-    run_recorded_session, write_bench_record, ChildGuard, RecordedOp,
+    check_linearizable_per_key, connect_within, daemon_main, run_recorded_session, spawn_daemons,
+    write_bench_record, RecordedOp,
 };
 use hermes::net::{Interest, PollEvent, Poller};
 use hermes::prelude::*;
@@ -43,7 +43,6 @@ use hermes::wings::CreditConfig;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,29 +135,8 @@ impl FleetSession {
 /// object body.
 fn run_level(sessions: usize, window: Duration) -> String {
     println!("\n== {sessions} sessions ==");
-    let repl = reserve_loopback_addrs(1);
-    let client_addr = reserve_loopback_addrs(1)[0];
-    let exe = std::env::current_exe().expect("own path");
-    let mut child = ChildGuard(Some(
-        Command::new(&exe)
-            .args([
-                "--node",
-                "0",
-                "--peers",
-                &repl[0].to_string(),
-                "--client",
-                &client_addr.to_string(),
-                "--workers",
-                "2",
-                "--pollers",
-                "2",
-            ])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn replica daemon"),
-    ));
-    let pid = child.0.as_ref().expect("child alive").id();
+    let daemon = spawn_daemons(1, &["--workers", "2", "--pollers", "2"]);
+    let (client_addr, pid) = (daemon.clients[0], daemon.pids[0]);
     drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Recorder fleet on its own threads: conventional blocking sessions
@@ -338,21 +316,7 @@ fn run_level(sessions: usize, window: Duration) -> String {
 
     // Orderly teardown: close the fleet, hang up the daemon's stdin.
     drop(fleet);
-    {
-        let c = child.0.as_mut().expect("child alive");
-        drop(c.stdin.take());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if c.try_wait().expect("wait child").is_some() {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "daemon did not exit on stdin hangup"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
+    daemon.shutdown();
     let lane_ingress = stats
         .lane_ingress
         .iter()

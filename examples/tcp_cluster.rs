@@ -19,13 +19,10 @@
 //! switches to daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, daemon_main, reserve_loopback_addrs, run_recorded_session,
-    ChildGuard, RecordedOp,
+    check_linearizable_per_key, daemon_main, run_recorded_session, spawn_daemons, RecordedOp,
 };
 use hermes::prelude::*;
 use hermes_wings::CreditConfig;
-use std::io::Read;
-use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,43 +45,15 @@ fn main() {
 
 fn harness_main(ops_per_session: u64) {
     let start = Instant::now();
-    let repl_addrs = reserve_loopback_addrs(NODES);
-    let client_addrs = reserve_loopback_addrs(NODES);
-    let peers = repl_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let exe = std::env::current_exe().expect("own path");
-
-    println!("tcp_cluster: spawning {NODES} replica processes over {peers}");
-    let mut children: Vec<ChildGuard> = (0..NODES)
-        .map(|i| {
-            let child = Command::new(&exe)
-                .args([
-                    "--node",
-                    &i.to_string(),
-                    "--peers",
-                    &peers,
-                    "--client",
-                    &client_addrs[i].to_string(),
-                    "--workers",
-                    "2",
-                ])
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn replica process");
-            ChildGuard(Some(child))
-        })
-        .collect();
+    println!("tcp_cluster: spawning {NODES} replica processes");
+    let daemons = spawn_daemons(NODES, &["--workers", "2"]);
 
     // Drive concurrent remote sessions, one thread each, recording
     // histories against one shared clock.
     let clock = Arc::new(AtomicU64::new(0));
     let mut joins = Vec::new();
     for sid in 0..SESSIONS {
-        let addr = client_addrs[sid % NODES];
+        let addr = daemons.clients[sid % NODES];
         let clock = Arc::clone(&clock);
         joins.push(std::thread::spawn(move || {
             let channel = RemoteChannel::connect_within(addr, Duration::from_secs(20))
@@ -131,39 +100,6 @@ fn harness_main(ops_per_session: u64) {
     check_linearizable_per_key(&all, KEYS).expect("multi-process history linearizable");
     println!("tcp_cluster: per-key histories linearizable across {NODES} OS processes");
 
-    // Orderly shutdown: hang up stdin, wait for clean exits.
-    for guard in &mut children {
-        let child = guard.0.as_mut().expect("child alive");
-        drop(child.stdin.take());
-    }
-    for (i, guard) in children.iter_mut().enumerate() {
-        let mut child = guard.0.take().expect("child alive");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("wait child") {
-                break Some(status);
-            }
-            if Instant::now() >= deadline {
-                break None;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        let status = status.unwrap_or_else(|| {
-            let _ = child.kill();
-            panic!("node {i} did not exit after stdin hangup");
-        });
-        assert!(status.success(), "node {i} exited with {status}");
-        let mut out = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut out)
-            .expect("read child stdout");
-        assert!(
-            out.contains("clean shutdown"),
-            "node {i} missing shutdown marker; stdout:\n{out}"
-        );
-    }
+    daemons.shutdown();
     println!("tcp_cluster: all {NODES} replica processes shut down cleanly");
 }

@@ -24,14 +24,12 @@
 //! `--smoke` shrinks the workload to CI size. `--node` switches to daemon
 //! mode.
 
-use hermes::harness::{daemon_main, observe_txn, reserve_loopback_addrs, ChildGuard};
+use hermes::harness::{daemon_main, observe_txn, spawn_daemons};
 use hermes::prelude::*;
 use hermes::replica::{query_stats, remote_txn, KillSwitch};
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
-use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -75,36 +73,8 @@ fn record(
 
 fn harness_main(transfers_per_client: u64) {
     let start = Instant::now();
-    let repl_addrs = reserve_loopback_addrs(NODES);
-    let client_addrs = reserve_loopback_addrs(NODES);
-    let peers = repl_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let exe = std::env::current_exe().expect("own path");
-
-    println!("txn_transfer: spawning {NODES} replica processes over {peers}");
-    let mut children: Vec<ChildGuard> = (0..NODES)
-        .map(|i| {
-            let child = Command::new(&exe)
-                .args([
-                    "--node",
-                    &i.to_string(),
-                    "--peers",
-                    &peers,
-                    "--client",
-                    &client_addrs[i].to_string(),
-                    "--workers",
-                    "2",
-                ])
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn replica process");
-            ChildGuard(Some(child))
-        })
-        .collect();
+    println!("txn_transfer: spawning {NODES} replica processes");
+    let daemons = spawn_daemons(NODES, &["--workers", "2"]);
 
     let clock = Arc::new(AtomicU64::new(0));
     let history: Arc<Mutex<Vec<TxnObs>>> = Arc::new(Mutex::new(Vec::new()));
@@ -113,7 +83,7 @@ fn harness_main(transfers_per_client: u64) {
     let funding = BANK.funding();
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let mut session = remote_session(client_addrs[0]);
+    let mut session = remote_session(daemons.clients[0]);
     let mut result = session.txn(funding.clone());
     loop {
         if result.is_committed() {
@@ -125,7 +95,7 @@ fn harness_main(transfers_per_client: u64) {
             "cluster never served the funding txn: {result:?}"
         );
         std::thread::sleep(Duration::from_millis(100));
-        session = remote_session(client_addrs[0]);
+        session = remote_session(daemons.clients[0]);
         result = match result {
             // Never drop an in-doubt funding transaction: its lock CASes
             // or data writes may already have applied, and abandoning the
@@ -148,7 +118,7 @@ fn harness_main(transfers_per_client: u64) {
     // Concurrent transfer clients; client 0's connection dies mid-run.
     let mut joins = Vec::new();
     for sid in 0..CLIENTS {
-        let addr = client_addrs[sid % NODES];
+        let addr = daemons.clients[sid % NODES];
         let clock = Arc::clone(&clock);
         let history = Arc::clone(&history);
         joins.push(std::thread::spawn(move || {
@@ -219,7 +189,7 @@ fn harness_main(transfers_per_client: u64) {
     let audit = BANK.audit();
     let invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     let reply =
-        remote_txn(client_addrs[2], &audit, Duration::from_secs(10)).expect("remote audit RPC");
+        remote_txn(daemons.clients[2], &audit, Duration::from_secs(10)).expect("remote audit RPC");
     let TxnReply::Committed { values } = &reply else {
         panic!("audit must commit: {reply:?}");
     };
@@ -243,7 +213,7 @@ fn harness_main(transfers_per_client: u64) {
     drop(history_vec);
 
     // No lock record may survive the workload.
-    let mut lock_reader = remote_session(client_addrs[1]);
+    let mut lock_reader = remote_session(daemons.clients[1]);
     for key in BANK.account_keys() {
         let ticket = lock_reader.read(lock_key(key));
         assert_eq!(
@@ -255,7 +225,7 @@ fn harness_main(transfers_per_client: u64) {
 
     // Per-lane op counts over the stats RPC: the sub-operations really
     // fanned across both worker lanes of every replica.
-    for (i, addr) in client_addrs.iter().enumerate() {
+    for (i, addr) in daemons.clients.iter().enumerate() {
         let stats = query_stats(*addr, Duration::from_secs(5)).expect("stats RPC");
         println!(
             "txn_transfer: node {i} epoch={} members={} serving={} lane_ops={:?}",
@@ -267,37 +237,7 @@ fn harness_main(transfers_per_client: u64) {
         assert!(stats.serving, "node {i} stopped serving");
     }
 
-    // Orderly shutdown.
-    for guard in &mut children {
-        let child = guard.0.as_mut().expect("child alive");
-        drop(child.stdin.take());
-    }
-    for (i, guard) in children.iter_mut().enumerate() {
-        let mut child = guard.0.take().expect("child alive");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("wait child") {
-                break status;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "node {i} did not exit after stdin hangup"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        assert!(status.success(), "node {i} exited with {status}");
-        let mut out = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut out)
-            .expect("read child stdout");
-        assert!(
-            out.contains("clean shutdown"),
-            "node {i} missing shutdown marker; stdout:\n{out}"
-        );
-    }
+    daemons.shutdown();
     println!(
         "txn_transfer: done in {:.2?} — {NODES} processes, cross-shard transactions, \
          clean shutdown",

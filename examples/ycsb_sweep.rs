@@ -11,19 +11,13 @@
 //! ops/s and p50/p99 latency, so performance trajectories can be tracked
 //! run over run (see EXPERIMENTS.md).
 //!
-//! The JSON additionally carries an **observability overhead** record:
-//! the real-threads runtime driven closed-loop twice — `HERMES_OBS=off`
-//! (recording disabled, tracing off) and fully on with traces sampled at
-//! 1 % — so the perf trajectory states explicitly what the metrics +
-//! tracing plane costs (DESIGN.md §10; the budget is ≤ 5 %).
+//! Every number here is simulated time; the real runtime is measured by
+//! `examples/runtime_bench` alone.
 //!
 //! Run with: `cargo run --release --example ycsb_sweep`
 
 use hermes::baselines::{AbdNode, CrNode, CraqNode, ZabNode};
 use hermes::prelude::*;
-use hermes::replica::ClusterConfig;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// One measured sweep point, destined for `BENCH_ycsb.json`.
 struct Point {
@@ -79,77 +73,6 @@ fn run(
         p99_us: report.all.p99_us(),
         p999_us: report.all.p999_us(),
     });
-}
-
-/// One closed-loop pass over a real-threads [`ThreadCluster`]: 3 nodes ×
-/// 4 workers, 6 pipelined sessions, 20 % writes. Returns ops/s.
-fn threaded_pass(total_ops: u64) -> f64 {
-    const NODES: usize = 3;
-    const SESSIONS: usize = 6;
-    let per_session = (total_ops / SESSIONS as u64).max(1);
-    let cluster = Arc::new(ThreadCluster::launch(ClusterConfig {
-        nodes: NODES,
-        workers_per_node: 4,
-        ..ClusterConfig::default()
-    }));
-    let start = Instant::now();
-    let joins: Vec<_> = (0..SESSIONS)
-        .map(|s| {
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || {
-                let mut session = cluster.session(s % NODES);
-                let mut wl = Workload::new(
-                    WorkloadConfig {
-                        keys: 4096,
-                        write_ratio: 0.2,
-                        value_size: 32,
-                        ..WorkloadConfig::default()
-                    },
-                    0xC0FFEE + s as u64,
-                );
-                run_closed_loop(
-                    &mut session,
-                    &mut wl,
-                    &ClosedLoopConfig {
-                        ops: per_session,
-                        depth: 16,
-                    },
-                )
-            })
-        })
-        .collect();
-    let completed: u64 = joins
-        .into_iter()
-        .map(|j| j.join().expect("session thread").completed)
-        .sum();
-    let elapsed = start.elapsed();
-    let rate = completed as f64 / elapsed.as_secs_f64();
-    match Arc::try_unwrap(cluster) {
-        Ok(c) => c.shutdown(),
-        Err(_) => unreachable!("all session threads joined"),
-    }
-    rate
-}
-
-/// Measures the observability plane's threaded-runtime cost: best-of-3
-/// closed-loop throughput with recording fully off vs. on with traces
-/// sampled at 1 %. The modes are *interleaved* (off, on, off, on, ...)
-/// and best-of-N is taken per mode, so slow drift in background load on
-/// a shared host hits both sides instead of biasing one.
-fn obs_overhead(total_ops: u64) -> (f64, f64) {
-    // Warm the allocator / thread stacks before either timed mode.
-    let _ = threaded_pass(total_ops / 8);
-    let (mut off, mut on) = (0.0f64, 0.0f64);
-    for _ in 0..3 {
-        hermes::obs::set_recording(false);
-        hermes::obs::set_trace_sample(0.0);
-        off = off.max(threaded_pass(total_ops));
-        hermes::obs::set_recording(true);
-        hermes::obs::set_trace_sample(0.01);
-        on = on.max(threaded_pass(total_ops));
-    }
-    hermes::obs::set_trace_sample(0.0);
-    (off, on)
 }
 
 fn main() {
@@ -221,17 +144,6 @@ fn main() {
         }
     }
 
-    // The observability plane's cost on the real-threads runtime, stated
-    // explicitly in the trajectory record: HERMES_OBS=off vs. fully on
-    // with traces sampled at 1 %.
-    println!();
-    println!("=== observability overhead, real-threads runtime (3 nodes x 4 workers) ===");
-    let (off_rate, on_rate) = obs_overhead(180_000);
-    let overhead_pct = (off_rate - on_rate) / off_rate * 100.0;
-    println!("  obs off            {:>8.2} Mops/s", off_rate / 1e6);
-    println!("  obs on, 1% traced  {:>8.2} Mops/s", on_rate / 1e6);
-    println!("  overhead           {overhead_pct:>7.1}%  (budget: <= 5%)");
-
     // Machine-readable trajectory record (one JSON document per run).
     let cfg = sim_cfg.expect("at least one sweep point ran");
     let rows: Vec<String> = points.iter().map(Point::to_json).collect();
@@ -239,10 +151,6 @@ fn main() {
         "{{\n  \"bench\": \"ycsb_sweep\",\n  \"config\": {{\"nodes\": {}, \
          \"workers_per_node\": {}, \"sessions_per_node\": {}, \"keys\": {}, \
          \"value_size\": {}, \"warmup_ops\": {}, \"measured_ops\": {}}},\n  \
-         \"obs_overhead\": {{\"runtime\": \"threaded\", \"nodes\": 3, \
-         \"workers_per_node\": 4, \"sessions\": 6, \"write_ratio\": 0.20, \
-         \"off_ops_per_sec\": {:.0}, \"traced_1pct_ops_per_sec\": {:.0}, \
-         \"overhead_pct\": {:.1}}},\n  \
          \"points\": [\n{}\n  ]\n}}\n",
         cfg.nodes,
         cfg.workers_per_node,
@@ -251,9 +159,6 @@ fn main() {
         cfg.workload.value_size,
         cfg.warmup_ops,
         cfg.measured_ops,
-        off_rate,
-        on_rate,
-        overhead_pct,
         rows.join(",\n")
     );
     let path = "BENCH_ycsb.json";

@@ -12,16 +12,18 @@
 //! before another was invoked must be ordered before it).
 //!
 //! The multi-process harnesses also share their child-daemon plumbing from
-//! here: [`daemon_main`] is what a child runs, [`ChildGuard`],
-//! [`reserve_loopback_addrs`] and [`connect_within`] are what its parent
-//! spawns and reaches it with.
+//! here: [`daemon_main`] is what a child runs, [`spawn_daemons`] starts a
+//! replica group of them, [`connect_within`] reaches one and
+//! [`Daemons::shutdown`] stops them and checks they stopped cleanly.
 
 use hermes_common::{ClientOp, Key, Reply, RmwOp, TxnOp, Value};
 use hermes_model::{check_linearizable, HistoryOp, OpKind, Outcome};
 use hermes_replica::{ClientSession, NodeOptions, NodeRuntime, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -54,6 +56,84 @@ impl Drop for ChildGuard {
         if let Some(mut child) = self.0.take() {
             let _ = child.kill();
             let _ = child.wait();
+        }
+    }
+}
+
+/// A loopback replica group of child daemons, started by [`spawn_daemons`].
+/// Dropping it kills them; [`Daemons::shutdown`] stops them in order.
+pub struct Daemons {
+    /// Each node's client-port address, by node id.
+    pub clients: Vec<SocketAddr>,
+    /// Each node's process id, by node id.
+    pub pids: Vec<u32>,
+    children: Vec<ChildGuard>,
+}
+
+/// Spawns `nodes` copies of the running binary as one replica group on
+/// loopback ports, node `i` with `--node <i> --peers <all> --client <own>`
+/// followed by `flags` — the binary must hand those arguments to
+/// [`daemon_main`]. Returns once the processes exist; a client port
+/// accepts a moment later ([`connect_within`]).
+pub fn spawn_daemons(nodes: usize, flags: &[&str]) -> Daemons {
+    let peers = reserve_loopback_addrs(nodes);
+    let peers: Vec<String> = peers.iter().map(SocketAddr::to_string).collect();
+    let peers = peers.join(",");
+    let clients = reserve_loopback_addrs(nodes);
+    let exe = std::env::current_exe().expect("own path");
+    let children: Vec<ChildGuard> = (0..nodes)
+        .map(|node| {
+            let child = Command::new(&exe)
+                .args(["--node", &node.to_string(), "--peers", &peers])
+                .args(["--client", &clients[node].to_string()])
+                .args(flags)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .spawn()
+                .expect("spawn replica daemon");
+            ChildGuard(Some(child))
+        })
+        .collect();
+    let pids = children.iter().map(|c| c.0.as_ref().expect("spawned").id());
+    Daemons {
+        pids: pids.collect(),
+        clients,
+        children,
+    }
+}
+
+impl Daemons {
+    /// Hangs up every daemon's stdin — its shutdown request — then requires
+    /// each to exit successfully within 10 s, having printed its `clean
+    /// shutdown` marker.
+    ///
+    /// # Panics
+    ///
+    /// When a daemon overstays, fails or did not print the marker.
+    pub fn shutdown(mut self) {
+        for guard in &mut self.children {
+            drop(guard.0.as_mut().expect("child alive").stdin.take());
+        }
+        for (node, guard) in self.children.iter_mut().enumerate() {
+            let child = guard.0.as_mut().expect("child alive");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let status = loop {
+                if let Some(status) = child.try_wait().expect("wait child") {
+                    break status;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "node {node} did not exit after stdin hangup"
+                );
+                std::thread::sleep(Duration::from_millis(25));
+            };
+            let mut out = String::new();
+            let stdout = child.stdout.as_mut().expect("piped stdout");
+            stdout.read_to_string(&mut out).expect("read child stdout");
+            assert!(
+                status.success() && out.contains("clean shutdown"),
+                "node {node} exited with {status}; stdout:\n{out}"
+            );
         }
     }
 }

@@ -67,7 +67,7 @@ pub use hermes_workload as workload;
 pub mod prelude {
     pub use hermes_common::{
         ClientOp, Effect, Epoch, Key, MembershipView, NodeId, NodeSet, OpId, ReplicaProtocol,
-        Reply, RmwOp, ShardRouter, ShardSpec, TxnAbort, TxnOp, TxnReply, Value,
+        Reply, RmwOp, ShardSpec, TxnAbort, TxnOp, TxnReply, Value,
     };
     pub use hermes_core::{HermesNode, KeyState, Msg, ProtocolConfig, Ts, UpdateKind};
     pub use hermes_membership::RmConfig;
@@ -75,12 +75,9 @@ pub mod prelude {
     pub use hermes_replica::{
         query_metrics, query_stats, query_traces, remote_txn, request_shutdown, run_sim,
         ClientSession, ClusterConfig, CostModel, MembershipOptions, MembershipStatus, NodeOptions,
-        NodeRuntime, NodeStats, PendingTxn, RemoteChannel, RunReport, SessionChannel,
-        ShardedEngine, SimConfig, ThreadCluster, Ticket, TxnResult,
+        NodeRuntime, NodeStats, PendingTxn, RemoteChannel, RunReport, SessionChannel, SimConfig,
+        ThreadCluster, Ticket, TxnResult,
     };
     pub use hermes_txn::{check_txns_serializable, lock_key, TxnConfig, TxnMachine, TxnObs};
-    pub use hermes_workload::{
-        run_closed_loop, BankConfig, BankWorkload, ClosedLoopConfig, ClosedLoopReport, PipelinedKv,
-        Workload, WorkloadConfig,
-    };
+    pub use hermes_workload::{BankConfig, BankWorkload, Workload, WorkloadConfig};
 }

@@ -6,8 +6,12 @@
 //! test's threads are in the count.
 #![cfg(target_os = "linux")]
 
+#[path = "support/procfs.rs"]
+mod procfs;
+
 use hermes::net::{TcpNet, TcpStats, Transport};
 use hermes::prelude::*;
+use procfs::{settled_threads, thread_names};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -17,36 +21,6 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("Threads:"));
-    line.and_then(|l| l["Threads:".len()..].trim().parse().ok())
-        .expect("Threads: line")
-}
-
-/// The thread count once it has stopped changing: two equal reads 10 ms
-/// apart (the settle rule of `crates/net/tests/link_threads.rs`).
-fn settled_threads() -> usize {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut last = process_threads();
-    loop {
-        std::thread::sleep(Duration::from_millis(10));
-        let now = process_threads();
-        if now == last || Instant::now() >= deadline {
-            return now;
-        }
-        last = now;
-    }
-}
-
-/// The names of this process's threads.
-fn thread_names() -> Vec<String> {
-    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
-    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
-    let names = tasks.filter_map(|t| t.ok().and_then(comm));
-    names.map(|n| n.trim().to_owned()).collect()
 }
 
 #[test]

@@ -9,8 +9,12 @@
 //! thread are unit-tested in `crates/replica/src/remote.rs`.
 #![cfg(target_os = "linux")]
 
+#[path = "support/procfs.rs"]
+mod procfs;
+
 use hermes::prelude::*;
 use hermes::wings::CreditConfig;
+use procfs::settled_threads;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -60,29 +64,6 @@ fn channel_to_a_silent_peer(subscribed: bool) -> (RemoteChannel, TcpStream) {
         assert!(channel.send(hermes::wings::client::Request::Subscribe { seq, key }));
     }
     (channel, peer)
-}
-
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
-    line.and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
-}
-
-/// The thread count once it has stopped changing: two equal reads 10 ms
-/// apart (`join` returns a moment before the joined thread leaves the
-/// kernel's count). Waits for quiet, not for a value.
-fn settled_threads() -> usize {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut last = process_threads();
-    loop {
-        std::thread::sleep(Duration::from_millis(10));
-        let now = process_threads();
-        if now == last || Instant::now() >= deadline {
-            return now;
-        }
-        last = now;
-    }
 }
 
 /// CPU time of the whole process so far, user plus system, in ms

@@ -13,6 +13,9 @@
 //! and a reader thread once it subscribes (`tests/remote_channel.rs` counts
 //! those), which would muddy the daemon's numbers.
 
+#[path = "support/procfs.rs"]
+mod procfs;
+
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::prelude::*;
 use hermes::wings::client::{self as rpc, Request, ServerFrame};
@@ -149,19 +152,6 @@ fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
     }
 }
 
-fn proc_self_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("procfs")
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
-}
-
-fn proc_self_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
-}
-
 /// A socket killed mid-pipeline — requests in flight, reply unread — is
 /// reaped: the gauges return to baseline and the daemon keeps serving new
 /// sessions (the reaped session's credits died with it; its completion is
@@ -214,7 +204,7 @@ fn thread_count_is_independent_of_session_count() {
     raw_write(&mut warm, 1, Key(1), 1);
     drop(warm);
     await_open_sessions(&runtime, 0);
-    let baseline = proc_self_threads();
+    let baseline = procfs::settled_threads();
 
     let mut fleet = Vec::new();
     for i in 0..64u64 {
@@ -224,7 +214,7 @@ fn thread_count_is_independent_of_session_count() {
     }
     await_open_sessions(&runtime, 64);
     assert_eq!(
-        proc_self_threads(),
+        procfs::settled_threads(),
         baseline,
         "sessions must not spawn daemon threads"
     );
@@ -246,7 +236,7 @@ fn session_churn_leaks_no_fds() {
     raw_write(&mut warm, 1, Key(1), 1);
     drop(warm);
     await_open_sessions(&runtime, 0);
-    let baseline = proc_self_fds();
+    let baseline = procfs::open_fds();
 
     for round in 0..50u64 {
         let mut s = TcpStream::connect(runtime.client_addr()).expect("connect");
@@ -266,7 +256,7 @@ fn session_churn_leaks_no_fds() {
     // so the leak invariant is `<=`, not `==`.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let fds = proc_self_fds();
+        let fds = procfs::open_fds();
         if fds <= baseline {
             break;
         }
