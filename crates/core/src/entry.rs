@@ -84,9 +84,11 @@ pub struct KeyEntry {
     /// the \[O3\] optimization to exclude the write's driver from the ACK
     /// set a follower waits for.
     pub driver: NodeId,
-    /// In-flight update this replica drives, if any. Boxed: every key pays
-    /// for its entry, only a coordinating one for the bookkeeping.
-    pub(crate) pending: Option<Box<Pending>>,
+    /// In-flight update this replica drives, if any. Inline: a replica
+    /// keeps entries only for the keys with work in flight
+    /// ([`HermesNode::evict`](crate::HermesNode::evict)), so a coordinated
+    /// write pays no allocation for its bookkeeping.
+    pub(crate) pending: Option<Pending>,
     /// Parked client requests, lazily allocated (most keys never stall).
     pub(crate) waiting: Option<Box<Waiting>>,
     /// \[O3\] timestamp the ACK tracker refers to.
@@ -95,8 +97,9 @@ pub struct KeyEntry {
     pub(crate) o3_acks: NodeSet,
 }
 
-/// The engine's share of what a key costs in memory, per replica.
-const _: () = assert!(std::mem::size_of::<KeyEntry>() <= 96);
+/// The engine's share of what a key with work in flight costs in memory,
+/// per replica (an idle key costs the engine nothing once evicted).
+const _: () = assert!(std::mem::size_of::<KeyEntry>() <= 176);
 
 impl KeyEntry {
     /// A fresh entry for a never-written key: Valid, version 0, empty value.
@@ -139,7 +142,8 @@ impl KeyEntry {
         self.waiting.as_ref().is_some_and(|w| !w.is_empty())
     }
 
-    /// Whether this entry is fully quiescent (safe to treat as cold).
+    /// Whether no work is in flight on this key: `Valid`, no update driven
+    /// here, no client request parked.
     pub fn is_idle(&self) -> bool {
         self.state == KeyState::Valid && self.pending.is_none() && !self.has_waiting()
     }

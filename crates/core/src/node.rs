@@ -121,19 +121,13 @@ impl HermesNode {
             .map_or(Value::EMPTY, |e| e.value.clone())
     }
 
-    /// One coherent `(state, timestamp, value)` view of `key`, for runtimes
-    /// that mirror protocol state into an external store (the seqlock KVS of
-    /// paper §4.1). Untouched keys read as `(Valid, Ts::ZERO, None)`.
-    ///
-    /// Unlike calling [`HermesNode::key_state`], [`HermesNode::key_ts`] and
-    /// [`HermesNode::key_value`] separately, this does one map lookup and
-    /// borrows the value instead of cloning it — the sharded threaded
-    /// runtime mirrors on every effect drain, so this is on its hot path.
-    pub fn key_mirror(&self, key: Key) -> (KeyState, Ts, Option<&Value>) {
-        match self.keys.get(&key) {
-            None => (KeyState::Valid, Ts::ZERO, None),
-            Some(e) => (e.state, e.ts, Some(&e.value)),
-        }
+    /// `key`'s entry, for runtimes that mirror protocol state into an
+    /// external store (the seqlock KVS of paper §4.1): one coherent
+    /// `(state, ts, value, kind)` view in one map lookup, the value
+    /// borrowed. `None` when this replica holds no entry for the key — it
+    /// was never touched, or [`HermesNode::evict`] dropped it.
+    pub fn entry(&self, key: Key) -> Option<&KeyEntry> {
+        self.keys.get(&key)
     }
 
     /// Serves a read locally iff the key is `Valid` (the paper's read rule);
@@ -156,18 +150,22 @@ impl HermesNode {
     }
 
     /// Iterates over `(key, entry)` pairs with materialized metadata, in key
-    /// order. Used by state-sync (shadow-replica catch-up) and by the model
-    /// checker's invariant checks.
+    /// order. Used by the model checker's invariant checks and by tests
+    /// that stage a shadow catch-up (the threaded runtime streams its
+    /// mirror instead, which holds keys this engine may have evicted).
     pub fn entries(&self) -> impl Iterator<Item = (&Key, &KeyEntry)> {
         self.keys.iter()
     }
 
-    /// Installs a key's committed state directly, bypassing the protocol.
+    /// Installs a key's committed state directly, bypassing the protocol:
+    /// applied iff it is newer than local state, mirroring the FINV
+    /// timestamp check.
     ///
-    /// Only for shadow-replica bulk catch-up (paper §3.4, *Recovery*): the
-    /// chunk is applied iff it is newer than local state, mirroring the
-    /// FINV timestamp check. Never use this on an operational serving
-    /// replica outside of recovery.
+    /// Two callers: shadow-replica bulk catch-up (paper §3.4, *Recovery*),
+    /// and a host that evicts idle keys ([`HermesNode::evict`]), rebuilding
+    /// a key from the committed `Valid` state it kept before the key's next
+    /// event. Anything else on an operational serving replica bypasses the
+    /// protocol unsafely.
     pub fn install_chunk(&mut self, key: Key, ts: Ts, value: Value, kind: UpdateKind) {
         let me = self.me;
         let e = self.keys.entry(key).or_insert_with(|| KeyEntry::new(me));
@@ -175,6 +173,19 @@ impl HermesNode {
             e.apply(ts, value, kind, me);
             e.state = KeyState::Valid;
         }
+    }
+
+    /// Drops `key`'s entry if the key is quiescent: `Valid`, no update
+    /// driven here, no client request parked, and no \[O3\] ACKs buffered
+    /// for a timestamp the key has not reached. Such an entry is
+    /// `(ts, value, kind)` and nothing else a later event could tell from a
+    /// rebuilt one, so a host that keeps that triple elsewhere (the seqlock
+    /// mirror) needs the engine only for keys with work in flight, and
+    /// rebuilds the entry through [`HermesNode::install_chunk`] before the
+    /// key's next event. Returns whether the entry went.
+    pub fn evict(&mut self, key: Key) -> bool {
+        let quiescent = |e: &KeyEntry| e.is_idle() && e.o3_ts <= e.ts;
+        self.keys.get(&key).is_some_and(quiescent) && self.keys.remove(&key).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -279,13 +290,13 @@ impl HermesNode {
 
         e.apply(ts, value.clone(), kind, me);
         e.state = KeyState::Write;
-        e.pending = Some(Box::new(Pending {
+        e.pending = Some(Pending {
             ts,
             kind,
             value: value.clone(),
             acks: NodeSet::EMPTY,
             client,
-        }));
+        });
         fx.push(Effect::Broadcast {
             msg: Msg::Inv {
                 key,
@@ -703,13 +714,13 @@ impl HermesNode {
         debug_assert!(e.pending.is_none());
         e.state = KeyState::Replay;
         e.driver = me;
-        e.pending = Some(Box::new(Pending {
+        e.pending = Some(Pending {
             ts: e.ts,
             kind: e.kind,
             value: e.value.clone(),
             acks: NodeSet::EMPTY,
             client: None,
-        }));
+        });
         let msg = Msg::Inv {
             key,
             ts: e.ts,
@@ -873,5 +884,104 @@ impl ReplicaProtocol for HermesNode {
             write_latency_rtts: "1",
             decentralized_writes: true,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node(me: u32, cfg: ProtocolConfig) -> HermesNode {
+        HermesNode::new(NodeId(me), MembershipView::initial(3), cfg)
+    }
+
+    /// The one message of `fx` (a broadcast or a send).
+    fn msg_of(fx: &mut Fx) -> Msg {
+        let msgs: Vec<Msg> = (fx.drain(..))
+            .filter_map(|e| match e {
+                Effect::Broadcast { msg } | Effect::Send { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        msgs.into_iter().next().expect("one")
+    }
+
+    #[test]
+    fn evict_refuses_while_work_is_in_flight_and_takes_a_quiescent_key() {
+        let cfg = ProtocolConfig::default();
+        let (mut n0, mut n1, k) = (node(0, cfg), node(1, cfg), Key(3));
+        let mut fx = Vec::new();
+        assert!(!n0.evict(k), "nothing to evict");
+        let rmw = ClientOp::Rmw(hermes_common::RmwOp::FetchAdd { delta: 4 });
+        n0.on_client_op(OpId::default(), k, rmw, &mut fx);
+        let inv = msg_of(&mut fx);
+        assert!(!n0.evict(k), "a coordinated update is in flight");
+
+        n1.on_message(NodeId(0), inv, &mut fx);
+        let ack = msg_of(&mut fx);
+        assert!(!n1.evict(k), "Invalid");
+        let read = OpId::new(hermes_common::ClientId(9), 1);
+        n1.on_client_op(read, k, ClientOp::Read, &mut fx);
+        fx.clear();
+        for from in [1, 2] {
+            n0.on_message(NodeId(from), ack.clone(), &mut fx);
+        }
+        let val = msg_of(&mut fx);
+        n1.on_message(NodeId(0), val, &mut fx);
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, Effect::Reply { op, .. } if *op == read)));
+
+        for n in [&mut n0, &mut n1] {
+            let e = n.entry(k).expect("held");
+            let kept = (e.ts, e.value.clone(), e.kind);
+            assert_eq!(kept.2, UpdateKind::Rmw);
+            assert!(n.evict(k), "quiescent");
+            assert!(n.entry(k).is_none() && n.keys_touched() == 0);
+            // The triple is all there was: rebuilt, the key is as it was.
+            n.install_chunk(k, kept.0, kept.1.clone(), kept.2);
+            let e = n.entry(k).expect("rebuilt");
+            assert_eq!(
+                (e.state, e.ts, e.value.clone(), e.kind),
+                (KeyState::Valid, kept.0, kept.1, kept.2)
+            );
+        }
+    }
+
+    #[test]
+    fn evict_refuses_a_key_with_o3_acks_buffered_ahead_of_its_timestamp() {
+        let cfg = ProtocolConfig {
+            broadcast_acks: true,
+            ..ProtocolConfig::default()
+        };
+        let (mut n1, k) = (node(1, cfg), Key(3));
+        let mut fx = Vec::new();
+        let ts = Ts::new(2, 0);
+        let epoch = MembershipView::initial(3).epoch;
+        // The ACK overtook its INV: the entry is Valid at Ts::ZERO, but an
+        // eviction would lose the buffered ACK the INV will need.
+        n1.on_message(NodeId(2), Msg::Ack { key: k, ts, epoch }, &mut fx);
+        assert_eq!(n1.key_state(k), KeyState::Valid);
+        assert!(!n1.evict(k));
+        let value = Value::from_u64(1);
+        let kind = UpdateKind::Write;
+        n1.on_message(
+            NodeId(0),
+            Msg::Inv {
+                key: k,
+                ts,
+                value,
+                kind,
+                epoch,
+            },
+            &mut fx,
+        );
+        assert_eq!(
+            n1.key_state(k),
+            KeyState::Valid,
+            "validated on the buffered ACK"
+        );
+        assert!(n1.evict(k));
     }
 }

@@ -14,19 +14,26 @@
 //!
 //! [`Command`] is a lane's mailbox and [`Lanes`] the one place that knows
 //! which lane a per-key event belongs to.
+//!
+//! A key lives in its mirror slot; the engine holds an entry only while the
+//! key has work in flight. [`Lane::step`] rebuilds a key's entry from its
+//! slot before any engine call about it, and [`Lane::settle`] drops the
+//! entry again once the key is quiescent (DESIGN.md §3.3 "The mirror").
 
+use crate::host::mirror_read;
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::poller::ShardHandle;
 use crate::timers::DeadlineQueue;
+use bytes::Bytes;
 use crossbeam::channel::Sender;
 use hermes_common::{
-    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardSpec,
+    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardSpec, Value,
 };
-use hermes_core::{HermesNode, KeyState, Msg, Ts};
+use hermes_core::{Fx, HermesNode, KeyState, Msg, Ts, UpdateKind};
 use hermes_net::{NetEvent, NetSender, Waker};
 use hermes_obs::{Phase, Span, TraceId};
-use hermes_store::{SlotMeta, Store};
+use hermes_store::{SlotMeta, SlotState, Store};
 use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
@@ -337,6 +344,8 @@ pub(crate) struct Lane<S: NetSender> {
     /// [`Lane::flush`], which completes them into the lane's ring.
     net_spans: Vec<(Span, Key)>,
     fx: Vec<Effect<Msg>>,
+    /// Where mirror reads and admissions take their seqlock snapshot.
+    scratch: Vec<u8>,
 }
 
 impl<S: NetSender> Lane<S> {
@@ -366,6 +375,7 @@ impl<S: NetSender> Lane<S> {
             net_span: None,
             net_spans: Vec::new(),
             fx: Vec::new(),
+            scratch: Vec::new(),
         };
         this.refresh_peers();
         this
@@ -417,7 +427,17 @@ impl<S: NetSender> Lane<S> {
                     None
                 };
                 self.clients.insert(op, PendingOp { reply, span });
-                self.node.on_client_op(op, key, cop, &mut self.fx);
+                // A key the engine does not hold is idle: `Valid`, no update
+                // in flight here, and an INV for it would be handled on this
+                // thread. Its slot answers the read, as it would a poller's.
+                let idle = matches!(cop, ClientOp::Read) && self.node.entry(key).is_none();
+                let read = || mirror_read(&self.store, &self.status, key, &mut self.scratch);
+                if let Some(value) = idle.then(read).flatten() {
+                    let reply = Reply::ReadOk(value);
+                    self.emit_effect(Effect::Reply { op, reply }, now);
+                    return;
+                }
+                self.step(key, |node, fx| node.on_client_op(op, key, cop, fx));
                 self.drain_effects(Some(key), Some(issuer), Some(op), now);
             }
             Command::Deliver { from, msg, trace } => {
@@ -442,8 +462,10 @@ impl<S: NetSender> Lane<S> {
                 // moves keys of this lane's own engine — the commit whose
                 // last missing ACK was the removed replica's, the queued
                 // update issued behind it: mirror those before anything
-                // leaves.
-                for key in self.node.on_membership_update(view, &mut self.fx) {
+                // leaves. (The engine visits only the keys it holds, which
+                // are the keys with work in flight.)
+                let moved = self.node.on_membership_update(view, &mut self.fx);
+                for &key in &moved {
                     self.mirror_key(key);
                 }
                 self.refresh_peers();
@@ -452,6 +474,9 @@ impl<S: NetSender> Lane<S> {
                 // acks from the old world (held effects go out now).
                 self.flush_subscribers(now);
                 self.drain_effects(None, None, None, now);
+                for key in moved {
+                    self.settle(key);
+                }
             }
             // The host's: its loop consumes both before they get here.
             Command::Net(_) | Command::Shutdown => {}
@@ -480,7 +505,7 @@ impl<S: NetSender> Lane<S> {
         }
         .filter(|_| trace.is_sampled() && recording);
         self.net_span = follower.map(|ingress| Span::begin_traced(ingress, trace));
-        self.node.on_message(from, msg, &mut self.fx);
+        self.step(key, |node, fx| node.on_message(from, msg, fx));
         if let Some(s) = self.net_span.as_mut() {
             s.mark(Phase::LocalApply);
         }
@@ -507,7 +532,7 @@ impl<S: NetSender> Lane<S> {
         while let Some(key) = self.timers.pop_due(now) {
             // Re-arm first (retransmission cadence); effects may disarm.
             self.timers.arm(key, now + MLT);
-            self.node.on_mlt_timeout(key, &mut self.fx);
+            self.step(key, |node, fx| node.on_mlt_timeout(key, fx));
             self.drain_effects(Some(key), None, None, now);
         }
         self.kick_stalled_pushes(now);
@@ -533,30 +558,90 @@ impl<S: NetSender> Lane<S> {
     fn install_chunk(&mut self, e: SyncEntry, now: Instant) {
         NodeObs::bump(&self.obs.sync_chunks, 1);
         NodeObs::bump(&self.obs.sync_bytes, e.value.as_bytes().len() as u64);
-        self.node.install_chunk(e.key, e.ts, e.value, e.kind);
-        // Catch-up can move a key's committed timestamp outside a normal
-        // effect drain; subscribers still need to hear about it.
-        self.mirror_and_push(e.key, None, now);
+        self.step(e.key, |node, _| {
+            node.install_chunk(e.key, e.ts, e.value, e.kind)
+        });
+        // Catch-up moves a key's committed timestamp without a protocol
+        // round and with no effects; subscribers still need to hear of it.
+        self.drain_effects(Some(e.key), None, None, now);
+    }
+
+    /// The one way into the engine for an event on `key`: rebuilds the
+    /// key's entry from its mirror slot when the engine does not hold it,
+    /// then runs `event`. A key the engine does not hold is idle, and its
+    /// slot holds all of it (`Valid`, timestamp, value, kind); an event on
+    /// the engine's default for it instead would restart the key at
+    /// `Ts::ZERO`.
+    fn step(&mut self, key: Key, event: impl FnOnce(&mut HermesNode, &mut Fx)) {
+        if self.node.entry(key).is_none() {
+            let (ts, kind, value) = match self.store.get(key, &mut self.scratch) {
+                Some(meta) => {
+                    debug_assert_eq!(meta.state, SlotState::Valid, "{key} left the engine busy");
+                    let value = Value::from(Bytes::copy_from_slice(&self.scratch));
+                    (Ts::new(meta.version, meta.cid), slot_kind(meta), value)
+                }
+                None => (Ts::ZERO, UpdateKind::Write, Value::EMPTY),
+            };
+            self.node.install_chunk(key, ts, value, kind);
+            self.count_resident();
+        }
+        event(&mut self.node, &mut self.fx);
+    }
+
+    /// Drops `key`'s engine entry once nothing on this lane needs it: the
+    /// engine finds it quiescent ([`HermesNode::evict`]), no timer is armed
+    /// for it, and no subscriber owes an ack for it — so the slot, written
+    /// by the step that left the key so, already says `Valid`. Runs after a
+    /// step's effects drained, or after its held effects were released.
+    fn settle(&mut self, key: Key) {
+        let busy = self.timers.is_armed(key) || self.subs.pending.contains_key(&key);
+        if !busy && self.node.evict(key) {
+            self.count_resident();
+        }
+    }
+
+    /// Publishes how many keys this lane's engine holds.
+    fn count_resident(&self) {
+        let held = self.node.keys_touched() as u64;
+        self.obs.resident_keys[self.lane].store(held, Ordering::Relaxed);
+    }
+
+    /// `key`'s timestamp: the engine's while it holds the key, else the
+    /// slot's.
+    fn key_ts(&self, key: Key) -> Ts {
+        match self.node.entry(key) {
+            Some(e) => e.ts,
+            None => (self.store.get(key, &mut Vec::new()))
+                .map_or(Ts::ZERO, |meta| Ts::new(meta.version, meta.cid)),
+        }
     }
 
     /// Streams this lane's per-key state to the catching-up shadow `to` as
-    /// control frames, ending with this lane's mark. Entries are batched
-    /// into [`ControlMsg::SyncBatch`] frames up to the
-    /// [`SYNC_BATCH_BUDGET`](control::SYNC_BATCH_BUDGET) size cap,
+    /// control frames, ending with this lane's mark. The state is read from
+    /// the mirror slots this lane owns — every key, held by the engine or
+    /// not. Entries are batched into [`ControlMsg::SyncBatch`] frames up to
+    /// the [`SYNC_BATCH_BUDGET`](control::SYNC_BATCH_BUDGET) size cap,
     /// amortizing framing overhead across keys (one oversized value still
     /// ships alone). Values still in flight are safe to ship: anything
     /// non-final here has a coordinator driving it through the
     /// shadow-inclusive view, and the shadow merges by timestamp.
     fn sync_lane(&mut self, to: NodeId) {
+        let (spec, mut slots) = (ShardSpec::new(self.workers), Vec::new());
+        // Collected first: the visit holds a shard guard, and a send may
+        // read the store.
+        self.store.for_each(|key, meta, value| {
+            if spec.owner(key) == self.lane {
+                slots.push(SyncEntry {
+                    key,
+                    ts: Ts::new(meta.version, meta.cid),
+                    kind: slot_kind(meta),
+                    value: Value::from(Bytes::copy_from_slice(value)),
+                });
+            }
+        });
         let mut entries: Vec<SyncEntry> = Vec::new();
         let mut batched = 0usize;
-        for (key, e) in self.node.entries() {
-            let entry = SyncEntry {
-                key: *key,
-                ts: e.ts,
-                kind: e.kind,
-                value: e.value.clone(),
-            };
+        for entry in slots {
             if !entries.is_empty() && batched + entry.wire_size() > control::SYNC_BATCH_BUDGET {
                 let batch = ControlMsg::SyncBatch {
                     entries: std::mem::take(&mut entries),
@@ -586,15 +671,21 @@ impl<S: NetSender> Lane<S> {
     /// Called on every transition; the store copies the value only when the
     /// timestamp moved, so a VAL, a commit or a released hold costs the
     /// metadata words.
+    /// Only a key the engine holds is mirrored: the engine's default for
+    /// any other would overwrite the key's only copy.
     fn mirror_key(&self, key: Key) {
-        let (state, ts, value) = self.node.key_mirror(key);
-        let meta = if state == KeyState::Valid && !self.subs.pending.contains_key(&key) {
+        let Some(e) = self.node.entry(key) else {
+            debug_assert!(false, "{key} mirrored from an engine that does not hold it");
+            return;
+        };
+        let (ts, readable) = (e.ts, !self.subs.pending.contains_key(&key));
+        let meta = if e.state == KeyState::Valid && readable {
             SlotMeta::valid(ts.version, ts.cid)
         } else {
             SlotMeta::invalid(ts.version, ts.cid)
         };
-        let bytes = value.map_or(&[][..], |v| v.as_bytes());
-        self.store.put(key, meta, bytes);
+        let meta = meta.with_rmw(e.kind.is_rmw());
+        self.store.put(key, meta, e.value.as_bytes());
     }
 
     /// Mirrors the touched key's state into the seqlock KVS so other
@@ -655,6 +746,9 @@ impl<S: NetSender> Lane<S> {
             }
         }
         self.fx = fx;
+        if let Some(touched) = touched {
+            self.settle(touched);
+        }
     }
 
     /// Marks `phase` on the trace span of in-flight operation `op`.
@@ -732,7 +826,7 @@ impl<S: NetSender> Lane<S> {
     /// that the mirror write already shows the key held, and the pushes
     /// leave after it.
     fn mirror_and_push(&mut self, key: Key, issuer: Option<ClientId>, now: Instant) {
-        let (_, ts, _) = self.node.key_mirror(key);
+        let ts = self.key_ts(key);
         let subscribers = self.subs.by_key.get(&key);
         let moved = subscribers.is_some() && self.subs.pushed_ts.insert(key, ts) != Some(ts);
         // The issuer dropped its own entry at submit time; pushing to it
@@ -812,6 +906,7 @@ impl<S: NetSender> Lane<S> {
                 self.emit_effect(e, now);
             }
         }
+        self.settle(key);
     }
 
     /// Evicts each remote subscriber whose oldest unacked invalidation
@@ -839,7 +934,7 @@ impl<S: NetSender> Lane<S> {
     fn subscribe(&mut self, seq: u64, client: ClientId, key: Key, sink: ClientSink) {
         // Seed the change detector at the current committed timestamp so
         // the first post-subscribe write pushes exactly once.
-        let (_, ts, _) = self.node.key_mirror(key);
+        let ts = self.key_ts(key);
         self.subs.pushed_ts.insert(key, ts);
         let epoch = self.node.view().epoch.0;
         let fresh = self
@@ -923,17 +1018,26 @@ impl<S: NetSender> Lane<S> {
     }
 }
 
+/// The kind of the update that wrote a slot's version.
+fn slot_kind(meta: SlotMeta) -> UpdateKind {
+    if meta.rmw {
+        UpdateKind::Rmw
+    } else {
+        UpdateKind::Write
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::mirror_read;
     use crate::poller::Inbound;
+    use crate::timers::DeadlineQueue;
     use bytes::Bytes;
     use crossbeam::channel::{unbounded, Receiver};
     use hermes_common::{Epoch, RmwOp, Value};
     use hermes_core::{ProtocolConfig, UpdateKind};
     use hermes_sim::rng::Rng;
-    use hermes_store::{SlotState, StoreConfig};
+    use hermes_store::StoreConfig;
     use hermes_wings::decode_frame;
     use std::sync::Mutex;
 
@@ -958,7 +1062,13 @@ mod tests {
         }
 
         fn send(&self, to: NodeId, payload: Bytes) {
-            for raw in decode_frame(&payload).expect("data frame") {
+            // Control frames (shadow catch-up) are recorded unchecked.
+            let msgs = if control::is_control(&payload) {
+                Vec::new()
+            } else {
+                decode_frame(&payload).expect("data frame")
+            };
+            for raw in msgs {
                 let msg = codec::decode_traced(&raw).expect("message").0;
                 // Mirror-before-effects (DESIGN.md §3.3): a message about
                 // timestamp `ts` may leave only once the mirror no longer
@@ -1287,7 +1397,7 @@ mod tests {
         assert_eq!(slot(&r, k), (ts, SlotState::Invalid, written));
         plant(&r, k, ts);
         r.deliver(1, Msg::Val { key: k, ts, epoch }, t0);
-        assert_eq!(r.lane.node.local_read(k), Some(Value::from_u64(5)));
+        assert!(r.lane.node.entry(k).is_none(), "the idle key stayed");
         assert_eq!(
             r.mirror(k),
             Some(marker.clone()),
@@ -1484,27 +1594,186 @@ mod tests {
         );
     }
 
-    /// Rule 1 behind the poller's mirror reads (DESIGN.md §3.3), as an
-    /// executable check over seeded schedules of everything that moves a
-    /// key: client ops, INV/ACK/VAL from two peers, timer ticks, view
-    /// installs that remove the peers mid-write one after the other (3 → 2
-    /// → 1 members) and then this node itself, catch-up chunks, and a
-    /// remote subscriber that acks late or never. After every step the mirror
-    /// answers every key exactly as the core would; and no message reaches
-    /// the network ahead of the mirror write of its transition (the check
-    /// runs inside [`RecordingNet::send`], at the instant of the send).
+    /// A key a subscriber still owes acks for is held, and its slot says
+    /// "not readable", so the slot cannot be its home yet: the engine keeps
+    /// the entry until the last ack releases the key, which then leaves
+    /// with its slot `Valid` — and its next write starts from there.
+    #[test]
+    fn a_held_key_stays_resident_until_its_last_ack_then_leaves() {
+        let mut r = rig(1);
+        let (k, t0) = (Key(7), r.t0);
+        let resident = |r: &Rig| {
+            let gauge = r.obs.resident_keys[0].load(Ordering::Relaxed);
+            (r.lane.node.entry(k).is_some(), gauge)
+        };
+        r.subscribe_b(k);
+        assert_eq!(resident(&r), (false, 0), "a subscription admits nothing");
+        // In a one-member view a write commits in the step that issues it.
+        let w1 = r.op(A, k, write(1), t0);
+        let w2 = r.op(A, k, write(2), t0);
+        assert_eq!(r.b_pushes(), vec![invalidate(k), invalidate(k)]);
+        assert_eq!(resident(&r), (true, 1));
+        assert_eq!(r.mirror(k), None);
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(resident(&r), (true, 1), "one push is still unacked");
+        assert_eq!(r.a_replies(), vec![]);
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(resident(&r), (false, 0), "the last ack let the key go");
+        assert_eq!(
+            r.a_replies(),
+            vec![(w1, Reply::WriteOk), (w2, Reply::WriteOk)]
+        );
+        assert_eq!(r.mirror(k), Some(Value::from_u64(2)));
+
+        let slot_ts = |r: &Rig| {
+            let meta = r.net.store.get(k, &mut Vec::new()).expect("mirrored");
+            Ts::new(meta.version, meta.cid)
+        };
+        let before = slot_ts(&r);
+        r.op(A, k, write(3), t0);
+        let after = r.lane.node.key_ts(k);
+        assert_eq!(after, before.advanced(2, 0), "rebuilt from the slot");
+        assert_eq!(r.b_pushes(), vec![invalidate(k)]);
+        r.lane.handle(Command::InvalAck { client: B, key: k }, t0);
+        assert_eq!(resident(&r), (false, 0));
+        assert_eq!(slot_ts(&r), after);
+    }
+
+    /// Shadow catch-up reads the mirror: a key the engine no longer holds
+    /// still reaches the stream, with the kind of the update that wrote it.
+    #[test]
+    fn an_evicted_rmw_key_reaches_the_sync_stream_as_an_rmw() {
+        let mut r = rig(1);
+        let t0 = r.t0;
+        r.op(A, Key(7), ClientOp::Rmw(RmwOp::FetchAdd { delta: 5 }), t0);
+        r.op(A, Key(8), write(6), t0);
+        assert_eq!(r.a_replies().len(), 2);
+        assert_eq!(r.lane.node.keys_touched(), 0, "both keys left the engine");
+        r.lane.handle(Command::SyncLane { to: NodeId(1) }, t0);
+        let mut synced = Vec::new();
+        for (to, frame) in r.net.frames.lock().unwrap().drain(..) {
+            assert_eq!(to, NodeId(1));
+            match control::decode(&frame) {
+                Some(Ok(ControlMsg::SyncBatch { entries })) => {
+                    synced.extend(entries.into_iter().map(|e| (e.key, e.kind, e.value)));
+                }
+                Some(Ok(ControlMsg::SyncMark { lane: 0, lanes: 1 })) => {}
+                other => panic!("not a sync frame: {other:?}"),
+            }
+        }
+        synced.sort_by_key(|&(key, _, _)| key);
+        assert_eq!(
+            synced,
+            vec![
+                (Key(7), UpdateKind::Rmw, Value::from_u64(5)),
+                (Key(8), UpdateKind::Write, Value::from_u64(6)),
+            ]
+        );
+    }
+
+    /// The reference a lane is held to: an engine fed the lane's inputs
+    /// that never evicts, stepping its own timers as the lane does, with
+    /// every reply it produced and the lane has not yet released.
+    struct Twin {
+        node: HermesNode,
+        timers: DeadlineQueue,
+        fx: Fx,
+        replies: HashMap<OpId, Reply>,
+    }
+
+    impl Twin {
+        fn new(nodes: usize) -> Self {
+            let view = MembershipView::initial(nodes);
+            Twin {
+                node: HermesNode::new(NodeId(0), view, ProtocolConfig::default()),
+                timers: DeadlineQueue::new(),
+                fx: Vec::new(),
+                replies: HashMap::new(),
+            }
+        }
+
+        fn step(&mut self, now: Instant, event: impl FnOnce(&mut HermesNode, &mut Fx)) {
+            event(&mut self.node, &mut self.fx);
+            for e in self.fx.drain(..) {
+                match e {
+                    Effect::Reply { op, reply } => {
+                        self.replies.insert(op, reply);
+                    }
+                    Effect::ArmTimer { key } => self.timers.arm(key, now + MLT),
+                    Effect::DisarmTimer { key } => self.timers.disarm(key),
+                    Effect::Send { .. } | Effect::Broadcast { .. } => {}
+                }
+            }
+        }
+
+        /// A client operation the lane took while `serving` (the lane's
+        /// gate answers the others without its engine).
+        fn op(&mut self, serving: bool, op: OpId, key: Key, cop: ClientOp, now: Instant) {
+            if serving {
+                self.step(now, |node, fx| node.on_client_op(op, key, cop, fx));
+            } else {
+                self.replies.insert(op, Reply::NotOperational);
+            }
+        }
+
+        fn tick(&mut self, now: Instant) {
+            while let Some(key) = self.timers.pop_due(now) {
+                self.timers.arm(key, now + MLT);
+                self.step(now, |node, fx| node.on_mlt_timeout(key, fx));
+            }
+        }
+    }
+
+    /// `(state, ts, value, kind)` of `key` in `node`'s entry, or what an
+    /// untouched key is.
+    fn entry_of(node: &HermesNode, key: Key) -> (KeyState, Ts, Value, UpdateKind) {
+        node.entry(key).map_or(
+            (KeyState::Valid, Ts::ZERO, Value::EMPTY, UpdateKind::Write),
+            |e| (e.state, e.ts, e.value.clone(), e.kind),
+        )
+    }
+
+    /// `key` as the lane keeps it: its engine entry while it holds one,
+    /// else its mirror slot, which must then say `Valid`.
+    fn kept_by(r: &Rig, key: Key) -> (KeyState, Ts, Value, UpdateKind) {
+        let mut value = Vec::new();
+        match r.net.store.get(key, &mut value) {
+            Some(meta) if r.lane.node.entry(key).is_none() => {
+                assert_eq!(meta.state, SlotState::Valid, "{key} left the engine busy");
+                let ts = Ts::new(meta.version, meta.cid);
+                (KeyState::Valid, ts, Value::from(value), slot_kind(meta))
+            }
+            _ => entry_of(&r.lane.node, key),
+        }
+    }
+
+    /// Rule 1 behind the poller's mirror reads (DESIGN.md §3.3), and the
+    /// rule that eviction is invisible, as an executable check over seeded
+    /// schedules of everything that moves a key: client ops, INV/ACK/VAL
+    /// from two peers (INVs of both kinds, and retransmitted ones from the
+    /// past), timer ticks, view installs that remove the peers mid-write
+    /// one after the other (3 → 2 → 1 members) and then this node itself,
+    /// catch-up chunks, and a remote subscriber that acks late or never.
+    /// The reference is a [`Twin`] engine fed the same inputs that never
+    /// evicts. After every step each key's `(state, ts, value, kind)` as
+    /// the lane keeps it (engine entry, else slot) is the twin's, every
+    /// reply the lane released is the twin's, and the mirror answers every
+    /// key exactly as the twin would; and no message reaches the network
+    /// ahead of the mirror write of its transition (the check runs inside
+    /// [`RecordingNet::send`], at the instant of the send).
     #[test]
     fn the_mirror_equals_the_core_after_every_step_and_leads_every_frame() {
         const KEYS: u64 = 4;
-        let (mut committed, mut alone, mut deposed) = (0, 0, 0);
+        let (mut committed, mut alone, mut deposed, mut evicted) = (0, 0, 0, 0);
         for seed in 0..48 {
             let mut rng = Rng::seeded(seed);
             let mut r = rig(3);
+            let mut twin = Twin::new(3);
             let mut now = r.t0;
             let mut view = MembershipView::initial(3);
-            // Timestamps peers have invalidated with, and this node's own
-            // INVs seen on the wire: what later VALs and ACKs refer to.
-            let mut peer_invs: Vec<(Key, Ts, u32)> = Vec::new();
+            // INVs peers have sent, and this node's own INVs seen on the
+            // wire: what later VALs, ACKs and retransmissions refer to.
+            let mut peer_invs: Vec<(u32, Msg)> = Vec::new();
             let mut own_invs: Vec<(Key, Ts)> = Vec::new();
             let mut top = [0u64; KEYS as usize];
             r.subscribe_b(Key(0));
@@ -1516,54 +1785,75 @@ mod tests {
                     .iter()
                     .nth(rng.gen_range(2) as usize % peers.len().max(1));
                 let epoch = view.epoch;
+                let serving = r.status.serving();
+                let op = |r: &mut Rig, twin: &mut Twin, cop: ClientOp| {
+                    let op = r.op(A, key, cop.clone(), now);
+                    twin.op(serving, op, key, cop, now);
+                };
+                let deliver = |r: &mut Rig, twin: &mut Twin, from: u32, msg: Msg| {
+                    r.deliver(from, msg.clone(), now);
+                    twin.step(now, |node, fx| node.on_message(NodeId(from), msg, fx));
+                };
                 match (rng.gen_range(12), peer.map(|p| p.0)) {
-                    (0 | 1, _) => {
-                        r.op(A, key, ClientOp::Read, now);
-                    }
+                    (0 | 1, _) => op(&mut r, &mut twin, ClientOp::Read),
                     (2 | 3, _) if key.0 < 2 => {
                         // Two such INVs fill a Wings batch, so every other
                         // one is sent from inside the drain that made it.
                         let big = Value::filled(rng.next_u64() as u8, 1000);
-                        r.op(A, key, ClientOp::Write(big), now);
+                        op(&mut r, &mut twin, ClientOp::Write(big));
                     }
-                    (2, _) => {
-                        r.op(A, key, write(rng.next_u64()), now);
-                    }
-                    (3, _) => {
-                        let rmw = ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 });
-                        r.op(A, key, rmw, now);
+                    (2, _) => op(&mut r, &mut twin, write(rng.next_u64())),
+                    (3, _) => op(
+                        &mut r,
+                        &mut twin,
+                        ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 }),
+                    ),
+                    (4, Some(_)) if !peer_invs.is_empty() => {
+                        // A retransmission: stale, or the key's current one.
+                        let (from, inv) = rng.choose(&peer_invs).clone();
+                        deliver(&mut r, &mut twin, from, inv);
                     }
                     (4 | 5, Some(peer)) => {
                         let k = key.0 as usize;
-                        top[k] = top[k].max(r.lane.node.key_ts(key).version) + 1 + rng.gen_range(3);
-                        let ts = Ts::new(top[k], peer);
-                        peer_invs.push((key, ts, peer));
+                        top[k] = top[k].max(twin.node.key_ts(key).version) + 1 + rng.gen_range(3);
+                        let kind = if rng.gen_bool(0.3) {
+                            UpdateKind::Rmw
+                        } else {
+                            UpdateKind::Write
+                        };
                         let inv = Msg::Inv {
                             key,
-                            ts,
+                            ts: Ts::new(top[k], peer),
                             value: Value::from_u64(rng.next_u64()),
-                            kind: UpdateKind::Write,
+                            kind,
                             epoch,
                         };
-                        r.deliver(peer, inv, now);
+                        peer_invs.push((peer, inv.clone()));
+                        deliver(&mut r, &mut twin, peer, inv);
                     }
                     (6, _) if !peer_invs.is_empty() => {
-                        let (key, ts, from) = *rng.choose(&peer_invs);
-                        r.deliver(from, Msg::Val { key, ts, epoch }, now);
+                        let (from, inv) = rng.choose(&peer_invs);
+                        let (key, ts) = (inv.key(), inv.ts());
+                        deliver(&mut r, &mut twin, *from, Msg::Val { key, ts, epoch });
                     }
                     (7 | 8, Some(peer)) if !own_invs.is_empty() => {
                         let (key, ts) = *rng.choose(&own_invs);
-                        r.deliver(peer, Msg::Ack { key, ts, epoch }, now);
+                        deliver(&mut r, &mut twin, peer, Msg::Ack { key, ts, epoch });
                     }
                     (9, Some(peer)) => {
-                        let ts = Ts::new(r.lane.node.key_ts(key).version + rng.gen_range(3), peer);
+                        let version = twin.node.key_ts(key).version + rng.gen_range(3);
                         let entry = SyncEntry {
                             key,
-                            ts,
+                            ts: Ts::new(version, peer),
                             kind: UpdateKind::Write,
                             value: Value::from_u64(rng.next_u64()),
                         };
+                        let (ts, value) = (entry.ts, entry.value.clone());
                         r.lane.handle(Command::InstallChunk(entry), now);
+                        let install = |node: &mut HermesNode, _: &mut Fx| {
+                            node.install_chunk(key, ts, value, UpdateKind::Write)
+                        };
+                        twin.step(now, install);
                     }
                     (10, _) if rng.gen_bool(0.5) => {
                         let cmd = Command::InvalAck { client: B, key };
@@ -1572,8 +1862,11 @@ mod tests {
                     (11, _) if step > 150 && view.epoch < Epoch(3) && rng.gen_bool(0.2) => {
                         let out = NodeId(2 - view.epoch.0 as u32);
                         view = view.without_node(out);
-                        peer_invs.retain(|&(_, _, from)| from != out.0);
+                        peer_invs.retain(|&(from, _)| from != out.0);
                         r.lane.handle(Command::InstallView(view), now);
+                        twin.step(now, |node, fx| {
+                            node.on_membership_update(view, fx);
+                        });
                         // The host's pump closes the serving gate in the
                         // tick that installed a view without this node.
                         r.status.set_serving(view.is_serving(NodeId(0)));
@@ -1585,29 +1878,39 @@ mod tests {
                                 own_invs.push((key, ts));
                             }
                         }
+                        twin.tick(now);
                     }
                 }
-                for k in 0..KEYS {
-                    // A key B still owes an ack for is held, mirror included.
-                    let held = r.lane.subs.pending.contains_key(&Key(k));
-                    let core = r.lane.node.local_read(Key(k)).filter(|_| !held);
-                    assert_eq!(
-                        r.mirror(Key(k)),
-                        core,
-                        "seed {seed} step {step}: the mirror of key {k} left the core"
-                    );
+                let at = format!("seed {seed} step {step}");
+                for (op, reply) in r.a_replies() {
+                    let twins = twin.replies.remove(&op);
+                    assert_eq!(twins.as_ref(), Some(&reply), "{at}: the reply to {op:?}");
+                    committed += usize::from(matches!(reply, Reply::WriteOk | Reply::RmwOk { .. }));
                 }
+                for k in (0..KEYS).map(Key) {
+                    let kept = kept_by(&r, k);
+                    assert_eq!(kept, entry_of(&twin.node, k), "{at}: {k} left the twin");
+                    evicted += u64::from(r.lane.node.entry(k).is_none() && kept.1 > Ts::ZERO);
+                    // A key B still owes an ack for is held, mirror included.
+                    let held = r.lane.subs.pending.contains_key(&k);
+                    let core = twin.node.local_read(k).filter(|_| !held);
+                    assert_eq!(r.mirror(k), core, "{at}: the mirror of {k} left the core");
+                }
+                let resident = r.obs.resident_keys[0].load(Ordering::Relaxed);
+                assert_eq!(resident, r.lane.node.keys_touched() as u64, "{at}: gauge");
                 let unmirrored = r.net.unmirrored.lock().unwrap();
                 assert!(
                     unmirrored.is_empty(),
-                    "seed {seed} step {step}: left ahead of the mirror: {unmirrored:?}"
+                    "{at}: left ahead of the mirror: {unmirrored:?}"
                 );
             }
-            committed += r
-                .a_replies()
-                .iter()
-                .filter(|(_, reply)| matches!(reply, Reply::WriteOk | Reply::RmwOk { .. }))
-                .count();
+            // Whatever the lane still holds back goes out with a flush, and
+            // then every reply the twin produced has left the lane too.
+            r.lane.handle(Command::FlushClients, now);
+            for (op, reply) in r.a_replies() {
+                assert_eq!(twin.replies.remove(&op), Some(reply), "seed {seed}: {op:?}");
+            }
+            assert!(twin.replies.is_empty(), "seed {seed}: {:?}", twin.replies);
             alone += u64::from(view.epoch >= Epoch(2));
             deposed += u64::from(view.epoch == Epoch(3));
         }
@@ -1615,5 +1918,9 @@ mod tests {
         assert!(committed > 100, "only {committed} updates committed");
         assert!(alone > 24, "only {alone} schedules shrank to one member");
         assert!(deposed > 12, "only {deposed} schedules removed this node");
+        assert!(
+            evicted > 48 * 400,
+            "only {evicted} key-steps found a written key evicted"
+        );
     }
 }

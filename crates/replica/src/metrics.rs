@@ -30,6 +30,9 @@ pub(crate) struct NodeObs {
     /// Peer messages handled per worker lane, each delivered straight into
     /// the lane's queue by the transport thread that decoded its frame.
     pub(crate) lane_ingress: Vec<AtomicU64>,
+    /// Keys each lane's engine holds an entry for: the keys with work in
+    /// flight (an idle key lives only in its mirror slot).
+    pub(crate) resident_keys: Vec<AtomicU64>,
     /// Peer connections the transport observed dying.
     pub(crate) peer_downs: AtomicU64,
     /// Live (key, client) cache subscriptions across all lanes.
@@ -85,6 +88,7 @@ impl NodeObs {
         NodeObs {
             lane_ops: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             lane_ingress: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            resident_keys: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             peer_downs: AtomicU64::new(0),
             subscriptions: AtomicU64::new(0),
             pushes: AtomicU64::new(0),

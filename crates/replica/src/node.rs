@@ -556,6 +556,11 @@ const SCALARS: &[Row] = &[
         Counter(|s| s.obs.sync_bytes.load(Ordering::Relaxed)),
     ),
     (
+        "hermes_engine_resident_keys",
+        "Keys the lanes' protocol engines hold: those with work in flight.",
+        Gauge(|s| NodeObs::per_lane(&s.obs.resident_keys).iter().sum()),
+    ),
+    (
         "hermes_cache_subscriptions",
         "Live client push subscriptions across all worker lanes.",
         Gauge(|s| s.obs.subscriptions.load(Ordering::Relaxed)),

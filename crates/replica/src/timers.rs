@@ -61,6 +61,11 @@ impl DeadlineQueue {
         self.queue.keys().next().map(|&(at, _)| at)
     }
 
+    /// Whether `key` has a deadline armed.
+    pub fn is_armed(&self, key: Key) -> bool {
+        self.armed.contains_key(&key)
+    }
+
     /// Number of armed keys.
     pub fn len(&self) -> usize {
         self.armed.len()
@@ -114,6 +119,7 @@ mod tests {
         q.arm(Key(2), t0);
         q.disarm(Key(1));
         q.disarm(Key(99)); // no-op
+        assert!(!q.is_armed(Key(1)) && q.is_armed(Key(2)));
         assert_eq!(q.pop_due(t0 + Duration::from_millis(1)), Some(Key(2)));
         assert_eq!(q.pop_due(t0 + Duration::from_millis(1)), None);
     }

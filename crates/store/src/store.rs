@@ -15,7 +15,8 @@ pub enum SlotState {
 }
 
 /// Metadata stored alongside each value: the Hermes per-key logical
-/// timestamp and state, packed to fit the seqlock'd hot path.
+/// timestamp, state and update kind, packed to fit the seqlock'd hot path.
+/// With the value, this is everything a replica keeps of an idle key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotMeta {
     /// Key version (Lamport clock high part).
@@ -24,29 +25,42 @@ pub struct SlotMeta {
     pub cid: u32,
     /// Valid/Invalid visibility state.
     pub state: SlotState,
+    /// Whether the update that wrote this version is a read-modify-write
+    /// (Hermes keeps the kind for faithful replays, paper §3.6).
+    pub rmw: bool,
 }
 
+/// Bits of the cid+state word below the cid.
+const STATE_BIT: u64 = 1;
+const RMW_BIT: u64 = 2;
+
 impl SlotMeta {
-    /// Metadata for a committed (Valid) version.
+    /// Metadata for a committed (Valid) version of a plain write.
     pub fn valid(version: u64, cid: u32) -> Self {
         SlotMeta {
             version,
             cid,
             state: SlotState::Valid,
+            rmw: false,
         }
     }
 
-    /// Metadata for an in-flight (Invalid) version.
+    /// Metadata for an in-flight (Invalid) version of a plain write.
     pub fn invalid(version: u64, cid: u32) -> Self {
         SlotMeta {
-            version,
-            cid,
             state: SlotState::Invalid,
+            ..SlotMeta::valid(version, cid)
         }
+    }
+
+    /// The same metadata, for a version a read-modify-write wrote if `rmw`.
+    pub fn with_rmw(self, rmw: bool) -> Self {
+        SlotMeta { rmw, ..self }
     }
 
     fn pack(self) -> (u64, u64) {
-        let w1 = (self.cid as u64) << 8 | self.state as u64;
+        let rmw = if self.rmw { RMW_BIT } else { 0 };
+        let w1 = (self.cid as u64) << 8 | rmw | self.state as u64;
         (self.version, w1)
     }
 
@@ -54,11 +68,12 @@ impl SlotMeta {
         SlotMeta {
             version: w0,
             cid: (w1 >> 8) as u32,
-            state: if w1 & 0xFF == 0 {
+            state: if w1 & STATE_BIT == 0 {
                 SlotState::Valid
             } else {
                 SlotState::Invalid
             },
+            rmw: w1 & RMW_BIT != 0,
         }
     }
 }
@@ -416,10 +431,34 @@ mod tests {
             SlotMeta::valid(0, 0),
             SlotMeta::invalid(u64::MAX, u32::MAX),
             SlotMeta::valid(123456789, 42),
+            SlotMeta::valid(7, u32::MAX).with_rmw(true),
+            SlotMeta::invalid(u64::MAX, u32::MAX).with_rmw(true),
         ] {
             let (w0, w1) = meta.pack();
             assert_eq!(SlotMeta::unpack(w0, w1), meta);
         }
+    }
+
+    #[test]
+    fn an_rmw_kind_round_trips_and_survives_the_metadata_only_flip() {
+        let store = Store::new(StoreConfig::default());
+        let mut buf = Vec::new();
+        let rmw = SlotMeta::invalid(3, 1).with_rmw(true);
+        store.put(Key(4), rmw, b"sum");
+        assert_eq!(store.get(Key(4), &mut buf), Some(rmw));
+        assert!(
+            !SlotMeta::valid(3, 1).rmw,
+            "the plain constructors are writes"
+        );
+        // The commit's flip under the held timestamp keeps the value and
+        // carries the kind.
+        let flipped = SlotMeta::valid(3, 1).with_rmw(true);
+        store.put(Key(4), flipped, b"sum");
+        assert_eq!(store.get(Key(4), &mut buf), Some(flipped));
+        assert_eq!(buf, b"sum");
+        // The next write's kind replaces it.
+        store.put(Key(4), SlotMeta::valid(5, 0), b"write");
+        assert!(!store.get(Key(4), &mut buf).unwrap().rmw);
     }
 
     /// 16 B under an even version, 900 B under an odd one, every byte the

@@ -313,3 +313,62 @@ fn session_churn_drains_gauges_to_baseline() {
 
     runtime.shutdown();
 }
+
+/// A replica's engine holds only the keys with work in flight (DESIGN.md
+/// §3.3 "The mirror"): after a burst of pipelined writes through three
+/// replicas quiesces, `hermes_engine_resident_keys` reads 0 on every node,
+/// while each node's mirror serves every key's last value.
+#[test]
+fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
+    let _serial = serial();
+    let peers = hermes::harness::reserve_loopback_addrs(3);
+    let nodes: Vec<NodeRuntime> = (0..3)
+        .map(|i| {
+            NodeRuntime::serve(NodeOptions {
+                node: NodeId(i),
+                peers: peers.clone(),
+                client_addr: "127.0.0.1:0".parse().unwrap(),
+                workers: 2,
+                pollers: 1,
+                protocol: ProtocolConfig::default(),
+                tcp: hermes::net::TcpConfig::default(),
+                run_for: None,
+                membership: None,
+                join: false,
+                metrics_dump: None,
+            })
+            .expect("replica binds its loopback ports")
+        })
+        .collect();
+    const KEYS: u64 = 64;
+    const WRITES: u64 = 512;
+    let mut sessions: Vec<_> = nodes.iter().map(session_to).collect();
+    let mut tickets = Vec::new();
+    for i in 0..WRITES {
+        // Each key's writes come from one session, so they apply in order.
+        let key = Key(i % KEYS);
+        let node = (key.0 % 3) as usize;
+        tickets.push((node, sessions[node].write(key, Value::from_u64(i))));
+    }
+    for (node, t) in tickets {
+        assert_eq!(sessions[node].wait(t), Reply::WriteOk);
+    }
+    let resident = |n: &NodeRuntime| {
+        hermes::obs::sample_value(&n.metrics_text(), "hermes_engine_resident_keys")
+            .expect("exported")
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while nodes.iter().any(|n| resident(n) != 0.0) {
+        assert!(Instant::now() < deadline, "an engine kept idle keys");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Idle keys live in the mirror alone, and read back from it.
+    for n in &nodes {
+        for k in 0..KEYS {
+            let last = WRITES - KEYS + k;
+            assert_eq!(n.read_local(Key(k)), Some(Value::from_u64(last)), "key {k}");
+        }
+    }
+    drop(sessions);
+    nodes.into_iter().for_each(NodeRuntime::shutdown);
+}

@@ -153,3 +153,42 @@ fn values_of_any_size_write_through_and_read_back_on_every_replica() {
     read_everywhere(&Value::EMPTY);
     cluster.shutdown();
 }
+
+/// An idle key lives only in its mirror slot, so the slot must give back
+/// what the engine held byte for byte: a 1 KiB value reads back exactly on
+/// every replica once the write is done, and a compare-and-swap against
+/// it — run by an engine that rebuilt the key from that slot — matches.
+#[test]
+fn a_1_kib_value_reads_back_byte_for_byte_from_every_mirror() {
+    let cluster = ThreadCluster::start(3, ProtocolConfig::default());
+    let key = Key(11);
+    let value = Value::from(
+        (0..1024u32)
+            .map(|i| (i * 7 % 251) as u8)
+            .collect::<Vec<u8>>(),
+    );
+    let read_back = |value: &Value| {
+        for node in 0..3 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            // A follower serves once the VAL has reached it.
+            let got = loop {
+                match cluster.read_local(node, key) {
+                    Some(got) => break got,
+                    None if std::time::Instant::now() < deadline => std::thread::yield_now(),
+                    None => panic!("node {node} never validated {key}"),
+                }
+            };
+            assert_eq!(got.as_bytes(), value.as_bytes(), "node {node}");
+        }
+    };
+    assert_eq!(cluster.write(0, key, value.clone()), Reply::WriteOk);
+    read_back(&value);
+    let new = Value::filled(3, 1024);
+    let cas = RmwOp::CompareAndSwap {
+        expect: value.clone(),
+        new: new.clone(),
+    };
+    assert_eq!(cluster.rmw(1, key, cas), Reply::RmwOk { prior: value });
+    read_back(&new);
+    cluster.shutdown();
+}
