@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use aggregate::{merge_expositions, stitch, Timeline, TimelineEvent};
 pub use hist::{Histogram, HistogramSnapshot, Quantiles};
-pub use registry::{sample_value, validate_exposition, Counter, Gauge, Registry};
+pub use registry::{sample_value, samples, validate_exposition, Counter, Gauge, Registry};
 pub use trace::{
     maybe_trace, set_trace_sample, trace_sampling_on, Phase, SlowOp, Span, TraceId, TraceRing,
     TraceSpan,

@@ -402,6 +402,23 @@ pub fn sample_value(text: &str, prefix: &str) -> Option<f64> {
     })
 }
 
+/// Every sample of the family `name`, in rendering order: its label set
+/// without the braces (`""` when unlabelled) and its value. A summary's
+/// `_sum` and `_count` series are families of their own name.
+pub fn samples<'a>(text: &'a str, name: &str) -> Vec<(&'a str, f64)> {
+    text.lines()
+        .filter_map(|line| {
+            let (series, value) = line.strip_prefix(name)?.rsplit_once(' ')?;
+            let labels = match series.strip_prefix('{') {
+                Some(rest) => rest.strip_suffix('}')?,
+                None if series.is_empty() => "",
+                None => return None,
+            };
+            Some((labels, value.parse().ok()?))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +529,31 @@ mod tests {
         );
         assert!(text.contains("op_us_count{node=\"2\"} 1"), "{text}");
         validate_exposition(&text).unwrap();
+    }
+
+    #[test]
+    fn samples_returns_one_family_whole() {
+        let r = Registry::with_base_labels(vec![("node", "2".into())]);
+        r.gauge_fn("open", "Open things.", vec![], || 3);
+        for lane in 0..2u64 {
+            let labels = vec![("lane", lane.to_string())];
+            r.counter_fn("ops_total", "Ops.", labels, move || 10 + lane);
+        }
+        r.counter_fn("ops_total_x", "A longer name.", vec![], || 99);
+        r.histogram("op_us", "Op latency (us).", vec![]).record(5);
+        let text = r.render();
+        assert_eq!(
+            samples(&text, "ops_total"),
+            [
+                ("node=\"2\",lane=\"0\"", 10.0),
+                ("node=\"2\",lane=\"1\"", 11.0)
+            ]
+        );
+        assert_eq!(samples(&text, "open"), [("node=\"2\"", 3.0)]);
+        assert_eq!(samples(&text, "op_us_count"), [("node=\"2\"", 1.0)]);
+        assert_eq!(samples(&text, "op_us").len(), 4, "one per quantile");
+        assert_eq!(samples(&text, "absent"), []);
+        assert_eq!(samples("bare 7\n", "bare"), [("", 7.0)]);
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub(crate) fn mirror_read(
 
 impl Node {
     /// Splits `ep` into one link set per lane and spawns the lane threads
-    /// over them.
+    /// over them. `pollers` sizes the per-shard session gauges of a client
+    /// plane that will serve this node (0: none will).
     ///
     /// With `membership` set, lane 0's pump additionally hosts the node's
     /// [`MembershipDriver`]: heartbeats and view agreement ride as Wings
@@ -102,6 +103,7 @@ impl Node {
         view: MembershipView,
         protocol: ProtocolConfig,
         workers: usize,
+        pollers: usize,
         membership: Option<MembershipOptions>,
     ) -> io::Result<Node> {
         let me = ep.node_id();
@@ -116,7 +118,7 @@ impl Node {
         let lanes = Lanes::new(txs.into_iter().zip(wakers).collect());
         let links = ep.split(waits)?;
         let store = Arc::new(Store::new(StoreConfig::default()));
-        let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
+        let obs = Arc::new(NodeObs::new(me.0 as usize, workers, pollers));
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
         for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {

@@ -1114,7 +1114,7 @@ mod tests {
             store: Arc::clone(&store),
             unmirrored: Arc::default(),
         };
-        let obs = Arc::new(NodeObs::new(0, 1));
+        let obs = Arc::new(NodeObs::new(0, 1, 0));
         let status = Arc::new(MembershipStatus::new(view, true, true));
         let lane = Lane::new(
             0,

@@ -51,8 +51,7 @@ mod timers;
 pub use cost::CostModel;
 pub use membership::{MembershipOptions, MembershipStatus};
 pub use node::{
-    query_metrics, query_stats, query_traces, remote_txn, request_shutdown, NodeOptions,
-    NodeRuntime, NodeStats,
+    query_metrics, query_traces, remote_txn, request_shutdown, NodeOptions, NodeRuntime,
 };
 pub use remote::{KillSwitch, RemoteChannel};
 pub use session::{ClientSession, LaneChannel, PendingTxn, SessionChannel, Ticket, TxnResult};

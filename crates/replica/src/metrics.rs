@@ -5,10 +5,12 @@
 //! every layer: worker lanes record op counts, op latencies, cache-push
 //! gauges and protocol-phase counters into it, the pump records peer
 //! disconnects, view-change outages and sync catch-up throughput, and the
-//! client-plane pollers record accept / decode / write-drain /
-//! credit-stall timings. `NodeRuntime::serve` registers all of it into a
+//! client-plane pollers record their open sessions, accepts and accept
+//! stalls, and decode / write-drain / credit-stall timings.
+//! `NodeRuntime::serve` registers all of it into a
 //! [`hermes_obs::Registry`] whose rendering backs the `Metrics` client
-//! RPC and `hermesd --metrics-dump`.
+//! RPC and `hermesd --metrics-dump` — the one way a replica reports on
+//! itself.
 //!
 //! Transaction accounting is process-wide ([`txn_counters`]): every
 //! transaction, wherever its session lives (a client process, a
@@ -27,8 +29,8 @@ pub(crate) struct NodeObs {
     /// Client operations handled per worker lane — the gauge that shows
     /// multi-key transactions fanning their sub-operations across lanes.
     pub(crate) lane_ops: Vec<AtomicU64>,
-    /// Peer messages handled per worker lane, each delivered straight into
-    /// the lane's queue by the transport thread that decoded its frame.
+    /// Peer messages handled per worker lane, each read by the lane itself
+    /// off its own links.
     pub(crate) lane_ingress: Vec<AtomicU64>,
     /// Keys each lane's engine holds an entry for: the keys with work in
     /// flight (an idle key lives only in its mirror slot).
@@ -64,8 +66,14 @@ pub(crate) struct NodeObs {
     pub(crate) sync_chunks: AtomicU64,
     /// Sync catch-up payload bytes installed.
     pub(crate) sync_bytes: AtomicU64,
+    /// Remote sessions open per poller shard of the client plane (none
+    /// without a plane).
+    pub(crate) shard_sessions: Vec<AtomicU64>,
     /// Client connections accepted by the plane.
     pub(crate) accepts: AtomicU64,
+    /// Times the plane's listener paused because open sessions neared the
+    /// process fd limit.
+    pub(crate) accept_stalls: AtomicU64,
     /// Sessions whose read interest was parked on credit exhaustion.
     pub(crate) read_parks: AtomicU64,
     /// Client reads a poller answered from the seqlock mirror, no lane
@@ -84,7 +92,7 @@ pub(crate) struct NodeObs {
 }
 
 impl NodeObs {
-    pub(crate) fn new(node: usize, lanes: usize) -> Self {
+    pub(crate) fn new(node: usize, lanes: usize, shards: usize) -> Self {
         NodeObs {
             lane_ops: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             lane_ingress: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
@@ -106,7 +114,9 @@ impl NodeObs {
             view_change_us: Arc::new(Histogram::new()),
             sync_chunks: AtomicU64::new(0),
             sync_bytes: AtomicU64::new(0),
+            shard_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             accepts: AtomicU64::new(0),
+            accept_stalls: AtomicU64::new(0),
             read_parks: AtomicU64::new(0),
             mirror_reads: AtomicU64::new(0),
             mirror_read_fallbacks: AtomicU64::new(0),
@@ -124,6 +134,14 @@ impl NodeObs {
     /// A snapshot of one per-lane counter vector.
     pub(crate) fn per_lane(counters: &[AtomicU64]) -> Vec<u64> {
         counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Remote sessions open across all poller shards.
+    pub(crate) fn open_sessions(&self) -> u64 {
+        self.shard_sessions
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Drains every captured trace span (slow ops and sampled ops) from
@@ -222,10 +240,12 @@ mod tests {
 
     #[test]
     fn node_obs_shapes_match_lanes() {
-        let obs = NodeObs::new(1, 3);
+        let obs = NodeObs::new(1, 3, 2);
         assert_eq!(obs.lane_latency.len(), 3);
         assert_eq!(obs.lane_traces.len(), 3);
         assert_eq!(NodeObs::per_lane(&obs.lane_ops), vec![0, 0, 0]);
+        NodeObs::bump(&obs.shard_sessions[1], 2);
+        assert_eq!(obs.open_sessions(), 2);
         NodeObs::bump(&obs.invals_sent, 4);
         assert_eq!(obs.invals_sent.load(Ordering::Relaxed), 4);
     }

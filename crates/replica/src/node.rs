@@ -24,15 +24,14 @@
 use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::{txn_counters, NodeObs};
-use crate::poller::{ClientPlane, PlaneConfig, PlaneGauges};
+use crate::poller::ClientPlane;
 use crate::remote::{invalid, Conn};
-use hermes_common::{Key, MembershipView, NodeId, NodeSet, Reply, TxnOp, TxnReply, Value};
+use hermes_common::{Key, MembershipView, NodeId, Reply, TxnOp, TxnReply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
 use hermes_net::{TcpConfig, TcpEndpoint, TcpStats};
 use hermes_obs::{Histogram, Registry, TraceSpan};
-use hermes_wings::client::{Request, ServerFrame, StatsPayload};
-use hermes_wings::CreditConfig;
+use hermes_wings::client::{Request, ServerFrame};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,9 +56,6 @@ fn default_pollers() -> usize {
         .unwrap_or(2)
         .clamp(1, MAX_DEFAULT_POLLERS)
 }
-
-/// Transaction executor threads of the client plane.
-const TXN_EXECUTORS: usize = 2;
 
 /// Deployment parameters of one `hermesd` replica process.
 #[derive(Clone, Debug)]
@@ -152,20 +148,13 @@ impl NodeOptions {
                         .parse()
                         .map_err(|e| format!("--pollers: {e}"))?;
                 }
-                "--duration" => {
-                    let secs: f64 = value("--duration")?
-                        .parse()
-                        .map_err(|e| format!("--duration: {e}"))?;
-                    run_for = Some(Duration::from_secs_f64(secs));
-                }
+                "--duration" => run_for = Some(parse_secs("--duration", value("--duration")?)?),
                 "--metrics-dump" => {
-                    let secs: f64 = value("--metrics-dump")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-dump: {e}"))?;
-                    if secs <= 0.0 {
+                    let every = parse_secs("--metrics-dump", value("--metrics-dump")?)?;
+                    if every.is_zero() {
                         return Err("--metrics-dump must be > 0".into());
                     }
-                    metrics_dump = Some(Duration::from_secs_f64(secs));
+                    metrics_dump = Some(every);
                 }
                 "--join" => join = true,
                 "--no-membership" => membership = None,
@@ -206,6 +195,13 @@ impl NodeOptions {
     }
 }
 
+/// A `<secs>` flag's value: seconds a `Duration` can hold, so not negative,
+/// NaN, infinite or beyond `Duration::MAX`.
+fn parse_secs(flag: &str, value: String) -> Result<Duration, String> {
+    let secs: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| format!("{flag}: {e}"))
+}
+
 /// A running single-node replica: worker threads over the TCP transport
 /// plus the client-port RPC service.
 #[derive(Debug)]
@@ -218,8 +214,6 @@ pub struct NodeRuntime {
     /// The sharded-poller client plane owning every remote session
     /// (stopped first on shutdown, before the worker lanes).
     client_plane: Option<ClientPlane>,
-    /// Session-occupancy gauges shared with the client plane.
-    plane_gauges: Arc<PlaneGauges>,
     tcp_stats: Arc<TcpStats>,
     /// Raised when a client connection delivers the shutdown RPC; the
     /// daemon's main loop polls it and winds the process down.
@@ -256,20 +250,15 @@ impl NodeRuntime {
             rm,
             join: opts.join,
         });
-        let node = Node::spawn(ep, view, opts.protocol, opts.workers, membership)?;
+        let pollers = opts.pollers.max(1);
+        let node = Node::spawn(ep, view, opts.protocol, opts.workers, pollers, membership)?;
         let shutdown_requested = Arc::new(AtomicBool::new(false));
-        let plane_gauges = Arc::new(PlaneGauges::new(opts.pollers.max(1)));
-        let registry = Arc::new(build_registry(opts.node, &node, &plane_gauges, &tcp_stats));
+        let registry = build_registry(opts.node, opts.peers.len(), &node, &tcp_stats);
+        let registry = Arc::new(registry);
         let client_plane = ClientPlane::start(
             client_listener,
             node.lanes().clone(),
-            PlaneConfig {
-                pollers: opts.pollers.max(1),
-                txn_executors: TXN_EXECUTORS,
-                credits: CreditConfig::default(),
-                max_frame: MAX_CLIENT_FRAME,
-            },
-            Arc::clone(&plane_gauges),
+            pollers,
             Arc::clone(&shutdown_requested),
             Arc::clone(&registry),
             Arc::clone(node.obs()),
@@ -281,7 +270,6 @@ impl NodeRuntime {
             client_addr,
             node,
             client_plane: Some(client_plane),
-            plane_gauges,
             tcp_stats,
             shutdown_requested,
             registry,
@@ -317,11 +305,6 @@ impl NodeRuntime {
         self.node.lanes().workers()
     }
 
-    /// Peer connections this node's transport observed dying.
-    pub fn peer_disconnects(&self) -> u64 {
-        self.node.peer_disconnects()
-    }
-
     /// Live membership gauges (current view, serving state, view changes).
     pub fn membership(&self) -> &MembershipStatus {
         self.node.status()
@@ -341,56 +324,6 @@ impl NodeRuntime {
     /// off its own links (DESIGN.md §4, §7).
     pub fn lane_ingress(&self) -> Vec<u64> {
         self.node.lane_ingress()
-    }
-
-    /// Remote client sessions currently open on the poller plane.
-    pub fn open_sessions(&self) -> u64 {
-        self.plane_gauges.open_sessions()
-    }
-
-    /// Open sessions per poller shard of the client plane.
-    pub fn sessions_per_shard(&self) -> Vec<u64> {
-        self.plane_gauges.sessions_per_shard()
-    }
-
-    /// Live client push subscriptions across all worker lanes.
-    pub fn subscriptions(&self) -> u64 {
-        self.node.subscriptions()
-    }
-
-    /// Push frames (invalidations, acks, flushes) sent to clients.
-    pub fn pushes(&self) -> u64 {
-        self.node.pushes()
-    }
-
-    /// Times the client plane paused accepting because open fds neared
-    /// `ulimit -n` (DESIGN.md §7 backpressure).
-    pub fn accept_stalls(&self) -> u64 {
-        self.plane_gauges.accept_stalls()
-    }
-
-    /// One coherent operator-facing snapshot of this replica's health.
-    pub fn stats(&self) -> NodeStats {
-        let status = self.node.status();
-        NodeStats {
-            epoch: status.epoch(),
-            view_changes: status.view_changes(),
-            members: status.members(),
-            shadows: status.shadows(),
-            serving: status.serving(),
-            synced: status.synced(),
-            peer_disconnects: self.peer_disconnects(),
-            reconnect_dials: self.tcp_stats.dials(),
-            frames_sent: self.tcp_stats.frames_sent(),
-            frames_received: self.tcp_stats.frames_received(),
-            lane_ops: self.lane_ops(),
-            lane_ingress: self.lane_ingress(),
-            open_sessions: self.open_sessions(),
-            sessions_per_shard: self.sessions_per_shard(),
-            subscriptions: self.subscriptions(),
-            pushes: self.pushes(),
-            accept_stalls: self.accept_stalls(),
-        }
     }
 
     /// Whether a client connection has delivered the shutdown RPC
@@ -429,53 +362,10 @@ impl Drop for NodeRuntime {
     }
 }
 
-/// An operator-facing health snapshot of one replica daemon
-/// ([`NodeRuntime::stats`]) — the numbers `hermesd` logs, also served
-/// remotely by the stats RPC ([`query_stats`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Epoch of the currently installed membership view.
-    pub epoch: u64,
-    /// Reconfigured views installed since start.
-    pub view_changes: u64,
-    /// Members of the current view.
-    pub members: NodeSet,
-    /// Shadows of the current view.
-    pub shadows: NodeSet,
-    /// Whether this replica currently serves client operations.
-    pub serving: bool,
-    /// Whether shadow catch-up completed (always true unless `--join`).
-    pub synced: bool,
-    /// Peer connections this node's transport readers observed dying.
-    pub peer_disconnects: u64,
-    /// Successful outbound dials (first connects and reconnects).
-    pub reconnect_dials: u64,
-    /// Wings frames written to peers.
-    pub frames_sent: u64,
-    /// Wings frames received from peers.
-    pub frames_received: u64,
-    /// Client operations handled per worker lane since start.
-    pub lane_ops: Vec<u64>,
-    /// Peer messages delivered directly into each worker lane's queue by
-    /// the transport readers (per-worker ingress demux).
-    pub lane_ingress: Vec<u64>,
-    /// Remote client sessions currently open on the poller plane.
-    pub open_sessions: u64,
-    /// Open sessions per poller shard of the client plane.
-    pub sessions_per_shard: Vec<u64>,
-    /// Live client push subscriptions across all worker lanes.
-    pub subscriptions: u64,
-    /// Push frames (invalidations, acks, flushes) sent to clients.
-    pub pushes: u64,
-    /// Times the client plane paused accepting near the fd budget.
-    pub accept_stalls: u64,
-}
-
 /// Everything an unlabelled sample of the exposition reads from.
 struct Sources {
     obs: Arc<NodeObs>,
     status: Arc<MembershipStatus>,
-    plane: Arc<PlaneGauges>,
     tcp: Arc<TcpStats>,
 }
 
@@ -525,10 +415,10 @@ const MEMBERSHIP: &[Row] = &[
 ];
 
 /// Every other unlabelled sample, in rendering order after the per-lane
-/// families: protocol phases (paper §3.1: INV broadcast, ACK collection,
-/// VAL broadcast), the client cache plane, the client plane, the
-/// transport, and transactions (process-wide: every session driving one,
-/// the executor pool's included).
+/// and per-shard families: protocol phases (paper §3.1: INV broadcast, ACK
+/// collection, VAL broadcast), the client cache plane, the client plane,
+/// the transport, and transactions (process-wide: every session driving
+/// one, the executor pool's included).
 const SCALARS: &[Row] = &[
     (
         "hermes_invalidations_sent_total",
@@ -582,13 +472,13 @@ const SCALARS: &[Row] = &[
     ),
     (
         "hermes_open_sessions",
-        "Remote client sessions currently open.",
-        Gauge(|s| s.plane.open_sessions()),
+        "Remote client sessions currently open (the sum over poller shards).",
+        Gauge(|s| s.obs.open_sessions()),
     ),
     (
         "hermes_accept_stalls_total",
         "Times the listener paused accepting near the fd budget.",
-        Counter(|s| s.plane.accept_stalls()),
+        Counter(|s| s.obs.accept_stalls.load(Ordering::Relaxed)),
     ),
     (
         "hermes_accepts_total",
@@ -703,23 +593,18 @@ const SCALARS: &[Row] = &[
 ];
 
 /// Registers every runtime gauge, protocol-phase counter and latency
-/// histogram of one replica into a fresh metrics registry. All handles are
-/// closures or shared `Arc`s over state the runtime already maintains —
-/// rendering samples live values, and registration adds no hot-path cost.
-/// Every metric carries a `node="<id>"` base label so a cluster aggregator
-/// can merge the expositions of all replicas without collisions.
-fn build_registry(
-    id: NodeId,
-    node: &Node,
-    plane: &Arc<PlaneGauges>,
-    tcp: &Arc<TcpStats>,
-) -> Registry {
+/// histogram of one replica of a `peers`-node deployment into a fresh
+/// metrics registry. All handles are closures or shared `Arc`s over state
+/// the runtime already maintains — rendering samples live values, and
+/// registration adds no hot-path cost. Every metric carries a
+/// `node="<id>"` base label so a cluster aggregator can merge the
+/// expositions of all replicas without collisions.
+fn build_registry(id: NodeId, peers: usize, node: &Node, tcp: &Arc<TcpStats>) -> Registry {
     let r = Registry::with_base_labels(vec![("node", id.0.to_string())]);
     let obs = node.obs();
     let src = Arc::new(Sources {
         obs: Arc::clone(obs),
         status: Arc::clone(node.status()),
-        plane: Arc::clone(plane),
         tcp: Arc::clone(tcp),
     });
     let scalars = |rows: &[Row]| {
@@ -733,6 +618,34 @@ fn build_registry(
         }
     };
     scalars(MEMBERSHIP);
+    // The installed view (paper §3.4), one 0/1 row per node id: exact,
+    // where a node set rendered as one f64 would not be.
+    let sets = [
+        (
+            "hermes_view_member",
+            "Whether the peer is a member of the installed view (0/1).",
+            false,
+        ),
+        (
+            "hermes_view_shadow",
+            "Whether the peer is a shadow of the installed view (0/1).",
+            true,
+        ),
+    ];
+    for (name, help, shadows) in sets {
+        for peer in 0..peers as u32 {
+            let status = Arc::clone(node.status());
+            let labels = vec![("peer", peer.to_string())];
+            r.gauge_fn(name, help, labels, move || {
+                let set = if shadows {
+                    status.shadows()
+                } else {
+                    status.members()
+                };
+                set.contains(NodeId(peer)) as u64
+            });
+        }
+    }
 
     // Worker lanes: op throughput, ingress demux, op latency, slow ops.
     for lane in 0..obs.lane_ops.len() {
@@ -746,7 +659,7 @@ fn build_registry(
         let o = Arc::clone(obs);
         r.counter_fn(
             "hermes_lane_ingress_total",
-            "Peer messages delivered directly into each worker lane's queue.",
+            "Peer messages each worker lane read off its own links.",
             vec![("lane", lane.to_string())],
             move || o.lane_ingress[lane].load(Ordering::Relaxed),
         );
@@ -766,6 +679,17 @@ fn build_registry(
             "Ops captured over the slow-op trace threshold per lane.",
             vec![("lane", lane.to_string())],
             move || o.lane_traces[lane].slow_total(),
+        );
+    }
+
+    // Client plane: the sessions each poller shard owns.
+    for shard in 0..obs.shard_sessions.len() {
+        let o = Arc::clone(obs);
+        r.gauge_fn(
+            "hermes_shard_sessions",
+            "Remote client sessions open per poller shard.",
+            vec![("shard", shard.to_string())],
+            move || o.shard_sessions[shard].load(Ordering::Relaxed),
         );
     }
 
@@ -794,27 +718,13 @@ pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
     }
 }
 
-/// Queries the membership/runtime stats of the replica daemon at `addr`
-/// (its client port) — the RPC that lets harnesses and operators observe
-/// view changes, catch-up progress and per-lane op counts without parsing
-/// daemon logs.
-///
-/// # Errors
-///
-/// Fails if the daemon is unreachable or answers with a malformed frame
-/// before `timeout` elapses.
-pub fn query_stats(addr: SocketAddr, timeout: Duration) -> io::Result<StatsPayload> {
-    match call(addr, &Request::Stats { seq: 0 }, timeout)? {
-        ServerFrame::Stats(_, stats) => Ok(*stats),
-        other => Err(unexpected(other)),
-    }
-}
-
 /// Fetches the full metrics exposition of the replica daemon at `addr`
-/// (its client port): Prometheus-style text with per-lane op latency
-/// histograms, protocol-phase counters, cache-push and transaction
-/// accounting. The scraper-facing counterpart of
-/// [`NodeRuntime::metrics_text`].
+/// (its client port): Prometheus-style text with the membership view and
+/// serving state, per-lane op counts and latency histograms,
+/// protocol-phase counters, session, cache-push and transaction
+/// accounting — everything a replica reports about itself, and how
+/// harnesses observe view changes without parsing daemon logs. The
+/// scraper-facing counterpart of [`NodeRuntime::metrics_text`].
 ///
 /// # Errors
 ///
@@ -900,6 +810,7 @@ mod tests {
     use super::*;
     use crate::session::{ClientSession, LaneChannel, TxnResult};
     use hermes_common::{ClientId, TxnAbort};
+    use hermes_wings::CreditConfig;
 
     /// The one transaction driver on the server path: a replica that is
     /// not serving answers every sub-operation `NotOperational`, so the
@@ -924,10 +835,8 @@ mod tests {
         })
         .unwrap();
         assert!(!runtime.membership().serving());
-        let in_doubt = || {
-            hermes_obs::sample_value(&runtime.metrics_text(), "hermes_txn_in_doubt_total")
-                .expect("exported")
-        };
+        let sample = |name| hermes_obs::sample_value(&runtime.metrics_text(), name);
+        let in_doubt = || sample("hermes_txn_in_doubt_total").expect("exported");
         let op = TxnOp::MultiPut(vec![
             (Key(1), Value::from_u64(1)),
             (Key(2), Value::from_u64(2)),
@@ -950,7 +859,7 @@ mod tests {
 
         // Every sub-operation was answered at the lease gate and neither
         // session subscribed: the lanes hold nothing for them.
-        assert_eq!(runtime.subscriptions(), 0);
+        assert_eq!(sample("hermes_cache_subscriptions"), Some(0.0));
         assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 2);
         runtime.shutdown();
     }
@@ -1048,5 +957,30 @@ mod tests {
         assert!(NodeOptions::parse(&s(&["--node"]))
             .unwrap_err()
             .contains("requires a value"));
+        // Seconds no `Duration` holds are refused, not a panic.
+        let base = [
+            "--node",
+            "0",
+            "--peers",
+            "127.0.0.1:1",
+            "--client",
+            "127.0.0.1:0",
+        ];
+        let bad_secs = [
+            ("--duration", "-1"),
+            ("--duration", "nan"),
+            ("--duration", "inf"),
+            ("--duration", "1e30"),
+            ("--metrics-dump", "nan"),
+            ("--metrics-dump", "inf"),
+            ("--metrics-dump", "1e30"),
+            ("--metrics-dump", "-1"),
+            ("--metrics-dump", "0"),
+        ];
+        for (flag, secs) in bad_secs {
+            let args = [&base[..], &[flag, secs]].concat();
+            let err = NodeOptions::parse(&s(&args)).unwrap_err();
+            assert!(err.contains(flag), "{flag} {secs}: {err}");
+        }
     }
 }

@@ -41,6 +41,7 @@ use crate::host::mirror_read;
 use crate::lane::{ClientSink, Lanes};
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
+use crate::node::MAX_CLIENT_FRAME;
 use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{ClientId, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply, Value};
@@ -104,58 +105,8 @@ const MAX_SESSION_TXNS: u32 = 1;
 /// The session's single flow-control peer: its replica.
 const SERVER: NodeId = NodeId(0);
 
-/// Shape of the client plane: how many poller shards own the sockets and
-/// how many executor threads coordinate whole transactions.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PlaneConfig {
-    /// Poller shard threads (≥ 1).
-    pub(crate) pollers: usize,
-    /// Transaction executor threads (≥ 1).
-    pub(crate) txn_executors: usize,
-    /// Per-session Wings credit budget (ops in flight per session).
-    pub(crate) credits: CreditConfig,
-    /// Request frames larger than this kill the connection.
-    pub(crate) max_frame: usize,
-}
-
-/// Live occupancy gauges of the plane, shared with the runtime's accessors
-/// and its metrics registry.
-#[derive(Debug)]
-pub(crate) struct PlaneGauges {
-    open: AtomicU64,
-    per_shard: Vec<AtomicU64>,
-    /// Times the listener paused accepting because open sessions neared
-    /// the process fd limit.
-    accept_stalls: AtomicU64,
-}
-
-impl PlaneGauges {
-    pub(crate) fn new(shards: usize) -> PlaneGauges {
-        PlaneGauges {
-            open: AtomicU64::new(0),
-            per_shard: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            accept_stalls: AtomicU64::new(0),
-        }
-    }
-
-    /// Remote sessions currently open across all shards.
-    pub(crate) fn open_sessions(&self) -> u64 {
-        self.open.load(Ordering::Relaxed)
-    }
-
-    /// Open sessions per poller shard.
-    pub(crate) fn sessions_per_shard(&self) -> Vec<u64> {
-        self.per_shard
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Times the listener paused near the fd limit since start.
-    pub(crate) fn accept_stalls(&self) -> u64 {
-        self.accept_stalls.load(Ordering::Relaxed)
-    }
-}
+/// Transaction executor threads of the client plane.
+const TXN_EXECUTORS: usize = 2;
 
 /// What a worker lane (or the transaction pool) needs to hand a result
 /// back to the shard owning the session: its inbox plus its waker.
@@ -389,10 +340,9 @@ impl SessionMachine {
                     self.frame(&ServerFrame::Reply(seq, Reply::WriteOk));
                     fx.push(request);
                 }
-                Request::Stats { .. }
-                | Request::Metrics { .. }
-                | Request::Traces { .. }
-                | Request::InvalAck { .. } => fx.push(request),
+                Request::Metrics { .. } | Request::Traces { .. } | Request::InvalAck { .. } => {
+                    fx.push(request);
+                }
             }
             self.parsed += 4 + len;
         }
@@ -463,13 +413,14 @@ pub(crate) struct ClientPlane {
 }
 
 impl ClientPlane {
-    /// Starts the plane over an already-bound client listener.
+    /// Starts the plane over an already-bound client listener: `pollers`
+    /// shard threads (one per session gauge of `obs`) and the transaction
+    /// executor pool.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         listener: TcpListener,
         lanes: Lanes,
-        cfg: PlaneConfig,
-        gauges: Arc<PlaneGauges>,
+        pollers: usize,
         shutdown: Arc<AtomicBool>,
         registry: Arc<Registry>,
         obs: Arc<NodeObs>,
@@ -480,18 +431,18 @@ impl ClientPlane {
         let stop = Arc::new(AtomicBool::new(false));
         let (txn_tx, txn_rx) = unbounded::<TxnJob>();
         let mut executors = Vec::new();
-        for i in 0..cfg.txn_executors.max(1) {
+        for i in 0..TXN_EXECUTORS {
             let rx = txn_rx.clone();
             let lanes = lanes.clone();
             executors.push(
                 std::thread::Builder::new()
                     .name(format!("hermes-txn-{i}"))
-                    .spawn(move || txn_executor_main(rx, lanes, cfg.credits))?,
+                    .spawn(move || txn_executor_main(rx, lanes))?,
             );
         }
         drop(txn_rx);
 
-        let pollers = cfg.pollers.max(1);
+        debug_assert_eq!(pollers, obs.shard_sessions.len());
         let mut prepared = Vec::with_capacity(pollers);
         let mut shards = Vec::with_capacity(pollers);
         for _ in 0..pollers {
@@ -533,8 +484,6 @@ impl ClientPlane {
                 shutdown: Arc::clone(&shutdown),
                 registry: Arc::clone(&registry),
                 obs: Arc::clone(&obs),
-                gauges: Arc::clone(&gauges),
-                cfg,
                 rdbuf: vec![0u8; READ_CHUNK],
                 store: Arc::clone(&store),
                 status: Arc::clone(&status),
@@ -588,9 +537,10 @@ impl Drop for ClientPlane {
 /// losing its lease or shutting down: the outcome is then unresolved, and
 /// the client hears [`TxnAbort::NotOperational`] — to be treated like an
 /// in-doubt transaction, not a guaranteed no-op.
-fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Lanes, credits: CreditConfig) {
+fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Lanes) {
     let client = ClientId(EXECUTOR_CLIENT_BASE + NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed));
-    let mut session = ClientSession::new(LaneChannel::new(client, lanes), credits);
+    let channel = LaneChannel::new(client, lanes);
+    let mut session = ClientSession::new(channel, CreditConfig::default());
     while let Ok(job) = jobs.recv() {
         let reply = session
             .txn(job.op)
@@ -644,12 +594,11 @@ struct Shard {
     /// The runtime's metrics registry: its rendering answers the metrics
     /// RPC.
     registry: Arc<Registry>,
-    /// Node-wide observability state: accept / decode / drain / stall
-    /// timings recorded by this shard, and the trace rings the traces RPC
-    /// drains (each scrape sees each span exactly once).
+    /// Node-wide observability state: this shard's open sessions, the
+    /// accept / decode / drain / stall counts and timings it records, and
+    /// the trace rings the traces RPC drains (each scrape sees each span
+    /// exactly once).
     obs: Arc<NodeObs>,
-    gauges: Arc<PlaneGauges>,
-    cfg: PlaneConfig,
     rdbuf: Vec<u8>,
     /// The node's seqlock mirror and the serving gate in front of it, which
     /// answer this shard's sessions' `Valid` reads.
@@ -741,7 +690,7 @@ impl Shard {
             if self.accept_paused {
                 return;
             }
-            if !accept_within_budget(self.gauges.open_sessions(), self.fd_budget) {
+            if !accept_within_budget(self.obs.open_sessions(), self.fd_budget) {
                 self.pause_accept();
                 return;
             }
@@ -775,11 +724,11 @@ impl Shard {
         };
         let _ = self.poller.deregister(l.as_raw_fd());
         self.accept_paused = true;
-        self.gauges.accept_stalls.fetch_add(1, Ordering::Relaxed);
+        NodeObs::bump(&self.obs.accept_stalls, 1);
         obs_warn!(
             "replica::poller",
             "{} open sessions reached the fd budget ({:?}); pausing accept",
-            self.gauges.open_sessions(),
+            self.obs.open_sessions(),
             self.fd_budget,
         );
     }
@@ -791,7 +740,7 @@ impl Shard {
         if !self.accept_paused {
             return;
         }
-        let open = self.gauges.open_sessions();
+        let open = self.obs.open_sessions();
         let budget = self.fd_budget.unwrap_or(u64::MAX);
         if open.saturating_add(ACCEPT_RESUME_SLACK) > budget {
             return;
@@ -837,15 +786,14 @@ impl Shard {
             token,
             Session {
                 stream,
-                machine: SessionMachine::new(self.cfg.credits, self.cfg.max_frame, mirror),
+                machine: SessionMachine::new(CreditConfig::default(), MAX_CLIENT_FRAME, mirror),
                 client,
                 interest: Interest::READ,
                 parked_at: None,
             },
         );
         NodeObs::bump(&self.obs.accepts, 1);
-        self.gauges.open.fetch_add(1, Ordering::Relaxed);
-        self.gauges.per_shard[self.index].fetch_add(1, Ordering::Relaxed);
+        NodeObs::bump(&self.obs.shard_sessions[self.index], 1);
     }
 
     fn session_io(&mut self, token: u64, ev: PollEvent) {
@@ -909,24 +857,6 @@ impl Shard {
                     // Send fails only at plane teardown; the session is
                     // about to be dropped with it.
                     let _ = self.txn_jobs.send(job);
-                }
-                Request::Stats { seq } => {
-                    let stats = rpc::StatsPayload {
-                        epoch: self.status.epoch(),
-                        view_changes: self.status.view_changes(),
-                        members: self.status.members(),
-                        shadows: self.status.shadows(),
-                        serving: self.status.serving(),
-                        synced: self.status.synced(),
-                        lane_ops: NodeObs::per_lane(&self.obs.lane_ops),
-                        open_sessions: self.gauges.open_sessions(),
-                        sessions_per_shard: self.gauges.sessions_per_shard(),
-                        lane_ingress: NodeObs::per_lane(&self.obs.lane_ingress),
-                        subscriptions: self.obs.subscriptions.load(Ordering::Relaxed),
-                        pushes: self.obs.pushes.load(Ordering::Relaxed),
-                        accept_stalls: self.gauges.accept_stalls(),
-                    };
-                    reply(ServerFrame::Stats(seq, Box::new(stats)));
                 }
                 Request::Metrics { seq } => {
                     reply(ServerFrame::Metrics(seq, self.registry.render()));
@@ -1012,8 +942,7 @@ impl Shard {
         if let Some(sess) = self.sessions.remove(&token) {
             let _ = self.poller.deregister(sess.stream.as_raw_fd());
             self.by_client.remove(&sess.client.0);
-            self.gauges.open.fetch_sub(1, Ordering::Relaxed);
-            self.gauges.per_shard[self.index].fetch_sub(1, Ordering::Relaxed);
+            self.obs.shard_sessions[self.index].fetch_sub(1, Ordering::Relaxed);
             self.lanes.drop_client(sess.client);
         }
     }
@@ -1353,6 +1282,23 @@ mod tests {
         assert!(fx.is_empty());
     }
 
+    /// The stats request (tag 6) is retired: a client that still sends it
+    /// is speaking a protocol this replica no longer does.
+    #[test]
+    fn a_request_with_the_retired_stats_tag_kills_the_session() {
+        let mut m = machine_with_credits(4);
+        let mut stats = Vec::new();
+        rpc::put_frame(&mut stats, |out| {
+            out.extend_from_slice(&[0; 16]); // seq, key
+            out.push(6);
+        });
+        let mut fx = Vec::new();
+        m.on_bytes(&stats, &mut fx);
+        assert!(m.is_dead());
+        assert!(fx.is_empty());
+        assert!(!m.wants_write(), "nothing answered");
+    }
+
     #[test]
     fn one_txn_in_flight_gates_later_requests() {
         let mut m = machine_with_credits(8);
@@ -1467,20 +1413,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (lane, _lane_rx) = unbounded::<crate::lane::Command>();
-        let gauges = Arc::new(PlaneGauges::new(1));
+        let obs = Arc::new(NodeObs::new(0, 1, 1));
         let mut plane = ClientPlane::start(
             listener,
             Lanes::new(vec![(lane, Wait::new().unwrap().waker())]),
-            PlaneConfig {
-                pollers: 1,
-                txn_executors: 1,
-                credits: CreditConfig::default(),
-                max_frame: 1 << 20,
-            },
-            Arc::clone(&gauges),
+            1,
             Arc::new(AtomicBool::new(false)),
             Arc::new(Registry::new()),
-            Arc::new(NodeObs::new(0, 1)),
+            Arc::clone(&obs),
             Arc::new(Store::new(StoreConfig::default())),
             Arc::new(MembershipStatus::new(
                 MembershipView::initial(1),
@@ -1491,7 +1431,7 @@ mod tests {
         .unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         client.set_read_timeout(Some(2 * POLL_TIMEOUT)).unwrap();
-        while gauges.open_sessions() == 0 {
+        while obs.open_sessions() == 0 {
             std::thread::yield_now();
         }
         let shard = plane.shards[0].clone();

@@ -190,10 +190,9 @@ fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) 
         let ack = match frame {
             ServerFrame::Invalidate { key, .. } => Some(Request::InvalAck { key }),
             // The reply to a request no session sends.
-            ServerFrame::Txn(..)
-            | ServerFrame::Stats(..)
-            | ServerFrame::Metrics(..)
-            | ServerFrame::Traces(..) => return Err(ErrorKind::InvalidData.into()),
+            ServerFrame::Txn(..) | ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {
+                return Err(ErrorKind::InvalidData.into())
+            }
             _ => None,
         };
         sink(frame);

@@ -133,7 +133,6 @@ impl SessionChannel for LaneChannel {
             // and the rest is asked of a daemon, not of its lanes.
             Request::InvalAck { .. }
             | Request::Txn { .. }
-            | Request::Stats { .. }
             | Request::Metrics { .. }
             | Request::Traces { .. }
             | Request::Shutdown { .. } => false,
@@ -268,7 +267,6 @@ impl ReadCache {
             // Replies: of no concern to the cache.
             ServerFrame::Reply(..)
             | ServerFrame::Txn(..)
-            | ServerFrame::Stats(..)
             | ServerFrame::Metrics(..)
             | ServerFrame::Traces(..) => {}
         }

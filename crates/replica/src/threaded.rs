@@ -163,7 +163,7 @@ impl ThreadCluster {
             .map(|rm| MembershipOptions { rm, join: false });
         let nodes = endpoints
             .into_iter()
-            .map(|ep| Node::spawn(ep, view, cfg.protocol, cfg.workers_per_node, membership))
+            .map(|ep| Node::spawn(ep, view, cfg.protocol, cfg.workers_per_node, 0, membership))
             .collect::<std::io::Result<_>>()
             .expect("a lane's epoll and eventfd, and its sockets registered in them");
         ThreadCluster {

@@ -17,7 +17,7 @@
 //! little-endian.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use hermes_common::{ClientOp, Key, NodeSet, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value};
+use hermes_common::{ClientOp, Key, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value};
 use hermes_obs::TraceSpan;
 
 const REQ_READ: u8 = 0;
@@ -26,7 +26,7 @@ const REQ_CAS: u8 = 2;
 const REQ_FETCH_ADD: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
 const REQ_TXN: u8 = 5;
-const REQ_STATS: u8 = 6;
+// 6 was the retired stats request: never reuse it.
 const REQ_SUBSCRIBE: u8 = 7;
 const REQ_UNSUBSCRIBE: u8 = 8;
 const REQ_INVAL_ACK: u8 = 9;
@@ -40,12 +40,12 @@ const RSP_CAS_FAILED: u8 = 3;
 const RSP_RMW_ABORTED: u8 = 4;
 const RSP_NOT_OPERATIONAL: u8 = 5;
 const RSP_UNSUPPORTED: u8 = 6;
-/// Transaction, stats, metrics and traces replies answer dedicated
+/// Transaction, metrics and traces replies answer dedicated
 /// request/response exchanges, not the pipelined session stream, and have
 /// tags of their own so they can never be mistaken for single-key
 /// completions.
 const RSP_TXN: u8 = 7;
-const RSP_STATS: u8 = 8;
+// 8 was the retired stats reply: never reuse it.
 /// Server-initiated push frames (invalidation stream) and subscription
 /// acknowledgements. Pushes carry no meaningful sequence number (the seq
 /// slot is zero).
@@ -193,13 +193,6 @@ fn put_value(out: &mut impl BufMut, v: &Value) {
     put_bytes(out, v.as_bytes());
 }
 
-fn put_u64s(out: &mut impl BufMut, items: &[u64]) {
-    out.put_u32_le(items.len() as u32);
-    for item in items {
-        out.put_u64_le(*item);
-    }
-}
-
 fn put_keyed_values(out: &mut impl BufMut, items: &[(Key, Value)]) {
     out.put_u32_le(items.len() as u32);
     for (k, v) in items {
@@ -294,17 +287,11 @@ pub enum Request {
         /// The transaction.
         op: TxnOp,
     },
-    /// Ask for the daemon's membership/runtime gauges, answered with one
-    /// [`ServerFrame::Stats`] — the RPC that lets harnesses observe view
-    /// changes without parsing logs.
-    Stats {
-        /// Session-local sequence number echoed by the reply.
-        seq: u64,
-    },
     /// Ask for the daemon's full metrics registry as Prometheus text
     /// exposition, answered with one [`ServerFrame::Metrics`]: per-lane
-    /// latency histograms, protocol-phase counters, plane/cache gauges.
-    /// The machine-parseable superset of [`Request::Stats`].
+    /// latency histograms, protocol-phase counters, plane/cache gauges,
+    /// the membership view and serving state — everything a replica
+    /// reports about itself.
     Metrics {
         /// Session-local sequence number echoed by the reply.
         seq: u64,
@@ -384,7 +371,6 @@ impl Request {
                     }
                 }
             }
-            Request::Stats { seq } => put_request_header(out, *seq, no_key, REQ_STATS),
             Request::Metrics { seq } => put_request_header(out, *seq, no_key, REQ_METRICS),
             Request::Traces { seq } => put_request_header(out, *seq, no_key, REQ_TRACES),
             Request::Shutdown { seq } => put_request_header(out, *seq, no_key, REQ_SHUTDOWN),
@@ -426,7 +412,6 @@ impl Request {
                 };
                 return Ok(Request::Txn { seq, op });
             }
-            REQ_STATS => return Ok(Request::Stats { seq }),
             REQ_METRICS => return Ok(Request::Metrics { seq }),
             REQ_TRACES => return Ok(Request::Traces { seq }),
             REQ_SHUTDOWN => return Ok(Request::Shutdown { seq }),
@@ -449,8 +434,6 @@ pub enum ServerFrame {
     Reply(u64, Reply),
     /// The outcome of a [`Request::Txn`].
     Txn(u64, TxnReply),
-    /// The answer to a [`Request::Stats`].
-    Stats(u64, Box<StatsPayload>),
     /// The answer to a [`Request::Metrics`]: UTF-8 exposition text.
     Metrics(u64, String),
     /// The answer to a [`Request::Traces`]: the span records drained from
@@ -515,22 +498,6 @@ impl ServerFrame {
                     }),
                 }
             }
-            ServerFrame::Stats(seq, stats) => {
-                put_reply_header(out, *seq, RSP_STATS);
-                out.put_u64_le(stats.epoch);
-                out.put_u64_le(stats.view_changes);
-                out.put_u64_le(stats.members.bits());
-                out.put_u64_le(stats.shadows.bits());
-                out.put_u8(stats.serving as u8);
-                out.put_u8(stats.synced as u8);
-                put_u64s(out, &stats.lane_ops);
-                out.put_u64_le(stats.open_sessions);
-                put_u64s(out, &stats.sessions_per_shard);
-                put_u64s(out, &stats.lane_ingress);
-                out.put_u64_le(stats.subscriptions);
-                out.put_u64_le(stats.pushes);
-                out.put_u64_le(stats.accept_stalls);
-            }
             ServerFrame::Metrics(seq, text) => {
                 put_reply_header(out, *seq, RSP_METRICS);
                 put_bytes(out, text.as_bytes());
@@ -575,13 +542,6 @@ impl ServerFrame {
 
     /// Decodes one server frame payload.
     ///
-    /// A stats reply is forward-compatible: a daemon newer than this client
-    /// may append fields after `accept_stalls`; any trailing bytes are
-    /// skipped, so old clients keep reading new daemons. (The reverse
-    /// direction — a new client reading an old daemon — requires any future
-    /// field to be decoded optionally with a default, which is why new
-    /// fields must only ever be *appended* there.)
-    ///
     /// # Errors
     ///
     /// Returns a [`ClientCodecError`] on truncation, an unknown tag, or
@@ -612,24 +572,6 @@ impl ServerFrame {
                     other => return Err(ClientCodecError::BadTag(other)),
                 };
                 return Ok(ServerFrame::Txn(seq, reply));
-            }
-            RSP_STATS => {
-                let stats = StatsPayload {
-                    epoch: c.u64()?,
-                    view_changes: c.u64()?,
-                    members: NodeSet::from_bits(c.u64()?),
-                    shadows: NodeSet::from_bits(c.u64()?),
-                    serving: c.u8()? != 0,
-                    synced: c.u8()? != 0,
-                    lane_ops: c.list(Cursor::u64)?,
-                    open_sessions: c.u64()?,
-                    sessions_per_shard: c.list(Cursor::u64)?,
-                    lane_ingress: c.list(Cursor::u64)?,
-                    subscriptions: c.u64()?,
-                    pushes: c.u64()?,
-                    accept_stalls: c.u64()?,
-                };
-                return Ok(ServerFrame::Stats(seq, Box::new(stats)));
             }
             RSP_METRICS => return Ok(ServerFrame::Metrics(seq, c.string(RSP_METRICS)?)),
             RSP_TRACES => {
@@ -670,41 +612,6 @@ impl ServerFrame {
         };
         Ok(ServerFrame::Reply(seq, reply))
     }
-}
-
-/// One replica daemon's operator-facing gauges, as served by the stats RPC
-/// ([`Request::Stats`]): the live membership view plus per-lane operation
-/// counts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsPayload {
-    /// Epoch of the currently installed membership view.
-    pub epoch: u64,
-    /// Reconfigured views installed since the daemon started.
-    pub view_changes: u64,
-    /// Members of the current view.
-    pub members: NodeSet,
-    /// Shadows of the current view.
-    pub shadows: NodeSet,
-    /// Whether the replica currently serves client operations.
-    pub serving: bool,
-    /// Whether shadow bulk catch-up completed (true unless joining).
-    pub synced: bool,
-    /// Client operations handled per worker lane since start.
-    pub lane_ops: Vec<u64>,
-    /// Remote client sessions currently open on the daemon's poller plane.
-    pub open_sessions: u64,
-    /// Open sessions per poller shard (length = poller pool size) — the
-    /// gauge that shows the accept path spreading connections.
-    pub sessions_per_shard: Vec<u64>,
-    /// Replica-to-replica messages delivered directly into each worker
-    /// lane's queue by the transport readers (per-lane ingress demux).
-    pub lane_ingress: Vec<u64>,
-    /// Live client cache subscriptions across all worker lanes.
-    pub subscriptions: u64,
-    /// Invalidation/flush pushes sent to subscribed sessions since start.
-    pub pushes: u64,
-    /// Times the accept path paused because open fds neared `ulimit -n`.
-    pub accept_stalls: u64,
 }
 
 /// [`Request::Op`]'s payload in a fresh buffer of exactly its size, from
@@ -781,7 +688,6 @@ mod tests {
     const G_MULTI_PUT_EMPTY: &str = "0600000000000000 0000000000000000 05 01 00000000";
     const G_TRANSFER: &str = "0800000000000000 0000000000000000 05 02 \
          0a00000000000000 0b00000000000000 ffffffffffffffff";
-    const G_STATS_REQ: &str = "0300000000000000 0000000000000000 06";
     const G_SUBSCRIBE: &str = "0300000000000000 2a00000000000000 07";
     const G_UNSUBSCRIBE: &str = "0400000000000000 ffffffffffffffff 08";
     const G_INVAL_ACK: &str = "0000000000000000 0700000000000000 09";
@@ -804,14 +710,6 @@ mod tests {
     const G_TXN_INVALID: &str = "0400000000000000 07 03";
     const G_TXN_NOT_OPERATIONAL: &str = "0500000000000000 07 04";
     const G_TXN_OVERFLOW: &str = "0600000000000000 07 05";
-    const G_STATS: &str = "0900000000000000 08 0200000000000000 0100000000000000 \
-         0300000000000000 0400000000000000 01 00 02000000 0a00000000000000 0700000000000000 \
-         d204000000000000 01000000 6902000000000000 00000000 \
-         0c00000000000000 5901000000000000 0600000000000000";
-    /// What a newer daemon might append to [`G_STATS`]: a `u64` and a
-    /// length-prefixed vector this client has never heard of.
-    const G_STATS_UNKNOWN_TAIL: &str =
-        "6300000000000000 02000000 0b00000000000000 1600000000000000";
     const G_INVALIDATE: &str = "0000000000000000 09 0500000000000000 0200000000000000";
     const G_SUBSCRIBED: &str = "0900000000000000 0a ffffffffffffffff 0100000000000000";
     const G_UNSUBSCRIBED: &str = "0a00000000000000 0b 0000000000000000";
@@ -836,24 +734,6 @@ mod tests {
             .chunks(2)
             .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
             .collect()
-    }
-
-    fn golden_stats() -> StatsPayload {
-        StatsPayload {
-            epoch: 2,
-            view_changes: 1,
-            members: NodeSet::first_n(2),
-            shadows: NodeSet::from_bits(0b100),
-            serving: true,
-            synced: false,
-            lane_ops: vec![10, 7],
-            open_sessions: 1234,
-            sessions_per_shard: vec![617],
-            lane_ingress: vec![],
-            subscriptions: 12,
-            pushes: 345,
-            accept_stalls: 6,
-        }
     }
 
     fn golden_spans() -> Vec<TraceSpan> {
@@ -916,7 +796,6 @@ mod tests {
             (txn(7, TxnOp::MultiPut(puts)), G_MULTI_PUT),
             (txn(6, TxnOp::MultiPut(vec![])), G_MULTI_PUT_EMPTY),
             (txn(8, transfer), G_TRANSFER),
-            (Request::Stats { seq: 3 }, G_STATS_REQ),
             (
                 Request::Subscribe {
                     seq: 3,
@@ -995,7 +874,6 @@ mod tests {
                 ServerFrame::Txn(6, TxnReply::Aborted(TxnAbort::Overflow)),
                 G_TXN_OVERFLOW,
             ),
-            (ServerFrame::Stats(9, Box::new(golden_stats())), G_STATS),
             (ServerFrame::Metrics(8, "op_us 42\n".into()), G_METRICS),
             (ServerFrame::Metrics(9, String::new()), G_METRICS_EMPTY),
             (ServerFrame::Traces(12, golden_spans()), G_TRACES),
@@ -1126,14 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_rpc_roundtrips() {
-        check_rows(
-            |r| matches!(r, Request::Stats { .. }),
-            |f| matches!(f, ServerFrame::Stats(..)),
-        );
-    }
-
-    #[test]
     fn metrics_rpc_roundtrips_and_truncates_cleanly() {
         check_rows(
             |r| matches!(r, Request::Metrics { .. }),
@@ -1168,7 +1038,6 @@ mod tests {
                 f,
                 ServerFrame::Reply(..)
                     | ServerFrame::Txn(..)
-                    | ServerFrame::Stats(..)
                     | ServerFrame::Metrics(..)
                     | ServerFrame::Traces(..)
             )
@@ -1184,16 +1053,18 @@ mod tests {
     }
 
     /// Every byte value in the tag position of every sample: it decodes or
-    /// it errors, it never panics, and past the known tags the error names
-    /// the byte.
+    /// it errors, it never panics, and past the known tags — or at a
+    /// retired one — the error names the byte.
     #[test]
     fn bad_tags_error() {
+        // The stats request and its reply, retired.
+        let (retired_request, retired_reply) = (6, 8);
         for tag in 0..=u8::MAX {
             for (_, golden) in request_samples() {
                 let mut wire = hex(golden);
                 wire[REQUEST_HEADER - 1] = tag;
                 let got = Request::decode(&wire);
-                if tag > REQ_TRACES {
+                if tag > REQ_TRACES || tag == retired_request {
                     assert_eq!(got, Err(ClientCodecError::BadTag(tag)));
                 }
             }
@@ -1201,7 +1072,7 @@ mod tests {
                 let mut wire = hex(golden);
                 wire[REPLY_HEADER - 1] = tag;
                 let got = ServerFrame::decode(&wire);
-                if tag > RSP_TRACES {
+                if tag > RSP_TRACES || tag == retired_reply {
                     assert_eq!(got, Err(ClientCodecError::BadTag(tag)));
                 }
             }
@@ -1214,21 +1085,6 @@ mod tests {
         outcome[REPLY_HEADER] = 77;
         let got = ServerFrame::decode(&outcome);
         assert_eq!(got, Err(ClientCodecError::BadTag(77)));
-    }
-
-    #[test]
-    fn stats_reply_skips_unknown_trailing_fields() {
-        // A newer daemon appends fields this client doesn't know. The
-        // decoder must read what it understands and skip the rest — old
-        // clients keep working against new daemons.
-        let want = ServerFrame::Stats(9, Box::new(golden_stats()));
-        let extended = [hex(G_STATS), hex(G_STATS_UNKNOWN_TAIL)].concat();
-        assert_eq!(ServerFrame::decode(&extended), Ok(want.clone()));
-        // And what was decoded encodes to the exact frame again: what a new
-        // client encodes, an old daemon's payload shape decodes.
-        let mut exact = Vec::new();
-        want.encode(&mut exact);
-        assert_eq!(exact, hex(G_STATS));
     }
 
     /// A length or count that came off the wire larger than the buffer
@@ -1252,7 +1108,6 @@ mod tests {
         let frames = [
             (G_READ_OK, REPLY_HEADER),
             (G_TXN_COMMITTED, REPLY_HEADER + 1),
-            (G_STATS, REPLY_HEADER + 34),
             (G_METRICS, REPLY_HEADER),
             (G_TRACES, REPLY_HEADER),
             (G_TRACES, REPLY_HEADER + 4 + 32),

@@ -268,7 +268,10 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
     std::thread::sleep(window);
     // Daemon-side gauges while the fleet's subscriptions are still open
     // (joining the threads drops their sessions and drains the gauges).
-    let stats = query_stats(client_addr, Duration::from_secs(10)).expect("stats RPC");
+    let text = query_metrics(client_addr, Duration::from_secs(10)).expect("metrics RPC");
+    let gauge = |name| hermes::obs::sample_value(&text, name).expect("exported") as u64;
+    let subscriptions = gauge("hermes_cache_subscriptions");
+    let pushes = gauge("hermes_cache_pushes_total");
     stop.store(true, Ordering::Relaxed);
 
     let (mut reads, mut writes, mut hits, mut misses, mut invals) = (0, 0, 0, 0, 0);
@@ -283,8 +286,8 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
         invals += i;
     }
     if cached {
-        assert!(stats.subscriptions > 0, "daemon lost the subscriptions");
-        assert!(stats.pushes > 0, "writes to subscribed keys must push");
+        assert!(subscriptions > 0, "daemon lost the subscriptions");
+        assert!(pushes > 0, "writes to subscribed keys must push");
     }
 
     // Every recorded history — cached reads included — is linearizable.
@@ -326,8 +329,8 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
         hits,
         misses,
         invalidations: invals,
-        subscriptions: stats.subscriptions,
-        pushes: stats.pushes,
+        subscriptions,
+        pushes,
     };
     println!(
         "   {} reads ({:.0}/s, p50 {}us p99 {}us), {} writes; \

@@ -25,7 +25,7 @@
 //! The Traces RPC *drains* each daemon's ring, so one aggregator sees
 //! each sampled span exactly once; run a single `hermes-top` per cluster.
 
-use hermes::obs::{merge_expositions, sample_value, stitch, TraceSpan};
+use hermes::obs::{merge_expositions, sample_value, samples, stitch, TraceSpan};
 use hermes::prelude::*;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -87,17 +87,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// Sums a family's samples for one node out of the merged exposition
-/// (every daemon sample leads with its `node="<id>"` base label).
-fn node_sum(merged: &str, name: &str, node: usize) -> f64 {
-    let tag = format!("{{node=\"{node}\"");
-    merged
-        .lines()
-        .filter(|l| l.starts_with(name) && l[name.len()..].starts_with(&tag))
-        .filter_map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse::<f64>().ok()))
-        .sum()
-}
-
 /// Best rendered p99 across a node's per-lane op latency summaries.
 fn node_p99(merged: &str, node: usize) -> Option<f64> {
     (0..64)
@@ -138,20 +127,28 @@ fn scrape_round(opts: &Options, round: u64) {
         spans.len()
     );
     for (i, addr) in opts.nodes.iter().enumerate() {
-        let ops = node_sum(&merged, "hermes_op_latency_us_count", i);
-        let invs = node_sum(&merged, "hermes_invalidations_sent_total", i);
-        let views = node_sum(&merged, "hermes_view_changes_total", i);
+        // A family's samples of this node, summed: every daemon sample
+        // leads with its `node="<id>"` base label.
+        let tag = format!("node=\"{i}\"");
+        let node_sum = |name| -> f64 {
+            let node = samples(&merged, name).into_iter();
+            let node = node.filter(|(labels, _)| labels.split(',').next() == Some(&tag));
+            node.map(|(_, v)| v).sum()
+        };
+        let ops = node_sum("hermes_op_latency_us_count");
+        let invs = node_sum("hermes_invalidations_sent_total");
+        let views = node_sum("hermes_view_changes_total");
         // Share of peer frames the sending lane wrote to the socket itself
         // (the rest waited for the link's lane to poll: a dial or a full
         // socket).
-        let inline = node_sum(&merged, "hermes_tcp_writes_inline_total", i);
-        let frames = inline + node_sum(&merged, "hermes_tcp_writes_deferred_total", i);
+        let inline = node_sum("hermes_tcp_writes_inline_total");
+        let frames = inline + node_sum("hermes_tcp_writes_deferred_total");
         let inline_pct = 100.0 * inline / frames.max(1.0);
         // Share of remote sessions' reads a poller answered from the mirror
         // (the rest queued at a lane: key not Valid, not serving, or behind
         // the session's own update).
-        let mirror = node_sum(&merged, "hermes_mirror_reads_total", i);
-        let reads = mirror + node_sum(&merged, "hermes_mirror_read_fallbacks_total", i);
+        let mirror = node_sum("hermes_mirror_reads_total");
+        let reads = mirror + node_sum("hermes_mirror_read_fallbacks_total");
         let mirror_pct = 100.0 * mirror / reads.max(1.0);
         let p99 = node_p99(&merged, i).map_or(String::new(), |p99| format!(" p99={p99:.0}us"));
         println!(

@@ -72,8 +72,8 @@ fn main() {
             eprintln!("hermesd: {e}");
             eprintln!(
                 "usage: hermesd --node <id> --peers <addr,addr,...> --client <addr> \
-                 [--workers <n>] [--duration <secs>] [--join] [--no-membership] \
-                 [--metrics-dump <secs>]"
+                 [--workers <n>] [--pollers <n>] [--duration <secs>] [--join] \
+                 [--no-membership] [--metrics-dump <secs>]"
             );
             std::process::exit(2);
         }
@@ -112,7 +112,9 @@ fn main() {
             stdin_closed.store(true, Ordering::SeqCst);
         })
     };
-    let mut last = runtime.stats();
+    let status = runtime.membership();
+    let view = || (status.epoch(), status.serving(), status.synced());
+    let mut last = view();
     let mut next_dump = metrics_dump.map(|every| (Instant::now() + every, every));
     loop {
         if stdin_closed.load(Ordering::SeqCst) {
@@ -129,21 +131,19 @@ fn main() {
             obs_info!("hermesd", "node {node} shutdown RPC received");
             break;
         }
-        let stats = runtime.stats();
         // Log every membership transition (view change, serve/sync flips).
-        if (stats.epoch, stats.serving, stats.synced) != (last.epoch, last.serving, last.synced) {
+        let now = view();
+        if now != last {
+            let (epoch, serving, synced) = now;
             obs_info!(
                 "hermesd",
-                "node {node} view epoch={} members={} shadows={} \
-                 serving={} synced={} (view_changes={})",
-                stats.epoch,
-                fmt_set(stats.members),
-                fmt_set(stats.shadows),
-                stats.serving,
-                stats.synced,
-                stats.view_changes,
+                "node {node} view epoch={epoch} members={} shadows={} \
+                 serving={serving} synced={synced} (view_changes={})",
+                fmt_set(status.members()),
+                fmt_set(status.shadows()),
+                status.view_changes(),
             );
-            last = stats;
+            last = now;
         }
         if let Some((due, every)) = next_dump {
             if Instant::now() >= due {
@@ -155,20 +155,17 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let stats = runtime.stats();
+    let (epoch, view_changes) = (status.epoch(), status.view_changes());
+    let tcp = runtime.tcp_stats();
+    let transport = format!(
+        "{} frames out, {} in, {} dials, {} peer disconnects",
+        tcp.frames_sent(),
+        tcp.frames_received(),
+        tcp.dials(),
+        tcp.disconnects(),
+    );
     runtime.shutdown();
     drop(watcher); // Detached: blocked in read() until our stdin closes.
-    obs_info!(
-        "hermesd",
-        "node {node} transport: {} frames out, {} in, {} dials, \
-         {} peer disconnects",
-        stats.frames_sent,
-        stats.frames_received,
-        stats.reconnect_dials,
-        stats.peer_disconnects,
-    );
-    println!(
-        "hermesd: node {node} clean shutdown (epoch={} view_changes={})",
-        stats.epoch, stats.view_changes
-    );
+    obs_info!("hermesd", "node {node} transport: {transport}");
+    println!("hermesd: node {node} clean shutdown (epoch={epoch} view_changes={view_changes})");
 }

@@ -22,9 +22,10 @@
 //!    linearizability checker (the checker is bounded at 63 ops/key, so
 //!    the full fleet cannot be recorded — the recorders share the daemon
 //!    with the fleet and witness linearizability under its load);
-//! 4. queries the stats RPC for the new `open_sessions` /
-//!    `sessions_per_shard` / `lane_ingress` gauges, asserts the whole
-//!    fleet is accounted for, and snapshots the daemon's thread count;
+//! 4. reads the `hermes_open_sessions`, `hermes_shard_sessions` and
+//!    `hermes_lane_ingress_total` samples off the daemon's Metrics RPC,
+//!    asserts the whole fleet is accounted for, and snapshots the daemon's
+//!    thread count;
 //! 5. emits one record per level into **`BENCH_session_scaling.json`**
 //!    (ops/s, p50/p99 latency, gauges, thread count).
 //!
@@ -272,18 +273,19 @@ fn run_level(sessions: usize, window: Duration) -> String {
 
     // Peak-load accounting: every fleet + recorder session must be on the
     // daemon's books, from a bounded number of daemon threads.
-    let stats = query_stats(client_addr, Duration::from_secs(10)).expect("stats RPC");
+    let text = query_metrics(client_addr, Duration::from_secs(10)).expect("metrics RPC");
     let threads = proc_threads(pid);
+    let rows = |name| -> Vec<u64> {
+        let rows = hermes::obs::samples(&text, name).into_iter();
+        rows.map(|(_, v)| v as u64).collect()
+    };
+    let open_sessions: u64 = rows("hermes_open_sessions").iter().sum();
     assert!(
-        stats.open_sessions >= sessions as u64,
-        "daemon tracks the whole fleet: open_sessions={} < {sessions}",
-        stats.open_sessions
+        open_sessions >= sessions as u64,
+        "daemon tracks the whole fleet: open_sessions={open_sessions} < {sessions}"
     );
-    let shard_sum: u64 = stats.sessions_per_shard.iter().sum();
-    assert_eq!(
-        shard_sum, stats.open_sessions,
-        "shard gauges sum to the total"
-    );
+    let shard_sum: u64 = rows("hermes_shard_sessions").iter().sum();
+    assert_eq!(shard_sum, open_sessions, "shard gauges sum to the total");
 
     // The recorders ran concurrently with the fleet; their histories must
     // be linearizable under full load.
@@ -309,16 +311,14 @@ fn run_level(sessions: usize, window: Duration) -> String {
     let (p50, p90, p99, p999) = (q.p50, q.p90, q.p99, q.p999);
     println!(
         "   {measured_ops} ops in {secs:.1}s = {ops_per_sec:.0} ops/s; \
-         p50 {p50}us p99 {p99}us; open_sessions={} threads={threads}",
-        stats.open_sessions
+         p50 {p50}us p99 {p99}us; open_sessions={open_sessions} threads={threads}"
     );
     println!("   recorder histories linearizable under load");
 
     // Orderly teardown: close the fleet, hang up the daemon's stdin.
     drop(fleet);
     daemon.shutdown();
-    let lane_ingress = stats
-        .lane_ingress
+    let lane_ingress = rows("hermes_lane_ingress_total")
         .iter()
         .map(u64::to_string)
         .collect::<Vec<_>>()
@@ -327,9 +327,8 @@ fn run_level(sessions: usize, window: Duration) -> String {
         "    {{\"sessions\": {sessions}, \"ops\": {measured_ops}, \
          \"ops_per_sec\": {ops_per_sec:.1}, \"p50_us\": {p50}, \"p90_us\": {p90}, \
          \"p99_us\": {p99}, \"p999_us\": {p999}, \
-         \"open_sessions\": {}, \"daemon_threads\": {threads}, \
-         \"lane_ingress\": [{lane_ingress}]}}",
-        stats.open_sessions
+         \"open_sessions\": {open_sessions}, \"daemon_threads\": {threads}, \
+         \"lane_ingress\": [{lane_ingress}]}}"
     )
 }
 

@@ -17,16 +17,17 @@
 //!    (`remote_txn`) and checks the **conserved-total invariant** plus
 //!    transaction-granularity **serializability**
 //!    (`hermes_txn::check_txns_serializable`);
-//! 5. queries each daemon's stats RPC (per-lane op counts — the proof
-//!    that sub-operations fan across worker shard lanes), then shuts
+//! 5. reads each daemon's metrics exposition (per-lane op counts — the
+//!    proof that sub-operations fan across worker shard lanes), then shuts
 //!    everything down cleanly.
 //!
 //! `--smoke` shrinks the workload to CI size. `--node` switches to daemon
 //! mode.
 
 use hermes::harness::{daemon_main, observe_txn, spawn_daemons};
+use hermes::obs::samples;
 use hermes::prelude::*;
-use hermes::replica::{query_stats, remote_txn, KillSwitch};
+use hermes::replica::{remote_txn, KillSwitch};
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
 use std::net::SocketAddr;
@@ -223,18 +224,20 @@ fn harness_main(transfers_per_client: u64) {
         );
     }
 
-    // Per-lane op counts over the stats RPC: the sub-operations really
+    // Per-lane op counts over the Metrics RPC: the sub-operations really
     // fanned across both worker lanes of every replica.
     for (i, addr) in daemons.clients.iter().enumerate() {
-        let stats = query_stats(*addr, Duration::from_secs(5)).expect("stats RPC");
+        let text = query_metrics(*addr, Duration::from_secs(5)).expect("metrics RPC");
+        let rows = |name| samples(&text, name).into_iter().map(|(_, v)| v as u64);
+        let lane_ops: Vec<u64> = rows("hermes_lane_ops_total").collect();
+        let epoch: u64 = rows("hermes_view_epoch").sum();
+        let members: u64 = rows("hermes_view_member").sum();
+        let serving = rows("hermes_serving").sum::<u64>() == 1;
         println!(
-            "txn_transfer: node {i} epoch={} members={} serving={} lane_ops={:?}",
-            stats.epoch,
-            stats.members.len(),
-            stats.serving,
-            stats.lane_ops
+            "txn_transfer: node {i} epoch={epoch} members={members} serving={serving} \
+             lane_ops={lane_ops:?}"
         );
-        assert!(stats.serving, "node {i} stopped serving");
+        assert!(serving, "node {i} stopped serving");
     }
 
     daemons.shutdown();

@@ -18,17 +18,18 @@
 //!    member, and serves a read of a key written before the kill;
 //! 5. shuts everything down cleanly and checks the daemons' exit markers.
 //!
-//! Membership state (view epoch, serving, catch-up) is observed over the
-//! client-port **stats RPC** ([`query_stats`]) — the harness no longer
-//! parses daemon logs for it.
+//! Membership state is observed in each daemon's metrics exposition over
+//! the client port ([`query_metrics`]): `hermes_view_epoch`,
+//! `hermes_serving`, `hermes_synced` and one `hermes_view_member` row per
+//! peer — the harness parses no daemon log for it.
 
 #[path = "support/daemon.rs"]
 mod daemon;
 
 use daemon::Daemons;
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::obs::samples;
 use hermes::prelude::*;
-use hermes::wings::client::StatsPayload;
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -76,29 +77,44 @@ fn poll_until_served(
     last
 }
 
-/// Polls the stats RPC at `addr` until `accept` approves the payload —
-/// membership observation without parsing daemon logs.
-fn poll_stats(
+/// Polls the Metrics RPC at `addr` until `accept` approves the
+/// exposition — membership observation without parsing daemon logs.
+fn poll_metrics(
     addr: SocketAddr,
     deadline: Duration,
     what: &str,
-    accept: impl Fn(&StatsPayload) -> bool,
-) -> StatsPayload {
+    accept: impl Fn(&str) -> bool,
+) -> String {
     let end = Instant::now() + deadline;
-    let mut last: Option<StatsPayload> = None;
+    let mut last = String::new();
     loop {
-        if let Ok(stats) = query_stats(addr, Duration::from_millis(500)) {
-            if accept(&stats) {
-                return stats;
+        if let Ok(text) = query_metrics(addr, Duration::from_millis(500)) {
+            if accept(&text) {
+                return text;
             }
-            last = Some(stats);
+            last = text;
         }
         assert!(
             Instant::now() < end,
-            "stats RPC never showed {what}; last: {last:?}"
+            "metrics RPC never showed {what}; last:\n{last}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// A family's samples in one daemon's exposition, summed.
+fn sum(text: &str, family: &str) -> f64 {
+    samples(text, family).iter().map(|&(_, v)| v).sum()
+}
+
+/// `peer`'s `hermes_view_member` row: 1 if it is a member of the
+/// daemon's installed view, 0 if not.
+fn member(text: &str, peer: u32) -> Option<f64> {
+    let label = format!("peer=\"{peer}\"");
+    let rows = samples(text, "hermes_view_member");
+    rows.iter()
+        .find(|(labels, _)| labels.split(',').any(|l| l == label))
+        .map(|&(_, v)| v)
 }
 
 #[test]
@@ -178,19 +194,20 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     }
 
     // The survivors' installed views moved past the initial epoch — the
-    // kill really drove a reconfiguration. Observed over the stats RPC,
+    // kill really drove a reconfiguration. Observed over the Metrics RPC,
     // not by grepping daemon stdout.
     for (i, addr) in client_addrs.iter().enumerate().take(2) {
-        let stats = poll_stats(*addr, Duration::from_secs(10), "a view change", |s| {
-            s.epoch >= 1 && s.serving
+        let text = poll_metrics(*addr, Duration::from_secs(10), "a view change", |t| {
+            sum(t, "hermes_view_epoch") >= 1.0 && sum(t, "hermes_serving") == 1.0
         });
-        assert!(
-            !stats.members.contains(NodeId(2)),
-            "survivor {i} still lists the killed node: {stats:?}"
+        assert_eq!(
+            member(&text, 2),
+            Some(0.0),
+            "survivor {i} still lists the killed node:\n{text}"
         );
         assert!(
-            stats.lane_ops.iter().sum::<u64>() > 0,
-            "survivor {i} reports no client ops despite the workload: {stats:?}"
+            sum(&text, "hermes_lane_ops_total") > 0.0,
+            "survivor {i} reports no client ops despite the workload:\n{text}"
         );
     }
 
@@ -210,15 +227,16 @@ fn three_process_cluster_survives_kill_and_rejoins() {
 
     // The rejoined node's own gauges confirm the shadow path: bulk
     // catch-up completed and it serves as a full member again.
-    let stats = poll_stats(
+    let text = poll_metrics(
         client_addrs[2],
         Duration::from_secs(10),
         "the rejoined node serving after catch-up",
-        |s| s.synced && s.serving,
+        |t| sum(t, "hermes_synced") == 1.0 && sum(t, "hermes_serving") == 1.0,
     );
-    assert!(
-        stats.members.contains(NodeId(2)),
-        "rejoined node not a member of its own view: {stats:?}"
+    assert_eq!(
+        member(&text, 2),
+        Some(1.0),
+        "rejoined node not a member of its own view:\n{text}"
     );
 
     // Orderly teardown: clean exits, no orphaned processes.

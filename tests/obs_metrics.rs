@@ -2,14 +2,17 @@
 //! client RPC against a live daemon returns a parseable Prometheus-style
 //! exposition with per-lane op latency histograms and protocol-phase
 //! counters; a forced-low slow-op threshold dumps a multi-phase breakdown
-//! for a real write; and after heavy session open/kill churn every plane
-//! gauge drains back to its baseline (the gauge-leak oracle).
+//! for a real write; after heavy session open/kill churn every plane
+//! gauge drains back to its baseline (the gauge-leak oracle); and the
+//! exposition alone shows the installed view and each poller shard's
+//! sessions.
 //!
 //! These tests talk to an **in-process** [`NodeRuntime`] and observe
 //! process-wide state (the log capture sink, `HERMES_SLOW_OP_US`), so
 //! they serialize on one mutex even under a multi-threaded test harness.
 
 use hermes::obs::log::Capture;
+use hermes::obs::{samples, validate_exposition};
 use hermes::prelude::*;
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
@@ -44,19 +47,34 @@ fn session_to(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
     ClientSession::new(channel, hermes::wings::CreditConfig::default())
 }
 
+/// Three replicas in this process under a pinned view, two poller shards
+/// each.
+fn serve_three_nodes() -> Vec<NodeRuntime> {
+    let peers = hermes::harness::reserve_loopback_addrs(3);
+    (0..3)
+        .map(|i| {
+            NodeRuntime::serve(NodeOptions {
+                node: NodeId(i),
+                peers: peers.clone(),
+                client_addr: "127.0.0.1:0".parse().unwrap(),
+                workers: 2,
+                pollers: 2,
+                protocol: ProtocolConfig::default(),
+                tcp: hermes::net::TcpConfig::default(),
+                run_for: None,
+                membership: None,
+                join: false,
+                metrics_dump: None,
+            })
+            .expect("replica binds its loopback ports")
+        })
+        .collect()
+}
+
 /// Sums every sample of a metric across its label sets (e.g. the per-lane
 /// `_count` series of a histogram).
 fn sum_samples(text: &str, name: &str) -> f64 {
-    text.lines()
-        .filter(|l| {
-            l.starts_with(name)
-                && l[name.len()..]
-                    .chars()
-                    .next()
-                    .is_none_or(|c| c == '{' || c == ' ')
-        })
-        .filter_map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse::<f64>().ok()))
-        .sum()
+    samples(text, name).iter().map(|&(_, v)| v).sum()
 }
 
 /// The Metrics RPC returns a valid exposition whose op histograms reflect
@@ -90,7 +108,7 @@ fn metrics_rpc_exposes_live_histograms() {
     assert!(matches!(session.wait(t), Reply::ReadOk(_)));
 
     let text = query_metrics(runtime.client_addr(), Duration::from_secs(10)).expect("metrics RPC");
-    hermes::obs::validate_exposition(&text).expect("valid exposition");
+    validate_exposition(&text).expect("valid exposition");
 
     // Per-lane op latency histograms cover every op a lane handled: the
     // writes. The two reads were answered by a poller from the mirror, or
@@ -115,7 +133,19 @@ fn metrics_rpc_exposes_live_histograms() {
         !text.contains("hermes_op_latency_us{lane="),
         "a sample escaped the node base label:\n{text}"
     );
+    // Everything a replica reports about itself is here: the view and
+    // serving state, per-lane and per-shard counts among the rest.
     for family in [
+        "hermes_view_epoch",
+        "hermes_serving",
+        "hermes_synced",
+        "hermes_view_member",
+        "hermes_view_shadow",
+        "hermes_lane_ops_total",
+        "hermes_lane_ingress_total",
+        "hermes_shard_sessions",
+        "hermes_cache_subscriptions",
+        "hermes_accept_stalls_total",
         "hermes_invalidations_sent_total",
         "hermes_invalidation_acks_total",
         "hermes_validations_sent_total",
@@ -142,7 +172,7 @@ fn metrics_rpc_exposes_live_histograms() {
         "hermes_tcp_egress_backlog_bytes",
     ] {
         assert!(
-            sum_samples(&text, family) >= 0.0 && text.contains(family),
+            !samples(&text, family).is_empty(),
             "family {family} missing from exposition"
         );
     }
@@ -293,7 +323,7 @@ fn session_churn_drains_gauges_to_baseline() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let text = loop {
         let text = runtime.metrics_text();
-        hermes::obs::validate_exposition(&text).expect("valid exposition");
+        validate_exposition(&text).expect("valid exposition");
         if sum_samples(&text, "hermes_open_sessions") == 0.0 {
             break text;
         }
@@ -321,25 +351,7 @@ fn session_churn_drains_gauges_to_baseline() {
 #[test]
 fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
     let _serial = serial();
-    let peers = hermes::harness::reserve_loopback_addrs(3);
-    let nodes: Vec<NodeRuntime> = (0..3)
-        .map(|i| {
-            NodeRuntime::serve(NodeOptions {
-                node: NodeId(i),
-                peers: peers.clone(),
-                client_addr: "127.0.0.1:0".parse().unwrap(),
-                workers: 2,
-                pollers: 1,
-                protocol: ProtocolConfig::default(),
-                tcp: hermes::net::TcpConfig::default(),
-                run_for: None,
-                membership: None,
-                join: false,
-                metrics_dump: None,
-            })
-            .expect("replica binds its loopback ports")
-        })
-        .collect();
+    let nodes = serve_three_nodes();
     const KEYS: u64 = 64;
     const WRITES: u64 = 512;
     let mut sessions: Vec<_> = nodes.iter().map(session_to).collect();
@@ -370,5 +382,56 @@ fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
         }
     }
     drop(sessions);
+    nodes.into_iter().for_each(NodeRuntime::shutdown);
+}
+
+/// A replica's health from its exposition alone (paper §3.4's reliable
+/// membership, DESIGN.md §9): on three replicas each exposition names every
+/// node a member of the installed view and none a shadow, one row per peer,
+/// and a session shows on exactly one poller shard until it is reaped.
+#[test]
+fn the_exposition_shows_the_view_and_each_shards_sessions() {
+    let _serial = serial();
+    let nodes = serve_three_nodes();
+    for n in &nodes {
+        let text = n.metrics_text();
+        validate_exposition(&text).expect("valid exposition");
+        let me = n.node_id().0;
+        let rows = |family| {
+            let rows = samples(&text, family).into_iter();
+            rows.map(|(labels, v)| (labels.to_string(), v))
+                .collect::<Vec<_>>()
+        };
+        let every_peer = |v| {
+            let peers = (0..3).map(|p| (format!("node=\"{me}\",peer=\"{p}\""), v));
+            peers.collect::<Vec<_>>()
+        };
+        assert_eq!(rows("hermes_view_member"), every_peer(1.0), "{text}");
+        assert_eq!(rows("hermes_view_shadow"), every_peer(0.0), "{text}");
+    }
+
+    let shards = || {
+        let text = nodes[0].metrics_text();
+        let shards = samples(&text, "hermes_shard_sessions").into_iter();
+        shards.map(|(_, v)| v).collect::<Vec<_>>()
+    };
+    let await_shards = |open: f64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let now = shards();
+            if now.iter().sum::<f64>() == open {
+                return now;
+            }
+            assert!(Instant::now() < deadline, "shard sessions stuck at {now:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    assert_eq!(shards(), [0.0, 0.0]);
+    let session = TcpStream::connect(nodes[0].client_addr()).expect("connect");
+    let mut open = await_shards(1.0);
+    open.sort_by(f64::total_cmp);
+    assert_eq!(open, [0.0, 1.0], "one session, on exactly one shard");
+    drop(session);
+    assert_eq!(await_shards(0.0), [0.0, 0.0], "the reaped session drained");
     nodes.into_iter().for_each(NodeRuntime::shutdown);
 }

@@ -136,17 +136,28 @@ fn raw_write(stream: &mut TcpStream, seq: u64, key: Key, v: u64) {
     assert_eq!(recv_frame(stream), ServerFrame::Reply(seq, Reply::WriteOk));
 }
 
-/// Polls the runtime's `open_sessions` gauge until it reaches `target`.
+/// One family of `runtime`'s metrics exposition, its samples summed: a
+/// gauge or counter, or its total over lanes or shards.
+fn metric(runtime: &NodeRuntime, family: &str) -> u64 {
+    let text = runtime.metrics_text();
+    hermes::obs::samples(&text, family)
+        .iter()
+        .map(|&(_, v)| v as u64)
+        .sum()
+}
+
+/// Polls the runtime's `hermes_open_sessions` gauge until it reaches
+/// `target`.
 fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if runtime.open_sessions() == target {
+        let open = metric(runtime, "hermes_open_sessions");
+        if open == target {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "open_sessions stuck at {} (want {target})",
-            runtime.open_sessions()
+            "open_sessions stuck at {open} (want {target})"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -160,13 +171,13 @@ fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
 fn mid_pipeline_kill_reaps_the_session() {
     let _serial = serial();
     let runtime = serve_single_node();
-    assert_eq!(runtime.open_sessions(), 0);
+    assert_eq!(metric(&runtime, "hermes_open_sessions"), 0);
 
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect");
     victim.set_nodelay(true).expect("nodelay");
     raw_write(&mut victim, 1, Key(1), 7);
     await_open_sessions(&runtime, 1);
-    let per_shard: u64 = runtime.sessions_per_shard().iter().sum();
+    let per_shard = metric(&runtime, "hermes_shard_sessions");
     assert_eq!(per_shard, 1, "shard gauges track the session");
 
     // Kill mid-pipeline: a request is on the wire, the reply never read.
@@ -174,7 +185,7 @@ fn mid_pipeline_kill_reaps_the_session() {
     victim.shutdown(Shutdown::Both).expect("kill socket");
     drop(victim);
     await_open_sessions(&runtime, 0);
-    let per_shard: u64 = runtime.sessions_per_shard().iter().sum();
+    let per_shard = metric(&runtime, "hermes_shard_sessions");
     assert_eq!(per_shard, 0, "shard gauges drained");
 
     // The in-flight write's completion lands after the reap and is
@@ -289,7 +300,7 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
         }
         other => panic!("expected Subscribed ack, got {other:?}"),
     }
-    assert_eq!(runtime.subscriptions(), 1);
+    assert_eq!(metric(&runtime, "hermes_cache_subscriptions"), 1);
 
     // Kill it, then write the subscribed key immediately: pushes race the
     // reap. Whether each push finds the session framed-but-dead or already
@@ -306,19 +317,20 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
     // later writes push to nobody.
     await_open_sessions(&runtime, 1); // only the writer remains
     let deadline = Instant::now() + Duration::from_secs(10);
-    while runtime.subscriptions() != 0 {
+    while metric(&runtime, "hermes_cache_subscriptions") != 0 {
         assert!(
             Instant::now() < deadline,
             "subscription gauge never drained"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let pushes_after_reap = runtime.pushes();
+    let pushes = || metric(&runtime, "hermes_cache_pushes_total");
+    let pushes_after_reap = pushes();
     for seq in 4..=6u64 {
         raw_write(&mut writer, seq, Key(77), 100 + seq);
     }
     assert_eq!(
-        runtime.pushes(),
+        pushes(),
         pushes_after_reap,
         "a reaped session received a push"
     );
@@ -437,7 +449,7 @@ fn remote_sessions_cache_and_stay_coherent_over_tcp() {
     let t = reader.read(Key(9));
     assert_eq!(reader.wait(t), Reply::ReadOk(Value::from_u64(2)));
     assert!(reader.cache_invalidations() >= 1);
-    assert!(runtime.pushes() > 0);
+    assert!(metric(&runtime, "hermes_cache_pushes_total") > 0);
 
     drop(reader);
     drop(writer);

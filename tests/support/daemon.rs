@@ -5,7 +5,8 @@
 //! *own* test binary, each told through the `HERMES_TEST_DAEMON_*`
 //! environment to run only `daemon_process` — a `#[test]` every such
 //! binary defines as a one-line call to [`daemon_process`] — which serves
-//! a [`NodeRuntime`] until its stdin closes. Under a plain `cargo test`
+//! a `NodeRuntime` through the examples' child-daemon body
+//! ([`daemon_main`]) until its stdin closes. Under a plain `cargo test`
 //! the environment is unset and `daemon_process` does nothing.
 //!
 //! Include with `#[path = "support/daemon.rs"] mod daemon;`.
@@ -13,13 +14,10 @@
 // Each test binary uses the subset its scenario needs.
 #![allow(dead_code)]
 
-use hermes::harness::{reserve_loopback_addrs, ChildGuard};
-use hermes::prelude::*;
+use hermes::harness::{daemon_main, reserve_loopback_addrs, ChildGuard};
 use std::io::Read;
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ENV_NODE: &str = "HERMES_TEST_DAEMON_NODE";
@@ -34,9 +32,10 @@ pub fn is_child() -> bool {
 }
 
 /// Daemon half of the re-execution trick: serves one replica (2 workers,
-/// live membership) until the harness hangs up stdin or SIGKILLs the
-/// process, logging every view transition, then shuts down cleanly and
-/// prints the `clean shutdown` marker [`Daemons::shutdown`] checks.
+/// live membership) from the `HERMES_TEST_DAEMON_*` environment with
+/// [`daemon_main`], until the harness hangs up stdin or SIGKILLs the
+/// process; a clean exit prints the `clean shutdown` marker
+/// [`Daemons::shutdown`] checks.
 pub fn daemon_process() {
     let Ok(node) = std::env::var(ENV_NODE) else {
         return; // Normal test run: nothing to do.
@@ -54,38 +53,7 @@ pub fn daemon_process() {
     if std::env::var(ENV_JOIN).is_ok() {
         args.push("--join".to_string());
     }
-    let opts = NodeOptions::parse(&args).expect("daemon options");
-    let node = opts.node;
-    let runtime = NodeRuntime::serve(opts).expect("daemon serves");
-    println!("test-daemon: node {node} serving");
-    // A watcher thread turns stdin EOF into a flag so the main loop can
-    // keep logging view transitions while the pipe sits open and empty.
-    let stdin_closed = Arc::new(AtomicBool::new(false));
-    let watcher = {
-        let stdin_closed = Arc::clone(&stdin_closed);
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 64];
-            let mut stdin = std::io::stdin();
-            while !matches!(stdin.read(&mut sink), Ok(0) | Err(_)) {}
-            stdin_closed.store(true, Ordering::SeqCst);
-        })
-    };
-    let mut last = (u64::MAX, false, false);
-    while !stdin_closed.load(Ordering::SeqCst) {
-        let stats = runtime.stats();
-        let now = (stats.epoch, stats.serving, stats.synced);
-        if now != last {
-            last = now;
-            println!(
-                "test-daemon: node {node} epoch={} members={:?} shadows={:?} serving={} synced={}",
-                stats.epoch, stats.members, stats.shadows, stats.serving, stats.synced
-            );
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    runtime.shutdown();
-    watcher.join().expect("stdin watcher");
-    println!("test-daemon: node {node} clean shutdown");
+    daemon_main(&args);
 }
 
 /// `a,b,c` — the form `--peers` and `hermes_top --nodes` take.

@@ -21,6 +21,7 @@ mod daemon;
 
 use daemon::Daemons;
 use hermes::harness::observe_txn;
+use hermes::obs::samples;
 use hermes::prelude::*;
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
@@ -306,24 +307,20 @@ fn tcp_cluster_transfers_survive_connection_kill() {
         );
     }
 
-    // The stats RPC shows a healthy, busy cluster without log parsing.
+    // The Metrics RPC shows a healthy, busy cluster without log parsing.
+    let mut total_lane_ops = 0.0;
     for (i, addr) in client_addrs.iter().enumerate() {
-        let stats = hermes::replica::query_stats(*addr, Duration::from_secs(5)).expect("stats RPC");
-        assert!(stats.serving, "node {i} not serving: {stats:?}");
-        assert_eq!(stats.members.len(), NODES, "node {i} lost members");
-        assert_eq!(stats.lane_ops.len(), 2, "node {i} lane count");
+        let text = query_metrics(*addr, Duration::from_secs(5)).expect("metrics RPC");
+        let serving = hermes::obs::sample_value(&text, "hermes_serving");
+        assert_eq!(serving, Some(1.0), "node {i} not serving:\n{text}");
+        let members = samples(&text, "hermes_view_member");
+        let members = members.iter().filter(|&&(_, v)| v == 1.0).count();
+        assert_eq!(members, NODES, "node {i} lost members:\n{text}");
+        let lane_ops = samples(&text, "hermes_lane_ops_total");
+        assert_eq!(lane_ops.len(), 2, "node {i} lane count");
+        total_lane_ops += lane_ops.iter().map(|&(_, v)| v).sum::<f64>();
     }
-    let total_lane_ops: u64 = client_addrs
-        .iter()
-        .map(|addr| {
-            hermes::replica::query_stats(*addr, Duration::from_secs(5))
-                .expect("stats RPC")
-                .lane_ops
-                .iter()
-                .sum::<u64>()
-        })
-        .sum();
-    assert!(total_lane_ops > 0, "no lane handled any client op");
+    assert!(total_lane_ops > 0.0, "no lane handled any client op");
 
     // Orderly teardown: hang up stdin, require clean exits.
     daemons.shutdown();
