@@ -6,9 +6,11 @@
 //! primitive from the paper's own introduction — as the commit mechanism.
 //! This module defines only the shared vocabulary: what a transaction asks
 //! for ([`TxnOp`]) and how it completes ([`TxnReply`], [`TxnAbort`]), so
-//! the wire codec (`hermes-wings`), the coordinator (`hermes-txn`), the
-//! runtimes (`hermes-replica`) and the workloads (`hermes-workload`) all
-//! speak the same types without depending on the coordinator itself.
+//! the coordinator (`hermes-txn`), the client sessions that drive it
+//! (`hermes-replica`) and the workloads (`hermes-workload`) all speak the
+//! same types without depending on the coordinator itself. The wire does
+//! not: a transaction crosses it as the ordinary single-key operations its
+//! session issues.
 
 use crate::{Key, Value};
 
@@ -67,12 +69,10 @@ impl TxnOp {
     }
 }
 
-/// Why a transaction aborted. [`TxnAbort::Conflict`],
-/// [`TxnAbort::InsufficientFunds`], [`TxnAbort::Overflow`] and
-/// [`TxnAbort::Invalid`] are decided strictly *before* any data write, so
-/// those aborts never leave a partial update behind.
-/// [`TxnAbort::NotOperational`] is the exception: it reports an
-/// **unresolved** outcome, not a guaranteed no-op.
+/// Why a transaction aborted. Every cause is decided strictly *before* any
+/// data write, so an abort never leaves a partial update behind. A
+/// transaction whose outcome is unresolved is not aborted: its session
+/// hands back the coordinator state for resumption instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnAbort {
     /// A lock could not be acquired within the retry budget (another
@@ -89,16 +89,6 @@ pub enum TxnAbort {
     /// `MultiPut`, a self-transfer, or a key inside the reserved lock
     /// namespace. No effect.
     Invalid,
-    /// A server-side coordinator lost its replica mid-drive (lease
-    /// expiry, shutdown): the transaction's fate is **unknown** — it may
-    /// have applied some, all, or none of its writes, and its locks may
-    /// still be held. Treat it like an in-doubt transaction (verify
-    /// before retrying — a blind retry of a transfer that actually
-    /// committed moves the funds twice); the serializability checker
-    /// models it as unresolved for the same reason. Client-side
-    /// coordinators never produce this: they return their coordinator
-    /// state for resumption instead.
-    NotOperational,
 }
 
 impl core::fmt::Display for TxnAbort {
@@ -108,7 +98,6 @@ impl core::fmt::Display for TxnAbort {
             TxnAbort::InsufficientFunds => write!(f, "insufficient funds"),
             TxnAbort::Overflow => write!(f, "credit balance overflow"),
             TxnAbort::Invalid => write!(f, "invalid transaction"),
-            TxnAbort::NotOperational => write!(f, "service not operational"),
         }
     }
 }
@@ -124,9 +113,7 @@ pub enum TxnReply {
         /// Key/value observations made while every lock was held.
         values: Vec<(Key, Value)>,
     },
-    /// The transaction aborted — with no effect, except for
-    /// [`TxnAbort::NotOperational`], which reports an unresolved outcome
-    /// (see its docs).
+    /// The transaction aborted, with no effect.
     Aborted(TxnAbort),
 }
 

@@ -144,8 +144,6 @@ pub enum Phase {
     ViewChangeStart,
     /// New view installed.
     ViewChangeInstalled,
-    /// One sync catch-up chunk installed.
-    SyncChunkInstall,
     /// Transaction lock phase.
     TxnLock,
     /// Transaction validate phase.
@@ -182,7 +180,6 @@ impl Phase {
             Phase::HoldRelease => "hold_release",
             Phase::ViewChangeStart => "view_change_start",
             Phase::ViewChangeInstalled => "view_change_installed",
-            Phase::SyncChunkInstall => "sync_chunk_install",
             Phase::TxnLock => "txn_lock",
             Phase::TxnValidate => "txn_validate",
             Phase::TxnApply => "txn_apply",

@@ -535,20 +535,6 @@ impl<S: NetSender> PumpMembership<S> {
             ControlMsg::SyncRequest => {
                 self.on_every_lane(lane, now, || Command::SyncLane { to: from })
             }
-            ControlMsg::SyncChunk {
-                key,
-                ts,
-                kind,
-                value,
-            } => {
-                let entry = SyncEntry {
-                    key,
-                    ts,
-                    kind,
-                    value,
-                };
-                self.install(lane, entry, now);
-            }
             ControlMsg::SyncBatch { entries } => {
                 for entry in entries {
                     self.install(lane, entry, now);

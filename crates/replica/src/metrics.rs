@@ -12,12 +12,10 @@
 //! RPC and `hermesd --metrics-dump` — the one way a replica reports on
 //! itself.
 //!
-//! Transaction accounting is process-wide ([`txn_counters`]): every
-//! transaction, wherever its session lives (a client process, a
-//! `ThreadCluster` caller, a daemon's executor pool), is driven by
-//! [`crate::ClientSession::txn`] and lands in one set of counters.
+//! No replica coordinates a transaction (`crate::ClientSession::txn` runs
+//! where its session lives), so the exposition counts none: a caller reads
+//! each transaction's outcome from its `TxnResult`.
 
-use hermes_common::TxnAbort;
 use hermes_obs::{Histogram, TraceRing, TraceSpan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,86 +155,9 @@ impl NodeObs {
     }
 }
 
-/// Process-wide transaction accounting, shared by server-side executors
-/// and client sessions.
-#[derive(Debug, Default)]
-pub(crate) struct TxnCounters {
-    pub(crate) attempts: AtomicU64,
-    pub(crate) commits: AtomicU64,
-    pub(crate) backoffs: AtomicU64,
-    pub(crate) in_doubt: AtomicU64,
-    pub(crate) aborts_conflict: AtomicU64,
-    pub(crate) aborts_funds: AtomicU64,
-    pub(crate) aborts_invalid: AtomicU64,
-    pub(crate) aborts_not_operational: AtomicU64,
-    pub(crate) aborts_overflow: AtomicU64,
-}
-
-impl TxnCounters {
-    /// Books a finished transaction: its total protocol attempts and the
-    /// final outcome (commit, or abort by cause).
-    pub(crate) fn finish(&self, attempts: u64, outcome: Option<TxnAbort>) {
-        self.attempts.fetch_add(attempts, Ordering::Relaxed);
-        let slot = match outcome {
-            None => &self.commits,
-            Some(TxnAbort::Conflict) => &self.aborts_conflict,
-            Some(TxnAbort::InsufficientFunds) => &self.aborts_funds,
-            Some(TxnAbort::Invalid) => &self.aborts_invalid,
-            Some(TxnAbort::NotOperational) => &self.aborts_not_operational,
-            Some(TxnAbort::Overflow) => &self.aborts_overflow,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn aborts_by_cause(&self) -> [(&'static str, &AtomicU64); 5] {
-        [
-            ("conflict", &self.aborts_conflict),
-            ("insufficient_funds", &self.aborts_funds),
-            ("invalid", &self.aborts_invalid),
-            ("not_operational", &self.aborts_not_operational),
-            ("overflow", &self.aborts_overflow),
-        ]
-    }
-}
-
-static TXN_COUNTERS: TxnCounters = TxnCounters {
-    attempts: AtomicU64::new(0),
-    commits: AtomicU64::new(0),
-    backoffs: AtomicU64::new(0),
-    in_doubt: AtomicU64::new(0),
-    aborts_conflict: AtomicU64::new(0),
-    aborts_funds: AtomicU64::new(0),
-    aborts_invalid: AtomicU64::new(0),
-    aborts_not_operational: AtomicU64::new(0),
-    aborts_overflow: AtomicU64::new(0),
-};
-
-/// The process-wide transaction counters.
-pub(crate) fn txn_counters() -> &'static TxnCounters {
-    &TXN_COUNTERS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn txn_finish_books_outcomes() {
-        let c = TxnCounters::default();
-        c.finish(3, None);
-        c.finish(2, Some(TxnAbort::Conflict));
-        c.finish(1, Some(TxnAbort::Overflow));
-        assert_eq!(c.attempts.load(Ordering::Relaxed), 6);
-        assert_eq!(c.commits.load(Ordering::Relaxed), 1);
-        assert_eq!(c.aborts_conflict.load(Ordering::Relaxed), 1);
-        assert_eq!(c.aborts_overflow.load(Ordering::Relaxed), 1);
-        let total_aborts: u64 = c
-            .aborts_by_cause()
-            .iter()
-            .map(|(_, a)| a.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(total_aborts, 2);
-    }
 
     #[test]
     fn node_obs_shapes_match_lanes() {

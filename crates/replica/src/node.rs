@@ -23,10 +23,10 @@
 
 use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
-use crate::metrics::{txn_counters, NodeObs};
+use crate::metrics::NodeObs;
 use crate::poller::ClientPlane;
 use crate::remote::{invalid, Conn};
-use hermes_common::{Key, MembershipView, NodeId, Reply, TxnOp, TxnReply, Value};
+use hermes_common::{Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
 use hermes_net::{TcpConfig, TcpEndpoint, TcpStats};
@@ -342,8 +342,8 @@ impl NodeRuntime {
     }
 
     fn stop(&mut self) {
-        // The client plane goes first, while the lanes still answer: open
-        // transactions at the executor pool resolve instead of stalling.
+        // The client plane goes first: no poller hands an operation to a
+        // lane that has stopped.
         if let Some(mut plane) = self.client_plane.take() {
             plane.stop();
         }
@@ -416,9 +416,8 @@ const MEMBERSHIP: &[Row] = &[
 
 /// Every other unlabelled sample, in rendering order after the per-lane
 /// and per-shard families: protocol phases (paper §3.1: INV broadcast, ACK
-/// collection, VAL broadcast), the client cache plane, the client plane,
-/// the transport, and transactions (process-wide: every session driving
-/// one, the executor pool's included).
+/// collection, VAL broadcast), the client cache plane, the client plane and
+/// the transport.
 const SCALARS: &[Row] = &[
     (
         "hermes_invalidations_sent_total",
@@ -570,26 +569,6 @@ const SCALARS: &[Row] = &[
         "Bytes queued in peer outboxes waiting for their sockets.",
         Gauge(|s| s.tcp.egress_backlog_bytes()),
     ),
-    (
-        "hermes_txn_attempts_total",
-        "Transaction protocol attempts (lock acquisition rounds).",
-        Counter(|_| txn_counters().attempts.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_txn_commits_total",
-        "Transactions committed.",
-        Counter(|_| txn_counters().commits.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_txn_backoffs_total",
-        "Conflict backoff sleeps taken by transaction drivers.",
-        Counter(|_| txn_counters().backoffs.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_txn_in_doubt_total",
-        "Transactions whose fate was unresolved (coordinator lost lanes).",
-        Counter(|_| txn_counters().in_doubt.load(Ordering::Relaxed)),
-    ),
 ];
 
 /// Registers every runtime gauge, protocol-phase counter and latency
@@ -694,14 +673,6 @@ fn build_registry(id: NodeId, peers: usize, node: &Node, tcp: &Arc<TcpStats>) ->
     }
 
     scalars(SCALARS);
-    for (cause, slot) in txn_counters().aborts_by_cause() {
-        r.counter_fn(
-            "hermes_txn_aborts_total",
-            "Transactions aborted, by cause.",
-            vec![("cause", cause.to_string())],
-            move || slot.load(Ordering::Relaxed),
-        );
-    }
     r
 }
 
@@ -721,9 +692,9 @@ pub fn request_shutdown(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
 /// Fetches the full metrics exposition of the replica daemon at `addr`
 /// (its client port): Prometheus-style text with the membership view and
 /// serving state, per-lane op counts and latency histograms,
-/// protocol-phase counters, session, cache-push and transaction
-/// accounting — everything a replica reports about itself, and how
-/// harnesses observe view changes without parsing daemon logs. The
+/// protocol-phase counters, session and cache-push accounting — everything
+/// a replica reports about itself, and how harnesses observe view changes
+/// without parsing daemon logs. The
 /// scraper-facing counterpart of [`NodeRuntime::metrics_text`].
 ///
 /// # Errors
@@ -751,25 +722,6 @@ pub fn query_metrics(addr: SocketAddr, timeout: Duration) -> io::Result<String> 
 pub fn query_traces(addr: SocketAddr, timeout: Duration) -> io::Result<Vec<TraceSpan>> {
     match call(addr, &Request::Traces { seq: 0 }, timeout)? {
         ServerFrame::Traces(_, spans) => Ok(spans),
-        other => Err(unexpected(other)),
-    }
-}
-
-/// Executes one whole multi-key transaction against the replica daemon at
-/// `addr` as a single RPC: one of the daemon's executor threads runs it
-/// through [`ClientSession::txn`](crate::ClientSession::txn) on an
-/// in-process session and answers with the final [`TxnReply`]; an outcome
-/// left in doubt (the replica stopped serving mid-transaction) reads as
-/// `Aborted(NotOperational)`.
-///
-/// # Errors
-///
-/// Fails if the daemon is unreachable or hangs up before replying; the
-/// transaction's own fate is then unknown (it may still commit server-side).
-pub fn remote_txn(addr: SocketAddr, op: &TxnOp, timeout: Duration) -> io::Result<TxnReply> {
-    let op = op.clone();
-    match call(addr, &Request::Txn { seq: 0, op }, timeout)? {
-        ServerFrame::Txn(_, reply) => Ok(reply),
         other => Err(unexpected(other)),
     }
 }
@@ -808,14 +760,15 @@ fn call(addr: SocketAddr, request: &Request, timeout: Duration) -> io::Result<Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::RemoteChannel;
     use crate::session::{ClientSession, LaneChannel, TxnResult};
-    use hermes_common::{ClientId, TxnAbort};
+    use hermes_common::{ClientId, TxnOp};
     use hermes_wings::CreditConfig;
 
-    /// The one transaction driver on the server path: a replica that is
-    /// not serving answers every sub-operation `NotOperational`, so the
-    /// driver stops in doubt — which the executor pool reports to its
-    /// remote client as `Aborted(NotOperational)`.
+    /// A replica that is not serving answers every sub-operation
+    /// `NotOperational`, so the one transaction driver stops in doubt —
+    /// wherever its session lives — and a resume from a fresh session
+    /// finds the same.
     #[test]
     fn a_txn_at_a_replica_that_is_not_serving_ends_in_doubt_and_leaves_nothing_behind() {
         // A lone joiner has nobody to admit it: it never serves.
@@ -835,32 +788,40 @@ mod tests {
         })
         .unwrap();
         assert!(!runtime.membership().serving());
-        let sample = |name| hermes_obs::sample_value(&runtime.metrics_text(), name);
-        let in_doubt = || sample("hermes_txn_in_doubt_total").expect("exported");
         let op = TxnOp::MultiPut(vec![
             (Key(1), Value::from_u64(1)),
             (Key(2), Value::from_u64(2)),
         ]);
 
-        // Exactly what an executor thread holds and calls.
-        let before = in_doubt();
+        // In process.
         let lanes = runtime.node.lanes().clone();
         let channel = LaneChannel::new(ClientId(u64::MAX), lanes);
         let mut session = ClientSession::new(channel, CreditConfig::default());
         assert!(matches!(session.txn(op.clone()), TxnResult::InDoubt(_)));
-        assert_eq!(in_doubt(), before + 1.0);
         assert_eq!(session.outstanding(), 0);
         drop(session);
 
-        // The same driver behind the `Txn` RPC.
-        let reply = remote_txn(runtime.client_addr(), &op, Duration::from_secs(5)).unwrap();
-        assert_eq!(reply, TxnReply::Aborted(TxnAbort::NotOperational));
-        assert_eq!(in_doubt(), before + 2.0);
+        // Over the client port: in doubt, not aborted, and still in doubt
+        // when a fresh session resumes it.
+        let remote = || {
+            RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
+                .unwrap()
+                .into_session()
+        };
+        let TxnResult::InDoubt(pending) = remote().txn(op) else {
+            panic!("a remote txn at a replica that is not serving must end in doubt");
+        };
+        assert!(matches!(
+            remote().resume_txn(pending),
+            TxnResult::InDoubt(_)
+        ));
 
-        // Every sub-operation was answered at the lease gate and neither
+        // Every sub-operation was answered at the lease gate and no
         // session subscribed: the lanes hold nothing for them.
+        let sample = |name| hermes_obs::sample_value(&runtime.metrics_text(), name);
         assert_eq!(sample("hermes_cache_subscriptions"), Some(0.0));
-        assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 2);
+        // One lock CAS each: the in-process txn, the remote one, its resume.
+        assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 3);
         runtime.shutdown();
     }
 

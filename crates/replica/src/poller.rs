@@ -30,21 +30,18 @@
 //!   `InvalAck` of a session with every credit in flight still arrives
 //!   (DESIGN.md §8: an ack never waits behind a full pipeline).
 //!
-//! Whole transactions need a blocking coordinator
-//! ([`ClientSession::txn`] waits on lane completions), so they hop to a
-//! tiny fixed **transaction executor pool** whose threads each own one
-//! in-process session; the final [`TxnReply`] comes back through the
-//! owning shard's inbox like any other frame. Thread count is a property
-//! of the deployment (pollers + executors), not of the session count.
+//! The plane coordinates no transaction: a remote client's transaction is
+//! a sequence of ordinary operations its own session drives
+//! (`ClientSession::txn`). Thread count is a property of the deployment
+//! (one per poller), not of the session count.
 
 use crate::host::mirror_read;
 use crate::lane::{ClientSink, Lanes};
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::node::MAX_CLIENT_FRAME;
-use crate::session::{ClientSession, LaneChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hermes_common::{ClientId, Key, NodeId, OpId, Reply, TxnAbort, TxnOp, TxnReply, Value};
+use hermes_common::{ClientId, Key, NodeId, OpId, Reply, Value};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
 use hermes_obs::{obs_warn, Registry};
 use hermes_store::Store;
@@ -62,12 +59,6 @@ use std::time::{Duration, Instant};
 /// Remote connections' protocol-level client ids live above this base so
 /// they can never collide with in-process session ids.
 pub(crate) const REMOTE_CLIENT_BASE: u64 = 1 << 33;
-
-/// The executor pool's in-process sessions take ids above this base, from
-/// a process-wide counter: their ids name transaction lock tokens, which
-/// must stay distinct between daemons sharing one process.
-const EXECUTOR_CLIENT_BASE: u64 = 1 << 34;
-static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
 
 /// Upper bound on a shard's blocked wait: the stop flag is re-checked at
 /// least this often even if a wake were lost. Unit tests stretch
@@ -97,19 +88,11 @@ const ACCEPT_RESUME_SLACK: u64 = 8;
 /// undrained reply data before the shard kills it (slowloris bound).
 const OUT_CAP: usize = 64 << 20;
 
-/// Transactions a single session may have in flight at the executor pool.
-/// One preserves the old per-connection semantics: a transaction holds up
-/// the session's later requests (but not its earlier pipelined ops).
-const MAX_SESSION_TXNS: u32 = 1;
-
 /// The session's single flow-control peer: its replica.
 const SERVER: NodeId = NodeId(0);
 
-/// Transaction executor threads of the client plane.
-const TXN_EXECUTORS: usize = 2;
-
-/// What a worker lane (or the transaction pool) needs to hand a result
-/// back to the shard owning the session: its inbox plus its waker.
+/// What a worker lane needs to hand a result back to the shard owning the
+/// session: its inbox plus its waker.
 ///
 /// Wakes coalesce inside the [`Waker`]: a burst of completions costs one
 /// eventfd write, not one per completion.
@@ -122,9 +105,9 @@ pub(crate) struct ShardHandle {
 
 impl ShardHandle {
     /// Posts one frame for `client`'s session (called from worker lanes via
-    /// [`ClientSink::Poller`], and from the transaction pool). Replies and
-    /// pushes ride one inbox, so a reply and the push that supersedes it
-    /// reach the session's write buffer in lane order.
+    /// [`ClientSink::Poller`]). Replies and pushes ride one inbox, so a
+    /// reply and the push that supersedes it reach the session's write
+    /// buffer in lane order.
     pub(crate) fn send(&self, client: ClientId, frame: ServerFrame) {
         self.deliver(Inbound::Frame(client, frame));
     }
@@ -154,8 +137,7 @@ pub(crate) enum Inbound {
     /// A freshly accepted connection assigned to this shard.
     Conn(TcpStream),
     /// A frame for one of this shard's sessions: the reply of an operation
-    /// completed on a worker lane or of a transaction resolved on the
-    /// executor pool, or a push of the invalidation stream.
+    /// completed on a worker lane, or a push of the invalidation stream.
     Frame(ClientId, ServerFrame),
     /// One of this shard's sessions is to be torn down.
     Evict(ClientId),
@@ -167,12 +149,12 @@ pub(crate) enum Inbound {
 pub(crate) type ReadHook = Box<dyn FnMut(Key) -> Option<Value> + Send>;
 
 /// One remote session as a non-blocking state machine — the sans-io
-/// boundary: the machine decodes and frames bytes, the shard owns sockets,
-/// lanes and the executor pool. Request bytes in ([`SessionMachine::on_bytes`])
-/// and, under the Wings credit budget, the admitted subsequence of the
-/// [`Request`]s they decode to out, for the shard to act on: a read served
-/// from the mirror and a frame stalled for a credit are the ones that do
-/// not appear. Everything outbound in ([`SessionMachine::on_frame`]) and
+/// boundary: the machine decodes and frames bytes, the shard owns sockets
+/// and lanes. Request bytes in ([`SessionMachine::on_bytes`]) and, under
+/// the Wings credit budget, the admitted subsequence of the [`Request`]s
+/// they decode to out, for the shard to act on: a read served from the
+/// mirror and a frame stalled for a credit are the ones that do not
+/// appear. Everything outbound in ([`SessionMachine::on_frame`]) and
 /// into a write buffer. Performs no I/O.
 pub(crate) struct SessionMachine {
     /// Received-but-undecoded bytes (partial frames, credit-stalled frames).
@@ -189,8 +171,6 @@ pub(crate) struct SessionMachine {
     /// Whether a complete operation frame is buffered with no credit to run
     /// it: set where decoding stops for that, cleared when it next runs.
     stalled: bool,
-    /// Transactions currently at the executor pool for this session.
-    inflight_txns: u32,
     /// Submitted, uncompleted updates `(seq, key)` of this session: a read
     /// of such a key must queue behind the update at its lane, not pass it
     /// through the mirror. At most one entry per credit.
@@ -213,7 +193,6 @@ impl SessionMachine {
             out_at: 0,
             credits: CreditFlow::new(1, credits),
             stalled: false,
-            inflight_txns: 0,
             own_updates: Vec::new(),
             mirror,
             subs: HashSet::new(),
@@ -232,14 +211,14 @@ impl SessionMachine {
         self.decode_pending(fx);
     }
 
-    /// A frame for this session's client, whoever made it — a lane, the
-    /// executor pool, the shard answering a query: does what its kind means
-    /// for the session's books, appends it to the write buffer, and, where
-    /// it is the reply that frames were held back for (a credit returned,
-    /// the transaction gate opened), resumes decoding them. Returns whether
-    /// it was framed — when an `Invalidate` was not (the subscription
-    /// filter raced an unsubscribe, or the session died), the shard acks
-    /// the lane on the client's behalf so the held effects release promptly.
+    /// A frame for this session's client, whoever made it — a lane or the
+    /// shard answering a query: does what its kind means for the session's
+    /// books, appends it to the write buffer, and, where it is the reply
+    /// that frames were held back for (a credit returned), resumes decoding
+    /// them. Returns whether it was framed — when an `Invalidate` was not
+    /// (the subscription filter raced an unsubscribe, or the session died),
+    /// the shard acks the lane on the client's behalf so the held effects
+    /// release promptly.
     pub(crate) fn on_frame(&mut self, frame: &ServerFrame, fx: &mut Vec<Request>) -> bool {
         if self.dead {
             return false;
@@ -249,7 +228,6 @@ impl SessionMachine {
                 self.credits.on_implicit_credit(SERVER);
                 self.own_updates.retain(|&(s, _)| s != seq);
             }
-            ServerFrame::Txn(..) => self.inflight_txns = self.inflight_txns.saturating_sub(1),
             ServerFrame::Invalidate { key, .. } if !self.subs.contains(&key.0) => return false,
             ServerFrame::Unsubscribed { key, .. } => {
                 self.subs.remove(&key.0);
@@ -257,7 +235,7 @@ impl SessionMachine {
             _ => {}
         }
         self.frame(frame);
-        if matches!(frame, ServerFrame::Reply(..) | ServerFrame::Txn(..)) {
+        if matches!(frame, ServerFrame::Reply(..)) {
             self.decode_pending(fx);
         }
         !self.dead
@@ -277,13 +255,7 @@ impl SessionMachine {
 
     fn decode_pending(&mut self, fx: &mut Vec<Request>) {
         self.stalled = false;
-        loop {
-            // A transaction in flight gates *all* later requests (the old
-            // per-connection semantics: one request stream, transactions
-            // are synchronous within it).
-            if self.dead || self.inflight_txns >= MAX_SESSION_TXNS {
-                break;
-            }
+        while !self.dead {
             let payload = match rpc::split_frame(&self.inbuf[self.parsed..], self.max_frame) {
                 Ok(Some(payload)) => payload,
                 Ok(None) => break,
@@ -323,10 +295,6 @@ impl SessionMachine {
                 // trace aggregator polling beside it and subscription
                 // traffic must not steal op pipelining capacity, and an
                 // `InvalAck` must never wait behind a full pipeline.
-                Request::Txn { .. } => {
-                    self.inflight_txns += 1;
-                    fx.push(request);
-                }
                 Request::Subscribe { key, .. } => {
                     self.subs.insert(key.0);
                     fx.push(request);
@@ -353,13 +321,13 @@ impl SessionMachine {
     }
 
     /// Whether the socket should be read. False while backpressured (an
-    /// operation frame is waiting for a credit, or a transaction is in
-    /// flight): the shard parks read interest and the client's bytes wait
-    /// in the kernel buffer. Out of credits with nothing waiting is not
-    /// backpressure: what a client that keeps to its budget sends then is
-    /// credit-exempt, an `InvalAck` among it, and has to be read.
+    /// operation frame is waiting for a credit): the shard parks read
+    /// interest and the client's bytes wait in the kernel buffer. Out of
+    /// credits with nothing waiting is not backpressure: what a client that
+    /// keeps to its budget sends then is credit-exempt, an `InvalAck` among
+    /// it, and has to be read.
     pub(crate) fn wants_read(&self) -> bool {
-        !self.dead && !self.stalled && self.inflight_txns < MAX_SESSION_TXNS
+        !self.dead && !self.stalled
     }
 
     /// Whether reply bytes are waiting to be written.
@@ -393,29 +361,18 @@ impl SessionMachine {
     }
 }
 
-/// One whole transaction queued for the executor pool.
-struct TxnJob {
-    client: ClientId,
-    seq: u64,
-    op: TxnOp,
-    /// The shard owning the session, for the reply.
-    home: ShardHandle,
-}
-
-/// The running client plane: poller shard threads plus the transaction
-/// executor pool. Dropping (or [`ClientPlane::stop`]) joins everything.
+/// The running client plane: its poller shard threads. Dropping (or
+/// [`ClientPlane::stop`]) joins them.
 #[derive(Debug)]
 pub(crate) struct ClientPlane {
     shards: Vec<ShardHandle>,
     threads: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
 }
 
 impl ClientPlane {
     /// Starts the plane over an already-bound client listener: `pollers`
-    /// shard threads (one per session gauge of `obs`) and the transaction
-    /// executor pool.
+    /// shard threads, one per session gauge of `obs`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         listener: TcpListener,
@@ -429,19 +386,6 @@ impl ClientPlane {
     ) -> io::Result<ClientPlane> {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (txn_tx, txn_rx) = unbounded::<TxnJob>();
-        let mut executors = Vec::new();
-        for i in 0..TXN_EXECUTORS {
-            let rx = txn_rx.clone();
-            let lanes = lanes.clone();
-            executors.push(
-                std::thread::Builder::new()
-                    .name(format!("hermes-txn-{i}"))
-                    .spawn(move || txn_executor_main(rx, lanes))?,
-            );
-        }
-        drop(txn_rx);
-
         debug_assert_eq!(pollers, obs.shard_sessions.len());
         let mut prepared = Vec::with_capacity(pollers);
         let mut shards = Vec::with_capacity(pollers);
@@ -479,7 +423,6 @@ impl ClientPlane {
                 sessions: HashMap::new(),
                 by_client: HashMap::new(),
                 lanes: lanes.clone(),
-                txn_jobs: txn_tx.clone(),
                 stop: Arc::clone(&stop),
                 shutdown: Arc::clone(&shutdown),
                 registry: Arc::clone(&registry),
@@ -498,13 +441,12 @@ impl ClientPlane {
         Ok(ClientPlane {
             shards,
             threads,
-            executors,
             stop,
         })
     }
 
-    /// Stops every shard and executor and joins their threads. Open
-    /// sessions are dropped (clients observe the hangup).
+    /// Stops every shard and joins its thread. Open sessions are dropped
+    /// (clients observe the hangup).
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for s in &self.shards {
@@ -513,40 +455,12 @@ impl ClientPlane {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Shard structs are gone now, dropping the last txn-job senders:
-        // the executors' recv disconnects and they exit.
-        self.shards.clear();
-        for e in self.executors.drain(..) {
-            let _ = e.join();
-        }
     }
 }
 
 impl Drop for ClientPlane {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// Executor pool worker: coordinates whole transactions (each blocks on
-/// lane completions, which is why they cannot run on a poller thread)
-/// through an in-process session of its own — the same `hermes-txn`
-/// driver every client uses, hosted next to the lanes — and posts the
-/// reply back to the remote session's shard. Sub-operations run against
-/// in-process lanes, so the only way one goes unanswered is the replica
-/// losing its lease or shutting down: the outcome is then unresolved, and
-/// the client hears [`TxnAbort::NotOperational`] — to be treated like an
-/// in-doubt transaction, not a guaranteed no-op.
-fn txn_executor_main(jobs: Receiver<TxnJob>, lanes: Lanes) {
-    let client = ClientId(EXECUTOR_CLIENT_BASE + NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed));
-    let channel = LaneChannel::new(client, lanes);
-    let mut session = ClientSession::new(channel, CreditConfig::default());
-    while let Ok(job) = jobs.recv() {
-        let reply = session
-            .txn(job.op)
-            .as_reply()
-            .unwrap_or(TxnReply::Aborted(TxnAbort::NotOperational));
-        job.home.send(job.client, ServerFrame::Txn(job.seq, reply));
     }
 }
 
@@ -588,7 +502,6 @@ struct Shard {
     sessions: HashMap<u64, Session>,
     by_client: HashMap<u64, u64>,
     lanes: Lanes,
-    txn_jobs: Sender<TxnJob>,
     stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     /// The runtime's metrics registry: its rendering answers the metrics
@@ -823,8 +736,8 @@ impl Shard {
     }
 
     /// Acts on the requests the machine admitted: operations to their
-    /// owning lanes (replying through [`ClientSink::Poller`]), transactions
-    /// to the executor pool, queries answered from the runtime's state.
+    /// owning lanes (replying through [`ClientSink::Poller`]), queries
+    /// answered from the runtime's state.
     fn apply_effects(&mut self, token: u64, fx: &mut Vec<Request>) {
         let Some(sess) = self.sessions.get_mut(&token) else {
             return fx.clear();
@@ -846,17 +759,6 @@ impl Shard {
                         // way, so their effects are dropped.
                         reply(ServerFrame::Reply(seq, Reply::NotOperational));
                     }
-                }
-                Request::Txn { seq, op } => {
-                    let job = TxnJob {
-                        client,
-                        seq,
-                        op,
-                        home: self.me.clone(),
-                    };
-                    // Send fails only at plane teardown; the session is
-                    // about to be dropped with it.
-                    let _ = self.txn_jobs.send(job);
                 }
                 Request::Metrics { seq } => {
                     reply(ServerFrame::Metrics(seq, self.registry.render()));
@@ -1282,44 +1184,24 @@ mod tests {
         assert!(fx.is_empty());
     }
 
-    /// The stats request (tag 6) is retired: a client that still sends it
-    /// is speaking a protocol this replica no longer does.
+    /// The transaction request (tag 5) and the stats request (tag 6) are
+    /// retired: a client that still sends either is speaking a protocol
+    /// this replica no longer does.
     #[test]
-    fn a_request_with_the_retired_stats_tag_kills_the_session() {
-        let mut m = machine_with_credits(4);
-        let mut stats = Vec::new();
-        rpc::put_frame(&mut stats, |out| {
-            out.extend_from_slice(&[0; 16]); // seq, key
-            out.push(6);
-        });
-        let mut fx = Vec::new();
-        m.on_bytes(&stats, &mut fx);
-        assert!(m.is_dead());
-        assert!(fx.is_empty());
-        assert!(!m.wants_write(), "nothing answered");
-    }
-
-    #[test]
-    fn one_txn_in_flight_gates_later_requests() {
-        let mut m = machine_with_credits(8);
-        let txn = Request::Txn {
-            seq: 0,
-            op: TxnOp::MultiPut(vec![(Key(2), Value::from_u64(1))]),
-        };
-        let mut bytes = wire(&txn);
-        bytes.extend(wire(&read(1, Key(9))));
-        let mut fx = Vec::new();
-        m.on_bytes(&bytes, &mut fx);
-        assert_eq!(fx, vec![txn], "the read waits behind the txn");
-        assert!(!m.wants_read());
-        fx.clear();
-        let committed = TxnReply::Committed { values: Vec::new() };
-        m.on_frame(&ServerFrame::Txn(0, committed), &mut fx);
-        assert_eq!(
-            fx,
-            vec![read(1, Key(9))],
-            "txn reply releases the gated read"
-        );
+    fn a_request_with_a_retired_tag_kills_the_session() {
+        for tag in [5, 6] {
+            let mut m = machine_with_credits(4);
+            let mut retired = Vec::new();
+            rpc::put_frame(&mut retired, |out| {
+                out.extend_from_slice(&[0; 16]); // seq, key
+                out.push(tag);
+            });
+            let mut fx = Vec::new();
+            m.on_bytes(&retired, &mut fx);
+            assert!(m.is_dead(), "tag {tag}");
+            assert!(fx.is_empty(), "tag {tag}");
+            assert!(!m.wants_write(), "tag {tag}: nothing answered");
+        }
     }
 
     #[test]

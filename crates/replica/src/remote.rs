@@ -190,7 +190,7 @@ fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) 
         let ack = match frame {
             ServerFrame::Invalidate { key, .. } => Some(Request::InvalAck { key }),
             // The reply to a request no session sends.
-            ServerFrame::Txn(..) | ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {
+            ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {
                 return Err(ErrorKind::InvalidData.into())
             }
             _ => None,

@@ -26,7 +26,6 @@
 //! [`ThreadCluster::session`]: crate::ThreadCluster::session
 
 use crate::lane::{ClientSink, Lanes};
-use crate::metrics::txn_counters;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{
     ClientId, ClientOp, Key, NodeId, OpId, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value,
@@ -36,7 +35,6 @@ use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
 use hermes_wings::client::{Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Give up on an individual operation after this long (matches the blocking
@@ -132,7 +130,6 @@ impl SessionChannel for LaneChannel {
             // An in-process session owes no acks (`ClientSink::Session`),
             // and the rest is asked of a daemon, not of its lanes.
             Request::InvalAck { .. }
-            | Request::Txn { .. }
             | Request::Metrics { .. }
             | Request::Traces { .. }
             | Request::Shutdown { .. } => false,
@@ -265,10 +262,7 @@ impl ReadCache {
                 self.epoch = self.epoch.max(epoch);
             }
             // Replies: of no concern to the cache.
-            ServerFrame::Reply(..)
-            | ServerFrame::Txn(..)
-            | ServerFrame::Metrics(..)
-            | ServerFrame::Traces(..) => {}
+            ServerFrame::Reply(..) | ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {}
         }
     }
 
@@ -638,11 +632,11 @@ impl<C: SessionChannel> ClientSession<C> {
     /// The coordinator lives entirely in the session: the transaction's
     /// single-key sub-operations (lock CASes, reads, writes, unlocks) ride
     /// this session's ordinary pipelined submit path, fanning across shard
-    /// lanes in-process or across a TCP connection — the worker lanes host
-    /// no transaction state. This is the only transaction driver: a
-    /// daemon's `Txn` RPC runs it too, on an in-process session owned by
-    /// one of its executor threads. Sub-operations of one phase are
-    /// pipelined; lock acquisition is sequential in sorted key order.
+    /// lanes in-process or across a TCP connection — neither the worker
+    /// lanes nor a daemon's client plane host any transaction state. This
+    /// is the only transaction driver, and it runs where the session
+    /// lives. Sub-operations of one phase are pipelined; lock acquisition
+    /// is sequential in sorted key order.
     ///
     /// If the transport dies mid-transaction the result is
     /// [`TxnResult::InDoubt`], carrying the coordinator state: open a
@@ -674,18 +668,12 @@ impl<C: SessionChannel> ClientSession<C> {
         let mut paced_attempt = machine.attempts();
         loop {
             if let Some(reply) = machine.outcome() {
-                let abort = match reply {
-                    TxnReply::Aborted(cause) => Some(*cause),
-                    _ => None,
-                };
-                txn_counters().finish(machine.attempts().into(), abort);
                 return match reply.clone() {
                     TxnReply::Committed { values } => TxnResult::Committed(values),
                     TxnReply::Aborted(abort) => TxnResult::Aborted(abort),
                 };
             }
             if machine.in_doubt() {
-                txn_counters().in_doubt.fetch_add(1, Ordering::Relaxed);
                 self.abandon_txn_tickets(&mut tags);
                 return TxnResult::InDoubt(PendingTxn {
                     machine: Box::new(machine),
@@ -697,7 +685,6 @@ impl<C: SessionChannel> ClientSession<C> {
                 // retry's first lock CAS, so colliding coordinators do not
                 // re-collide in lockstep.
                 paced_attempt = machine.attempts();
-                txn_counters().backoffs.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(conflict_backoff(paced_attempt, self.client_id().0));
             }
             machine.poll(&mut subs);
@@ -713,7 +700,6 @@ impl<C: SessionChannel> ClientSession<C> {
                     self.abandoned.insert(ticket.op);
                     machine.on_reply(tag, Reply::NotOperational);
                 }
-                txn_counters().in_doubt.fetch_add(1, Ordering::Relaxed);
                 return TxnResult::InDoubt(PendingTxn {
                     machine: Box::new(machine),
                 });

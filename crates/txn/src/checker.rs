@@ -154,9 +154,6 @@ fn apply(obs: &TxnObs, state: &State) -> Option<State> {
 /// could write more than 8 keys (the partial-effect branching is 2^writes).
 pub fn check_txns_serializable(history: &[TxnObs]) -> bool {
     // Effect-free aborts impose no constraint and are excluded up front.
-    // (A `NotOperational` abort is *not* effect-free: a server-side
-    // coordinator cut down mid-drive reports it with unknown fate, so it
-    // is treated as unresolved below.)
     let ops: Vec<&TxnObs> = history
         .iter()
         .filter(|o| {
@@ -193,13 +190,9 @@ pub fn check_txns_serializable(history: &[TxnObs]) -> bool {
 }
 
 /// Whether a transaction's effect is pinned down: committed or observably
-/// aborted. Unresolved ones (no reply, or a `NotOperational` abort whose
-/// server-side fate is unknown) branch over partial effects.
+/// aborted. Unresolved ones (no reply) branch over partial effects.
 fn is_resolved(obs: &TxnObs) -> bool {
-    !matches!(
-        obs.reply,
-        None | Some(TxnReply::Aborted(TxnAbort::NotOperational))
-    )
+    obs.reply.is_some()
 }
 
 fn dfs(

@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn serializability_checker_accepts_real_and_rejects_fabricated() {
-        use hermes_txn_obs_helpers::*;
+        use obs_helpers::*;
         // Two sequential transfers over {1,2} funded by a MultiPut.
         let fund = obs(
             0,
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn serializability_checker_rejects_truncated_snapshots() {
-        use hermes_txn_obs_helpers::*;
+        use obs_helpers::*;
         let fund = obs(
             0,
             1,
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn serializability_checker_validates_overflow_aborts() {
-        use hermes_txn_obs_helpers::*;
+        use obs_helpers::*;
         let transfer = TxnOp::Transfer {
             debit: Key(1),
             credit: Key(2),
@@ -585,7 +585,7 @@ mod tests {
 
     #[test]
     fn serializability_checker_handles_unresolved_partial_effects() {
-        use hermes_txn_obs_helpers::*;
+        use obs_helpers::*;
         let fund = obs(
             0,
             1,
@@ -663,7 +663,7 @@ mod tests {
     }
 
     /// Tiny local helper namespace for checker tests.
-    mod hermes_txn_obs_helpers {
+    mod obs_helpers {
         use super::super::*;
 
         pub fn obs(invoke: u64, response: u64, op: TxnOp, reply: Option<TxnReply>) -> TxnObs {

@@ -15,17 +15,14 @@
 //!   `hermes_membership::wire`, opaque here so the messaging layer stays
 //!   independent of the membership crate);
 //! * [`ControlMsg::SyncRequest`] / [`ControlMsg::SyncBatch`] /
-//!   [`ControlMsg::SyncChunk`] / [`ControlMsg::SyncMark`] — shadow-replica
-//!   bulk catch-up (paper §3.4, *Recovery*): a joining shadow asks a member
-//!   for its dataset, each of the member's worker lanes streams its
-//!   committed per-key state — batched into size-capped [`SyncBatch`]
-//!   frames ([`SYNC_BATCH_BUDGET`]); the one-key [`SyncChunk`] remains for
-//!   single-entry streams and wire compatibility — and finishes with a
-//!   mark naming the lane; the shadow knows it is caught up when every
-//!   lane of the member has marked.
+//!   [`ControlMsg::SyncMark`] — shadow-replica bulk catch-up (paper §3.4,
+//!   *Recovery*): a joining shadow asks a member for its dataset, each of
+//!   the member's worker lanes streams its committed per-key state in
+//!   size-capped [`SyncBatch`] frames ([`SYNC_BATCH_BUDGET`]) and finishes
+//!   with a mark naming the lane; the shadow knows it is caught up when
+//!   every lane of the member has marked.
 //!
 //! [`SyncBatch`]: ControlMsg::SyncBatch
-//! [`SyncChunk`]: ControlMsg::SyncChunk
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hermes_common::{Key, Value};
@@ -33,7 +30,7 @@ use hermes_core::{Ts, UpdateKind};
 
 const TAG_MEMBERSHIP: u8 = 0;
 const TAG_SYNC_REQUEST: u8 = 1;
-const TAG_SYNC_CHUNK: u8 = 2;
+// 2 was the retired one-key sync chunk: never reuse it.
 const TAG_SYNC_MARK: u8 = 3;
 const TAG_SYNC_BATCH: u8 = 4;
 
@@ -51,20 +48,7 @@ pub enum ControlMsg {
     Membership(Bytes),
     /// A shadow asks the receiver to stream its committed dataset back.
     SyncRequest,
-    /// One key's committed state, streamed during shadow catch-up. Applied
-    /// via `HermesNode::install_chunk` (newer-timestamp-wins, so chunks
-    /// interleave safely with live writes the shadow is already ACKing).
-    SyncChunk {
-        /// The key.
-        key: Key,
-        /// Its committed logical timestamp.
-        ts: Ts,
-        /// Kind of the last update (kept for faithful replays).
-        kind: UpdateKind,
-        /// Its committed value.
-        value: Value,
-    },
-    /// End of one worker lane's chunk stream: `lane` of `lanes` total on
+    /// End of one worker lane's sync stream: `lane` of `lanes` total on
     /// the syncing member. The shadow is caught up when all lanes marked.
     SyncMark {
         /// Lane index that finished streaming.
@@ -73,10 +57,10 @@ pub enum ControlMsg {
         lanes: u32,
     },
     /// Several keys' committed states batched into one catch-up frame
-    /// (size-capped by [`SYNC_BATCH_BUDGET`]): what streaming lanes emit
-    /// instead of one [`ControlMsg::SyncChunk`] per key, amortizing the
-    /// control-frame and transport framing overhead across entries. Each
-    /// entry installs exactly like a lone chunk (newer-timestamp-wins).
+    /// (size-capped by [`SYNC_BATCH_BUDGET`]), amortizing the control-frame
+    /// and transport framing overhead across entries. Each entry is applied
+    /// via `HermesNode::install_chunk` (newer-timestamp-wins, so entries
+    /// interleave safely with live writes the shadow is already ACKing).
     SyncBatch {
         /// The batched per-key states, in stream order.
         entries: Vec<SyncEntry>,
@@ -143,15 +127,6 @@ pub fn encode(msg: &ControlMsg) -> Bytes {
             out.put_slice(payload);
         }
         ControlMsg::SyncRequest => out.put_u8(TAG_SYNC_REQUEST),
-        ControlMsg::SyncChunk {
-            key,
-            ts,
-            kind,
-            value,
-        } => {
-            out.put_u8(TAG_SYNC_CHUNK);
-            put_entry(&mut out, *key, *ts, *kind, value);
-        }
         ControlMsg::SyncMark { lane, lanes } => {
             out.put_u8(TAG_SYNC_MARK);
             out.put_u32_le(*lane);
@@ -161,25 +136,24 @@ pub fn encode(msg: &ControlMsg) -> Bytes {
             out.put_u8(TAG_SYNC_BATCH);
             out.put_u32_le(entries.len() as u32);
             for e in entries {
-                put_entry(&mut out, e.key, e.ts, e.kind, &e.value);
+                put_entry(&mut out, e);
             }
         }
     }
     out.freeze()
 }
 
-/// Appends one sync entry's wire layout (shared by the lone-chunk and
-/// batched encodings).
-fn put_entry(out: &mut BytesMut, key: Key, ts: Ts, kind: UpdateKind, value: &Value) {
-    out.put_u64_le(key.0);
-    out.put_u64_le(ts.version);
-    out.put_u32_le(ts.cid);
-    out.put_u8(match kind {
+/// Appends one sync entry's wire layout.
+fn put_entry(out: &mut BytesMut, e: &SyncEntry) {
+    out.put_u64_le(e.key.0);
+    out.put_u64_le(e.ts.version);
+    out.put_u32_le(e.ts.cid);
+    out.put_u8(match e.kind {
         UpdateKind::Write => 0,
         UpdateKind::Rmw => 1,
     });
-    out.put_u32_le(value.len() as u32);
-    out.put_slice(value.as_bytes());
+    out.put_u32_le(e.value.len() as u32);
+    out.put_slice(e.value.as_bytes());
 }
 
 /// Decodes one sync entry starting at `buf[0]`; returns the entry and the
@@ -244,18 +218,6 @@ fn decode_body(buf: &[u8]) -> Result<ControlMsg, ControlError> {
                 lanes: u32::from_le_bytes(rest[4..8].try_into().expect("sized")),
             })
         }
-        TAG_SYNC_CHUNK => {
-            let (e, used) = take_entry(rest)?;
-            if used != rest.len() {
-                return Err(ControlError::Truncated); // Trailing garbage.
-            }
-            Ok(ControlMsg::SyncChunk {
-                key: e.key,
-                ts: e.ts,
-                kind: e.kind,
-                value: e.value,
-            })
-        }
         TAG_SYNC_BATCH => {
             if rest.len() < 4 {
                 return Err(ControlError::Truncated);
@@ -288,17 +250,13 @@ mod tests {
             ControlMsg::Membership(Bytes::from_static(b"rm-payload")),
             ControlMsg::Membership(Bytes::new()),
             ControlMsg::SyncRequest,
-            ControlMsg::SyncChunk {
-                key: Key(42),
-                ts: Ts::new(7, 3),
-                kind: UpdateKind::Write,
-                value: Value::filled(0xEE, 24),
-            },
-            ControlMsg::SyncChunk {
-                key: Key(u64::MAX),
-                ts: Ts::new(u64::MAX, u32::MAX),
-                kind: UpdateKind::Rmw,
-                value: Value::EMPTY,
+            ControlMsg::SyncBatch {
+                entries: vec![SyncEntry {
+                    key: Key(42),
+                    ts: Ts::new(7, 3),
+                    kind: UpdateKind::Write,
+                    value: Value::filled(0xEE, 24),
+                }],
             },
             ControlMsg::SyncMark { lane: 3, lanes: 4 },
             ControlMsg::SyncBatch { entries: vec![] },
@@ -349,19 +307,26 @@ mod tests {
     fn malformed_control_frames_error() {
         // Control-marked but empty body.
         assert_eq!(decode(&[0, 0]).unwrap(), Err(ControlError::Truncated));
-        // Unknown tag.
-        assert_eq!(decode(&[0, 0, 99]).unwrap(), Err(ControlError::BadTag(99)));
-        // Truncated chunk.
-        let full = encode(&ControlMsg::SyncChunk {
-            key: Key(1),
-            ts: Ts::new(1, 1),
-            kind: UpdateKind::Write,
-            value: Value::from_u64(9),
+        // Unknown tags, and the retired one-key sync chunk's.
+        for tag in [2, 99] {
+            assert_eq!(
+                decode(&[0, 0, tag]).unwrap(),
+                Err(ControlError::BadTag(tag))
+            );
+        }
+        // A one-entry batch cut anywhere.
+        let full = encode(&ControlMsg::SyncBatch {
+            entries: vec![SyncEntry {
+                key: Key(1),
+                ts: Ts::new(1, 1),
+                kind: UpdateKind::Write,
+                value: Value::from_u64(9),
+            }],
         });
         for cut in 3..full.len() {
             assert!(
                 decode(&full[..cut]).unwrap().is_err(),
-                "chunk cut at {cut} must error"
+                "batch cut at {cut} must error"
             );
         }
         // A declared value length past the buffer end.

@@ -13,8 +13,8 @@
 //! 3. kills one client's TCP connection mid-workload and resumes the
 //!    in-doubt transaction over a fresh connection (idempotent replay —
 //!    no partial write survives);
-//! 4. audits the books through the server-side one-RPC transaction path
-//!    (`remote_txn`) and checks the **conserved-total invariant** plus
+//! 4. audits the books from a remote session on another node and checks
+//!    the **conserved-total invariant** plus
 //!    transaction-granularity **serializability**
 //!    (`hermes_txn::check_txns_serializable`);
 //! 5. reads each daemon's metrics exposition (per-lane op counts — the
@@ -27,7 +27,7 @@
 use hermes::harness::{daemon_main, observe_txn, spawn_daemons};
 use hermes::obs::samples;
 use hermes::prelude::*;
-use hermes::replica::{remote_txn, KillSwitch};
+use hermes::replica::KillSwitch;
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
 use std::net::SocketAddr;
@@ -186,18 +186,16 @@ fn harness_main(transfers_per_client: u64) {
         "the mid-workload connection kill never fired"
     );
 
-    // Audit through the server-side one-RPC transaction path.
+    // Audit from a session on another node.
     let audit = BANK.audit();
     let invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let reply =
-        remote_txn(daemons.clients[2], &audit, Duration::from_secs(10)).expect("remote audit RPC");
-    let TxnReply::Committed { values } = &reply else {
-        panic!("audit must commit: {reply:?}");
+    let result = remote_session(daemons.clients[2]).txn(audit.clone());
+    let TxnResult::Committed(values) = &result else {
+        panic!("audit must commit: {result:?}");
     };
     let total = BANK
         .check_conserved(values)
         .expect("conserved-total invariant");
-    let result = TxnResult::Committed(values.clone());
     record(&history, &clock, &audit, invoke, &result);
     println!("txn_transfer: audit sums to {total} — money conserved across the kill");
 

@@ -73,10 +73,9 @@ pub mod prelude {
     pub use hermes_membership::RmConfig;
     pub use hermes_obs::{Histogram, HistogramSnapshot, Quantiles};
     pub use hermes_replica::{
-        query_metrics, query_traces, remote_txn, request_shutdown, run_sim, ClientSession,
-        ClusterConfig, CostModel, MembershipOptions, MembershipStatus, NodeOptions, NodeRuntime,
-        PendingTxn, RemoteChannel, RunReport, SessionChannel, SimConfig, ThreadCluster, Ticket,
-        TxnResult,
+        query_metrics, query_traces, request_shutdown, run_sim, ClientSession, ClusterConfig,
+        CostModel, MembershipOptions, MembershipStatus, NodeOptions, NodeRuntime, PendingTxn,
+        RemoteChannel, RunReport, SessionChannel, SimConfig, ThreadCluster, Ticket, TxnResult,
     };
     pub use hermes_txn::{check_txns_serializable, lock_key, TxnConfig, TxnMachine, TxnObs};
     pub use hermes_workload::{BankConfig, BankWorkload, Workload, WorkloadConfig};

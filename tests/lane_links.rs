@@ -2,8 +2,9 @@
 //! cluster runs its lanes and nothing else, over either transport. Each
 //! lane reads and writes its own links — connections over TCP, once the
 //! dials are done; an inbox in process — so no transport thread is left.
-//! Alone in its test binary, and its tests one at a time, so no other
-//! test's threads are in the count.
+//! A replica daemon's runtime adds its poller shards and nothing else
+//! (DESIGN.md §7). Alone in its test binary, and its tests one at a time,
+//! so no other test's threads are in the count.
 #![cfg(target_os = "linux")]
 
 #[path = "support/procfs.rs"]
@@ -107,4 +108,36 @@ fn an_in_process_cluster_runs_its_lanes_and_no_transport_thread() {
     }
     cluster.shutdown();
     assert_eq!(settled_threads(), before, "shutdown joins every lane");
+}
+
+#[test]
+fn a_node_runtime_runs_its_lanes_and_pollers_and_nothing_else() {
+    const WORKERS: usize = 2;
+    const POLLERS: usize = 1;
+    let _serial = one_at_a_time();
+    let before = settled_threads();
+    let loopback = "127.0.0.1:0".parse().unwrap();
+    let runtime = NodeRuntime::serve(NodeOptions {
+        node: NodeId(0),
+        peers: vec![loopback],
+        client_addr: loopback,
+        workers: WORKERS,
+        pollers: POLLERS,
+        protocol: ProtocolConfig::default(),
+        tcp: hermes::net::TcpConfig::default(),
+        run_for: None,
+        membership: None,
+        join: false,
+        metrics_dump: None,
+    })
+    .unwrap();
+    let added = settled_threads() - before;
+    let names = thread_names();
+    let ours: Vec<&String> = names.iter().filter(|n| n.starts_with("hermes-")).collect();
+    let plane = |n: &&String| n.starts_with("hermes-lane-") || n.starts_with("hermes-poller-");
+    assert!(ours.iter().all(plane), "lanes and pollers only: {names:?}");
+    assert_eq!(ours.len(), WORKERS + POLLERS, "{names:?}");
+    assert_eq!(added, WORKERS + POLLERS, "{names:?}");
+    runtime.shutdown();
+    assert_eq!(settled_threads(), before, "shutdown joins every thread");
 }

@@ -13,8 +13,7 @@
 //! * multi-process: three daemon replicas over loopback TCP (this test
 //!   binary re-executes itself as the daemons,
 //!   `tests/support/daemon.rs`), remote sessions, a mid-workload
-//!   connection kill, and audits through the one-RPC server-side
-//!   transaction path (`remote_txn`).
+//!   connection kill, and an audit from a remote session on another node.
 
 #[path = "support/daemon.rs"]
 mod daemon;
@@ -274,18 +273,16 @@ fn tcp_cluster_transfers_survive_connection_kill() {
         "the connection kill was never observed — the fault path did not fire"
     );
 
-    // Audit through the server-side one-RPC transaction path on another
-    // node: conservation must hold despite the mid-workload kill.
+    // Audit from a session on another node: conservation must hold
+    // despite the mid-workload kill.
     let audit = BANK.audit();
     let invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let reply = hermes::replica::remote_txn(client_addrs[2], &audit, Duration::from_secs(10))
-        .expect("remote audit");
-    let TxnReply::Committed { values } = &reply else {
-        panic!("audit must commit: {reply:?}");
+    let result = remote_session(client_addrs[2]).txn(audit.clone());
+    let TxnResult::Committed(values) = &result else {
+        panic!("audit must commit: {result:?}");
     };
     BANK.check_conserved(values)
         .expect("conserved total across connection kill");
-    let result = TxnResult::Committed(values.clone());
     record(&history, &clock, &audit, invoke, &result);
 
     // Transaction-granularity serializability over everything recorded.
