@@ -1,10 +1,8 @@
 //! End-to-end tests of failure-free reads and writes (paper §3.2).
 
-mod support;
-
 use hermes_common::{Key, Reply, Value};
 use hermes_core::{KeyState, ProtocolConfig, Ts};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const K: Key = Key(7);
 

@@ -2,11 +2,9 @@
 //! timestamp, and the Trans state handles superseded coordinators
 //! (paper §3.1, §3.5 and Figure 4).
 
-mod support;
-
 use hermes_common::{Key, Reply, Value};
 use hermes_core::{KeyState, ProtocolConfig, Ts};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const A: Key = Key(1);
 

@@ -1,11 +1,9 @@
 //! Fault tolerance: message loss, duplication, reordering, node crashes and
 //! the write-replay machinery (paper §3.4).
 
-mod support;
-
 use hermes_common::{Key, NodeId, Reply, Value};
 use hermes_core::{KeyState, ProtocolConfig, Ts};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const K: Key = Key(5);
 

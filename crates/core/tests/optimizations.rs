@@ -2,11 +2,9 @@
 //! O2 (virtual node ids for fairness), O3 (broadcast ACKs to cut follower
 //! read-blocking latency and drop VALs entirely).
 
-mod support;
-
 use hermes_common::{Key, Reply, Value};
 use hermes_core::{KeyState, ProtocolConfig};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const K: Key = Key(11);
 

@@ -2,12 +2,10 @@
 //! fault schedules must always converge with per-key replica agreement, and
 //! every surviving client operation must complete exactly once.
 
-mod support;
-
 use hermes_common::{Key, Reply, RmwOp, Value};
 use hermes_core::ProtocolConfig;
+use hermes_model::Cluster;
 use proptest::prelude::*;
-use support::Cluster;
 
 #[derive(Clone, Debug)]
 enum Action {

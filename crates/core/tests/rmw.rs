@@ -2,11 +2,9 @@
 //! conflicting — at most one of any set of concurrent RMWs to a key commits,
 //! and writes always beat concurrent RMWs.
 
-mod support;
-
 use hermes_common::{Key, NodeId, Reply, RmwOp, Value};
 use hermes_core::{KeyState, ProtocolConfig, Ts};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const K: Key = Key(3);
 

@@ -6,11 +6,9 @@
 //! constructs the exact schedule and pins the resulting behaviour so any
 //! change to it is deliberate.
 
-mod support;
-
 use hermes_common::{Key, Reply, RmwOp, Value};
 use hermes_core::{KeyState, ProtocolConfig};
-use support::Cluster;
+use hermes_model::Cluster;
 
 const K: Key = Key(1);
 

@@ -8,6 +8,7 @@
 //! `(linearized-set, register-state)` — exponential worst case, fine for
 //! the bounded histories the explorer and the fuzz tests produce.
 
+use hermes_common::{ClientOp, Reply, RmwOp, Value};
 use std::collections::HashSet;
 
 /// What a history operation did, with its observed result.
@@ -87,6 +88,70 @@ impl HistoryOp {
     fn excluded(&self) -> bool {
         self.outcome == Outcome::Aborted
     }
+}
+
+/// Turns a client operation and its reply (`None`: never answered) into
+/// the checker's vocabulary. `Value::to_u64` maps the empty (never-written)
+/// value to `None`, the register's initial state; written values must be
+/// u64 payloads.
+///
+/// Only the reply the operation asked for completes it. Anything else — no
+/// reply, `NotOperational`, or an `RmwAborted` that another replica may
+/// still replay to completion (paper §3.6) — leaves it
+/// [`Outcome::Indeterminate`]: an RMW may have added its delta, a CAS may
+/// have installed `new`, and a read observed nothing.
+pub fn observe(cop: &ClientOp, reply: impl Into<Option<Reply>>) -> (OpKind, Outcome) {
+    let u64_of = |v: &Value| v.to_u64().expect("history values are u64 payloads");
+    let (kind, completed) = match (cop, reply.into()) {
+        (ClientOp::Read, Some(Reply::ReadOk(v))) => (
+            OpKind::Read {
+                returned: v.to_u64(),
+            },
+            true,
+        ),
+        (ClientOp::Read, _) => (OpKind::Read { returned: None }, false),
+        (ClientOp::Write(v), reply) => (
+            OpKind::Write { value: u64_of(v) },
+            matches!(reply, Some(Reply::WriteOk)),
+        ),
+        (ClientOp::Rmw(RmwOp::FetchAdd { delta }), Some(Reply::RmwOk { prior })) => (
+            OpKind::FetchAdd {
+                delta: *delta,
+                prior: prior.to_u64(),
+            },
+            true,
+        ),
+        (ClientOp::Rmw(RmwOp::FetchAdd { delta }), _) => (
+            OpKind::FetchAdd {
+                delta: *delta,
+                prior: None,
+            },
+            false,
+        ),
+        (
+            ClientOp::Rmw(RmwOp::CompareAndSwap { expect, .. }),
+            Some(Reply::CasFailed { current }),
+        ) => (
+            OpKind::CasFailed {
+                expect: u64_of(expect),
+                current: current.to_u64(),
+            },
+            true,
+        ),
+        (ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }), reply) => (
+            OpKind::CasOk {
+                expect: u64_of(expect),
+                new: u64_of(new),
+            },
+            matches!(reply, Some(Reply::RmwOk { .. })),
+        ),
+    };
+    let outcome = if completed {
+        Outcome::Completed
+    } else {
+        Outcome::Indeterminate
+    };
+    (kind, outcome)
 }
 
 /// Applies `kind` to the register `state`, returning the new state, or

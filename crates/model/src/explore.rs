@@ -2,20 +2,20 @@
 //!
 //! Enumerates every interleaving of message deliveries, a bounded number of
 //! message drops and duplications, timer expirations and (optionally) one
-//! crash-with-reconfiguration, over a cluster of real
+//! crash-with-reconfiguration, over a [`Cluster`] of real
 //! [`hermes_core::HermesNode`] state machines executing a fixed client
-//! script. At every reached state the cross-replica safety invariant is
-//! checked (equal timestamps imply equal values — the paper's "unique
-//! global order of writes per key"); at every terminal state the run is
-//! driven to quiescence and checked for convergence, completion and
+//! script; a search state is that cluster plus what is left of the
+//! adversary's budget. At every reached state the cross-replica safety
+//! invariant is checked (equal timestamps imply equal values — the paper's
+//! "unique global order of writes per key"); at every terminal state the
+//! run is driven to quiescence and checked for convergence, completion and
 //! per-key linearizability (compositionality lets us check keys
 //! independently).
 
-use crate::checker::{check_linearizable, HistoryOp, OpKind, Outcome};
-#[cfg(test)]
-use hermes_common::Value;
-use hermes_common::{ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, RmwOp};
-use hermes_core::{HermesNode, Msg, ProtocolConfig};
+use crate::checker::check_linearizable;
+use crate::cluster::Cluster;
+use hermes_common::{ClientOp, Key, MembershipView, NodeId};
+use hermes_core::{HermesNode, ProtocolConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
@@ -88,19 +88,15 @@ impl ExploreReport {
     }
 }
 
+/// A point of the search: the cluster plus what is left of the budget.
 #[derive(Clone)]
 struct State {
-    nodes: Vec<HermesNode>,
-    inflight: Vec<(NodeId, NodeId, Msg)>,
-    timers: BTreeSet<(u32, Key)>,
+    cluster: Cluster,
     next_script: usize,
     drops_left: usize,
     dups_left: usize,
     timer_fires_left: usize,
     crashed: bool,
-    clock: u64,
-    invokes: Vec<Option<u64>>,
-    replies: Vec<Option<(u64, Reply)>>,
 }
 
 /// The bounded model checker.
@@ -119,19 +115,12 @@ impl Explorer {
     pub fn run(&self) -> ExploreReport {
         let view = MembershipView::initial(self.cfg.nodes);
         let initial = State {
-            nodes: (0..self.cfg.nodes)
-                .map(|i| HermesNode::new(NodeId(i as u32), view, self.cfg.protocol))
-                .collect(),
-            inflight: Vec::new(),
-            timers: BTreeSet::new(),
+            cluster: Cluster::new(self.cfg.nodes, self.cfg.protocol),
             next_script: 0,
             drops_left: self.cfg.max_drops,
             dups_left: self.cfg.max_dups,
             timer_fires_left: self.cfg.max_timer_fires,
             crashed: false,
-            clock: 0,
-            invokes: vec![None; self.cfg.script.len()],
-            replies: vec![None; self.cfg.script.len()],
         };
 
         let mut report = ExploreReport {
@@ -157,67 +146,44 @@ impl Explorer {
             }
             report.states += 1;
 
-            if let Some(v) = safety_violation(&state) {
+            if let Some(v) = safety_violation(&state.cluster) {
                 report.violations.push(v);
                 break;
             }
 
             let mut successors = Vec::new();
 
-            // Issue the next scripted operation.
-            if state.next_script < self.cfg.script.len() {
-                let idx = state.next_script;
-                let s = &self.cfg.script[idx];
-                if !(state.crashed && Some(NodeId(s.node as u32)) == self.cfg.crash) {
-                    let mut next = state.clone();
-                    next.next_script += 1;
-                    next.clock += 1;
-                    next.invokes[idx] = Some(next.clock);
-                    let op_id = OpId::new(ClientId(idx as u64), 1);
-                    let mut fx = Vec::new();
-                    next.nodes[s.node].on_client_op(op_id, s.key, s.op.clone(), &mut fx);
-                    apply_effects(&mut next, s.node, fx, &self.cfg.script);
-                    successors.push(next);
-                } else {
-                    // Target node crashed: skip the op (never invoked).
-                    let mut next = state.clone();
-                    next.next_script += 1;
-                    successors.push(next);
+            // Issue the next scripted operation, or skip it (never invoked)
+            // when its target has crashed.
+            if let Some(s) = self.cfg.script.get(state.next_script) {
+                let mut next = state.clone();
+                next.next_script += 1;
+                if !state.cluster.is_crashed(s.node) {
+                    next.cluster.client(s.node, s.key, s.op.clone());
                 }
+                successors.push(next);
             }
 
             // Deliver / drop / duplicate each in-flight message. Identical
             // envelopes produce identical successors: branch only on the
             // first occurrence of each distinct (from, to, msg).
             let mut seen_env: HashSet<String> = HashSet::new();
-            for i in 0..state.inflight.len() {
-                let (from, to, ref m) = state.inflight[i];
-                if !seen_env.insert(format!("{from}>{to}:{m:?}")) {
+            for (i, e) in state.cluster.inflight.iter().enumerate() {
+                if !seen_env.insert(format!("{}>{}:{:?}", e.from, e.to, e.msg)) {
                     continue;
                 }
-                // Deliver.
                 let mut next = state.clone();
-                let (from, to, msg) = next.inflight.remove(i);
-                if !next.crashed || Some(to) != self.cfg.crash {
-                    next.clock += 1;
-                    let mut fx = Vec::new();
-                    next.nodes[to.index()].on_message(from, msg, &mut fx);
-                    apply_effects(&mut next, to.index(), fx, &self.cfg.script);
-                }
+                next.cluster.deliver_at(i);
                 successors.push(next);
-
-                // Drop.
                 if state.drops_left > 0 {
                     let mut next = state.clone();
-                    next.inflight.remove(i);
+                    next.cluster.drop_at(i);
                     next.drops_left -= 1;
                     successors.push(next);
                 }
-                // Duplicate.
                 if state.dups_left > 0 {
                     let mut next = state.clone();
-                    let dup = next.inflight[i].clone();
-                    next.inflight.push(dup);
+                    next.cluster.duplicate_at(i);
                     next.dups_left -= 1;
                     successors.push(next);
                 }
@@ -225,43 +191,28 @@ impl Explorer {
 
             // Fire an armed timer.
             if state.timer_fires_left > 0 {
-                for &(node, key) in &state.timers {
-                    if state.crashed && Some(NodeId(node)) == self.cfg.crash {
+                for &(node, key) in &state.cluster.timers {
+                    if state.cluster.is_crashed(node as usize) {
                         continue;
                     }
                     let mut next = state.clone();
                     next.timer_fires_left -= 1;
-                    next.clock += 1;
-                    let mut fx = Vec::new();
-                    next.nodes[node as usize].on_mlt_timeout(key, &mut fx);
-                    apply_effects(&mut next, node as usize, fx, &self.cfg.script);
+                    next.cluster.fire_timer(node as usize, key);
                     successors.push(next);
                 }
             }
 
             // Crash + atomic reconfiguration.
-            if let Some(victim) = self.cfg.crash {
-                if !state.crashed {
-                    let mut next = state.clone();
-                    next.crashed = true;
-                    next.clock += 1;
-                    next.inflight
-                        .retain(|(f, t, _)| *f != victim && *t != victim);
-                    let new_view = view.without_node(victim);
-                    for i in 0..self.cfg.nodes {
-                        if i == victim.index() {
-                            continue;
-                        }
-                        let mut fx = Vec::new();
-                        next.nodes[i].on_membership_update(new_view, &mut fx);
-                        apply_effects(&mut next, i, fx, &self.cfg.script);
-                    }
-                    successors.push(next);
-                }
+            if let Some(victim) = self.cfg.crash.filter(|_| !state.crashed) {
+                let mut next = state.clone();
+                next.crashed = true;
+                next.cluster.crash(victim.index());
+                next.cluster.reconfigure(view.without_node(victim));
+                successors.push(next);
             }
 
             if successors.is_empty()
-                || (state.next_script == self.cfg.script.len() && state.inflight.is_empty())
+                || (state.next_script == self.cfg.script.len() && state.cluster.inflight.is_empty())
             {
                 // Terminal-ish: check convergence + linearizability after
                 // driving the system quiescent.
@@ -277,59 +228,32 @@ impl Explorer {
         report
     }
 
-    /// Drives a terminal state to quiescence (deliver everything, fire all
-    /// timers, repeat), then checks completion, convergence and per-key
-    /// linearizability.
+    /// Drives a terminal state to quiescence, then checks completion,
+    /// convergence and per-key linearizability.
     fn check_terminal(&self, state: &State) -> Option<String> {
-        let mut s = state.clone();
-        for _ in 0..32 {
-            let mut progressed = false;
-            while !s.inflight.is_empty() {
-                let (from, to, msg) = s.inflight.remove(0);
-                if s.crashed && Some(to) == self.cfg.crash {
-                    continue;
-                }
-                s.clock += 1;
-                let mut fx = Vec::new();
-                s.nodes[to.index()].on_message(from, msg, &mut fx);
-                apply_effects(&mut s, to.index(), fx, &self.cfg.script);
-                progressed = true;
-            }
-            let timers: Vec<(u32, Key)> = s.timers.iter().copied().collect();
-            for (node, key) in timers {
-                if s.crashed && Some(NodeId(node)) == self.cfg.crash {
-                    continue;
-                }
-                s.clock += 1;
-                let mut fx = Vec::new();
-                s.nodes[node as usize].on_mlt_timeout(key, &mut fx);
-                apply_effects(&mut s, node as usize, fx, &self.cfg.script);
-                if !s.inflight.is_empty() {
-                    progressed = true;
-                }
-            }
-            if !progressed && s.inflight.is_empty() {
-                break;
-            }
+        let mut c = state.cluster.clone();
+        if !c.settle() {
+            return Some("liveness: no quiescence within 64 rounds".into());
         }
-        if let Some(v) = safety_violation(&s) {
+        if let Some(v) = safety_violation(&c) {
             return Some(format!("post-quiescence: {v}"));
         }
 
         // Completion: every op issued at a surviving node must have a reply.
-        for (idx, script) in self.cfg.script.iter().enumerate() {
-            let issued = s.invokes[idx].is_some();
-            let node_dead = s.crashed && Some(NodeId(script.node as u32)) == self.cfg.crash;
-            if issued && !node_dead && s.replies[idx].is_none() {
-                return Some(format!(
-                    "liveness: op {idx} ({script:?}) never completed at quiescence"
-                ));
-            }
+        if let Some(op) = c
+            .ops
+            .iter()
+            .find(|op| !c.is_crashed(op.node) && op.response.is_none())
+        {
+            return Some(format!(
+                "liveness: {:?} at node {} on {} never completed at quiescence",
+                op.cop, op.node, op.key
+            ));
         }
 
         // Convergence: operational nodes agree per key.
         let keys: BTreeSet<Key> = self.cfg.script.iter().map(|s| s.key).collect();
-        let live: Vec<&HermesNode> = s.nodes.iter().filter(|n| n.is_operational()).collect();
+        let live: Vec<&HermesNode> = c.nodes.iter().filter(|n| n.is_operational()).collect();
         for &key in &keys {
             // Keys can stay lazily Invalid only when requests are absent;
             // after quiescence driving with timer fires, a key touched by
@@ -349,7 +273,7 @@ impl Explorer {
 
         // Linearizability, per key (compositional).
         for &key in &keys {
-            let history = build_history(&self.cfg.script, &s, key);
+            let history = c.history(key);
             if !check_linearizable(&history) {
                 return Some(format!(
                     "linearizability violation on {key}: history {history:?}"
@@ -360,40 +284,12 @@ impl Explorer {
     }
 }
 
-fn apply_effects(state: &mut State, at: usize, fx: Vec<Effect<Msg>>, script: &[ScriptOp]) {
-    let me = NodeId(at as u32);
-    let view = state.nodes[at].view();
-    for e in fx {
-        match e {
-            Effect::Send { to, msg } => state.inflight.push((me, to, msg)),
-            Effect::Broadcast { msg } => {
-                for to in view.broadcast_set(me) {
-                    state.inflight.push((me, to, msg.clone()));
-                }
-            }
-            Effect::Reply { op, reply } => {
-                let idx = op.client.0 as usize;
-                if idx < script.len() && state.replies[idx].is_none() {
-                    state.clock += 1;
-                    state.replies[idx] = Some((state.clock, reply));
-                }
-            }
-            Effect::ArmTimer { key } => {
-                state.timers.insert((at as u32, key));
-            }
-            Effect::DisarmTimer { key } => {
-                state.timers.remove(&(at as u32, key));
-            }
-        }
-    }
-}
-
 /// The cross-state safety invariant: two replicas holding the same
 /// timestamp for a key must hold the same value (unique global write order,
 /// paper §3.1).
-fn safety_violation(state: &State) -> Option<String> {
-    for (i, a) in state.nodes.iter().enumerate() {
-        for b in state.nodes.iter().skip(i + 1) {
+fn safety_violation(cluster: &Cluster) -> Option<String> {
+    for (i, a) in cluster.nodes.iter().enumerate() {
+        for b in cluster.nodes.iter().skip(i + 1) {
             for (key, ea) in a.entries() {
                 let ts_b = b.key_ts(*key);
                 if ts_b == ea.ts && ea.ts != hermes_core::Ts::ZERO {
@@ -411,74 +307,10 @@ fn safety_violation(state: &State) -> Option<String> {
     None
 }
 
-fn build_history(script: &[ScriptOp], state: &State, key: Key) -> Vec<HistoryOp> {
-    let mut out = Vec::new();
-    for (idx, s) in script.iter().enumerate() {
-        if s.key != key {
-            continue;
-        }
-        let Some(invoke) = state.invokes[idx] else {
-            continue; // never issued (crashed target)
-        };
-        let reply = state.replies[idx].clone();
-        let (response, outcome, observed) = match &reply {
-            Some((t, r)) => match r {
-                // An RmwAborted reply is advisory: the explorer fires
-                // spurious timers, so a replayer may have committed the RMW
-                // the coordinator aborted (§3.6 guarantees at-most-one
-                // concurrent RMW commits, not abort finality).
-                Reply::RmwAborted => (*t, Outcome::Indeterminate, None),
-                Reply::NotOperational => (*t, Outcome::Indeterminate, None),
-                other => (*t, Outcome::Completed, Some(other.clone())),
-            },
-            None => (u64::MAX, Outcome::Indeterminate, None),
-        };
-        let kind = match (&s.op, observed) {
-            (ClientOp::Read, Some(Reply::ReadOk(v))) => OpKind::Read {
-                returned: v.to_u64(),
-            },
-            (ClientOp::Read, _) => OpKind::Read { returned: None },
-            (ClientOp::Write(v), _) => OpKind::Write {
-                value: v.to_u64().unwrap_or(0),
-            },
-            (ClientOp::Rmw(RmwOp::FetchAdd { delta }), Some(Reply::RmwOk { prior })) => {
-                OpKind::FetchAdd {
-                    delta: *delta,
-                    prior: prior.to_u64(),
-                }
-            }
-            (ClientOp::Rmw(RmwOp::FetchAdd { delta }), _) => OpKind::FetchAdd {
-                delta: *delta,
-                prior: None,
-            },
-            (ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }), observed) => match observed {
-                Some(Reply::CasFailed { current }) => OpKind::CasFailed {
-                    expect: expect.to_u64().unwrap_or(0),
-                    current: current.to_u64(),
-                },
-                _ => OpKind::CasOk {
-                    expect: expect.to_u64().unwrap_or(0),
-                    new: new.to_u64().unwrap_or(0),
-                },
-            },
-        };
-        // Unissued/incomplete reads impose no constraints; skip them.
-        if outcome != Outcome::Completed && matches!(kind, OpKind::Read { .. }) {
-            continue;
-        }
-        out.push(HistoryOp {
-            invoke,
-            response,
-            kind,
-            outcome,
-        });
-    }
-    out
-}
-
 fn fingerprint(state: &State) -> u64 {
+    let c = &state.cluster;
     let mut h = DefaultHasher::new();
-    for node in &state.nodes {
+    for node in &c.nodes {
         // Hash only protocol-relevant state: per-key entries, the view and
         // operational flag — NOT the node's statistics counters, which grow
         // monotonically and would make every state unique.
@@ -488,14 +320,14 @@ fn fingerprint(state: &State) -> u64 {
             format!("{key:?}={entry:?}").hash(&mut h);
         }
     }
-    let mut msgs: Vec<String> = state
+    let mut msgs: Vec<String> = c
         .inflight
         .iter()
-        .map(|(f, t, m)| format!("{f}>{t}:{m:?}"))
+        .map(|e| format!("{}>{}:{:?}", e.from, e.to, e.msg))
         .collect();
     msgs.sort();
     msgs.hash(&mut h);
-    state.timers.hash(&mut h);
+    c.timers.hash(&mut h);
     state.next_script.hash(&mut h);
     state.drops_left.hash(&mut h);
     state.dups_left.hash(&mut h);
@@ -507,20 +339,17 @@ fn fingerprint(state: &State) -> u64 {
     // ops — not the absolute logical-clock stamps. Hashing the precedence
     // matrix instead of raw clocks collapses interleavings that differ only
     // in irrelevant timing, keeping the search tractable.
-    for (i, r) in state.replies.iter().enumerate() {
-        i.hash(&mut h);
-        state.invokes[i].is_some().hash(&mut h);
-        match r {
+    for (i, op) in c.ops.iter().enumerate() {
+        (i, op.node).hash(&mut h);
+        match &op.response {
             Some((_, reply)) => format!("{reply:?}").hash(&mut h),
             None => "pending".hash(&mut h),
         }
     }
-    for (i, r) in state.replies.iter().enumerate() {
-        if let Some((rt, _)) = r {
-            for (j, inv) in state.invokes.iter().enumerate() {
-                if let Some(it) = inv {
-                    ((i, j), rt < it).hash(&mut h);
-                }
+    for (i, a) in c.ops.iter().enumerate() {
+        if let Some((rt, _)) = a.response {
+            for (j, b) in c.ops.iter().enumerate() {
+                ((i, j), rt < b.invoke).hash(&mut h);
             }
         }
     }
@@ -530,6 +359,8 @@ fn fingerprint(state: &State) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::{HistoryOp, OpKind, Outcome};
+    use hermes_common::{RmwOp, Value};
 
     /// Debug builds explore ~20x slower; exhaustiveness at full bounds is
     /// exercised by release runs (`cargo test --release -p hermes-model`).

@@ -134,24 +134,10 @@ pub enum Phase {
     ReplyHeld,
     /// Reply released to the client.
     ReplyReleased,
-    /// Cache invalidation push sent to a subscribed session.
-    CachePush,
-    /// Cache push acknowledged by the session.
-    CachePushAck,
-    /// Held replies released after the last push ack.
-    HoldRelease,
     /// View change proposed / detected.
     ViewChangeStart,
     /// New view installed.
     ViewChangeInstalled,
-    /// Transaction lock phase.
-    TxnLock,
-    /// Transaction validate phase.
-    TxnValidate,
-    /// Transaction apply phase.
-    TxnApply,
-    /// Transaction unlock phase.
-    TxnUnlock,
     /// Follower: a traced invalidation arrived off the wire.
     InvIngress,
     /// Follower: a traced validation arrived off the wire.
@@ -175,15 +161,8 @@ impl Phase {
             Phase::Committed => "committed",
             Phase::ReplyHeld => "reply_held",
             Phase::ReplyReleased => "reply_released",
-            Phase::CachePush => "cache_push",
-            Phase::CachePushAck => "cache_push_ack",
-            Phase::HoldRelease => "hold_release",
             Phase::ViewChangeStart => "view_change_start",
             Phase::ViewChangeInstalled => "view_change_installed",
-            Phase::TxnLock => "txn_lock",
-            Phase::TxnValidate => "txn_validate",
-            Phase::TxnApply => "txn_apply",
-            Phase::TxnUnlock => "txn_unlock",
             Phase::InvIngress => "inv_ingress",
             Phase::ValIngress => "val_ingress",
             Phase::LocalApply => "local_apply",

@@ -976,7 +976,6 @@ mod tests {
         SessionMachine::new(
             CreditConfig {
                 credits_per_peer: credits,
-                ..CreditConfig::default()
             },
             1 << 20,
             Box::new(move |key| valid.get(&key).cloned()),

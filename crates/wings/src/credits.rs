@@ -5,16 +5,12 @@ use hermes_common::NodeId;
 pub struct CreditConfig {
     /// Credits available per peer (receive-buffer slots at the peer).
     pub credits_per_peer: u32,
-    /// Received-message count after which an explicit credit-update message
-    /// is owed to the sender (batched explicit returns, paper §4.2).
-    pub explicit_return_threshold: u32,
 }
 
 impl Default for CreditConfig {
     fn default() -> Self {
         CreditConfig {
             credits_per_peer: 32,
-            explicit_return_threshold: 8,
         }
     }
 }
@@ -22,13 +18,9 @@ impl Default for CreditConfig {
 /// Credit-based flow control (Kung et al., as used by Wings, paper §4.2).
 ///
 /// A sender spends one credit per message to a peer and stalls when the
-/// peer's credits run out, bounding receive-buffer usage. Credits return in
-/// two ways:
-///
-/// * **implicit** — a response message doubles as a credit (HermesKV treats
-///   each ACK as the credit update for its INV);
-/// * **explicit** — for one-way traffic (VALs), the receiver periodically
-///   sends a small credit-update message covering a batch of deliveries.
+/// peer's credits run out, bounding receive-buffer usage. Credits return
+/// implicitly: a response message doubles as a credit (HermesKV treats each
+/// ACK as the credit update for its INV).
 ///
 /// # Examples
 ///
@@ -36,7 +28,7 @@ impl Default for CreditConfig {
 /// use hermes_common::NodeId;
 /// use hermes_wings::{CreditConfig, CreditFlow};
 ///
-/// let mut flow = CreditFlow::new(2, CreditConfig { credits_per_peer: 1, ..Default::default() });
+/// let mut flow = CreditFlow::new(2, CreditConfig { credits_per_peer: 1 });
 /// assert!(flow.try_consume(NodeId(1)));
 /// assert!(!flow.try_consume(NodeId(1)), "out of credits");
 /// flow.on_implicit_credit(NodeId(1));
@@ -46,7 +38,6 @@ impl Default for CreditConfig {
 pub struct CreditFlow {
     cfg: CreditConfig,
     available: Vec<u32>,
-    owed: Vec<u32>,
     stalls: u64,
 }
 
@@ -56,7 +47,6 @@ impl CreditFlow {
         CreditFlow {
             cfg,
             available: vec![cfg.credits_per_peer; n],
-            owed: vec![0; n],
             stalls: 0,
         }
     }
@@ -80,32 +70,8 @@ impl CreditFlow {
 
     /// A response arrived from `peer`: one implicit credit returns.
     pub fn on_implicit_credit(&mut self, peer: NodeId) {
-        self.add(peer, 1);
-    }
-
-    /// An explicit credit-update message from `peer` returned `n` credits.
-    pub fn on_explicit_credits(&mut self, peer: NodeId, n: u32) {
-        self.add(peer, n);
-    }
-
-    fn add(&mut self, peer: NodeId, n: u32) {
         let slot = &mut self.available[peer.index()];
-        *slot = (*slot + n).min(self.cfg.credits_per_peer);
-    }
-
-    /// Records the receipt of a one-way message from `peer`; returns
-    /// `Some(n)` when an explicit credit update of `n` credits should be
-    /// sent back (threshold reached).
-    pub fn note_received(&mut self, peer: NodeId) -> Option<u32> {
-        let owed = &mut self.owed[peer.index()];
-        *owed += 1;
-        if *owed >= self.cfg.explicit_return_threshold {
-            let n = *owed;
-            *owed = 0;
-            Some(n)
-        } else {
-            None
-        }
+        *slot = (*slot + 1).min(self.cfg.credits_per_peer);
     }
 
     /// Times `try_consume` failed for lack of credits.
@@ -118,19 +84,18 @@ impl CreditFlow {
 mod tests {
     use super::*;
 
-    fn flow(credits: u32, threshold: u32) -> CreditFlow {
+    fn flow(credits: u32) -> CreditFlow {
         CreditFlow::new(
             3,
             CreditConfig {
                 credits_per_peer: credits,
-                explicit_return_threshold: threshold,
             },
         )
     }
 
     #[test]
     fn credits_bound_outstanding_messages() {
-        let mut f = flow(4, 8);
+        let mut f = flow(4);
         for _ in 0..4 {
             assert!(f.try_consume(NodeId(1)));
         }
@@ -143,7 +108,7 @@ mod tests {
 
     #[test]
     fn implicit_credits_restore_budget() {
-        let mut f = flow(1, 8);
+        let mut f = flow(1);
         assert!(f.try_consume(NodeId(0)));
         assert!(!f.try_consume(NodeId(0)));
         f.on_implicit_credit(NodeId(0));
@@ -152,26 +117,18 @@ mod tests {
 
     #[test]
     fn credits_never_exceed_cap() {
-        let mut f = flow(2, 8);
-        f.on_explicit_credits(NodeId(0), 100);
+        let mut f = flow(2);
+        for _ in 0..100 {
+            f.on_implicit_credit(NodeId(0));
+        }
         assert_eq!(f.available(NodeId(0)), 2);
-    }
-
-    #[test]
-    fn explicit_returns_batch_at_threshold() {
-        let mut f = flow(8, 3);
-        assert_eq!(f.note_received(NodeId(1)), None);
-        assert_eq!(f.note_received(NodeId(1)), None);
-        assert_eq!(f.note_received(NodeId(1)), Some(3));
-        // Counter reset after emission.
-        assert_eq!(f.note_received(NodeId(1)), None);
     }
 
     #[test]
     fn closed_loop_conservation() {
         // Simulated request/response loop: total in-flight never exceeds the
         // credit budget, and all credits return.
-        let mut f = flow(5, 2);
+        let mut f = flow(5);
         let mut inflight = 0u32;
         let mut sent = 0;
         for _ in 0..100 {

@@ -9,15 +9,17 @@
 //!
 //! Timestamps come from one shared atomic counter, so real-time precedence
 //! across client threads is captured exactly (an operation that responded
-//! before another was invoked must be ordered before it).
+//! before another was invoked must be ordered before it). A reply becomes
+//! a history entry through [`hermes_model::observe`], the one mapping the
+//! engine-level `hermes_model::Cluster` uses as well.
 //!
 //! The multi-process harnesses also share their child-daemon plumbing from
 //! here: [`daemon_main`] is what a child runs, [`spawn_daemons`] starts a
 //! replica group of them, [`connect_within`] reaches one and
 //! [`Daemons::shutdown`] stops them and checks they stopped cleanly.
 
-use hermes_common::{ClientOp, Key, Reply, RmwOp, TxnOp, Value};
-use hermes_model::{check_linearizable, HistoryOp, OpKind, Outcome};
+use hermes_common::{ClientOp, Key, RmwOp, TxnOp, Value};
+use hermes_model::{check_linearizable, observe, HistoryOp, OpKind, Outcome};
 use hermes_replica::{ClientSession, NodeOptions, NodeRuntime, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
 use std::io::Read;
@@ -204,82 +206,6 @@ pub struct RecordedOp {
     pub outcome: Outcome,
 }
 
-/// Turns a reply into the checker's vocabulary. `Value::to_u64` maps the
-/// empty (never-written) value to `None`, the checker's initial state.
-/// Harness workloads issue u64-valued writes, fetch-add RMWs and
-/// compare-and-swap RMWs.
-pub fn observe(cop: &ClientOp, reply: Reply) -> (OpKind, Outcome) {
-    match (cop, reply) {
-        (ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }), Reply::RmwOk { .. }) => (
-            OpKind::CasOk {
-                expect: expect.to_u64().expect("harness CAS u64 payloads"),
-                new: new.to_u64().expect("harness CAS u64 payloads"),
-            },
-            Outcome::Completed,
-        ),
-        (ClientOp::Rmw(RmwOp::CompareAndSwap { expect, .. }), Reply::CasFailed { current }) => (
-            OpKind::CasFailed {
-                expect: expect.to_u64().expect("harness CAS u64 payloads"),
-                current: current.to_u64(),
-            },
-            Outcome::Completed,
-        ),
-        // An aborted CAS may still be replayed to completion elsewhere
-        // (paper §3.6): indeterminate — it either installed `new` or did
-        // nothing, which is exactly CasOk under unconstrained application.
-        (ClientOp::Rmw(RmwOp::CompareAndSwap { expect, new }), _) => (
-            OpKind::CasOk {
-                expect: expect.to_u64().expect("harness CAS u64 payloads"),
-                new: new.to_u64().expect("harness CAS u64 payloads"),
-            },
-            Outcome::Indeterminate,
-        ),
-        (ClientOp::Read, Reply::ReadOk(v)) => (
-            OpKind::Read {
-                returned: v.to_u64(),
-            },
-            Outcome::Completed,
-        ),
-        (ClientOp::Write(v), Reply::WriteOk) => (
-            OpKind::Write {
-                value: v.to_u64().expect("harness writes u64 payloads"),
-            },
-            Outcome::Completed,
-        ),
-        (ClientOp::Rmw(RmwOp::FetchAdd { delta }), Reply::RmwOk { prior }) => (
-            OpKind::FetchAdd {
-                delta: *delta,
-                prior: prior.to_u64(),
-            },
-            Outcome::Completed,
-        ),
-        // An aborted RMW may still be replayed to completion by another
-        // replica (paper §3.6), so it must be modelled as indeterminate.
-        (ClientOp::Rmw(RmwOp::FetchAdd { delta }), Reply::RmwAborted) => (
-            OpKind::FetchAdd {
-                delta: *delta,
-                prior: None,
-            },
-            Outcome::Indeterminate,
-        ),
-        // Timeouts/shutdown: unknown effect.
-        (ClientOp::Write(v), _) => (
-            OpKind::Write {
-                value: v.to_u64().expect("harness writes u64 payloads"),
-            },
-            Outcome::Indeterminate,
-        ),
-        (ClientOp::Read, _) => (OpKind::Read { returned: None }, Outcome::Indeterminate),
-        (ClientOp::Rmw(RmwOp::FetchAdd { delta }), _) => (
-            OpKind::FetchAdd {
-                delta: *delta,
-                prior: None,
-            },
-            Outcome::Indeterminate,
-        ),
-    }
-}
-
 /// Drives `ops` operations through `session` with up to `depth` in flight,
 /// cycling writes (unique values), reads and fetch-add RMWs over `keys`
 /// keys, and records every invocation/response against the shared `clock`.
@@ -317,7 +243,7 @@ pub fn run_recorded_session<C: SessionChannel>(
             // Service gone: mark the remainder indeterminate and stop.
             for (_, key, cop, invoke) in pending.drain(..) {
                 let response = clock.fetch_add(1, Ordering::SeqCst);
-                let (kind, outcome) = observe(&cop, Reply::NotOperational);
+                let (kind, outcome) = observe(&cop, None);
                 observed.push(RecordedOp {
                     key,
                     invoke,

@@ -6,7 +6,8 @@
 //! flush everything — proven end-to-end by recording cached reads as
 //! ordinary history observations and running the Wing & Gong checker.
 
-use hermes::harness::{check_linearizable_per_key, observe, run_recorded_session, RecordedOp};
+use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::model::observe;
 use hermes::net::{InProcNet, InProcSender};
 use hermes::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,204 +1,29 @@
 //! Cross-crate integration: randomized schedule fuzzing of Hermes clusters
 //! with per-key linearizability checking.
 //!
-//! Drives real `HermesNode` state machines through randomized interleavings
-//! of deliveries, drops, duplications, timer fires and (sometimes) a crash
-//! with reconfiguration, collecting the client-visible history, and checks
-//! every key's history with the Wing–Gong checker from `hermes-model` —
-//! the fuzzing complement to that crate's exhaustive bounded exploration.
+//! Drives `hermes-model`'s `Cluster` of real `HermesNode` state machines
+//! through randomized interleavings of deliveries, drops, duplications,
+//! timer fires and (sometimes) a crash with reconfiguration, and checks
+//! every key's client-visible history with the Wing–Gong checker — the
+//! fuzzing complement to that crate's exhaustive bounded exploration over
+//! the same `Cluster`.
 
-use hermes::model::{check_linearizable, HistoryOp, OpKind, Outcome};
+use hermes::model::{check_linearizable, Cluster};
 use hermes::prelude::*;
 use hermes::sim::rng::Rng;
-use std::collections::BTreeSet;
 
-struct Fuzz {
-    nodes: Vec<HermesNode>,
-    inflight: Vec<(NodeId, NodeId, Msg)>,
-    timers: BTreeSet<(u32, Key)>,
-    clock: u64,
-    invokes: Vec<u64>,
-    replies: Vec<Option<(u64, Reply)>>,
-    script: Vec<(usize, Key, ClientOp)>,
-    crashed: Option<NodeId>,
-}
-
-impl Fuzz {
-    fn new(n: usize, cfg: ProtocolConfig) -> Self {
-        let view = MembershipView::initial(n);
-        Fuzz {
-            nodes: (0..n)
-                .map(|i| HermesNode::new(NodeId(i as u32), view, cfg))
-                .collect(),
-            inflight: Vec::new(),
-            timers: BTreeSet::new(),
-            clock: 0,
-            invokes: Vec::new(),
-            replies: Vec::new(),
-            script: Vec::new(),
-            crashed: None,
-        }
+/// Delivers a random in-flight message; false if there is none.
+fn deliver_random(c: &mut Cluster, rng: &mut Rng) -> bool {
+    if c.inflight.is_empty() {
+        return false;
     }
-
-    fn apply(&mut self, at: usize, fx: Vec<Effect<Msg>>) {
-        let me = NodeId(at as u32);
-        for e in fx {
-            match e {
-                Effect::Send { to, msg } => self.inflight.push((me, to, msg)),
-                Effect::Broadcast { msg } => {
-                    for to in self.nodes[at].view().broadcast_set(me) {
-                        self.inflight.push((me, to, msg.clone()));
-                    }
-                }
-                Effect::Reply { op, reply } => {
-                    let idx = op.seq as usize;
-                    if self.replies[idx].is_none() {
-                        self.clock += 1;
-                        self.replies[idx] = Some((self.clock, reply));
-                    }
-                }
-                Effect::ArmTimer { key } => {
-                    self.timers.insert((at as u32, key));
-                }
-                Effect::DisarmTimer { key } => {
-                    self.timers.remove(&(at as u32, key));
-                }
-            }
-        }
-    }
-
-    fn issue(&mut self, node: usize, key: Key, cop: ClientOp) {
-        self.clock += 1;
-        let idx = self.script.len();
-        self.script.push((node, key, cop.clone()));
-        self.invokes.push(self.clock);
-        self.replies.push(None);
-        let op = OpId::new(hermes::common::ClientId(node as u64), idx as u64);
-        let mut fx = Vec::new();
-        self.nodes[node].on_client_op(op, key, cop, &mut fx);
-        self.apply(node, fx);
-    }
-
-    fn deliver_random(&mut self, rng: &mut Rng) -> bool {
-        if self.inflight.is_empty() {
-            return false;
-        }
-        let i = rng.gen_range(self.inflight.len() as u64) as usize;
-        let (from, to, msg) = self.inflight.remove(i);
-        if Some(to) == self.crashed || Some(from) == self.crashed {
-            return true;
-        }
-        self.clock += 1;
-        let mut fx = Vec::new();
-        self.nodes[to.index()].on_message(from, msg, &mut fx);
-        self.apply(to.index(), fx);
-        true
-    }
-
-    fn fire_random_timer(&mut self, rng: &mut Rng) {
-        let armed: Vec<(u32, Key)> = self
-            .timers
-            .iter()
-            .copied()
-            .filter(|(n, _)| Some(NodeId(*n)) != self.crashed)
-            .collect();
-        if armed.is_empty() {
-            return;
-        }
-        let (node, key) = armed[rng.gen_range(armed.len() as u64) as usize];
-        self.clock += 1;
-        let mut fx = Vec::new();
-        self.nodes[node as usize].on_mlt_timeout(key, &mut fx);
-        self.apply(node as usize, fx);
-    }
-
-    fn crash(&mut self, victim: NodeId) {
-        self.crashed = Some(victim);
-        self.inflight
-            .retain(|(f, t, _)| *f != victim && *t != victim);
-        let view = self.nodes[0].view().without_node(victim);
-        for i in 0..self.nodes.len() {
-            if NodeId(i as u32) == victim {
-                continue;
-            }
-            let mut fx = Vec::new();
-            self.nodes[i].on_membership_update(view, &mut fx);
-            self.apply(i, fx);
-        }
-    }
-
-    fn quiesce(&mut self, rng: &mut Rng) {
-        for _ in 0..200 {
-            while self.deliver_random(rng) {}
-            let armed: Vec<(u32, Key)> = self.timers.iter().copied().collect();
-            if armed.is_empty() && self.inflight.is_empty() {
-                break;
-            }
-            for (node, key) in armed {
-                if Some(NodeId(node)) == self.crashed {
-                    continue;
-                }
-                self.clock += 1;
-                let mut fx = Vec::new();
-                self.nodes[node as usize].on_mlt_timeout(key, &mut fx);
-                self.apply(node as usize, fx);
-            }
-            if self.inflight.is_empty() {
-                break;
-            }
-        }
-    }
-
-    fn history_for(&self, key: Key) -> Vec<HistoryOp> {
-        let mut out = Vec::new();
-        for (idx, (_, k, cop)) in self.script.iter().enumerate() {
-            if *k != key {
-                continue;
-            }
-            let invoke = self.invokes[idx];
-            let (response, outcome, reply) = match &self.replies[idx] {
-                // Advisory abort: a spurious replay may still have
-                // committed the RMW (paper §3.6 guarantees at-most-one
-                // concurrent RMW commit, not abort finality).
-                Some((t, Reply::RmwAborted)) => (*t, Outcome::Indeterminate, None),
-                Some((t, Reply::NotOperational)) => (*t, Outcome::Indeterminate, None),
-                Some((t, r)) => (*t, Outcome::Completed, Some(r.clone())),
-                None => (u64::MAX, Outcome::Indeterminate, None),
-            };
-            let kind = match (cop, reply) {
-                (ClientOp::Read, Some(Reply::ReadOk(v))) => OpKind::Read {
-                    returned: v.to_u64(),
-                },
-                (ClientOp::Read, _) => continue, // incomplete read: no constraint
-                (ClientOp::Write(v), _) => OpKind::Write {
-                    value: v.to_u64().expect("fuzz writes u64 values"),
-                },
-                (ClientOp::Rmw(RmwOp::FetchAdd { delta }), Some(Reply::RmwOk { prior })) => {
-                    OpKind::FetchAdd {
-                        delta: *delta,
-                        prior: prior.to_u64(),
-                    }
-                }
-                (ClientOp::Rmw(RmwOp::FetchAdd { delta }), _) => OpKind::FetchAdd {
-                    delta: *delta,
-                    prior: None,
-                },
-                (ClientOp::Rmw(_), _) => continue,
-            };
-            out.push(HistoryOp {
-                invoke,
-                response,
-                kind,
-                outcome,
-            });
-        }
-        out
-    }
+    c.deliver_at(rng.gen_range(c.inflight.len() as u64) as usize);
+    true
 }
 
 fn fuzz_one(seed: u64, n_nodes: usize, n_ops: usize, with_faults: bool, cfg: ProtocolConfig) {
     let mut rng = Rng::seeded(seed);
-    let mut f = Fuzz::new(n_nodes, cfg);
+    let mut c = Cluster::new(n_nodes, cfg);
     let keys = 3u64;
     let mut next_value = 1u64;
     let crash_at = if with_faults && rng.gen_bool(0.3) {
@@ -210,47 +35,68 @@ fn fuzz_one(seed: u64, n_nodes: usize, n_ops: usize, with_faults: bool, cfg: Pro
     for step in 0..n_ops {
         if Some(step as u64) == crash_at {
             // Crash the highest node (never node 0, keeping a majority).
-            f.crash(NodeId(n_nodes as u32 - 1));
+            let victim = NodeId(n_nodes as u32 - 1);
+            c.crash(victim.index());
+            let view = c.node(0).view().without_node(victim);
+            c.reconfigure(view);
         }
         let node = loop {
             let candidate = rng.gen_range(n_nodes as u64) as usize;
-            if Some(NodeId(candidate as u32)) != f.crashed {
+            if !c.is_crashed(candidate) {
                 break candidate;
             }
         };
         let key = Key(rng.gen_range(keys));
         match rng.gen_range(10) {
             0..=3 => {
-                f.issue(node, key, ClientOp::Write(Value::from_u64(next_value)));
+                c.write(node, key, Value::from_u64(next_value));
                 next_value += 1;
             }
             4..=5 => {
-                f.issue(node, key, ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 }));
+                c.rmw(node, key, RmwOp::FetchAdd { delta: 1 });
             }
-            _ => f.issue(node, key, ClientOp::Read),
+            _ => {
+                c.read(node, key);
+            }
         }
         // Random partial delivery, drops, duplicates, timers.
         for _ in 0..rng.gen_range(6) {
-            f.deliver_random(&mut rng);
+            deliver_random(&mut c, &mut rng);
         }
-        if with_faults && !f.inflight.is_empty() && rng.gen_bool(0.1) {
-            let i = rng.gen_range(f.inflight.len() as u64) as usize;
-            f.inflight.remove(i);
+        if with_faults && !c.inflight.is_empty() && rng.gen_bool(0.1) {
+            c.drop_at(rng.gen_range(c.inflight.len() as u64) as usize);
         }
-        if with_faults && !f.inflight.is_empty() && rng.gen_bool(0.05) {
-            let i = rng.gen_range(f.inflight.len() as u64) as usize;
-            let dup = f.inflight[i].clone();
-            f.inflight.push(dup);
+        if with_faults && !c.inflight.is_empty() && rng.gen_bool(0.05) {
+            c.duplicate_at(rng.gen_range(c.inflight.len() as u64) as usize);
         }
         if rng.gen_bool(0.1) {
-            f.fire_random_timer(&mut rng);
+            let armed: Vec<(u32, Key)> = c
+                .timers
+                .iter()
+                .copied()
+                .filter(|&(n, _)| !c.is_crashed(n as usize))
+                .collect();
+            if !armed.is_empty() {
+                let (node, key) = armed[rng.gen_range(armed.len() as u64) as usize];
+                c.fire_timer(node as usize, key);
+            }
         }
     }
-    f.quiesce(&mut rng);
+    // Quiesce, draining the network in random order between timer rounds.
+    for _ in 0..200 {
+        while deliver_random(&mut c, &mut rng) {}
+        if c.timers.is_empty() {
+            break;
+        }
+        c.fire_all_timers();
+        if c.inflight.is_empty() {
+            break;
+        }
+    }
 
     // Every key's client-visible history must be linearizable.
     for key in 0..keys {
-        let history = f.history_for(Key(key));
+        let history = c.history(Key(key));
         assert!(
             history.len() <= 63,
             "seed {seed}: history too large ({})",

@@ -178,7 +178,6 @@ fn a_dead_channel_fails_its_waiters_at_once_and_burns_no_cpu() {
         let (channel, peer) = channel_to_a_silent_peer(subscribed);
         let one_credit = CreditConfig {
             credits_per_peer: 1,
-            ..CreditConfig::default()
         };
         let mut session = ClientSession::new(channel, one_credit);
         let in_flight = session.write(Key(1), Value::from_u64(1));

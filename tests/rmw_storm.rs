@@ -13,7 +13,8 @@
 //! * **linearizability** — the full recorded history (reads, `CasOk`,
 //!   `CasFailed`, indeterminate aborts) passes the Wing & Gong checker.
 
-use hermes::harness::{check_linearizable_per_key, observe, RecordedOp};
+use hermes::harness::{check_linearizable_per_key, RecordedOp};
+use hermes::model::observe;
 use hermes::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

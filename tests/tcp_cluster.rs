@@ -281,7 +281,6 @@ fn session_pipelining_is_credit_bounded_over_tcp() {
         0,
         hermes::wings::CreditConfig {
             credits_per_peer: 2,
-            explicit_return_threshold: 8,
         },
     );
     let tickets: Vec<_> = (0..32u64)

@@ -1,8 +1,11 @@
 //! Cross-crate integration: the real threaded Hermes deployment
 //! (core + wings + net + store + replica) under concurrency and faults.
 
+use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::model::{OpKind, Outcome};
 use hermes::net::NetFaults;
 use hermes::prelude::*;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 #[test]
@@ -191,4 +194,60 @@ fn a_1_kib_value_reads_back_byte_for_byte_from_every_mirror() {
     assert_eq!(cluster.rmw(1, key, cas), Reply::RmwOk { prior: value });
     read_back(&new);
     cluster.shutdown();
+}
+
+/// Concurrent *pipelined* sessions against a 3-node × 2-lane cluster: the
+/// merged invocation/response history, stamped from one shared counter so
+/// real-time precedence across client threads is exact, is linearizable
+/// per key.
+#[test]
+fn concurrent_pipelined_sessions_are_linearizable() {
+    const KEYS: u64 = 6;
+    const SESSIONS: usize = 6;
+    const OPS_PER_SESSION: u64 = 30;
+    const DEPTH: usize = 4;
+
+    let cluster = Arc::new(ThreadCluster::launch(ClusterConfig {
+        nodes: 3,
+        workers_per_node: 2,
+        ..ClusterConfig::default()
+    }));
+    assert!(
+        cluster.workers_per_node() >= 2,
+        "the point is exercising the sharded multi-worker path"
+    );
+    // The key set must span distinct shards so sessions really run on
+    // different workers concurrently.
+    let shards: std::collections::BTreeSet<usize> = (0..KEYS).map(|k| Key(k).shard(2)).collect();
+    assert!(shards.len() >= 2, "keys must cover ≥ 2 shards: {shards:?}");
+
+    let clock = Arc::new(AtomicU64::new(0));
+    let joins: Vec<_> = (0..SESSIONS)
+        .map(|sid| {
+            let cluster = Arc::clone(&cluster);
+            let clock = Arc::clone(&clock);
+            std::thread::spawn(move || {
+                let mut session = cluster.session(sid % 3);
+                let sid = sid as u64;
+                run_recorded_session(&mut session, &clock, sid, KEYS, OPS_PER_SESSION, DEPTH)
+            })
+        })
+        .collect();
+    let mut all: Vec<RecordedOp> = Vec::new();
+    for j in joins {
+        all.extend(j.join().expect("session thread"));
+    }
+    assert_eq!(all.len(), SESSIONS * OPS_PER_SESSION as usize);
+    // Nothing fails on a healthy cluster; only an RMW may abort.
+    for o in &all {
+        if !matches!(o.kind, OpKind::FetchAdd { .. }) {
+            assert_eq!(o.outcome, Outcome::Completed, "op failed: {o:?}");
+        }
+    }
+    check_linearizable_per_key(&all, KEYS).expect("per-key histories linearizable");
+
+    match Arc::try_unwrap(cluster) {
+        Ok(c) => c.shutdown(),
+        Err(_) => panic!("cluster still shared"),
+    }
 }
