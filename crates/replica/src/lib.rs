@@ -21,7 +21,7 @@
 //!   * [`NodeRuntime`] holds one node per OS process over the TCP
 //!     transport and adds a client-facing RPC port, across which
 //!     [`RemoteChannel`] connects a [`ClientSession`] (the `hermesd`
-//!     daemon of `examples/hermesd.rs`, DESIGN.md §4).
+//!     binary of the root package, DESIGN.md §4).
 //!
 //! Either shape can additionally run the **live membership subsystem**
 //! (DESIGN.md §5): lane 0 of each node hosts a wall-clock

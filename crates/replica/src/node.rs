@@ -16,10 +16,11 @@
 //! same thread discipline the paper's RDMA runtime gets from worker-polled
 //! receive queues (§4).
 //!
-//! The multi-process deployment story — and the loopback harness proving a
-//! 3-process cluster linearizable — lives in `examples/hermesd.rs` and
-//! `examples/tcp_cluster.rs` (DESIGN.md §4); the session-scaling evidence
-//! lives in `examples/session_scaling.rs`.
+//! The multi-process deployment story lives in the `hermesd` binary of the
+//! root package (`hermes::harness::daemon_main`), and the loopback harness
+//! proving a 3-process cluster linearizable in `examples/tcp_cluster.rs`
+//! (DESIGN.md §4); the session-scaling evidence lives in
+//! `examples/session_scaling.rs`.
 
 use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
@@ -76,7 +77,8 @@ pub struct NodeOptions {
     /// TCP transport tuning.
     pub tcp: TcpConfig,
     /// Exit after this long (`None`: run until told to stop). Consumed by
-    /// the `hermesd` example's main loop, not by [`NodeRuntime`] itself.
+    /// the daemon's main loop (`hermes::harness::daemon_main`), not by
+    /// [`NodeRuntime`] itself.
     pub run_for: Option<Duration>,
     /// Run the live membership subsystem (on by default; `--no-membership`
     /// pins the initial view for the process lifetime).
@@ -85,7 +87,7 @@ pub struct NodeOptions {
     /// ask the members for admission, bulk-sync, get promoted (`--join`).
     pub join: bool,
     /// Periodically dump the metrics exposition (`--metrics-dump <secs>`).
-    /// Consumed by the `hermesd` example's main loop, like `run_for`.
+    /// Consumed by `daemon_main`, like `run_for`.
     pub metrics_dump: Option<Duration>,
 }
 

@@ -37,8 +37,9 @@ use hermes_wings::{CreditConfig, CreditFlow};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-/// Give up on an individual operation after this long (matches the blocking
-/// cluster API: an unreachable replica reads as [`Reply::NotOperational`]).
+/// Give up on an individual operation after this long (the blocking
+/// cluster API's limit too: an unreachable replica reads as
+/// [`Reply::NotOperational`]).
 const WAIT_LIMIT: Duration = Duration::from_secs(10);
 
 /// The session's single flow-control peer: its replica.

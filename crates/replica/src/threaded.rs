@@ -17,28 +17,21 @@
 //! and one-node-per-process TCP deployments via
 //! [`NodeRuntime`](crate::NodeRuntime).
 //!
-//! Clients talk to a node either through the blocking one-op helpers
-//! ([`ThreadCluster::write`] etc.) or through pipelined
-//! [`ClientSession`]s ([`ThreadCluster::session`]) with many operations in
-//! flight.
+//! Clients talk to a node through pipelined [`ClientSession`]s
+//! ([`ThreadCluster::session`]) with many operations in flight, or through
+//! the blocking one-op helpers ([`ThreadCluster::write`] etc.), each a
+//! session of one operation.
 
 use crate::host::Node;
-use crate::lane::{ClientSink, Command};
+use crate::lane::Command;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::session::{ClientSession, LaneChannel};
-use crossbeam::channel::unbounded;
-use hermes_common::{ClientId, ClientOp, Key, MembershipView, OpId, Reply, RmwOp, Value};
+use hermes_common::{ClientId, ClientOp, Key, MembershipView, Reply, RmwOp, Value};
 use hermes_core::ProtocolConfig;
 use hermes_net::{Endpoint, InProcNet, NetFaults, Transport};
 use hermes_obs::TraceSpan;
-use hermes_wings::client::ServerFrame;
 use hermes_wings::CreditConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Client ids at or above this base name pipelined sessions; below it,
-/// the blocking per-node helpers (keeps `OpId`s globally unique).
-const SESSION_CLIENT_BASE: u64 = 1 << 32;
 
 /// Deployment shape of a [`ThreadCluster`].
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +82,6 @@ impl Default for ClusterConfig {
 #[derive(Debug)]
 pub struct ThreadCluster {
     nodes: Vec<Node>,
-    next_seq: AtomicU64,
     next_session: AtomicU64,
 }
 
@@ -168,7 +160,6 @@ impl ThreadCluster {
             .expect("a lane's epoll and eventfd, and its sockets registered in them");
         ThreadCluster {
             nodes,
-            next_seq: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
         }
     }
@@ -194,8 +185,7 @@ impl ThreadCluster {
     /// flight; further submissions block until a completion returns a
     /// credit).
     pub fn session_with_credits(&self, node: usize, credits: CreditConfig) -> ClientSession {
-        let client =
-            ClientId(SESSION_CLIENT_BASE + self.next_session.fetch_add(1, Ordering::Relaxed));
+        let client = ClientId(self.next_session.fetch_add(1, Ordering::Relaxed));
         let lanes = self.nodes[node].lanes().clone();
         ClientSession::new(LaneChannel::new(client, lanes), credits)
     }
@@ -249,18 +239,12 @@ impl ThreadCluster {
         self.nodes[node].trace_spans()
     }
 
+    /// One operation on a session of its own; one that does not complete
+    /// within the session's 10 s limit reads as [`Reply::NotOperational`].
     fn submit(&self, node: usize, key: Key, cop: ClientOp) -> Reply {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let op = OpId::new(ClientId(node as u64), seq);
-        let (tx, rx) = unbounded();
-        let sent = self.nodes[node]
-            .lanes()
-            .op(op, key, cop, ClientSink::Session(tx));
-        assert!(sent, "replica worker alive");
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(ServerFrame::Reply(_, reply)) => reply,
-            _ => Reply::NotOperational,
-        }
+        let mut session = self.session(node);
+        let ticket = session.submit(key, cop);
+        session.wait(ticket)
     }
 
     /// Linearizable write through replica `node`.
@@ -334,7 +318,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn write_read_across_threads() {
@@ -644,8 +628,6 @@ mod tests {
         let c = cluster.session(2);
         assert_ne!(a.client_id(), b.client_id());
         assert_ne!(b.client_id(), c.client_id());
-        // Session ids never collide with the blocking API's per-node ids.
-        assert!(a.client_id().0 >= SESSION_CLIENT_BASE);
         cluster.shutdown();
     }
 

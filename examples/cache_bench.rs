@@ -6,7 +6,7 @@
 //! This harness quantifies that and proves it safe:
 //!
 //! 1. for each mode (`uncached`, `cached`) it spawns a fresh daemon child
-//!    (same CLI contract as `examples/hermesd.rs`), pre-populates a hot
+//!    (a copy of itself running `hermesd`'s `daemon_main`), pre-populates a hot
 //!    key set, and drives a closed-loop fleet of remote sessions sampling
 //!    keys zipfian(θ=0.99) — YCSB's skew — at a 95 % read mix; in cached
 //!    mode every session first subscribes to the whole hot set;
@@ -180,7 +180,10 @@ impl ModeRecord {
 fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeRecord {
     let mode = if cached { "cached" } else { "uncached" };
     println!("\n== {mode}: {sessions} sessions, {keys} hot keys, {window:?} ==");
-    let daemon = spawn_daemons(1, &["--workers", "2", "--pollers", "2"]);
+    let exe = std::env::current_exe().expect("own path");
+    let daemon = spawn_daemons(exe, 1, &["--workers", "2", "--pollers", "2"], |_| {
+        Vec::new()
+    });
     let client_addr = daemon.clients[0];
     drop(connect_within(client_addr, Duration::from_secs(20)));
 

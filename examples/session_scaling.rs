@@ -3,7 +3,7 @@
 //!
 //! Run with no arguments, this binary sweeps **64 → 1,000 → 10,000**
 //! concurrent remote sessions against a single replica daemon (spawned as
-//! a child copy of itself, same CLI contract as `examples/hermesd.rs`).
+//! a child copy of itself running `hermesd`'s `daemon_main`).
 //! The old thread-per-connection client edge would need two daemon
 //! threads per session — 20,000 threads at the top of the sweep; the
 //! poller plane serves the whole fleet from a fixed handful, which this
@@ -136,8 +136,11 @@ impl FleetSession {
 /// object body.
 fn run_level(sessions: usize, window: Duration) -> String {
     println!("\n== {sessions} sessions ==");
-    let daemon = spawn_daemons(1, &["--workers", "2", "--pollers", "2"]);
-    let (client_addr, pid) = (daemon.clients[0], daemon.pids[0]);
+    let exe = std::env::current_exe().expect("own path");
+    let daemon = spawn_daemons(exe, 1, &["--workers", "2", "--pollers", "2"], |_| {
+        Vec::new()
+    });
+    let (client_addr, pid) = (daemon.clients[0], daemon.pid(0));
     drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Recorder fleet on its own threads: conventional blocking sessions

@@ -4,8 +4,8 @@
 //! Run with no arguments, this binary:
 //!
 //! 1. reserves loopback ports and spawns **three copies of itself** as
-//!    `hermesd`-style replica daemons (`--node <i> --peers ... --client
-//!    ...` — the same CLI as `examples/hermesd.rs`), each its own OS
+//!    replica daemons (`--node <i> --peers ... --client ...`, run by
+//!    `hermesd`'s own `daemon_main`), each its own OS
 //!    process with its own TCP replication listener and client port;
 //! 2. drives concurrent pipelined client sessions over real TCP
 //!    connections ([`RemoteChannel`]) in closed loop, recording every
@@ -46,7 +46,8 @@ fn main() {
 fn harness_main(ops_per_session: u64) {
     let start = Instant::now();
     println!("tcp_cluster: spawning {NODES} replica processes");
-    let daemons = spawn_daemons(NODES, &["--workers", "2"]);
+    let exe = std::env::current_exe().expect("own path");
+    let daemons = spawn_daemons(exe, NODES, &["--workers", "2"], |_| Vec::new());
 
     // Drive concurrent remote sessions, one thread each, recording
     // histories against one shared clock.

@@ -9,7 +9,7 @@
 //! called out explicitly.
 //!
 //! ```sh
-//! cargo run --release --example hermes_top -- \
+//! cargo run --release --bin hermes_top -- \
 //!     --nodes 127.0.0.1:8101,127.0.0.1:8102,127.0.0.1:8103 --once
 //! ```
 //!

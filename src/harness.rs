@@ -13,53 +13,193 @@
 //! a history entry through [`hermes_model::observe`], the one mapping the
 //! engine-level `hermes_model::Cluster` uses as well.
 //!
-//! The multi-process harnesses also share their child-daemon plumbing from
-//! here: [`daemon_main`] is what a child runs, [`spawn_daemons`] starts a
-//! replica group of them, [`connect_within`] reaches one and
-//! [`Daemons::shutdown`] stops them and checks they stopped cleanly.
+//! The replica daemon lives here too. [`daemon_main`] is the whole of
+//! `hermesd` (`src/bin/hermesd.rs` is a `main` over it), and the examples
+//! that spawn copies of themselves run it in their children.
+//! [`spawn_daemons`] starts a replica group of such a program — the
+//! integration tests spawn the built `hermesd` — [`connect_within`]
+//! reaches one, [`Daemons::kill`] and [`Daemons::rejoin`] crash and restart
+//! one, and [`Daemons::shutdown`] stops them and checks they stopped
+//! cleanly.
 
-use hermes_common::{ClientOp, Key, RmwOp, TxnOp, Value};
+use hermes_common::{ClientOp, Key, NodeSet, RmwOp, TxnOp, Value};
 use hermes_model::{check_linearizable, observe, HistoryOp, OpKind, Outcome};
+use hermes_obs::obs_info;
 use hermes_replica::{ClientSession, NodeOptions, NodeRuntime, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Daemon mode of a harness binary that spawns copies of itself: serves
-/// one replica from `hermesd`'s own argument list (`--node <id> --peers …
-/// --client …`) until stdin reaches end of file — the parent hanging up is
-/// the shutdown request — and prints the `serving` and `clean shutdown`
-/// markers the parent looks for, as `examples/hermesd.rs` does.
+/// Raised by the SIGINT handler; polled by [`daemon_main`]'s loop.
+static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
+
+/// Installs a minimal SIGINT handler (an async-signal-safe atomic store)
+/// without any external dependency: std already links libc.
+fn install_sigint_handler() {
+    unsafe extern "C" fn on_sigint(_sig: i32) {
+        SIGINT_SEEN.store(true, Ordering::Relaxed);
+    }
+    unsafe extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    let handler: unsafe extern "C" fn(i32) = on_sigint;
+    unsafe {
+        signal(SIGINT, handler as usize);
+    }
+}
+
+fn fmt_set(set: NodeSet) -> String {
+    let ids: Vec<String> = set.iter().map(|n| n.0.to_string()).collect();
+    format!("{{{}}}", ids.join(","))
+}
+
+/// The replica daemon `hermesd`: serves one replica from its command line
+/// (`--node <id> --peers … --client …`, [`NodeOptions::parse`]) until one
+/// of its clean exit paths, each of which joins every lane and poller
+/// thread:
+///
+/// * stdin reaching end of file (the supervising process hung up),
+/// * `--duration` elapsing,
+/// * SIGINT,
+/// * the shutdown RPC on the client port
+///   ([`request_shutdown`](hermes_replica::request_shutdown)).
+///
+/// It logs every membership view transition, and a transport line on
+/// exit, through the `HERMES_LOG` logger (DESIGN.md §9); `--metrics-dump
+/// <secs>` also prints the whole metrics exposition to stderr on that
+/// interval. Only two markers go to stdout, for supervising harnesses to
+/// parse: `hermesd: node <id> serving …` and `… clean shutdown …`. A bad
+/// command line exits with status 2, a replica that cannot serve with 1.
 pub fn daemon_main(args: &[String]) {
     let opts = NodeOptions::parse(args).unwrap_or_else(|e| {
         eprintln!("hermesd: {e}");
+        eprintln!(
+            "usage: hermesd --node <id> --peers <addr,addr,...> --client <addr> \
+             [--workers <n>] [--pollers <n>] [--duration <secs>] [--join] \
+             [--no-membership] [--metrics-dump <secs>]"
+        );
         std::process::exit(2);
     });
-    let node = opts.node;
+    install_sigint_handler();
+    let (node, joining, run_for, metrics_dump) =
+        (opts.node, opts.join, opts.run_for, opts.metrics_dump);
     let runtime = NodeRuntime::serve(opts).unwrap_or_else(|e| {
-        eprintln!("hermesd: node {node}: {e}");
+        eprintln!("hermesd: node {node}: failed to serve: {e}");
         std::process::exit(1);
     });
-    println!("hermesd: node {node} serving");
-    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+    let deadline = run_for.map(|d| Instant::now() + d);
+    println!(
+        "hermesd: node {node} serving clients at {} with {} workers{}",
+        runtime.client_addr(),
+        runtime.workers(),
+        if joining { " (joining as shadow)" } else { "" }
+    );
+    let stdin_closed = Arc::new(AtomicBool::new(false));
+    let watcher = Arc::clone(&stdin_closed);
+    // Detached: it stays blocked in read() until stdin closes.
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+        watcher.store(true, Ordering::SeqCst);
+    });
+    let status = runtime.membership();
+    let view = || (status.epoch(), status.serving(), status.synced());
+    let mut last = view();
+    let mut next_dump = metrics_dump.map(|every| Instant::now() + every);
+    loop {
+        if stdin_closed.load(Ordering::SeqCst) || deadline.is_some_and(|d| Instant::now() >= d) {
+            break;
+        }
+        if SIGINT_SEEN.load(Ordering::Relaxed) {
+            obs_info!("hermesd", "node {node} caught SIGINT");
+            break;
+        }
+        if runtime.shutdown_requested() {
+            obs_info!("hermesd", "node {node} shutdown RPC received");
+            break;
+        }
+        // Log every membership transition (view change, serve/sync flips).
+        let now = view();
+        if now != last {
+            let (epoch, serving, synced) = now;
+            obs_info!(
+                "hermesd",
+                "node {node} view epoch={epoch} members={} shadows={} \
+                 serving={serving} synced={synced} (view_changes={})",
+                fmt_set(status.members()),
+                fmt_set(status.shadows()),
+                status.view_changes(),
+            );
+            last = now;
+        }
+        if let (Some(due), Some(every)) = (next_dump, metrics_dump) {
+            if Instant::now() >= due {
+                // Stderr, whole exposition at once: stdout stays reserved
+                // for the two markers.
+                eprint!("{}", runtime.metrics_text());
+                next_dump = Some(due + every);
+            }
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let (epoch, view_changes) = (status.epoch(), status.view_changes());
+    let tcp = runtime.tcp_stats();
+    let transport = format!(
+        "{} frames out, {} in, {} dials, {} peer disconnects",
+        tcp.frames_sent(),
+        tcp.frames_received(),
+        tcp.dials(),
+        tcp.disconnects(),
+    );
     runtime.shutdown();
-    println!("hermesd: node {node} clean shutdown");
+    obs_info!("hermesd", "node {node} transport: {transport}");
+    println!("hermesd: node {node} clean shutdown (epoch={epoch} view_changes={view_changes})");
 }
 
-/// Kills the child on drop so a panicking harness leaves no orphans.
-pub struct ChildGuard(pub Option<std::process::Child>);
+/// Per-node environment of a [`Daemons`] group: `env(node)` lists the
+/// variables set for that node's process.
+pub type DaemonEnv = fn(usize) -> Vec<(&'static str, String)>;
 
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+/// One child daemon and the threads collecting its stdout and stderr as it
+/// runs (so a chatty daemon never stalls on a full pipe). Dropping it
+/// kills the process.
+struct Daemon {
+    process: Child,
+    /// The stdout and stderr collectors, until the daemon is waited for.
+    output: Option<(JoinHandle<String>, JoinHandle<String>)>,
+}
+
+impl Daemon {
+    /// Waits for the collectors to reach end of file: `(stdout, stderr)`.
+    fn output(&mut self) -> (String, String) {
+        let (out, err) = self.output.take().expect("output collected once");
+        (
+            out.join().unwrap_or_default(),
+            err.join().unwrap_or_default(),
+        )
     }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.process.kill();
+        let _ = self.process.wait();
+    }
+}
+
+/// Reads `stream` to its end on a thread of its own.
+fn collect(mut stream: impl Read + Send + 'static) -> JoinHandle<String> {
+    std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        let _ = stream.read_to_end(&mut bytes);
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
 }
 
 /// A loopback replica group of child daemons, started by [`spawn_daemons`].
@@ -67,74 +207,117 @@ impl Drop for ChildGuard {
 pub struct Daemons {
     /// Each node's client-port address, by node id.
     pub clients: Vec<SocketAddr>,
-    /// Each node's process id, by node id.
-    pub pids: Vec<u32>,
-    children: Vec<ChildGuard>,
+    program: PathBuf,
+    peers: String,
+    flags: Vec<String>,
+    env: DaemonEnv,
+    children: Vec<Daemon>,
 }
 
-/// Spawns `nodes` copies of the running binary as one replica group on
-/// loopback ports, node `i` with `--node <i> --peers <all> --client <own>`
-/// followed by `flags` — the binary must hand those arguments to
-/// [`daemon_main`]. Returns once the processes exist; a client port
-/// accepts a moment later ([`connect_within`]).
-pub fn spawn_daemons(nodes: usize, flags: &[&str]) -> Daemons {
-    let peers = reserve_loopback_addrs(nodes);
-    let peers: Vec<String> = peers.iter().map(SocketAddr::to_string).collect();
-    let peers = peers.join(",");
-    let clients = reserve_loopback_addrs(nodes);
-    let exe = std::env::current_exe().expect("own path");
-    let children: Vec<ChildGuard> = (0..nodes)
-        .map(|node| {
-            let child = Command::new(&exe)
-                .args(["--node", &node.to_string(), "--peers", &peers])
-                .args(["--client", &clients[node].to_string()])
-                .args(flags)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn replica daemon");
-            ChildGuard(Some(child))
-        })
-        .collect();
-    let pids = children.iter().map(|c| c.0.as_ref().expect("spawned").id());
-    Daemons {
-        pids: pids.collect(),
-        clients,
-        children,
-    }
+/// Spawns `nodes` processes of `program` as one replica group on loopback
+/// ports, node `i` with `--node <i> --peers <all> --client <own>` followed
+/// by `flags`, and with the variables `env(i)` — `program` must hand those
+/// arguments to [`daemon_main`]. Returns once the processes exist; a
+/// client port accepts a moment later ([`connect_within`]).
+pub fn spawn_daemons(
+    program: impl Into<PathBuf>,
+    nodes: usize,
+    flags: &[&str],
+    env: DaemonEnv,
+) -> Daemons {
+    let mut daemons = Daemons {
+        clients: reserve_loopback_addrs(nodes),
+        program: program.into(),
+        peers: addr_list(&reserve_loopback_addrs(nodes)),
+        flags: flags.iter().map(|f| f.to_string()).collect(),
+        env,
+        children: Vec::new(),
+    };
+    daemons.children = (0..nodes).map(|node| daemons.spawn(node, false)).collect();
+    daemons
+}
+
+/// `a,b,c` — the form `--peers` and `hermes_top --nodes` take.
+pub fn addr_list(addrs: &[SocketAddr]) -> String {
+    let addrs: Vec<String> = addrs.iter().map(SocketAddr::to_string).collect();
+    addrs.join(",")
 }
 
 impl Daemons {
-    /// Hangs up every daemon's stdin — its shutdown request — then requires
-    /// each to exit successfully within 10 s, having printed its `clean
-    /// shutdown` marker.
+    fn spawn(&self, node: usize, join: bool) -> Daemon {
+        let mut process = Command::new(&self.program)
+            .args(["--node", &node.to_string(), "--peers", &self.peers])
+            .args(["--client", &self.clients[node].to_string()])
+            .args(&self.flags)
+            .args(join.then_some("--join"))
+            .envs((self.env)(node))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn replica daemon");
+        let stdout = collect(process.stdout.take().expect("piped stdout"));
+        let stderr = collect(process.stderr.take().expect("piped stderr"));
+        Daemon {
+            process,
+            output: Some((stdout, stderr)),
+        }
+    }
+
+    /// `node`'s process id.
+    pub fn pid(&self, node: usize) -> u32 {
+        self.children[node].process.id()
+    }
+
+    /// `kill -9`s `node`: no shutdown path runs, the kernel closes its
+    /// sockets.
+    pub fn kill(&mut self, node: usize) {
+        let victim = &mut self.children[node].process;
+        victim.kill().expect("SIGKILL");
+        let _ = victim.wait();
+    }
+
+    /// Starts `node` again with `--join`: it must be admitted as a shadow,
+    /// bulk-sync and be promoted before it serves.
+    pub fn rejoin(&mut self, node: usize) {
+        self.children[node] = self.spawn(node, true);
+    }
+
+    /// Hangs up every daemon's stdin — its shutdown request — then
+    /// requires each to exit cleanly within 15 s
+    /// ([`Daemons::expect_clean_exit`]).
+    pub fn shutdown(mut self) {
+        for child in &mut self.children {
+            drop(child.process.stdin.take());
+        }
+        self.expect_clean_exit(Duration::from_secs(15));
+    }
+
+    /// Requires each daemon to exit successfully within `within`, having
+    /// printed its `clean shutdown` marker — whatever asked it to stop.
     ///
     /// # Panics
     ///
-    /// When a daemon overstays, fails or did not print the marker.
-    pub fn shutdown(mut self) {
-        for guard in &mut self.children {
-            drop(guard.0.as_mut().expect("child alive").stdin.take());
-        }
-        for (node, guard) in self.children.iter_mut().enumerate() {
-            let child = guard.0.as_mut().expect("child alive");
-            let deadline = Instant::now() + Duration::from_secs(10);
+    /// When a daemon overstays (it is killed then), fails or did not print
+    /// the marker; the message carries its stdout and stderr.
+    pub fn expect_clean_exit(mut self, within: Duration) {
+        for (node, child) in self.children.iter_mut().enumerate() {
+            let deadline = Instant::now() + within;
             let status = loop {
-                if let Some(status) = child.try_wait().expect("wait child") {
-                    break status;
+                if let Some(status) = child.process.try_wait().expect("wait child") {
+                    break Some(status);
                 }
-                assert!(
-                    Instant::now() < deadline,
-                    "node {node} did not exit after stdin hangup"
-                );
+                if Instant::now() >= deadline {
+                    let _ = child.process.kill();
+                    break None;
+                }
                 std::thread::sleep(Duration::from_millis(25));
             };
-            let mut out = String::new();
-            let stdout = child.stdout.as_mut().expect("piped stdout");
-            stdout.read_to_string(&mut out).expect("read child stdout");
+            let (out, err) = child.output();
             assert!(
-                status.success() && out.contains("clean shutdown"),
-                "node {node} exited with {status}; stdout:\n{out}"
+                status.is_some_and(|s| s.success()) && out.contains("clean shutdown"),
+                "node {node} exited with {status:?} (None: not within {within:?}); \
+                 stdout:\n{out}\nstderr:\n{err}"
             );
         }
     }

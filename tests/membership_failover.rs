@@ -1,10 +1,8 @@
 //! Multi-process failover: the acceptance gate of the live membership
 //! subsystem (DESIGN.md §5).
 //!
-//! The harness spawns **three copies of this very test binary** as replica
-//! daemons (libtest re-execution, `tests/support/daemon.rs`: each child
-//! runs only `daemon_process`, which serves a [`NodeRuntime`] configured
-//! through environment variables), then:
+//! The harness spawns three `hermesd` processes — the crate's replica
+//! binary, as shipped — through [`spawn_daemons`], then:
 //!
 //! 1. drives concurrent recorded client sessions against nodes 0 and 1
 //!    over real TCP;
@@ -23,11 +21,9 @@
 //! `hermes_serving`, `hermes_synced` and one `hermes_view_member` row per
 //! peer — the harness parses no daemon log for it.
 
-#[path = "support/daemon.rs"]
-mod daemon;
-
-use daemon::Daemons;
-use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::harness::{
+    check_linearizable_per_key, run_recorded_session, spawn_daemons, RecordedOp,
+};
 use hermes::obs::samples;
 use hermes::prelude::*;
 use std::net::SocketAddr;
@@ -44,13 +40,6 @@ const DEPTH: usize = 4;
 /// after shadow catch-up, proving the bulk sync really transferred state.
 const CANARY_KEY: Key = Key(100);
 const CANARY_VALUE: u64 = 777_000;
-
-/// Daemon half of the re-execution trick: inert under a plain `cargo
-/// test`, a full replica daemon when the harness spawns this binary.
-#[test]
-fn daemon_process() {
-    daemon::daemon_process();
-}
 
 /// Polls `addr` until a session channel connects and `op` yields a
 /// definitive reply, retrying `NotOperational`/unreachable up to the
@@ -119,10 +108,8 @@ fn member(text: &str, peer: u32) -> Option<f64> {
 
 #[test]
 fn three_process_cluster_survives_kill_and_rejoins() {
-    if daemon::is_child() {
-        return; // We are a daemon child; only daemon_process runs.
-    }
-    let mut daemons = Daemons::launch(NODES, |_| Vec::new());
+    let hermesd = env!("CARGO_BIN_EXE_hermesd");
+    let mut daemons = spawn_daemons(hermesd, NODES, &["--workers", "2"], |_| Vec::new());
     let client_addrs = daemons.clients.clone();
 
     // Wait for the cluster to serve, then commit the canary through node 0.

@@ -5,23 +5,19 @@
 //! a cross-node timeline, and its slowest-hop attribution must name the
 //! delayed follower.
 //!
-//! The harness spawns **three copies of this very test binary** as
-//! replica daemons (the libtest re-execution trick of
-//! `tests/support/daemon.rs`): every child samples all traces
+//! The harness spawns three `hermesd` processes — the crate's replica
+//! binary, as shipped: every one samples all traces
 //! (`HERMES_TRACE_SAMPLE=1`), and node 2 alone carries
 //! `HERMES_FAULT_INV_DELAY_US` — a deterministic stall injected at its
 //! INV ingress. Writes driven through node 0 then broadcast INVs whose
 //! trace context crosses the wire, so node 2's delayed phase marks land
 //! in its own ring tagged with the originating trace id, and the
-//! aggregator's stitched timeline pins the latency on `@n2`.
+//! aggregator's stitched timeline pins the latency on `@n2`. The
+//! aggregator is the crate's `hermes_top` binary.
 
-#[path = "support/daemon.rs"]
-mod daemon;
-
-use daemon::Daemons;
+use hermes::harness::{addr_list, spawn_daemons};
 use hermes::prelude::*;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -32,13 +28,6 @@ const DELAYED_NODE: usize = 2;
 const DELAY_US: u64 = 20_000;
 /// `hermes_top --slow-us`: prints timelines for ops at least this slow.
 const SLOW_US: u64 = 10_000;
-
-/// Daemon half of the re-execution trick: inert under a plain
-/// `cargo test`, a replica daemon when spawned by the harness.
-#[test]
-fn daemon_process() {
-    daemon::daemon_process();
-}
 
 /// Polls `addr` until a write commits — the cluster is serving.
 fn poll_until_served(addr: SocketAddr, deadline: Duration) {
@@ -58,47 +47,17 @@ fn poll_until_served(addr: SocketAddr, deadline: Duration) {
     panic!("cluster never served a write: {last:?}");
 }
 
-/// The built `hermes_top` example binary — `cargo test` compiles every
-/// example into `target/<profile>/examples` alongside this test binary's
-/// `deps` directory. Falls back to building it if a bare libtest
-/// invocation skipped examples.
-fn hermes_top_exe() -> PathBuf {
-    let exe = std::env::current_exe().expect("own path");
-    let profile_dir = exe
-        .parent()
-        .and_then(|deps| deps.parent())
-        .expect("target profile dir")
-        .to_path_buf();
-    let top = profile_dir.join("examples").join("hermes_top");
-    if !top.exists() {
-        let mut build = Command::new(env!("CARGO"));
-        build.args(["build", "--offline", "--example", "hermes_top"]);
-        // Build into the same profile directory this test binary runs from.
-        if profile_dir.file_name().is_some_and(|p| p == "release") {
-            build.arg("--release");
-        }
-        let status = build
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .status()
-            .expect("cargo build hermes_top");
-        assert!(status.success(), "building hermes_top failed");
-    }
-    top
-}
-
 /// The acceptance gate: a forced follower-side delay in a real 3-process
 /// cluster is attributed to that follower by the stitched cross-node
 /// timeline `hermes_top --once` prints.
 #[test]
 fn hermes_top_attributes_forced_follower_delay() {
-    if daemon::is_child() {
-        return; // We are a daemon child; only daemon_process runs.
-    }
-    let top = hermes_top_exe();
+    let top = env!("CARGO_BIN_EXE_hermes_top");
 
     // Every daemon samples all traces; the delayed node alone carries the
     // INV-ingress fault hook.
-    let daemons = Daemons::launch(NODES, |node| {
+    let hermesd = env!("CARGO_BIN_EXE_hermesd");
+    let daemons = spawn_daemons(hermesd, NODES, &["--workers", "2"], |node| {
         let mut env = vec![("HERMES_TRACE_SAMPLE", "1".to_string())];
         if node == DELAYED_NODE {
             env.push(("HERMES_FAULT_INV_DELAY_US", DELAY_US.to_string()));
@@ -108,7 +67,7 @@ fn hermes_top_attributes_forced_follower_delay() {
     let client_addrs = daemons.clients.clone();
     poll_until_served(client_addrs[0], Duration::from_secs(20));
 
-    let nodes_flag = daemon::addr_list(&client_addrs);
+    let nodes_flag = addr_list(&client_addrs);
     let channel = RemoteChannel::connect_within(client_addrs[0], Duration::from_secs(5))
         .expect("node 0 client port");
     let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
@@ -123,7 +82,7 @@ fn hermes_top_attributes_forced_follower_delay() {
         assert_eq!(session.wait(ticket), Reply::WriteOk);
         std::thread::sleep(Duration::from_millis(300));
 
-        let scrape = Command::new(&top)
+        let scrape = Command::new(top)
             .args(["--nodes", &nodes_flag, "--once", "--slow-us"])
             .arg(SLOW_US.to_string())
             .output()

@@ -10,16 +10,11 @@
 //!
 //! * in-process: `ThreadCluster` sessions whose sub-operations fan across
 //!   worker shard lanes directly;
-//! * multi-process: three daemon replicas over loopback TCP (this test
-//!   binary re-executes itself as the daemons,
-//!   `tests/support/daemon.rs`), remote sessions, a mid-workload
-//!   connection kill, and an audit from a remote session on another node.
+//! * multi-process: three `hermesd` replicas over loopback TCP, remote
+//!   sessions, a mid-workload connection kill, and an audit from a remote
+//!   session on another node.
 
-#[path = "support/daemon.rs"]
-mod daemon;
-
-use daemon::Daemons;
-use hermes::harness::observe_txn;
+use hermes::harness::{observe_txn, spawn_daemons};
 use hermes::obs::samples;
 use hermes::prelude::*;
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
@@ -169,13 +164,6 @@ fn in_proc_transfers_span_shards_and_conserve_total() {
 
 const NODES: usize = 3;
 
-/// Daemon half of the re-execution trick (`tests/support/daemon.rs`):
-/// inert in a normal test run.
-#[test]
-fn daemon_process() {
-    daemon::daemon_process();
-}
-
 fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {
     RemoteChannel::connect_within(addr, Duration::from_secs(10))
         .expect("daemon client port reachable")
@@ -184,10 +172,8 @@ fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {
 
 #[test]
 fn tcp_cluster_transfers_survive_connection_kill() {
-    if daemon::is_child() {
-        return; // Daemon child: only daemon_process runs.
-    }
-    let daemons = Daemons::launch(NODES, |_| Vec::new());
+    let hermesd = env!("CARGO_BIN_EXE_hermesd");
+    let daemons = spawn_daemons(hermesd, NODES, &["--workers", "2"], |_| Vec::new());
     let client_addrs = daemons.clients.clone();
 
     // Wait for the cluster to serve, then fund the bank.
