@@ -737,7 +737,7 @@ fn unexpected(frame: ServerFrame) -> io::Error {
 fn call(addr: SocketAddr, request: &Request, timeout: Duration) -> io::Result<ServerFrame> {
     let deadline = Instant::now() + timeout;
     let conn = Conn::new(TcpStream::connect_timeout(&addr, timeout)?)?;
-    conn.send(request)?;
+    conn.send(request, 0)?;
     let mut reply = None;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());

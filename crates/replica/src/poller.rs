@@ -43,7 +43,7 @@ use crate::node::MAX_CLIENT_FRAME;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{ClientId, Key, NodeId, OpId, Reply, Value};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
-use hermes_obs::{obs_warn, Registry};
+use hermes_obs::{obs_warn, Histogram, Registry};
 use hermes_store::Store;
 use hermes_wings::client::{self as rpc, Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
@@ -416,7 +416,6 @@ impl ClientPlane {
                 fd_budget: nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM)),
                 accept_paused: false,
                 peers: shards.clone(),
-                me: shards[i].clone(),
                 next_assign: i,
                 next_token: TOKEN_SESSION_BASE,
                 next_client: Arc::clone(&next_client),
@@ -431,6 +430,7 @@ impl ClientPlane {
                 store: Arc::clone(&store),
                 status: Arc::clone(&status),
                 fx: Vec::new(),
+                touched: Vec::new(),
             };
             threads.push(
                 std::thread::Builder::new()
@@ -493,8 +493,8 @@ struct Shard {
     /// Whether the listener is parked because open sessions hit the fd
     /// budget (accepting more would exhaust the process fd table).
     accept_paused: bool,
+    /// Every shard's handle, this one's at `index`.
     peers: Vec<ShardHandle>,
-    me: ShardHandle,
     next_assign: usize,
     next_token: u64,
     /// Plane-wide client-id allocator (ids must be unique across shards).
@@ -518,6 +518,9 @@ struct Shard {
     store: Arc<Store>,
     status: Arc<MembershipStatus>,
     fx: Vec<Request>,
+    /// Sessions this pass read or framed for, in any order and repeated:
+    /// each is finished once when the pass ends.
+    touched: Vec<u64>,
 }
 
 impl Shard {
@@ -546,6 +549,13 @@ impl Shard {
                     token => self.session_io(token, *ev),
                 }
             }
+            // Each session the pass touched is written once, with all
+            // the pass framed for it (Wings batching, paper §4.2).
+            self.touched.sort_unstable();
+            self.touched.dedup();
+            while let Some(token) = self.touched.pop() {
+                self.finish_io(token);
+            }
             // Reaps may have freed fds since the listener parked; the
             // POLL_TIMEOUT bound guarantees this check runs at least twice
             // a second even on an otherwise idle shard.
@@ -568,10 +578,8 @@ impl Shard {
                     return;
                 };
                 let mut fx = std::mem::take(&mut self.fx);
-                let framed = match self.sessions.get_mut(&token) {
-                    Some(sess) => sess.machine.on_frame(&frame, &mut fx),
-                    None => false,
-                };
+                let framed = (self.sessions.get_mut(&token))
+                    .is_some_and(|sess| sess.machine.on_frame(&frame, &mut fx));
                 if let (ServerFrame::Invalidate { key, .. }, false) = (frame, framed) {
                     // Nothing went to the client, so no ack will come
                     // back: ack the lane on its behalf rather than making
@@ -580,14 +588,13 @@ impl Shard {
                 }
                 self.apply_effects(token, &mut fx);
                 self.fx = fx;
-                self.finish_io(token);
+                self.touched.push(token);
             }
             Inbound::Evict(client) => {
-                if let Some(&token) = self.by_client.get(&client.0) {
-                    if let Some(sess) = self.sessions.get_mut(&token) {
-                        sess.machine.kill();
-                    }
-                    self.finish_io(token);
+                let token = self.by_client.get(&client.0).copied();
+                if let Some(sess) = token.and_then(|t| self.sessions.get_mut(&t)) {
+                    sess.machine.kill();
+                    self.touched.extend(token);
                 }
             }
         }
@@ -599,19 +606,14 @@ impl Shard {
     /// budget; pending connections wait in the kernel backlog until
     /// [`Shard::maybe_resume_accept`] unpauses.
     fn accept_ready(&mut self) {
-        loop {
-            if self.accept_paused {
-                return;
-            }
+        while !self.accept_paused {
             if !accept_within_budget(self.obs.open_sessions(), self.fd_budget) {
-                self.pause_accept();
-                return;
+                return self.pause_accept();
             }
-            let accepted = match self.listener.as_ref() {
-                Some(l) => l.accept(),
-                None => return,
+            let Some(listener) = &self.listener else {
+                return;
             };
-            match accepted {
+            match listener.accept() {
                 Ok((stream, _)) => {
                     let target = self.next_assign % self.peers.len();
                     self.next_assign = self.next_assign.wrapping_add(1);
@@ -621,9 +623,9 @@ impl Shard {
                         self.peers[target].deliver(Inbound::Conn(stream));
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // `WouldBlock`: the backlog is empty.
+                Err(_) => return,
             }
         }
     }
@@ -650,20 +652,16 @@ impl Shard {
     /// leave [`ACCEPT_RESUME_SLACK`] of headroom (hysteresis against
     /// flapping at the boundary), then drains whatever queued meanwhile.
     fn maybe_resume_accept(&mut self) {
-        if !self.accept_paused {
+        let open = self.obs.open_sessions() + ACCEPT_RESUME_SLACK;
+        if !self.accept_paused || open > self.fd_budget.unwrap_or(u64::MAX) {
             return;
         }
-        let open = self.obs.open_sessions();
-        let budget = self.fd_budget.unwrap_or(u64::MAX);
-        if open.saturating_add(ACCEPT_RESUME_SLACK) > budget {
-            return;
-        }
-        let Some(l) = self.listener.as_ref() else {
+        let Some(fd) = self.listener.as_ref().map(AsRawFd::as_raw_fd) else {
             return;
         };
         if self
             .poller
-            .register(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+            .register(fd, TOKEN_LISTENER, Interest::READ)
             .is_ok()
         {
             self.accept_paused = false;
@@ -675,12 +673,8 @@ impl Shard {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
         }
-        let token = self.next_token;
-        if self
-            .poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
+        let (token, fd) = (self.next_token, stream.as_raw_fd());
+        if self.poller.register(fd, token, Interest::READ).is_err() {
             return;
         }
         self.next_token += 1;
@@ -710,29 +704,21 @@ impl Shard {
     }
 
     fn session_io(&mut self, token: u64, ev: PollEvent) {
-        let mut fx = std::mem::take(&mut self.fx);
-        {
-            let Some(sess) = self.sessions.get_mut(&token) else {
-                self.fx = fx;
-                return;
-            };
-            if ev.readable || ev.hangup {
-                let t0 = hermes_obs::recording_enabled().then(Instant::now);
-                let mut buf = std::mem::take(&mut self.rdbuf);
-                if !drain_read(sess, &mut buf, &mut fx) {
-                    sess.machine.kill();
-                }
-                self.rdbuf = buf;
-                if let Some(t0) = t0 {
-                    self.obs
-                        .poller_decode_us
-                        .record(t0.elapsed().as_micros() as u64);
-                }
-            }
+        self.touched.push(token);
+        let Some(sess) = self.sessions.get_mut(&token) else {
+            return;
+        };
+        if !ev.readable && !ev.hangup {
+            return; // Writable: the end of the pass writes it.
         }
+        let t0 = hermes_obs::recording_enabled().then(Instant::now);
+        let mut fx = std::mem::take(&mut self.fx);
+        if !drain_read(sess, &mut self.rdbuf, &mut fx) {
+            sess.machine.kill();
+        }
+        record_since(&self.obs.poller_decode_us, t0);
         self.apply_effects(token, &mut fx);
         self.fx = fx;
-        self.finish_io(token);
     }
 
     /// Acts on the requests the machine admitted: operations to their
@@ -752,7 +738,7 @@ impl Shard {
                     if !cop.is_update() {
                         NodeObs::bump(&self.obs.mirror_read_fallbacks, 1);
                     }
-                    let sink = ClientSink::Poller(self.me.clone());
+                    let sink = ClientSink::Poller(self.peers[self.index].clone());
                     if !self.lanes.op(OpId::new(client, seq), key, cop, sink) {
                         // Replica shutting down: answer inline. Any frames
                         // the returned credit unstalls would fail the same
@@ -769,7 +755,7 @@ impl Shard {
                 // Lane sends fail only at teardown; the client observes
                 // the hangup instead of an ack.
                 Request::Subscribe { seq, key } => {
-                    let sink = ClientSink::Poller(self.me.clone());
+                    let sink = ClientSink::Poller(self.peers[self.index].clone());
                     self.lanes.subscribe(seq, client, key, sink);
                 }
                 Request::Unsubscribe { seq, key } => {
@@ -784,9 +770,9 @@ impl Shard {
         }
     }
 
-    /// After any machine interaction: push buffered replies to the socket,
-    /// reap the session if it died, otherwise resubscribe its readiness to
-    /// what the machine can currently make progress on.
+    /// At the end of a pass that touched the session: push its buffered
+    /// replies to the socket, reap it if it died, otherwise resubscribe its
+    /// readiness to what the machine can currently make progress on.
     fn finish_io(&mut self, token: u64) {
         let recording = hermes_obs::recording_enabled();
         let Some(sess) = self.sessions.get_mut(&token) else {
@@ -797,11 +783,7 @@ impl Shard {
             if !drain_write(sess) {
                 sess.machine.kill();
             }
-            if let Some(t0) = t0 {
-                self.obs
-                    .poller_write_us
-                    .record(t0.elapsed().as_micros() as u64);
-            }
+            record_since(&self.obs.poller_write_us, t0);
         }
         if sess.machine.is_dead() {
             self.reap(token);
@@ -822,11 +804,7 @@ impl Shard {
                         sess.parked_at = Some(Instant::now());
                         NodeObs::bump(&self.obs.read_parks, 1);
                     } else if !sess.interest.read && want.read {
-                        if let Some(at) = sess.parked_at.take() {
-                            self.obs
-                                .credit_stall_us
-                                .record(at.elapsed().as_micros() as u64);
-                        }
+                        record_since(&self.obs.credit_stall_us, sess.parked_at.take());
                     }
                 }
                 sess.interest = want;
@@ -850,6 +828,13 @@ impl Shard {
     }
 }
 
+/// Records the microseconds since `t0`, if there is one, in `hist`.
+fn record_since(hist: &Histogram, t0: Option<Instant>) {
+    if let Some(t0) = t0 {
+        hist.record(t0.elapsed().as_micros() as u64);
+    }
+}
+
 /// Whether the plane may accept another session under its fd budget.
 /// `None` (unreadable limit) never throttles.
 fn accept_within_budget(open: u64, budget: Option<u64>) -> bool {
@@ -857,7 +842,6 @@ fn accept_within_budget(open: u64, budget: Option<u64>) -> bool {
 }
 
 /// The process's soft `RLIMIT_NOFILE`, read without a libc dependency.
-#[cfg(target_os = "linux")]
 fn nofile_limit() -> Option<u64> {
     #[repr(C)]
     struct RLimit {
@@ -878,18 +862,20 @@ fn nofile_limit() -> Option<u64> {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-fn nofile_limit() -> Option<u64> {
-    None
-}
-
-/// Reads while the machine wants bytes; returns `false` when the peer
-/// closed or the socket failed. Bounded by the credit budget: a stalled
-/// machine stops the loop, leaving the rest in the kernel buffer.
+/// Reads while the machine wants bytes, until a read comes up short;
+/// returns `false` when the peer closed or the socket failed. Readiness is
+/// level-triggered, so bytes that arrive after a short read are reported
+/// again, and a read that would only say `EAGAIN` is never made. Bounded
+/// by the credit budget: a stalled machine stops the loop, leaving the
+/// rest in the kernel buffer.
 fn drain_read(sess: &mut Session, buf: &mut [u8], fx: &mut Vec<Request>) -> bool {
     while sess.machine.wants_read() {
         match sess.stream.read(buf) {
             Ok(0) => return false,
+            Ok(n) if n < buf.len() => {
+                sess.machine.on_bytes(&buf[..n], fx);
+                return true;
+            }
             Ok(n) => sess.machine.on_bytes(&buf[..n], fx),
             Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -930,6 +916,7 @@ impl ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::Command;
     use hermes_common::{ClientOp, MembershipView, RmwOp};
     use hermes_net::Wait;
     use hermes_store::StoreConfig;
@@ -1289,13 +1276,15 @@ mod tests {
     /// out `POLL_TIMEOUT` (10 s under test). Two completions a few
     /// microseconds apart land the second in that window; the reply to the
     /// round after would then stall.
-    #[test]
-    fn completions_never_wait_out_the_poll_timeout() {
+    /// A one-shard plane over one lane that nobody runs (what the shard
+    /// submits queues up in the receiver), and a client whose session the
+    /// shard has installed: `ClientId(REMOTE_CLIENT_BASE)`.
+    fn plane_and_client() -> (ClientPlane, Arc<NodeObs>, Receiver<Command>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (lane, _lane_rx) = unbounded::<crate::lane::Command>();
+        let (lane, lane_rx) = unbounded::<Command>();
         let obs = Arc::new(NodeObs::new(0, 1, 1));
-        let mut plane = ClientPlane::start(
+        let plane = ClientPlane::start(
             listener,
             Lanes::new(vec![(lane, Wait::new().unwrap().waker())]),
             1,
@@ -1310,11 +1299,26 @@ mod tests {
             )),
         )
         .unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
+        let client = TcpStream::connect(addr).unwrap();
         client.set_read_timeout(Some(2 * POLL_TIMEOUT)).unwrap();
         while obs.open_sessions() == 0 {
             std::thread::yield_now();
         }
+        (plane, obs, lane_rx, client)
+    }
+
+    /// The next frame the client receives.
+    fn receive(client: &mut TcpStream) -> ServerFrame {
+        let mut len = [0u8; 4];
+        client.read_exact(&mut len).unwrap();
+        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+        client.read_exact(&mut payload).unwrap();
+        ServerFrame::decode(&payload).unwrap()
+    }
+
+    #[test]
+    fn completions_never_wait_out_the_poll_timeout() {
+        let (mut plane, _obs, _lane, mut client) = plane_and_client();
         let shard = plane.shards[0].clone();
         let session = ClientId(REMOTE_CLIENT_BASE);
         let mut reply = [0u8; 64];
@@ -1338,6 +1342,54 @@ mod tests {
                 waited < Duration::from_millis(50),
                 "a completion waited {waited:?} for its shard to wake"
             );
+        }
+        plane.stop();
+    }
+
+    /// Wings batching at the client port (paper §4.2): sixteen replies the
+    /// lanes posted for one session before its shard woke leave in one
+    /// write, not sixteen.
+    #[test]
+    fn a_pass_writes_each_session_once_however_many_frames_it_framed() {
+        let (mut plane, obs, _lane, mut client) = plane_and_client();
+        let (shard, session) = (plane.shards[0].clone(), ClientId(REMOTE_CLIENT_BASE));
+        let writes = obs.poller_write_us.count();
+        for seq in 0..16 {
+            // Posted without a ring, as by lanes whose wakes coalesce.
+            let frame = reply(seq, Reply::WriteOk);
+            shard.tx.send(Inbound::Frame(session, frame)).unwrap();
+        }
+        shard.wake();
+        for seq in 0..16 {
+            assert_eq!(receive(&mut client), reply(seq, Reply::WriteOk));
+        }
+        // The write is timed once its bytes have left: wait for the record.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while obs.poller_write_us.count() == writes && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(obs.poller_write_us.count(), writes + 1);
+        plane.stop();
+    }
+
+    /// A short read ends a session's read pass, and what was left behind is
+    /// reported again: requests spanning several read buffers all reach
+    /// their lane, in order.
+    #[test]
+    fn requests_larger_than_one_read_buffer_are_decoded_in_full() {
+        let (mut plane, _obs, lane, mut client) = plane_and_client();
+        let value = |seq: u64| Value::filled(seq as u8, 1_000);
+        let requests = (0..32).map(|seq| op(seq, Key(seq), ClientOp::Write(value(seq))));
+        let bytes: Vec<u8> = requests.flat_map(|request| wire(&request)).collect();
+        assert!(bytes.len() > 2 * READ_CHUNK);
+        client.write_all(&bytes).unwrap();
+        for seq in 0..32 {
+            let Ok(Command::Op { op, key, cop, .. }) = lane.recv_timeout(Duration::from_secs(5))
+            else {
+                panic!("request {seq} never reached the lane");
+            };
+            assert_eq!((op.seq, key), (seq, Key(seq)));
+            assert!(cop == ClientOp::Write(value(seq)), "request {seq} garbled");
         }
         plane.stop();
     }

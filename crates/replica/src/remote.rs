@@ -5,10 +5,15 @@
 //! session machinery (tickets, out-of-order completion, credit-based
 //! backpressure) works unchanged across processes. The socket is
 //! non-blocking and registered with the channel's own [`Poller`]; requests
-//! are encoded straight behind their length prefix in one reused buffer,
-//! and one function — [`pump`] — turns what the socket has received into
-//! [`ServerFrame`]s. Which thread runs it follows from what the session has
-//! done, not from an option:
+//! are encoded straight behind their length prefix into one reused outbox.
+//! An operation waits there until the session next looks for replies
+//! ([`SessionChannel::recv`]), the outbox fills to [`OUTBOX_FLUSH`] bytes,
+//! or the channel is dropped — whichever comes first — and then leaves with
+//! everything queued beside it in one write (Wings batching, paper §4.2:
+//! never wait to fill a batch). Every other request, acks included, leaves
+//! at once, behind what is queued. One function — [`pump`] — turns what
+//! the socket has received into [`ServerFrame`]s. Which thread runs it
+//! follows from what the session has done, not from an option:
 //!
 //! * **Never subscribed:** the thread that waits is the thread that reads.
 //!   `recv` pumps, after blocking in [`Poller::wait`] when given a wait. The
@@ -45,6 +50,14 @@ use std::time::{Duration, Instant};
 /// frame in progress fits.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Queued operations are written out, without waiting for a `recv`, once
+/// the outbox holds this many bytes.
+const OUTBOX_FLUSH: usize = 64 * 1024;
+
+/// What an empty buffer keeps: one that an oversized frame grew past this
+/// is returned to it.
+const KEEP: usize = 2 * OUTBOX_FLUSH;
+
 /// Client ids handed to remote sessions are process-local; they only name
 /// tickets and history entries at the client side (the daemon assigns its
 /// own per-connection id for protocol-level uniqueness).
@@ -60,9 +73,10 @@ pub(crate) struct Conn {
     /// Locked by whoever reads the connection. That is one thread at a
     /// time, so nobody ever waits for it.
     reader: Mutex<ReadHalf>,
-    /// The reused frame buffer. Its lock spans a whole frame, so a session's
-    /// requests and its reader thread's acks never interleave.
-    writer: Mutex<Vec<u8>>,
+    /// The outbox: requests encoded and not yet written, in the order they
+    /// were sent. Its lock spans a whole write, so a session's requests and
+    /// its reader thread's acks never interleave.
+    outbox: Mutex<Vec<u8>>,
 }
 
 impl Conn {
@@ -75,18 +89,33 @@ impl Conn {
             stream,
             readable,
             reader: Mutex::default(),
-            writer: Mutex::default(),
+            outbox: Mutex::default(),
         })
     }
 
-    /// Writes `request` as one frame, encoded straight behind its length
-    /// prefix. A socket that stops taking bytes mid-frame is waited on and
-    /// the same frame finished; an error leaves the stream unusable.
-    pub(crate) fn send(&self, request: &Request) -> io::Result<()> {
-        let mut frame = self.writer.lock().expect("no writer panics mid-frame");
-        frame.clear();
-        rpc::put_frame(&mut frame, |out| request.encode(out));
-        let mut rest = &frame[..];
+    /// Appends `request` to the outbox, and writes the whole outbox out
+    /// when it then holds at least `flush_at` bytes: 0 sends it now,
+    /// [`OUTBOX_FLUSH`] queues it. An error leaves the stream unusable.
+    pub(crate) fn send(&self, request: &Request, flush_at: usize) -> io::Result<()> {
+        let mut outbox = self.outbox.lock().expect("no writer panics mid-write");
+        rpc::put_frame(&mut outbox, |out| request.encode(out));
+        if outbox.len() < flush_at {
+            return Ok(());
+        }
+        self.write_out(&mut outbox)
+    }
+
+    /// Writes out whatever the outbox holds. Never panics (it runs on
+    /// drop): an outbox a writer panicked over is a broken pipe.
+    pub(crate) fn flush(&self) -> io::Result<()> {
+        let mut outbox = self.outbox.lock().map_err(|_| ErrorKind::BrokenPipe)?;
+        self.write_out(&mut outbox)
+    }
+
+    /// Writes `outbox` whole and empties it. A socket that stops taking
+    /// bytes midway is waited on and the write finished.
+    fn write_out(&self, outbox: &mut Vec<u8>) -> io::Result<()> {
+        let mut rest = &outbox[..];
         while !rest.is_empty() {
             match (&self.stream).write(rest) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
@@ -102,6 +131,8 @@ impl Conn {
                 Err(e) => return Err(e),
             }
         }
+        outbox.clear();
+        outbox.shrink_to(KEEP);
         Ok(())
     }
 
@@ -170,6 +201,10 @@ impl ReadHalf {
             self.buf.copy_within(at..self.filled, 0);
             self.filled -= at;
         }
+        if self.filled == 0 && self.buf.len() > KEEP {
+            self.buf.truncate(KEEP);
+            self.buf.shrink_to_fit();
+        }
         Ok(())
     }
 }
@@ -196,11 +231,19 @@ fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) 
             _ => None,
         };
         sink(frame);
-        ack.map_or(Ok(()), |ack| conn.send(&ack))
+        ack.map_or(Ok(()), |ack| conn.send(&ack, 0))
     })
 }
 
 /// A TCP connection to one replica daemon's client port.
+///
+/// Operations are batched, and no batch waits to fill: each
+/// [`Request::Op`] is queued in the outbox and leaves with the rest when
+/// the session next receives (every `poll`, `wait`, `wait_any`, credit
+/// stall, `txn` and `subscribe` does), when the outbox reaches 64 KiB, or
+/// on drop. A caller that never waits, polls or drops the session holds
+/// its operations. Acks and every other request leave at once, behind
+/// what is queued.
 #[derive(Debug)]
 pub struct RemoteChannel {
     client: ClientId,
@@ -296,18 +339,20 @@ impl SessionChannel for RemoteChannel {
             let run = move || while pump(&conn, forever, |frame| drop(tx.send(frame))).is_ok() {};
             self.reader = Some((rx, std::thread::spawn(run)));
         }
-        self.alive = self.alive && self.conn.send(&request).is_ok();
+        let flush_at = match request {
+            Request::Op { .. } => OUTBOX_FLUSH,
+            _ => 0,
+        };
+        self.alive = self.alive && self.conn.send(&request, flush_at).is_ok();
         self.alive
     }
 
-    /// A dead channel hands over what it had decoded and then nothing, at
-    /// once.
+    /// Writes out the queued operations first. A dead channel hands over
+    /// what it had decoded and then nothing, at once.
     fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
-        if let Some(frame) = self.ready.pop_front() {
-            return Some(frame);
-        }
-        if !self.alive {
-            return None;
+        self.alive = self.alive && self.conn.flush().is_ok();
+        if !self.alive || !self.ready.is_empty() {
+            return self.ready.pop_front();
         }
         let Some((queue, _)) = &self.reader else {
             self.alive = pump(&self.conn, wait, |frame| self.ready.push_back(frame)).is_ok();
@@ -325,7 +370,11 @@ impl SessionChannel for RemoteChannel {
 
 impl Drop for RemoteChannel {
     fn drop(&mut self) {
-        // Wakes the reader thread out of its wait with a hang-up.
+        // Queued operations still leave; then the hang-up wakes the reader
+        // thread out of its wait.
+        if self.alive {
+            let _ = self.conn.flush();
+        }
         let _ = self.conn.stream.shutdown(Shutdown::Both);
         if let Some((_, thread)) = self.reader.take() {
             let _ = thread.join();
@@ -459,6 +508,34 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(1));
             assert!(!channel.send(read(8, Key(1))));
         }
+    }
+
+    /// A quarter-mebibyte write fills the outbox past [`OUTBOX_FLUSH`] and
+    /// leaves without a `recv`; a quarter-mebibyte reply grows the receive
+    /// buffer to half a mebibyte. Once empty, each is back at [`KEEP`].
+    #[test]
+    fn a_quarter_mebibyte_frame_each_way_leaves_both_buffers_at_their_base_size() {
+        let (mut channel, mut peer) = channel_and_peer();
+        let value = Value::filled(0x5A, 256 << 10);
+        let (seq, key, cop) = (0, Key(1), ClientOp::Write(value.clone()));
+        let write = Request::Op { seq, key, cop };
+        let reader = std::thread::spawn(move || {
+            let mut len = [0u8; 4];
+            peer.read_exact(&mut len).unwrap();
+            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+            peer.read_exact(&mut payload).unwrap();
+            (peer, Request::decode(&payload).unwrap())
+        });
+        assert!(channel.send(write.clone()));
+        let (mut peer, got) = reader.join().unwrap();
+        assert_eq!(got, write, "sent whole, with no recv");
+        assert!(channel.conn.outbox.lock().unwrap().capacity() <= KEEP);
+
+        let big = ServerFrame::Reply(0, Reply::ReadOk(value));
+        peer.write_all(&on_the_wire(&big)).unwrap();
+        assert_eq!(next(&mut channel), Some(big));
+        let half = channel.conn.reader.lock().unwrap();
+        assert_eq!((half.filled, half.buf.len()), (0, KEEP));
     }
 
     /// Sixteen reads in flight when the session subscribes: replies decoded

@@ -71,14 +71,20 @@ pub trait SessionChannel {
     fn client_id(&self) -> ClientId;
 
     /// Hands `request` to the transport, blocking no longer than that
-    /// takes. Returns `false` when the service is unreachable, or the
-    /// channel cannot carry that kind of request: the session completes an
-    /// operation as [`Reply::NotOperational`] then, and a session that
-    /// cannot subscribe simply never caches.
+    /// takes. A channel may hold a [`Request::Op`] back to send it with
+    /// others, but no later than its next [`SessionChannel::recv`] or its
+    /// drop; every other request goes at once, behind whatever is held, so
+    /// the wire order is the order of the calls. Returns `false` when the
+    /// service is unreachable, or the channel cannot carry that kind of
+    /// request: the session completes an operation as
+    /// [`Reply::NotOperational`] then, and a session that cannot subscribe
+    /// simply never caches. A request held back and lost with the
+    /// connection fails like one in flight: the channel dies.
     fn send(&mut self, request: Request) -> bool;
 
-    /// The next frame from the replica, blocking up to `wait` for it when
-    /// given one.
+    /// Sends whatever [`SessionChannel::send`] held back, then returns the
+    /// next frame from the replica, blocking up to `wait` for it when given
+    /// one.
     fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame>;
 
     /// Whether the channel can still carry traffic. A dead channel (TCP
@@ -327,6 +333,13 @@ impl<C: SessionChannel> ClientSession<C> {
     /// call first blocks until an earlier operation completes
     /// (backpressure); an unreachable service eventually completes the
     /// operation as [`Reply::NotOperational`].
+    ///
+    /// Over a [`RemoteChannel`](crate::RemoteChannel) the operation may not
+    /// have left yet when this returns: operations submitted back to back
+    /// leave together, in one write, when the session next looks for
+    /// replies (any `poll`, `wait`, `wait_any`, credit stall, `txn` or
+    /// `subscribe`) or is dropped. A caller that never waits, polls or
+    /// drops the session holds its operations.
     pub fn submit(&mut self, key: Key, cop: ClientOp) -> Ticket {
         let t0 = hermes_obs::recording_enabled().then(Instant::now);
         let is_read = matches!(cop, ClientOp::Read);

@@ -4,6 +4,8 @@
 //! far larger than any buffer involved cross in both directions intact, and
 //! a connection that dies — by its peer or by a [`KillSwitch`] — releases
 //! whoever is blocked on it at once instead of after the 10 s wait limit.
+//! A session's operations wait in the channel's outbox until it next looks
+//! for replies, and still leave when it is dropped instead.
 //!
 //! The frame decoding and the hand-over of the read half to the reader
 //! thread are unit-tested in `crates/replica/src/remote.rs`.
@@ -13,8 +15,10 @@
 mod procfs;
 
 use hermes::prelude::*;
+use hermes::wings::client::{split_frame, Request};
 use hermes::wings::CreditConfig;
 use procfs::settled_threads;
+use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -61,7 +65,7 @@ fn channel_to_a_silent_peer(subscribed: bool) -> (RemoteChannel, TcpStream) {
         // for an ack that this peer never sends. The reader thread runs
         // from here on.
         let (seq, key) = (u64::MAX, Key(0));
-        assert!(channel.send(hermes::wings::client::Request::Subscribe { seq, key }));
+        assert!(channel.send(Request::Subscribe { seq, key }));
     }
     (channel, peer)
 }
@@ -194,4 +198,74 @@ fn a_dead_channel_fails_its_waiters_at_once_and_burns_no_cpu() {
         );
         assert!(burnt < 100, "subscribed={subscribed}: {burnt} ms of CPU");
     }
+}
+
+/// Sixteen reads submitted and not yet looked for are not on the wire: the
+/// peer's non-blocking read finds nothing. The session's next look (a
+/// `poll`, here) sends them all, in the order they were submitted.
+#[test]
+fn queued_operations_leave_in_order_at_the_sessions_next_recv() {
+    let _serial = serial();
+    let (channel, mut peer) = channel_to_a_silent_peer(false);
+    let mut session = channel.into_session();
+    let tickets: Vec<Ticket> = (0..16).map(|k| session.read(Key(k))).collect();
+    peer.set_nonblocking(true).expect("non-blocking peer");
+    let mut received = vec![0u8; 64 << 10];
+    let early = peer.read(&mut received).map_err(|e| e.kind());
+    assert_eq!(early.err(), Some(ErrorKind::WouldBlock), "nothing sent yet");
+    assert_eq!(session.poll(tickets[0]), None);
+    peer.set_nonblocking(false).expect("blocking peer");
+    peer.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let (mut filled, mut requests) = (0, Vec::new());
+    while requests.len() < tickets.len() {
+        filled += peer
+            .read(&mut received[filled..])
+            .expect("the queued reads");
+        let mut at = 0;
+        while let Some(payload) = split_frame(&received[at..filled], usize::MAX).expect("framing") {
+            requests.push(Request::decode(payload).expect("a request"));
+            at += 4 + payload.len();
+        }
+        received.copy_within(at..filled, 0);
+        filled -= at;
+    }
+    let keys: Vec<Key> = (requests.iter())
+        .map(|request| match request {
+            Request::Op {
+                key,
+                cop: ClientOp::Read,
+                ..
+            } => *key,
+            other => panic!("nobody sent {other:?}"),
+        })
+        .collect();
+    assert_eq!(keys, (0..16).map(Key).collect::<Vec<_>>());
+}
+
+/// A session that submits 64 writes and is dropped without waiting for
+/// any: every write is applied all the same, as a second session sees.
+#[test]
+fn a_session_dropped_without_waiting_still_has_every_write_applied() {
+    let _serial = serial();
+    let runtime = serve_single_node();
+    let mut writer = remote_session(&runtime);
+    for k in 0..64 {
+        writer.write(Key(100 + k), Value::from_u64(k));
+    }
+    drop(writer);
+    let mut reader = remote_session(&runtime);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for k in 0..64 {
+        loop {
+            let ticket = reader.read(Key(100 + k));
+            match reader.wait(ticket) {
+                Reply::ReadOk(value) if value == Value::from_u64(k) => break,
+                other => assert!(Instant::now() < deadline, "write {k} lost: {other:?}"),
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    drop(reader);
+    runtime.shutdown();
 }
