@@ -26,7 +26,7 @@ use crate::membership::{boot_view, MembershipOptions, MembershipStatus};
 use crate::metrics::NodeObs;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
-use hermes_common::{Key, MembershipView, NodeId, Value};
+use hermes_common::{ClientOp, Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::{HermesNode, Msg, ProtocolConfig};
 use hermes_membership::{wire, MembershipDriver, RmEffect, RmMsg};
 use hermes_net::{Endpoint, LaneLinks, NetEvent, NetSender, Wait};
@@ -80,6 +80,69 @@ pub(crate) fn mirror_read(
         None => Some(Value::EMPTY),
         Some(SlotState::Valid) => Some(Value::from(Bytes::copy_from_slice(scratch))),
         Some(_) => None,
+    }
+}
+
+/// One session's local reads (paper §3.1): the rule both session channels
+/// apply before a read goes to its lane — a
+/// [`LaneChannel`](crate::LaneChannel) on the session's own thread, a
+/// poller's `SessionMachine` in the pass that decoded the request. A read
+/// is answered from the mirror ([`mirror_read`]: serving gate, `Valid`
+/// slot) unless the session has an update of the same key in flight: the
+/// lane pushes an issuer no invalidation of its own write, so a read that
+/// overtook the update would leave the superseded value in the session's
+/// cache for good (DESIGN.md §8). Each answer counts in
+/// `hermes_mirror_reads_total`.
+#[derive(Debug)]
+pub(crate) struct LocalReads {
+    store: Arc<Store>,
+    status: Arc<MembershipStatus>,
+    obs: Arc<NodeObs>,
+    /// The session's submitted, uncompleted updates `(seq, key)`: at most
+    /// one entry per credit, scanned linearly.
+    own_updates: Vec<(u64, Key)>,
+    scratch: Vec<u8>,
+}
+
+impl LocalReads {
+    /// A fresh session's rule over a node's mirror, serving gate and
+    /// counters.
+    pub(crate) fn new(
+        store: &Arc<Store>,
+        status: &Arc<MembershipStatus>,
+        obs: &Arc<NodeObs>,
+    ) -> LocalReads {
+        LocalReads {
+            store: Arc::clone(store),
+            status: Arc::clone(status),
+            obs: Arc::clone(obs),
+            own_updates: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The reply to `cop` on `key` if the session may take it here and
+    /// now, from the mirror; `None` sends the operation to its lane.
+    pub(crate) fn answer(&mut self, key: Key, cop: &ClientOp) -> Option<Reply> {
+        if cop.is_update() || self.own_updates.iter().any(|&(_, k)| k == key) {
+            return None;
+        }
+        let value = mirror_read(&self.store, &self.status, key, &mut self.scratch)?;
+        NodeObs::bump(&self.obs.mirror_reads, 1);
+        Some(Reply::ReadOk(value))
+    }
+
+    /// `cop` on `key` went to its lane as the session's `seq`: an update
+    /// keeps the session's reads of `key` off the mirror until its reply.
+    pub(crate) fn submitted(&mut self, seq: u64, key: Key, cop: &ClientOp) {
+        if cop.is_update() {
+            self.own_updates.push((seq, key));
+        }
+    }
+
+    /// The reply to the session's `seq` arrived.
+    pub(crate) fn replied(&mut self, seq: u64) {
+        self.own_updates.retain(|&(s, _)| s != seq);
     }
 }
 
@@ -596,4 +659,58 @@ fn rm_frame(msg: &RmMsg) -> Bytes {
 #[cfg(test)]
 pub(crate) fn test_epoch() -> Instant {
     Instant::now()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use hermes_common::RmwOp;
+    use hermes_store::SlotMeta;
+
+    /// A fresh session's local reads at a replica, serving or not, whose
+    /// mirror holds each of `valid` as a `Valid` slot.
+    pub(crate) fn local_reads_over(valid: &[(Key, u64)], serving: bool) -> LocalReads {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        for &(key, v) in valid {
+            store.put(key, SlotMeta::valid(1, 0), Value::from_u64(v).as_bytes());
+        }
+        let status = MembershipStatus::new(MembershipView::initial(1), serving, true);
+        LocalReads::new(&store, &Arc::new(status), &Arc::new(NodeObs::new(0, 1, 0)))
+    }
+
+    #[test]
+    fn a_read_is_local_only_of_a_valid_key_at_a_serving_replica_past_no_own_update() {
+        let read = ClientOp::Read;
+        let ok = |v| Some(Reply::ReadOk(Value::from_u64(v)));
+        let mut reads = local_reads_over(&[(Key(1), 10), (Key(2), 20)], true);
+        assert_eq!(reads.answer(Key(1), &read), ok(10), "a Valid slot");
+        let empty = Some(Reply::ReadOk(Value::EMPTY));
+        assert_eq!(reads.answer(Key(9), &read), empty, "a key never written");
+        let invalid = SlotMeta::invalid(2, 0);
+        reads
+            .store
+            .put(Key(3), invalid, Value::from_u64(30).as_bytes());
+        assert_eq!(reads.answer(Key(3), &read), None, "an Invalid slot");
+        let write = ClientOp::Write(Value::from_u64(11));
+        assert_eq!(reads.answer(Key(1), &write), None, "an update");
+
+        let updates = [write, ClientOp::Rmw(RmwOp::FetchAdd { delta: 1 })];
+        for update in updates {
+            reads.submitted(7, Key(1), &update);
+            assert_eq!(reads.answer(Key(1), &read), None, "behind {update:?}");
+            assert_eq!(reads.answer(Key(2), &read), ok(20), "another key");
+            reads.replied(6);
+            assert_eq!(reads.answer(Key(1), &read), None, "another op's reply");
+            reads.replied(7);
+            assert_eq!(reads.answer(Key(1), &read), ok(10), "after its reply");
+        }
+        reads.submitted(8, Key(1), &read);
+        assert_eq!(reads.answer(Key(1), &read), ok(10), "a read holds nothing");
+        assert_eq!(reads.obs.mirror_reads.load(Ordering::Relaxed), 7);
+
+        reads.status.set_serving(false);
+        assert_eq!(reads.answer(Key(1), &read), None, "a replica not serving");
+        assert_eq!(reads.answer(Key(9), &read), None);
+        assert_eq!(reads.obs.mirror_reads.load(Ordering::Relaxed), 7);
+    }
 }

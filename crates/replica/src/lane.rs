@@ -466,7 +466,7 @@ impl<S: NetSender> Lane<S> {
                 // are the keys with work in flight.)
                 let moved = self.node.on_membership_update(view, &mut self.fx);
                 for &key in &moved {
-                    self.mirror_key(key);
+                    self.mirror_key(key, false);
                 }
                 self.refresh_peers();
                 // Subscribers must not serve entries cached under the old
@@ -667,18 +667,19 @@ impl<S: NetSender> Lane<S> {
     /// §4.1) so other threads serve lock-free local reads. A key with
     /// unacked cache pushes is mirrored as not readable whatever its state:
     /// until its subscribers ack, the transition is visible nowhere, and a
-    /// read of it belongs at this lane, held with everything else (§8).
+    /// read of it belongs at this lane, held with everything else (§8); so
+    /// is a `hidden` one.
     /// Called on every transition; the store copies the value only when the
     /// timestamp moved, so a VAL, a commit or a released hold costs the
     /// metadata words.
     /// Only a key the engine holds is mirrored: the engine's default for
     /// any other would overwrite the key's only copy.
-    fn mirror_key(&self, key: Key) {
+    fn mirror_key(&self, key: Key, hidden: bool) {
         let Some(e) = self.node.entry(key) else {
             debug_assert!(false, "{key} mirrored from an engine that does not hold it");
             return;
         };
-        let (ts, readable) = (e.ts, !self.subs.pending.contains_key(&key));
+        let (ts, readable) = (e.ts, !hidden && !self.subs.pending.contains_key(&key));
         let meta = if e.state == KeyState::Valid && readable {
             SlotMeta::valid(ts.version, ts.cid)
         } else {
@@ -847,11 +848,20 @@ impl<S: NetSender> Lane<S> {
                 waiters.entry(client).or_default().push_back(now);
             }
         }
-        self.mirror_key(key);
+        // An in-process subscriber owes no ack, so no waiter hides the key
+        // while its push is on the way; yet in a one-member view a write is
+        // `Valid` in the step that moves its timestamp. Shown before the
+        // pushes, it could be read from the mirror on another session's
+        // thread while the subscriber still serves the superseded value.
+        let hide = pushed.clone().any(|(_, sink)| !sink.acks_invalidations());
+        self.mirror_key(key, hide);
         let epoch = self.node.view().epoch.0;
         for (&client, sink) in pushed {
             NodeObs::bump(&self.obs.pushes, 1);
             sink.send(ClientId(client), ServerFrame::Invalidate { key, epoch });
+        }
+        if hide {
+            self.mirror_key(key, false);
         }
     }
 
@@ -899,7 +909,7 @@ impl<S: NetSender> Lane<S> {
         self.cur_trace = TraceId::NONE;
         // Nobody owes an ack for the key any more: it is readable again,
         // and by the mirror rule says so before what was held goes out.
-        self.mirror_key(key);
+        self.mirror_key(key, false);
         if let Some(held) = self.subs.held.remove(&key) {
             NodeObs::bump(&self.obs.holds_released, held.len() as u64);
             for e in held {

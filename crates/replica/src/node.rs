@@ -493,7 +493,7 @@ const SCALARS: &[Row] = &[
     ),
     (
         "hermes_mirror_reads_total",
-        "Client reads a poller answered from the seqlock mirror, no lane involved.",
+        "Client reads a session's channel answered from the seqlock mirror, no lane involved.",
         Counter(|s| s.obs.mirror_reads.load(Ordering::Relaxed)),
     ),
     (
@@ -771,11 +771,10 @@ mod tests {
     /// `NotOperational`, so the one transaction driver stops in doubt —
     /// wherever its session lives — and a resume from a fresh session
     /// finds the same.
-    #[test]
-    fn a_txn_at_a_replica_that_is_not_serving_ends_in_doubt_and_leaves_nothing_behind() {
-        // A lone joiner has nobody to admit it: it never serves.
+    /// A lone joiner: it has nobody to admit it, so it never serves.
+    fn lone_joiner() -> NodeRuntime {
         let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let runtime = NodeRuntime::serve(NodeOptions {
+        NodeRuntime::serve(NodeOptions {
             node: NodeId(0),
             peers: vec![loopback],
             client_addr: loopback,
@@ -788,7 +787,12 @@ mod tests {
             join: true,
             metrics_dump: None,
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn a_txn_at_a_replica_that_is_not_serving_ends_in_doubt_and_leaves_nothing_behind() {
+        let runtime = lone_joiner();
         assert!(!runtime.membership().serving());
         let op = TxnOp::MultiPut(vec![
             (Key(1), Value::from_u64(1)),
@@ -796,8 +800,7 @@ mod tests {
         ]);
 
         // In process.
-        let lanes = runtime.node.lanes().clone();
-        let channel = LaneChannel::new(ClientId(u64::MAX), lanes);
+        let channel = LaneChannel::new(ClientId(u64::MAX), &runtime.node);
         let mut session = ClientSession::new(channel, CreditConfig::default());
         assert!(matches!(session.txn(op.clone()), TxnResult::InDoubt(_)));
         assert_eq!(session.outstanding(), 0);
@@ -824,6 +827,26 @@ mod tests {
         assert_eq!(sample("hermes_cache_subscriptions"), Some(0.0));
         // One lock CAS each: the in-process txn, the remote one, its resume.
         assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 3);
+        runtime.shutdown();
+    }
+
+    /// A replica that is not serving may hold a stale mirror: an
+    /// in-process session's read goes to the lane, which refuses it, and
+    /// is never answered from the mirror (where a key never written reads
+    /// as empty).
+    #[test]
+    fn an_in_process_read_at_a_replica_that_is_not_serving_is_not_operational() {
+        let runtime = lone_joiner();
+        let channel = LaneChannel::new(ClientId(u64::MAX), &runtime.node);
+        let mut session = ClientSession::new(channel, CreditConfig::default());
+        for key in [Key(1), Key(2)] {
+            let t = session.read(key);
+            assert_eq!(session.wait(t), Reply::NotOperational);
+        }
+        let sample = |name| hermes_obs::sample_value(&runtime.metrics_text(), name);
+        assert_eq!(sample("hermes_mirror_reads_total"), Some(0.0));
+        assert_eq!(runtime.lane_ops().iter().sum::<u64>(), 2);
+        drop(session);
         runtime.shutdown();
     }
 

@@ -15,9 +15,10 @@
 //!   [`ServerFrame`]s in → encoded behind their length prefix in a write
 //!   buffer — no I/O, no threads, unit-testable in isolation;
 //! * a read of a `Valid` key never leaves the shard: the machine answers
-//!   it from the node's seqlock mirror ([`ReadHook`]) in the pass that
-//!   decoded it — the paper's local read (§3.1), on the thread that
-//!   received it; every other read takes the lane path;
+//!   it from the node's seqlock mirror ([`LocalReads`], the rule an
+//!   in-process session's channel applies too) in the pass that decoded
+//!   it — the paper's local read (§3.1), on the thread that received it;
+//!   every other read takes the lane path;
 //! * worker lanes finishing an operation do not touch sockets: they post
 //!   the reply frame into the owning shard's inbox and ring its [`Waker`]
 //!   ([`ShardHandle::send`]), and the shard writes it on its own thread;
@@ -35,13 +36,13 @@
 //! (`ClientSession::txn`). Thread count is a property of the deployment
 //! (one per poller), not of the session count.
 
-use crate::host::mirror_read;
+use crate::host::LocalReads;
 use crate::lane::{ClientSink, Lanes};
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::node::MAX_CLIENT_FRAME;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hermes_common::{ClientId, Key, NodeId, OpId, Reply, Value};
+use hermes_common::{ClientId, NodeId, OpId, Reply};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
 use hermes_obs::{obs_warn, Histogram, Registry};
 use hermes_store::Store;
@@ -143,11 +144,6 @@ pub(crate) enum Inbound {
     Evict(ClientId),
 }
 
-/// The node's seqlock mirror as a [`SessionMachine`] sees it: the value iff
-/// a read of the key may be answered here and now ([`mirror_read`] in a
-/// shard, a closure over a map in a unit test).
-pub(crate) type ReadHook = Box<dyn FnMut(Key) -> Option<Value> + Send>;
-
 /// One remote session as a non-blocking state machine — the sans-io
 /// boundary: the machine decodes and frames bytes, the shard owns sockets
 /// and lanes. Request bytes in ([`SessionMachine::on_bytes`]) and, under
@@ -171,11 +167,8 @@ pub(crate) struct SessionMachine {
     /// Whether a complete operation frame is buffered with no credit to run
     /// it: set where decoding stops for that, cleared when it next runs.
     stalled: bool,
-    /// Submitted, uncompleted updates `(seq, key)` of this session: a read
-    /// of such a key must queue behind the update at its lane, not pass it
-    /// through the mirror. At most one entry per credit.
-    own_updates: Vec<(u64, Key)>,
-    mirror: ReadHook,
+    /// The session's local reads: who may be answered from the mirror.
+    reads: LocalReads,
     /// Keys this session subscribed to for invalidation pushes: the
     /// per-session filter that keeps a lane's fan-out from reaching
     /// sessions that already unsubscribed (frames in flight race).
@@ -185,7 +178,7 @@ pub(crate) struct SessionMachine {
 }
 
 impl SessionMachine {
-    pub(crate) fn new(credits: CreditConfig, max_frame: usize, mirror: ReadHook) -> SessionMachine {
+    pub(crate) fn new(credits: CreditConfig, max_frame: usize, reads: LocalReads) -> Self {
         SessionMachine {
             inbuf: Vec::new(),
             parsed: 0,
@@ -193,8 +186,7 @@ impl SessionMachine {
             out_at: 0,
             credits: CreditFlow::new(1, credits),
             stalled: false,
-            own_updates: Vec::new(),
-            mirror,
+            reads,
             subs: HashSet::new(),
             max_frame,
             dead: false,
@@ -226,7 +218,7 @@ impl SessionMachine {
         match *frame {
             ServerFrame::Reply(seq, _) => {
                 self.credits.on_implicit_credit(SERVER);
-                self.own_updates.retain(|&(s, _)| s != seq);
+                self.reads.replied(seq);
             }
             ServerFrame::Invalidate { key, .. } if !self.subs.contains(&key.0) => return false,
             ServerFrame::Unsubscribed { key, .. } => {
@@ -272,19 +264,11 @@ impl SessionMachine {
             match request {
                 Request::Op { seq, key, ref cop } => {
                     // The local read (paper §3.1): answered from the mirror
-                    // in this pass, at no credit. Not past this session's
-                    // own in-flight update of the key, though — the lane
-                    // pushes an issuer no invalidation of its own write, so
-                    // a read that overtook it would leave the superseded
-                    // value in the client's cache for good (DESIGN.md §8).
-                    let local =
-                        !cop.is_update() && !self.own_updates.iter().any(|&(_, k)| k == key);
-                    if let Some(value) = local.then(|| (self.mirror)(key)).flatten() {
-                        self.frame(&ServerFrame::Reply(seq, Reply::ReadOk(value)));
+                    // in this pass, at no credit.
+                    if let Some(reply) = self.reads.answer(key, cop) {
+                        self.frame(&ServerFrame::Reply(seq, reply));
                     } else if self.credits.try_consume(SERVER) {
-                        if cop.is_update() {
-                            self.own_updates.push((seq, key));
-                        }
+                        self.reads.submitted(seq, key, cop);
                         fx.push(request);
                     } else {
                         self.stalled = true;
@@ -681,19 +665,12 @@ impl Shard {
         let client =
             ClientId(REMOTE_CLIENT_BASE + self.next_client.fetch_add(1, Ordering::Relaxed));
         self.by_client.insert(client.0, token);
-        // The session's local reads: the node's mirror, counted.
-        let (store, status, obs) = (self.store.clone(), self.status.clone(), self.obs.clone());
-        let mut scratch = Vec::new();
-        let mirror = Box::new(move |key| {
-            let value = mirror_read(&store, &status, key, &mut scratch)?;
-            NodeObs::bump(&obs.mirror_reads, 1);
-            Some(value)
-        });
+        let reads = LocalReads::new(&self.store, &self.status, &self.obs);
         self.sessions.insert(
             token,
             Session {
                 stream,
-                machine: SessionMachine::new(CreditConfig::default(), MAX_CLIENT_FRAME, mirror),
+                machine: SessionMachine::new(CreditConfig::default(), MAX_CLIENT_FRAME, reads),
                 client,
                 interest: Interest::READ,
                 parked_at: None,
@@ -916,8 +893,9 @@ impl ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::tests::local_reads_over;
     use crate::lane::Command;
-    use hermes_common::{ClientOp, MembershipView, RmwOp};
+    use hermes_common::{ClientOp, Key, MembershipView, RmwOp, Value};
     use hermes_net::Wait;
     use hermes_store::StoreConfig;
 
@@ -948,25 +926,19 @@ mod tests {
         ServerFrame::Invalidate { key, epoch: 1 }
     }
 
-    /// A machine over the mirror of a replica that can answer nothing
+    /// A machine at a replica that is not serving, so answers nothing
     /// locally (not `Valid` and not serving look the same from here).
     fn machine_with_credits(n: u32) -> SessionMachine {
-        machine_over(n, &[])
+        machine(n, local_reads_over(&[], false))
     }
 
-    /// A machine over a mirror in which exactly `valid` is readable.
+    /// A machine at a serving replica whose mirror holds `valid`.
     fn machine_over(credits: u32, valid: &[(Key, u64)]) -> SessionMachine {
-        let valid: HashMap<Key, Value> = valid
-            .iter()
-            .map(|&(k, v)| (k, Value::from_u64(v)))
-            .collect();
-        SessionMachine::new(
-            CreditConfig {
-                credits_per_peer: credits,
-            },
-            1 << 20,
-            Box::new(move |key| valid.get(&key).cloned()),
-        )
+        machine(credits, local_reads_over(valid, true))
+    }
+
+    fn machine(credits_per_peer: u32, reads: LocalReads) -> SessionMachine {
+        SessionMachine::new(CreditConfig { credits_per_peer }, 1 << 20, reads)
     }
 
     /// Every frame waiting in the machine's write buffer, drained.
@@ -1157,7 +1129,8 @@ mod tests {
 
     #[test]
     fn oversized_and_malformed_frames_kill_the_session() {
-        let mut m = SessionMachine::new(CreditConfig::default(), 64, Box::new(|_| None));
+        let reads = local_reads_over(&[], false);
+        let mut m = SessionMachine::new(CreditConfig::default(), 64, reads);
         let mut fx = Vec::new();
         m.on_bytes(&(65u32).to_le_bytes(), &mut fx);
         assert!(m.is_dead(), "length beyond max_frame");

@@ -11,8 +11,10 @@
 //! The session is generic over a [`SessionChannel`] — the wire between the
 //! session and its replica:
 //!
-//! * [`LaneChannel`] — in-process: operations go straight to the worker
-//!   lane owning their key ([`ThreadCluster::session`]);
+//! * [`LaneChannel`] — in-process ([`ThreadCluster::session`]): a read of
+//!   a `Valid` key is answered from the node's mirror on the session's own
+//!   thread, and every other operation goes straight to the worker lane
+//!   owning its key;
 //! * [`RemoteChannel`](crate::RemoteChannel) — a real TCP connection to a
 //!   `hermesd` replica daemon's client port.
 //!
@@ -25,6 +27,7 @@
 //! [`ThreadCluster`]: crate::ThreadCluster
 //! [`ThreadCluster::session`]: crate::ThreadCluster::session
 
+use crate::host::{LocalReads, Node};
 use crate::lane::{ClientSink, Lanes};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{
@@ -34,7 +37,7 @@ use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
 use hermes_wings::client::{Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Give up on an individual operation after this long (the blocking
@@ -65,7 +68,9 @@ impl Ticket {
 /// push events (DESIGN.md §8). One queue is load-bearing for cache
 /// coherence: a read reply that fills the cache and the invalidation that
 /// supersedes it arrive in the order the worker lane emitted them, so the
-/// session can never process the fill after the invalidation.
+/// session can never process the fill after the invalidation. A reply a
+/// channel answers from the mirror itself keeps that promise by going
+/// ahead of every frame emitted after its value was read.
 pub trait SessionChannel {
     /// The session id this channel submits as.
     fn client_id(&self) -> ClientId;
@@ -93,23 +98,32 @@ pub trait SessionChannel {
     fn is_alive(&self) -> bool;
 }
 
-/// In-process channel: operations go straight to the worker lane owning
-/// their key; completions and push events come back over one crossbeam
-/// channel, preserving each lane's emission order.
+/// In-process channel to one replica's lanes. A read the local-read rule
+/// admits (the node's mirror: serving gate, `Valid` slot, no own update of
+/// the key in flight) is answered on the session's own thread, with no
+/// lane woken; every other operation goes straight to the worker lane
+/// owning its key. Completions and push events come back over one
+/// crossbeam channel, preserving each lane's emission order, behind the
+/// replies answered here.
 #[derive(Debug)]
 pub struct LaneChannel {
     client: ClientId,
     lanes: Lanes,
+    reads: LocalReads,
+    /// Replies answered from the mirror, not yet received.
+    answered: VecDeque<ServerFrame>,
     events_tx: Sender<ServerFrame>,
     events_rx: Receiver<ServerFrame>,
 }
 
 impl LaneChannel {
-    pub(crate) fn new(client: ClientId, lanes: Lanes) -> Self {
+    pub(crate) fn new(client: ClientId, node: &Node) -> Self {
         let (events_tx, events_rx) = unbounded();
         LaneChannel {
             client,
-            lanes,
+            lanes: node.lanes().clone(),
+            reads: LocalReads::new(node.store(), node.status(), node.obs()),
+            answered: VecDeque::new(),
             events_tx,
             events_rx,
         }
@@ -129,8 +143,12 @@ impl SessionChannel for LaneChannel {
         let client = self.client;
         match request {
             Request::Op { seq, key, cop } => {
-                let op = OpId::new(client, seq);
-                self.lanes.op(op, key, cop, self.sink())
+                if let Some(reply) = self.reads.answer(key, &cop) {
+                    self.answered.push_back(ServerFrame::Reply(seq, reply));
+                    return true;
+                }
+                self.reads.submitted(seq, key, &cop);
+                self.lanes.op(OpId::new(client, seq), key, cop, self.sink())
             }
             Request::Subscribe { seq, key } => self.lanes.subscribe(seq, client, key, self.sink()),
             Request::Unsubscribe { seq, key } => self.lanes.unsubscribe(seq, client, key),
@@ -144,10 +162,18 @@ impl SessionChannel for LaneChannel {
     }
 
     fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
-        match wait {
+        // What was answered here goes first: an `Invalidate` the lanes
+        // emitted after its value was read must land after its cache fill,
+        // or the fill would be permanent. Overtaking frames emitted before
+        // the read is harmless (DESIGN.md §8).
+        let frame = self.answered.pop_front().or_else(|| match wait {
             Some(wait) => self.events_rx.recv_timeout(wait).ok(),
             None => self.events_rx.try_recv().ok(),
+        })?;
+        if let ServerFrame::Reply(seq, _) = &frame {
+            self.reads.replied(*seq);
         }
+        Some(frame)
     }
 
     fn is_alive(&self) -> bool {
@@ -166,9 +192,10 @@ impl Drop for LaneChannel {
 /// One client's pipelined connection to one replica.
 ///
 /// Sessions are `Send` — move each one to its own client thread. Over a
-/// [`LaneChannel`], operations are routed directly to the worker lane
-/// owning their key, so two in-flight operations on different shards
-/// proceed fully in parallel.
+/// [`LaneChannel`], a read of a `Valid` key is answered from the replica's
+/// mirror on that thread, and every other operation is routed directly to
+/// the worker lane owning its key, so two in-flight operations on
+/// different shards proceed fully in parallel.
 ///
 /// # Examples
 ///
