@@ -132,26 +132,6 @@ pub fn mreqs(r: &RunReport) -> String {
     format!("{:8.1} MReq/s", r.throughput_mreqs)
 }
 
-/// A quick correctness cross-check usable from benches: Hermes read-only
-/// runs must produce zero protocol messages.
-pub fn assert_read_only_is_local(cfg: &SimConfig) {
-    assert!((cfg.workload.write_ratio - 0.0).abs() < f64::EPSILON);
-    let r = run_hermes(cfg);
-    assert_eq!(r.messages_sent, 0, "read-only Hermes must stay local");
-}
-
-/// Placeholder referenced by unit tests of the harness itself.
-pub fn self_test() -> bool {
-    let mut cfg = paper_cluster(3, 0.05, None);
-    cfg.warmup_ops = 500;
-    cfg.measured_ops = 2_000;
-    cfg.workload.keys = 1_000;
-    cfg.sessions_per_node = 16;
-    cfg.workers_per_node = 4;
-    let r = run_hermes(&cfg);
-    r.ops_completed == 2_000 && r.throughput_mreqs > 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +145,14 @@ mod tests {
 
     #[test]
     fn harness_self_test() {
-        assert!(self_test());
+        let mut cfg = paper_cluster(3, 0.05, None);
+        cfg.warmup_ops = 500;
+        cfg.measured_ops = 2_000;
+        cfg.workload.keys = 1_000;
+        cfg.sessions_per_node = 16;
+        cfg.workers_per_node = 4;
+        let r = run_hermes(&cfg);
+        assert!(r.ops_completed == 2_000 && r.throughput_mreqs > 0.0);
     }
 
     #[test]

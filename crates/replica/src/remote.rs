@@ -510,6 +510,22 @@ mod tests {
         }
     }
 
+    /// With nothing listening at the address, the retries stop at the
+    /// deadline and the last refusal comes back: no panic, no hang.
+    #[test]
+    fn connect_within_returns_the_refusal_soon_after_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        drop(listener); // Released: the port now refuses connections.
+        let (deadline, start) = (Duration::from_millis(200), Instant::now());
+        let refused = RemoteChannel::connect_within(addr, deadline).err();
+        let waited = start.elapsed();
+        let kind = refused.map(|e| e.kind());
+        assert_eq!(kind, Some(ErrorKind::ConnectionRefused));
+        assert!(waited >= deadline, "gave up early: {waited:?}");
+        assert!(waited < Duration::from_secs(1), "overran: {waited:?}");
+    }
+
     /// A quarter-mebibyte write fills the outbox past [`OUTBOX_FLUSH`] and
     /// leaves without a `recv`; a quarter-mebibyte reply grows the receive
     /// buffer to half a mebibyte. Once empty, each is back at [`KEEP`].

@@ -10,12 +10,12 @@
 //! (`host.rs`), and steps the lanes of `lane.rs`. This module only
 //! launches them and gives them a cluster-shaped face.
 //!
-//! The runtime is generic over the [`Transport`]: crossbeam channels for
-//! in-process clusters ([`ThreadCluster::launch`]), loopback TCP sockets
-//! for the same shape over the real network stack
-//! ([`ThreadCluster::launch_over`] with a [`TcpNet`](hermes_net::TcpNet)),
-//! and one-node-per-process TCP deployments via
-//! [`NodeRuntime`](crate::NodeRuntime).
+//! The runtime is generic over the [`Transport`](hermes_net::Transport):
+//! crossbeam channels for in-process clusters ([`ThreadCluster::launch`]),
+//! loopback TCP sockets for the same shape over the real network stack
+//! ([`ThreadCluster::launch_endpoints`] over a
+//! [`TcpNet`](hermes_net::TcpNet)'s endpoints), and one-node-per-process
+//! TCP deployments via [`NodeRuntime`](crate::NodeRuntime).
 //!
 //! Clients talk to a node through pipelined [`ClientSession`]s
 //! ([`ThreadCluster::session`]) with many operations in flight, or through
@@ -28,7 +28,7 @@ use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::session::{ClientSession, LaneChannel};
 use hermes_common::{ClientId, ClientOp, Key, MembershipView, Reply, RmwOp, Value};
 use hermes_core::ProtocolConfig;
-use hermes_net::{Endpoint, InProcNet, NetFaults, Transport};
+use hermes_net::{Endpoint, InProcNet, NetFaults};
 use hermes_obs::TraceSpan;
 use hermes_wings::CreditConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +42,9 @@ pub struct ClusterConfig {
     pub workers_per_node: usize,
     /// Protocol switches for every replica.
     pub protocol: ProtocolConfig,
-    /// Network fault injection.
+    /// Network fault injection on the in-process transport. Hermes absorbs
+    /// loss and duplication through its message-loss timeouts (paper §3.4):
+    /// the cluster keeps making progress, just slower.
     pub faults: NetFaults,
     /// Seed for the fault injector.
     pub seed: u64,
@@ -96,20 +98,6 @@ impl ThreadCluster {
         })
     }
 
-    /// Starts `n` replicas with probabilistic network faults.
-    ///
-    /// Hermes absorbs loss and duplication via its message-loss timeouts
-    /// (paper §3.4); the cluster keeps making progress, just slower.
-    pub fn start_with_faults(n: usize, cfg: ProtocolConfig, faults: NetFaults, seed: u64) -> Self {
-        Self::launch(ClusterConfig {
-            nodes: n,
-            protocol: cfg,
-            faults,
-            seed,
-            ..ClusterConfig::default()
-        })
-    }
-
     /// Starts a cluster with an explicit deployment shape over the default
     /// in-process transport.
     ///
@@ -118,25 +106,17 @@ impl ThreadCluster {
     /// Panics if `cfg.nodes` or `cfg.workers_per_node` is zero.
     pub fn launch(cfg: ClusterConfig) -> Self {
         assert!(cfg.nodes > 0, "cluster needs at least one node");
-        Self::launch_over(InProcNet::with_faults(cfg.nodes, cfg.faults, cfg.seed), cfg)
+        let net = InProcNet::with_faults(cfg.nodes, cfg.faults, cfg.seed);
+        Self::launch_endpoints(net.into_endpoints(), cfg)
     }
 
-    /// Starts a cluster over any [`Transport`] — in-process channels,
-    /// loopback TCP ([`TcpNet`](hermes_net::TcpNet)), or anything else
-    /// implementing the trait pair. `cfg.faults`/`cfg.seed` are properties
-    /// of the in-process transport and are ignored here; `cfg.nodes` must
-    /// match the transport's endpoint count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transport's endpoint count differs from `cfg.nodes`.
-    pub fn launch_over<T: Transport>(transport: T, cfg: ClusterConfig) -> Self {
-        Self::launch_endpoints(<T as Transport>::into_endpoints(transport), cfg)
-    }
-
-    /// Starts a cluster over pre-built endpoints (lets callers keep
-    /// transport handles — e.g. a [`TcpSender`](hermes_net::TcpSender) for
-    /// fault injection — before the runtime consumes the endpoints).
+    /// Starts a cluster over any [`Transport`](hermes_net::Transport)'s endpoints — loopback TCP
+    /// ([`TcpNet`](hermes_net::TcpNet)), in-process channels, or anything
+    /// else implementing the trait pair. Callers may keep transport handles
+    /// — e.g. a [`TcpSender`](hermes_net::TcpSender) for fault injection —
+    /// before the runtime consumes the endpoints. `cfg.faults`/`cfg.seed`
+    /// are properties of the in-process transport [`ThreadCluster::launch`]
+    /// builds and are ignored here.
     ///
     /// # Panics
     ///
@@ -398,15 +378,14 @@ mod tests {
     fn progress_under_lossy_network() {
         // 20% loss + 10% duplication: mlt retransmissions and replays keep
         // the cluster live (paper §3.4).
-        let cluster = ThreadCluster::start_with_faults(
-            3,
-            ProtocolConfig::default(),
-            NetFaults {
+        let cluster = ThreadCluster::launch(ClusterConfig {
+            faults: NetFaults {
                 drop_prob: 0.2,
                 duplicate_prob: 0.1,
             },
-            42,
-        );
+            seed: 42,
+            ..ClusterConfig::default()
+        });
         for i in 0..10u64 {
             let r = cluster.write((i % 3) as usize, Key(i), Value::from_u64(i));
             assert_eq!(r, Reply::WriteOk, "write {i} failed under loss");

@@ -6,24 +6,16 @@
 //! flush everything — proven end-to-end by recording cached reads as
 //! ordinary history observations and running the Wing & Gong checker.
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{membership_cluster, wait_until};
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::model::observe;
-use hermes::net::{InProcNet, InProcSender};
 use hermes::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    ok()
-}
+use std::time::Duration;
 
 #[test]
 fn repeat_reads_hit_the_cache_and_skip_the_replica() {
@@ -151,23 +143,6 @@ fn an_installed_view_change_flushes_every_cached_entry() {
     }
     drop(session);
     cluster.shutdown();
-}
-
-/// An in-proc cluster with live membership, returning the senders whose
-/// `crash` hook silences a node network-wide (the threaded stand-in for
-/// `kill -9`).
-fn membership_cluster(nodes: usize) -> (ThreadCluster, Vec<InProcSender>) {
-    let endpoints = InProcNet::new(nodes).into_endpoints();
-    let senders: Vec<InProcSender> = endpoints.iter().map(|e| e.sender()).collect();
-    let cluster = ThreadCluster::launch_endpoints(
-        endpoints,
-        ClusterConfig {
-            nodes,
-            membership: Some(RmConfig::wall_clock()),
-            ..ClusterConfig::default()
-        },
-    );
-    (cluster, senders)
 }
 
 #[test]

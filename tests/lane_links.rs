@@ -7,37 +7,26 @@
 //! so no other test's threads are in the count.
 #![cfg(target_os = "linux")]
 
+#[path = "support/cluster.rs"]
+mod cluster;
 #[path = "support/procfs.rs"]
 mod procfs;
 
-use hermes::net::{TcpNet, TcpStats, Transport};
+use cluster::{serial, serve, tcp_cluster};
+use hermes::net::TcpStats;
 use hermes::prelude::*;
 use procfs::{settled_threads, thread_names};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Held for a whole test: the counts below are process-wide.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 #[test]
 fn a_tcp_cluster_runs_its_lanes_and_no_transport_thread() {
     const NODES: usize = 3;
     const WORKERS: usize = 2;
-    let _serial = one_at_a_time();
+    let _serial = serial();
     let before = settled_threads();
-    let endpoints = TcpNet::loopback(NODES).unwrap().into_endpoints();
-    let stats: Vec<Arc<TcpStats>> = endpoints.iter().map(|e| e.stats()).collect();
-    let cfg = ClusterConfig {
-        nodes: NODES,
-        workers_per_node: WORKERS,
-        ..ClusterConfig::default()
-    };
-    let cluster = ThreadCluster::launch_endpoints(endpoints, cfg);
+    let (cluster, senders) = tcp_cluster(NODES, WORKERS);
+    let stats: Vec<Arc<TcpStats>> = senders.iter().map(|s| s.stats()).collect();
     // Every node coordinates writes to keys of both its lanes, so every
     // lane dials each peer's lane of the same number: INVs one way, ACKs
     // the other.
@@ -76,7 +65,7 @@ fn a_tcp_cluster_runs_its_lanes_and_no_transport_thread() {
 fn an_in_process_cluster_runs_its_lanes_and_no_transport_thread() {
     const NODES: usize = 3;
     const WORKERS: usize = 2;
-    let _serial = one_at_a_time();
+    let _serial = serial();
     let before = settled_threads();
     let cluster = ThreadCluster::launch(ClusterConfig {
         nodes: NODES,
@@ -114,23 +103,11 @@ fn an_in_process_cluster_runs_its_lanes_and_no_transport_thread() {
 fn a_node_runtime_runs_its_lanes_and_pollers_and_nothing_else() {
     const WORKERS: usize = 2;
     const POLLERS: usize = 1;
-    let _serial = one_at_a_time();
+    let _serial = serial();
     let before = settled_threads();
-    let loopback = "127.0.0.1:0".parse().unwrap();
-    let runtime = NodeRuntime::serve(NodeOptions {
-        node: NodeId(0),
-        peers: vec![loopback],
-        client_addr: loopback,
-        workers: WORKERS,
-        pollers: POLLERS,
-        protocol: ProtocolConfig::default(),
-        tcp: hermes::net::TcpConfig::default(),
-        run_for: None,
-        membership: None,
-        join: false,
-        metrics_dump: None,
-    })
-    .unwrap();
+    let loopback = "--peers 127.0.0.1:0 --client 127.0.0.1:0";
+    let shape = format!("--workers {WORKERS} --pollers {POLLERS} --no-membership");
+    let runtime = serve(&format!("--node 0 {loopback} {shape}"));
     let added = settled_threads() - before;
     let names = thread_names();
     let ours: Vec<&String> = names.iter().filter(|n| n.starts_with("hermes-")).collect();

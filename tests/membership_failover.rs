@@ -21,6 +21,10 @@
 //! `hermes_serving`, `hermes_synced` and one `hermes_view_member` row per
 //! peer — the harness parses no daemon log for it.
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{poll_until_served, remote_session, sum, CONNECT};
 use hermes::harness::{
     check_linearizable_per_key, run_recorded_session, spawn_daemons, RecordedOp,
 };
@@ -40,31 +44,6 @@ const DEPTH: usize = 4;
 /// after shadow catch-up, proving the bulk sync really transferred state.
 const CANARY_KEY: Key = Key(100);
 const CANARY_VALUE: u64 = 777_000;
-
-/// Polls `addr` until a session channel connects and `op` yields a
-/// definitive reply, retrying `NotOperational`/unreachable up to the
-/// deadline. Returns the reply.
-fn poll_until_served(
-    addr: SocketAddr,
-    key: Key,
-    deadline: Duration,
-    expect: impl Fn(&Reply) -> bool,
-) -> Reply {
-    let end = Instant::now() + deadline;
-    let mut last = Reply::NotOperational;
-    while Instant::now() < end {
-        if let Ok(channel) = RemoteChannel::connect_within(addr, Duration::from_millis(500)) {
-            let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
-            let ticket = session.read(key);
-            last = session.wait(ticket);
-            if expect(&last) {
-                return last;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    last
-}
 
 /// Polls the Metrics RPC at `addr` until `accept` approves the
 /// exposition — membership observation without parsing daemon logs.
@@ -91,11 +70,6 @@ fn poll_metrics(
     }
 }
 
-/// A family's samples in one daemon's exposition, summed.
-fn sum(text: &str, family: &str) -> f64 {
-    samples(text, family).iter().map(|&(_, v)| v).sum()
-}
-
 /// `peer`'s `hermes_view_member` row: 1 if it is a member of the
 /// daemon's installed view, 0 if not.
 fn member(text: &str, peer: u32) -> Option<f64> {
@@ -113,14 +87,11 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     let client_addrs = daemons.clients.clone();
 
     // Wait for the cluster to serve, then commit the canary through node 0.
-    let reply = poll_until_served(client_addrs[0], CANARY_KEY, Duration::from_secs(20), |r| {
-        r.is_ok()
-    });
+    let (addr, within) = (client_addrs[0], Duration::from_secs(20));
+    let reply = poll_until_served(addr, CANARY_KEY, ClientOp::Read, within, |r| r.is_ok());
     assert!(reply.is_ok(), "cluster never came up: {reply:?}");
     {
-        let channel = RemoteChannel::connect_within(client_addrs[0], Duration::from_secs(5))
-            .expect("node 0 client port");
-        let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
+        let mut session = remote_session(client_addrs[0], CONNECT);
         let t = session.write(CANARY_KEY, Value::from_u64(CANARY_VALUE));
         assert_eq!(session.wait(t), Reply::WriteOk, "canary write");
     }
@@ -132,9 +103,7 @@ fn three_process_cluster_survives_kill_and_rejoins() {
         let addr = client_addrs[sid % 2];
         let clock = Arc::clone(&clock);
         joins.push(std::thread::spawn(move || {
-            let channel = RemoteChannel::connect_within(addr, Duration::from_secs(10))
-                .expect("survivor client port");
-            let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
+            let mut session = remote_session(addr, Duration::from_secs(10));
             run_recorded_session(
                 &mut session,
                 &clock,
@@ -173,9 +142,7 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     // A fresh write through a survivor proves the shrunk view serves
     // without node 2's ACKs — i.e. the view change really happened.
     {
-        let channel = RemoteChannel::connect_within(client_addrs[1], Duration::from_secs(5))
-            .expect("node 1 client port");
-        let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
+        let mut session = remote_session(client_addrs[1], CONNECT);
         let t = session.write(Key(101), Value::from_u64(1));
         assert_eq!(session.wait(t), Reply::WriteOk, "post-kill write");
     }
@@ -203,9 +170,9 @@ fn three_process_cluster_survives_kill_and_rejoins() {
     // written before it was killed, so only obtainable via the sync —
     // must come back intact.
     daemons.rejoin(2);
-    let reply = poll_until_served(client_addrs[2], CANARY_KEY, Duration::from_secs(30), |r| {
-        *r == Reply::ReadOk(Value::from_u64(CANARY_VALUE))
-    });
+    let synced = Reply::ReadOk(Value::from_u64(CANARY_VALUE));
+    let (addr, within) = (client_addrs[2], Duration::from_secs(30));
+    let reply = poll_until_served(addr, CANARY_KEY, ClientOp::Read, within, |r| *r == synced);
     assert_eq!(
         reply,
         Reply::ReadOk(Value::from_u64(CANARY_VALUE)),

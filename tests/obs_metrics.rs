@@ -11,71 +11,15 @@
 //! process-wide state (the log capture sink, `HERMES_SLOW_OP_US`), so
 //! they serialize on one mutex even under a multi-threaded test harness.
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{remote_session, serial, serve_single_node, serve_three_nodes, sum, CONNECT};
 use hermes::obs::log::Capture;
 use hermes::obs::{samples, validate_exposition};
 use hermes::prelude::*;
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn serve_single_node() -> NodeRuntime {
-    let opts = NodeOptions {
-        node: NodeId(0),
-        peers: vec!["127.0.0.1:0".parse().unwrap()],
-        client_addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
-        pollers: 2,
-        protocol: ProtocolConfig::default(),
-        tcp: hermes::net::TcpConfig::default(),
-        run_for: None,
-        membership: Some(RmConfig::wall_clock()),
-        join: false,
-        metrics_dump: None,
-    };
-    NodeRuntime::serve(opts).expect("single-node daemon")
-}
-
-fn session_to(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
-    let channel = RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
-        .expect("client port");
-    ClientSession::new(channel, hermes::wings::CreditConfig::default())
-}
-
-/// Three replicas in this process under a pinned view, two poller shards
-/// each.
-fn serve_three_nodes() -> Vec<NodeRuntime> {
-    let peers = hermes::harness::reserve_loopback_addrs(3);
-    (0..3)
-        .map(|i| {
-            NodeRuntime::serve(NodeOptions {
-                node: NodeId(i),
-                peers: peers.clone(),
-                client_addr: "127.0.0.1:0".parse().unwrap(),
-                workers: 2,
-                pollers: 2,
-                protocol: ProtocolConfig::default(),
-                tcp: hermes::net::TcpConfig::default(),
-                run_for: None,
-                membership: None,
-                join: false,
-                metrics_dump: None,
-            })
-            .expect("replica binds its loopback ports")
-        })
-        .collect()
-}
-
-/// Sums every sample of a metric across its label sets (e.g. the per-lane
-/// `_count` series of a histogram).
-fn sum_samples(text: &str, name: &str) -> f64 {
-    samples(text, name).iter().map(|&(_, v)| v).sum()
-}
 
 /// The Metrics RPC returns a valid exposition whose op histograms reflect
 /// the operations actually driven, with every protocol-phase, cache and
@@ -84,8 +28,8 @@ fn sum_samples(text: &str, name: &str) -> f64 {
 #[test]
 fn metrics_rpc_exposes_live_histograms() {
     let _serial = serial();
-    let runtime = serve_single_node();
-    let mut session = session_to(&runtime);
+    let runtime = serve_single_node(2);
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
 
     const OPS: u64 = 64;
     for i in 0..OPS {
@@ -106,13 +50,13 @@ fn metrics_rpc_exposes_live_histograms() {
     // Per-lane op latency histograms cover every op a lane handled: the
     // writes. The two reads were answered by a poller from the mirror, or
     // handed to a lane, and are counted as one or the other.
-    let op_count = sum_samples(&text, "hermes_op_latency_us_count");
+    let op_count = sum(&text, "hermes_op_latency_us_count");
     assert!(
         op_count >= OPS as f64,
         "op histogram count {op_count} < {OPS}"
     );
-    let reads = sum_samples(&text, "hermes_mirror_reads_total")
-        + sum_samples(&text, "hermes_mirror_read_fallbacks_total");
+    let reads =
+        sum(&text, "hermes_mirror_reads_total") + sum(&text, "hermes_mirror_read_fallbacks_total");
     assert!(reads >= 2.0, "{reads} of 2 reads counted at the poller");
     // A p99 is derivable: the rendered summary carries the quantile
     // series — and every sample leads with the daemon's node base label,
@@ -169,7 +113,7 @@ fn metrics_rpc_exposes_live_histograms() {
         );
     }
     assert!(
-        sum_samples(&text, "hermes_accepts_total") >= 1.0,
+        sum(&text, "hermes_accepts_total") >= 1.0,
         "accept not counted"
     );
     // The session saw its own latencies through the shared histogram too.
@@ -187,10 +131,10 @@ fn slow_op_trace_dumps_multi_phase_write_breakdown() {
     let _serial = serial();
     std::env::set_var("HERMES_SLOW_OP_US", "0");
     let capture = Capture::start();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     std::env::remove_var("HERMES_SLOW_OP_US");
 
-    let mut session = session_to(&runtime);
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
     let t = session.write(Key(7), Value::from_u64(42));
     assert_eq!(session.wait(t), Reply::WriteOk);
 
@@ -229,8 +173,8 @@ fn slow_op_trace_dumps_multi_phase_write_breakdown() {
 fn traces_rpc_drains_sampled_spans() {
     let _serial = serial();
     hermes::obs::set_trace_sample(1.0);
-    let runtime = serve_single_node();
-    let mut session = session_to(&runtime);
+    let runtime = serve_single_node(2);
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
     let t = session.write(Key(5), Value::from_u64(77));
     assert_eq!(session.wait(t), Reply::WriteOk);
     hermes::obs::set_trace_sample(0.0);
@@ -280,11 +224,11 @@ fn traces_rpc_drains_sampled_spans() {
 #[test]
 fn session_churn_drains_gauges_to_baseline() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
 
     // A long-lived session drives real ops throughout the churn so the
     // histograms have a known floor to check against.
-    let mut session = session_to(&runtime);
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
     const CHURN: usize = 1000;
     const OPS: u64 = 100;
     let mut ops_done = 0u64;
@@ -312,7 +256,7 @@ fn session_churn_drains_gauges_to_baseline() {
     let text = loop {
         let text = runtime.metrics_text();
         validate_exposition(&text).expect("valid exposition");
-        if sum_samples(&text, "hermes_open_sessions") == 0.0 {
+        if sum(&text, "hermes_open_sessions") == 0.0 {
             break text;
         }
         assert!(
@@ -321,9 +265,9 @@ fn session_churn_drains_gauges_to_baseline() {
         );
         std::thread::sleep(Duration::from_millis(25));
     };
-    assert_eq!(sum_samples(&text, "hermes_cache_subscriptions"), 0.0);
-    let accepts = sum_samples(&text, "hermes_accepts_total");
-    let op_count = sum_samples(&text, "hermes_op_latency_us_count");
+    assert_eq!(sum(&text, "hermes_cache_subscriptions"), 0.0);
+    let accepts = sum(&text, "hermes_accepts_total");
+    let op_count = sum(&text, "hermes_op_latency_us_count");
     assert!(op_count >= OPS as f64, "op histogram lost ops: {op_count}");
     // Raw drops may race accept-side install, but the vast majority of
     // the churned connections must have been accepted and then reaped.
@@ -339,10 +283,13 @@ fn session_churn_drains_gauges_to_baseline() {
 #[test]
 fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
     let _serial = serial();
-    let nodes = serve_three_nodes();
+    let nodes = serve_three_nodes(2);
     const KEYS: u64 = 64;
     const WRITES: u64 = 512;
-    let mut sessions: Vec<_> = nodes.iter().map(session_to).collect();
+    let mut sessions: Vec<_> = nodes
+        .iter()
+        .map(|n| remote_session(n.client_addr(), CONNECT))
+        .collect();
     let mut tickets = Vec::new();
     for i in 0..WRITES {
         // Each key's writes come from one session, so they apply in order.
@@ -380,7 +327,7 @@ fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
 #[test]
 fn the_exposition_shows_the_view_and_each_shards_sessions() {
     let _serial = serial();
-    let nodes = serve_three_nodes();
+    let nodes = serve_three_nodes(2);
     for n in &nodes {
         let text = n.metrics_text();
         validate_exposition(&text).expect("valid exposition");

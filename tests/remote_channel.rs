@@ -7,52 +7,24 @@
 //! A session's operations wait in the channel's outbox until it next looks
 //! for replies, and still leave when it is dropped instead.
 //!
-//! The frame decoding and the hand-over of the read half to the reader
-//! thread are unit-tested in `crates/replica/src/remote.rs`.
+//! The tests run one at a time: they count the process's threads and CPU
+//! time. The frame decoding and the hand-over of the read half to the
+//! reader thread are unit-tested in `crates/replica/src/remote.rs`.
 #![cfg(target_os = "linux")]
 
+#[path = "support/cluster.rs"]
+mod cluster;
 #[path = "support/procfs.rs"]
 mod procfs;
 
+use cluster::{remote_session, serial, serve_single_node, CONNECT};
 use hermes::prelude::*;
 use hermes::wings::client::{split_frame, Request};
 use hermes::wings::CreditConfig;
 use procfs::settled_threads;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// These tests read process-wide counters (threads, CPU time), so they
-/// must not overlap.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn serve_single_node() -> NodeRuntime {
-    NodeRuntime::serve(NodeOptions {
-        node: NodeId(0),
-        peers: vec!["127.0.0.1:0".parse().unwrap()],
-        client_addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
-        pollers: 2,
-        protocol: ProtocolConfig::default(),
-        tcp: hermes::net::TcpConfig::default(),
-        run_for: None,
-        membership: Some(RmConfig::wall_clock()),
-        join: false,
-        metrics_dump: None,
-    })
-    .expect("single-node daemon")
-}
-
-fn remote_session(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
-    RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
-        .expect("client port")
-        .into_session()
-}
 
 /// A channel whose peer is a bare accepted socket: nothing ever answers.
 fn channel_to_a_silent_peer(subscribed: bool) -> (RemoteChannel, TcpStream) {
@@ -83,9 +55,11 @@ fn process_cpu_ms() -> u64 {
 #[test]
 fn only_a_subscription_costs_the_client_a_thread() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     let before = settled_threads();
-    let mut sessions: Vec<_> = (0..64).map(|_| remote_session(&runtime)).collect();
+    let mut sessions: Vec<_> = (0..64)
+        .map(|_| remote_session(runtime.client_addr(), CONNECT))
+        .collect();
     for (i, session) in sessions.iter_mut().enumerate() {
         let (key, value) = (Key(i as u64), Value::from_u64(i as u64));
         let t = session.write(key, value.clone());
@@ -125,8 +99,8 @@ fn only_a_subscription_costs_the_client_a_thread() {
 fn pipelined_quarter_mebibyte_values_cross_intact_both_ways() {
     let _serial = serial();
     const LEN: usize = 256 << 10;
-    let runtime = serve_single_node();
-    let mut session = remote_session(&runtime);
+    let runtime = serve_single_node(2);
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
     let value = |k: u64| -> Value {
         let bytes = (0..LEN).map(|i| (i as u64 * (2 * k + 1) % 251) as u8);
         Value::from(bytes.collect::<Vec<u8>>())
@@ -248,13 +222,13 @@ fn queued_operations_leave_in_order_at_the_sessions_next_recv() {
 #[test]
 fn a_session_dropped_without_waiting_still_has_every_write_applied() {
     let _serial = serial();
-    let runtime = serve_single_node();
-    let mut writer = remote_session(&runtime);
+    let runtime = serve_single_node(2);
+    let mut writer = remote_session(runtime.client_addr(), CONNECT);
     for k in 0..64 {
         writer.write(Key(100 + k), Value::from_u64(k));
     }
     drop(writer);
-    let mut reader = remote_session(&runtime);
+    let mut reader = remote_session(runtime.client_addr(), CONNECT);
     let deadline = Instant::now() + Duration::from_secs(10);
     for k in 0..64 {
         loop {

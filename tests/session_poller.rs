@@ -7,96 +7,38 @@
 //! over real sockets on a three-replica cluster.
 //!
 //! These tests talk to an **in-process** [`NodeRuntime`], so procfs
-//! observations (`Threads:`, `/proc/self/fd`) see the daemon itself.
+//! observations (`Threads:`, `/proc/self/fd`) see the daemon itself; they
+//! run one at a time, as those counts and the gauge baselines are
+//! process-wide.
 //! Sessions are driven over raw framed sockets where thread/fd accounting
 //! matters — a [`RemoteChannel`] brings an epoll fd of its own per session,
 //! and a reader thread once it subscribes (`tests/remote_channel.rs` counts
 //! those), which would muddy the daemon's numbers.
 
+#[path = "support/cluster.rs"]
+mod cluster;
 #[path = "support/procfs.rs"]
 mod procfs;
 
+use cluster::{remote_session, serial, serve_single_node, serve_three_nodes, sum, CONNECT};
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::prelude::*;
 use hermes::wings::client::{self as rpc, Request, ServerFrame};
 use hermes::wings::CreditConfig;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Every test here observes process-wide state (procfs thread and fd
-/// counts, gauge baselines), so they must not overlap even when the test
-/// harness runs on many threads.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn serve_single_node() -> NodeRuntime {
-    let opts = NodeOptions {
-        node: NodeId(0),
-        peers: vec!["127.0.0.1:0".parse().unwrap()],
-        client_addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
-        pollers: 2,
-        protocol: ProtocolConfig::default(),
-        tcp: hermes::net::TcpConfig::default(),
-        run_for: None,
-        membership: Some(RmConfig::wall_clock()),
-        join: false,
-        metrics_dump: None,
-    };
-    NodeRuntime::serve(opts).expect("single-node daemon")
-}
-
-/// Three replicas in this process under a pinned view, so that a key is
-/// `Invalid` at two of them for the length of every write.
-fn serve_three_nodes() -> Vec<NodeRuntime> {
-    let peers: Vec<SocketAddr> = (0..3)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect();
-    (0..3)
-        .map(|i| {
-            NodeRuntime::serve(NodeOptions {
-                node: NodeId(i),
-                peers: peers.clone(),
-                client_addr: "127.0.0.1:0".parse().unwrap(),
-                workers: 2,
-                pollers: 1,
-                protocol: ProtocolConfig::default(),
-                tcp: hermes::net::TcpConfig::default(),
-                run_for: None,
-                membership: None,
-                join: false,
-                metrics_dump: None,
-            })
-            .expect("replica binds its loopback ports")
-        })
-        .collect()
-}
-
-fn remote_session(runtime: &NodeRuntime) -> ClientSession<RemoteChannel> {
-    let channel = RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
-        .expect("client port");
-    ClientSession::new(channel, CreditConfig::default())
-}
 
 /// Reads answered from the mirror and reads handed to a lane, summed over
 /// `nodes`' expositions.
 fn mirror_reads_and_fallbacks(nodes: &[NodeRuntime]) -> (f64, f64) {
-    let sum = |name: &str| -> f64 {
-        nodes
-            .iter()
-            .map(|n| hermes::obs::sample_value(&n.metrics_text(), name).expect("exported"))
-            .sum()
-    };
+    let texts: Vec<String> = nodes.iter().map(NodeRuntime::metrics_text).collect();
+    let total = |family| texts.iter().map(|text| sum(text, family)).sum();
     (
-        sum("hermes_mirror_reads_total"),
-        sum("hermes_mirror_read_fallbacks_total"),
+        total("hermes_mirror_reads_total"),
+        total("hermes_mirror_read_fallbacks_total"),
     )
 }
 
@@ -136,22 +78,12 @@ fn raw_write(stream: &mut TcpStream, seq: u64, key: Key, v: u64) {
     assert_eq!(recv_frame(stream), ServerFrame::Reply(seq, Reply::WriteOk));
 }
 
-/// One family of `runtime`'s metrics exposition, its samples summed: a
-/// gauge or counter, or its total over lanes or shards.
-fn metric(runtime: &NodeRuntime, family: &str) -> u64 {
-    let text = runtime.metrics_text();
-    hermes::obs::samples(&text, family)
-        .iter()
-        .map(|&(_, v)| v as u64)
-        .sum()
-}
-
 /// Polls the runtime's `hermes_open_sessions` gauge until it reaches
 /// `target`.
 fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let open = metric(runtime, "hermes_open_sessions");
+        let open = sum(&runtime.metrics_text(), "hermes_open_sessions") as u64;
         if open == target {
             return;
         }
@@ -170,23 +102,23 @@ fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
 #[test]
 fn mid_pipeline_kill_reaps_the_session() {
     let _serial = serial();
-    let runtime = serve_single_node();
-    assert_eq!(metric(&runtime, "hermes_open_sessions"), 0);
+    let runtime = serve_single_node(2);
+    assert_eq!(sum(&runtime.metrics_text(), "hermes_open_sessions"), 0.0);
 
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect");
     victim.set_nodelay(true).expect("nodelay");
     raw_write(&mut victim, 1, Key(1), 7);
     await_open_sessions(&runtime, 1);
-    let per_shard = metric(&runtime, "hermes_shard_sessions");
-    assert_eq!(per_shard, 1, "shard gauges track the session");
+    let per_shard = sum(&runtime.metrics_text(), "hermes_shard_sessions");
+    assert_eq!(per_shard, 1.0, "shard gauges track the session");
 
     // Kill mid-pipeline: a request is on the wire, the reply never read.
     send_frame(&mut victim, &write(2, Key(2), 9));
     victim.shutdown(Shutdown::Both).expect("kill socket");
     drop(victim);
     await_open_sessions(&runtime, 0);
-    let per_shard = metric(&runtime, "hermes_shard_sessions");
-    assert_eq!(per_shard, 0, "shard gauges drained");
+    let per_shard = sum(&runtime.metrics_text(), "hermes_shard_sessions");
+    assert_eq!(per_shard, 0.0, "shard gauges drained");
 
     // The in-flight write's completion lands after the reap and is
     // dropped; the daemon still serves fresh sessions, and the killed
@@ -209,7 +141,7 @@ fn mid_pipeline_kill_reaps_the_session() {
 #[test]
 fn thread_count_is_independent_of_session_count() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     // Warm every lazily-spawned internal thread with one full round-trip.
     let mut warm = TcpStream::connect(runtime.client_addr()).expect("connect");
     raw_write(&mut warm, 1, Key(1), 1);
@@ -240,7 +172,7 @@ fn thread_count_is_independent_of_session_count() {
 #[test]
 fn session_churn_leaks_no_fds() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     // One warm-up round so any lazily-created fds (epoll, wakers) exist
     // before the baseline is taken.
     let mut warm = TcpStream::connect(runtime.client_addr()).expect("connect");
@@ -287,7 +219,7 @@ fn session_churn_leaks_no_fds() {
 #[test]
 fn kill_mid_push_never_delivers_to_a_reaped_session() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
 
     // The victim subscribes over a raw socket and confirms the ack.
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect victim");
@@ -300,7 +232,10 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
         }
         other => panic!("expected Subscribed ack, got {other:?}"),
     }
-    assert_eq!(metric(&runtime, "hermes_cache_subscriptions"), 1);
+    assert_eq!(
+        sum(&runtime.metrics_text(), "hermes_cache_subscriptions"),
+        1.0
+    );
 
     // Kill it, then write the subscribed key immediately: pushes race the
     // reap. Whether each push finds the session framed-but-dead or already
@@ -317,14 +252,14 @@ fn kill_mid_push_never_delivers_to_a_reaped_session() {
     // later writes push to nobody.
     await_open_sessions(&runtime, 1); // only the writer remains
     let deadline = Instant::now() + Duration::from_secs(10);
-    while metric(&runtime, "hermes_cache_subscriptions") != 0 {
+    while sum(&runtime.metrics_text(), "hermes_cache_subscriptions") != 0.0 {
         assert!(
             Instant::now() < deadline,
             "subscription gauge never drained"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let pushes = || metric(&runtime, "hermes_cache_pushes_total");
+    let pushes = || sum(&runtime.metrics_text(), "hermes_cache_pushes_total");
     let pushes_after_reap = pushes();
     for seq in 4..=6u64 {
         raw_write(&mut writer, seq, Key(77), 100 + seq);
@@ -353,7 +288,7 @@ fn a_prompt_acker_with_every_credit_in_flight_is_not_evicted_with_a_silent_one()
     let _serial = serial();
     const K: Key = Key(7);
     let in_flight = u64::from(CreditConfig::default().credits_per_peer);
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     let connect = || {
         let stream = TcpStream::connect(runtime.client_addr()).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -423,15 +358,11 @@ fn a_prompt_acker_with_every_credit_in_flight_is_not_evicted_with_a_silent_one()
 #[test]
 fn remote_sessions_cache_and_stay_coherent_over_tcp() {
     let _serial = serial();
-    let runtime = serve_single_node();
+    let runtime = serve_single_node(2);
     let addr = runtime.client_addr();
 
-    let reader_chan =
-        RemoteChannel::connect_within(addr, Duration::from_secs(5)).expect("reader connect");
-    let mut reader = ClientSession::new(reader_chan, CreditConfig::default());
-    let writer_chan =
-        RemoteChannel::connect_within(addr, Duration::from_secs(5)).expect("writer connect");
-    let mut writer = ClientSession::new(writer_chan, CreditConfig::default());
+    let mut reader = remote_session(addr, CONNECT);
+    let mut writer = remote_session(addr, CONNECT);
 
     let t = writer.write(Key(9), Value::from_u64(1));
     assert_eq!(writer.wait(t), Reply::WriteOk);
@@ -449,7 +380,7 @@ fn remote_sessions_cache_and_stay_coherent_over_tcp() {
     let t = reader.read(Key(9));
     assert_eq!(reader.wait(t), Reply::ReadOk(Value::from_u64(2)));
     assert!(reader.cache_invalidations() >= 1);
-    assert!(metric(&runtime, "hermes_cache_pushes_total") > 0);
+    assert!(sum(&runtime.metrics_text(), "hermes_cache_pushes_total") > 0.0);
 
     drop(reader);
     drop(writer);
@@ -469,16 +400,14 @@ fn histories_stay_linearizable_across_a_mid_run_kill() {
     const OPS_PER_SESSION: u64 = 40;
     const DEPTH: usize = 4;
 
-    let runtime = Arc::new(serve_single_node());
+    let runtime = Arc::new(serve_single_node(2));
     let clock = Arc::new(AtomicU64::new(0));
     let mut joins = Vec::new();
     for sid in 0..SESSIONS {
         let addr = runtime.client_addr();
         let clock = Arc::clone(&clock);
         joins.push(std::thread::spawn(move || {
-            let channel =
-                RemoteChannel::connect_within(addr, Duration::from_secs(5)).expect("client port");
-            let mut session = ClientSession::new(channel, CreditConfig::default());
+            let mut session = remote_session(addr, CONNECT);
             run_recorded_session(
                 &mut session,
                 &clock,
@@ -536,12 +465,12 @@ fn a_pipelined_read_never_parks_a_value_older_than_the_sessions_own_write() {
     const ROUNDS: u64 = 300;
     /// The other writer's values: never mistaken for the session's own.
     const OTHER: u64 = 1 << 40;
-    let nodes = serve_three_nodes();
-    let mut session = remote_session(&nodes[0]);
+    let nodes = serve_three_nodes(1);
+    let mut session = remote_session(nodes[0].client_addr(), CONNECT);
     assert!(session.subscribe(K));
     let stop = Arc::new(AtomicBool::new(false));
     let other = {
-        let mut writer = remote_session(&nodes[1]);
+        let mut writer = remote_session(nodes[1].client_addr(), CONNECT);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut n = OTHER;
@@ -598,11 +527,11 @@ fn histories_stay_linearizable_with_reads_served_from_the_mirror() {
     const OPS_PER_SESSION: u64 = 40;
     const DEPTH: usize = 4;
 
-    let nodes = serve_three_nodes();
+    let nodes = serve_three_nodes(1);
     let clock = Arc::new(AtomicU64::new(0));
     let joins: Vec<_> = (0..SESSIONS)
         .map(|sid| {
-            let mut session = remote_session(&nodes[sid % nodes.len()]);
+            let mut session = remote_session(nodes[sid % nodes.len()].client_addr(), CONNECT);
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || {
                 run_recorded_session(

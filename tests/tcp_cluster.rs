@@ -2,28 +2,17 @@
 //! convergence, transport fault paths, and linearizability under a
 //! mid-run connection kill.
 
-use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
-use hermes::net::{Endpoint, TcpNet, Transport};
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{remote_session, serve, serve_single_node, tcp_cluster, CONNECT};
+use hermes::harness::{
+    addr_list, check_linearizable_per_key, reserve_loopback_addrs, run_recorded_session, RecordedOp,
+};
 use hermes::prelude::*;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tcp_cluster(nodes: usize, workers: usize) -> (ThreadCluster, Vec<hermes::net::TcpSender>) {
-    let endpoints = TcpNet::loopback(nodes)
-        .expect("bind loopback listeners")
-        .into_endpoints();
-    let senders = endpoints.iter().map(|e| e.sender()).collect();
-    let cluster = ThreadCluster::launch_endpoints(
-        endpoints,
-        ClusterConfig {
-            nodes,
-            workers_per_node: workers,
-            ..ClusterConfig::default()
-        },
-    );
-    (cluster, senders)
-}
 
 #[test]
 fn replicas_converge_over_tcp() {
@@ -182,34 +171,21 @@ fn replicas_with_different_lane_counts_replicate_linearizably() {
     const OPS_PER_SESSION: u64 = 48;
     const DEPTH: usize = 4;
 
-    let peers = hermes::harness::reserve_loopback_addrs(2);
-    let serve = |node: u32, workers| {
-        NodeRuntime::serve(NodeOptions {
-            node: NodeId(node),
-            peers: peers.clone(),
-            client_addr: "127.0.0.1:0".parse().unwrap(),
-            workers,
-            pollers: 1,
-            protocol: ProtocolConfig::default(),
-            tcp: hermes::net::TcpConfig::default(),
-            run_for: None,
-            membership: None,
-            join: false,
-            metrics_dump: None,
-        })
-        .expect("replica binds its loopback ports")
+    let peers = addr_list(&reserve_loopback_addrs(2));
+    let replica = |node: u32, workers: usize| {
+        let shape = format!("--workers {workers} --pollers 1 --no-membership");
+        serve(&format!(
+            "--node {node} --peers {peers} --client 127.0.0.1:0 {shape}"
+        ))
     };
-    let nodes = [serve(0, 2), serve(1, 3)];
+    let nodes = [replica(0, 2), replica(1, 3)];
     let addrs: Vec<_> = nodes.iter().map(|n| n.client_addr()).collect();
     let clock = Arc::new(AtomicU64::new(0));
     let joins: Vec<_> = (0..SESSIONS)
         .map(|sid| {
             let (addr, clock) = (addrs[sid % 2], Arc::clone(&clock));
             std::thread::spawn(move || {
-                let channel = RemoteChannel::connect_within(addr, Duration::from_secs(5))
-                    .expect("client port");
-                let credits = hermes::wings::CreditConfig::default();
-                let mut session = ClientSession::new(channel, credits);
+                let mut session = remote_session(addr, CONNECT);
                 let (sid, depth) = (sid as u64, DEPTH);
                 run_recorded_session(&mut session, &clock, sid, KEYS, OPS_PER_SESSION, depth)
             })
@@ -240,25 +216,10 @@ fn replicas_with_different_lane_counts_replicate_linearizably() {
 /// runtime surfaces it to the supervising loop, which tears down cleanly.
 #[test]
 fn shutdown_rpc_reaches_the_daemon() {
-    let opts = NodeOptions {
-        node: NodeId(0),
-        peers: vec!["127.0.0.1:0".parse().unwrap()],
-        client_addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
-        pollers: 2,
-        protocol: ProtocolConfig::default(),
-        tcp: hermes::net::TcpConfig::default(),
-        run_for: None,
-        membership: Some(RmConfig::wall_clock()),
-        join: false,
-        metrics_dump: None,
-    };
-    let runtime = NodeRuntime::serve(opts).expect("single-node daemon");
+    let runtime = serve_single_node(2);
     assert!(!runtime.shutdown_requested());
     // The daemon still serves data operations...
-    let channel = RemoteChannel::connect_within(runtime.client_addr(), Duration::from_secs(5))
-        .expect("client port");
-    let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
+    let mut session = remote_session(runtime.client_addr(), CONNECT);
     let t = session.write(Key(1), Value::from_u64(7));
     assert_eq!(session.wait(t), Reply::WriteOk);
     // ...and the shutdown RPC is acknowledged and surfaced.

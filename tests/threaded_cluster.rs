@@ -84,15 +84,14 @@ fn counter_rmws_are_atomic_across_replicas() {
 
 #[test]
 fn lossy_network_still_linearizes() {
-    let cluster = ThreadCluster::start_with_faults(
-        3,
-        ProtocolConfig::default(),
-        NetFaults {
+    let cluster = ThreadCluster::launch(ClusterConfig {
+        faults: NetFaults {
             drop_prob: 0.15,
             duplicate_prob: 0.1,
         },
-        99,
-    );
+        seed: 99,
+        ..ClusterConfig::default()
+    });
     // Writes followed by reads through different replicas: reads must always
     // observe the committed value despite loss/duplication.
     for i in 0..15u64 {

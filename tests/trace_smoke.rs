@@ -15,9 +15,12 @@
 //! aggregator's stitched timeline pins the latency on `@n2`. The
 //! aggregator is the crate's `hermes_top` binary.
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{poll_until_served, remote_session, CONNECT};
 use hermes::harness::{addr_list, spawn_daemons};
 use hermes::prelude::*;
-use std::net::SocketAddr;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -28,24 +31,6 @@ const DELAYED_NODE: usize = 2;
 const DELAY_US: u64 = 20_000;
 /// `hermes_top --slow-us`: prints timelines for ops at least this slow.
 const SLOW_US: u64 = 10_000;
-
-/// Polls `addr` until a write commits — the cluster is serving.
-fn poll_until_served(addr: SocketAddr, deadline: Duration) {
-    let end = Instant::now() + deadline;
-    let mut last = Reply::NotOperational;
-    while Instant::now() < end {
-        if let Ok(channel) = RemoteChannel::connect_within(addr, Duration::from_millis(500)) {
-            let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
-            let ticket = session.write(Key(1), Value::from_u64(1));
-            last = session.wait(ticket);
-            if last == Reply::WriteOk {
-                return;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("cluster never served a write: {last:?}");
-}
 
 /// The acceptance gate: a forced follower-side delay in a real 3-process
 /// cluster is attributed to that follower by the stitched cross-node
@@ -65,12 +50,14 @@ fn hermes_top_attributes_forced_follower_delay() {
         env
     });
     let client_addrs = daemons.clients.clone();
-    poll_until_served(client_addrs[0], Duration::from_secs(20));
+    let (write, within) = (ClientOp::Write(Value::from_u64(1)), Duration::from_secs(20));
+    let served = poll_until_served(client_addrs[0], Key(1), write, within, |r| {
+        *r == Reply::WriteOk
+    });
+    assert_eq!(served, Reply::WriteOk, "cluster never served a write");
 
     let nodes_flag = addr_list(&client_addrs);
-    let channel = RemoteChannel::connect_within(client_addrs[0], Duration::from_secs(5))
-        .expect("node 0 client port");
-    let mut session = ClientSession::new(channel, hermes::wings::CreditConfig::default());
+    let mut session = remote_session(client_addrs[0], CONNECT);
 
     // Drive a traced write, give the follower rings a beat to flush, then
     // let the aggregator scrape. Every round mints fresh sampled traces,

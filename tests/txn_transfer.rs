@@ -14,12 +14,15 @@
 //!   sessions, a mid-workload connection kill, and an audit from a remote
 //!   session on another node.
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{remote_session, sum};
 use hermes::harness::{observe_txn, spawn_daemons};
 use hermes::obs::samples;
 use hermes::prelude::*;
 use hermes::txn::{check_txns_serializable, lock_key, TxnObs};
 use hermes::wings::CreditConfig;
-use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -164,11 +167,8 @@ fn in_proc_transfers_span_shards_and_conserve_total() {
 
 const NODES: usize = 3;
 
-fn remote_session(addr: SocketAddr) -> ClientSession<RemoteChannel> {
-    RemoteChannel::connect_within(addr, Duration::from_secs(10))
-        .expect("daemon client port reachable")
-        .into_session()
-}
+/// How long a client waits for a daemon's client port to accept.
+const CONNECT_WITHIN: Duration = Duration::from_secs(10);
 
 #[test]
 fn tcp_cluster_transfers_survive_connection_kill() {
@@ -182,7 +182,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
     let history: Arc<Mutex<Vec<TxnObs>>> = Arc::new(Mutex::new(Vec::new()));
     let funding = BANK.funding();
     let mut invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let mut session = remote_session(client_addrs[0]);
+    let mut session = remote_session(client_addrs[0], CONNECT_WITHIN);
     let mut result = session.txn(funding.clone());
     loop {
         if result.is_committed() {
@@ -194,7 +194,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
             "cluster never came up: {result:?}"
         );
         std::thread::sleep(Duration::from_millis(100));
-        session = remote_session(client_addrs[0]);
+        session = remote_session(client_addrs[0], CONNECT_WITHIN);
         result = match result {
             // Never drop an in-doubt funding transaction: its lock CASes
             // or data writes may already have applied, and abandoning the
@@ -219,8 +219,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
         let clock = Arc::clone(&clock);
         let history = Arc::clone(&history);
         joins.push(std::thread::spawn(move || {
-            let channel = RemoteChannel::connect_within(addr, Duration::from_secs(10))
-                .expect("daemon client port reachable");
+            let channel = RemoteChannel::connect_within(addr, CONNECT_WITHIN).expect("client port");
             let mut switch = (sid == 0).then(|| channel.kill_switch().expect("kill switch"));
             let mut session = ClientSession::new(channel, CreditConfig::default());
             let mut bank = BankWorkload::new(BANK, 1000 + sid as u64);
@@ -237,7 +236,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
                     }
                 }
                 let (result, reconnects) =
-                    txn_to_resolution(&mut session, &op, || remote_session(addr));
+                    txn_to_resolution(&mut session, &op, || remote_session(addr, CONNECT_WITHIN));
                 stats.0 += u32::from(result.is_committed());
                 stats.1 += reconnects;
                 record(&history, &clock, &op, invoke, &result);
@@ -263,7 +262,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
     // despite the mid-workload kill.
     let audit = BANK.audit();
     let invoke = clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let result = remote_session(client_addrs[2]).txn(audit.clone());
+    let result = remote_session(client_addrs[2], CONNECT_WITHIN).txn(audit.clone());
     let TxnResult::Committed(values) = &result else {
         panic!("audit must commit: {result:?}");
     };
@@ -280,7 +279,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
     drop(history_vec);
 
     // No lock record leaked (the resumed transaction released its locks).
-    let mut lock_reader = remote_session(client_addrs[1]);
+    let mut lock_reader = remote_session(client_addrs[1], CONNECT_WITHIN);
     for key in BANK.account_keys() {
         let ticket = lock_reader.read(lock_key(key));
         assert_eq!(
@@ -301,7 +300,7 @@ fn tcp_cluster_transfers_survive_connection_kill() {
         assert_eq!(members, NODES, "node {i} lost members:\n{text}");
         let lane_ops = samples(&text, "hermes_lane_ops_total");
         assert_eq!(lane_ops.len(), 2, "node {i} lane count");
-        total_lane_ops += lane_ops.iter().map(|&(_, v)| v).sum::<f64>();
+        total_lane_ops += sum(&text, "hermes_lane_ops_total");
     }
     assert!(total_lane_ops > 0.0, "no lane handled any client op");
 

@@ -5,41 +5,15 @@
 //! stays linearizable — the threaded twin of the simulator's crash
 //! scenario (`run_sim` with `crash_at`, paper Figure 9).
 
+#[path = "support/cluster.rs"]
+mod cluster;
+
+use cluster::{membership_cluster, wait_until};
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
-use hermes::net::{InProcNet, InProcSender};
 use hermes::prelude::*;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// An in-proc cluster with live membership, returning the senders whose
-/// `crash` hook silences a node network-wide (the threaded stand-in for
-/// `kill -9`: the node's threads keep running but it neither sends nor
-/// receives, exactly like a partitioned-away process).
-fn membership_cluster(nodes: usize) -> (ThreadCluster, Vec<InProcSender>) {
-    let endpoints = InProcNet::new(nodes).into_endpoints();
-    let senders: Vec<InProcSender> = endpoints.iter().map(|e| e.sender()).collect();
-    let cluster = ThreadCluster::launch_endpoints(
-        endpoints,
-        ClusterConfig {
-            nodes,
-            membership: Some(RmConfig::wall_clock()),
-            ..ClusterConfig::default()
-        },
-    );
-    (cluster, senders)
-}
-
-fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    ok()
-}
+use std::time::Duration;
 
 #[test]
 fn crash_mid_run_triggers_view_change_and_history_stays_linearizable() {
