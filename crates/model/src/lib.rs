@@ -31,5 +31,5 @@ pub mod cluster;
 pub mod explore;
 
 pub use checker::{check_linearizable, observe, HistoryOp, OpKind, Outcome};
-pub use cluster::Cluster;
+pub use cluster::{Cluster, Envelope};
 pub use explore::{ExploreConfig, ExploreReport, Explorer, ScriptOp};

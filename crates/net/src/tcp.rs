@@ -97,13 +97,14 @@ const TOKEN_LISTENER: u64 = 1;
 /// connections are numbered upward from `TOKEN_LINK_BASE + cluster size`.
 const TOKEN_LINK_BASE: u64 = 2;
 
+/// First re-dial delay after a failed or dropped connection.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
+/// Re-dial delay ceiling (backoff doubles up to this).
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
+
 /// Tuning knobs of the TCP transport.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
-    /// First re-dial delay after a failed or dropped connection.
-    pub initial_backoff: Duration,
-    /// Re-dial delay ceiling (backoff doubles up to this).
-    pub max_backoff: Duration,
     /// Frames larger than this are treated as protocol errors and kill the
     /// connection.
     pub max_frame_bytes: usize,
@@ -112,8 +113,6 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
             max_frame_bytes: 16 << 20,
         }
     }
@@ -383,7 +382,7 @@ impl Shared {
         eg.conn = Conn::Down {
             retry_at: Instant::now() + eg.backoff,
         };
-        eg.backoff = (eg.backoff * 2).min(self.cfg.max_backoff);
+        eg.backoff = (eg.backoff * 2).min(MAX_BACKOFF);
     }
 }
 
@@ -549,7 +548,7 @@ impl Endpoint for TcpEndpoint {
                 conn: Conn::Down {
                     retry_at: Instant::now(),
                 },
-                backoff: shared.cfg.initial_backoff,
+                backoff: INITIAL_BACKOFF,
                 ..Egress::default()
             };
             (i != shared.me.index()).then(|| Mutex::new(egress))
@@ -847,7 +846,7 @@ impl TcpLinks {
             match dialed {
                 Ok(stream) if register(&stream).is_ok() => {
                     TcpStats::add(&shared.stats.dials, 1);
-                    eg.backoff = shared.cfg.initial_backoff;
+                    eg.backoff = INITIAL_BACKOFF;
                     eg.conn = Conn::Up(Arc::new(stream));
                 }
                 _ => shared.fail(&mut eg),
@@ -1300,7 +1299,6 @@ mod tests {
     fn oversized_frame_on_the_wire_surfaces_exactly_one_peer_down() {
         let cfg = TcpConfig {
             max_frame_bytes: 64,
-            ..TcpConfig::default()
         };
         let mut eps = TcpNet::loopback_with(1, cfg).unwrap().into_endpoints();
         let a = eps.pop().unwrap();
@@ -1328,7 +1326,6 @@ mod tests {
     fn a_connection_is_read_by_the_lane_its_handshake_names_modulo_w() {
         let cfg = TcpConfig {
             max_frame_bytes: 64,
-            ..TcpConfig::default()
         };
         let ep = TcpNet::loopback_with(1, cfg)
             .unwrap()

@@ -51,7 +51,7 @@ mod timers;
 pub use cost::CostModel;
 pub use membership::{MembershipOptions, MembershipStatus};
 pub use node::{query_metrics, query_traces, request_shutdown, NodeOptions, NodeRuntime};
-pub use remote::{KillSwitch, RemoteChannel};
+pub use remote::{ClientConn, KillSwitch, RemoteChannel};
 pub use session::{ClientSession, LaneChannel, PendingTxn, SessionChannel, Ticket, TxnResult};
 pub use simrun::{run_sim, RunReport, SimConfig};
 pub use threaded::{ClusterConfig, ThreadCluster};

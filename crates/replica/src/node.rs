@@ -26,7 +26,7 @@ use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
 use crate::metrics::NodeObs;
 use crate::poller::ClientPlane;
-use crate::remote::{invalid, Conn};
+use crate::remote::{invalid, ClientConn, Waiter};
 use hermes_common::{Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
@@ -736,8 +736,9 @@ fn unexpected(frame: ServerFrame) -> io::Error {
 /// One request/response exchange on a fresh client-port connection.
 fn call(addr: SocketAddr, request: &Request, timeout: Duration) -> io::Result<ServerFrame> {
     let deadline = Instant::now() + timeout;
-    let conn = Conn::new(TcpStream::connect_timeout(&addr, timeout)?)?;
-    conn.send(request, 0)?;
+    let conn = ClientConn::new(TcpStream::connect_timeout(&addr, timeout)?)?;
+    let mut readable = Waiter::new(&conn)?;
+    conn.send(request)?;
     let mut reply = None;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -747,7 +748,8 @@ fn call(addr: SocketAddr, request: &Request, timeout: Duration) -> io::Result<Se
                 "no reply before deadline",
             ));
         }
-        conn.read_frames(Some(left), |payload| {
+        readable.wait(Some(left))?;
+        conn.read_frames(|payload| {
             if reply.is_none() {
                 reply = Some(ServerFrame::decode(payload).map_err(invalid)?);
             }

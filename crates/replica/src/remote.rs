@@ -3,27 +3,30 @@
 //!
 //! [`RemoteChannel`] implements [`SessionChannel`], so the whole pipelined
 //! session machinery (tickets, out-of-order completion, credit-based
-//! backpressure) works unchanged across processes. The socket is
-//! non-blocking and registered with the channel's own [`Poller`]; requests
-//! are encoded straight behind their length prefix into one reused outbox.
+//! backpressure) works unchanged across processes. Under it is a
+//! [`ClientConn`]: the non-blocking socket, its receive buffer and one
+//! reused outbox, into which requests are encoded straight behind their
+//! length prefix. A connection never waits; whoever reads it brings the
+//! [`Poller`] — the channel its own, a harness driving a fleet of
+//! connections one for all of them.
 //! An operation waits there until the session next looks for replies
 //! ([`SessionChannel::recv`]), the outbox fills to [`OUTBOX_FLUSH`] bytes,
 //! or the channel is dropped — whichever comes first — and then leaves with
 //! everything queued beside it in one write (Wings batching, paper §4.2:
 //! never wait to fill a batch). Every other request, acks included, leaves
-//! at once, behind what is queued. One function — [`pump`] — turns what
-//! the socket has received into [`ServerFrame`]s. Which thread runs it
+//! at once, behind what is queued. One function — [`ClientConn::pump`] —
+//! turns what the socket has received into [`ServerFrame`]s. Which thread runs it
 //! follows from what the session has done, not from an option:
 //!
 //! * **Never subscribed:** the thread that waits is the thread that reads.
-//!   `recv` pumps, after blocking in [`Poller::wait`] when given a wait. The
+//!   `recv` pumps, after blocking in the channel's poller when given a wait. The
 //!   channel owns no thread, and a reply costs its reader no hand-off.
 //! * **Subscribed:** a lane evicts a subscriber that has not acked a pushed
 //!   `Invalidate` within 75 ms (DESIGN.md §8), and a session's owner may be
 //!   elsewhere for longer than that — so the channel's first
-//!   [`Request::Subscribe`] spawns a reader thread that takes over the read
-//!   half, undecoded bytes included, and runs the same pump into a queue
-//!   the session drains.
+//!   [`Request::Subscribe`] spawns a reader thread that takes over the
+//!   poller and the read half, undecoded bytes included, and runs the same
+//!   pump into a queue the session drains.
 //!
 //! In both, whoever decodes an `Invalidate` queues it for the session
 //! before writing its ack.
@@ -40,7 +43,7 @@ use hermes_wings::CreditConfig;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -63,13 +66,15 @@ const KEEP: usize = 2 * OUTBOX_FLUSH;
 /// own per-connection id for protocol-level uniqueness).
 static NEXT_REMOTE_CLIENT: AtomicU64 = AtomicU64::new(0);
 
-/// One client-port connection: a non-blocking socket, the poller its reader
-/// waits on, and a framed half for each direction.
+/// One client-port connection: a non-blocking socket and a framed half for
+/// each direction. It never waits: whoever reads it registers it (its
+/// [`AsRawFd`]) in a [`Poller`] of their own, waits there, and then
+/// [`pump`](ClientConn::pump)s it — so one thread can drive any number of
+/// connections from one poller, a token each. Dropping it closes the
+/// socket and drops whatever the outbox still holds: flush first.
 #[derive(Debug)]
-pub(crate) struct Conn {
+pub struct ClientConn {
     stream: TcpStream,
-    /// Reports `stream` readable or hung up.
-    readable: Poller,
     /// Locked by whoever reads the connection. That is one thread at a
     /// time, so nobody ever waits for it.
     reader: Mutex<ReadHalf>,
@@ -79,27 +84,55 @@ pub(crate) struct Conn {
     outbox: Mutex<Vec<u8>>,
 }
 
-impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
+impl ClientConn {
+    /// Connects to a daemon's client port.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the connection cannot be established or configured.
+    pub fn connect(addr: SocketAddr) -> io::Result<ClientConn> {
+        ClientConn::new(TcpStream::connect(addr)?)
+    }
+
+    /// [`ClientConn::connect`] with retries until `deadline_in` elapses —
+    /// covers the window where a just-spawned daemon has not bound its
+    /// client port yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns the last connection error once the deadline passes.
+    pub fn connect_within(addr: SocketAddr, deadline_in: Duration) -> io::Result<ClientConn> {
+        let deadline = Instant::now() + deadline_in;
+        loop {
+            match ClientConn::connect(addr) {
+                Ok(conn) => return Ok(conn),
+                Err(e) if Instant::now() >= deadline => return Err(e),
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        }
+    }
+
+    pub(crate) fn new(stream: TcpStream) -> io::Result<ClientConn> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        let readable = Poller::new()?;
-        readable.register(stream.as_raw_fd(), 0, Interest::READ)?;
-        Ok(Conn {
+        Ok(ClientConn {
             stream,
-            readable,
             reader: Mutex::default(),
             outbox: Mutex::default(),
         })
     }
 
-    /// Appends `request` to the outbox, and writes the whole outbox out
-    /// when it then holds at least `flush_at` bytes: 0 sends it now,
-    /// [`OUTBOX_FLUSH`] queues it. An error leaves the stream unusable.
-    pub(crate) fn send(&self, request: &Request, flush_at: usize) -> io::Result<()> {
+    /// Appends `request` to the outbox. A [`Request::Op`] waits there for a
+    /// [`flush`](ClientConn::flush) until the outbox holds 64 KiB; any other
+    /// request writes the whole outbox out at once.
+    ///
+    /// # Errors
+    ///
+    /// A failed write; the connection is then unusable.
+    pub fn send(&self, request: &Request) -> io::Result<()> {
         let mut outbox = self.outbox.lock().expect("no writer panics mid-write");
         rpc::put_frame(&mut outbox, |out| request.encode(out));
-        if outbox.len() < flush_at {
+        if matches!(request, Request::Op { .. }) && outbox.len() < OUTBOX_FLUSH {
             return Ok(());
         }
         self.write_out(&mut outbox)
@@ -107,7 +140,11 @@ impl Conn {
 
     /// Writes out whatever the outbox holds. Never panics (it runs on
     /// drop): an outbox a writer panicked over is a broken pipe.
-    pub(crate) fn flush(&self) -> io::Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// A failed write; the connection is then unusable.
+    pub fn flush(&self) -> io::Result<()> {
         let mut outbox = self.outbox.lock().map_err(|_| ErrorKind::BrokenPipe)?;
         self.write_out(&mut outbox)
     }
@@ -136,26 +173,49 @@ impl Conn {
         Ok(())
     }
 
-    /// Reads the socket once — after blocking up to `wait` for it to be
-    /// readable or hung up, when given one — and hands `on_frame` the
-    /// payload of every frame that completes. Nothing to read is `Ok`; end
+    /// Reads the socket once, without waiting, and hands `each` the payload
+    /// of every frame that completes. Nothing to read is `Ok`; end
     /// of stream, like every other `Err`, means the connection is finished.
-    pub(crate) fn read_frames(
-        &self,
-        wait: Option<Duration>,
-        on_frame: impl FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
+    pub(crate) fn read_frames(&self, each: impl FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
         let mut half = self.reader.lock().expect("no reader panics mid-frame");
-        if wait.is_some() {
-            half.polled.clear();
-            self.readable.wait(&mut half.polled, wait)?;
-        }
         match (&self.stream).read(half.spare()) {
             Ok(0) => Err(io::Error::new(ErrorKind::UnexpectedEof, "peer hung up")),
-            Ok(n) => half.advance(n, on_frame),
+            Ok(n) => half.advance(n, each),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(()),
             Err(e) => Err(e),
         }
+    }
+
+    /// The pump, on whichever thread reads the connection: one read, every
+    /// complete frame decoded and handed to `sink`, and the ack of an
+    /// `Invalidate` written only after `sink` has the frame — once the ack
+    /// lets the replica release what it held, the invalidation is already
+    /// ahead of those replies in the session's queue (DESIGN.md §8).
+    ///
+    /// # Errors
+    ///
+    /// The connection is finished: the peer hung up, sent a frame no
+    /// session is sent, or a read or an ack failed.
+    pub fn pump(&self, mut sink: impl FnMut(ServerFrame)) -> io::Result<()> {
+        self.read_frames(|payload| {
+            let frame = ServerFrame::decode(payload).map_err(invalid)?;
+            let ack = match frame {
+                ServerFrame::Invalidate { key, .. } => Some(Request::InvalAck { key }),
+                // The reply to a request no session sends.
+                ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {
+                    return Err(ErrorKind::InvalidData.into())
+                }
+                _ => None,
+            };
+            sink(frame);
+            ack.map_or(Ok(()), |ack| self.send(&ack))
+        })
+    }
+}
+
+impl AsRawFd for ClientConn {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 }
 
@@ -167,8 +227,6 @@ struct ReadHalf {
     /// `buf[..filled]` is received data: between calls, at most one
     /// incomplete frame.
     filled: usize,
-    /// Reused by the blocking wait.
-    polled: Vec<PollEvent>,
 }
 
 impl ReadHalf {
@@ -213,26 +271,24 @@ pub(crate) fn invalid(e: rpc::ClientCodecError) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, e)
 }
 
-/// The pump, on whichever thread reads `conn`: one read (see
-/// [`Conn::read_frames`] for `wait`), every complete frame decoded and
-/// handed to `sink`, and the ack of an `Invalidate` written only after
-/// `sink` has the frame — once the ack lets the replica release what it
-/// held, the invalidation is already ahead of those replies in the
-/// session's queue (DESIGN.md §8). `Err`: the connection is finished.
-fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) -> io::Result<()> {
-    conn.read_frames(wait, |payload| {
-        let frame = ServerFrame::decode(payload).map_err(invalid)?;
-        let ack = match frame {
-            ServerFrame::Invalidate { key, .. } => Some(Request::InvalAck { key }),
-            // The reply to a request no session sends.
-            ServerFrame::Metrics(..) | ServerFrame::Traces(..) => {
-                return Err(ErrorKind::InvalidData.into())
-            }
-            _ => None,
-        };
-        sink(frame);
-        ack.map_or(Ok(()), |ack| conn.send(&ack, 0))
-    })
+/// A poller with one connection in it, and the event buffer its wait
+/// reuses.
+#[derive(Debug)]
+pub(crate) struct Waiter(Poller, Vec<PollEvent>);
+
+impl Waiter {
+    pub(crate) fn new(conn: &ClientConn) -> io::Result<Waiter> {
+        let poller = Poller::new()?;
+        poller.register(conn.as_raw_fd(), 0, Interest::READ)?;
+        Ok(Waiter(poller, Vec::new()))
+    }
+
+    /// Blocks up to `wait` (with none, not at all) for the connection to
+    /// turn readable or hang up.
+    pub(crate) fn wait(&mut self, wait: Option<Duration>) -> io::Result<()> {
+        self.1.clear();
+        wait.map_or(Ok(()), |_| self.0.wait(&mut self.1, wait))
+    }
 }
 
 /// A TCP connection to one replica daemon's client port.
@@ -247,7 +303,10 @@ fn pump(conn: &Conn, wait: Option<Duration>, mut sink: impl FnMut(ServerFrame)) 
 #[derive(Debug)]
 pub struct RemoteChannel {
     client: ClientId,
-    conn: Arc<Conn>,
+    conn: Arc<ClientConn>,
+    /// What the session blocks in until it subscribes; the reader thread
+    /// takes it then.
+    waiter: Option<Waiter>,
     /// Frames the session's own pump decoded and the session has not taken
     /// yet; they precede everything in the reader thread's queue.
     ready: VecDeque<ServerFrame>,
@@ -265,13 +324,7 @@ impl RemoteChannel {
     ///
     /// Fails if the connection cannot be established or configured.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Ok(RemoteChannel {
-            client: ClientId(NEXT_REMOTE_CLIENT.fetch_add(1, Ordering::Relaxed)),
-            conn: Arc::new(Conn::new(TcpStream::connect(addr)?)?),
-            ready: VecDeque::new(),
-            reader: None,
-            alive: true,
-        })
+        Self::connect_within(addr, Duration::ZERO)
     }
 
     /// [`RemoteChannel::connect`] with retries until `deadline_in` elapses
@@ -282,14 +335,15 @@ impl RemoteChannel {
     ///
     /// Returns the last connection error once the deadline passes.
     pub fn connect_within(addr: SocketAddr, deadline_in: Duration) -> io::Result<Self> {
-        let deadline = Instant::now() + deadline_in;
-        loop {
-            match Self::connect(addr) {
-                Ok(chan) => return Ok(chan),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        let conn = ClientConn::connect_within(addr, deadline_in)?;
+        Ok(RemoteChannel {
+            client: ClientId(NEXT_REMOTE_CLIENT.fetch_add(1, Ordering::Relaxed)),
+            waiter: Some(Waiter::new(&conn)?),
+            conn: Arc::new(conn),
+            ready: VecDeque::new(),
+            reader: None,
+            alive: true,
+        })
     }
 
     /// Opens a pipelined session over this channel with the default credit
@@ -333,17 +387,14 @@ impl SessionChannel for RemoteChannel {
         // The reader thread first: from the first push on, acks must not
         // wait for this session's owner to come back. It takes over the
         // read half as it stands; frames in `ready` stay ahead of its queue.
-        if matches!(request, Request::Subscribe { .. }) && self.reader.is_none() {
+        let subscribe = matches!(request, Request::Subscribe { .. });
+        if let Some(mut waiter) = self.waiter.take_if(|_| subscribe) {
             let (conn, (tx, rx)) = (Arc::clone(&self.conn), unbounded());
-            let forever = Some(Duration::MAX);
-            let run = move || while pump(&conn, forever, |frame| drop(tx.send(frame))).is_ok() {};
+            let pump = move |()| conn.pump(|frame| drop(tx.send(frame)));
+            let run = move || while waiter.wait(Some(Duration::MAX)).and_then(&pump).is_ok() {};
             self.reader = Some((rx, std::thread::spawn(run)));
         }
-        let flush_at = match request {
-            Request::Op { .. } => OUTBOX_FLUSH,
-            _ => 0,
-        };
-        self.alive = self.alive && self.conn.send(&request, flush_at).is_ok();
+        self.alive = self.alive && self.conn.send(&request).is_ok();
         self.alive
     }
 
@@ -355,7 +406,9 @@ impl SessionChannel for RemoteChannel {
             return self.ready.pop_front();
         }
         let Some((queue, _)) = &self.reader else {
-            self.alive = pump(&self.conn, wait, |frame| self.ready.push_back(frame)).is_ok();
+            let waiter = self.waiter.as_mut().expect("kept until a reader takes it");
+            let mut pump = || self.conn.pump(|frame| self.ready.push_back(frame));
+            self.alive = waiter.wait(wait).and_then(|()| pump()).is_ok();
             return self.ready.pop_front();
         };
         let got = queue.recv_timeout(wait.unwrap_or_default());
@@ -524,6 +577,98 @@ mod tests {
         assert_eq!(kind, Some(ErrorKind::ConnectionRefused));
         assert!(waited >= deadline, "gave up early: {waited:?}");
         assert!(waited < Duration::from_secs(1), "overran: {waited:?}");
+    }
+
+    /// Three connections to three bare listeners in one poller, a token
+    /// each: every peer's frames come out under its own token and in its
+    /// order, an `Invalidate` is acked on its own connection only, and one
+    /// peer hanging up ends that token's pump and no other.
+    #[test]
+    fn one_poller_drives_many_connections_each_under_its_own_token() {
+        let poller = Poller::new().unwrap();
+        let (mut conns, mut peers) = (Vec::new(), Vec::new());
+        for token in 0..3u64 {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let conn = ClientConn::connect(listener.local_addr().unwrap()).unwrap();
+            poller
+                .register(conn.as_raw_fd(), token, Interest::READ)
+                .unwrap();
+            conns.push(conn);
+            let peer = listener.accept().unwrap().0;
+            peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            peers.push(peer);
+        }
+        let reply =
+            |token: u64, seq| ServerFrame::Reply(seq, Reply::ReadOk(Value::from_u64(token)));
+        let push = ServerFrame::Invalidate {
+            key: Key(7),
+            epoch: 0,
+        };
+        let mut want: Vec<Vec<ServerFrame>> = (0..3)
+            .map(|t| (0..20).map(|seq| reply(t, seq)).collect())
+            .collect();
+        want[1].insert(10, push.clone());
+        // Interleaved across peers, each peer's frames in its own order.
+        for at in 0..want[1].len() {
+            for (peer, frames) in peers.iter_mut().zip(&want) {
+                if let Some(frame) = frames.get(at) {
+                    peer.write_all(&on_the_wire(frame)).unwrap();
+                }
+            }
+        }
+        let (mut got, mut events) = (vec![Vec::new(); 3], Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while got != want {
+            assert!(Instant::now() < deadline, "frames missing: {got:?}");
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
+            for ev in &events {
+                let token = ev.token as usize;
+                conns[token].pump(|frame| got[token].push(frame)).unwrap();
+            }
+        }
+        let mut ack = [0u8; 64];
+        let n = peers[1].read(&mut ack).unwrap();
+        let payload = rpc::split_frame(&ack[..n], MAX_CLIENT_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(4 + payload.len(), n, "one frame");
+        assert_eq!(
+            Request::decode(payload).unwrap(),
+            Request::InvalAck { key: Key(7) }
+        );
+        for quiet in [0, 2] {
+            peers[quiet].set_nonblocking(true).unwrap();
+            let kind = peers[quiet].read(&mut ack).map_err(|e| e.kind());
+            assert_eq!(
+                kind,
+                Err(ErrorKind::WouldBlock),
+                "peer {quiet} was sent nothing"
+            );
+        }
+
+        drop(peers.remove(2));
+        let more = reply(0, 20);
+        peers[0].write_all(&on_the_wire(&more)).unwrap();
+        let (mut ended, mut after) = (false, Vec::new());
+        while !ended || after.is_empty() {
+            assert!(Instant::now() < deadline, "ended {ended}, after {after:?}");
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
+            for ev in &events {
+                match ev.token {
+                    0 => conns[0].pump(|frame| after.push(frame)).unwrap(),
+                    2 => ended |= conns[2].pump(|_| panic!("nothing was sent")).is_err(),
+                    _ => panic!("token 1 had nothing to say"),
+                }
+            }
+        }
+        assert_eq!(after, [more]);
+        assert!(conns[1].pump(|_| panic!("nothing was sent")).is_ok());
     }
 
     /// A quarter-mebibyte write fills the outbox past [`OUTBOX_FLUSH`] and

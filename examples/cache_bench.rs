@@ -25,7 +25,7 @@
 //! daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, connect_within, daemon_main, run_recorded_session, spawn_daemons,
+    check_linearizable_per_key, daemon_main, run_recorded_session, spawn_daemons,
     write_bench_record, RecordedOp,
 };
 use hermes::prelude::*;
@@ -185,7 +185,6 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
         Vec::new()
     });
     let client_addr = daemon.clients[0];
-    drop(connect_within(client_addr, Duration::from_secs(20)));
 
     // Pre-populate the hot set so first reads return real values.
     {

@@ -5,157 +5,107 @@
 //! the write replay that recovers — printing each replica's per-key state
 //! after every step, like the "State of A" table in the figure.
 //!
+//! The replicas are `hermes_model::Cluster`'s: every message waits in
+//! flight until a step below delivers or loses it.
+//!
 //! Run with: `cargo run --example figure4_trace`
 
+use hermes::model::{Cluster, Envelope};
 use hermes::prelude::*;
-use hermes_core::KeyState;
 
 const A: Key = Key(0xA);
 
-struct Trace {
-    nodes: Vec<HermesNode>,
-    inflight: Vec<(NodeId, NodeId, Msg)>,
-    replies: Vec<(OpId, Reply)>,
+/// Whether `e` is a `kind` message from node `from` to node `to`.
+fn is(e: &Envelope, from: u32, to: u32, kind: &str) -> bool {
+    e.from.0 == from && e.to.0 == to && e.msg.kind_name() == kind
 }
 
-impl Trace {
-    fn new(n: usize) -> Self {
-        let view = MembershipView::initial(n);
-        Trace {
-            nodes: (0..n)
-                .map(|i| HermesNode::new(NodeId(i as u32), view, ProtocolConfig::default()))
-                .collect(),
-            inflight: Vec::new(),
-            replies: Vec::new(),
+fn print_state(c: &Cluster, step: &str) {
+    print!("{step:<58} |");
+    for node in &c.nodes {
+        if !node.is_operational() {
+            print!("   X    ");
+            continue;
         }
+        let state = match node.key_state(A) {
+            KeyState::Valid => "V",
+            KeyState::Invalid => "I",
+            KeyState::Write => "W",
+            KeyState::Replay => "R",
+            KeyState::Trans => "T",
+        };
+        let val = node.key_value(A).to_u64().unwrap_or(0);
+        print!(" {val}({state}) ");
     }
-
-    fn apply(&mut self, at: usize, fx: Vec<Effect<Msg>>) {
-        let me = NodeId(at as u32);
-        for e in fx {
-            match e {
-                Effect::Send { to, msg } => self.inflight.push((me, to, msg)),
-                Effect::Broadcast { msg } => {
-                    for to in self.nodes[at].view().broadcast_set(me) {
-                        self.inflight.push((me, to, msg.clone()));
-                    }
-                }
-                Effect::Reply { op, reply } => self.replies.push((op, reply)),
-                _ => {}
-            }
-        }
-    }
-
-    fn client(&mut self, node: usize, op_seq: u64, cop: ClientOp) -> OpId {
-        let op = OpId::new(hermes::common::ClientId(node as u64), op_seq);
-        let mut fx = Vec::new();
-        self.nodes[node].on_client_op(op, A, cop, &mut fx);
-        self.apply(node, fx);
-        op
-    }
-
-    /// Delivers every queued message matching the predicate (repeatedly).
-    fn deliver(&mut self, pred: impl Fn(&(NodeId, NodeId, Msg)) -> bool) {
-        while let Some(i) = self.inflight.iter().position(&pred) {
-            let (from, to, msg) = self.inflight.remove(i);
-            let mut fx = Vec::new();
-            self.nodes[to.index()].on_message(from, msg, &mut fx);
-            self.apply(to.index(), fx);
-        }
-    }
-
-    fn print_state(&self, step: &str) {
-        print!("{step:<58} |");
-        for node in &self.nodes {
-            if !node.is_operational() {
-                print!("   X    ");
-                continue;
-            }
-            let state = match node.key_state(A) {
-                KeyState::Valid => "V",
-                KeyState::Invalid => "I",
-                KeyState::Write => "W",
-                KeyState::Replay => "R",
-                KeyState::Trans => "T",
-            };
-            let val = node.key_value(A).to_u64().unwrap_or(0);
-            print!(" {val}({state}) ");
-        }
-        println!();
-    }
+    println!();
 }
 
 fn main() {
     println!("Paper Figure 4: concurrent writes, a failure and a write replay");
     println!("value(state) per node; V=Valid I=Invalid W=Write R=Replay T=Trans X=down");
     println!("{:-<58}-+------------------------", "");
-    let mut t = Trace::new(3);
-    t.print_state("initial: A=0 everywhere");
+    let mut t = Cluster::new(3, ProtocolConfig::default());
+    print_state(&t, "initial: A=0 everywhere");
 
-    let w1 = t.client(0, 1, ClientOp::Write(Value::from_u64(1)));
-    t.print_state("node 0 issues write(A=1), broadcasts INV ts[v2.c0]");
+    let w1 = t.client(0, A, ClientOp::Write(Value::from_u64(1)));
+    print_state(&t, "node 0 issues write(A=1), broadcasts INV ts[v2.c0]");
 
-    let w3 = t.client(2, 1, ClientOp::Write(Value::from_u64(3)));
-    t.print_state("node 2 issues concurrent write(A=3), INV ts[v2.c2]");
+    let w3 = t.client(2, A, ClientOp::Write(Value::from_u64(3)));
+    print_state(&t, "node 2 issues concurrent write(A=3), INV ts[v2.c2]");
 
-    t.deliver(|(f, to, m)| f.0 == 0 && to.0 == 1 && m.kind_name() == "INV");
-    t.print_state("node 1 ACKs node 0's INV, adopts A=1, Invalid");
+    t.deliver_matching(|e| is(e, 0, 1, "INV"));
+    print_state(&t, "node 1 ACKs node 0's INV, adopts A=1, Invalid");
 
-    t.deliver(|(f, to, m)| f.0 == 0 && to.0 == 2 && m.kind_name() == "INV");
-    t.print_state("node 2 ACKs node 0's INV, keeps its higher ts");
+    t.deliver_matching(|e| is(e, 0, 2, "INV"));
+    print_state(&t, "node 2 ACKs node 0's INV, keeps its higher ts");
 
-    t.deliver(|(f, to, m)| f.0 == 2 && to.0 == 1 && m.kind_name() == "INV");
-    t.print_state("node 1 receives node 2's INV (higher ts), adopts A=3");
+    t.deliver_matching(|e| is(e, 2, 1, "INV"));
+    print_state(&t, "node 1 receives node 2's INV (higher ts), adopts A=3");
 
-    t.deliver(|(f, to, m)| f.0 == 2 && to.0 == 0 && m.kind_name() == "INV");
-    t.print_state("node 0 superseded while writing: -> Trans, value 3");
+    t.deliver_matching(|e| is(e, 2, 0, "INV"));
+    print_state(&t, "node 0 superseded while writing: -> Trans, value 3");
 
-    let r1 = t.client(1, 2, ClientOp::Read);
-    t.print_state("node 1 read(A) stalls: key Invalid");
+    let r1 = t.client(1, A, ClientOp::Read);
+    print_state(&t, "node 1 read(A) stalls: key Invalid");
 
-    t.deliver(|(_, to, m)| to.0 == 2 && m.kind_name() == "ACK");
-    t.print_state("node 2 gathers all ACKs: write(A=3) COMMITS, Valid");
+    t.deliver_matching(|e| e.to.0 == 2 && e.msg.kind_name() == "ACK");
+    print_state(&t, "node 2 gathers all ACKs: write(A=3) COMMITS, Valid");
     assert!(t
         .replies
         .iter()
         .any(|(o, r)| *o == w3 && *r == Reply::WriteOk));
 
-    t.deliver(|(f, to, m)| f.0 == 2 && to.0 == 1 && m.kind_name() == "VAL");
-    t.print_state("node 1 receives VAL: Valid, stalled read returns 3");
+    t.deliver_matching(|e| is(e, 2, 1, "VAL"));
+    print_state(&t, "node 1 receives VAL: Valid, stalled read returns 3");
     assert!(t
         .replies
         .iter()
         .any(|(o, r)| *o == r1 && *r == Reply::ReadOk(Value::from_u64(3))));
 
-    t.deliver(|(_, to, m)| to.0 == 0 && m.kind_name() == "ACK");
-    t.print_state("node 0's own ACKs arrive: write commits, but -> Invalid");
+    t.deliver_matching(|e| e.to.0 == 0 && e.msg.kind_name() == "ACK");
+    print_state(
+        &t,
+        "node 0's own ACKs arrive: write commits, but -> Invalid",
+    );
     assert!(t
         .replies
         .iter()
         .any(|(o, r)| *o == w1 && *r == Reply::WriteOk));
 
     // Failure: VAL from node 2 to node 0 is lost; node 2 crashes.
-    t.inflight
-        .retain(|(f, to, m)| !(f.0 == 2 && to.0 == 0 && m.kind_name() == "VAL"));
-    let new_view = t.nodes[0].view().without_node(NodeId(2));
-    for i in [0usize, 1] {
-        let mut fx = Vec::new();
-        t.nodes[i].on_membership_update(new_view, &mut fx);
-        t.apply(i, fx);
-    }
-    t.inflight.retain(|(f, to, _)| f.0 != 2 && to.0 != 2);
-    t.print_state("VAL to node 0 lost; node 2 crashes; m-update {0,1}");
+    t.drop_matching(|e| is(e, 2, 0, "VAL"));
+    t.crash(2);
+    t.reconfigure(t.nodes[0].view().without_node(NodeId(2)));
+    print_state(&t, "VAL to node 0 lost; node 2 crashes; m-update {0,1}");
 
-    let r0 = t.client(0, 2, ClientOp::Read);
-    t.print_state("node 0 read(A) stalls on the dead write");
+    let r0 = t.client(0, A, ClientOp::Read);
+    print_state(&t, "node 0 read(A) stalls on the dead write");
 
-    let mut fx = Vec::new();
-    t.nodes[0].on_mlt_timeout(A, &mut fx);
-    t.apply(0, fx);
-    t.print_state("mlt expires: node 0 REPLAYS node 2's write [v2.c2]");
+    t.fire_timer(0, A);
+    print_state(&t, "mlt expires: node 0 REPLAYS node 2's write [v2.c2]");
 
-    t.deliver(|_| true);
-    t.print_state("replay ACKed and validated: read returns 3");
+    t.deliver_all();
+    print_state(&t, "replay ACKed and validated: read returns 3");
     assert!(t
         .replies
         .iter()

@@ -13,36 +13,38 @@
 //! For each sweep level it:
 //!
 //! 1. spawns a fresh daemon child (`--workers 2 --pollers 2`);
-//! 2. connects N client sockets and multiplexes **all of them from one
-//!    harness thread** over [`hermes::net::Poller`] — each session a
-//!    closed loop of depth 1 (write, await reply, write again) on its own
-//!    key, with per-op latency recorded during a timed window;
-//! 3. concurrently runs a small *recorder* fleet of conventional
+//! 2. connects N [`ClientConn`]s one after another, timing the connect
+//!    phase on its own (seconds, connects over 100 ms, and the kernel's
+//!    `ListenOverflows` delta);
+//! 3. then drives **all of them from one harness thread** over one
+//!    [`hermes::net::Poller`] — each session a closed loop of depth 1
+//!    (write, await reply, write again) on its own key, each op timed from
+//!    when its bytes are written, during a timed window;
+//! 4. concurrently runs a small *recorder* fleet of conventional
 //!    [`ClientSession`]s whose histories go to the Wing & Gong
 //!    linearizability checker (the checker is bounded at 63 ops/key, so
 //!    the full fleet cannot be recorded — the recorders share the daemon
 //!    with the fleet and witness linearizability under its load);
-//! 4. reads the `hermes_open_sessions`, `hermes_shard_sessions` and
+//! 5. reads the `hermes_open_sessions`, `hermes_shard_sessions` and
 //!    `hermes_lane_ingress_total` samples off the daemon's Metrics RPC,
 //!    asserts the whole fleet is accounted for, and snapshots the daemon's
 //!    thread count;
-//! 5. emits one record per level into **`BENCH_session_scaling.json`**
-//!    (ops/s, p50/p99 latency, gauges, thread count).
+//! 6. emits one record per level into **`BENCH_session_scaling.json`**
+//!    (ops/s, p50/p99 latency, the connect phase, gauges, thread count).
 //!
 //! `--smoke` runs a single 256-session level with a short window (CI
 //! size) and records it under `target/bench/` instead. `--node` switches
 //! to daemon mode.
 
 use hermes::harness::{
-    check_linearizable_per_key, connect_within, daemon_main, run_recorded_session, spawn_daemons,
+    check_linearizable_per_key, daemon_main, run_recorded_session, spawn_daemons,
     write_bench_record, RecordedOp,
 };
 use hermes::net::{Interest, PollEvent, Poller};
 use hermes::prelude::*;
-use hermes::wings::client::{self as rpc, Request, ServerFrame};
+use hermes::replica::ClientConn;
+use hermes::wings::client::{Request, ServerFrame};
 use hermes::wings::CreditConfig;
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -68,9 +70,9 @@ const RECORDER_DEPTH: usize = 4;
 /// Fleet sessions write disjoint keys, far away from the recorders', so
 /// the recorded histories stay complete for the keys they cover.
 const FLEET_KEY_BASE: u64 = 1 << 20;
-/// Longest frame a fleet session accepts: all it is ever sent is the
-/// nine-byte `WriteOk` of its own write.
-const MAX_REPLY: usize = 64;
+/// A connect slower than this is counted apart: it waited out a SYN
+/// retransmit, or the daemon fell behind on its accepts.
+const SLOW_CONNECT: Duration = Duration::from_millis(100);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,34 +103,25 @@ fn main() {
     }
 }
 
-/// One fleet session: a closed loop of depth 1 driven sans-io. `seq`
-/// counts issued requests; a reply for the current `seq` immediately
-/// issues the next while the window is open.
+/// One fleet session: a closed loop of depth 1. `seq` counts issued
+/// requests; a reply for the current `seq` issues the next while the
+/// window is open.
 struct FleetSession {
-    stream: TcpStream,
+    conn: ClientConn,
     key: Key,
-    inbuf: Vec<u8>,
-    out: Vec<u8>,
-    out_at: usize,
     seq: u64,
     issued: Option<Instant>,
-    interest: Interest,
 }
 
 impl FleetSession {
+    /// Writes the next op, and stamps it once its bytes are out.
     fn issue(&mut self) {
         self.seq += 1;
-        let request = Request::Op {
-            seq: self.seq,
-            key: self.key,
-            cop: ClientOp::Write(Value::from_u64(self.seq)),
-        };
-        rpc::put_frame(&mut self.out, |out| request.encode(out));
+        let (seq, key) = (self.seq, self.key);
+        let cop = ClientOp::Write(Value::from_u64(seq));
+        let sent = self.conn.send(&Request::Op { seq, key, cop });
+        sent.and_then(|()| self.conn.flush()).expect("fleet write");
         self.issued = Some(Instant::now());
-    }
-
-    fn wants_write(&self) -> bool {
-        self.out_at < self.out.len()
     }
 }
 
@@ -141,7 +134,37 @@ fn run_level(sessions: usize, window: Duration) -> String {
         Vec::new()
     });
     let (client_addr, pid) = (daemon.clients[0], daemon.pid(0));
-    drop(connect_within(client_addr, Duration::from_secs(20)));
+    // The daemon listens before the connect phase is timed.
+    let up = ClientConn::connect_within(client_addr, Duration::from_secs(20));
+    drop(up.expect("daemon client port reachable"));
+
+    // Connect the fleet, one blocking connect at a time, before any op.
+    let poller = Poller::new().expect("fleet poller");
+    let mut fleet: Vec<FleetSession> = Vec::with_capacity(sessions);
+    let (overflows_before, connect_start) = (listen_overflows(), Instant::now());
+    let mut slow_connects = 0;
+    for i in 0..sessions {
+        let start = Instant::now();
+        let conn = ClientConn::connect_within(client_addr, Duration::from_secs(20))
+            .expect("fleet connect");
+        slow_connects += usize::from(start.elapsed() > SLOW_CONNECT);
+        poller
+            .register(conn.as_raw_fd(), i as u64, Interest::READ)
+            .expect("register fleet session");
+        let key = Key(FLEET_KEY_BASE + i as u64);
+        fleet.push(FleetSession {
+            conn,
+            key,
+            seq: 0,
+            issued: None,
+        });
+    }
+    let connect_s = connect_start.elapsed().as_secs_f64();
+    let overflows = listen_overflows().saturating_sub(overflows_before);
+    println!(
+        "   {sessions} sessions connected in {connect_s:.2}s \
+         ({slow_connects} over {SLOW_CONNECT:?}, {overflows} listen overflows), measuring {window:?}"
+    );
 
     // Recorder fleet on its own threads: conventional blocking sessions
     // whose histories feed the linearizability checker while the big
@@ -165,41 +188,14 @@ fn run_level(sessions: usize, window: Duration) -> String {
         }));
     }
 
-    // Connect the fleet. Blocking connect (the daemon's poller drains its
-    // accept queue continuously), then switch to nonblocking for the
-    // multiplexed loop.
-    let poller = Poller::new().expect("fleet poller");
-    let mut fleet: Vec<FleetSession> = Vec::with_capacity(sessions);
-    for i in 0..sessions {
-        let stream = connect_within(client_addr, Duration::from_secs(20));
-        stream.set_nodelay(true).expect("nodelay");
-        stream.set_nonblocking(true).expect("nonblocking");
-        let mut s = FleetSession {
-            stream,
-            key: Key(FLEET_KEY_BASE + i as u64),
-            inbuf: Vec::new(),
-            out: Vec::new(),
-            out_at: 0,
-            seq: 0,
-            issued: None,
-            interest: Interest::BOTH,
-        };
-        s.issue();
-        poller
-            .register(s.stream.as_raw_fd(), i as u64, Interest::BOTH)
-            .expect("register fleet session");
-        fleet.push(s);
-    }
-    println!("   {sessions} sessions connected, measuring {window:?}");
-
-    // The multiplexed closed loop: one thread, the whole fleet.
+    // The closed loop: one thread, one poller, the whole fleet.
     let start = Instant::now();
     let window_end = start + window;
     let drain_end = window_end + DRAIN;
     let mut latencies = HistogramSnapshot::empty();
     let mut measured_ops: u64 = 0;
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    fleet.iter_mut().for_each(FleetSession::issue);
     loop {
         let now = Instant::now();
         if now >= drain_end || (now >= window_end && fleet.iter().all(|s| s.issued.is_none())) {
@@ -211,60 +207,20 @@ fn run_level(sessions: usize, window: Duration) -> String {
             .expect("poller wait");
         for ev in &events {
             let sess = &mut fleet[ev.token as usize];
-            if ev.readable || ev.hangup {
-                loop {
-                    match sess.stream.read(&mut scratch) {
-                        Ok(0) => panic!("daemon hung up on session {}", ev.token),
-                        Ok(n) => sess.inbuf.extend_from_slice(&scratch[..n]),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) => panic!("session {} read: {e}", ev.token),
-                    }
+            let mut replied = false;
+            let pumped = sess.conn.pump(|reply| {
+                // A depth-1 loop sees its replies in order.
+                assert_eq!(reply, ServerFrame::Reply(sess.seq, Reply::WriteOk));
+                let issued = sess.issued.take().expect("reply matches an issued op");
+                if Instant::now() < window_end {
+                    latencies.record(issued.elapsed().as_micros() as u64);
+                    measured_ops += 1;
+                    replied = true;
                 }
-                let now = Instant::now();
-                let mut parsed = 0;
-                while let Some(payload) =
-                    rpc::split_frame(&sess.inbuf[parsed..], MAX_REPLY).expect("a reply frame")
-                {
-                    parsed += 4 + payload.len();
-                    let reply = ServerFrame::decode(payload).expect("well-formed reply");
-                    // A depth-1 loop sees its replies in order.
-                    assert_eq!(reply, ServerFrame::Reply(sess.seq, Reply::WriteOk));
-                    let issued = sess.issued.take().expect("reply matches an issued op");
-                    if now < window_end {
-                        latencies.record(issued.elapsed().as_micros() as u64);
-                        measured_ops += 1;
-                        sess.issue();
-                    }
-                }
-                sess.inbuf.drain(..parsed);
-            }
-            if ev.writable && sess.wants_write() {
-                loop {
-                    match sess.stream.write(&sess.out[sess.out_at..]) {
-                        Ok(n) => {
-                            sess.out_at += n;
-                            if !sess.wants_write() {
-                                sess.out.clear();
-                                sess.out_at = 0;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) => panic!("session {} write: {e}", ev.token),
-                    }
-                }
-            }
-            let want = Interest {
-                read: true,
-                write: sess.wants_write(),
-            };
-            if want != sess.interest {
-                poller
-                    .reregister(sess.stream.as_raw_fd(), ev.token, want)
-                    .expect("reregister fleet session");
-                sess.interest = want;
+            });
+            pumped.unwrap_or_else(|e| panic!("session {}: {e}", ev.token));
+            if replied {
+                sess.issue();
             }
         }
     }
@@ -327,7 +283,9 @@ fn run_level(sessions: usize, window: Duration) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "    {{\"sessions\": {sessions}, \"ops\": {measured_ops}, \
+        "    {{\"sessions\": {sessions}, \"connect_s\": {connect_s:.3}, \
+         \"connects_over_100ms\": {slow_connects}, \"listen_overflows\": {overflows}, \
+         \"ops\": {measured_ops}, \
          \"ops_per_sec\": {ops_per_sec:.1}, \"p50_us\": {p50}, \"p90_us\": {p90}, \
          \"p99_us\": {p99}, \"p999_us\": {p999}, \
          \"open_sessions\": {open_sessions}, \"daemon_threads\": {threads}, \
@@ -347,4 +305,22 @@ fn proc_threads(pid: u32) -> u64 {
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0)
+}
+
+/// The host's `TcpExt ListenOverflows` counter, from `/proc/net/netstat`:
+/// connections a listener's full accept queue turned away. Returns 0 where
+/// the file cannot be read.
+fn listen_overflows() -> u64 {
+    let Ok(netstat) = std::fs::read_to_string("/proc/net/netstat") else {
+        return 0;
+    };
+    let mut rows = netstat.lines().filter(|l| l.starts_with("TcpExt:"));
+    let (Some(names), Some(values)) = (rows.next(), rows.next()) else {
+        return 0;
+    };
+    let column = names
+        .split_whitespace()
+        .position(|n| n == "ListenOverflows");
+    let value = column.and_then(|c| values.split_whitespace().nth(c));
+    value.and_then(|v| v.parse().ok()).unwrap_or(0)
 }

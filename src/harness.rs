@@ -17,10 +17,9 @@
 //! `hermesd` (`src/bin/hermesd.rs` is a `main` over it), and the examples
 //! that spawn copies of themselves run it in their children.
 //! [`spawn_daemons`] starts a replica group of such a program — the
-//! integration tests spawn the built `hermesd` — [`connect_within`]
-//! reaches one, [`Daemons::kill`] and [`Daemons::rejoin`] crash and restart
-//! one, and [`Daemons::shutdown`] stops them and checks they stopped
-//! cleanly.
+//! integration tests spawn the built `hermesd` — [`Daemons::kill`] and
+//! [`Daemons::rejoin`] crash and restart one, and [`Daemons::shutdown`]
+//! stops them and checks they stopped cleanly.
 
 use hermes_common::{ClientOp, Key, NodeSet, RmwOp, TxnOp, Value};
 use hermes_model::{check_linearizable, observe, HistoryOp, OpKind, Outcome};
@@ -28,7 +27,7 @@ use hermes_obs::obs_info;
 use hermes_replica::{ClientSession, NodeOptions, NodeRuntime, SessionChannel, Ticket, TxnResult};
 use hermes_txn::TxnObs;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -218,7 +217,8 @@ pub struct Daemons {
 /// ports, node `i` with `--node <i> --peers <all> --client <own>` followed
 /// by `flags`, and with the variables `env(i)` — `program` must hand those
 /// arguments to [`daemon_main`]. Returns once the processes exist; a
-/// client port accepts a moment later ([`connect_within`]).
+/// client port accepts a moment later
+/// ([`ClientConn::connect_within`](hermes_replica::ClientConn::connect_within)).
 pub fn spawn_daemons(
     program: impl Into<PathBuf>,
     nodes: usize,
@@ -334,24 +334,6 @@ pub fn reserve_loopback_addrs(n: usize) -> Vec<SocketAddr> {
         .iter()
         .map(|l| l.local_addr().expect("local addr"))
         .collect()
-}
-
-/// Blocking connect with retries until `timeout` has passed: a
-/// just-spawned daemon's listener may still be binding, and a big fleet
-/// can transiently overflow its accept backlog.
-///
-/// # Panics
-///
-/// When `addr` still refuses at the deadline.
-pub fn connect_within(addr: SocketAddr, timeout: Duration) -> TcpStream {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return stream,
-            Err(e) if Instant::now() >= deadline => panic!("connect {addr}: {e}"),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
 }
 
 /// Writes a bench example's JSON record and returns where it went. A full
