@@ -110,26 +110,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Adds every sample of `other`'s current contents into `self`.
-    pub fn merge_from(&self, other: &Histogram) {
-        self.merge_snapshot(&other.snapshot());
-    }
-
-    /// Adds a frozen snapshot's samples into `self`.
-    pub fn merge_snapshot(&self, snap: &HistogramSnapshot) {
-        for (dst, &src) in self.counts.iter().zip(&snap.counts) {
-            if src > 0 {
-                dst.fetch_add(src, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum as u64, Ordering::Relaxed);
-        if snap.count > 0 {
-            self.min.fetch_min(snap.min, Ordering::Relaxed);
-            self.max.fetch_max(snap.max, Ordering::Relaxed);
-        }
-    }
 }
 
 impl Default for Histogram {
@@ -371,8 +351,8 @@ mod tests {
         for v in 501..=1000u64 {
             b.record(v);
         }
-        a.merge_from(&b);
-        let s = a.snapshot();
+        let mut s = a.snapshot();
+        s.merge(&b.snapshot());
         assert_eq!(s.count(), 1000);
         assert_eq!(s.min(), 1);
         assert_eq!(s.max(), 1000);

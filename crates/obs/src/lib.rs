@@ -38,8 +38,7 @@ pub use aggregate::{merge_expositions, stitch, Timeline, TimelineEvent};
 pub use hist::{Histogram, HistogramSnapshot, Quantiles};
 pub use registry::{sample_value, samples, validate_exposition, Counter, Gauge, Registry};
 pub use trace::{
-    maybe_trace, set_trace_sample, trace_sampling_on, Phase, SlowOp, Span, TraceId, TraceRing,
-    TraceSpan,
+    maybe_trace, set_trace_sample, trace_sampling_on, Phase, Span, TraceId, TraceRing, TraceSpan,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -10,6 +10,7 @@
 //! consume it.
 
 use crate::hist::Histogram;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -161,30 +162,6 @@ impl Registry {
         h
     }
 
-    /// Registers an atomic owned elsewhere as a counter sample — how
-    /// pre-existing runtime gauges (`lane_ops`, push/plane gauges) feed
-    /// the exposition without being rehomed.
-    pub fn counter_shared(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-        value: Arc<AtomicU64>,
-    ) {
-        self.push(name, help, labels, Handle::Counter(value));
-    }
-
-    /// Registers an atomic owned elsewhere as a gauge sample.
-    pub fn gauge_shared(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-        value: Arc<AtomicU64>,
-    ) {
-        self.push(name, help, labels, Handle::Gauge(value));
-    }
-
     /// Registers a gauge computed by a closure at render time.
     pub fn gauge_fn(
         &self,
@@ -210,19 +187,6 @@ impl Registry {
         self.push(name, help, labels, Handle::CounterFunc(Box::new(f)));
     }
 
-    /// Registers a histogram owned elsewhere (rendered as a quantile
-    /// summary) — how per-lane latency histograms recorded by worker
-    /// threads feed the exposition without being rehomed.
-    pub fn histogram_shared(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-        h: Arc<Histogram>,
-    ) {
-        self.push(name, help, labels, Handle::Hist(h));
-    }
-
     fn push(
         &self,
         name: &'static str,
@@ -245,16 +209,22 @@ impl Registry {
         });
     }
 
-    /// Renders the whole registry as Prometheus text exposition.
+    /// Renders the whole registry as Prometheus text exposition: one
+    /// `# HELP` / `# TYPE` header per family, then all of its samples, the
+    /// families in first-registration order whatever order their samples
+    /// were registered in (the text format allows one group per family).
     pub fn render(&self) -> String {
         let metrics = self.metrics.lock().expect("registry lock");
-        let mut out = String::with_capacity(4096);
-        // Group consecutive same-name metrics under one HELP/TYPE header;
-        // registration keeps families contiguous in practice, and repeat
-        // headers are legal anyway.
-        let mut last_name = "";
+        let mut families: Vec<&'static str> = Vec::new();
         for m in metrics.iter() {
-            if m.name != last_name {
+            if !families.contains(&m.name) {
+                families.push(m.name);
+            }
+        }
+        let mut out = String::with_capacity(4096);
+        for name in families {
+            let mut family = metrics.iter().filter(|m| m.name == name).peekable();
+            if let Some(m) = family.peek() {
                 let kind = match m.handle {
                     Handle::Counter(_) | Handle::CounterFunc(_) => "counter",
                     Handle::Gauge(_) | Handle::Func(_) => "gauge",
@@ -262,55 +232,42 @@ impl Registry {
                 };
                 let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
                 let _ = writeln!(out, "# TYPE {} {}", m.name, kind);
-                last_name = m.name;
             }
-            match &m.handle {
-                Handle::Counter(v) | Handle::Gauge(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        m.name,
-                        label_set(&m.labels, None),
-                        v.load(Ordering::Relaxed)
-                    );
-                }
-                Handle::Func(f) | Handle::CounterFunc(f) => {
-                    let _ = writeln!(out, "{}{} {}", m.name, label_set(&m.labels, None), f());
-                }
-                Handle::Hist(h) => {
-                    let s = h.snapshot();
-                    for (q, p) in [
-                        ("0.5", 50.0),
-                        ("0.9", 90.0),
-                        ("0.99", 99.0),
-                        ("0.999", 99.9),
-                    ] {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            m.name,
-                            label_set(&m.labels, Some(q)),
-                            s.percentile(p)
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        m.name,
-                        label_set(&m.labels, None),
-                        s.sum()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        m.name,
-                        label_set(&m.labels, None),
-                        s.count()
-                    );
-                }
+            for m in family {
+                m.render(&mut out);
             }
         }
         out
+    }
+}
+
+impl Metric {
+    /// Appends this metric's sample lines to `out`.
+    fn render(&self, out: &mut String) {
+        let (name, labels) = (self.name, &self.labels);
+        match &self.handle {
+            Handle::Counter(v) | Handle::Gauge(v) => {
+                let v = v.load(Ordering::Relaxed);
+                let _ = writeln!(out, "{name}{} {v}", label_set(labels, None));
+            }
+            Handle::Func(f) | Handle::CounterFunc(f) => {
+                let _ = writeln!(out, "{name}{} {}", label_set(labels, None), f());
+            }
+            Handle::Hist(h) => {
+                let s = h.snapshot();
+                for (q, p) in [
+                    ("0.5", 50.0),
+                    ("0.9", 90.0),
+                    ("0.99", 99.0),
+                    ("0.999", 99.9),
+                ] {
+                    let v = s.percentile(p);
+                    let _ = writeln!(out, "{name}{} {v}", label_set(labels, Some(q)));
+                }
+                let _ = writeln!(out, "{name}_sum{} {}", label_set(labels, None), s.sum());
+                let _ = writeln!(out, "{name}_count{} {}", label_set(labels, None), s.count());
+            }
+        }
     }
 }
 
@@ -352,15 +309,37 @@ fn escape(v: &str) -> String {
 
 /// Returns `Ok(())` when `text` is well-formed exposition: every
 /// non-empty line is a comment (`# ...`) or `name{labels} value` with a
-/// parseable numeric value. The CI smoke test and unit tests share this
+/// parseable numeric value, no family has a second `# TYPE` line, and each
+/// family's samples form one group (a summary's `_sum` / `_count` lines
+/// belong to the summary). The CI smoke test and unit tests share this
 /// instead of each growing a private parser.
 ///
 /// # Errors
 ///
 /// Returns the first offending line.
 pub fn validate_exposition(text: &str) -> Result<(), String> {
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    let mut ended: HashSet<&str> = HashSet::new();
+    let mut current = "";
+    // Entering `family` ends the group before it; a group never reopens.
+    let mut enter = |family, line: &str| {
+        if family != current {
+            if ended.contains(family) {
+                return Err(format!("family {family} resumes after another: {line:?}"));
+            }
+            ended.insert(std::mem::replace(&mut current, family));
+        }
+        Ok(())
+    };
     for line in text.lines() {
         let line = line.trim_end();
+        if let Some(typed) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = typed.split_once(' ').unwrap_or((typed, ""));
+            if types.insert(name, kind).is_some() {
+                return Err(format!("second TYPE line for {name}: {line:?}"));
+            }
+            enter(name, line)?;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -386,6 +365,9 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         {
             return Err(format!("bad metric name {name:?}: {line:?}"));
         }
+        let summary = ["_sum", "_count"].iter().find_map(|s| name.strip_suffix(s));
+        let summary = summary.filter(|base| types.get(base) == Some(&"summary"));
+        enter(summary.unwrap_or(name), line)?;
     }
     Ok(())
 }
@@ -466,13 +448,7 @@ mod tests {
     #[test]
     fn shared_and_fn_handles_sample_live_values() {
         let r = Registry::new();
-        let shared = Arc::new(AtomicU64::new(0));
-        r.counter_shared(
-            "ext_total",
-            "External counter.",
-            vec![],
-            Arc::clone(&shared),
-        );
+        let shared = r.counter("ext_total", "External counter.", vec![]).clone();
         r.gauge_fn("computed", "Computed gauge.", vec![], || 41 + 1);
         let slots = Arc::new(vec![AtomicU64::new(5), AtomicU64::new(6)]);
         for lane in 0..slots.len() {
@@ -484,15 +460,9 @@ mod tests {
                 move || slots[lane].load(Ordering::Relaxed),
             );
         }
-        let ext_hist = Arc::new(Histogram::new());
-        ext_hist.record(10);
-        r.histogram_shared(
-            "ext_us",
-            "External histogram.",
-            vec![],
-            Arc::clone(&ext_hist),
-        );
-        shared.store(9, Ordering::Relaxed);
+        r.histogram("ext_us", "External histogram.", vec![])
+            .record(10);
+        shared.add(9);
         let text = r.render();
         assert!(text.contains("ext_total 9"));
         assert!(text.contains("computed 42"));
@@ -503,12 +473,46 @@ mod tests {
     }
 
     #[test]
+    fn families_registered_interleaved_render_as_one_group_each() {
+        let r = Registry::new();
+        for lane in 0..2u64 {
+            let labels = || vec![("lane", lane.to_string())];
+            r.counter_fn("ops_total", "Ops.", labels(), move || lane);
+            r.counter_fn("ingress_total", "Ingress.", labels(), move || 10 + lane);
+        }
+        let text = r.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "# HELP ops_total Ops.",
+                "# TYPE ops_total counter",
+                "ops_total{lane=\"0\"} 0",
+                "ops_total{lane=\"1\"} 1",
+                "# HELP ingress_total Ingress.",
+                "# TYPE ingress_total counter",
+                "ingress_total{lane=\"0\"} 10",
+                "ingress_total{lane=\"1\"} 11",
+            ]
+        );
+        validate_exposition(&text).unwrap();
+    }
+
+    #[test]
     fn validate_rejects_garbage() {
         assert!(validate_exposition("ok_metric 1\n").is_ok());
         assert!(validate_exposition("bad metric name 1\n").is_err());
         assert!(validate_exposition("noval\n").is_err());
         assert!(validate_exposition("m{unterminated 1\n").is_err());
         assert!(validate_exposition("m{l=\"x\"} notanumber\n").is_err());
+        let twice = "# TYPE a counter\na 1\n# TYPE a counter\na 2\n";
+        assert!(validate_exposition(twice)
+            .unwrap_err()
+            .contains("second TYPE"));
+        let split = "a{l=\"0\"} 1\nb 2\na{l=\"1\"} 3\n";
+        assert!(validate_exposition(split).unwrap_err().contains("resumes"));
+        let summary = "# TYPE s summary\ns{quantile=\"0.5\"} 1\ns_sum 1\ns_count 1\n";
+        assert!(validate_exposition(summary).is_ok());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! When an op completes, [`TraceRing::complete`] checks the span against
 //! the ring's slow-op threshold (`HERMES_SLOW_OP_US`, settable per ring).
 //! Fast ops are dropped on the floor; a slow op's full phase breakdown is
-//! captured into a bounded ring of [`SlowOp`] reports and emitted through
-//! the [`crate::log`] logger at `warn`, so "where did the time go" is
-//! answerable after the fact without re-running under a profiler.
+//! captured into a bounded ring of [`TraceSpan`] records and emitted
+//! through the [`crate::log`] logger at `warn`, so "where did the time go"
+//! is answerable after the fact without re-running under a profiler.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,60 +248,6 @@ impl Span {
     }
 }
 
-/// A captured slow operation: its full phase breakdown.
-#[derive(Clone, Debug)]
-pub struct SlowOp {
-    /// What the op was ("write key=7 lane=2", "view_change 3->4", ...).
-    pub label: String,
-    /// End-to-end duration in microseconds.
-    pub total_us: u64,
-    /// `(phase, offset_us_from_start)` in occurrence order.
-    pub phases: Vec<(Phase, &'static str, u64)>,
-    /// Trace id (`0` if the op was not sampled for cross-node tracing).
-    pub trace: u64,
-    /// Node that captured this span.
-    pub node: u32,
-    /// Lane that captured this span (`u32::MAX` for non-lane rings).
-    pub lane: u32,
-    /// Wall-clock micros of the span start (`0` if unsampled).
-    pub start_unix_us: u64,
-}
-
-impl SlowOp {
-    /// One-line rendering: `label total=NNNus [phase+0us phase+12us ...]`.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!("slow-op {} total={}us [", self.label, self.total_us);
-        for (i, (_, name, at)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{name}+{at}us");
-        }
-        out.push(']');
-        out
-    }
-
-    /// Converts to the owned, wire-friendly record drained by the Traces
-    /// RPC (phase names become owned strings so decoded records on the
-    /// aggregator side are the same type).
-    pub fn to_record(&self) -> TraceSpan {
-        TraceSpan {
-            trace: self.trace,
-            node: self.node,
-            lane: self.lane,
-            start_unix_us: self.start_unix_us,
-            total_us: self.total_us,
-            label: self.label.clone(),
-            phases: self
-                .phases
-                .iter()
-                .map(|&(_, name, at)| (name.to_string(), at))
-                .collect(),
-        }
-    }
-}
-
 /// One captured span as drained by the Traces client RPC: everything the
 /// cluster aggregator needs to stitch cross-node timelines, with no
 /// borrowed data so it round-trips through the wire codec.
@@ -357,18 +303,14 @@ pub struct TraceRing {
     emit_window_s: AtomicU64,
     emit_in_window: AtomicU64,
     emit_suppressed: AtomicU64,
-    slow: Mutex<VecDeque<SlowOp>>,
+    slow: Mutex<VecDeque<TraceSpan>>,
 }
 
 impl TraceRing {
-    /// A ring with the environment-derived threshold (`HERMES_SLOW_OP_US`,
-    /// else [`DEFAULT_SLOW_OP_US`]).
-    pub fn new(owner: impl Into<String>) -> Self {
-        TraceRing::labeled(owner, 0, u32::MAX)
-    }
-
     /// A ring tagged with the node and lane it belongs to; captured spans
-    /// carry the tags so the cluster aggregator can attribute them.
+    /// carry the tags so the cluster aggregator can attribute them. Its
+    /// slow-op threshold is `HERMES_SLOW_OP_US`, else
+    /// [`DEFAULT_SLOW_OP_US`].
     pub fn labeled(owner: impl Into<String>, node: u32, lane: u32) -> Self {
         let threshold = std::env::var("HERMES_SLOW_OP_US")
             .ok()
@@ -394,11 +336,6 @@ impl TraceRing {
         self.threshold_us.store(us, Ordering::Relaxed);
     }
 
-    /// The current slow-op threshold.
-    pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
     /// Completes a span: if it exceeded the threshold — or carries a
     /// sampled trace id, which must reach the cluster aggregator however
     /// fast the local work was — capture its phase breakdown (the `label`
@@ -419,18 +356,18 @@ impl TraceRing {
         if slow {
             self.slow_total.fetch_add(1, Ordering::Relaxed);
         }
-        let report = SlowOp {
-            label: format!("{} {}", self.owner, label),
-            total_us,
-            phases: span
-                .marks()
-                .iter()
-                .map(|&(p, at)| (p, p.name(), at))
-                .collect(),
+        let report = TraceSpan {
             trace: span.trace().0,
             node: self.node,
             lane: self.lane,
             start_unix_us: span.start_unix_us(),
+            total_us,
+            label: format!("{} {}", self.owner, label),
+            phases: span
+                .marks()
+                .iter()
+                .map(|&(p, at)| (p.name().to_string(), at))
+                .collect(),
         };
         if slow {
             self.emit_rate_limited(&report);
@@ -447,7 +384,7 @@ impl TraceRing {
     /// suppressed lines are counted and acknowledged on the next line
     /// that makes it out. Window bookkeeping races are benign — at worst
     /// a couple of extra lines slip through at a boundary.
-    fn emit_rate_limited(&self, report: &SlowOp) {
+    fn emit_rate_limited(&self, report: &TraceSpan) {
         let now_s = self.created.elapsed().as_secs();
         if self.emit_window_s.swap(now_s, Ordering::Relaxed) != now_s {
             self.emit_in_window.store(0, Ordering::Relaxed);
@@ -463,14 +400,14 @@ impl TraceRing {
                 "obs::trace",
                 format_args!(
                     "{} ({suppressed} slow-op lines suppressed)",
-                    report.render()
+                    slow_line(report)
                 ),
             );
         } else {
             crate::log::emit(
                 crate::log::Level::Warn,
                 "obs::trace",
-                format_args!("{}", report.render()),
+                format_args!("{}", slow_line(report)),
             );
         }
     }
@@ -481,27 +418,30 @@ impl TraceRing {
         self.slow_total.load(Ordering::Relaxed)
     }
 
-    /// The retained slow-op reports, oldest first.
-    pub fn slow_ops(&self) -> Vec<SlowOp> {
-        self.slow
-            .lock()
-            .expect("trace ring lock")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Drains the retained reports as wire-friendly [`TraceSpan`]
-    /// records, oldest first — the Traces RPC consumes captures so each
-    /// scrape sees every span exactly once.
+    /// Drains the retained [`TraceSpan`] records, oldest first — the
+    /// Traces RPC consumes captures so each scrape sees every span exactly
+    /// once.
     pub fn drain_spans(&self) -> Vec<TraceSpan> {
         self.slow
             .lock()
             .expect("trace ring lock")
             .drain(..)
-            .map(|op| op.to_record())
             .collect()
     }
+}
+
+/// A slow op's warn line: `slow-op <label> total=NNNus [phase+0us phase+12us ...]`.
+fn slow_line(span: &TraceSpan) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("slow-op {} total={}us [", span.label, span.total_us);
+    for (i, (name, at)) in span.phases.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{name}+{at}us");
+    }
+    out.push(']');
+    out
 }
 
 #[cfg(test)]
@@ -510,19 +450,19 @@ mod tests {
 
     #[test]
     fn fast_ops_are_not_captured() {
-        let ring = TraceRing::new("lane0");
+        let ring = TraceRing::labeled("lane0", 0, 0);
         ring.set_threshold_us(u64::MAX);
         let mut span = Span::begin(Phase::Issued);
         span.mark(Phase::Committed);
         ring.complete(&span, || unreachable!("label built for a fast op"));
         assert_eq!(ring.slow_total(), 0);
-        assert!(ring.slow_ops().is_empty());
+        assert!(ring.drain_spans().is_empty());
     }
 
     #[test]
     fn threshold_zero_captures_phase_breakdown() {
         let _quiet = crate::log::Capture::start();
-        let ring = TraceRing::new("lane1");
+        let ring = TraceRing::labeled("lane1", 0, 1);
         ring.set_threshold_us(0);
         let mut span = Span::begin(Phase::Issued);
         span.mark(Phase::InvalBroadcast);
@@ -531,11 +471,11 @@ mod tests {
         span.mark(Phase::ReplyReleased);
         ring.complete(&span, || "write key=7".into());
         assert_eq!(ring.slow_total(), 1);
-        let ops = ring.slow_ops();
+        let ops = ring.drain_spans();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].phases.len(), 5);
         assert!(ops[0].label.contains("lane1"));
-        let line = ops[0].render();
+        let line = slow_line(&ops[0]);
         assert!(line.contains("issued+0us"), "{line}");
         assert!(line.contains("reply_released+"), "{line}");
     }
@@ -543,14 +483,14 @@ mod tests {
     #[test]
     fn ring_is_bounded() {
         let _quiet = crate::log::Capture::start();
-        let ring = TraceRing::new("lane2");
+        let ring = TraceRing::labeled("lane2", 0, 2);
         ring.set_threshold_us(0);
         for i in 0..(SLOW_RING_CAP + 10) {
             let span = Span::begin(Phase::Issued);
             ring.complete(&span, || format!("op {i}"));
         }
         assert_eq!(ring.slow_total() as usize, SLOW_RING_CAP + 10);
-        let ops = ring.slow_ops();
+        let ops = ring.drain_spans();
         assert_eq!(ops.len(), SLOW_RING_CAP);
         // Oldest evicted: the first retained is op 10.
         assert!(ops[0].label.contains("op 10"), "{}", ops[0].label);
@@ -605,7 +545,7 @@ mod tests {
     #[test]
     fn warn_emission_is_rate_limited_but_ring_captures_all() {
         let capture = crate::log::Capture::start();
-        let ring = TraceRing::new("lane9");
+        let ring = TraceRing::labeled("lane9", 0, 9);
         ring.set_threshold_us(0);
         const N: usize = 200;
         for i in 0..N {

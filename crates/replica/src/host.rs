@@ -22,7 +22,7 @@
 //!   [`Store`], which serves cross-thread lock-free local reads (§4.1).
 
 use crate::lane::{Command, Lane, Lanes, MLT, PUMP_LANE};
-use crate::membership::{boot_view, MembershipOptions, MembershipStatus};
+use crate::membership::{self, boot_view, MembershipOptions, MembershipStatus};
 use crate::metrics::NodeObs;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
@@ -128,7 +128,7 @@ impl LocalReads {
             return None;
         }
         let value = mirror_read(&self.store, &self.status, key, &mut self.scratch)?;
-        NodeObs::bump(&self.obs.mirror_reads, 1);
+        self.obs.mirror_reads.inc();
         Some(Reply::ReadOk(value))
     }
 
@@ -182,6 +182,8 @@ impl Node {
         let links = ep.split(waits)?;
         let store = Arc::new(Store::new(StoreConfig::default()));
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers, pollers));
+        let peers = view.members.union(view.shadows).len();
+        membership::register(&obs.registry, &status, peers);
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
         for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {
@@ -244,7 +246,7 @@ impl Node {
 
     /// Peer connections the transport observed dying.
     pub(crate) fn peer_disconnects(&self) -> u64 {
-        self.obs.peer_downs.load(Ordering::Relaxed)
+        self.obs.peer_downs.get()
     }
 
     /// Client operations handled per lane since start.
@@ -257,14 +259,10 @@ impl Node {
         NodeObs::per_lane(&self.obs.lane_ingress)
     }
 
-    /// Live client cache subscriptions across all lanes.
-    pub(crate) fn subscriptions(&self) -> u64 {
-        self.obs.subscriptions.load(Ordering::Relaxed)
-    }
-
-    /// Push events sent to client sessions since start.
-    pub(crate) fn pushes(&self) -> u64 {
-        self.obs.pushes.load(Ordering::Relaxed)
+    /// This node's metrics exposition ([`NodeObs`] and the rows added to
+    /// its registry).
+    pub(crate) fn metrics_text(&self) -> String {
+        self.obs.registry.render()
     }
 
     /// Drains every captured trace span from this node's rings.
@@ -445,7 +443,7 @@ impl<S: NetSender> Pump<S> {
                 // but the failure detector takes it as an early suspicion
                 // hint (a live peer's next heartbeat clears it, and the
                 // lease-expiry wait still guards reconfiguration).
-                NodeObs::bump(&self.obs.peer_downs, 1);
+                self.obs.peer_downs.inc();
                 if let Some(m) = self.membership.as_mut() {
                     m.driver.on_peer_down(peer);
                 }
@@ -572,7 +570,7 @@ impl<S: NetSender> PumpMembership<S> {
                     .pump_trace
                     .complete(&span, || format!("view_change epoch={epoch}"));
                 self.obs.view_change_us.record(total);
-                NodeObs::bump(&self.obs.view_outages, 1);
+                self.obs.view_outages.inc();
             }
             obs_info!(
                 "replica::membership",
@@ -706,11 +704,11 @@ pub(crate) mod tests {
         }
         reads.submitted(8, Key(1), &read);
         assert_eq!(reads.answer(Key(1), &read), ok(10), "a read holds nothing");
-        assert_eq!(reads.obs.mirror_reads.load(Ordering::Relaxed), 7);
+        assert_eq!(reads.obs.mirror_reads.get(), 7);
 
         reads.status.set_serving(false);
         assert_eq!(reads.answer(Key(1), &read), None, "a replica not serving");
         assert_eq!(reads.answer(Key(9), &read), None);
-        assert_eq!(reads.obs.mirror_reads.load(Ordering::Relaxed), 7);
+        assert_eq!(reads.obs.mirror_reads.get(), 7);
     }
 }

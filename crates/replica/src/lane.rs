@@ -38,7 +38,6 @@ use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -404,7 +403,7 @@ impl<S: NetSender> Lane<S> {
                 cop,
                 reply,
             } => {
-                NodeObs::bump(&self.obs.lane_ops[self.lane], 1);
+                self.obs.lane_ops[self.lane].inc();
                 // Lease gate (paper §3.4): an expired lease — minority
                 // partition, mid-view-change, shadow — refuses service
                 // without touching the protocol.
@@ -441,7 +440,7 @@ impl<S: NetSender> Lane<S> {
                 self.drain_effects(Some(key), Some(issuer), Some(op), now);
             }
             Command::Deliver { from, msg, trace } => {
-                NodeObs::bump(&self.obs.lane_ingress[self.lane], 1);
+                self.obs.lane_ingress[self.lane].inc();
                 self.handle_message(from, msg, trace, now);
             }
             Command::SyncLane { to } => self.sync_lane(to),
@@ -494,7 +493,7 @@ impl<S: NetSender> Lane<S> {
         let recording = hermes_obs::recording_enabled();
         if recording {
             if let Msg::Ack { .. } = msg {
-                NodeObs::bump(&self.obs.invals_acked, 1);
+                self.obs.invals_acked.inc();
             }
         }
         self.cur_trace = trace;
@@ -556,8 +555,8 @@ impl<S: NetSender> Lane<S> {
     /// (newer-timestamp-wins, [`HermesNode::install_chunk`]) and mirrors it
     /// so local reads observe the synced value.
     fn install_chunk(&mut self, e: SyncEntry, now: Instant) {
-        NodeObs::bump(&self.obs.sync_chunks, 1);
-        NodeObs::bump(&self.obs.sync_bytes, e.value.as_bytes().len() as u64);
+        self.obs.sync_chunks.inc();
+        self.obs.sync_bytes.add(e.value.as_bytes().len() as u64);
         self.step(e.key, |node, _| {
             node.install_chunk(e.key, e.ts, e.value, e.kind)
         });
@@ -603,7 +602,7 @@ impl<S: NetSender> Lane<S> {
     /// Publishes how many keys this lane's engine holds.
     fn count_resident(&self) {
         let held = self.node.keys_touched() as u64;
-        self.obs.resident_keys[self.lane].store(held, Ordering::Relaxed);
+        self.obs.resident_keys[self.lane].set(held);
     }
 
     /// `key`'s timestamp: the engine's while it holds the key, else the
@@ -775,10 +774,10 @@ impl<S: NetSender> Lane<S> {
                 if hermes_obs::recording_enabled() {
                     match msg {
                         Msg::Inv { .. } => {
-                            NodeObs::bump(&self.obs.invals_sent, self.peers.len() as u64);
+                            self.obs.invals_sent.add(self.peers.len() as u64);
                         }
                         Msg::Val { .. } => {
-                            NodeObs::bump(&self.obs.vals_sent, self.peers.len() as u64);
+                            self.obs.vals_sent.add(self.peers.len() as u64);
                         }
                         _ => {}
                     }
@@ -857,7 +856,7 @@ impl<S: NetSender> Lane<S> {
         self.mirror_key(key, hide);
         let epoch = self.node.view().epoch.0;
         for (&client, sink) in pushed {
-            NodeObs::bump(&self.obs.pushes, 1);
+            self.obs.pushes.inc();
             sink.send(ClientId(client), ServerFrame::Invalidate { key, epoch });
         }
         if hide {
@@ -870,7 +869,7 @@ impl<S: NetSender> Lane<S> {
     /// must not release effects a newer, still-unacked push is guarding.
     fn ack_push(&mut self, client: ClientId, key: Key, now: Instant) {
         if hermes_obs::recording_enabled() {
-            NodeObs::bump(&self.obs.push_acks, 1);
+            self.obs.push_acks.inc();
         }
         if let Some(waiters) = self.subs.pending.get_mut(&key) {
             if let Some(owed) = waiters.get_mut(&client.0) {
@@ -911,7 +910,7 @@ impl<S: NetSender> Lane<S> {
         // and by the mirror rule says so before what was held goes out.
         self.mirror_key(key, false);
         if let Some(held) = self.subs.held.remove(&key) {
-            NodeObs::bump(&self.obs.holds_released, held.len() as u64);
+            self.obs.holds_released.add(held.len() as u64);
             for e in held {
                 self.emit_effect(e, now);
             }
@@ -956,9 +955,9 @@ impl<S: NetSender> Lane<S> {
             .is_none();
         if fresh {
             self.subs.by_client.entry(client.0).or_default().insert(key);
-            NodeObs::bump(&self.obs.subscriptions, 1);
+            self.obs.subscriptions.inc();
         }
-        NodeObs::bump(&self.obs.pushes, 1);
+        self.obs.pushes.inc();
         sink.send(client, ServerFrame::Subscribed { seq, key, epoch });
     }
 
@@ -967,7 +966,7 @@ impl<S: NetSender> Lane<S> {
     fn unsubscribe(&mut self, seq: u64, client: ClientId, key: Key, now: Instant) {
         if let Some(sink) = self.remove_subscription(client.0, key) {
             self.clear_waiter(client.0, key, now);
-            NodeObs::bump(&self.obs.pushes, 1);
+            self.obs.pushes.inc();
             sink.send(client, ServerFrame::Unsubscribed { seq, key });
         }
     }
@@ -987,7 +986,7 @@ impl<S: NetSender> Lane<S> {
                 self.subs.by_client.remove(&client);
             }
         }
-        self.obs.subscriptions.fetch_sub(1, Ordering::Relaxed);
+        self.obs.subscriptions.dec();
         Some(sink)
     }
 
@@ -1013,7 +1012,7 @@ impl<S: NetSender> Lane<S> {
         for subs in self.subs.by_key.values() {
             for (&client, sink) in subs {
                 if seen.insert(client) {
-                    NodeObs::bump(&self.obs.pushes, 1);
+                    self.obs.pushes.inc();
                     sink.send(ClientId(client), ServerFrame::Flush { epoch });
                 }
             }
@@ -1328,7 +1327,7 @@ mod tests {
         );
         let acks: Vec<(u32, Ts)> = r.tick(t0).iter().map(|(to, m)| (*to, m.ts())).collect();
         assert_eq!(acks, vec![(1, ts2), (1, ts)]);
-        assert_eq!(r.obs.holds_released.load(Ordering::Relaxed), 1 + 3);
+        assert_eq!(r.obs.holds_released.get(), 1 + 3);
     }
 
     /// The hold rule covers the mirror: in a one-member view a write
@@ -1454,19 +1453,19 @@ mod tests {
         let mut r = rig(3);
         let (k, t0) = (Key(7), r.t0);
         r.subscribe_b(k);
-        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1);
+        assert_eq!(r.obs.subscriptions.get(), 1);
         r.op(A, k, write(1), t0);
         assert_eq!(r.b_pushes(), vec![invalidate(k)]);
 
         assert_eq!(r.tick(t0 + PUSH_ACK_KICK - MS), vec![]);
         assert_eq!(r.b_pushes(), vec![]);
-        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1);
+        assert_eq!(r.obs.subscriptions.get(), 1);
 
         assert!(!r.b_evicted);
         let out = r.tick(t0 + PUSH_ACK_KICK);
         assert_eq!(r.b_pushes(), vec![]);
         assert!(r.b_evicted, "evicted, and sent nothing else");
-        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 0);
+        assert_eq!(r.obs.subscriptions.get(), 0);
         assert_eq!(
             inv_targets(&out),
             vec![1, 1, 2, 2],
@@ -1542,7 +1541,7 @@ mod tests {
             r.tick(at + 49 * MS);
         }
         assert_eq!(p_pushes(), vec![]);
-        assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 1, "P stays");
+        assert_eq!(r.obs.subscriptions.get(), 1, "P stays");
     }
 
     #[test]
@@ -1574,7 +1573,7 @@ mod tests {
             r.lane.handle(Command::InvalAck { client: B, key }, t0);
             assert_eq!(r.tick(t0), vec![]);
             assert_eq!(r.b_pushes(), vec![]);
-            assert_eq!(r.obs.subscriptions.load(Ordering::Relaxed), 2);
+            assert_eq!(r.obs.subscriptions.get(), 2);
         }
     }
 
@@ -1613,7 +1612,7 @@ mod tests {
         let mut r = rig(1);
         let (k, t0) = (Key(7), r.t0);
         let resident = |r: &Rig| {
-            let gauge = r.obs.resident_keys[0].load(Ordering::Relaxed);
+            let gauge = r.obs.resident_keys[0].get();
             (r.lane.node.entry(k).is_some(), gauge)
         };
         r.subscribe_b(k);
@@ -1906,7 +1905,7 @@ mod tests {
                     let core = twin.node.local_read(k).filter(|_| !held);
                     assert_eq!(r.mirror(k), core, "{at}: the mirror of {k} left the core");
                 }
-                let resident = r.obs.resident_keys[0].load(Ordering::Relaxed);
+                let resident = r.obs.resident_keys[0].get();
                 assert_eq!(resident, r.lane.node.keys_touched() as u64, "{at}: gauge");
                 let unmirrored = r.net.unmirrored.lock().unwrap();
                 assert!(

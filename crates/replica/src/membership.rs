@@ -10,7 +10,9 @@
 //! with operators and tests.
 
 use hermes_common::{MembershipView, NodeId, NodeSet};
+use hermes_obs::Registry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Lock-free gauges describing one replica's live membership state.
 ///
@@ -94,6 +96,65 @@ impl MembershipStatus {
         self.members.store(view.members.bits(), Ordering::Relaxed);
         self.shadows.store(view.shadows.bits(), Ordering::Relaxed);
         self.view_changes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// How one of [`register`]'s rows reads the status.
+type Read<T> = fn(&MembershipStatus) -> T;
+
+/// Registers `status` into a node's registry, read live at each render:
+/// the installed view and serving state, plus one 0/1 member and one 0/1
+/// shadow row per node id of a `peers`-node deployment (paper §3.4) —
+/// exact, where a node set rendered as one f64 would not be.
+pub(crate) fn register(r: &Registry, status: &Arc<MembershipStatus>, peers: usize) {
+    let s = Arc::clone(status);
+    r.counter_fn(
+        "hermes_view_changes_total",
+        "Reconfigured views installed since start.",
+        vec![],
+        move || s.view_changes(),
+    );
+    let gauges: [(_, _, Read<u64>); 3] = [
+        (
+            "hermes_view_epoch",
+            "Epoch of the installed membership view.",
+            MembershipStatus::epoch,
+        ),
+        (
+            "hermes_serving",
+            "Whether this replica serves client operations (0/1).",
+            |s| s.serving() as u64,
+        ),
+        (
+            "hermes_synced",
+            "Whether shadow catch-up completed (0/1).",
+            |s| s.synced() as u64,
+        ),
+    ];
+    for (name, help, read) in gauges {
+        let s = Arc::clone(status);
+        r.gauge_fn(name, help, vec![], move || read(&s));
+    }
+    let sets: [(_, _, Read<NodeSet>); 2] = [
+        (
+            "hermes_view_member",
+            "Whether the peer is a member of the installed view (0/1).",
+            MembershipStatus::members,
+        ),
+        (
+            "hermes_view_shadow",
+            "Whether the peer is a shadow of the installed view (0/1).",
+            MembershipStatus::shadows,
+        ),
+    ];
+    for (name, help, set) in sets {
+        for peer in 0..peers as u32 {
+            let s = Arc::clone(status);
+            let labels = vec![("peer", peer.to_string())];
+            r.gauge_fn(name, help, labels, move || {
+                set(&s).contains(NodeId(peer)) as u64
+            });
+        }
     }
 }
 

@@ -24,14 +24,13 @@
 
 use crate::host::Node;
 use crate::membership::{MembershipOptions, MembershipStatus};
-use crate::metrics::NodeObs;
 use crate::poller::ClientPlane;
 use crate::remote::{invalid, ClientConn, Waiter};
 use hermes_common::{Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::ProtocolConfig;
 use hermes_membership::RmConfig;
 use hermes_net::{TcpConfig, TcpEndpoint, TcpStats};
-use hermes_obs::{Histogram, Registry, TraceSpan};
+use hermes_obs::{Registry, TraceSpan};
 use hermes_wings::client::{Request, ServerFrame};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -220,10 +219,6 @@ pub struct NodeRuntime {
     /// Raised when a client connection delivers the shutdown RPC; the
     /// daemon's main loop polls it and winds the process down.
     shutdown_requested: Arc<AtomicBool>,
-    /// The metrics registry backing the `Metrics` RPC and
-    /// [`NodeRuntime::metrics_text`]; every runtime gauge, histogram and
-    /// protocol-phase counter is registered here at startup.
-    registry: Arc<Registry>,
 }
 
 impl NodeRuntime {
@@ -254,15 +249,13 @@ impl NodeRuntime {
         });
         let pollers = opts.pollers.max(1);
         let node = Node::spawn(ep, view, opts.protocol, opts.workers, pollers, membership)?;
+        register_tcp(&node.obs().registry, &tcp_stats);
         let shutdown_requested = Arc::new(AtomicBool::new(false));
-        let registry = build_registry(opts.node, opts.peers.len(), &node, &tcp_stats);
-        let registry = Arc::new(registry);
         let client_plane = ClientPlane::start(
             client_listener,
             node.lanes().clone(),
             pollers,
             Arc::clone(&shutdown_requested),
-            Arc::clone(&registry),
             Arc::clone(node.obs()),
             Arc::clone(node.store()),
             Arc::clone(node.status()),
@@ -274,14 +267,14 @@ impl NodeRuntime {
             client_plane: Some(client_plane),
             tcp_stats,
             shutdown_requested,
-            registry,
         })
     }
 
     /// Renders this replica's full metrics exposition (the same text the
-    /// `Metrics` client RPC serves remotely, [`query_metrics`]).
+    /// `Metrics` client RPC serves remotely, [`query_metrics`]): the
+    /// node's registry, with the transport's `hermes_tcp_*` rows.
     pub fn metrics_text(&self) -> String {
-        self.registry.render()
+        self.node.metrics_text()
     }
 
     /// Drains every captured trace span (slow ops and sampled ops) from
@@ -364,318 +357,78 @@ impl Drop for NodeRuntime {
     }
 }
 
-/// Everything an unlabelled sample of the exposition reads from.
-struct Sources {
-    obs: Arc<NodeObs>,
-    status: Arc<MembershipStatus>,
-    tcp: Arc<TcpStats>,
-}
+/// One transport counter: `(name, help, reader)`.
+type TcpCounter = (&'static str, &'static str, fn(&TcpStats) -> u64);
 
-/// How one [`Row`] reads and renders.
-enum Sample {
-    Counter(fn(&Sources) -> u64),
-    Gauge(fn(&Sources) -> u64),
-    Summary(fn(&NodeObs) -> &Arc<Histogram>),
-}
-use Sample::{Counter, Gauge, Summary};
-
-/// One unlabelled sample of a replica's exposition: `(name, help, reader)`.
-type Row = (&'static str, &'static str, Sample);
-
-/// Membership and serving state: rendered ahead of the per-lane families.
-const MEMBERSHIP: &[Row] = &[
-    (
-        "hermes_view_epoch",
-        "Epoch of the installed membership view.",
-        Gauge(|s| s.status.epoch()),
-    ),
-    (
-        "hermes_view_changes_total",
-        "Reconfigured views installed since start.",
-        Counter(|s| s.status.view_changes()),
-    ),
-    (
-        "hermes_serving",
-        "Whether this replica serves client operations (0/1).",
-        Gauge(|s| s.status.serving() as u64),
-    ),
-    (
-        "hermes_synced",
-        "Whether shadow catch-up completed (0/1).",
-        Gauge(|s| s.status.synced() as u64),
-    ),
-    (
-        "hermes_view_change_outage_us",
-        "Not-serving window per view-change outage (us).",
-        Summary(|o| &o.view_change_us),
-    ),
-    (
-        "hermes_view_change_outages_total",
-        "Completed serving outages (serving lost then restored).",
-        Counter(|s| s.obs.view_outages.load(Ordering::Relaxed)),
-    ),
-];
-
-/// Every other unlabelled sample, in rendering order after the per-lane
-/// and per-shard families: protocol phases (paper §3.1: INV broadcast, ACK
-/// collection, VAL broadcast), the client cache plane, the client plane and
-/// the transport.
-const SCALARS: &[Row] = &[
-    (
-        "hermes_invalidations_sent_total",
-        "Invalidation (INV) messages sent to peers.",
-        Counter(|s| s.obs.invals_sent.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_invalidation_acks_total",
-        "Invalidation acks (ACK) received from peers.",
-        Counter(|s| s.obs.invals_acked.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_validations_sent_total",
-        "Validation (VAL) messages sent to peers.",
-        Counter(|s| s.obs.vals_sent.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_sync_chunks_total",
-        "Shadow catch-up chunks installed.",
-        Counter(|s| s.obs.sync_chunks.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_sync_bytes_total",
-        "Shadow catch-up payload bytes installed.",
-        Counter(|s| s.obs.sync_bytes.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_engine_resident_keys",
-        "Keys the lanes' protocol engines hold: those with work in flight.",
-        Gauge(|s| NodeObs::per_lane(&s.obs.resident_keys).iter().sum()),
-    ),
-    (
-        "hermes_cache_subscriptions",
-        "Live client push subscriptions across all worker lanes.",
-        Gauge(|s| s.obs.subscriptions.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_cache_pushes_total",
-        "Push frames (invalidations, acks, flushes) sent to clients.",
-        Counter(|s| s.obs.pushes.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_cache_push_acks_total",
-        "Client invalidation-push acks received.",
-        Counter(|s| s.obs.push_acks.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_cache_holds_released_total",
-        "Effects released after their guarding cache-push acks arrived.",
-        Counter(|s| s.obs.holds_released.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_open_sessions",
-        "Remote client sessions currently open (the sum over poller shards).",
-        Gauge(|s| s.obs.open_sessions()),
-    ),
-    (
-        "hermes_accept_stalls_total",
-        "Times the listener paused accepting near the fd budget.",
-        Counter(|s| s.obs.accept_stalls.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_accepts_total",
-        "Client connections accepted.",
-        Counter(|s| s.obs.accepts.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_credit_parks_total",
-        "Sessions whose read interest parked on credit exhaustion.",
-        Counter(|s| s.obs.read_parks.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_mirror_reads_total",
-        "Client reads a session's channel answered from the seqlock mirror, no lane involved.",
-        Counter(|s| s.obs.mirror_reads.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_mirror_read_fallbacks_total",
-        "Client reads queued at a lane: key not Valid, not serving, or own update in flight.",
-        Counter(|s| s.obs.mirror_read_fallbacks.load(Ordering::Relaxed)),
-    ),
-    (
-        "hermes_poller_decode_us",
-        "Poller time decoding one session's readable burst (us).",
-        Summary(|o| &o.poller_decode_us),
-    ),
-    (
-        "hermes_poller_write_us",
-        "Poller time draining one session's write buffer (us).",
-        Summary(|o| &o.poller_write_us),
-    ),
-    (
-        "hermes_credit_stall_us",
-        "How long a session's read interest stayed parked for credit (us).",
-        Summary(|o| &o.credit_stall_us),
-    ),
+/// The transport's counters, kept by hermes-net and rendered by the node's
+/// registry.
+const TCP_COUNTERS: [TcpCounter; 10] = [
     (
         "hermes_tcp_dials_total",
         "Successful outbound peer dials (connects and reconnects).",
-        Counter(|s| s.tcp.dials()),
+        TcpStats::dials,
     ),
     (
         "hermes_tcp_accepts_total",
         "Inbound peer connections accepted.",
-        Counter(|s| s.tcp.accepts()),
+        TcpStats::accepts,
     ),
     (
         "hermes_tcp_disconnects_total",
         "Peer connections that died (either direction, injected kills included).",
-        Counter(|s| s.tcp.disconnects()),
+        TcpStats::disconnects,
     ),
     (
         "hermes_tcp_frames_sent_total",
         "Wings frames handed to the kernel on peer sockets.",
-        Counter(|s| s.tcp.frames_sent()),
+        TcpStats::frames_sent,
     ),
     (
         "hermes_tcp_frames_received_total",
         "Wings frames received from peers.",
-        Counter(|s| s.tcp.frames_received()),
+        TcpStats::frames_received,
     ),
     (
         "hermes_tcp_frames_dropped_total",
         "Frames dropped: peer unreachable, link died with them queued, or outbox full.",
-        Counter(|s| s.tcp.frames_dropped()),
+        TcpStats::frames_dropped,
     ),
     (
         "hermes_tcp_bytes_sent_total",
         "Frame payload bytes handed to the kernel on peer sockets.",
-        Counter(|s| s.tcp.bytes_sent()),
+        TcpStats::bytes_sent,
     ),
     (
         "hermes_tcp_bytes_received_total",
         "Frame payload bytes received from peers.",
-        Counter(|s| s.tcp.bytes_received()),
+        TcpStats::bytes_received,
     ),
     (
         "hermes_tcp_writes_inline_total",
         "Frames written to the socket by the sending lane itself.",
-        Counter(|s| s.tcp.writes_inline()),
+        TcpStats::writes_inline,
     ),
     (
         "hermes_tcp_writes_deferred_total",
         "Frames the link's lane wrote from its poll (queued by a dial or a full socket).",
-        Counter(|s| s.tcp.writes_deferred()),
-    ),
-    (
-        "hermes_tcp_egress_backlog_bytes",
-        "Bytes queued in peer outboxes waiting for their sockets.",
-        Gauge(|s| s.tcp.egress_backlog_bytes()),
+        TcpStats::writes_deferred,
     ),
 ];
 
-/// Registers every runtime gauge, protocol-phase counter and latency
-/// histogram of one replica of a `peers`-node deployment into a fresh
-/// metrics registry. All handles are closures or shared `Arc`s over state
-/// the runtime already maintains — rendering samples live values, and
-/// registration adds no hot-path cost. Every metric carries a
-/// `node="<id>"` base label so a cluster aggregator can merge the
-/// expositions of all replicas without collisions.
-fn build_registry(id: NodeId, peers: usize, node: &Node, tcp: &Arc<TcpStats>) -> Registry {
-    let r = Registry::with_base_labels(vec![("node", id.0.to_string())]);
-    let obs = node.obs();
-    let src = Arc::new(Sources {
-        obs: Arc::clone(obs),
-        status: Arc::clone(node.status()),
-        tcp: Arc::clone(tcp),
-    });
-    let scalars = |rows: &[Row]| {
-        for &(name, help, ref sample) in rows {
-            let s = Arc::clone(&src);
-            match *sample {
-                Counter(read) => r.counter_fn(name, help, vec![], move || read(&s)),
-                Gauge(read) => r.gauge_fn(name, help, vec![], move || read(&s)),
-                Summary(hist) => r.histogram_shared(name, help, vec![], Arc::clone(hist(obs))),
-            }
-        }
-    };
-    scalars(MEMBERSHIP);
-    // The installed view (paper §3.4), one 0/1 row per node id: exact,
-    // where a node set rendered as one f64 would not be.
-    let sets = [
-        (
-            "hermes_view_member",
-            "Whether the peer is a member of the installed view (0/1).",
-            false,
-        ),
-        (
-            "hermes_view_shadow",
-            "Whether the peer is a shadow of the installed view (0/1).",
-            true,
-        ),
-    ];
-    for (name, help, shadows) in sets {
-        for peer in 0..peers as u32 {
-            let status = Arc::clone(node.status());
-            let labels = vec![("peer", peer.to_string())];
-            r.gauge_fn(name, help, labels, move || {
-                let set = if shadows {
-                    status.shadows()
-                } else {
-                    status.members()
-                };
-                set.contains(NodeId(peer)) as u64
-            });
-        }
+/// Adds the transport's rows to a node's registry, read live from `tcp`
+/// at each render.
+fn register_tcp(r: &Registry, tcp: &Arc<TcpStats>) {
+    for (name, help, read) in TCP_COUNTERS {
+        let tcp = Arc::clone(tcp);
+        r.counter_fn(name, help, vec![], move || read(&tcp));
     }
-
-    // Worker lanes: op throughput, ingress demux, op latency, slow ops.
-    for lane in 0..obs.lane_ops.len() {
-        let o = Arc::clone(obs);
-        r.counter_fn(
-            "hermes_lane_ops_total",
-            "Client operations handled per worker lane.",
-            vec![("lane", lane.to_string())],
-            move || o.lane_ops[lane].load(Ordering::Relaxed),
-        );
-        let o = Arc::clone(obs);
-        r.counter_fn(
-            "hermes_lane_ingress_total",
-            "Peer messages each worker lane read off its own links.",
-            vec![("lane", lane.to_string())],
-            move || o.lane_ingress[lane].load(Ordering::Relaxed),
-        );
-    }
-    for (lane, h) in obs.lane_latency.iter().enumerate() {
-        r.histogram_shared(
-            "hermes_op_latency_us",
-            "Client-op latency per worker lane (us, issue to reply release).",
-            vec![("lane", lane.to_string())],
-            Arc::clone(h),
-        );
-    }
-    for lane in 0..obs.lane_traces.len() {
-        let o = Arc::clone(obs);
-        r.counter_fn(
-            "hermes_slow_ops_total",
-            "Ops captured over the slow-op trace threshold per lane.",
-            vec![("lane", lane.to_string())],
-            move || o.lane_traces[lane].slow_total(),
-        );
-    }
-
-    // Client plane: the sessions each poller shard owns.
-    for shard in 0..obs.shard_sessions.len() {
-        let o = Arc::clone(obs);
-        r.gauge_fn(
-            "hermes_shard_sessions",
-            "Remote client sessions open per poller shard.",
-            vec![("shard", shard.to_string())],
-            move || o.shard_sessions[shard].load(Ordering::Relaxed),
-        );
-    }
-
-    scalars(SCALARS);
-    r
+    let tcp = Arc::clone(tcp);
+    r.gauge_fn(
+        "hermes_tcp_egress_backlog_bytes",
+        "Bytes queued in peer outboxes waiting for their sockets.",
+        vec![],
+        move || tcp.egress_backlog_bytes(),
+    );
 }
 
 /// Asks the replica daemon at `addr` (its client port) to shut down
@@ -766,8 +519,10 @@ mod tests {
     use super::*;
     use crate::remote::RemoteChannel;
     use crate::session::{ClientSession, LaneChannel, TxnResult};
+    use crate::ThreadCluster;
     use hermes_common::{ClientId, TxnOp};
     use hermes_wings::CreditConfig;
+    use std::collections::BTreeSet;
 
     /// A replica that is not serving answers every sub-operation
     /// `NotOperational`, so the one transaction driver stops in doubt —
@@ -775,6 +530,11 @@ mod tests {
     /// finds the same.
     /// A lone joiner: it has nobody to admit it, so it never serves.
     fn lone_joiner() -> NodeRuntime {
+        one_node(true)
+    }
+
+    /// A one-node daemon with live membership, two lanes and one poller.
+    fn one_node(join: bool) -> NodeRuntime {
         let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
         NodeRuntime::serve(NodeOptions {
             node: NodeId(0),
@@ -786,10 +546,35 @@ mod tests {
             tcp: TcpConfig::default(),
             run_for: None,
             membership: Some(RmConfig::wall_clock()),
-            join: true,
+            join,
             metrics_dump: None,
         })
         .unwrap()
+    }
+
+    /// Both deployment shapes report through the node's one registry: a
+    /// `ThreadCluster` replica's exposition is valid and carries every
+    /// family a one-node daemon exports, with the same type, except the
+    /// TCP transport's.
+    #[test]
+    fn a_thread_cluster_node_exports_every_daemon_family_but_the_transports() {
+        let families = |text: &str| -> BTreeSet<String> {
+            let types = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+            types.map(str::to_owned).collect()
+        };
+        let runtime = one_node(false);
+        let daemon = families(&runtime.metrics_text());
+        runtime.shutdown();
+        let (tcp, expected): (BTreeSet<_>, BTreeSet<_>) = daemon
+            .into_iter()
+            .partition(|f| f.starts_with("hermes_tcp_"));
+        assert_eq!(tcp.len(), 11, "{tcp:?}");
+
+        let cluster = ThreadCluster::start(1, ProtocolConfig::default());
+        let text = cluster.metrics_text(0);
+        hermes_obs::validate_exposition(&text).unwrap();
+        assert_eq!(families(&text), expected, "{text}");
+        cluster.shutdown();
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::node::MAX_CLIENT_FRAME;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{ClientId, NodeId, OpId, Reply};
 use hermes_net::{Interest, PollEvent, Poller, Waker};
-use hermes_obs::{obs_warn, Histogram, Registry};
+use hermes_obs::{obs_warn, Histogram};
 use hermes_store::Store;
 use hermes_wings::client::{self as rpc, Request, ServerFrame};
 use hermes_wings::{CreditConfig, CreditFlow};
@@ -356,19 +356,23 @@ pub(crate) struct ClientPlane {
 
 impl ClientPlane {
     /// Starts the plane over an already-bound client listener: `pollers`
-    /// shard threads, one per session gauge of `obs`.
-    #[allow(clippy::too_many_arguments)]
+    /// shard threads, one per session gauge of `obs`. The listener's
+    /// accept queue is deepened to the plane's fd budget
+    /// ([`listen_backlog`]).
     pub(crate) fn start(
         listener: TcpListener,
         lanes: Lanes,
         pollers: usize,
         shutdown: Arc<AtomicBool>,
-        registry: Arc<Registry>,
         obs: Arc<NodeObs>,
         store: Arc<Store>,
         status: Arc<MembershipStatus>,
     ) -> io::Result<ClientPlane> {
         listener.set_nonblocking(true)?;
+        let fd_budget = nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM));
+        if let Some(budget) = fd_budget {
+            listen_backlog(&listener, budget)?;
+        }
         let stop = Arc::new(AtomicBool::new(false));
         debug_assert_eq!(pollers, obs.shard_sessions.len());
         let mut prepared = Vec::with_capacity(pollers);
@@ -397,7 +401,7 @@ impl ClientPlane {
                 waker,
                 inbox,
                 listener: if i == 0 { listener.take() } else { None },
-                fd_budget: nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM)),
+                fd_budget,
                 accept_paused: false,
                 peers: shards.clone(),
                 next_assign: i,
@@ -408,7 +412,6 @@ impl ClientPlane {
                 lanes: lanes.clone(),
                 stop: Arc::clone(&stop),
                 shutdown: Arc::clone(&shutdown),
-                registry: Arc::clone(&registry),
                 obs: Arc::clone(&obs),
                 rdbuf: vec![0u8; READ_CHUNK],
                 store: Arc::clone(&store),
@@ -488,13 +491,11 @@ struct Shard {
     lanes: Lanes,
     stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
-    /// The runtime's metrics registry: its rendering answers the metrics
-    /// RPC.
-    registry: Arc<Registry>,
     /// Node-wide observability state: this shard's open sessions, the
-    /// accept / decode / drain / stall counts and timings it records, and
-    /// the trace rings the traces RPC drains (each scrape sees each span
-    /// exactly once).
+    /// accept / decode / drain / stall counts and timings it records, the
+    /// registry whose rendering answers the metrics RPC, and the trace
+    /// rings the traces RPC drains (each scrape sees each span exactly
+    /// once).
     obs: Arc<NodeObs>,
     rdbuf: Vec<u8>,
     /// The node's seqlock mirror and the serving gate in front of it, which
@@ -623,7 +624,7 @@ impl Shard {
         };
         let _ = self.poller.deregister(l.as_raw_fd());
         self.accept_paused = true;
-        NodeObs::bump(&self.obs.accept_stalls, 1);
+        self.obs.accept_stalls.inc();
         obs_warn!(
             "replica::poller",
             "{} open sessions reached the fd budget ({:?}); pausing accept",
@@ -676,8 +677,8 @@ impl Shard {
                 parked_at: None,
             },
         );
-        NodeObs::bump(&self.obs.accepts, 1);
-        NodeObs::bump(&self.obs.shard_sessions[self.index], 1);
+        self.obs.accepts.inc();
+        self.obs.shard_sessions[self.index].inc();
     }
 
     fn session_io(&mut self, token: u64, ev: PollEvent) {
@@ -713,7 +714,7 @@ impl Shard {
             match request {
                 Request::Op { seq, key, cop } => {
                     if !cop.is_update() {
-                        NodeObs::bump(&self.obs.mirror_read_fallbacks, 1);
+                        self.obs.mirror_read_fallbacks.inc();
                     }
                     let sink = ClientSink::Poller(self.peers[self.index].clone());
                     if !self.lanes.op(OpId::new(client, seq), key, cop, sink) {
@@ -724,7 +725,7 @@ impl Shard {
                     }
                 }
                 Request::Metrics { seq } => {
-                    reply(ServerFrame::Metrics(seq, self.registry.render()));
+                    reply(ServerFrame::Metrics(seq, self.obs.registry.render()));
                 }
                 Request::Traces { seq } => {
                     reply(ServerFrame::Traces(seq, self.obs.drain_spans()));
@@ -779,7 +780,7 @@ impl Shard {
                 if recording {
                     if sess.interest.read && !want.read {
                         sess.parked_at = Some(Instant::now());
-                        NodeObs::bump(&self.obs.read_parks, 1);
+                        self.obs.read_parks.inc();
                     } else if !sess.interest.read && want.read {
                         record_since(&self.obs.credit_stall_us, sess.parked_at.take());
                     }
@@ -799,7 +800,7 @@ impl Shard {
         if let Some(sess) = self.sessions.remove(&token) {
             let _ = self.poller.deregister(sess.stream.as_raw_fd());
             self.by_client.remove(&sess.client.0);
-            self.obs.shard_sessions[self.index].fetch_sub(1, Ordering::Relaxed);
+            self.obs.shard_sessions[self.index].dec();
             self.lanes.drop_client(sess.client);
         }
     }
@@ -836,6 +837,25 @@ fn nofile_limit() -> Option<u64> {
         Some(r.cur)
     } else {
         None
+    }
+}
+
+/// Listens on the bound `listener` again, with room for `backlog`
+/// connections not yet accepted; the kernel clamps it to
+/// `net.core.somaxconn`. std listens with a backlog of 128, and a fleet
+/// that connects faster than shard 0 accepts overflows that: each
+/// overflowed connect waits out a one-second SYN retransmit.
+fn listen_backlog(listener: &TcpListener, backlog: u64) -> io::Result<()> {
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    let backlog = backlog.min(i32::MAX as u64) as i32;
+    // SAFETY: listen(2) on the socket the listener owns; on a socket that
+    // already listens it only resizes the accept queue.
+    if unsafe { listen(listener.as_raw_fd(), backlog) } == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
     }
 }
 
@@ -1262,7 +1282,6 @@ mod tests {
             Lanes::new(vec![(lane, Wait::new().unwrap().waker())]),
             1,
             Arc::new(AtomicBool::new(false)),
-            Arc::new(Registry::new()),
             Arc::clone(&obs),
             Arc::new(Store::new(StoreConfig::default())),
             Arc::new(MembershipStatus::new(

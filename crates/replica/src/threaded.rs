@@ -198,15 +198,12 @@ impl ThreadCluster {
         self.nodes[node].lane_ingress()
     }
 
-    /// Live client cache subscriptions registered at replica `node`.
-    pub fn subscriptions(&self, node: usize) -> u64 {
-        self.nodes[node].subscriptions()
-    }
-
-    /// Push events replica `node` has sent to client sessions since start
-    /// (invalidations, subscription acks, flushes).
-    pub fn pushes(&self, node: usize) -> u64 {
-        self.nodes[node].pushes()
+    /// Replica `node`'s metrics exposition: the text a `hermesd` serves
+    /// through its `Metrics` RPC
+    /// ([`NodeRuntime::metrics_text`](crate::NodeRuntime::metrics_text)),
+    /// less the TCP transport's `hermes_tcp_*` rows.
+    pub fn metrics_text(&self, node: usize) -> String {
+        self.nodes[node].metrics_text()
     }
 
     /// Drains every captured trace span (slow ops and sampled ops) from

@@ -9,7 +9,7 @@
 #[path = "support/cluster.rs"]
 mod cluster;
 
-use cluster::{membership_cluster, wait_until};
+use cluster::{membership_cluster, sum, wait_until};
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
 use hermes::model::observe;
 use hermes::prelude::*;
@@ -28,7 +28,8 @@ fn repeat_reads_hit_the_cache_and_skip_the_replica() {
     let mut session = cluster.session(0);
     assert!(session.subscribe(Key(7)));
     assert!(session.is_subscribed(Key(7)));
-    assert_eq!(cluster.subscriptions(0), 1);
+    let subscriptions = || sum(&cluster.metrics_text(0), "hermes_cache_subscriptions");
+    assert_eq!(subscriptions(), 1.0);
 
     // First read misses and fills.
     let t = session.read(Key(7));
@@ -48,7 +49,7 @@ fn repeat_reads_hit_the_cache_and_skip_the_replica() {
     // Unsubscribing discards the entry and stops caching.
     assert!(session.unsubscribe(Key(7)));
     assert_eq!(session.cached_entries(), 0);
-    assert_eq!(cluster.subscriptions(0), 0);
+    assert_eq!(subscriptions(), 0.0);
     drop(session);
     cluster.shutdown();
 }
@@ -75,7 +76,7 @@ fn a_write_elsewhere_invalidates_before_its_effects_are_visible() {
     let t = reader.read(Key(3));
     assert_eq!(reader.wait(t), Reply::ReadOk(Value::from_u64(2)));
     assert!(reader.cache_invalidations() >= 1);
-    assert!(cluster.pushes(0) > 0);
+    assert!(sum(&cluster.metrics_text(0), "hermes_cache_pushes_total") > 0.0);
 
     // The miss refilled the cache with the new value.
     let t = reader.read(Key(3));

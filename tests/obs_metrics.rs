@@ -71,42 +71,59 @@ fn metrics_rpc_exposes_live_histograms() {
         "a sample escaped the node base label:\n{text}"
     );
     // Everything a replica reports about itself is here: the view and
-    // serving state, per-lane and per-shard counts among the rest.
-    for family in [
-        "hermes_view_epoch",
-        "hermes_serving",
-        "hermes_synced",
-        "hermes_view_member",
-        "hermes_view_shadow",
-        "hermes_lane_ops_total",
-        "hermes_lane_ingress_total",
-        "hermes_shard_sessions",
-        "hermes_cache_subscriptions",
-        "hermes_accept_stalls_total",
-        "hermes_invalidations_sent_total",
-        "hermes_invalidation_acks_total",
-        "hermes_validations_sent_total",
-        "hermes_view_changes_total",
-        "hermes_cache_pushes_total",
-        "hermes_cache_push_acks_total",
-        "hermes_cache_holds_released_total",
-        "hermes_open_sessions",
-        "hermes_accepts_total",
-        "hermes_mirror_reads_total",
-        "hermes_mirror_read_fallbacks_total",
-        "hermes_poller_decode_us_count",
-        "hermes_tcp_dials_total",
-        "hermes_tcp_accepts_total",
-        "hermes_tcp_disconnects_total",
-        "hermes_tcp_frames_sent_total",
-        "hermes_tcp_frames_received_total",
-        "hermes_tcp_frames_dropped_total",
-        "hermes_tcp_bytes_sent_total",
-        "hermes_tcp_bytes_received_total",
-        "hermes_tcp_writes_inline_total",
-        "hermes_tcp_writes_deferred_total",
-        "hermes_tcp_egress_backlog_bytes",
+    // serving state, per-lane and per-shard counts among the rest — each
+    // family under one `# TYPE` line, of the type it has always had.
+    for (family, kind) in [
+        ("hermes_view_epoch", "gauge"),
+        ("hermes_serving", "gauge"),
+        ("hermes_synced", "gauge"),
+        ("hermes_view_member", "gauge"),
+        ("hermes_view_shadow", "gauge"),
+        ("hermes_lane_ops_total", "counter"),
+        ("hermes_lane_ingress_total", "counter"),
+        ("hermes_shard_sessions", "gauge"),
+        ("hermes_cache_subscriptions", "gauge"),
+        ("hermes_accept_stalls_total", "counter"),
+        ("hermes_invalidations_sent_total", "counter"),
+        ("hermes_invalidation_acks_total", "counter"),
+        ("hermes_validations_sent_total", "counter"),
+        ("hermes_view_changes_total", "counter"),
+        ("hermes_cache_pushes_total", "counter"),
+        ("hermes_cache_push_acks_total", "counter"),
+        ("hermes_cache_holds_released_total", "counter"),
+        ("hermes_open_sessions", "gauge"),
+        ("hermes_accepts_total", "counter"),
+        ("hermes_mirror_reads_total", "counter"),
+        ("hermes_mirror_read_fallbacks_total", "counter"),
+        ("hermes_poller_decode_us", "summary"),
+        ("hermes_tcp_dials_total", "counter"),
+        ("hermes_tcp_accepts_total", "counter"),
+        ("hermes_tcp_disconnects_total", "counter"),
+        ("hermes_tcp_frames_sent_total", "counter"),
+        ("hermes_tcp_frames_received_total", "counter"),
+        ("hermes_tcp_frames_dropped_total", "counter"),
+        ("hermes_tcp_bytes_sent_total", "counter"),
+        ("hermes_tcp_bytes_received_total", "counter"),
+        ("hermes_tcp_writes_inline_total", "counter"),
+        ("hermes_tcp_writes_deferred_total", "counter"),
+        ("hermes_tcp_egress_backlog_bytes", "gauge"),
+        ("hermes_credit_parks_total", "counter"),
+        ("hermes_credit_stall_us", "summary"),
+        ("hermes_engine_resident_keys", "gauge"),
+        ("hermes_op_latency_us", "summary"),
+        ("hermes_poller_write_us", "summary"),
+        ("hermes_slow_ops_total", "counter"),
+        ("hermes_sync_bytes_total", "counter"),
+        ("hermes_sync_chunks_total", "counter"),
+        ("hermes_view_change_outage_us", "summary"),
+        ("hermes_view_change_outages_total", "counter"),
     ] {
+        let header = format!("# TYPE {family} ");
+        let typed: Vec<_> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix(&header))
+            .collect();
+        assert_eq!(typed, [kind], "family {family}'s TYPE lines");
         assert!(
             !samples(&text, family).is_empty(),
             "family {family} missing from exposition"

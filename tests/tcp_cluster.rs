@@ -68,8 +68,10 @@ fn connection_kill_mid_run_surfaces_reconnects_and_stays_linearizable() {
     let (cluster, senders) = tcp_cluster(3, 2);
     let cluster = Arc::new(cluster);
 
-    // Warm the links so there is a live node0→node1 connection to kill.
-    assert_eq!(cluster.write(0, Key(0), Value::from_u64(1)), Reply::WriteOk);
+    // Warm the links so there is a live node0→node1 connection to kill,
+    // on a key the sessions never touch: the history does not record this
+    // write, so a session reading its value would look unlinearizable.
+    assert_eq!(cluster.write(0, Key(KEYS), Value::EMPTY), Reply::WriteOk);
     let dials_before = senders[0].stats().dials();
     assert!(dials_before >= 1, "warm-up dialed peers");
 
