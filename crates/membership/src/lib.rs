@@ -11,13 +11,13 @@
 //!   promise / accept / accepted) used to decide each new view;
 //! * [`RmNode`] — the per-replica membership agent: heartbeats, a timeout
 //!   failure detector, majority-quorum leases, lease-expiry-gated
-//!   reconfiguration proposals, and view dissemination. Sans-io like every
-//!   protocol core in this workspace: it consumes ticks and messages and
-//!   emits [`RmEffect`]s;
-//! * [`MembershipDriver`] — the same agent anchored to the wall clock for
-//!   the threaded/TCP runtime, plus the join state machine a restarted
-//!   replica uses to re-enter the group (shadow admission → bulk catch-up
-//!   → promotion);
+//!   reconfiguration proposals, view dissemination, and the join a
+//!   restarted replica makes to re-enter the group (shadow admission →
+//!   bulk catch-up → promotion). Sans-io like every protocol core in this
+//!   workspace: it consumes ticks, messages and catch-up marks, each at a
+//!   virtual time its host supplies — the simulator's clock, or a
+//!   replica's wall clock read by the lane that hosts it — and emits
+//!   [`RmEffect`]s;
 //! * [`wire`] — the byte layout [`RmMsg`]s use when travelling as Wings
 //!   control frames over real transports.
 //!
@@ -42,11 +42,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod driver;
 mod paxos;
 mod rm;
 pub mod wire;
 
-pub use driver::MembershipDriver;
 pub use paxos::{AcceptorState, Ballot, Paxos, PaxosMsg};
 pub use rm::{RmConfig, RmEffect, RmMsg, RmNode};

@@ -1,7 +1,7 @@
 use crate::paxos::{AcceptorState, Ballot, Paxos, PaxosMsg};
 use hermes_common::{Epoch, MembershipView, NodeId, NodeSet};
 use hermes_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Timing parameters of the reliable-membership service.
 ///
@@ -31,12 +31,11 @@ impl Default for RmConfig {
 }
 
 impl RmConfig {
-    /// Timings for the *wall-clock* deployment ([`MembershipDriver`]): the
-    /// threaded runtime ticks the agent from its pump loop (≤ ~25 ms
-    /// cadence), so heartbeats land coarser than the simulator's and the
-    /// lease must tolerate a few missed wakeups without flapping.
-    ///
-    /// [`MembershipDriver`]: crate::MembershipDriver
+    /// Timings for the *wall-clock* deployment: a replica's lane 0 steps
+    /// the agent with its own loop's clock reading, at least every 25 ms
+    /// (the loop's longest sleep), so heartbeats land coarser than the
+    /// simulator's and the lease must tolerate a few missed wakeups
+    /// without flapping.
     pub fn wall_clock() -> Self {
         RmConfig {
             heartbeat_interval: SimDuration::millis(20),
@@ -83,6 +82,10 @@ pub enum RmEffect {
     /// protocol (`HermesNode::on_membership_update` or a baseline's
     /// equivalent).
     InstallView(MembershipView),
+    /// This shadow asks the given member to stream it the replicated
+    /// state (bulk catch-up, paper §3.4); each of the source's lanes ends
+    /// its stream with a mark fed to [`RmNode::on_sync_mark`].
+    SyncRequest(NodeId),
 }
 
 /// The membership agent running next to each replica (paper §2.4, §3.4).
@@ -96,7 +99,11 @@ pub enum RmEffect {
 /// * after a member has been silent past the failure timeout *and* its
 ///   lease has provably expired, propose a view without it via single-decree
 ///   Paxos among the current members (majority quorum);
-/// * learn and disseminate decided views.
+/// * learn and disseminate decided views;
+/// * re-admit a node that started outside the view (a restarted replica,
+///   paper §3.4 *Recovery*): it asks to join as a shadow, requests bulk
+///   catch-up once admitted, and asks for promotion once every lane of the
+///   sync source has reported done. It serves only after all three.
 #[derive(Debug)]
 pub struct RmNode {
     me: NodeId,
@@ -125,12 +132,30 @@ pub struct RmNode {
     /// [`REJOIN_MARK_STALE_HEARTBEATS`], long before it could evict the
     /// healthy member.
     rejoining: BTreeMap<NodeId, (SimTime, SimTime)>,
+    /// Whether this node started outside the group and has not finished
+    /// joining it.
+    joining: bool,
+    /// Whether shadow bulk catch-up completed (true for founding members).
+    synced: bool,
+    last_join: Option<SimTime>,
+    last_sync_request: Option<SimTime>,
+    /// Lanes of the sync source that finished streaming to this shadow,
+    /// and the lane count their marks announced.
+    marks: BTreeSet<u32>,
+    lanes_expected: Option<u32>,
 }
+
+/// A joiner re-sends its `Join` every this many heartbeat intervals.
+const JOIN_RETRY_HEARTBEATS: u64 = 4;
+
+/// A shadow re-requests its bulk catch-up after this long without
+/// completing it (lost chunks re-stream; installs are idempotent by
+/// timestamp).
+const SYNC_RETRY: SimDuration = SimDuration::millis(250);
 
 /// Without a refreshing `Join` for this many heartbeat intervals, a
 /// blank-restart mark is dropped as a stale one-off. Joiners re-send every
-/// 4 intervals (`MembershipDriver`), so two misses mean the sender stopped
-/// asking.
+/// [`JOIN_RETRY_HEARTBEATS`], so two misses mean the sender stopped asking.
 const REJOIN_MARK_STALE_HEARTBEATS: u64 = 8;
 
 /// A blank-restart mark must be continuously sustained (kept refreshed)
@@ -140,8 +165,12 @@ const REJOIN_MARK_STALE_HEARTBEATS: u64 = 8;
 const REJOIN_SUSTAIN_HEARTBEATS: u64 = 12;
 
 impl RmNode {
-    /// Creates an agent for `me` starting from `view` at time `now`.
+    /// Creates an agent for `me` starting from `view` at time `now`. A
+    /// view that does not list `me` as a member makes it a joiner: it
+    /// serves nothing until it has been admitted as a shadow, caught up
+    /// and promoted.
     pub fn new(me: NodeId, view: MembershipView, cfg: RmConfig, now: SimTime) -> Self {
+        let joining = !view.members.contains(me);
         let mut last_heard = BTreeMap::new();
         for n in view.ack_set() {
             last_heard.insert(n, now);
@@ -160,6 +189,12 @@ impl RmNode {
             pending_join: None,
             down_hints: NodeSet::EMPTY,
             rejoining: BTreeMap::new(),
+            joining,
+            synced: !joining,
+            last_join: None,
+            last_sync_request: None,
+            marks: BTreeSet::new(),
+            lanes_expected: None,
         }
     }
 
@@ -192,15 +227,25 @@ impl RmNode {
         fresh >= quorum
     }
 
-    /// Requests that `node` join the group as a shadow (`promote == false`)
-    /// or be promoted to full member (`promote == true`). Drives a Paxos
-    /// reconfiguration on the next tick.
-    pub fn request_join(&mut self, node: NodeId, promote: bool) {
-        self.pending_join = Some((node, promote));
+    /// Whether this node may serve client requests at `now`: full member
+    /// of the current view, holding a valid lease (paper §3.4 — a minority
+    /// partition loses its lease and stops serving), *and* caught up. The
+    /// last matters only for joiners: a blank-restarted node that a race
+    /// left listed as a member must never serve its empty store, however
+    /// the view reads.
+    pub fn serving(&self, now: SimTime) -> bool {
+        self.view.is_serving(self.me) && self.lease_valid(now) && self.synced
+    }
+
+    /// Whether shadow bulk catch-up has completed (true for founding
+    /// members).
+    pub fn synced(&self) -> bool {
+        self.synced
     }
 
     /// Periodic driver: heartbeats, failure detection, lease-gated
-    /// reconfiguration proposals and proposer retries.
+    /// reconfiguration proposals and proposer retries, and a joiner's
+    /// admission, catch-up and promotion requests.
     ///
     /// Call roughly every [`RmConfig::heartbeat_interval`].
     pub fn on_tick(&mut self, now: SimTime, fx: &mut Vec<RmEffect>) {
@@ -274,6 +319,60 @@ impl RmNode {
                 fx.push(RmEffect::Broadcast(RmMsg::Paxos(prepare)));
                 self.self_deliver_prepare(fx);
             }
+        }
+        if self.joining {
+            self.drive_join(now, fx);
+        }
+    }
+
+    /// A joiner's side of recovery (paper §3.4): outside the group it asks
+    /// for shadow admission, as a shadow it (re-)requests bulk catch-up
+    /// from the lowest member until synced, then asks for promotion.
+    fn drive_join(&mut self, now: SimTime, fx: &mut Vec<RmEffect>) {
+        let me = self.me;
+        if self.view.members.contains(me) {
+            // Promoted once synced: the join is complete. Unsynced, a race
+            // listed us as a member while our store is still blank
+            // (restarted before the group noticed the crash): serve
+            // nothing, and wait for the members to remove us — our next
+            // admission request then runs the normal shadow path.
+            self.joining = !self.synced;
+            return;
+        }
+        let outside = !self.view.ack_set().contains(me);
+        if outside || self.synced {
+            let every = self.cfg.heartbeat_interval * JOIN_RETRY_HEARTBEATS;
+            if self
+                .last_join
+                .is_none_or(|at| now.saturating_since(at) >= every)
+            {
+                self.last_join = Some(now);
+                let promote = !outside;
+                fx.push(RmEffect::Broadcast(RmMsg::Join { promote }));
+            }
+        } else if self
+            .last_sync_request
+            .is_none_or(|at| now.saturating_since(at) >= SYNC_RETRY)
+        {
+            self.last_sync_request = Some(now);
+            if let Some(source) = self.view.members.min() {
+                fx.push(RmEffect::SyncRequest(source));
+            }
+        }
+    }
+
+    /// One lane of the sync source finished streaming to this shadow, out
+    /// of `lanes` lanes in all. Catch-up completes once every lane has
+    /// reported; marks announcing another lane count restart the tally.
+    pub fn on_sync_mark(&mut self, lane: u32, lanes: u32) {
+        if self.lanes_expected != Some(lanes) {
+            self.marks.clear();
+            self.lanes_expected = Some(lanes);
+        }
+        self.marks.insert(lane);
+        let shadow = self.view.shadows.contains(self.me);
+        if shadow && self.marks.len() as u32 >= lanes {
+            self.synced = true;
         }
     }
 
@@ -591,6 +690,8 @@ mod tests {
                         }
                     }
                     RmEffect::InstallView(v) => self.installed.push((me, v)),
+                    // No data plane to catch up from.
+                    RmEffect::SyncRequest(_) => {}
                 }
             }
         }
@@ -741,15 +842,15 @@ mod tests {
         for n in net.nodes.iter_mut() {
             *n = RmNode::new(n.node_id(), view, cfg, SimTime::ZERO);
         }
-        net.tick_all(ms(0));
-        net.nodes[0].request_join(NodeId(3), false);
+        // Its first tick broadcasts `Join { promote: false }`.
         for t in (0..200).step_by(10) {
             net.tick_all(ms(t));
         }
         assert!(net.nodes[0].view().shadows.contains(NodeId(3)));
         assert_eq!(net.nodes[0].view().epoch, Epoch(1));
-        // Promote after catch-up.
-        net.nodes[0].request_join(NodeId(3), true);
+        // Promote after catch-up: the only lane of its source reported, so
+        // its next tick broadcasts `Join { promote: true }`.
+        net.nodes[3].on_sync_mark(0, 1);
         for t in (200..400).step_by(10) {
             net.tick_all(ms(t));
         }
@@ -836,8 +937,8 @@ mod tests {
 
     #[test]
     fn join_message_drives_shadow_admission_then_promotion() {
-        // The over-the-wire join path (threaded runtime): the joiner sends
-        // RmMsg::Join rather than any member calling request_join.
+        // The over-the-wire join path: the member acts on the joiner's
+        // RmMsg::Join alone.
         let cfg = RmConfig::default();
         let view = MembershipView::initial(3);
         let mut net = Net::new(4, cfg);
@@ -901,9 +1002,9 @@ mod tests {
             shadows: NodeSet::EMPTY,
         };
         net.nodes[2] = RmNode::new(NodeId(2), boot, cfg, ms(50));
-        // Like the driver's join machine, it re-broadcasts its admission
-        // request on a cadence; sustained requests (not any single one)
-        // are what drive the removal.
+        // A joiner re-broadcasts its admission request on a cadence (and
+        // the test adds more); sustained requests (not any single one) are
+        // what drive the removal.
         let send_join = |net: &mut Net, t: u64, promote: bool| {
             for member in 0..2usize {
                 let mut fx = Vec::new();
@@ -925,11 +1026,13 @@ mod tests {
         assert_eq!(net.nodes[0].view().epoch, Epoch(1), "must remove first");
         assert!(!net.nodes[0].view().members.contains(NodeId(2)));
         // The restarted node was only re-taught the view *after* its
-        // removal (its stale heartbeats get answered once unmarked)...
+        // removal (its stale heartbeats get answered once unmarked): the
+        // first view it installs is the one without it...
         for step in (t..t + 60).step_by(10) {
             net.tick_all(ms(step));
         }
-        assert_eq!(net.nodes[2].view().epoch, Epoch(1));
+        let taught = net.installed.iter().find(|(n, _)| *n == NodeId(2));
+        assert_eq!(taught.map(|(_, v)| v.epoch), Some(Epoch(1)));
         // ...and its next requests run the normal join path: shadow, then
         // (after catch-up) promotion.
         send_join(&mut net, t + 60, false);
@@ -1011,6 +1114,199 @@ mod tests {
         assert!(
             !net.nodes[0].lease_valid(ms(1000)),
             "survivors lose their leases"
+        );
+    }
+
+    fn joiner_view(n: usize, me: NodeId) -> MembershipView {
+        let v = MembershipView::initial(n);
+        MembershipView {
+            epoch: v.epoch,
+            members: v.members.without(me),
+            shadows: NodeSet::EMPTY,
+        }
+    }
+
+    fn joins(fx: &[RmEffect]) -> Vec<bool> {
+        let join = |e: &RmEffect| match e {
+            RmEffect::Broadcast(RmMsg::Join { promote }) => Some(*promote),
+            _ => None,
+        };
+        fx.iter().filter_map(join).collect()
+    }
+
+    #[test]
+    fn a_joiner_is_admitted_catches_up_and_is_promoted_on_hand_advanced_time() {
+        let cfg = RmConfig::default();
+        let me = NodeId(2);
+        let mut rm = RmNode::new(me, joiner_view(3, me), cfg, SimTime::ZERO);
+        let tick = |rm: &mut RmNode, t: u64| {
+            let mut fx = Vec::new();
+            rm.on_tick(ms(t), &mut fx);
+            fx
+        };
+        let mut fx = Vec::new();
+        let sync = RmEffect::SyncRequest(NodeId(0));
+        // 1. Outside the group: admission asked every 4 heartbeats (40 ms).
+        assert_eq!(joins(&tick(&mut rm, 0)), [false]);
+        assert!(joins(&tick(&mut rm, 30)).is_empty());
+        assert_eq!(joins(&tick(&mut rm, 40)), [false]);
+        assert!(!rm.serving(ms(40)));
+        // 2. The group admits it as a shadow.
+        let shadow_view = joiner_view(3, me).with_shadow(me);
+        rm.on_message(NodeId(0), RmMsg::Decided(shadow_view), ms(50), &mut fx);
+        assert!(fx.contains(&RmEffect::InstallView(shadow_view)));
+        // 3. Catch-up is requested from the lowest member, and requested
+        //    again 250 ms later while a lane's mark is missing; a mark
+        //    announcing another lane count restarts the tally.
+        let fx60 = tick(&mut rm, 60);
+        assert!(fx60.contains(&sync) && joins(&fx60).is_empty(), "{fx60:?}");
+        rm.on_sync_mark(0, 3);
+        rm.on_sync_mark(1, 2);
+        assert!(!rm.synced());
+        assert!(!tick(&mut rm, 300).contains(&sync), "re-asked too early");
+        let fx310 = tick(&mut rm, 310);
+        assert!(
+            fx310.contains(&sync) && joins(&fx310).is_empty(),
+            "{fx310:?}"
+        );
+        // 4. Every lane reported: promotion is asked for, catch-up is not.
+        rm.on_sync_mark(0, 2);
+        assert!(rm.synced());
+        let fx320 = tick(&mut rm, 320);
+        assert_eq!(joins(&fx320), [true]);
+        assert!(!fx320.contains(&sync));
+        assert!(!rm.serving(ms(320)), "a shadow does not serve");
+        // 5. Promoted: it serves, and asks for nothing more.
+        let member_view = shadow_view.with_promoted(me);
+        rm.on_message(NodeId(0), RmMsg::Decided(member_view), ms(330), &mut fx);
+        assert!(rm.serving(ms(330)));
+        let after = tick(&mut rm, 400);
+        assert!(joins(&after).is_empty() && !after.contains(&sync));
+    }
+
+    #[test]
+    fn joiner_requests_shadow_admission_on_a_cadence() {
+        let cfg = RmConfig::default();
+        let me = NodeId(2);
+        let mut d = RmNode::new(me, joiner_view(3, me), cfg, SimTime::ZERO);
+        let mut fx = Vec::new();
+        d.on_tick(ms(0), &mut fx);
+        assert!(
+            fx.contains(&RmEffect::Broadcast(RmMsg::Join { promote: false })),
+            "first tick asks to join: {fx:?}"
+        );
+        // Not re-asked before the retry window elapses.
+        fx.clear();
+        d.on_tick(ms(10), &mut fx);
+        assert!(!fx
+            .iter()
+            .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { .. }))));
+        // Re-asked after it.
+        fx.clear();
+        d.on_tick(
+            ms(10 + cfg.heartbeat_interval.as_nanos() / 1_000_000 * JOIN_RETRY_HEARTBEATS),
+            &mut fx,
+        );
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { promote: false }))));
+    }
+
+    #[test]
+    fn shadow_requests_promotion_only_after_sync() {
+        let cfg = RmConfig::default();
+        let me = NodeId(2);
+        let mut d = RmNode::new(me, joiner_view(3, me), cfg, SimTime::ZERO);
+        let mut fx = Vec::new();
+        // The group admits us as a shadow (learned via Decided).
+        let shadow_view = joiner_view(3, me).with_shadow(me);
+        d.on_message(NodeId(0), RmMsg::Decided(shadow_view), ms(0), &mut fx);
+        assert_eq!(d.view().epoch, Epoch(1));
+        assert!(!d.synced(), "fresh shadow must bulk-sync");
+        fx.clear();
+        d.on_tick(ms(100), &mut fx);
+        assert!(
+            !fx.iter()
+                .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { .. }))),
+            "no requests while catch-up runs: {fx:?}"
+        );
+        // Catch-up completes: promotion requested.
+        d.on_sync_mark(0, 1);
+        assert!(d.synced());
+        fx.clear();
+        d.on_tick(ms(200), &mut fx);
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { promote: true }))));
+        // Promotion decided: the join state machine retires.
+        fx.clear();
+        d.on_message(
+            NodeId(0),
+            RmMsg::Decided(shadow_view.with_promoted(me)),
+            ms(300),
+            &mut fx,
+        );
+        assert!(fx.contains(&RmEffect::InstallView(shadow_view.with_promoted(me))));
+        fx.clear();
+        d.on_tick(ms(400), &mut fx);
+        assert!(!fx
+            .iter()
+            .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { .. }))));
+    }
+
+    #[test]
+    fn prematurely_admitted_blank_joiner_never_serves_and_rejoins_after_removal() {
+        // The blank-restart race: a Decided that still lists the joiner as
+        // a full member reaches it (e.g. disseminated for an unrelated
+        // change). The joiner's store is blank, so it must not serve, must
+        // keep its join machine alive, and must re-request admission once
+        // the members remove it.
+        let cfg = RmConfig::default();
+        let me = NodeId(2);
+        let mut d = RmNode::new(me, joiner_view(3, me), cfg, SimTime::ZERO);
+        let mut fx = Vec::new();
+        let full = MembershipView {
+            epoch: Epoch(1),
+            members: NodeSet::first_n(3),
+            shadows: NodeSet::EMPTY,
+        };
+        d.on_message(NodeId(0), RmMsg::Decided(full), ms(0), &mut fx);
+        assert!(d.view().members.contains(me), "race: listed as member");
+        assert!(!d.serving(ms(0)), "blank store must never serve");
+        fx.clear();
+        d.on_tick(ms(100), &mut fx);
+        assert!(
+            !fx.iter()
+                .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { .. }))),
+            "nothing to request while waiting for removal: {fx:?}"
+        );
+        // The members notice (the Join they already processed marked us)
+        // and remove us; we re-enter the normal admission path.
+        let removed = full.without_node(me);
+        fx.clear();
+        d.on_message(NodeId(0), RmMsg::Decided(removed), ms(200), &mut fx);
+        fx.clear();
+        d.on_tick(ms(300), &mut fx);
+        assert!(
+            fx.iter()
+                .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { promote: false }))),
+            "must ask for admission again after removal: {fx:?}"
+        );
+    }
+
+    #[test]
+    fn member_serves_and_joiner_does_not() {
+        let view = MembershipView::initial(3);
+        let d = RmNode::new(NodeId(0), view, RmConfig::default(), SimTime::ZERO);
+        assert!(
+            d.serving(SimTime::ZERO),
+            "founding member serves from the start"
+        );
+        let me = NodeId(2);
+        let j = RmNode::new(me, joiner_view(3, me), RmConfig::default(), SimTime::ZERO);
+        assert!(
+            !j.serving(SimTime::ZERO),
+            "joiner must not serve before promotion"
         );
     }
 }

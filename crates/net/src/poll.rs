@@ -309,7 +309,7 @@ impl Waker {
 }
 
 /// One thread's single blocking point: a [`Poller`] with a [`Waker`] at
-/// token [`Wait::WAKE`]. Every worker lane blocks in one of these — the
+/// token `Wait::WAKE` (0). Every worker lane blocks in one of these — the
 /// waker rings for its command queue, and its links' sockets share the
 /// poller (DESIGN.md §4).
 #[derive(Debug)]

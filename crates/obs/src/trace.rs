@@ -181,7 +181,7 @@ impl Phase {
 const MAX_MARKS: usize = 8;
 
 /// One in-flight operation's phase timeline. Allocation-free: marks are
-/// stored inline (capacity [`MAX_MARKS`]; later marks are dropped, which
+/// stored inline (capacity `MAX_MARKS`, 8; later marks are dropped, which
 /// no current phase chain can reach).
 #[derive(Clone, Debug)]
 pub struct Span {

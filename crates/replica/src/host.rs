@@ -16,25 +16,26 @@
 //!   there, and the rest go to the owning lanes' queues — which happens
 //!   only when peers run different lane counts (DESIGN.md §7);
 //! * lane 0 additionally carries the [`Pump`]: control frames (membership,
-//!   shadow catch-up), connectivity events and the membership driver's
-//!   tick — the node-wide duties that need one thread, not one per lane;
+//!   shadow catch-up), connectivity events and the membership agent,
+//!   stepped with the same clock reading as the lane — the node-wide
+//!   duties that need one thread, not one per lane;
 //! * all lanes mirror committed per-key state into one shared seqlock
 //!   [`Store`], which serves cross-thread lock-free local reads (§4.1).
 
 use crate::lane::{Command, Lane, Lanes, MLT, PUMP_LANE};
-use crate::membership::{self, boot_view, MembershipOptions, MembershipStatus};
+use crate::membership::{self, boot_view, MembershipStatus};
 use crate::metrics::NodeObs;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use hermes_common::{ClientOp, Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::{HermesNode, Msg, ProtocolConfig};
-use hermes_membership::{wire, MembershipDriver, RmEffect, RmMsg};
+use hermes_membership::{wire, RmConfig, RmEffect, RmMsg, RmNode};
 use hermes_net::{Endpoint, LaneLinks, NetEvent, NetSender, Wait};
 use hermes_obs::{obs_info, obs_warn, Phase, Span, TraceSpan};
+use hermes_sim::SimTime;
 use hermes_store::{SlotState, Store, StoreConfig};
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, decode_frame};
-use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -152,10 +153,11 @@ impl Node {
     /// plane that will serve this node (0: none will).
     ///
     /// With `membership` set, lane 0's pump additionally hosts the node's
-    /// [`MembershipDriver`]: heartbeats and view agreement ride as Wings
-    /// control frames over the same transport, agreed views are installed
-    /// into every lane, and client operations are lease-gated through
-    /// [`Node::status`].
+    /// membership agent ([`RmNode`]): heartbeats and view agreement ride as
+    /// Wings control frames over the same transport, agreed views are
+    /// installed into every lane, and client operations are lease-gated
+    /// through [`Node::status`]. With `join`, the node boots outside the
+    /// group and serves only once admitted, caught up and promoted.
     ///
     /// # Errors
     ///
@@ -167,10 +169,10 @@ impl Node {
         protocol: ProtocolConfig,
         workers: usize,
         pollers: usize,
-        membership: Option<MembershipOptions>,
+        membership: Option<RmConfig>,
+        join: bool,
     ) -> io::Result<Node> {
         let me = ep.node_id();
-        let join = membership.is_some_and(|m| m.join);
         let boot = boot_view(view, me, join);
         let status = Arc::new(MembershipStatus::new(boot, boot.is_serving(me), !join));
         let waits = (0..workers).map(|_| Wait::new());
@@ -198,14 +200,9 @@ impl Node {
             );
             let pump = (index == PUMP_LANE).then(|| Pump {
                 obs: Arc::clone(&obs),
-                membership: membership.map(|m| {
-                    let driver = if m.join {
-                        MembershipDriver::joiner(me, boot, m.rm)
-                    } else {
-                        MembershipDriver::new(me, boot, m.rm)
-                    };
+                membership: membership.map(|cfg| {
                     PumpMembership::new(
-                        driver,
+                        RmNode::new(me, boot, cfg, SimTime::ZERO),
                         lanes.clone(),
                         links.sender(),
                         Arc::clone(&status),
@@ -353,7 +350,7 @@ fn inv_delay_us() -> u64 {
 /// What the lane reads itself is handled inline; then its queue, up to
 /// [`DRAIN_BATCH`] commands; then its timers and the batch flush. Idle
 /// sleeps run to the next armed timer deadline, capped at [`MLT`] so the
-/// shutdown flag stays responsive and the pump's membership driver ticks
+/// shutdown flag stays responsive and the pump's membership agent ticks
 /// finer than its heartbeat interval.
 fn lane_main<L: LaneLinks>(
     index: usize,
@@ -420,7 +417,7 @@ fn run<S: NetSender>(lane: &mut Lane<S>, pump: &mut Option<Pump<S>>, cmd: Comman
 }
 
 /// Lane 0's extra duties: the node-wide events that need exactly one
-/// thread — control frames, connectivity events, the membership driver.
+/// thread — control frames, connectivity events, the membership agent.
 struct Pump<S: NetSender> {
     obs: Arc<NodeObs>,
     membership: Option<PumpMembership<S>>,
@@ -445,7 +442,8 @@ impl<S: NetSender> Pump<S> {
                 // lease-expiry wait still guards reconfiguration).
                 self.obs.peer_downs.inc();
                 if let Some(m) = self.membership.as_mut() {
-                    m.driver.on_peer_down(peer);
+                    let at = m.at(now);
+                    m.rm.on_peer_down(peer, at);
                 }
             }
             NetEvent::PeerUp(_) => {}
@@ -453,28 +451,22 @@ impl<S: NetSender> Pump<S> {
     }
 }
 
-/// Re-request a shadow's bulk sync after this long without completing it
-/// (lost chunks re-stream; installs are idempotent by timestamp).
-const SYNC_RETRY: Duration = Duration::from_millis(250);
-
-/// The live membership subsystem as hosted on a node's pump: a
-/// [`MembershipDriver`] whose effects travel as Wings control frames over
+/// The live membership subsystem as hosted on a node's pump: the
+/// [`RmNode`] agent, stepped with the lane loop's clock reading as virtual
+/// time since `start`, whose effects travel as Wings control frames over
 /// the node's existing transport, whose agreed views are installed into
-/// every lane, and whose lease verdict gates client service through the
-/// shared [`MembershipStatus`] (DESIGN.md §5).
+/// every lane, and whose verdicts (serving, synced, view) the shared
+/// [`MembershipStatus`] mirrors (DESIGN.md §5).
 struct PumpMembership<S: NetSender> {
-    driver: MembershipDriver,
+    rm: RmNode,
+    /// The instant the agent's virtual time counts from.
+    start: Instant,
     lanes: Lanes,
     net: S,
     status: Arc<MembershipStatus>,
     rmfx: Vec<RmEffect>,
     /// Last serving verdict; a true→false edge flushes client caches.
     was_serving: bool,
-    /// Lanes of the sync source that finished streaming chunks to us.
-    marks: HashSet<u32>,
-    /// Lane count announced by the sync source's marks.
-    lanes_expected: Option<u32>,
-    last_sync_request: Option<Instant>,
     /// Node-wide observability state (view-change outage accounting).
     obs: Arc<NodeObs>,
     /// Span covering the current not-serving window, if one is open.
@@ -483,25 +475,29 @@ struct PumpMembership<S: NetSender> {
 
 impl<S: NetSender> PumpMembership<S> {
     fn new(
-        driver: MembershipDriver,
+        rm: RmNode,
         lanes: Lanes,
         net: S,
         status: Arc<MembershipStatus>,
         obs: Arc<NodeObs>,
     ) -> Self {
         PumpMembership {
-            driver,
+            rm,
+            start: Instant::now(),
             lanes,
             net,
             status,
             rmfx: Vec::new(),
             was_serving: false,
-            marks: HashSet::new(),
-            lanes_expected: None,
-            last_sync_request: None,
             obs,
             outage: None,
         }
+    }
+
+    /// The agent's virtual time at `now`.
+    fn at(&self, now: Instant) -> SimTime {
+        let nanos = now.saturating_duration_since(self.start).as_nanos();
+        SimTime::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 
     /// Runs one command on every lane: queued to the others, inline on
@@ -520,28 +516,18 @@ impl<S: NetSender> PumpMembership<S> {
         }
     }
 
-    /// Periodic drive: heartbeats, failure detection, view agreement, the
-    /// join state machine, sync (re-)requests and the serving gate.
+    /// Periodic drive: the agent's tick (heartbeats, failure detection,
+    /// view agreement, the join), then the serving gate.
     fn tick(&mut self, lane: &mut Lane<S>, now: Instant) {
-        self.driver.tick(&mut self.rmfx);
+        let at = self.at(now);
+        self.rm.on_tick(at, &mut self.rmfx);
         self.apply_effects(lane, now);
-        if self.driver.needs_sync() {
-            let due = self
-                .last_sync_request
-                .is_none_or(|at| now.saturating_duration_since(at) >= SYNC_RETRY);
-            if due {
-                self.last_sync_request = Some(now);
-                if let Some(source) = self.driver.view().members.min() {
-                    self.net
-                        .send(source, control::encode(&ControlMsg::SyncRequest));
-                }
-            }
-        }
-        let serving = self.driver.serving();
+        let serving = self.rm.serving(at);
         // The gate moves before the flush below is posted: a poller that
         // has framed a session's `Flush` then finds the gate closed, so no
         // mirror read refills the cache it just emptied (DESIGN.md §8).
         self.status.set_serving(serving);
+        let (me, epoch) = (self.rm.node_id().0, self.rm.view().epoch.0);
         if self.was_serving && !serving {
             // Serving loss (lease expiry, deposed mid-reconfiguration):
             // clients must stop serving cached reads against this replica.
@@ -551,9 +537,7 @@ impl<S: NetSender> PumpMembership<S> {
             self.on_every_lane(lane, now, || Command::FlushClients);
             obs_warn!(
                 "replica::membership",
-                "node {} stopped serving (epoch {})",
-                self.driver.node_id().0,
-                self.driver.view().epoch.0
+                "node {me} stopped serving (epoch {epoch})"
             );
             if hermes_obs::recording_enabled() {
                 self.outage = Some(Span::begin(Phase::ViewChangeStart));
@@ -564,7 +548,6 @@ impl<S: NetSender> PumpMembership<S> {
             // exactly how long this replica refused operations, the paper's
             // headline failover metric (§5.3).
             if let Some(span) = self.outage.take() {
-                let epoch = self.driver.view().epoch.0;
                 let total = self
                     .obs
                     .pump_trace
@@ -572,14 +555,19 @@ impl<S: NetSender> PumpMembership<S> {
                 self.obs.view_change_us.record(total);
                 self.obs.view_outages.inc();
             }
-            obs_info!(
-                "replica::membership",
-                "node {} serving (epoch {})",
-                self.driver.node_id().0,
-                self.driver.view().epoch.0
-            );
+            obs_info!("replica::membership", "node {me} serving (epoch {epoch})");
         }
         self.was_serving = serving;
+    }
+
+    /// Steps the agent with one membership payload from `from`; `false`
+    /// (and nothing done) when it does not decode.
+    fn on_control(&mut self, from: NodeId, payload: &[u8], at: SimTime) -> bool {
+        let Ok(msg) = wire::decode(payload) else {
+            return false;
+        };
+        self.rm.on_message(from, msg, at, &mut self.rmfx);
+        true
     }
 
     /// Consumes one control frame (malformed ones are dropped).
@@ -589,8 +577,9 @@ impl<S: NetSender> PumpMembership<S> {
         };
         match msg {
             ControlMsg::Membership(payload) => {
-                self.driver.on_control(from, &payload, &mut self.rmfx);
-                self.apply_effects(lane, now);
+                if self.on_control(from, &payload, self.at(now)) {
+                    self.apply_effects(lane, now);
+                }
             }
             // Every lane streams its shard.
             ControlMsg::SyncRequest => {
@@ -601,16 +590,9 @@ impl<S: NetSender> PumpMembership<S> {
                     self.install(lane, entry, now);
                 }
             }
-            ControlMsg::SyncMark { lane, lanes: total } => {
-                if self.lanes_expected != Some(total) {
-                    self.marks.clear();
-                    self.lanes_expected = Some(total);
-                }
-                self.marks.insert(lane);
-                if self.driver.needs_sync() && self.marks.len() as u32 >= total {
-                    self.driver.mark_synced();
-                    self.status.set_synced(true);
-                }
+            ControlMsg::SyncMark { lane, lanes } => {
+                self.rm.on_sync_mark(lane, lanes);
+                self.status.set_synced(self.rm.synced());
             }
         }
     }
@@ -622,10 +604,13 @@ impl<S: NetSender> PumpMembership<S> {
                 RmEffect::Send(to, msg) => self.net.send(to, rm_frame(&msg)),
                 RmEffect::Broadcast(msg) => {
                     let frame = rm_frame(&msg);
-                    let me = self.driver.node_id();
-                    for to in self.driver.view().broadcast_set(me) {
+                    let me = self.rm.node_id();
+                    for to in self.rm.view().broadcast_set(me) {
                         self.net.send(to, frame.clone());
                     }
+                }
+                RmEffect::SyncRequest(to) => {
+                    self.net.send(to, control::encode(&ControlMsg::SyncRequest))
                 }
                 RmEffect::InstallView(view) => {
                     if let Some(span) = self.outage.as_mut() {
@@ -634,7 +619,7 @@ impl<S: NetSender> PumpMembership<S> {
                     obs_info!(
                         "replica::membership",
                         "node {} installing view epoch={} members={}",
-                        self.driver.node_id().0,
+                        self.rm.node_id().0,
                         view.epoch.0,
                         view.members.len()
                     );
@@ -710,5 +695,35 @@ pub(crate) mod tests {
         assert_eq!(reads.answer(Key(1), &read), None, "a replica not serving");
         assert_eq!(reads.answer(Key(9), &read), None);
         assert_eq!(reads.obs.mirror_reads.get(), 7);
+    }
+
+    /// A transport that drops everything.
+    #[derive(Clone)]
+    struct NoNet;
+
+    impl NetSender for NoNet {
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+
+        fn send(&self, _: NodeId, _: Bytes) {}
+    }
+
+    #[test]
+    fn garbage_control_payloads_are_rejected() {
+        let me = NodeId(0);
+        let view = MembershipView::initial(3);
+        let wait = Wait::new().expect("a wait");
+        let lanes = Lanes::new(vec![(unbounded().0, wait.waker())]);
+        let status = Arc::new(MembershipStatus::new(view, true, true));
+        let obs = Arc::new(NodeObs::new(0, 1, 0));
+        let rm = RmNode::new(me, view, RmConfig::default(), SimTime::ZERO);
+        let mut d = PumpMembership::new(rm, lanes, NoNet, status, obs);
+        assert!(!d.on_control(NodeId(1), b"\xffnot-a-message", SimTime::ZERO));
+        assert!(d.rmfx.is_empty());
+        let hb = RmMsg::Heartbeat {
+            epoch: hermes_common::Epoch(0),
+        };
+        assert!(d.on_control(NodeId(1), &wire::encode(&hb), SimTime::ZERO));
     }
 }

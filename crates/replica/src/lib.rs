@@ -24,13 +24,14 @@
 //!     binary of the root package, DESIGN.md §4).
 //!
 //! Either shape can additionally run the **live membership subsystem**
-//! (DESIGN.md §5): lane 0 of each node hosts a wall-clock
-//! [`MembershipDriver`](hermes_membership::MembershipDriver) whose
-//! heartbeats and Paxos view agreement travel as Wings control frames over
-//! the same transport, so a replica group survives real process crashes —
-//! lease expiry drives a view change, survivors replay pending writes, and
-//! a restarted node rejoins as a shadow, bulk-syncs, and is promoted back
-//! to full member ([`MembershipStatus`], [`MembershipOptions`]).
+//! (DESIGN.md §5): lane 0 of each node hosts the membership agent
+//! ([`RmNode`](hermes_membership::RmNode)), stepped with the lane's clock,
+//! whose heartbeats and Paxos view agreement travel as Wings control frames
+//! over the same transport, so a replica group survives real process
+//! crashes — lease expiry drives a view change, survivors replay pending
+//! writes, and a restarted node rejoins as a shadow, bulk-syncs, and is
+//! promoted back to full member ([`MembershipStatus`];
+//! [`NodeOptions::join`], [`ClusterConfig::membership`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,7 +50,7 @@ mod threaded;
 mod timers;
 
 pub use cost::CostModel;
-pub use membership::{MembershipOptions, MembershipStatus};
+pub use membership::MembershipStatus;
 pub use node::{query_metrics, query_traces, request_shutdown, NodeOptions, NodeRuntime};
 pub use remote::{ClientConn, KillSwitch, RemoteChannel};
 pub use session::{ClientSession, LaneChannel, PendingTxn, SessionChannel, Ticket, TxnResult};

@@ -1,13 +1,13 @@
 //! Observable membership state of a running replica.
 //!
-//! The live membership subsystem (DESIGN.md §5) runs a
-//! [`MembershipDriver`](hermes_membership::MembershipDriver) on lane 0 of
-//! each node; [`MembershipStatus`] is the lock-free window into it
-//! shared with every worker lane (the serving gate checked per client
-//! operation), with runtimes' public accessors
+//! The live membership subsystem (DESIGN.md §5) runs the membership agent
+//! ([`RmNode`](hermes_membership::RmNode)) on lane 0 of each node, stepped
+//! with that lane's clock; [`MembershipStatus`] is the lock-free window
+//! into it shared with every worker lane (the serving gate checked per
+//! client operation), with runtimes' public accessors
 //! ([`ThreadCluster::membership`](crate::ThreadCluster::membership),
-//! [`NodeRuntime::stats`](crate::NodeRuntime::stats)) and through them
-//! with operators and tests.
+//! [`NodeRuntime::membership`](crate::NodeRuntime::membership)) and
+//! through them with operators and tests.
 
 use hermes_common::{MembershipView, NodeId, NodeSet};
 use hermes_obs::Registry;
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// Lock-free gauges describing one replica's live membership state.
 ///
-/// Written by lane 0's membership driver, read by every worker lane
+/// Written by lane 0's membership agent, read by every worker lane
 /// (one atomic load per client operation) and by observers. On runtimes
 /// without the membership subsystem the status is static: the initial
 /// view, serving forever.
@@ -154,34 +154,6 @@ pub(crate) fn register(r: &Registry, status: &Arc<MembershipStatus>, peers: usiz
             r.gauge_fn(name, help, labels, move || {
                 set(&s).contains(NodeId(peer)) as u64
             });
-        }
-    }
-}
-
-/// How a node participates in the live membership subsystem.
-#[derive(Clone, Copy, Debug)]
-pub struct MembershipOptions {
-    /// Reliable-membership timings (heartbeats, failure timeout, lease).
-    pub rm: hermes_membership::RmConfig,
-    /// Whether this node (re)starts *outside* the group and must join as a
-    /// shadow, bulk-sync, and be promoted before serving.
-    pub join: bool,
-}
-
-impl MembershipOptions {
-    /// Membership with wall-clock timings for a founding member.
-    pub fn member() -> Self {
-        MembershipOptions {
-            rm: hermes_membership::RmConfig::wall_clock(),
-            join: false,
-        }
-    }
-
-    /// Membership with wall-clock timings for a (re)joining node.
-    pub fn joiner() -> Self {
-        MembershipOptions {
-            rm: hermes_membership::RmConfig::wall_clock(),
-            join: true,
         }
     }
 }

@@ -23,7 +23,7 @@
 //! `examples/session_scaling.rs`.
 
 use crate::host::Node;
-use crate::membership::{MembershipOptions, MembershipStatus};
+use crate::membership::MembershipStatus;
 use crate::poller::ClientPlane;
 use crate::remote::{invalid, ClientConn, Waiter};
 use hermes_common::{Key, MembershipView, NodeId, Reply, Value};
@@ -243,12 +243,9 @@ impl NodeRuntime {
         client_listener.set_nonblocking(true)?;
         let client_addr = client_listener.local_addr()?;
         let view = MembershipView::initial(opts.peers.len());
-        let membership = opts.membership.map(|rm| MembershipOptions {
-            rm,
-            join: opts.join,
-        });
         let pollers = opts.pollers.max(1);
-        let node = Node::spawn(ep, view, opts.protocol, opts.workers, pollers, membership)?;
+        let (workers, membership, join) = (opts.workers, opts.membership, opts.join);
+        let node = Node::spawn(ep, view, opts.protocol, workers, pollers, membership, join)?;
         register_tcp(&node.obs().registry, &tcp_stats);
         let shutdown_requested = Arc::new(AtomicBool::new(false));
         let client_plane = ClientPlane::start(

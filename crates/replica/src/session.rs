@@ -240,13 +240,6 @@ pub struct ClientSession<C: SessionChannel = LaneChannel> {
     issued_at: HashMap<OpId, Instant>,
     /// Round-trip latency (us) of completed remote operations.
     rtt: HistogramSnapshot,
-    /// Latency (us) of reads served from the local cache — the zero-RTT
-    /// path; measures pure client-side overhead.
-    hit_latency: HistogramSnapshot,
-    /// Round-trip latency (us) of reads on subscribed keys that missed
-    /// the cache and went to the replica — the hit histogram's
-    /// counterpart for the DESIGN.md §8 hit/miss latency split.
-    miss_latency: HistogramSnapshot,
 }
 
 /// Client-side read cache kept coherent by pushed invalidations: fills on
@@ -326,8 +319,6 @@ impl<C: SessionChannel> ClientSession<C> {
             read_keys: HashMap::new(),
             issued_at: HashMap::new(),
             rtt: HistogramSnapshot::empty(),
-            hit_latency: HistogramSnapshot::empty(),
-            miss_latency: HistogramSnapshot::empty(),
         }
     }
 
@@ -391,9 +382,6 @@ impl<C: SessionChannel> ClientSession<C> {
                 self.next_seq += 1;
                 // A zero-RTT local completion: no credit, no channel trip.
                 self.ready.insert(op, Reply::ReadOk(value.clone()));
-                if let Some(t0) = t0 {
-                    self.hit_latency.record(t0.elapsed().as_micros() as u64);
-                }
                 return Ticket { op };
             } else {
                 self.cache.misses += 1;
@@ -513,17 +501,6 @@ impl<C: SessionChannel> ClientSession<C> {
         &self.rtt
     }
 
-    /// Latency quantiles (us) of reads served from the local cache.
-    pub fn cache_hit_quantiles(&self) -> Quantiles {
-        self.hit_latency.quantiles()
-    }
-
-    /// Latency quantiles (us) of subscribed-key reads that missed the
-    /// cache and paid a full round trip.
-    pub fn cache_miss_quantiles(&self) -> Quantiles {
-        self.miss_latency.quantiles()
-    }
-
     /// Highest view epoch the cache has observed in a push.
     pub fn cache_epoch(&self) -> u64 {
         self.cache.epoch
@@ -607,13 +584,7 @@ impl<C: SessionChannel> ClientSession<C> {
         self.in_flight = self.in_flight.saturating_sub(1);
         self.flow.on_implicit_credit(SERVER);
         if let Some(t0) = self.issued_at.remove(&op) {
-            let us = t0.elapsed().as_micros() as u64;
-            self.rtt.record(us);
-            // A read that carried a fill intent was a read on a subscribed
-            // key that missed the cache: the other half of the hit split.
-            if self.read_keys.contains_key(&op) {
-                self.miss_latency.record(us);
-            }
+            self.rtt.record(t0.elapsed().as_micros() as u64);
         }
         // Cache fill: a read reply on a subscribed key whose fill was not
         // canceled by an interleaved invalidation, flush, or own write (see

@@ -436,6 +436,9 @@ impl<'a, P: ReplicaProtocol> Sim<'a, P> {
                         p.on_membership_update(view, fx);
                     });
                 }
+                // Only a joiner asks for catch-up; every simulated node is
+                // a founding member.
+                RmEffect::SyncRequest(_) => {}
             }
         }
     }

@@ -24,7 +24,7 @@
 
 use crate::host::Node;
 use crate::lane::Command;
-use crate::membership::{MembershipOptions, MembershipStatus};
+use crate::membership::MembershipStatus;
 use crate::session::{ClientSession, LaneChannel};
 use hermes_common::{ClientId, ClientOp, Key, MembershipView, Reply, RmwOp, Value};
 use hermes_core::ProtocolConfig;
@@ -130,12 +130,10 @@ impl ThreadCluster {
             "transport endpoint count must match cfg.nodes"
         );
         let view = MembershipView::initial(cfg.nodes);
-        let membership = cfg
-            .membership
-            .map(|rm| MembershipOptions { rm, join: false });
+        let (workers, membership) = (cfg.workers_per_node, cfg.membership);
         let nodes = endpoints
             .into_iter()
-            .map(|ep| Node::spawn(ep, view, cfg.protocol, cfg.workers_per_node, 0, membership))
+            .map(|ep| Node::spawn(ep, view, cfg.protocol, workers, 0, membership, false))
             .collect::<std::io::Result<_>>()
             .expect("a lane's epoll and eventfd, and its sockets registered in them");
         ThreadCluster {

@@ -7,7 +7,7 @@
 //! * [`Histogram`] — a log-bucketed latency histogram with percentile
 //!   queries. The bucket layout and all percentile math live in
 //!   [`hermes_obs::HistogramSnapshot`] — this is a thin simulation-flavored
-//!   wrapper (nanosecond units, [`SimDuration`] recording) around the one
+//!   wrapper (nanosecond units) around the one
 //!   shared implementation, so the simulator, the benches and the metrics
 //!   exposition can never disagree on what "p99" means;
 //! * [`Timeline`] — fixed-width time bins counting completions, yielding a
@@ -55,12 +55,6 @@ impl Histogram {
         self.inner.record(value);
     }
 
-    /// Records a [`SimDuration`] sample in nanoseconds.
-    #[inline]
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Total number of recorded samples.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -95,12 +89,6 @@ impl Histogram {
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.inner.merge(&other.inner);
-    }
-
-    /// The underlying shared snapshot, for merging with histograms
-    /// recorded elsewhere in the runtime.
-    pub fn as_snapshot(&self) -> &HistogramSnapshot {
-        &self.inner
     }
 
     /// Convenience summary (min/mean/p50/p90/p99/p999/max/count).
@@ -208,11 +196,6 @@ impl Timeline {
             self.bins.resize(idx + 1, 0);
         }
         self.bins[idx] += 1;
-    }
-
-    /// The bin width.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
     }
 
     /// Returns `(bin_start_time, completions_in_bin)` for every bin.

@@ -76,14 +76,6 @@ impl KeyChooser {
             KeyChooser::Zipfian(z) => Key(z.sample(rng)),
         }
     }
-
-    /// The key-space size.
-    pub fn key_count(&self) -> u64 {
-        match self {
-            KeyChooser::Uniform { n } => *n,
-            KeyChooser::Zipfian(z) => z.n,
-        }
-    }
 }
 
 /// Gray et al.'s zipfian generator (the algorithm YCSB uses), sampling ranks
