@@ -94,7 +94,8 @@ pub enum Reply {
     /// partition, or shadow replica still catching up).
     NotOperational,
     /// This protocol does not implement the requested operation (e.g. RMWs
-    /// on chain replication baselines).
+    /// on chain replication baselines), or a replica cannot store its value
+    /// (16 MiB or longer).
     Unsupported,
 }
 

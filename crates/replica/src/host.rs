@@ -186,6 +186,7 @@ impl Node {
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers, pollers));
         let peers = view.members.union(view.shadows).len();
         membership::register(&obs.registry, &status, peers);
+        obs.register_store(&store);
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
         for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {

@@ -28,12 +28,12 @@ use crate::timers::DeadlineQueue;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use hermes_common::{
-    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, ShardSpec, Value,
+    ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, RmwOp, ShardSpec, Value,
 };
 use hermes_core::{Fx, HermesNode, KeyState, Msg, Ts, UpdateKind};
 use hermes_net::{NetEvent, NetSender, Waker};
 use hermes_obs::{Phase, Span, TraceId};
-use hermes_store::{SlotMeta, SlotState, Store};
+use hermes_store::{SlotMeta, SlotState, Store, MAX_VALUE};
 use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
@@ -409,6 +409,19 @@ impl<S: NetSender> Lane<S> {
                 // without touching the protocol.
                 if !self.status.serving() {
                     reply.send(op.client, ServerFrame::Reply(op.seq, Reply::NotOperational));
+                    return;
+                }
+                // A value the mirror cannot hold — no client frame carries
+                // one, an in-process session can — is refused before the
+                // engine replicates it.
+                let stored = match &cop {
+                    ClientOp::Write(v) | ClientOp::Rmw(RmwOp::CompareAndSwap { new: v, .. }) => {
+                        v.len()
+                    }
+                    _ => 0,
+                };
+                if stored > MAX_VALUE {
+                    reply.send(op.client, ServerFrame::Reply(op.seq, Reply::Unsupported));
                     return;
                 }
                 let issuer = op.client;

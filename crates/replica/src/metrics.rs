@@ -12,16 +12,18 @@
 //! `node="<id>"`) and registers each counter, gauge and histogram as it
 //! creates it, so every field *is* its exported metric: its name and help
 //! are written once, below. `Node::spawn` adds the membership rows
-//! (`membership::register`) and `NodeRuntime::serve` the transport's. The
-//! registry's rendering backs the `Metrics` client RPC, `hermesd
-//! --metrics-dump` and `ThreadCluster::metrics_text` — the one way a
-//! replica reports on itself, in either deployment shape.
+//! (`membership::register`) and the mirror's size
+//! ([`NodeObs::register_store`]), and `NodeRuntime::serve` the
+//! transport's. The registry's rendering backs the `Metrics` client RPC,
+//! `hermesd --metrics-dump` and `ThreadCluster::metrics_text` — the one
+//! way a replica reports on itself, in either deployment shape.
 //!
 //! No replica coordinates a transaction (`crate::ClientSession::txn` runs
 //! where its session lives), so the exposition counts none: a caller reads
 //! each transaction's outcome from its `TxnResult`.
 
 use hermes_obs::{Counter, Gauge, Histogram, Registry, TraceRing, TraceSpan};
+use hermes_store::Store;
 use std::sync::Arc;
 
 /// Per-node observability state. Cheap to record into from any thread;
@@ -245,6 +247,19 @@ impl NodeObs {
             ),
             registry: r,
         }
+    }
+
+    /// Registers the size of the node's seqlock mirror, read at render
+    /// time: its keys, and the heap its shards have reserved for them.
+    pub(crate) fn register_store(&self, store: &Arc<Store>) {
+        let (keys, bytes) = (Arc::clone(store), Arc::clone(store));
+        let r = &self.registry;
+        let help = "Keys the seqlock mirror holds.";
+        r.gauge_fn("hermes_store_keys", help, vec![], move || keys.len() as u64);
+        let help = "Heap bytes the seqlock mirror reserved: slot arenas and index entries.";
+        r.gauge_fn("hermes_store_bytes", help, vec![], move || {
+            bytes.footprint() as u64
+        });
     }
 
     /// A snapshot of one per-lane counter vector.

@@ -15,8 +15,9 @@ pub enum SlotState {
 }
 
 /// Metadata stored alongside each value: the Hermes per-key logical
-/// timestamp, state and update kind, packed to fit the seqlock'd hot path.
-/// With the value, this is everything a replica keeps of an idle key.
+/// timestamp, state and update kind, packed into two of the slot's three
+/// header words (the third is the seqlock's sequence). With the value, this
+/// is everything a replica keeps of an idle key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotMeta {
     /// Key version (Lamport clock high part).
@@ -30,9 +31,15 @@ pub struct SlotMeta {
     pub rmw: bool,
 }
 
-/// Bits of the cid+state word below the cid.
+/// Bits of the meta word below the cid (bits 8..40); the value's length
+/// takes the 24 bits above it.
 const STATE_BIT: u64 = 1;
 const RMW_BIT: u64 = 2;
+const LEN_SHIFT: u32 = 40;
+
+/// The longest value a slot holds, 16 MiB less a byte: its length has the
+/// top 24 bits of a header word.
+pub const MAX_VALUE: usize = (1 << (64 - LEN_SHIFT)) - 1;
 
 impl SlotMeta {
     /// Metadata for a committed (Valid) version of a plain write.
@@ -64,6 +71,7 @@ impl SlotMeta {
         (self.version, w1)
     }
 
+    /// The inverse of `pack`; a length above the cid is ignored.
     fn unpack(w0: u64, w1: u64) -> Self {
         SlotMeta {
             version: w0,
@@ -78,35 +86,27 @@ impl SlotMeta {
     }
 }
 
-/// Header words of a slot, ahead of the value words.
+/// Header words of a slot, ahead of the value words. `META` is the packed
+/// cid, kind and state with the value's length in its top 24 bits.
 const SEQ: usize = 0;
 const VERSION: usize = 1;
-const CID_STATE: usize = 2;
-const LEN: usize = 3;
-const HEADER: usize = 4;
+const META: usize = 2;
+const HEADER: usize = 3;
 
-/// One key's storage cell: a sequence-locked `(meta, value)` pair in a
-/// single allocation — four header words, then the value, eight bytes to
-/// a word, as long as the longest value the key has held.
+/// One key's storage cell, a run of its shard's arena: a sequence-locked
+/// `(meta, value)` pair — three header words, then the value, eight bytes
+/// to a word, as long as the longest value the key has held.
 ///
 /// Readers are lock-free (retry loop over relaxed atomic words bracketed by
 /// the acquire/release sequence protocol, the crossbeam `SeqLock`
 /// memory-ordering recipe); writers exclude each other by taking the
 /// sequence word from even to odd with a compare-exchange. A slot is only
-/// reached through its shard's guard, so replacing it by a longer one under
-/// the write guard overlaps no reader and no writer of the old one.
+/// reached through its shard's guard, so moving it under the write guard
+/// (a re-slot or a compaction) overlaps no reader and no writer of it.
 #[derive(Debug)]
-struct Slot(Box<[AtomicU64]>);
+struct Slot<'a>(&'a [AtomicU64]);
 
-impl Slot {
-    fn new(meta: SlotMeta, value: &[u8]) -> Self {
-        let words = HEADER + value.len().div_ceil(8);
-        let slot = Slot((0..words).map(|_| AtomicU64::new(0)).collect());
-        let fits = slot.write(meta, value);
-        debug_assert!(fits);
-        slot
-    }
-
+impl Slot<'_> {
     /// Writes `(meta, value)` in place and returns `true`, or writes
     /// nothing and returns `false` when `value` is longer than the slot.
     ///
@@ -139,14 +139,13 @@ impl Slot {
         };
         fence(Ordering::Release);
         let (w0, w1) = meta.pack();
-        let len = value.len() as u64;
+        let w1 = (value.len() as u64) << LEN_SHIFT | w1;
+        // Above the state and kind bits: the cid and the length.
         let held = head[VERSION].load(Ordering::Relaxed) == w0
-            && head[CID_STATE].load(Ordering::Relaxed) >> 8 == w1 >> 8
-            && head[LEN].load(Ordering::Relaxed) == len;
+            && head[META].load(Ordering::Relaxed) >> 8 == w1 >> 8;
         head[VERSION].store(w0, Ordering::Relaxed);
-        head[CID_STATE].store(w1, Ordering::Relaxed);
+        head[META].store(w1, Ordering::Relaxed);
         if !held {
-            head[LEN].store(len, Ordering::Relaxed);
             for (word, chunk) in words.iter().zip(value.chunks(8)) {
                 let mut bytes = [0u8; 8];
                 bytes[..chunk.len()].copy_from_slice(chunk);
@@ -166,8 +165,8 @@ impl Slot {
             let s1 = head[SEQ].load(Ordering::Acquire);
             if s1 & 1 == 0 {
                 let w0 = head[VERSION].load(Ordering::Relaxed);
-                let w1 = head[CID_STATE].load(Ordering::Relaxed);
-                let len = head[LEN].load(Ordering::Relaxed) as usize;
+                let w1 = head[META].load(Ordering::Relaxed);
+                let len = (w1 >> LEN_SHIFT) as usize;
                 buf.clear();
                 // Every length ever stored here fits this slot, torn or not.
                 for word in &words[..len.div_ceil(8)] {
@@ -184,6 +183,123 @@ impl Slot {
             retries += 1;
             std::hint::spin_loop();
         }
+    }
+}
+
+/// Where a key's slot sits in its shard's arena: the segment in the top
+/// bits of `at`, the slot's first word within it in the low
+/// `SEGMENT_BITS`. With the key, a 16-byte index entry.
+#[derive(Clone, Copy, Debug)]
+struct SlotRef {
+    at: u32,
+    words: u32,
+}
+
+impl SlotRef {
+    fn of(self, arena: &Arena) -> Slot<'_> {
+        let segment = &arena.segments[(self.at >> SEGMENT_BITS) as usize];
+        let at = self.at as usize & (SEGMENT_MAX - 1);
+        Slot(&segment[at..][..self.words as usize])
+    }
+}
+
+/// Bits of a [`SlotRef`]'s `at` that address a word within its segment,
+/// and so the longest segment: 2^24 words (128 MiB), over any slot's
+/// length. The 8 bits above them number up to 256 segments.
+const SEGMENT_BITS: u32 = 24;
+const SEGMENT_MAX: usize = 1 << SEGMENT_BITS;
+/// A new segment holds at least `1 / GROWTH` of the words the arena has
+/// handed out already: few segments, and a spare tail under an eighth.
+const GROWTH: usize = 8;
+/// An arena is re-packed once more than `1 / DEAD_SHARE` of the words it
+/// handed out belong to no key.
+const DEAD_SHARE: usize = 4;
+
+/// Where a shard's slots live: segments of words, each allocated at its
+/// full length once and filled from its start, so growing the arena copies
+/// nothing and a segment's unfilled tail is memory nobody has touched.
+/// (A `Vec` grown in place would copy every slot per step and leave the
+/// allocator holes that stay resident.)
+#[derive(Debug, Default)]
+struct Arena {
+    /// Only the last segment has room.
+    segments: Vec<Vec<AtomicU64>>,
+    /// Words handed out, in every segment.
+    used: usize,
+}
+
+impl Arena {
+    /// Appends `slot`'s words at the tail, opening a segment of at least
+    /// `open` words when the last one has no room for them.
+    fn push(&mut self, slot: impl ExactSizeIterator<Item = AtomicU64>, open: usize) -> SlotRef {
+        let words = slot.len();
+        let room = self.segments.last().map_or(0, |s| s.capacity() - s.len());
+        if room < words {
+            // Whole slots of this length: values of one size fill it.
+            let len = open.max(words).next_multiple_of(words).min(SEGMENT_MAX);
+            self.segments.push(Vec::with_capacity(len));
+        }
+        let top = self.segments.len() - 1;
+        let top = u8::try_from(top).expect("a shard's arena has at most 256 segments");
+        let segment = &mut self.segments[top as usize];
+        let at = segment.len();
+        segment.extend(slot);
+        self.used += words;
+        SlotRef {
+            at: u32::from(top) << SEGMENT_BITS | at as u32,
+            words: words as u32, // at most HEADER + MAX_VALUE / 8
+        }
+    }
+}
+
+/// One index shard: its keys' slots inline in one arena, each found
+/// through its index entry. A slot stays where it is until its key needs
+/// a longer one or the arena is re-packed, both under the shard's write
+/// guard.
+#[derive(Debug, Default)]
+struct Shard {
+    index: HashMap<Key, SlotRef>,
+    arena: Arena,
+    /// Arena words no index entry points at: slots left by a re-slot.
+    dead: usize,
+}
+
+impl Shard {
+    fn slot(&self, key: Key) -> Option<Slot<'_>> {
+        Some(self.index.get(&key)?.of(&self.arena))
+    }
+
+    /// Gives `key` a slot of `value`'s size at the arena's tail, holding
+    /// `(meta, value)`, and returns whether it replaced a shorter one (now
+    /// dead). Write guard only.
+    fn place(&mut self, key: Key, meta: SlotMeta, value: &[u8]) -> bool {
+        let old = self.index.remove(&key);
+        if let Some(old) = old {
+            self.dead += old.words as usize;
+            if self.dead * DEAD_SHARE > self.arena.used {
+                self.compact();
+            }
+        }
+        let words = HEADER + value.len().div_ceil(8);
+        let zeroed = (0..words).map(|_| AtomicU64::new(0));
+        let slot = self.arena.push(zeroed, self.arena.used / GROWTH);
+        let fits = slot.of(&self.arena).write(meta, value);
+        debug_assert!(fits);
+        self.index.insert(key, slot);
+        old.is_some()
+    }
+
+    /// Copies every live slot into a new arena sized for them with
+    /// `1 / GROWTH` to spare, and drops the old one. Write guard only.
+    fn compact(&mut self) {
+        let old = std::mem::take(&mut self.arena);
+        let live = old.used - self.dead;
+        for slot in self.index.values_mut() {
+            let words = slot.of(&old).0.iter();
+            let copy = words.map(|w| AtomicU64::new(w.load(Ordering::Relaxed)));
+            *slot = self.arena.push(copy, live + live / GROWTH);
+        }
+        self.dead = 0;
     }
 }
 
@@ -218,7 +334,7 @@ pub struct StoreStats {
 /// threads via `Arc`.
 #[derive(Debug)]
 pub struct Store {
-    shards: Vec<RwLock<HashMap<Key, Slot>>>,
+    shards: Vec<RwLock<Shard>>,
     stats: StoreStats,
 }
 
@@ -231,9 +347,7 @@ impl Store {
     pub fn new(config: StoreConfig) -> Self {
         assert!(config.shards > 0, "store must have at least one shard");
         Store {
-            shards: (0..config.shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            shards: (0..config.shards).map(|_| RwLock::default()).collect(),
             stats: StoreStats::default(),
         }
     }
@@ -241,23 +355,33 @@ impl Store {
     /// Writes `value` with `meta` for `key`. A key's slot is as long as the
     /// longest value it has held: a value that fits is written in place
     /// under the shard's read guard, a first or longer one gets a slot of
-    /// its own size swapped in under the write guard. Either way the write
-    /// is in the store when `put` returns, and a `get` that starts after
-    /// that finds it or a later one.
+    /// its own size at the tail of the shard's arena under the write
+    /// guard. Either way the write is in the store when `put` returns, and
+    /// a `get` that starts after that finds it or a later one.
     ///
     /// `meta`'s `(version, cid)` must name `value`: a put under the
     /// timestamp and length the slot already holds rewrites the state only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is longer than [`MAX_VALUE`]: a slot keeps the
+    /// length in 24 bits. A client frame, 16 MiB with its framing, carries
+    /// no such value, and a lane refuses one from an in-process session.
     pub fn put(&self, key: Key, meta: SlotMeta, value: &[u8]) {
+        assert!(
+            value.len() <= MAX_VALUE,
+            "a {} B value is over the store's {MAX_VALUE} B limit",
+            value.len()
+        );
         let shard = &self.shards[key.shard(self.shards.len())];
-        let in_place = |slot: &Slot| slot.write(meta, value);
-        if shard.read().get(&key).is_some_and(in_place) {
+        let in_place = |shard: &Shard| shard.slot(key).is_some_and(|s| s.write(meta, value));
+        if in_place(&shard.read()) {
             return;
         }
-        // Checked again under the write guard: another put may have grown
-        // the slot in between, and a slot never shrinks.
-        let mut map = shard.write();
-        if !map.get(&key).is_some_and(in_place) && map.insert(key, Slot::new(meta, value)).is_some()
-        {
+        // Checked again under the write guard: another put may have
+        // re-slotted the key in between, and a slot never shrinks.
+        let mut shard = shard.write();
+        if !in_place(&shard) && shard.place(key, meta, value) {
             self.stats.grows.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -268,8 +392,8 @@ impl Store {
     /// Lock-free with respect to concurrent writers: retries until it
     /// obtains a consistent snapshot.
     pub fn get(&self, key: Key, buf: &mut Vec<u8>) -> Option<SlotMeta> {
-        let map = self.shards[key.shard(self.shards.len())].read();
-        let (meta, retries) = map.get(&key)?.read(buf);
+        let shard = self.shards[key.shard(self.shards.len())].read();
+        let (meta, retries) = shard.slot(key)?.read(buf);
         if retries > 0 {
             self.stats
                 .read_retries
@@ -280,12 +404,25 @@ impl Store {
 
     /// Number of materialized keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().index.len()).sum()
     }
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Heap bytes the store has reserved for its keys: every shard's arena
+    /// segments at their full length, and its index's capacity in entries
+    /// (the hash table's control bytes left out).
+    pub fn footprint(&self) -> usize {
+        let entry = std::mem::size_of::<(Key, SlotRef)>();
+        let word = std::mem::size_of::<AtomicU64>();
+        let shard = |s: &Shard| {
+            let arena: usize = s.arena.segments.iter().map(Vec::capacity).sum();
+            arena * word + s.index.capacity() * entry
+        };
+        self.shards.iter().map(|s| shard(&s.read())).sum()
     }
 
     /// Rare-event counters.
@@ -299,8 +436,9 @@ impl Store {
     pub fn for_each(&self, mut f: impl FnMut(Key, SlotMeta, &[u8])) {
         let mut buf = Vec::new();
         for shard in &self.shards {
-            for (key, slot) in shard.read().iter() {
-                let (meta, _) = slot.read(&mut buf);
+            let shard = shard.read();
+            for (key, slot) in &shard.index {
+                let (meta, _) = slot.of(&shard.arena).read(&mut buf);
                 f(*key, meta, &buf);
             }
         }
@@ -423,6 +561,63 @@ mod tests {
         put(6, 105);
         assert_eq!(grows(), 2);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn a_value_one_byte_under_16_mib_round_trips_beside_a_full_cid() {
+        // The length's 24 bits sit right above the cid's 32 in one word.
+        let store = Store::new(StoreConfig { shards: 1 });
+        let meta = SlotMeta::invalid(u64::MAX, u32::MAX).with_rmw(true);
+        let value: Vec<u8> = (0..MAX_VALUE).map(|b| (b % 251) as u8).collect();
+        store.put(Key(1), meta, &value);
+        let mut buf = Vec::new();
+        assert_eq!(store.get(Key(1), &mut buf), Some(meta));
+        assert!(buf == value, "{} B read back", buf.len());
+        store.put(Key(1), SlotMeta::valid(1, u32::MAX), b"");
+        assert_eq!(
+            store.get(Key(1), &mut buf),
+            Some(SlotMeta::valid(1, u32::MAX))
+        );
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "over the store's 16777215 B limit")]
+    fn a_16_mib_value_is_refused() {
+        let store = Store::new(StoreConfig { shards: 1 });
+        store.put(Key(1), SlotMeta::valid(1, 0), &vec![0; 1 << 24]);
+    }
+
+    #[test]
+    fn regrown_keys_keep_their_values_and_dead_words_stay_under_a_quarter() {
+        // 100 keys in one shard, each grown in 8 B steps: without
+        // compaction the dead slots would hold 50 times the live ones.
+        let store = Store::new(StoreConfig { shards: 1 });
+        let mut buf = Vec::new();
+        for (step, len) in (8..=800).step_by(8).enumerate() {
+            for k in 0..100 {
+                let version = step as u64 * 100 + k + 1;
+                store.put(Key(k), SlotMeta::valid(version, 0), &vec![k as u8; len]);
+            }
+            let shard = store.shards[0].read();
+            assert!(shard.dead * DEAD_SHARE <= shard.arena.used, "step {step}");
+            let live: usize = shard.index.values().map(|s| s.words as usize).sum();
+            assert_eq!(shard.arena.used - shard.dead, live);
+            drop(shard);
+            for k in 0..100 {
+                let meta = store.get(Key(k), &mut buf).unwrap();
+                assert_eq!(meta.version, step as u64 * 100 + k + 1);
+                assert_eq!(buf, vec![k as u8; len]);
+            }
+        }
+        assert_eq!(store.stats().grows.load(Ordering::Relaxed), 99 * 100);
+        let shard = store.shards[0].read();
+        let live = 100 * (HEADER + 100);
+        let reserved: usize = shard.arena.segments.iter().map(Vec::capacity).sum();
+        assert!(
+            reserved <= live * 2,
+            "{reserved} words reserved for {live} live"
+        );
     }
 
     #[test]

@@ -110,6 +110,8 @@ fn metrics_rpc_exposes_live_histograms() {
         ("hermes_credit_parks_total", "counter"),
         ("hermes_credit_stall_us", "summary"),
         ("hermes_engine_resident_keys", "gauge"),
+        ("hermes_store_keys", "gauge"),
+        ("hermes_store_bytes", "gauge"),
         ("hermes_op_latency_us", "summary"),
         ("hermes_poller_write_us", "summary"),
         ("hermes_slow_ops_total", "counter"),
@@ -326,12 +328,20 @@ fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
         assert!(Instant::now() < deadline, "an engine kept idle keys");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // Idle keys live in the mirror alone, and read back from it.
+    // Idle keys live in the mirror alone, and read back from it. Each
+    // mirror holds every key written, at `heap_per_key.rs`'s 110 B bound
+    // for a 32 B key or less (these values are 8 B).
     for n in &nodes {
         for k in 0..KEYS {
             let last = WRITES - KEYS + k;
             assert_eq!(n.read_local(Key(k)), Some(Value::from_u64(last)), "key {k}");
         }
+        let text = n.metrics_text();
+        validate_exposition(&text).expect("valid exposition");
+        let gauge = |name| hermes::obs::sample_value(&text, name).expect("exported");
+        assert_eq!(gauge("hermes_store_keys"), KEYS as f64, "{text}");
+        let per_key = gauge("hermes_store_bytes") / KEYS as f64;
+        assert!(per_key > 0.0 && per_key <= 110.0, "{per_key} B per key");
     }
     drop(sessions);
     nodes.into_iter().for_each(NodeRuntime::shutdown);

@@ -23,24 +23,33 @@ fn process_threads() -> usize {
 /// one lets go of a shared lock, so a single read can be one off either
 /// way. Waits for quiet, not for a value — the caller asserts the value.
 pub fn settled_threads() -> usize {
+    settled(process_threads)
+}
+
+/// The names of this process's threads once they have stopped changing,
+/// as [`settled_threads`] waits for the count: a just-spawned thread
+/// carries its spawner's name until it first runs and names itself.
+pub fn thread_names() -> Vec<String> {
+    settled(|| {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+        let names = tasks.filter_map(|t| t.ok().and_then(comm));
+        names.map(|n| n.trim().to_owned()).collect()
+    })
+}
+
+/// `read()` once two reads 10 ms apart agree, or after 2 s.
+fn settled<T: PartialEq>(read: impl Fn() -> T) -> T {
     let deadline = Instant::now() + Duration::from_secs(2);
-    let mut last = process_threads();
+    let mut last = read();
     loop {
         std::thread::sleep(Duration::from_millis(10));
-        let now = process_threads();
+        let now = read();
         if now == last || Instant::now() >= deadline {
             return now;
         }
         last = now;
     }
-}
-
-/// The names of this process's threads.
-pub fn thread_names() -> Vec<String> {
-    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
-    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
-    let names = tasks.filter_map(|t| t.ok().and_then(comm));
-    names.map(|n| n.trim().to_owned()).collect()
 }
 
 /// Open file descriptors, from `/proc/self/fd`.

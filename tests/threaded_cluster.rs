@@ -127,10 +127,10 @@ fn o3_configuration_works_threaded() {
     cluster.shutdown();
 }
 
-/// A value's size is bounded by the wire, not by the mirror: a slot is as
-/// long as what it holds. (A 1 025 B write used to trip a fixed slot's
-/// capacity assert inside the owning lane, and every later operation on
-/// that lane with it.)
+/// A value's size is bounded at 16 MiB, by the wire and the mirror alike,
+/// not by a fixed slot: a slot is as long as what it holds. (A 1 025 B
+/// write used to trip a fixed slot's capacity assert inside the owning
+/// lane, and every later operation on that lane with it.)
 #[test]
 fn values_of_any_size_write_through_and_read_back_on_every_replica() {
     let cluster = ThreadCluster::start(3, ProtocolConfig::default());
@@ -153,6 +153,21 @@ fn values_of_any_size_write_through_and_read_back_on_every_replica() {
     // The lane that took the long writes still serves.
     assert_eq!(cluster.write(1, key, Value::EMPTY), Reply::WriteOk);
     read_everywhere(&Value::EMPTY);
+    cluster.shutdown();
+}
+
+/// The mirror's slots hold values under 16 MiB (`hermes::store::MAX_VALUE`).
+/// An in-process session can submit a longer one, which no client frame
+/// carries: the lane refuses it before the engine replicates it, and
+/// serves on.
+#[test]
+fn a_value_too_long_for_the_mirror_is_refused_and_the_lane_serves_on() {
+    let cluster = ThreadCluster::start(3, ProtocolConfig::default());
+    let (key, value) = (Key(3), Value::from_u64(7));
+    let long = Value::filled(1, hermes::store::MAX_VALUE + 1);
+    assert_eq!(cluster.write(0, key, long), Reply::Unsupported);
+    assert_eq!(cluster.write(0, key, value.clone()), Reply::WriteOk);
+    assert_eq!(cluster.read(1, key), Reply::ReadOk(value));
     cluster.shutdown();
 }
 
