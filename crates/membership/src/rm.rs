@@ -387,30 +387,21 @@ impl RmNode {
 
     fn next_view_proposal(&self, now: SimTime) -> Option<MembershipView> {
         // Prefer removing a failed node; otherwise process a pending join.
-        let expired: Vec<NodeId> = self
-            .suspected_at
-            .iter()
+        let expired: NodeSet = (self.suspected_at.iter())
             .filter(|(_, &t)| now.saturating_since(t) >= self.cfg.lease_duration)
             .map(|(&n, _)| n)
             .collect();
         if !expired.is_empty() {
-            let mut v = self.view;
-            let mut members = v.members;
-            let mut shadows = v.shadows;
-            for n in &expired {
-                members.remove(*n);
-                shadows.remove(*n);
-            }
+            let members = self.view.members.difference(expired);
+            let shadows = self.view.shadows.difference(expired);
+            let epoch = self.view.epoch.next();
             // Never propose an empty membership.
-            if members.is_empty() {
-                return None;
-            }
-            v = MembershipView {
-                epoch: self.view.epoch.next(),
+            let view = MembershipView {
+                epoch,
                 members,
                 shadows,
             };
-            return Some(v);
+            return (!members.is_empty()).then_some(view);
         }
         match self.pending_join {
             Some((node, false)) if !self.view.ack_set().contains(node) => {
@@ -626,6 +617,12 @@ impl RmNode {
         self.proposer = None;
         self.acceptor = AcceptorState::default();
         self.acceptor_instance = view.epoch.0 + 1;
+        if self.joining && !view.ack_set().contains(self.me) {
+            // Removed before promotion: writes committed while outside
+            // never reach this store, so a readmission catches up anew.
+            (self.synced, self.lanes_expected, self.last_sync_request) = (false, None, None);
+            self.marks.clear();
+        }
         if let Some((node, promote)) = self.pending_join {
             // Clear satisfied join requests.
             let satisfied = if promote {
@@ -1292,6 +1289,33 @@ mod tests {
                 .any(|e| matches!(e, RmEffect::Broadcast(RmMsg::Join { promote: false }))),
             "must ask for admission again after removal: {fx:?}"
         );
+    }
+
+    /// A shadow removed after its catch-up and before its promotion
+    /// missed every write committed while it was outside: readmitted, it
+    /// asks for catch-up again, not for promotion on the strength of the
+    /// old one (paper §3.4: a shadow is promoted only once caught up).
+    #[test]
+    fn a_readmitted_shadow_catches_up_again_before_asking_for_promotion() {
+        let me = NodeId(2);
+        let mut rm = RmNode::new(me, joiner_view(3, me), RmConfig::default(), SimTime::ZERO);
+        let mut fx = Vec::new();
+        let shadow_view = joiner_view(3, me).with_shadow(me);
+        rm.on_message(NodeId(0), RmMsg::Decided(shadow_view), ms(0), &mut fx);
+        rm.on_sync_mark(0, 1);
+        assert!(rm.synced());
+        let removed = shadow_view.without_node(me);
+        rm.on_message(NodeId(0), RmMsg::Decided(removed), ms(10), &mut fx);
+        assert!(
+            !rm.synced(),
+            "removed before promotion: the catch-up is void"
+        );
+        let readmitted = removed.with_shadow(me);
+        rm.on_message(NodeId(0), RmMsg::Decided(readmitted), ms(20), &mut fx);
+        fx.clear();
+        rm.on_tick(ms(30), &mut fx);
+        assert!(fx.contains(&RmEffect::SyncRequest(NodeId(0))), "{fx:?}");
+        assert!(!joins(&fx).contains(&true), "{fx:?}");
     }
 
     #[test]

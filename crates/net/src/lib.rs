@@ -28,8 +28,8 @@
 //! [`IngressSink`].
 //!
 //! The crate also provides the readiness substrate under both network
-//! edges — the replica links above and the sharded-poller client plane
-//! (DESIGN.md §7): a [`Poller`] multiplexes thousands of non-blocking
+//! edges — the replica links above and the client sessions each lane
+//! hosts (DESIGN.md §7): a [`Poller`] multiplexes thousands of non-blocking
 //! sockets per thread (`epoll(7)`; the crate is Linux-only), and a
 //! [`Waker`] (an `eventfd`) lets other threads interrupt a blocked wait,
 //! coalescing bursts of wakes into one.

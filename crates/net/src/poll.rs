@@ -1,6 +1,6 @@
-//! Readiness-driven socket polling: the engine under the sharded-poller
-//! client plane (DESIGN.md §7) and under every worker lane's one blocking
-//! wait (DESIGN.md §4).
+//! Readiness-driven socket polling: the engine under every worker lane's
+//! one blocking wait (DESIGN.md §4) and the client sessions a lane hosts
+//! (DESIGN.md §7).
 //!
 //! The paper's RDMA runtime never spends a thread per peer: each worker
 //! polls its own receive queues. Our TCP stand-in gets the same shape from
@@ -19,7 +19,8 @@
 //! A [`Waker`] lets other threads (lanes completing operations, a poster
 //! queueing a command) interrupt a blocked `wait`: it is an `eventfd`
 //! registered like any other fd. A [`Wait`] is a poller with a waker at a
-//! fixed token — the one place a worker lane's thread blocks.
+//! fixed token — the one place a worker lane's thread blocks — and may nest
+//! one more poller ([`Wait::nest`]).
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -321,6 +322,9 @@ pub struct Wait {
 impl Wait {
     /// The token of the waker; sockets use the others.
     pub(crate) const WAKE: u64 = 0;
+    /// The token of a poller nested in this wait ([`Wait::nest`]); no
+    /// link numbers a socket this high.
+    const NESTED: u64 = u64::MAX;
 
     /// A fresh poller and its waker.
     ///
@@ -338,8 +342,22 @@ impl Wait {
         Arc::clone(&self.waker)
     }
 
+    /// Nests `inner` in this wait: `inner`'s own epoll fd joins it, so the
+    /// wait returns while any fd of `inner` is ready, and the caller then
+    /// polls `inner` without blocking. How a lane's client sessions share
+    /// its one wait with its links (DESIGN.md §7).
+    ///
+    /// # Errors
+    ///
+    /// Fails if `inner`'s epoll fd cannot be registered.
+    pub fn nest(&self, inner: &Poller) -> io::Result<()> {
+        let fd = inner.epfd.as_raw_fd();
+        self.poller.register(fd, Self::NESTED, Interest::READ)
+    }
+
     /// Blocks up to `timeout`, leaves in `ready` the sockets that became
-    /// ready, and says whether the waker rang — draining it first, so that
+    /// ready (a nested poller's readiness is not one of them), and says
+    /// whether the waker rang — draining it first, so that
     /// the caller's next look at its work sources sees whatever the ringers
     /// published (the [`Waker`] latch contract).
     pub(crate) fn wait(&self, ready: &mut Vec<PollEvent>, timeout: Duration) -> bool {
@@ -347,9 +365,8 @@ impl Wait {
         if self.poller.wait(ready, Some(timeout)).is_err() {
             return false;
         }
-        let before = ready.len();
-        ready.retain(|e| e.token != Self::WAKE);
-        let woken = ready.len() < before;
+        let woken = ready.iter().any(|e| e.token == Self::WAKE);
+        ready.retain(|e| e.token != Self::WAKE && e.token != Self::NESTED);
         if woken {
             self.waker.drain();
         }
@@ -546,5 +563,34 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(2)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 5 && e.writable));
+    }
+
+    /// A nested poller's ready socket ends the outer wait, which reports
+    /// neither it nor a ring; the inner poller, polled without blocking,
+    /// names the socket — and once it is read, the outer wait blocks again.
+    #[test]
+    fn a_nested_pollers_readiness_ends_the_wait_and_is_not_reported() {
+        let (wait, inner) = (Wait::new().unwrap(), Poller::new().unwrap());
+        wait.nest(&inner).unwrap();
+        let (mut a, mut b) = pair();
+        inner.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+        let mut ready = Vec::new();
+        let quiet = Duration::from_millis(20);
+        assert!(!wait.wait(&mut ready, quiet) && ready.is_empty());
+        a.write_all(b"hi").unwrap();
+        let start = Instant::now();
+        assert!(!wait.wait(&mut ready, Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(2), "slept through it");
+        assert!(ready.is_empty(), "{ready:?}");
+        let mut events = Vec::new();
+        inner.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        assert_eq!(b.read(&mut [0u8; 8]).unwrap(), 2);
+        let start = Instant::now();
+        assert!(!wait.wait(&mut ready, quiet));
+        assert!(
+            start.elapsed() >= quiet / 2,
+            "a drained socket still woke it"
+        );
     }
 }

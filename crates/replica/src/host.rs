@@ -25,6 +25,7 @@
 use crate::lane::{Command, Lane, Lanes, MLT, PUMP_LANE};
 use crate::membership::{self, boot_view, MembershipStatus};
 use crate::metrics::NodeObs;
+use crate::poller::Shard;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use hermes_common::{ClientOp, Key, MembershipView, NodeId, Reply, Value};
@@ -37,6 +38,7 @@ use hermes_store::{SlotState, Store, StoreConfig};
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, decode_frame};
 use std::io;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -86,9 +88,9 @@ pub(crate) fn mirror_read(
 
 /// One session's local reads (paper §3.1): the rule both session channels
 /// apply before a read goes to its lane — a
-/// [`LaneChannel`](crate::LaneChannel) on the session's own thread, a
-/// poller's `SessionMachine` in the pass that decoded the request. A read
-/// is answered from the mirror ([`mirror_read`]: serving gate, `Valid`
+/// [`LaneChannel`](crate::LaneChannel) on the session's own thread, the
+/// hosting lane's `SessionMachine` in the pass that decoded the request. A
+/// read is answered from the mirror ([`mirror_read`]: serving gate, `Valid`
 /// slot) unless the session has an update of the same key in flight: the
 /// lane pushes an issuer no invalidation of its own write, so a read that
 /// overtook the update would leave the superseded value in the session's
@@ -149,8 +151,9 @@ impl LocalReads {
 
 impl Node {
     /// Splits `ep` into one link set per lane and spawns the lane threads
-    /// over them. `pollers` sizes the per-shard session gauges of a client
-    /// plane that will serve this node (0: none will).
+    /// over them. With `client_port` — a bound client listener and the flag
+    /// a session's shutdown request raises — every lane also hosts its
+    /// share of the remote sessions ([`Shard`]), lane 0 accepting them.
     ///
     /// With `membership` set, lane 0's pump additionally hosts the node's
     /// membership agent ([`RmNode`]): heartbeats and view agreement ride as
@@ -168,7 +171,7 @@ impl Node {
         view: MembershipView,
         protocol: ProtocolConfig,
         workers: usize,
-        pollers: usize,
+        client_port: Option<(TcpListener, Arc<AtomicBool>)>,
         membership: Option<RmConfig>,
         join: bool,
     ) -> io::Result<Node> {
@@ -181,15 +184,20 @@ impl Node {
             (0..workers).map(|_| unbounded()).unzip();
         let wakers = waits.iter().map(Wait::waker);
         let lanes = Lanes::new(txs.into_iter().zip(wakers).collect());
-        let links = ep.split(waits)?;
         let store = Arc::new(Store::new(StoreConfig::default()));
-        let obs = Arc::new(NodeObs::new(me.0 as usize, workers, pollers));
+        let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
+        let plane = client_port.map(|(listener, shutdown)| {
+            Shard::plane(listener, &waits, &lanes, &shutdown, &obs, &store, &status)
+        });
+        let mut shards = plane.transpose()?.map(Vec::into_iter);
+        let links = ep.split(waits)?;
         let peers = view.members.union(view.shadows).len();
         membership::register(&obs.registry, &status, peers);
         obs.register_store(&store);
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
         for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {
+            let shard = shards.as_mut().and_then(Iterator::next);
             let lane = Lane::new(
                 index,
                 workers,
@@ -213,8 +221,8 @@ impl Node {
             });
             let (lanes, running) = (lanes.clone(), Arc::clone(&running));
             let thread = std::thread::Builder::new().name(format!("hermes-lane-{index}"));
-            let handle =
-                thread.spawn(move || lane_main(index, lane, links, rx, lanes, running, pump));
+            let handle = thread
+                .spawn(move || lane_main(index, lane, links, rx, lanes, running, pump, shard));
             threads.push(handle.expect("spawn a lane thread"));
         }
         Ok(Node {
@@ -319,13 +327,8 @@ fn route(lanes: &Lanes, ev: NetEvent, lane: usize, here: &mut dyn FnMut(Command)
         let Ok((msg, trace)) = codec::decode_traced(&raw) else {
             continue;
         };
-        let owner = lanes.owner(msg.key());
-        let cmd = Command::Deliver { from, msg, trace };
-        if owner == lane {
-            here(cmd);
-        } else {
-            alive &= lanes.send(owner, cmd);
-        }
+        let key = msg.key();
+        alive &= lanes.route(lane, key, Command::Deliver { from, msg, trace }, here);
     }
     alive
 }
@@ -345,14 +348,16 @@ fn inv_delay_us() -> u64 {
 }
 
 /// The loop of every lane thread. Fully event-driven: the lane blocks in
-/// its links' one poll, which its command queue's waker shares with the
-/// links the lane reads, so a lone client op or a lone frame at an idle
-/// node wakes exactly this lane, at once (no idle-poll latency floor).
-/// What the lane reads itself is handled inline; then its queue, up to
-/// [`DRAIN_BATCH`] commands; then its timers and the batch flush. Idle
-/// sleeps run to the next armed timer deadline, capped at [`MLT`] so the
-/// shutdown flag stays responsive and the pump's membership agent ticks
-/// finer than its heartbeat interval.
+/// its links' one poll, which its command queue's waker and the poller of
+/// the client sessions it hosts share with the links the lane reads, so a
+/// lone client op or a lone frame at an idle node wakes exactly this lane,
+/// at once (no idle-poll latency floor). What the lane reads itself is
+/// handled inline — peer frames, then its sessions' requests; then its
+/// queue, up to [`DRAIN_BATCH`] commands; then its timers and the batch
+/// flush; last, its sessions' writes. Idle sleeps run to the next armed
+/// timer deadline, capped at [`MLT`] so the shutdown flag stays responsive
+/// and the pump's membership agent ticks finer than its heartbeat interval.
+#[allow(clippy::too_many_arguments)]
 fn lane_main<L: LaneLinks>(
     index: usize,
     mut lane: Lane<L::Sender>,
@@ -361,20 +366,29 @@ fn lane_main<L: LaneLinks>(
     lanes: Lanes,
     running: Arc<AtomicBool>,
     mut pump: Option<Pump<L::Sender>>,
+    mut shard: Option<Shard>,
 ) {
     let mut backlog = false;
-    while running.load(Ordering::Relaxed) {
+    'pass: while running.load(Ordering::Relaxed) {
         let wait = (lane.next_deadline()).map_or(MLT, |at| {
             at.saturating_duration_since(Instant::now()).min(MLT)
         });
         let wait = if backlog { Duration::ZERO } else { wait };
         let mut here = |cmd| run(&mut lane, &mut pump, cmd);
         links.poll(wait, &mut |ev| route(&lanes, ev, index, &mut here));
+        if let Some(shard) = shard.as_mut() {
+            shard.poll(&mut here);
+        }
         let mut drained = 0;
         while drained < DRAIN_BATCH {
             match commands.try_recv() {
-                Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => return,
-                Ok(cmd) => run(&mut lane, &mut pump, cmd),
+                Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => break 'pass,
+                Ok(cmd @ (Command::Conn(..) | Command::Frame(..) | Command::Evict(_))) => {
+                    if let Some(shard) = shard.as_mut() {
+                        shard.on_command(cmd, &mut here);
+                    }
+                }
+                Ok(cmd) => here(cmd),
                 Err(TryRecvError::Empty) => break,
             }
             drained += 1;
@@ -387,6 +401,14 @@ fn lane_main<L: LaneLinks>(
             m.tick(&mut lane, now);
         }
         lane.on_tick(now);
+        if let Some(shard) = shard.as_mut() {
+            shard.finish_pass();
+        }
+    }
+    // What the last pass framed — a shutdown request's ack among it —
+    // still leaves.
+    if let Some(shard) = shard.as_mut() {
+        shard.finish_pass();
     }
 }
 
@@ -510,11 +532,9 @@ impl<S: NetSender> PumpMembership<S> {
 
     /// Installs one catch-up entry on the lane owning its key.
     fn install(&self, lane: &mut Lane<S>, entry: SyncEntry, now: Instant) {
-        if self.lanes.owner(entry.key) == PUMP_LANE {
-            lane.handle(Command::InstallChunk(entry), now);
-        } else {
-            self.lanes.install_chunk(entry);
-        }
+        let (key, here) = (entry.key, &mut |cmd| lane.handle(cmd, now));
+        self.lanes
+            .route(PUMP_LANE, key, Command::InstallChunk(entry), here);
     }
 
     /// Periodic drive: the agent's tick (heartbeats, failure detection,
@@ -524,7 +544,7 @@ impl<S: NetSender> PumpMembership<S> {
         self.rm.on_tick(at, &mut self.rmfx);
         self.apply_effects(lane, now);
         let serving = self.rm.serving(at);
-        // The gate moves before the flush below is posted: a poller that
+        // The gate moves before the flush below is posted: a lane that
         // has framed a session's `Flush` then finds the gate closed, so no
         // mirror read refills the cache it just emptied (DESIGN.md §8).
         self.status.set_serving(serving);
@@ -625,6 +645,8 @@ impl<S: NetSender> PumpMembership<S> {
                         view.members.len()
                     );
                     self.status.record_view(view);
+                    // A readmitted shadow starts its catch-up over.
+                    self.status.set_synced(self.rm.synced());
                     self.on_every_lane(lane, now, || Command::InstallView(view));
                 }
             }
@@ -659,7 +681,7 @@ pub(crate) mod tests {
             store.put(key, SlotMeta::valid(1, 0), Value::from_u64(v).as_bytes());
         }
         let status = MembershipStatus::new(MembershipView::initial(1), serving, true);
-        LocalReads::new(&store, &Arc::new(status), &Arc::new(NodeObs::new(0, 1, 0)))
+        LocalReads::new(&store, &Arc::new(status), &Arc::new(NodeObs::new(0, 1)))
     }
 
     #[test]
@@ -717,7 +739,7 @@ pub(crate) mod tests {
         let wait = Wait::new().expect("a wait");
         let lanes = Lanes::new(vec![(unbounded().0, wait.waker())]);
         let status = Arc::new(MembershipStatus::new(view, true, true));
-        let obs = Arc::new(NodeObs::new(0, 1, 0));
+        let obs = Arc::new(NodeObs::new(0, 1));
         let rm = RmNode::new(me, view, RmConfig::default(), SimTime::ZERO);
         let mut d = PumpMembership::new(rm, lanes, NoNet, status, obs);
         assert!(!d.on_control(NodeId(1), b"\xffnot-a-message", SimTime::ZERO));

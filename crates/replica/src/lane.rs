@@ -23,7 +23,6 @@
 use crate::host::mirror_read;
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
-use crate::poller::ShardHandle;
 use crate::timers::DeadlineQueue;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
@@ -38,6 +37,7 @@ use hermes_wings::client::ServerFrame;
 use hermes_wings::control::{self, ControlMsg, SyncEntry};
 use hermes_wings::{codec, Batcher};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,11 +69,12 @@ pub(crate) enum ClientSink {
     /// in-proc push is acknowledged by construction and never holds
     /// effects back.
     Session(Sender<ServerFrame>),
-    /// The poller shard owning a remote session (DESIGN.md §7), woken out
-    /// of its readiness wait to write the frame. The frame still has to
-    /// cross the network, so invalidation pushes stay pending until the
-    /// client's `InvalAck` returns.
-    Poller(ShardHandle),
+    /// The queue of the lane hosting a remote session (DESIGN.md §7), which
+    /// writes the frame to the session's socket — this lane's own queue
+    /// when it hosts the session. The frame still has to cross the network,
+    /// so invalidation pushes stay pending until the client's `InvalAck`
+    /// returns.
+    Remote(LaneQueue),
 }
 
 impl ClientSink {
@@ -83,7 +84,9 @@ impl ClientSink {
             ClientSink::Session(tx) => {
                 let _ = tx.send(frame);
             }
-            ClientSink::Poller(shard) => shard.send(client, frame),
+            ClientSink::Remote(host) => {
+                host.post(Command::Frame(client, frame));
+            }
         }
     }
 
@@ -91,7 +94,7 @@ impl ClientSink {
     /// touching the key may leave this replica (an in-proc session drains
     /// its queue before it serves from its cache, and owes nothing).
     fn acks_invalidations(&self) -> bool {
-        matches!(self, ClientSink::Poller(_))
+        matches!(self, ClientSink::Remote(_))
     }
 
     /// Tears `client`'s session down: it failed to ack an invalidation
@@ -99,9 +102,27 @@ impl ClientSink {
     /// preserves coherence where waiting longer would stall writers. Only
     /// a sink that owes acks can come to this.
     fn evict(&self, client: ClientId) {
-        if let ClientSink::Poller(shard) = self {
-            shard.evict(client);
+        if let ClientSink::Remote(host) = self {
+            host.post(Command::Evict(client));
         }
+    }
+}
+
+/// One lane's command queue and the waker of the wait its thread blocks in.
+#[derive(Clone, Debug)]
+pub(crate) struct LaneQueue {
+    tx: Sender<Command>,
+    waker: Arc<Waker>,
+}
+
+impl LaneQueue {
+    /// Queues `cmd` and rings the lane; `false` once the lane is gone.
+    pub(crate) fn post(&self, cmd: Command) -> bool {
+        let sent = self.tx.send(cmd).is_ok();
+        if sent {
+            self.waker.wake();
+        }
+        sent
     }
 }
 
@@ -180,6 +201,16 @@ pub(crate) enum Command {
     /// push [`ServerFrame::Flush`] to every subscriber so no client keeps
     /// serving cached reads against a replica that no longer may.
     FlushClients,
+    /// A connection the listening lane accepted for this one to host as
+    /// remote session `client` (consumed by the host's client shard, like
+    /// the next two).
+    Conn(TcpStream, ClientId),
+    /// A frame for a remote session this lane hosts: the reply of an
+    /// operation completed on some lane, or a push of the invalidation
+    /// stream.
+    Frame(ClientId, ServerFrame),
+    /// A remote session this lane hosts is to be torn down.
+    Evict(ClientId),
     /// Stop the lane's thread (consumed by the host).
     Shutdown,
 }
@@ -189,14 +220,16 @@ pub(crate) enum Command {
 /// lane is gone (node shutting down).
 #[derive(Clone, Debug)]
 pub(crate) struct Lanes {
-    /// Per lane: its queue, and the waker of the wait its thread blocks in.
-    queues: Vec<(Sender<Command>, Arc<Waker>)>,
+    queues: Vec<LaneQueue>,
     spec: ShardSpec,
 }
 
 impl Lanes {
+    /// Per lane: its queue, and the waker of the wait its thread blocks in.
     pub(crate) fn new(queues: Vec<(Sender<Command>, Arc<Waker>)>) -> Self {
         let spec = ShardSpec::new(queues.len());
+        let queues = queues.into_iter();
+        let queues = queues.map(|(tx, waker)| LaneQueue { tx, waker }).collect();
         Lanes { queues, spec }
     }
 
@@ -214,12 +247,31 @@ impl Lanes {
 
     /// Queues `cmd` on `lane` and rings the lane.
     pub(crate) fn send(&self, lane: usize, cmd: Command) -> bool {
-        let (tx, waker) = &self.queues[lane];
-        let sent = tx.send(cmd).is_ok();
-        if sent {
-            waker.wake();
+        self.queues[lane].post(cmd)
+    }
+
+    /// `lane`'s queue, for a sink of the sessions it hosts.
+    pub(crate) fn queue(&self, lane: usize) -> LaneQueue {
+        self.queues[lane].clone()
+    }
+
+    /// Hands `cmd`, an event about `key`, to `key`'s owner as seen from
+    /// lane `lane`: through `here` when that is `lane` itself, else onto
+    /// the owner's queue.
+    pub(crate) fn route(
+        &self,
+        lane: usize,
+        key: Key,
+        cmd: Command,
+        here: &mut dyn FnMut(Command),
+    ) -> bool {
+        match self.owner(key) {
+            owner if owner == lane => {
+                here(cmd);
+                true
+            }
+            owner => self.send(owner, cmd),
         }
-        sent
     }
 
     /// Submits a client operation; its reply goes to `reply`.
@@ -254,14 +306,6 @@ impl Lanes {
 
     pub(crate) fn unsubscribe(&self, seq: u64, client: ClientId, key: Key) -> bool {
         self.send(self.owner(key), Command::Unsubscribe { seq, client, key })
-    }
-
-    pub(crate) fn inval_ack(&self, client: ClientId, key: Key) -> bool {
-        self.send(self.owner(key), Command::InvalAck { client, key })
-    }
-
-    pub(crate) fn install_chunk(&self, entry: SyncEntry) -> bool {
-        self.send(self.owner(entry.key), Command::InstallChunk(entry))
     }
 
     /// Sends one command to every lane except `skip` (the pump runs its
@@ -441,7 +485,7 @@ impl<S: NetSender> Lane<S> {
                 self.clients.insert(op, PendingOp { reply, span });
                 // A key the engine does not hold is idle: `Valid`, no update
                 // in flight here, and an INV for it would be handled on this
-                // thread. Its slot answers the read, as it would a poller's.
+                // thread. Its slot answers the read, as it would a session's.
                 let idle = matches!(cop, ClientOp::Read) && self.node.entry(key).is_none();
                 let read = || mirror_read(&self.store, &self.status, key, &mut self.scratch);
                 if let Some(value) = idle.then(read).flatten() {
@@ -490,8 +534,12 @@ impl<S: NetSender> Lane<S> {
                     self.settle(key);
                 }
             }
-            // The host's: its loop consumes both before they get here.
-            Command::Net(_) | Command::Shutdown => {}
+            // The host's: its loop consumes these before they get here.
+            Command::Net(_)
+            | Command::Conn(..)
+            | Command::Frame(..)
+            | Command::Evict(_)
+            | Command::Shutdown => {}
         }
     }
 
@@ -1050,9 +1098,36 @@ fn slot_kind(meta: SlotMeta) -> UpdateKind {
 }
 
 #[cfg(test)]
+impl LaneQueue {
+    /// A queue no lane reads, whose commands the caller takes: what a lane
+    /// unit test hands a lane as a remote session's sink.
+    pub(crate) fn capturing() -> (LaneQueue, crossbeam::channel::Receiver<Command>) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let wait = hermes_net::Wait::new().expect("an epoll and an eventfd");
+        (
+            LaneQueue {
+                tx,
+                waker: wait.waker(),
+            },
+            rx,
+        )
+    }
+
+    /// Queues `cmd` without ringing, as a poster whose ring coalesced into
+    /// an earlier one.
+    pub(crate) fn post_unrung(&self, cmd: Command) {
+        let _ = self.tx.send(cmd);
+    }
+
+    /// Rings the lane.
+    pub(crate) fn ring(&self) {
+        self.waker.wake();
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poller::Inbound;
     use crate::timers::DeadlineQueue;
     use bytes::Bytes;
     use crossbeam::channel::{unbounded, Receiver};
@@ -1122,8 +1197,8 @@ mod tests {
         a: ClientSink,
         a_events: Receiver<ServerFrame>,
         b: ClientSink,
-        b_inbox: Receiver<Inbound>,
-        /// Whether B's shard has been told to tear B down.
+        b_inbox: Receiver<Command>,
+        /// Whether B's host has been told to tear B down.
         b_evicted: bool,
         next_seq: u64,
     }
@@ -1136,7 +1211,7 @@ mod tests {
             store: Arc::clone(&store),
             unmirrored: Arc::default(),
         };
-        let obs = Arc::new(NodeObs::new(0, 1, 0));
+        let obs = Arc::new(NodeObs::new(0, 1));
         let status = Arc::new(MembershipStatus::new(view, true, true));
         let lane = Lane::new(
             0,
@@ -1148,7 +1223,7 @@ mod tests {
             Arc::clone(&obs),
         );
         let (a_tx, a_events) = unbounded();
-        let (shard, b_inbox) = ShardHandle::detached();
+        let (host, b_inbox) = LaneQueue::capturing();
         Rig {
             lane,
             net,
@@ -1157,7 +1232,7 @@ mod tests {
             t0: crate::host::test_epoch(),
             a: ClientSink::Session(a_tx),
             a_events,
-            b: ClientSink::Poller(shard),
+            b: ClientSink::Remote(host),
             b_inbox,
             b_evicted: false,
             next_seq: 0,
@@ -1165,7 +1240,8 @@ mod tests {
     }
 
     impl Rig {
-        /// What a poller reading the mirror would answer a read of `key`.
+        /// What a session's channel reading the mirror would answer a read
+        /// of `key`.
         fn mirror(&self, key: Key) -> Option<Value> {
             mirror_read(&self.net.store, &self.status, key, &mut Vec::new())
         }
@@ -1231,9 +1307,9 @@ mod tests {
             let mut out = Vec::new();
             while let Ok(item) = self.b_inbox.try_recv() {
                 match item {
-                    Inbound::Frame(B, frame) => out.push(frame),
-                    Inbound::Evict(B) => self.b_evicted = true,
-                    other => panic!("B only subscribes, got {other:?}"),
+                    Command::Frame(B, frame) => out.push(frame),
+                    Command::Evict(B) => self.b_evicted = true,
+                    _ => panic!("B only subscribes"),
                 }
             }
             out
@@ -1346,7 +1422,7 @@ mod tests {
     /// The hold rule covers the mirror: in a one-member view a write
     /// commits in the transition that issues it, so the engine's key is
     /// `Valid` with the new value while a subscriber's cache may still
-    /// serve the old one. A poller must not answer a third session's read
+    /// serve the old one. The mirror must not answer a third session's read
     /// with the new value yet (the subscriber could then serve the old one
     /// *after* it): until the ack — or the eviction — the mirror refuses,
     /// and the read goes to the lane, where its reply is held.
@@ -1501,8 +1577,8 @@ mod tests {
         let mut r = rig(1);
         let (k, t0) = (Key(7), r.t0);
         r.subscribe_b(k);
-        let (shard, p_inbox) = ShardHandle::detached();
-        let sink = ClientSink::Poller(shard);
+        let (host, p_inbox) = LaneQueue::capturing();
+        let sink = ClientSink::Remote(host);
         let subscribe = Command::Subscribe {
             seq: 0,
             client: P,
@@ -1513,8 +1589,8 @@ mod tests {
         let p_pushes = || -> Vec<ServerFrame> {
             let items = std::iter::from_fn(|| p_inbox.try_recv().ok());
             let frame = |item| match item {
-                Inbound::Frame(P, frame) => frame,
-                other => panic!("P is never evicted, got {other:?}"),
+                Command::Frame(P, frame) => frame,
+                _ => panic!("P is never evicted"),
             };
             items.map(frame).collect()
         };
@@ -1769,7 +1845,7 @@ mod tests {
         }
     }
 
-    /// Rule 1 behind the poller's mirror reads (DESIGN.md §3.3), and the
+    /// Rule 1 behind the sessions' mirror reads (DESIGN.md §3.3), and the
     /// rule that eviction is invisible, as an executable check over seeded
     /// schedules of everything that moves a key: client ops, INV/ACK/VAL
     /// from two peers (INVs of both kinds, and retransmitted ones from the

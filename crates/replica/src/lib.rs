@@ -21,7 +21,9 @@
 //!   * [`NodeRuntime`] holds one node per OS process over the TCP
 //!     transport and adds a client-facing RPC port, across which
 //!     [`RemoteChannel`] connects a [`ClientSession`] (the `hermesd`
-//!     binary of the root package, DESIGN.md §4).
+//!     binary of the root package, DESIGN.md §4). Its lanes host the
+//!     remote sessions too, each its share, so a replica's threads are
+//!     its lanes and nothing else (DESIGN.md §7).
 //!
 //! Either shape can additionally run the **live membership subsystem**
 //! (DESIGN.md §5): lane 0 of each node hosts the membership agent

@@ -4,9 +4,9 @@
 //! [`NodeObs`] is one `Arc` created by `Node::spawn` and threaded through
 //! every layer: worker lanes record op counts, op latencies, cache-push
 //! gauges and protocol-phase counters into it, the pump records peer
-//! disconnects, view-change outages and sync catch-up throughput, and the
-//! client-plane pollers record their open sessions, accepts and accept
-//! stalls, and decode / write-drain / credit-stall timings.
+//! disconnects, view-change outages and sync catch-up throughput, and each
+//! lane's shard of the client plane records its open sessions, accepts and
+//! accept stalls, and decode / write-drain / credit-stall timings.
 //!
 //! `NodeObs` owns the node's [`hermes_obs::Registry`] (base label
 //! `node="<id>"`) and registers each counter, gauge and histogram as it
@@ -75,10 +75,10 @@ pub(crate) struct NodeObs {
     pub(crate) sync_chunks: Counter,
     /// Sync catch-up payload bytes installed.
     pub(crate) sync_bytes: Counter,
-    /// Remote sessions open per poller shard of the client plane; exported
+    /// Remote sessions open per lane's shard of the client plane; exported
     /// per shard and as their sum. A node without a plane (a
-    /// `ThreadCluster` replica) keeps one shard that never opens a session,
-    /// so both deployment shapes export the same families.
+    /// `ThreadCluster` replica) exports the same rows, which stay 0, so
+    /// both deployment shapes export the same families.
     pub(crate) shard_sessions: Vec<Gauge>,
     /// Client connections accepted by the plane.
     pub(crate) accepts: Counter,
@@ -93,18 +93,19 @@ pub(crate) struct NodeObs {
     /// Client reads queued at a lane instead: key not `Valid`, replica not
     /// serving, or the session's own update of the key still in flight.
     pub(crate) mirror_read_fallbacks: Counter,
-    /// Poller time spent decoding + applying one session's readable burst (us).
+    /// Time a lane spent reading and decoding one session's readable burst
+    /// (us; the family keeps the name it had when pollers did this).
     pub(crate) poller_decode_us: Arc<Histogram>,
-    /// Poller time spent draining one session's write buffer (us).
+    /// Time a lane spent draining one session's write buffer (us).
     pub(crate) poller_write_us: Arc<Histogram>,
     /// How long a session's read interest stayed parked awaiting credit (us).
     pub(crate) credit_stall_us: Arc<Histogram>,
 }
 
 impl NodeObs {
-    /// Node `node`'s state for `lanes` worker lanes and `shards` poller
-    /// shards, each metric registered as it is created.
-    pub(crate) fn new(node: usize, lanes: usize, shards: usize) -> Self {
+    /// Node `node`'s state for `lanes` worker lanes, each hosting a shard
+    /// of the client plane, each metric registered as it is created.
+    pub(crate) fn new(node: usize, lanes: usize) -> Self {
         let r = Registry::with_base_labels(vec![("node", node.to_string())]);
         let counter = |name, help| r.counter(name, help, vec![]);
         let histogram = |name, help| r.histogram(name, help, vec![]);
@@ -113,9 +114,9 @@ impl NodeObs {
             (0..lanes).map(|l| r.counter(name, help, lane(l))).collect()
         };
         let resident_keys: Vec<Gauge> = (0..lanes).map(|_| Gauge::new()).collect();
-        let shard_sessions: Vec<Gauge> = (0..shards.max(1))
+        let shard_sessions: Vec<Gauge> = (0..lanes)
             .map(|s| {
-                let help = "Remote client sessions open per poller shard.";
+                let help = "Remote client sessions open per lane's shard of the client plane.";
                 r.gauge(
                     "hermes_shard_sessions",
                     help,
@@ -131,7 +132,7 @@ impl NodeObs {
             ),
             (
                 "hermes_open_sessions",
-                "Remote client sessions currently open (the sum over poller shards).",
+                "Remote client sessions currently open (the sum over shards).",
                 &shard_sessions,
             ),
         ];
@@ -235,11 +236,11 @@ impl NodeObs {
             ),
             poller_decode_us: histogram(
                 "hermes_poller_decode_us",
-                "Poller time decoding one session's readable burst (us).",
+                "Client-plane time decoding one session's readable burst (us).",
             ),
             poller_write_us: histogram(
                 "hermes_poller_write_us",
-                "Poller time draining one session's write buffer (us).",
+                "Client-plane time draining one session's write buffer (us).",
             ),
             credit_stall_us: histogram(
                 "hermes_credit_stall_us",
@@ -267,7 +268,7 @@ impl NodeObs {
         counters.iter().map(Counter::get).collect()
     }
 
-    /// Remote sessions open across all poller shards.
+    /// Remote sessions open across all shards.
     pub(crate) fn open_sessions(&self) -> u64 {
         self.shard_sessions.iter().map(Gauge::get).sum()
     }
@@ -291,7 +292,7 @@ mod tests {
 
     #[test]
     fn node_obs_shapes_match_lanes() {
-        let obs = NodeObs::new(1, 3, 2);
+        let obs = NodeObs::new(1, 3);
         assert_eq!(obs.lane_latency.len(), 3);
         assert_eq!(obs.lane_traces.len(), 3);
         assert_eq!(NodeObs::per_lane(&obs.lane_ops), vec![0, 0, 0]);

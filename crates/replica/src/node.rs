@@ -7,14 +7,14 @@
 //! a TCP listener speaking the `hermes_wings::client` RPC format, where
 //! each connection is one pipelined session.
 //!
-//! Client connections are *not* threads: a small fixed pool of poller
-//! shards (the sharded-poller client plane, [`ClientPlane`], DESIGN.md §7)
-//! owns every accepted socket through OS readiness APIs, runs each session
-//! as a sans-io state machine, and exchanges work with the worker lanes
-//! through their command queues — so one daemon holds tens of thousands of
-//! concurrent sessions with a session-count-independent thread count, the
-//! same thread discipline the paper's RDMA runtime gets from worker-polled
-//! receive queues (§4).
+//! Client connections are *not* threads, and no thread sits between them
+//! and the lanes: every worker lane hosts its share of the accepted
+//! sockets (its client shard, DESIGN.md §7) in the same wait as its peer
+//! links, runs each session as a sans-io state machine, runs an operation
+//! on a key it owns inline and hands any other to its owner's queue — so
+//! one daemon holds tens of thousands of concurrent sessions on exactly
+//! its lane threads, the thread discipline the paper's RDMA runtime gets
+//! from worker-polled receive queues (§4).
 //!
 //! The multi-process deployment story lives in the `hermesd` binary of the
 //! root package (`hermes::harness::daemon_main`), and the loopback harness
@@ -24,7 +24,6 @@
 
 use crate::host::Node;
 use crate::membership::MembershipStatus;
-use crate::poller::ClientPlane;
 use crate::remote::{invalid, ClientConn, Waiter};
 use hermes_common::{Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::ProtocolConfig;
@@ -41,22 +40,6 @@ use std::time::{Duration, Instant};
 /// Request frames larger than this kill the client connection.
 pub(crate) const MAX_CLIENT_FRAME: usize = 16 << 20;
 
-/// Most poller shards the adaptive default will pick: readiness-driven
-/// threads multiplex tens of thousands of sessions each (DESIGN.md §7),
-/// so piling on more than this only costs wakeups.
-const MAX_DEFAULT_POLLERS: usize = 8;
-
-/// Poller shards of the client plane unless `--pollers` says otherwise:
-/// sized from the host's available parallelism (capped at
-/// [`MAX_DEFAULT_POLLERS`]) so a many-core daemon spreads its sessions
-/// without hand-tuning, while a 1-core CI box gets a single shard.
-fn default_pollers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(1, MAX_DEFAULT_POLLERS)
-}
-
 /// Deployment parameters of one `hermesd` replica process.
 #[derive(Clone, Debug)]
 pub struct NodeOptions {
@@ -69,7 +52,9 @@ pub struct NodeOptions {
     pub client_addr: SocketAddr,
     /// Worker threads (key shards) on this node; ≥ 1.
     pub workers: usize,
-    /// Poller shard threads of the client plane; ≥ 1 (DESIGN.md §7).
+    /// Unread: the lanes host the client plane, so there is no poller
+    /// thread to size (DESIGN.md §7). Kept so that struct literals naming
+    /// it still build; [`NodeOptions::parse`] sets 0.
     pub pollers: usize,
     /// Protocol switches.
     pub protocol: ProtocolConfig,
@@ -93,7 +78,7 @@ pub struct NodeOptions {
 impl NodeOptions {
     /// Parses daemon command-line arguments (everything after the program
     /// name): `--node <id> --peers <addr,addr,...> --client <addr>
-    /// [--workers <n>] [--pollers <n>] [--duration <secs>] [--join]
+    /// [--workers <n>] [--duration <secs>] [--join]
     /// [--no-membership] [--metrics-dump <secs>]`.
     ///
     /// # Errors
@@ -104,7 +89,6 @@ impl NodeOptions {
         let mut peers: Option<Vec<SocketAddr>> = None;
         let mut client_addr: Option<SocketAddr> = None;
         let mut workers = 2usize;
-        let mut pollers = default_pollers();
         let mut run_for = None;
         let mut membership = Some(RmConfig::wall_clock());
         let mut join = false;
@@ -144,11 +128,6 @@ impl NodeOptions {
                         .parse()
                         .map_err(|e| format!("--workers: {e}"))?;
                 }
-                "--pollers" => {
-                    pollers = value("--pollers")?
-                        .parse()
-                        .map_err(|e| format!("--pollers: {e}"))?;
-                }
                 "--duration" => run_for = Some(parse_secs("--duration", value("--duration")?)?),
                 "--metrics-dump" => {
                     let every = parse_secs("--metrics-dump", value("--metrics-dump")?)?;
@@ -174,9 +153,6 @@ impl NodeOptions {
         if workers == 0 {
             return Err("--workers must be ≥ 1".into());
         }
-        if pollers == 0 {
-            return Err("--pollers must be ≥ 1".into());
-        }
         if join && membership.is_none() {
             return Err("--join requires membership (drop --no-membership)".into());
         }
@@ -185,7 +161,7 @@ impl NodeOptions {
             peers,
             client_addr: client_addr.ok_or("--client is required")?,
             workers,
-            pollers,
+            pollers: 0,
             protocol: ProtocolConfig::default(),
             tcp: TcpConfig::default(),
             run_for,
@@ -209,12 +185,10 @@ fn parse_secs(flag: &str, value: String) -> Result<Duration, String> {
 pub struct NodeRuntime {
     id: NodeId,
     client_addr: SocketAddr,
-    /// The lanes, their threads, the transport ingress and the state they
-    /// share — the same value a `ThreadCluster` holds per replica.
+    /// The lanes, their threads, the transport ingress, the client
+    /// sessions they host and the state they share — the value a
+    /// `ThreadCluster` holds per replica, plus the client plane.
     node: Node,
-    /// The sharded-poller client plane owning every remote session
-    /// (stopped first on shutdown, before the worker lanes).
-    client_plane: Option<ClientPlane>,
     tcp_stats: Arc<TcpStats>,
     /// Raised when a client connection delivers the shutdown RPC; the
     /// daemon's main loop polls it and winds the process down.
@@ -240,28 +214,17 @@ impl NodeRuntime {
         let ep = TcpEndpoint::bind(opts.node, &opts.peers, opts.tcp)?;
         let tcp_stats = ep.stats();
         let client_listener = TcpListener::bind(opts.client_addr)?;
-        client_listener.set_nonblocking(true)?;
         let client_addr = client_listener.local_addr()?;
         let view = MembershipView::initial(opts.peers.len());
-        let pollers = opts.pollers.max(1);
-        let (workers, membership, join) = (opts.workers, opts.membership, opts.join);
-        let node = Node::spawn(ep, view, opts.protocol, workers, pollers, membership, join)?;
-        register_tcp(&node.obs().registry, &tcp_stats);
         let shutdown_requested = Arc::new(AtomicBool::new(false));
-        let client_plane = ClientPlane::start(
-            client_listener,
-            node.lanes().clone(),
-            pollers,
-            Arc::clone(&shutdown_requested),
-            Arc::clone(node.obs()),
-            Arc::clone(node.store()),
-            Arc::clone(node.status()),
-        )?;
+        let port = Some((client_listener, Arc::clone(&shutdown_requested)));
+        let (workers, membership, join) = (opts.workers, opts.membership, opts.join);
+        let node = Node::spawn(ep, view, opts.protocol, workers, port, membership, join)?;
+        register_tcp(&node.obs().registry, &tcp_stats);
         Ok(NodeRuntime {
             id: opts.node,
             client_addr,
             node,
-            client_plane: Some(client_plane),
             tcp_stats,
             shutdown_requested,
         })
@@ -333,24 +296,16 @@ impl NodeRuntime {
         self.node.read_local(key)
     }
 
-    fn stop(&mut self) {
-        // The client plane goes first: no poller hands an operation to a
-        // lane that has stopped.
-        if let Some(mut plane) = self.client_plane.take() {
-            plane.stop();
-        }
-        self.node.stop();
-    }
-
-    /// Stops the client service, the worker threads and the transport.
+    /// Stops the worker lanes, and with them the client sessions they host
+    /// and the transport.
     pub fn shutdown(mut self) {
-        self.stop();
+        self.node.stop();
     }
 }
 
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
-        self.stop();
+        self.node.stop();
     }
 }
 
@@ -521,16 +476,12 @@ mod tests {
     use hermes_wings::CreditConfig;
     use std::collections::BTreeSet;
 
-    /// A replica that is not serving answers every sub-operation
-    /// `NotOperational`, so the one transaction driver stops in doubt —
-    /// wherever its session lives — and a resume from a fresh session
-    /// finds the same.
     /// A lone joiner: it has nobody to admit it, so it never serves.
     fn lone_joiner() -> NodeRuntime {
         one_node(true)
     }
 
-    /// A one-node daemon with live membership, two lanes and one poller.
+    /// A one-node daemon with live membership and two lanes.
     fn one_node(join: bool) -> NodeRuntime {
         let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
         NodeRuntime::serve(NodeOptions {
@@ -538,7 +489,7 @@ mod tests {
             peers: vec![loopback],
             client_addr: loopback,
             workers: 2,
-            pollers: 1,
+            pollers: 0,
             protocol: ProtocolConfig::default(),
             tcp: TcpConfig::default(),
             run_for: None,
@@ -574,6 +525,10 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A replica that is not serving answers every sub-operation
+    /// `NotOperational`, so the one transaction driver stops in doubt —
+    /// wherever its session lives — and a resume from a fresh session
+    /// finds the same.
     #[test]
     fn a_txn_at_a_replica_that_is_not_serving_ends_in_doubt_and_leaves_nothing_behind() {
         let runtime = lone_joiner();
@@ -685,27 +640,22 @@ mod tests {
             .contains("--peers"));
     }
 
+    /// The lanes host the client plane, so there are no poller threads
+    /// to size: the flag that sized them is gone.
     #[test]
-    fn adaptive_poller_default_is_bounded_and_overridable() {
-        let base = [
+    fn pollers_is_an_unknown_flag() {
+        let args = [
             "--node",
             "0",
             "--peers",
             "127.0.0.1:1",
             "--client",
             "127.0.0.1:0",
+            "--pollers",
+            "2",
         ];
-        let opts = NodeOptions::parse(&s(&base)).unwrap();
-        assert!((1..=MAX_DEFAULT_POLLERS).contains(&opts.pollers));
-
-        let mut with_flag = base.to_vec();
-        with_flag.extend(["--pollers", "3"]);
-        assert_eq!(NodeOptions::parse(&s(&with_flag)).unwrap().pollers, 3);
-        with_flag[6] = "--pollers";
-        with_flag[7] = "0";
-        assert!(NodeOptions::parse(&s(&with_flag))
-            .unwrap_err()
-            .contains("--pollers"));
+        let err = NodeOptions::parse(&s(&args)).unwrap_err();
+        assert!(err.contains("unknown flag --pollers"), "{err}");
     }
 
     #[test]

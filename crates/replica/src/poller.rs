@@ -1,27 +1,29 @@
-//! The sharded-poller client plane: a small fixed pool of readiness-driven
-//! poller threads owns *all* accepted client connections (DESIGN.md §7).
+//! The client plane: every lane hosts its share of the remote sessions,
+//! each on a readiness-driven [`Shard`] the lane's own loop steps
+//! (DESIGN.md §7).
 //!
 //! The paper's HermesKV never spends a thread per connection — worker
-//! threads poll their receive queues (§4). The previous client port did:
-//! every accepted session cost a reader thread plus a writer thread, so
-//! 10,000 sessions meant 20,000 threads. This module replaces that with
-//! the C10K architecture:
+//! threads poll their receive queues (§4), client requests and protocol
+//! messages alike, so no thread sits between a request and the worker that
+//! runs it. The client port does the same:
 //!
-//! * each of a few **poller shards** ([`Shard`]) runs one thread over an OS
-//!   readiness multiplexer ([`Poller`], epoll on Linux) that owns thousands
-//!   of non-blocking client sockets;
+//! * lane *i*'s **shard** owns an OS readiness multiplexer ([`Poller`],
+//!   epoll on Linux) over thousands of non-blocking client sockets, nested
+//!   in the lane's one wait beside its peer links; lane 0 also accepts,
+//!   dealing connections round-robin through the other lanes' queues;
 //! * each connection is a sans-io **session state machine**
 //!   ([`SessionMachine`]): bytes in → the [`Request`]s it admits out,
 //!   [`ServerFrame`]s in → encoded behind their length prefix in a write
 //!   buffer — no I/O, no threads, unit-testable in isolation;
-//! * a read of a `Valid` key never leaves the shard: the machine answers
-//!   it from the node's seqlock mirror ([`LocalReads`], the rule an
+//! * a read of a `Valid` key never reaches a lane's engine: the machine
+//!   answers it from the node's seqlock mirror ([`LocalReads`], the rule an
 //!   in-process session's channel applies too) in the pass that decoded
 //!   it — the paper's local read (§3.1), on the thread that received it;
 //!   every other read takes the lane path;
-//! * worker lanes finishing an operation do not touch sockets: they post
-//!   the reply frame into the owning shard's inbox and ring its [`Waker`]
-//!   ([`ShardHandle::send`]), and the shard writes it on its own thread;
+//! * an operation on a key the hosting lane owns runs inline; any other
+//!   goes to its owner's queue. A lane finishing an operation posts the
+//!   reply to the hosting lane's queue ([`ClientSink::Remote`]), and the
+//!   hosting lane writes it, once per session per pass;
 //! * Wings credit flow control ([`CreditFlow`], paper §4.2) runs *in* the
 //!   state machine: an operation that finds no credit stays buffered, and
 //!   from then until a completion returns one the socket is not read
@@ -33,17 +35,16 @@
 //!
 //! The plane coordinates no transaction: a remote client's transaction is
 //! a sequence of ordinary operations its own session drives
-//! (`ClientSession::txn`). Thread count is a property of the deployment
-//! (one per poller), not of the session count.
+//! (`ClientSession::txn`). It runs no thread of its own: a replica's
+//! thread count is its lane count, whatever the session count.
 
 use crate::host::LocalReads;
-use crate::lane::{ClientSink, Lanes};
+use crate::lane::{ClientSink, Command, Lanes};
 use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::node::MAX_CLIENT_FRAME;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{ClientId, NodeId, OpId, Reply};
-use hermes_net::{Interest, PollEvent, Poller, Waker};
+use hermes_net::{Interest, PollEvent, Poller, Wait};
 use hermes_obs::{obs_warn, Histogram};
 use hermes_store::Store;
 use hermes_wings::client::{self as rpc, Request, ServerFrame};
@@ -52,26 +53,17 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Remote connections' protocol-level client ids live above this base so
 /// they can never collide with in-process session ids.
 pub(crate) const REMOTE_CLIENT_BASE: u64 = 1 << 33;
 
-/// Upper bound on a shard's blocked wait: the stop flag is re-checked at
-/// least this often even if a wake were lost. Unit tests stretch
-/// it so a lost wake-up shows as a stall instead of hiding behind it.
-const POLL_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 10_000 } else { 500 });
-
-/// The waker's registration token in every shard's poller.
-const TOKEN_WAKE: u64 = 0;
-/// The client listener's token (registered in shard 0 only).
-const TOKEN_LISTENER: u64 = 1;
-/// First session token; each shard numbers its own sessions upward.
-const TOKEN_SESSION_BASE: u64 = 2;
+/// The client listener's token in lane 0's shard; a session's is its
+/// client id, which is never 0.
+const TOKEN_LISTENER: u64 = 0;
 
 /// Per-readiness-event read chunk.
 const READ_CHUNK: usize = 16 * 1024;
@@ -91,58 +83,6 @@ const OUT_CAP: usize = 64 << 20;
 
 /// The session's single flow-control peer: its replica.
 const SERVER: NodeId = NodeId(0);
-
-/// What a worker lane needs to hand a result back to the shard owning the
-/// session: its inbox plus its waker.
-///
-/// Wakes coalesce inside the [`Waker`]: a burst of completions costs one
-/// eventfd write, not one per completion.
-#[derive(Clone, Debug)]
-pub(crate) struct ShardHandle {
-    tx: Sender<Inbound>,
-    /// `None` only for [`ShardHandle::detached`] inboxes.
-    waker: Option<Arc<Waker>>,
-}
-
-impl ShardHandle {
-    /// Posts one frame for `client`'s session (called from worker lanes via
-    /// [`ClientSink::Poller`]). Replies and pushes ride one inbox, so a
-    /// reply and the push that supersedes it reach the session's write
-    /// buffer in lane order.
-    pub(crate) fn send(&self, client: ClientId, frame: ServerFrame) {
-        self.deliver(Inbound::Frame(client, frame));
-    }
-
-    /// Has `client`'s session torn down: its lane gave up waiting for an
-    /// invalidation ack.
-    pub(crate) fn evict(&self, client: ClientId) {
-        self.deliver(Inbound::Evict(client));
-    }
-
-    fn deliver(&self, item: Inbound) {
-        if self.tx.send(item).is_ok() {
-            self.wake();
-        }
-    }
-
-    fn wake(&self) {
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-    }
-}
-
-/// Everything that reaches a shard from outside its poll loop.
-#[derive(Debug)]
-pub(crate) enum Inbound {
-    /// A freshly accepted connection assigned to this shard.
-    Conn(TcpStream),
-    /// A frame for one of this shard's sessions: the reply of an operation
-    /// completed on a worker lane, or a push of the invalidation stream.
-    Frame(ClientId, ServerFrame),
-    /// One of this shard's sessions is to be torn down.
-    Evict(ClientId),
-}
 
 /// One remote session as a non-blocking state machine — the sans-io
 /// boundary: the machine decodes and frames bytes, the shard owns sockets
@@ -345,117 +285,10 @@ impl SessionMachine {
     }
 }
 
-/// The running client plane: its poller shard threads. Dropping (or
-/// [`ClientPlane::stop`]) joins them.
-#[derive(Debug)]
-pub(crate) struct ClientPlane {
-    shards: Vec<ShardHandle>,
-    threads: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl ClientPlane {
-    /// Starts the plane over an already-bound client listener: `pollers`
-    /// shard threads, one per session gauge of `obs`. The listener's
-    /// accept queue is deepened to the plane's fd budget
-    /// ([`listen_backlog`]).
-    pub(crate) fn start(
-        listener: TcpListener,
-        lanes: Lanes,
-        pollers: usize,
-        shutdown: Arc<AtomicBool>,
-        obs: Arc<NodeObs>,
-        store: Arc<Store>,
-        status: Arc<MembershipStatus>,
-    ) -> io::Result<ClientPlane> {
-        listener.set_nonblocking(true)?;
-        let fd_budget = nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM));
-        if let Some(budget) = fd_budget {
-            listen_backlog(&listener, budget)?;
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        debug_assert_eq!(pollers, obs.shard_sessions.len());
-        let mut prepared = Vec::with_capacity(pollers);
-        let mut shards = Vec::with_capacity(pollers);
-        for _ in 0..pollers {
-            let poller = Poller::new()?;
-            let waker = Arc::new(Waker::new(&poller, TOKEN_WAKE)?);
-            let (tx, rx) = unbounded::<Inbound>();
-            shards.push(ShardHandle {
-                tx,
-                waker: Some(Arc::clone(&waker)),
-            });
-            prepared.push((poller, waker, rx));
-        }
-        prepared[0]
-            .0
-            .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-
-        let next_client = Arc::new(AtomicU64::new(0));
-        let mut listener = Some(listener);
-        let mut threads = Vec::with_capacity(pollers);
-        for (i, (poller, waker, inbox)) in prepared.into_iter().enumerate() {
-            let shard = Shard {
-                index: i,
-                poller,
-                waker,
-                inbox,
-                listener: if i == 0 { listener.take() } else { None },
-                fd_budget,
-                accept_paused: false,
-                peers: shards.clone(),
-                next_assign: i,
-                next_token: TOKEN_SESSION_BASE,
-                next_client: Arc::clone(&next_client),
-                sessions: HashMap::new(),
-                by_client: HashMap::new(),
-                lanes: lanes.clone(),
-                stop: Arc::clone(&stop),
-                shutdown: Arc::clone(&shutdown),
-                obs: Arc::clone(&obs),
-                rdbuf: vec![0u8; READ_CHUNK],
-                store: Arc::clone(&store),
-                status: Arc::clone(&status),
-                fx: Vec::new(),
-                touched: Vec::new(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("hermes-poller-{i}"))
-                    .spawn(move || shard.run())?,
-            );
-        }
-        Ok(ClientPlane {
-            shards,
-            threads,
-            stop,
-        })
-    }
-
-    /// Stops every shard and joins its thread. Open sessions are dropped
-    /// (clients observe the hangup).
-    pub(crate) fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for s in &self.shards {
-            s.wake();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ClientPlane {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 /// One open connection as its shard sees it.
 struct Session {
     stream: TcpStream,
     machine: SessionMachine,
-    client: ClientId,
     /// Interest currently registered in the poller (avoids redundant
     /// `reregister` syscalls).
     interest: Interest,
@@ -464,15 +297,17 @@ struct Session {
     parked_at: Option<Instant>,
 }
 
-/// One poller shard: a thread, a readiness multiplexer, and every session
-/// assigned to it.
-struct Shard {
+/// Lane `index`'s shard of the client plane: the remote sessions the lane
+/// hosts, in a poller nested in the lane's wait, and — on the listening
+/// lane — the client listener. The lane's loop steps it: [`Shard::poll`]
+/// after its links, [`Shard::on_command`] for what other lanes posted,
+/// [`Shard::finish_pass`] last.
+pub(crate) struct Shard {
     index: usize,
     poller: Poller,
-    waker: Arc<Waker>,
-    inbox: Receiver<Inbound>,
-    /// The client listener (shard 0 only): accepted connections round-robin
-    /// across all shards.
+    events: Vec<PollEvent>,
+    /// The client listener (lane 0 only): accepted connections round-robin
+    /// across all lanes.
     listener: Option<TcpListener>,
     /// Plane-wide session budget derived from `ulimit -n` minus
     /// [`FD_HEADROOM`]; `None` when the limit cannot be read.
@@ -480,16 +315,12 @@ struct Shard {
     /// Whether the listener is parked because open sessions hit the fd
     /// budget (accepting more would exhaust the process fd table).
     accept_paused: bool,
-    /// Every shard's handle, this one's at `index`.
-    peers: Vec<ShardHandle>,
-    next_assign: usize,
-    next_token: u64,
-    /// Plane-wide client-id allocator (ids must be unique across shards).
-    next_client: Arc<AtomicU64>,
+    /// Connections accepted: the next one's client id and, modulo the lane
+    /// count, its hosting lane.
+    accepted: u64,
+    /// Every session this lane hosts, by client id — also its poller token.
     sessions: HashMap<u64, Session>,
-    by_client: HashMap<u64, u64>,
     lanes: Lanes,
-    stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     /// Node-wide observability state: this shard's open sessions, the
     /// accept / decode / drain / stall counts and timings it records, the
@@ -509,86 +340,124 @@ struct Shard {
 }
 
 impl Shard {
-    fn run(mut self) {
-        let mut events: Vec<PollEvent> = Vec::new();
-        while !self.stop.load(Ordering::Relaxed) {
-            events.clear();
-            if self.poller.wait(&mut events, Some(POLL_TIMEOUT)).is_err() {
-                break;
-            }
-            // The waker's latch re-opens only after its datagrams are
-            // gone, and the inbox is read only after that: a completion
-            // posted at any point either is seen below or rings again.
-            for ev in &events {
-                if ev.token == TOKEN_WAKE {
-                    self.waker.drain();
-                }
-            }
-            while let Ok(item) = self.inbox.try_recv() {
-                self.on_inbound(item);
-            }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_WAKE => {}
-                    TOKEN_LISTENER => self.accept_ready(),
-                    token => self.session_io(token, *ev),
-                }
-            }
-            // Each session the pass touched is written once, with all
-            // the pass framed for it (Wings batching, paper §4.2).
-            self.touched.sort_unstable();
-            self.touched.dedup();
-            while let Some(token) = self.touched.pop() {
-                self.finish_io(token);
-            }
-            // Reaps may have freed fds since the listener parked; the
-            // POLL_TIMEOUT bound guarantees this check runs at least twice
-            // a second even on an otherwise idle shard.
-            self.maybe_resume_accept();
+    /// The client plane over an already-bound client listener: one shard
+    /// per lane of `lanes`, nested in that lane's wait, the listener in lane
+    /// 0's. The listener's accept queue is deepened to the plane's fd
+    /// budget ([`listen_backlog`]). `shutdown` is raised by a session's
+    /// shutdown request.
+    pub(crate) fn plane(
+        listener: TcpListener,
+        waits: &[Wait],
+        lanes: &Lanes,
+        shutdown: &Arc<AtomicBool>,
+        obs: &Arc<NodeObs>,
+        store: &Arc<Store>,
+        status: &Arc<MembershipStatus>,
+    ) -> io::Result<Vec<Shard>> {
+        listener.set_nonblocking(true)?;
+        let fd_budget = nofile_limit().map(|n| n.saturating_sub(FD_HEADROOM));
+        if let Some(budget) = fd_budget {
+            listen_backlog(&listener, budget)?;
         }
-        let tokens: Vec<u64> = self.sessions.keys().copied().collect();
-        for t in tokens {
-            self.reap(t);
-        }
+        let mut listener = Some(listener);
+        let shard = |(index, wait): (usize, &Wait)| -> io::Result<Shard> {
+            let poller = Poller::new()?;
+            wait.nest(&poller)?;
+            let listener = listener.take();
+            if let Some(l) = &listener {
+                poller.register(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+            }
+            Ok(Shard {
+                index,
+                poller,
+                events: Vec::new(),
+                listener,
+                fd_budget,
+                accept_paused: false,
+                accepted: 0,
+                sessions: HashMap::new(),
+                lanes: lanes.clone(),
+                shutdown: Arc::clone(shutdown),
+                obs: Arc::clone(obs),
+                rdbuf: vec![0u8; READ_CHUNK],
+                store: Arc::clone(store),
+                status: Arc::clone(status),
+                fx: Vec::new(),
+                touched: Vec::new(),
+            })
+        };
+        waits.iter().enumerate().map(shard).collect()
     }
 
-    fn on_inbound(&mut self, item: Inbound) {
-        match item {
-            Inbound::Conn(stream) => self.install(stream),
-            Inbound::Frame(client, frame) => {
+    /// Does what became possible, without blocking: accepts on the
+    /// listening lane, and reads every readable session — handing an
+    /// operation on a key this lane owns to `here`, any other to its
+    /// owner's queue.
+    pub(crate) fn poll(&mut self, here: &mut dyn FnMut(Command)) {
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        let _ = self.poller.wait(&mut events, Some(Duration::ZERO));
+        for ev in &events {
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready(),
+                token => self.session_io(token, *ev, here),
+            }
+        }
+        self.events = events;
+    }
+
+    /// One of the commands a lane's queue carries for its sessions:
+    /// [`Command::Conn`], [`Command::Frame`] or [`Command::Evict`].
+    pub(crate) fn on_command(&mut self, cmd: Command, here: &mut dyn FnMut(Command)) {
+        match cmd {
+            Command::Conn(stream, client) => self.install(stream, client),
+            Command::Frame(client, frame) => {
                 // A miss means the session was reaped: a reply has nowhere
                 // to go, and the lane's DropClient broadcast (sent at reap)
                 // clears whatever ack a push was waiting on. Drop it.
-                let Some(&token) = self.by_client.get(&client.0) else {
+                let Some(sess) = self.sessions.get_mut(&client.0) else {
                     return;
                 };
                 let mut fx = std::mem::take(&mut self.fx);
-                let framed = (self.sessions.get_mut(&token))
-                    .is_some_and(|sess| sess.machine.on_frame(&frame, &mut fx));
+                let framed = sess.machine.on_frame(&frame, &mut fx);
                 if let (ServerFrame::Invalidate { key, .. }, false) = (frame, framed) {
                     // Nothing went to the client, so no ack will come
                     // back: ack the lane on its behalf rather than making
                     // the writer wait for the kick timeout.
-                    self.lanes.inval_ack(client, key);
+                    let ack = Command::InvalAck { client, key };
+                    self.lanes.route(self.index, key, ack, here);
                 }
-                self.apply_effects(token, &mut fx);
+                self.apply_effects(client.0, &mut fx, here);
                 self.fx = fx;
-                self.touched.push(token);
+                self.touched.push(client.0);
             }
-            Inbound::Evict(client) => {
-                let token = self.by_client.get(&client.0).copied();
-                if let Some(sess) = token.and_then(|t| self.sessions.get_mut(&t)) {
+            Command::Evict(client) => {
+                if let Some(sess) = self.sessions.get_mut(&client.0) {
                     sess.machine.kill();
-                    self.touched.extend(token);
+                    self.touched.push(client.0);
                 }
             }
+            _ => {}
         }
     }
 
+    /// The end of the lane's pass: each session the pass touched is
+    /// written once, with all the pass framed for it (Wings batching, paper
+    /// §4.2); then a parked listener may resume. The lane wakes at least
+    /// every [`MLT`](crate::lane::MLT), so reaps that freed fds are seen.
+    pub(crate) fn finish_pass(&mut self) {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        while let Some(token) = self.touched.pop() {
+            self.finish_io(token);
+        }
+        self.maybe_resume_accept();
+    }
+
     /// Drains the accept queue, spreading connections round-robin over all
-    /// shards (remote shards get theirs through their inbox + waker).
-    /// Stops — parking the listener — when open sessions reach the fd
-    /// budget; pending connections wait in the kernel backlog until
+    /// lanes (another lane gets its own through its queue). Stops —
+    /// parking the listener — when open sessions reach the fd budget;
+    /// pending connections wait in the kernel backlog until
     /// [`Shard::maybe_resume_accept`] unpauses.
     fn accept_ready(&mut self) {
         while !self.accept_paused {
@@ -600,12 +469,13 @@ impl Shard {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let target = self.next_assign % self.peers.len();
-                    self.next_assign = self.next_assign.wrapping_add(1);
-                    if target == self.index {
-                        self.install(stream);
+                    let client = ClientId(REMOTE_CLIENT_BASE + self.accepted);
+                    let host = (self.accepted % self.lanes.workers() as u64) as usize;
+                    self.accepted += 1;
+                    if host == self.index {
+                        self.install(stream, client);
                     } else {
-                        self.peers[target].deliver(Inbound::Conn(stream));
+                        self.lanes.send(host, Command::Conn(stream, client));
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -614,7 +484,6 @@ impl Shard {
             }
         }
     }
-
     /// Parks the listener: deregisters it from the poller (level-triggered
     /// readiness would otherwise spin on the waiting backlog) and counts
     /// the stall.
@@ -654,25 +523,20 @@ impl Shard {
         }
     }
 
-    fn install(&mut self, stream: TcpStream) {
+    fn install(&mut self, stream: TcpStream, client: ClientId) {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
         }
-        let (token, fd) = (self.next_token, stream.as_raw_fd());
-        if self.poller.register(fd, token, Interest::READ).is_err() {
+        let fd = stream.as_raw_fd();
+        if self.poller.register(fd, client.0, Interest::READ).is_err() {
             return;
         }
-        self.next_token += 1;
-        let client =
-            ClientId(REMOTE_CLIENT_BASE + self.next_client.fetch_add(1, Ordering::Relaxed));
-        self.by_client.insert(client.0, token);
         let reads = LocalReads::new(&self.store, &self.status, &self.obs);
         self.sessions.insert(
-            token,
+            client.0,
             Session {
                 stream,
                 machine: SessionMachine::new(CreditConfig::default(), MAX_CLIENT_FRAME, reads),
-                client,
                 interest: Interest::READ,
                 parked_at: None,
             },
@@ -681,7 +545,7 @@ impl Shard {
         self.obs.shard_sessions[self.index].inc();
     }
 
-    fn session_io(&mut self, token: u64, ev: PollEvent) {
+    fn session_io(&mut self, token: u64, ev: PollEvent, here: &mut dyn FnMut(Command)) {
         self.touched.push(token);
         let Some(sess) = self.sessions.get_mut(&token) else {
             return;
@@ -695,29 +559,38 @@ impl Shard {
             sess.machine.kill();
         }
         record_since(&self.obs.poller_decode_us, t0);
-        self.apply_effects(token, &mut fx);
+        self.apply_effects(token, &mut fx, here);
         self.fx = fx;
     }
 
-    /// Acts on the requests the machine admitted: operations to their
-    /// owning lanes (replying through [`ClientSink::Poller`]), queries
-    /// answered from the runtime's state.
-    fn apply_effects(&mut self, token: u64, fx: &mut Vec<Request>) {
+    /// Acts on the requests the machine admitted: operations and
+    /// subscription traffic to the lanes owning their keys (replying
+    /// through this lane's queue, [`ClientSink::Remote`]), queries answered
+    /// from the runtime's state.
+    fn apply_effects(&mut self, token: u64, fx: &mut Vec<Request>, here: &mut dyn FnMut(Command)) {
         let Some(sess) = self.sessions.get_mut(&token) else {
             return fx.clear();
         };
-        let client = sess.client;
+        let client = ClientId(token);
         // An answer made here. What it unstalls goes nowhere: nothing, but
         // in the one case below that returns a credit.
         let mut reply = |frame| sess.machine.on_frame(&frame, &mut Vec::new());
+        let (lane, lanes) = (self.index, &self.lanes);
+        let sink = || ClientSink::Remote(lanes.queue(lane));
         for request in fx.drain(..) {
             match request {
                 Request::Op { seq, key, cop } => {
                     if !cop.is_update() {
                         self.obs.mirror_read_fallbacks.inc();
                     }
-                    let sink = ClientSink::Poller(self.peers[self.index].clone());
-                    if !self.lanes.op(OpId::new(client, seq), key, cop, sink) {
+                    let op = OpId::new(client, seq);
+                    let cmd = Command::Op {
+                        op,
+                        key,
+                        cop,
+                        reply: sink(),
+                    };
+                    if !lanes.route(lane, key, cmd, here) {
                         // Replica shutting down: answer inline. Any frames
                         // the returned credit unstalls would fail the same
                         // way, so their effects are dropped.
@@ -733,14 +606,19 @@ impl Shard {
                 // Lane sends fail only at teardown; the client observes
                 // the hangup instead of an ack.
                 Request::Subscribe { seq, key } => {
-                    let sink = ClientSink::Poller(self.peers[self.index].clone());
-                    self.lanes.subscribe(seq, client, key, sink);
+                    let cmd = Command::Subscribe {
+                        seq,
+                        client,
+                        key,
+                        sink: sink(),
+                    };
+                    lanes.route(lane, key, cmd, here);
                 }
                 Request::Unsubscribe { seq, key } => {
-                    self.lanes.unsubscribe(seq, client, key);
+                    lanes.route(lane, key, Command::Unsubscribe { seq, client, key }, here);
                 }
                 Request::InvalAck { key } => {
-                    self.lanes.inval_ack(client, key);
+                    lanes.route(lane, key, Command::InvalAck { client, key }, here);
                 }
                 // The machine has framed the ack.
                 Request::Shutdown { .. } => self.shutdown.store(true, Ordering::SeqCst),
@@ -791,17 +669,16 @@ impl Shard {
     }
 
     /// Closes and forgets one session: deregisters the socket (the fd
-    /// closes with the stream), frees its client-id mapping, and returns
-    /// its gauge counts. In-flight completions for it are dropped on
-    /// arrival by the `by_client` miss. Every worker lane hears of the
-    /// departure ([`Lanes::drop_client`]) so subscriptions and pending
-    /// invalidation acks held by the session die with it.
+    /// closes with the stream) and returns its gauge count. In-flight
+    /// completions for it are dropped on arrival by the session miss. Every
+    /// worker lane hears of the departure ([`Lanes::drop_client`]) so
+    /// subscriptions and pending invalidation acks held by the session die
+    /// with it.
     fn reap(&mut self, token: u64) {
         if let Some(sess) = self.sessions.remove(&token) {
             let _ = self.poller.deregister(sess.stream.as_raw_fd());
-            self.by_client.remove(&sess.client.0);
             self.obs.shard_sessions[self.index].dec();
-            self.lanes.drop_client(sess.client);
+            self.lanes.drop_client(ClientId(token));
         }
     }
 }
@@ -843,7 +720,7 @@ fn nofile_limit() -> Option<u64> {
 /// Listens on the bound `listener` again, with room for `backlog`
 /// connections not yet accepted; the kernel clamps it to
 /// `net.core.somaxconn`. std listens with a backlog of 128, and a fleet
-/// that connects faster than shard 0 accepts overflows that: each
+/// that connects faster than lane 0 accepts overflows that: each
 /// overflowed connect waits out a one-second SYN retransmit.
 fn listen_backlog(listener: &TcpListener, backlog: u64) -> io::Result<()> {
     extern "C" {
@@ -901,23 +778,13 @@ fn drain_write(sess: &mut Session) -> bool {
 }
 
 #[cfg(test)]
-impl ShardHandle {
-    /// A handle whose inbox the caller owns and no shard polls: what a
-    /// lane unit test hands a lane as a remote session's sink.
-    pub(crate) fn detached() -> (ShardHandle, Receiver<Inbound>) {
-        let (tx, rx) = unbounded();
-        (ShardHandle { tx, waker: None }, rx)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::host::tests::local_reads_over;
-    use crate::lane::Command;
+    use crate::host::Node;
     use hermes_common::{ClientOp, Key, MembershipView, RmwOp, Value};
-    use hermes_net::Wait;
-    use hermes_store::StoreConfig;
+    use hermes_core::ProtocolConfig;
+    use hermes_net::InProcNet;
 
     /// `request` as it arrives on the wire.
     fn wire(request: &Request) -> Vec<u8> {
@@ -1255,48 +1122,31 @@ mod tests {
         let (seq, key) = (1, Key(3));
         m.on_bytes(&wire(&Request::Subscribe { seq, key }), &mut fx);
         assert!(!m.is_dead());
-        m.kill(); // What the shard does with an `Inbound::Evict`.
+        m.kill(); // What the shard does with a `Command::Evict`.
         assert!(m.is_dead(), "a laggard subscriber is torn down");
         // And a push that crosses the eviction is acked on its behalf.
         assert!(!m.on_frame(&invalidate(key), &mut fx));
         assert!(!m.wants_write());
     }
 
-    /// Regression for the lost wake-up behind PR 13's 504 ms `rtt_max`:
-    /// the shard used to clear its wake latch *before* draining the waker,
-    /// so a completion posted in between had its datagram eaten and left
-    /// the latch set — and the next completion skipped the wake and waited
-    /// out `POLL_TIMEOUT` (10 s under test). Two completions a few
-    /// microseconds apart land the second in that window; the reply to the
-    /// round after would then stall.
-    /// A one-shard plane over one lane that nobody runs (what the shard
-    /// submits queues up in the receiver), and a client whose session the
-    /// shard has installed: `ClientId(REMOTE_CLIENT_BASE)`.
-    fn plane_and_client() -> (ClientPlane, Arc<NodeObs>, Receiver<Command>, TcpStream) {
+    /// A one-lane in-process replica hosting the client plane, and a
+    /// client whose session its lane has installed:
+    /// `ClientId(REMOTE_CLIENT_BASE)`.
+    fn node_and_client() -> (Node, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (lane, lane_rx) = unbounded::<Command>();
-        let obs = Arc::new(NodeObs::new(0, 1, 1));
-        let plane = ClientPlane::start(
-            listener,
-            Lanes::new(vec![(lane, Wait::new().unwrap().waker())]),
-            1,
-            Arc::new(AtomicBool::new(false)),
-            Arc::clone(&obs),
-            Arc::new(Store::new(StoreConfig::default())),
-            Arc::new(MembershipStatus::new(
-                MembershipView::initial(1),
-                true,
-                true,
-            )),
-        )
-        .unwrap();
+        let ep = InProcNet::new(1).into_endpoints().remove(0);
+        let port = (listener, Arc::new(AtomicBool::new(false)));
+        let (view, protocol) = (MembershipView::initial(1), ProtocolConfig::default());
+        let node = Node::spawn(ep, view, protocol, 1, Some(port), None, false).unwrap();
         let client = TcpStream::connect(addr).unwrap();
-        client.set_read_timeout(Some(2 * POLL_TIMEOUT)).unwrap();
-        while obs.open_sessions() == 0 {
+        client
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        while node.obs().open_sessions() == 0 {
             std::thread::yield_now();
         }
-        (plane, obs, lane_rx, client)
+        (node, client)
     }
 
     /// The next frame the client receives.
@@ -1308,22 +1158,29 @@ mod tests {
         ServerFrame::decode(&payload).unwrap()
     }
 
+    /// Regression for the lost wake-up behind a measured 504 ms `rtt_max`:
+    /// the thread hosting the sessions used to clear its wake latch
+    /// *before* draining the waker, so a completion posted in between had
+    /// its datagram eaten and left the latch set — and the next completion
+    /// skipped the wake and waited out the idle wait. Two completions a few
+    /// microseconds apart land the second in that window; the reply to the
+    /// round after would then stall.
     #[test]
     fn completions_never_wait_out_the_poll_timeout() {
-        let (mut plane, _obs, _lane, mut client) = plane_and_client();
-        let shard = plane.shards[0].clone();
+        let (mut node, mut client) = node_and_client();
+        let host = ClientSink::Remote(node.lanes().queue(0));
         let session = ClientId(REMOTE_CLIENT_BASE);
         let mut reply = [0u8; 64];
         for round in 0..20_000u64 {
-            shard.send(session, ServerFrame::Reply(2 * round, Reply::WriteOk));
-            // Sweep the gap so the second post meets the shard at every
+            host.send(session, ServerFrame::Reply(2 * round, Reply::WriteOk));
+            // Sweep the gap so the second post meets the lane at every
             // point between waking up and going back to sleep.
             let gap = Instant::now();
             while gap.elapsed() < Duration::from_nanos(round % 40 * 1_000) {
                 std::hint::spin_loop();
             }
             let posted = Instant::now();
-            shard.send(session, ServerFrame::Reply(2 * round + 1, Reply::WriteOk));
+            host.send(session, ServerFrame::Reply(2 * round + 1, Reply::WriteOk));
             for _ in 0..2 {
                 client.read_exact(&mut reply[..4]).unwrap();
                 let len = u32::from_le_bytes(reply[..4].try_into().unwrap()) as usize;
@@ -1335,55 +1192,52 @@ mod tests {
                 "a completion waited {waited:?} for its shard to wake"
             );
         }
-        plane.stop();
+        node.stop();
     }
 
     /// Wings batching at the client port (paper §4.2): sixteen replies the
-    /// lanes posted for one session before its shard woke leave in one
+    /// lanes posted for one session before its lane woke leave in one
     /// write, not sixteen.
     #[test]
     fn a_pass_writes_each_session_once_however_many_frames_it_framed() {
-        let (mut plane, obs, _lane, mut client) = plane_and_client();
-        let (shard, session) = (plane.shards[0].clone(), ClientId(REMOTE_CLIENT_BASE));
-        let writes = obs.poller_write_us.count();
+        let (mut node, mut client) = node_and_client();
+        let (host, session) = (node.lanes().queue(0), ClientId(REMOTE_CLIENT_BASE));
+        let writes = node.obs().poller_write_us.count();
         for seq in 0..16 {
             // Posted without a ring, as by lanes whose wakes coalesce.
-            let frame = reply(seq, Reply::WriteOk);
-            shard.tx.send(Inbound::Frame(session, frame)).unwrap();
+            host.post_unrung(Command::Frame(session, reply(seq, Reply::WriteOk)));
         }
-        shard.wake();
+        host.ring();
         for seq in 0..16 {
             assert_eq!(receive(&mut client), reply(seq, Reply::WriteOk));
         }
         // The write is timed once its bytes have left: wait for the record.
+        let obs = Arc::clone(node.obs());
         let deadline = Instant::now() + Duration::from_secs(5);
         while obs.poller_write_us.count() == writes && Instant::now() < deadline {
             std::thread::yield_now();
         }
         assert_eq!(obs.poller_write_us.count(), writes + 1);
-        plane.stop();
+        node.stop();
     }
 
     /// A short read ends a session's read pass, and what was left behind is
     /// reported again: requests spanning several read buffers all reach
-    /// their lane, in order.
+    /// their lane, in order, and whole.
     #[test]
     fn requests_larger_than_one_read_buffer_are_decoded_in_full() {
-        let (mut plane, _obs, lane, mut client) = plane_and_client();
+        let (mut node, mut client) = node_and_client();
         let value = |seq: u64| Value::filled(seq as u8, 1_000);
         let requests = (0..32).map(|seq| op(seq, Key(seq), ClientOp::Write(value(seq))));
         let bytes: Vec<u8> = requests.flat_map(|request| wire(&request)).collect();
         assert!(bytes.len() > 2 * READ_CHUNK);
         client.write_all(&bytes).unwrap();
         for seq in 0..32 {
-            let Ok(Command::Op { op, key, cop, .. }) = lane.recv_timeout(Duration::from_secs(5))
-            else {
-                panic!("request {seq} never reached the lane");
-            };
-            assert_eq!((op.seq, key), (seq, Key(seq)));
-            assert!(cop == ClientOp::Write(value(seq)), "request {seq} garbled");
+            assert_eq!(receive(&mut client), reply(seq, Reply::WriteOk));
+            let stored = node.read_local(Key(seq));
+            assert!(stored == Some(value(seq)), "request {seq} garbled");
         }
-        plane.stop();
+        node.stop();
     }
 
     #[test]

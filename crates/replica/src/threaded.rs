@@ -133,7 +133,7 @@ impl ThreadCluster {
         let (workers, membership) = (cfg.workers_per_node, cfg.membership);
         let nodes = endpoints
             .into_iter()
-            .map(|ep| Node::spawn(ep, view, cfg.protocol, workers, 0, membership, false))
+            .map(|ep| Node::spawn(ep, view, cfg.protocol, workers, None, membership, false))
             .collect::<std::io::Result<_>>()
             .expect("a lane's epoll and eventfd, and its sockets registered in them");
         ThreadCluster {
@@ -708,7 +708,7 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The in-process twin of the poller's
+    /// The in-process twin of the remote session machine's
     /// `a_read_never_passes_the_sessions_own_update_of_the_same_key`: a
     /// read pipelined behind the session's own write of a subscribed key
     /// queues behind it at the lane. Answered from the mirror instead, it

@@ -59,10 +59,10 @@ const SMOKE_WINDOW: Duration = Duration::from_secs(1);
 const LATENCY_SAMPLE: u64 = 128;
 /// Required cached/uncached read-throughput ratio of a `--smoke` run (the
 /// CI gate). A full run records its ratio and asserts none: an uncached
-/// read is a mirror read on the daemon's poller thread (DESIGN.md §7), one
-/// loopback round trip, and with the 64-key, 3 s configuration the ratio
-/// swings from 2× to 9× on a 2-vCPU host with how the two modes' runs
-/// happen to share the CPUs.
+/// read is a mirror read on the daemon lane hosting the session (DESIGN.md
+/// §7), one loopback round trip, and with the 64-key, 3 s configuration the
+/// ratio swings from 2× to 9× on a 2-vCPU host with how the two modes'
+/// runs happen to share the CPUs.
 const SMOKE_SPEEDUP_BAR: f64 = 2.0;
 /// Required share of cached-mode reads served from the cache, any run. The
 /// mix fixes it at ≈ 96 % (see [`SESSIONS`]) whatever the host's speed; a
@@ -123,7 +123,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"client_cache\",\n  \"config\": {{\"nodes\": 1, \
-         \"workers\": 2, \"pollers\": 2, \"sessions\": {sessions}, \
+         \"workers\": 2, \"sessions\": {sessions}, \
          \"keys\": {keys}, \"zipf_theta\": 0.99, \"read_pct\": {READ_PCT}, \
          \"window_secs\": {:.1}, \"recorders\": {RECORDERS}}},\n  \
          \"modes\": [\n{},\n{}\n  ],\n  \"read_speedup\": {speedup:.2}\n}}\n",
@@ -181,9 +181,7 @@ fn run_mode(cached: bool, sessions: usize, keys: u64, window: Duration) -> ModeR
     let mode = if cached { "cached" } else { "uncached" };
     println!("\n== {mode}: {sessions} sessions, {keys} hot keys, {window:?} ==");
     let exe = std::env::current_exe().expect("own path");
-    let daemon = spawn_daemons(exe, 1, &["--workers", "2", "--pollers", "2"], |_| {
-        Vec::new()
-    });
+    let daemon = spawn_daemons(exe, 1, &["--workers", "2"], |_| Vec::new());
     let client_addr = daemon.clients[0];
 
     // Pre-populate the hot set so first reads return real values.

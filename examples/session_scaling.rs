@@ -1,25 +1,26 @@
 //! Session-count scaling against one `hermesd` daemon: the acceptance
-//! harness of the sharded-poller client plane.
+//! harness of the client plane the daemon's lanes host.
 //!
 //! Run with no arguments, this binary sweeps **64 → 1,000 → 10,000**
 //! concurrent remote sessions against a single replica daemon (spawned as
 //! a child copy of itself running `hermesd`'s `daemon_main`).
 //! The old thread-per-connection client edge would need two daemon
 //! threads per session — 20,000 threads at the top of the sweep; the
-//! poller plane serves the whole fleet from a fixed handful, which this
-//! harness verifies by reading the daemon's `/proc/<pid>/status` thread
-//! count at peak load.
+//! lanes serve the whole fleet from a fixed handful, which this harness
+//! verifies by reading the daemon's `/proc/<pid>/status` thread count at
+//! peak load.
 //!
 //! For each sweep level it:
 //!
-//! 1. spawns a fresh daemon child (`--workers 2 --pollers 2`);
+//! 1. spawns a fresh daemon child (`--workers 2`);
 //! 2. connects N [`ClientConn`]s one after another, timing the connect
 //!    phase on its own (seconds, connects over 100 ms, and the kernel's
 //!    `ListenOverflows` delta);
 //! 3. then drives **all of them from one harness thread** over one
 //!    [`hermes::net::Poller`] — each session a closed loop of depth 1
 //!    (write, await reply, write again) on its own key, each op timed from
-//!    when its bytes are written, during a timed window;
+//!    when its bytes are written, during a timed window, and asserts that
+//!    every session completed at least one op inside it;
 //! 4. concurrently runs a small *recorder* fleet of conventional
 //!    [`ClientSession`]s whose histories go to the Wing & Gong
 //!    linearizability checker (the checker is bounded at 63 ops/key, so
@@ -92,7 +93,7 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"session_scaling\",\n  \"config\": {{\"nodes\": 1, \
-         \"workers\": 2, \"pollers\": 2, \"window_secs\": {:.1}, \
+         \"workers\": 2, \"window_secs\": {:.1}, \
          \"recorders\": {RECORDERS}}},\n  \"points\": [\n{}\n  ]\n}}\n",
         window.as_secs_f64(),
         records.join(",\n")
@@ -130,9 +131,7 @@ impl FleetSession {
 fn run_level(sessions: usize, window: Duration) -> String {
     println!("\n== {sessions} sessions ==");
     let exe = std::env::current_exe().expect("own path");
-    let daemon = spawn_daemons(exe, 1, &["--workers", "2", "--pollers", "2"], |_| {
-        Vec::new()
-    });
+    let daemon = spawn_daemons(exe, 1, &["--workers", "2"], |_| Vec::new());
     let (client_addr, pid) = (daemon.clients[0], daemon.pid(0));
     // The daemon listens before the connect phase is timed.
     let up = ClientConn::connect_within(client_addr, Duration::from_secs(20));
@@ -229,6 +228,15 @@ fn run_level(sessions: usize, window: Duration) -> String {
         drained, sessions,
         "all in-flight ops drained after the window"
     );
+    // A lane busy with thousands of sockets must not starve any of them.
+    // Only a reply inside the window issues again, so a session that
+    // completed none there is still at its first op.
+    let starved = fleet.iter().filter(|s| s.seq == 1).count();
+    println!("   {starved} of {sessions} sessions completed no op in the window");
+    assert_eq!(
+        starved, 0,
+        "every fleet session completes an op in the window"
+    );
 
     // Peak-load accounting: every fleet + recorder session must be on the
     // daemon's books, from a bounded number of daemon threads.
@@ -277,11 +285,7 @@ fn run_level(sessions: usize, window: Duration) -> String {
     // Orderly teardown: close the fleet, hang up the daemon's stdin.
     drop(fleet);
     daemon.shutdown();
-    let lane_ingress = rows("hermes_lane_ingress_total")
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
+    let lane_ingress = format!("{:?}", rows("hermes_lane_ingress_total"));
     format!(
         "    {{\"sessions\": {sessions}, \"connect_s\": {connect_s:.3}, \
          \"connects_over_100ms\": {slow_connects}, \"listen_overflows\": {overflows}, \
@@ -289,7 +293,7 @@ fn run_level(sessions: usize, window: Duration) -> String {
          \"ops_per_sec\": {ops_per_sec:.1}, \"p50_us\": {p50}, \"p90_us\": {p90}, \
          \"p99_us\": {p99}, \"p999_us\": {p999}, \
          \"open_sessions\": {open_sessions}, \"daemon_threads\": {threads}, \
-         \"lane_ingress\": [{lane_ingress}]}}"
+         \"lane_ingress\": {lane_ingress}}}"
     )
 }
 

@@ -61,8 +61,7 @@ fn fmt_set(set: NodeSet) -> String {
 
 /// The replica daemon `hermesd`: serves one replica from its command line
 /// (`--node <id> --peers … --client …`, [`NodeOptions::parse`]) until one
-/// of its clean exit paths, each of which joins every lane and poller
-/// thread:
+/// of its clean exit paths, each of which joins every lane thread:
 ///
 /// * stdin reaching end of file (the supervising process hung up),
 /// * `--duration` elapsing,
@@ -81,7 +80,7 @@ pub fn daemon_main(args: &[String]) {
         eprintln!("hermesd: {e}");
         eprintln!(
             "usage: hermesd --node <id> --peers <addr,addr,...> --client <addr> \
-             [--workers <n>] [--pollers <n>] [--duration <secs>] [--join] \
+             [--workers <n>] [--duration <secs>] [--join] \
              [--no-membership] [--metrics-dump <secs>]"
         );
         std::process::exit(2);

@@ -2,9 +2,9 @@
 //! cluster runs its lanes and nothing else, over either transport. Each
 //! lane reads and writes its own links — connections over TCP, once the
 //! dials are done; an inbox in process — so no transport thread is left.
-//! A replica daemon's runtime adds its poller shards and nothing else
-//! (DESIGN.md §7). Alone in its test binary, and its tests one at a time,
-//! so no other test's threads are in the count.
+//! A replica daemon's runtime is its lanes too: they host its client
+//! sessions (DESIGN.md §7). Alone in its test binary, and its tests one at
+//! a time, so no other test's threads are in the count.
 #![cfg(target_os = "linux")]
 
 #[path = "support/cluster.rs"]
@@ -100,21 +100,20 @@ fn an_in_process_cluster_runs_its_lanes_and_no_transport_thread() {
 }
 
 #[test]
-fn a_node_runtime_runs_its_lanes_and_pollers_and_nothing_else() {
+fn a_node_runtime_runs_its_lanes_and_nothing_else() {
     const WORKERS: usize = 2;
-    const POLLERS: usize = 1;
     let _serial = serial();
     let before = settled_threads();
     let loopback = "--peers 127.0.0.1:0 --client 127.0.0.1:0";
-    let shape = format!("--workers {WORKERS} --pollers {POLLERS} --no-membership");
+    let shape = format!("--workers {WORKERS} --no-membership");
     let runtime = serve(&format!("--node 0 {loopback} {shape}"));
     let added = settled_threads() - before;
     let names = thread_names();
     let ours: Vec<&String> = names.iter().filter(|n| n.starts_with("hermes-")).collect();
-    let plane = |n: &&String| n.starts_with("hermes-lane-") || n.starts_with("hermes-poller-");
-    assert!(ours.iter().all(plane), "lanes and pollers only: {names:?}");
-    assert_eq!(ours.len(), WORKERS + POLLERS, "{names:?}");
-    assert_eq!(added, WORKERS + POLLERS, "{names:?}");
+    let lane = |n: &&String| n.starts_with("hermes-lane-");
+    assert!(ours.iter().all(lane), "lanes only: {names:?}");
+    assert_eq!(ours.len(), WORKERS, "{names:?}");
+    assert_eq!(added, WORKERS, "{names:?}");
     runtime.shutdown();
     assert_eq!(settled_threads(), before, "shutdown joins every thread");
 }

@@ -4,7 +4,7 @@
 //! counters; a forced-low slow-op threshold dumps a multi-phase breakdown
 //! for a real write; after heavy session open/kill churn every plane
 //! gauge drains back to its baseline (the gauge-leak oracle); and the
-//! exposition alone shows the installed view and each poller shard's
+//! exposition alone shows the installed view and each lane's share of the
 //! sessions.
 //!
 //! These tests talk to an **in-process** [`NodeRuntime`] and observe
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 #[test]
 fn metrics_rpc_exposes_live_histograms() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let mut session = remote_session(runtime.client_addr(), CONNECT);
 
     const OPS: u64 = 64;
@@ -48,8 +48,9 @@ fn metrics_rpc_exposes_live_histograms() {
     validate_exposition(&text).expect("valid exposition");
 
     // Per-lane op latency histograms cover every op a lane handled: the
-    // writes. The two reads were answered by a poller from the mirror, or
-    // handed to a lane, and are counted as one or the other.
+    // writes. The two reads were answered from the mirror by the lane
+    // hosting the session, or handed to a lane's engine, and are counted as
+    // one or the other.
     let op_count = sum(&text, "hermes_op_latency_us_count");
     assert!(
         op_count >= OPS as f64,
@@ -57,7 +58,7 @@ fn metrics_rpc_exposes_live_histograms() {
     );
     let reads =
         sum(&text, "hermes_mirror_reads_total") + sum(&text, "hermes_mirror_read_fallbacks_total");
-    assert!(reads >= 2.0, "{reads} of 2 reads counted at the poller");
+    assert!(reads >= 2.0, "{reads} of 2 reads counted on the server");
     // A p99 is derivable: the rendered summary carries the quantile
     // series — and every sample leads with the daemon's node base label,
     // so a cluster aggregator can merge expositions without collisions.
@@ -150,7 +151,7 @@ fn slow_op_trace_dumps_multi_phase_write_breakdown() {
     let _serial = serial();
     std::env::set_var("HERMES_SLOW_OP_US", "0");
     let capture = Capture::start();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     std::env::remove_var("HERMES_SLOW_OP_US");
 
     let mut session = remote_session(runtime.client_addr(), CONNECT);
@@ -192,7 +193,7 @@ fn slow_op_trace_dumps_multi_phase_write_breakdown() {
 fn traces_rpc_drains_sampled_spans() {
     let _serial = serial();
     hermes::obs::set_trace_sample(1.0);
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let mut session = remote_session(runtime.client_addr(), CONNECT);
     let t = session.write(Key(5), Value::from_u64(77));
     assert_eq!(session.wait(t), Reply::WriteOk);
@@ -243,7 +244,7 @@ fn traces_rpc_drains_sampled_spans() {
 #[test]
 fn session_churn_drains_gauges_to_baseline() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
 
     // A long-lived session drives real ops throughout the churn so the
     // histograms have a known floor to check against.
@@ -302,7 +303,7 @@ fn session_churn_drains_gauges_to_baseline() {
 #[test]
 fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
     let _serial = serial();
-    let nodes = serve_three_nodes(2);
+    let nodes = serve_three_nodes();
     const KEYS: u64 = 64;
     const WRITES: u64 = 512;
     let mut sessions: Vec<_> = nodes
@@ -350,11 +351,11 @@ fn the_engines_hold_no_key_once_a_write_burst_quiesces() {
 /// A replica's health from its exposition alone (paper §3.4's reliable
 /// membership, DESIGN.md §9): on three replicas each exposition names every
 /// node a member of the installed view and none a shadow, one row per peer,
-/// and a session shows on exactly one poller shard until it is reaped.
+/// and a session shows on exactly one lane's shard until it is reaped.
 #[test]
 fn the_exposition_shows_the_view_and_each_shards_sessions() {
     let _serial = serial();
-    let nodes = serve_three_nodes(2);
+    let nodes = serve_three_nodes();
     for n in &nodes {
         let text = n.metrics_text();
         validate_exposition(&text).expect("valid exposition");

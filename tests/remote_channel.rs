@@ -55,7 +55,7 @@ fn process_cpu_ms() -> u64 {
 #[test]
 fn only_a_subscription_costs_the_client_a_thread() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let before = settled_threads();
     let mut sessions: Vec<_> = (0..64)
         .map(|_| remote_session(runtime.client_addr(), CONNECT))
@@ -92,14 +92,14 @@ fn only_a_subscription_costs_the_client_a_thread() {
 
 /// 8 MiB each way through one session, against a real daemon: every reply
 /// spans many reads, so the receive buffer grows to a frame, and the
-/// requests overrun the socket buffer whenever the daemon's poller falls
+/// requests overrun the socket buffer whenever the daemon's hosting lane falls
 /// behind (the unit test in `remote.rs` forces that with a peer that reads
 /// nothing until the socket has backed up).
 #[test]
 fn pipelined_quarter_mebibyte_values_cross_intact_both_ways() {
     let _serial = serial();
     const LEN: usize = 256 << 10;
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let mut session = remote_session(runtime.client_addr(), CONNECT);
     let value = |k: u64| -> Value {
         let bytes = (0..LEN).map(|i| (i as u64 * (2 * k + 1) % 251) as u8);
@@ -222,7 +222,7 @@ fn queued_operations_leave_in_order_at_the_sessions_next_recv() {
 #[test]
 fn a_session_dropped_without_waiting_still_has_every_write_applied() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let mut writer = remote_session(runtime.client_addr(), CONNECT);
     for k in 0..64 {
         writer.write(Key(100 + k), Value::from_u64(k));

@@ -1,8 +1,8 @@
-//! The sharded-poller client plane under faults: sessions killed
+//! The client plane, hosted on the lanes, under faults: sessions killed
 //! mid-pipeline are reaped (gauges return to baseline, no fd leak, late
 //! completions dropped), the daemon's thread count does not grow with its
 //! session count, and concurrent histories spanning a kill stay
-//! linearizable — also with reads answered on the poller thread from the
+//! linearizable — also with reads answered on the hosting lane from the
 //! seqlock mirror (DESIGN.md §7), whose two safety rules are tested here
 //! over real sockets on a three-replica cluster.
 //!
@@ -20,8 +20,9 @@ mod cluster;
 #[path = "support/procfs.rs"]
 mod procfs;
 
-use cluster::{remote_session, serial, serve_single_node, serve_three_nodes, sum, CONNECT};
+use cluster::{remote_session, serial, serve, serve_single_node, serve_three_nodes, sum, CONNECT};
 use hermes::harness::{check_linearizable_per_key, run_recorded_session, RecordedOp};
+use hermes::obs::samples;
 use hermes::prelude::*;
 use hermes::wings::client::{self as rpc, Request, ServerFrame};
 use hermes::wings::CreditConfig;
@@ -102,7 +103,7 @@ fn await_open_sessions(runtime: &NodeRuntime, target: u64) {
 #[test]
 fn mid_pipeline_kill_reaps_the_session() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     assert_eq!(sum(&runtime.metrics_text(), "hermes_open_sessions"), 0.0);
 
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect");
@@ -135,13 +136,53 @@ fn mid_pipeline_kill_reaps_the_session() {
     runtime.shutdown();
 }
 
-/// The daemon's thread count is set by `--workers`/`--pollers`, not by
-/// how many sessions are open: 64 concurrent sessions add zero threads.
+/// Every lane hosts its share of the sessions (DESIGN.md §7): a three-lane
+/// daemon deals six connections round-robin, two to a lane, and one
+/// session's writes to keys of all three lanes — run inline where its own
+/// lane owns the key, through the owner's queue elsewhere, the reply coming
+/// back through its lane's — each complete exactly once.
+#[test]
+fn every_lane_hosts_sessions_and_one_session_reaches_every_lanes_keys() {
+    let _serial = serial();
+    let runtime =
+        serve("--node 0 --peers 127.0.0.1:0 --client 127.0.0.1:0 --workers 3 --no-membership");
+    let connect = |_| TcpStream::connect(runtime.client_addr()).expect("connect");
+    let mut fleet: Vec<TcpStream> = (0..6).map(connect).collect();
+    await_open_sessions(&runtime, 6);
+    let text = runtime.metrics_text();
+    let rows = samples(&text, "hermes_shard_sessions").into_iter();
+    assert_eq!(rows.map(|(_, v)| v).collect::<Vec<_>>(), [2.0; 3]);
+
+    // Three keys of each lane, written by one session.
+    let spec = ShardSpec::new(3);
+    let of_lane = |lane| (0u64..).map(Key).filter(move |&k| spec.owner(k) == lane);
+    let keys = (0..3).flat_map(|lane| of_lane(lane).take(3));
+    let session = &mut fleet[0];
+    keys.enumerate()
+        .for_each(|(seq, key)| send_frame(session, &write(seq as u64, key, 1)));
+    let mut replies = [0; 9];
+    for _ in 0..9 {
+        let ServerFrame::Reply(seq, Reply::WriteOk) = recv_frame(session) else {
+            panic!("a write failed");
+        };
+        replies[seq as usize] += 1;
+    }
+    assert_eq!(replies, [1; 9]);
+    let quiet = Some(Duration::from_millis(200));
+    session.set_read_timeout(quiet).expect("read timeout");
+    assert!(try_recv_frame(session).is_err(), "a write answered twice");
+    drop(fleet);
+    await_open_sessions(&runtime, 0);
+    runtime.shutdown();
+}
+
+/// The daemon's thread count is set by `--workers`, not by how many
+/// sessions are open: 64 concurrent sessions add zero threads.
 /// (Under the old thread-per-connection edge they added 128.)
 #[test]
 fn thread_count_is_independent_of_session_count() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     // Warm every lazily-spawned internal thread with one full round-trip.
     let mut warm = TcpStream::connect(runtime.client_addr()).expect("connect");
     raw_write(&mut warm, 1, Key(1), 1);
@@ -172,7 +213,7 @@ fn thread_count_is_independent_of_session_count() {
 #[test]
 fn session_churn_leaks_no_fds() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     // One warm-up round so any lazily-created fds (epoll, wakers) exist
     // before the baseline is taken.
     let mut warm = TcpStream::connect(runtime.client_addr()).expect("connect");
@@ -193,7 +234,7 @@ fn session_churn_leaks_no_fds() {
         drop(s);
     }
     await_open_sessions(&runtime, 0);
-    // The poller closes a reaped socket's fd just after the session gauge
+    // The lane closes a reaped socket's fd just after the session gauge
     // drops, so poll briefly instead of snapshotting once. The baseline
     // may itself be inflated by the warm-up socket's not-yet-closed fd,
     // so the leak invariant is `<=`, not `==`.
@@ -219,7 +260,7 @@ fn session_churn_leaks_no_fds() {
 #[test]
 fn kill_mid_push_never_delivers_to_a_reaped_session() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
 
     // The victim subscribes over a raw socket and confirms the ack.
     let mut victim = TcpStream::connect(runtime.client_addr()).expect("connect victim");
@@ -288,7 +329,7 @@ fn a_prompt_acker_with_every_credit_in_flight_is_not_evicted_with_a_silent_one()
     let _serial = serial();
     const K: Key = Key(7);
     let in_flight = u64::from(CreditConfig::default().credits_per_peer);
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let connect = || {
         let stream = TcpStream::connect(runtime.client_addr()).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -358,7 +399,7 @@ fn a_prompt_acker_with_every_credit_in_flight_is_not_evicted_with_a_silent_one()
 #[test]
 fn remote_sessions_cache_and_stay_coherent_over_tcp() {
     let _serial = serial();
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     let addr = runtime.client_addr();
 
     let mut reader = remote_session(addr, CONNECT);
@@ -390,7 +431,7 @@ fn remote_sessions_cache_and_stay_coherent_over_tcp() {
 
 /// Concurrent recorded sessions spanning a mid-run socket kill stay
 /// linearizable: the victim's in-flight write is on a key outside the
-/// recorded space, and its death neither wedges a poller shard nor
+/// recorded space, and its death neither wedges the lane hosting it nor
 /// corrupts any other session's stream.
 #[test]
 fn histories_stay_linearizable_across_a_mid_run_kill() {
@@ -400,7 +441,7 @@ fn histories_stay_linearizable_across_a_mid_run_kill() {
     const OPS_PER_SESSION: u64 = 40;
     const DEPTH: usize = 4;
 
-    let runtime = Arc::new(serve_single_node(2));
+    let runtime = Arc::new(serve_single_node());
     let clock = Arc::new(AtomicU64::new(0));
     let mut joins = Vec::new();
     for sid in 0..SESSIONS {
@@ -449,8 +490,8 @@ fn histories_stay_linearizable_across_a_mid_run_kill() {
     }
 }
 
-/// Rule 2 of the poller's mirror reads (DESIGN.md §8): a read never passes
-/// its own session's in-flight update of the same key. A subscribed
+/// Rule 2 of the client plane's mirror reads (DESIGN.md §8): a read never
+/// passes its own session's in-flight update of the same key. A subscribed
 /// session pipelines `write(k, v)` and `read(k)` without waiting; were the
 /// read answered from the mirror ahead of the write, its (superseded)
 /// value would fill the session's cache, and since a lane pushes an issuer
@@ -465,7 +506,7 @@ fn a_pipelined_read_never_parks_a_value_older_than_the_sessions_own_write() {
     const ROUNDS: u64 = 300;
     /// The other writer's values: never mistaken for the session's own.
     const OTHER: u64 = 1 << 40;
-    let nodes = serve_three_nodes(1);
+    let nodes = serve_three_nodes();
     let mut session = remote_session(nodes[0].client_addr(), CONNECT);
     assert!(session.subscribe(K));
     let stop = Arc::new(AtomicBool::new(false));
@@ -527,7 +568,7 @@ fn histories_stay_linearizable_with_reads_served_from_the_mirror() {
     const OPS_PER_SESSION: u64 = 40;
     const DEPTH: usize = 4;
 
-    let nodes = serve_three_nodes(1);
+    let nodes = serve_three_nodes();
     let clock = Arc::new(AtomicU64::new(0));
     let joins: Vec<_> = (0..SESSIONS)
         .map(|sid| {

@@ -26,8 +26,7 @@ pub fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// A replica in this process, configured as `hermesd` is: `flags` is its
-/// command line. Pass `--pollers` always (its default follows the host's
-/// CPU count) and `--no-membership` for a pinned view.
+/// command line. Pass `--no-membership` for a pinned view.
 pub fn serve(flags: &str) -> NodeRuntime {
     let args: Vec<String> = flags.split_whitespace().map(str::to_owned).collect();
     let opts = NodeOptions::parse(&args).expect("hermesd flags");
@@ -35,18 +34,15 @@ pub fn serve(flags: &str) -> NodeRuntime {
 }
 
 /// A one-replica daemon with live membership and two lanes.
-pub fn serve_single_node(pollers: usize) -> NodeRuntime {
-    let loopback = "--peers 127.0.0.1:0 --client 127.0.0.1:0";
-    serve(&format!(
-        "--node 0 {loopback} --workers 2 --pollers {pollers}"
-    ))
+pub fn serve_single_node() -> NodeRuntime {
+    serve("--node 0 --peers 127.0.0.1:0 --client 127.0.0.1:0 --workers 2")
 }
 
 /// Three replicas in this process under a pinned view, two lanes each, so
 /// that a key is `Invalid` at two of them for the length of every write.
-pub fn serve_three_nodes(pollers: usize) -> Vec<NodeRuntime> {
+pub fn serve_three_nodes() -> Vec<NodeRuntime> {
     let peers = addr_list(&reserve_loopback_addrs(3));
-    let shape = format!("--client 127.0.0.1:0 --workers 2 --pollers {pollers} --no-membership");
+    let shape = "--client 127.0.0.1:0 --workers 2 --no-membership";
     (0..3)
         .map(|i| serve(&format!("--node {i} --peers {peers} {shape}")))
         .collect()

@@ -175,7 +175,7 @@ fn replicas_with_different_lane_counts_replicate_linearizably() {
 
     let peers = addr_list(&reserve_loopback_addrs(2));
     let replica = |node: u32, workers: usize| {
-        let shape = format!("--workers {workers} --pollers 1 --no-membership");
+        let shape = format!("--workers {workers} --no-membership");
         serve(&format!(
             "--node {node} --peers {peers} --client 127.0.0.1:0 {shape}"
         ))
@@ -218,7 +218,7 @@ fn replicas_with_different_lane_counts_replicate_linearizably() {
 /// runtime surfaces it to the supervising loop, which tears down cleanly.
 #[test]
 fn shutdown_rpc_reaches_the_daemon() {
-    let runtime = serve_single_node(2);
+    let runtime = serve_single_node();
     assert!(!runtime.shutdown_requested());
     // The daemon still serves data operations...
     let mut session = remote_session(runtime.client_addr(), CONNECT);
