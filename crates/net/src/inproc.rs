@@ -207,11 +207,6 @@ impl InProcSender {
         }
     }
 
-    /// Reconfigures fault injection for the whole network.
-    pub fn set_faults(&self, faults: NetFaults) {
-        self.shared.faults.lock().0 = faults;
-    }
-
     /// Crash-stops `node` network-wide (both directions go silent).
     pub fn crash(&self, node: NodeId) {
         if node.index() < self.shared.crashed.len() {
@@ -437,10 +432,6 @@ mod tests {
         let (tx, hosts) = started(InProcNet::with_faults(2, faults, 1));
         tx[0].send(NodeId(1), Bytes::from_static(b"x"));
         assert_eq!(within(&hosts[1].1, SHORT), None);
-        // Heal and verify traffic resumes.
-        tx[0].set_faults(NetFaults::default());
-        tx[0].send(NodeId(1), Bytes::from_static(b"y"));
-        assert!(within(&hosts[1].1, LONG).is_some());
     }
 
     #[test]

@@ -99,16 +99,11 @@ impl SimNet {
     }
 
     /// Splits the network: nodes in `minority` can no longer exchange
-    /// messages with the rest.
+    /// messages with the rest. An empty `minority` heals every partition.
     pub fn partition(&mut self, minority: NodeSet) {
         for (i, p) in self.partition_of.iter_mut().enumerate() {
             *p = u8::from(minority.contains(NodeId(i as u32)));
         }
-    }
-
-    /// Heals all partitions.
-    pub fn heal(&mut self) {
-        self.partition_of.fill(0);
     }
 
     /// Transmit (serialization) time of a message of `bytes` payload.
@@ -286,7 +281,7 @@ mod tests {
             net.plan_delivery(NodeId(0), NodeId(1), 64, SimTime::ZERO),
             DeliveryOutcome::Deliver(_)
         ));
-        net.heal();
+        net.partition(NodeSet::EMPTY);
         assert!(matches!(
             net.plan_delivery(NodeId(0), NodeId(4), 64, SimTime::ZERO),
             DeliveryOutcome::Deliver(_)

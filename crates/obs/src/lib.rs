@@ -37,9 +37,7 @@ pub mod trace;
 pub use aggregate::{merge_expositions, stitch, Timeline, TimelineEvent};
 pub use hist::{Histogram, HistogramSnapshot, Quantiles};
 pub use registry::{sample_value, samples, validate_exposition, Counter, Gauge, Registry};
-pub use trace::{
-    maybe_trace, set_trace_sample, trace_sampling_on, Phase, Span, TraceId, TraceRing, TraceSpan,
-};
+pub use trace::{maybe_trace, set_trace_sample, Phase, Span, TraceId, TraceRing, TraceSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

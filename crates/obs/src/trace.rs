@@ -72,12 +72,6 @@ pub fn set_trace_sample(rate: f64) {
     trace_period_cell().store(period_for_rate(rate), Ordering::Relaxed);
 }
 
-/// Whether trace sampling is enabled at all (rate > 0).
-#[inline]
-pub fn trace_sampling_on() -> bool {
-    trace_period_cell().load(Ordering::Relaxed) != 0
-}
-
 /// Mints a trace id for a newly issued op: [`TraceId::NONE`] unless this
 /// op falls on the sampling period. With sampling off this is one relaxed
 /// atomic load — the zero-cost guarantee the hot path relies on.

@@ -6,8 +6,9 @@
 //! A [`Lane`] is stepped, never run: every entry point takes the current
 //! instant ([`Lane::handle`], [`Lane::on_tick`]) and the lane itself never
 //! reads a clock, sleeps, spawns, or looks at the environment. Its whole
-//! I/O boundary is the [`NetSender`] it is generic over and the
-//! [`ClientSink`]s handed to it, both of which a unit test can fake — so
+//! I/O boundary is the [`NetSender`] it is generic over and the client
+//! queues handed to it (an operation's [`ClientSink`], a subscriber's
+//! hosting [`LaneQueue`]), all of which a unit test can fake — so
 //! the hold rule and the eviction timer are tested below with no thread
 //! and no socket, under a hand-advanced `Instant`. The thread that steps a
 //! lane in production is `host::lane_main`.
@@ -52,28 +53,21 @@ const PUSH_ACK_KICK: Duration = Duration::from_millis(75);
 /// connectivity events, the membership driver).
 pub(crate) const PUMP_LANE: usize = 0;
 
-/// Where a lane sends what one client must hear: operation replies and the
-/// pushes of the invalidation stream, as [`ServerFrame`]s in one FIFO per
-/// client — a read reply that fills a cache and the invalidation that
-/// supersedes it arrive in emission order.
+/// Where a lane sends the reply of one client operation: an in-process
+/// session's event queue, or the queue of the lane hosting a remote
+/// session (DESIGN.md §7), which writes the frame to the session's socket
+/// — this lane's own queue when it hosts the session.
 ///
-/// Pushes extend Hermes' invalidation phase one hop past the replicas: a
-/// client caching a key is treated like a lightweight follower that must
-/// see the invalidation before the write's effects become visible anywhere
-/// (DESIGN.md §8).
+/// Only a remote session subscribes to invalidation pushes (an in-process
+/// one reads the mirror on its own thread, and that is its cache), so
+/// pushes go to a subscriber's hosting [`LaneQueue`], in the same FIFO as
+/// its replies: a read reply that fills a cache and the invalidation that
+/// supersedes it arrive in emission order.
 #[derive(Clone, Debug)]
 pub(crate) enum ClientSink {
-    /// An in-process session's event queue. Enqueueing happens
-    /// synchronously with the write's apply on the lane thread, and the
-    /// session drains the queue before serving any cached read — so an
-    /// in-proc push is acknowledged by construction and never holds
-    /// effects back.
+    /// An in-process session's event queue.
     Session(Sender<ServerFrame>),
-    /// The queue of the lane hosting a remote session (DESIGN.md §7), which
-    /// writes the frame to the session's socket — this lane's own queue
-    /// when it hosts the session. The frame still has to cross the network,
-    /// so invalidation pushes stay pending until the client's `InvalAck`
-    /// returns.
+    /// The queue of the lane hosting a remote session.
     Remote(LaneQueue),
 }
 
@@ -84,26 +78,7 @@ impl ClientSink {
             ClientSink::Session(tx) => {
                 let _ = tx.send(frame);
             }
-            ClientSink::Remote(host) => {
-                host.post(Command::Frame(client, frame));
-            }
-        }
-    }
-
-    /// Whether an invalidation pushed here must be acked before effects
-    /// touching the key may leave this replica (an in-proc session drains
-    /// its queue before it serves from its cache, and owes nothing).
-    fn acks_invalidations(&self) -> bool {
-        matches!(self, ClientSink::Remote(_))
-    }
-
-    /// Tears `client`'s session down: it failed to ack an invalidation
-    /// within [`PUSH_ACK_KICK`]. A dead session serves nothing, so eviction
-    /// preserves coherence where waiting longer would stall writers. Only
-    /// a sink that owes acks can come to this.
-    fn evict(&self, client: ClientId) {
-        if let ClientSink::Remote(host) = self {
-            host.post(Command::Evict(client));
+            ClientSink::Remote(host) => host.frame(client, frame),
         }
     }
 }
@@ -123,6 +98,11 @@ impl LaneQueue {
             self.waker.wake();
         }
         sent
+    }
+
+    /// Queues `frame` for `client`, a remote session the lane hosts.
+    pub(crate) fn frame(&self, client: ClientId, frame: ServerFrame) {
+        self.post(Command::Frame(client, frame));
     }
 }
 
@@ -161,17 +141,18 @@ pub(crate) enum Command {
     /// Install one key's committed state during shadow catch-up (routed to
     /// the owning lane; newer-timestamp-wins).
     InstallChunk(SyncEntry),
-    /// A client subscribes to invalidation pushes for `key` (routed to the
-    /// owning lane). Acked with [`ServerFrame::Subscribed`] through `sink`.
+    /// A remote session subscribes to invalidation pushes for `key`
+    /// (routed to the owning lane). Acked with [`ServerFrame::Subscribed`]
+    /// through `host`.
     Subscribe {
         /// Client-chosen request sequence, echoed in the ack.
         seq: u64,
-        /// The subscribing client.
+        /// The subscribing session.
         client: ClientId,
         /// The key to watch.
         key: Key,
-        /// Where this client's pushes go.
-        sink: ClientSink,
+        /// The queue of the lane hosting the session: where its pushes go.
+        host: LaneQueue,
     },
     /// A client drops its subscription to `key` (routed to the owning
     /// lane). Acked with [`ServerFrame::Unsubscribed`].
@@ -183,7 +164,7 @@ pub(crate) enum Command {
         /// The key to stop watching.
         key: Key,
     },
-    /// A remote client acknowledged one invalidation push for `key`,
+    /// A remote session acknowledged one invalidation push for `key`,
     /// releasing held effects once every waiter has acked.
     InvalAck {
         /// The acking client.
@@ -250,7 +231,8 @@ impl Lanes {
         self.queues[lane].post(cmd)
     }
 
-    /// `lane`'s queue, for a sink of the sessions it hosts.
+    /// `lane`'s queue: where the replies and pushes of the sessions it
+    /// hosts go.
     pub(crate) fn queue(&self, lane: usize) -> LaneQueue {
         self.queues[lane].clone()
     }
@@ -292,22 +274,6 @@ impl Lanes {
         self.send(PUMP_LANE, Command::Net(ev))
     }
 
-    pub(crate) fn subscribe(&self, seq: u64, client: ClientId, key: Key, sink: ClientSink) -> bool {
-        self.send(
-            self.owner(key),
-            Command::Subscribe {
-                seq,
-                client,
-                key,
-                sink,
-            },
-        )
-    }
-
-    pub(crate) fn unsubscribe(&self, seq: u64, client: ClientId, key: Key) -> bool {
-        self.send(self.owner(key), Command::Unsubscribe { seq, client, key })
-    }
-
     /// Sends one command to every lane except `skip` (the pump runs its
     /// own lane's copy inline).
     pub(crate) fn fan_out(&self, skip: Option<usize>, make: impl Fn() -> Command) {
@@ -327,14 +293,13 @@ impl Lanes {
 /// until they are.
 #[derive(Default)]
 struct LaneSubs {
-    /// key → (client id → client sink).
-    by_key: HashMap<Key, HashMap<u64, ClientSink>>,
+    /// key → (client id → the queue of the lane hosting that session).
+    by_key: HashMap<Key, HashMap<u64, LaneQueue>>,
     /// client id → keys it subscribes to on this lane (reap cleanup).
     by_client: HashMap<u64, HashSet<Key>>,
-    /// Keys with unacked invalidation pushes to remote subscribers: per
-    /// waiting client, when each push it still owes an ack for was sent,
-    /// oldest first. A waiter is evicted [`PUSH_ACK_KICK`] after its
-    /// oldest.
+    /// Keys with unacked invalidation pushes: per waiting client, when
+    /// each push it still owes an ack for was sent, oldest first. A waiter
+    /// is evicted [`PUSH_ACK_KICK`] after its oldest.
     pending: HashMap<Key, HashMap<u64, VecDeque<Instant>>>,
     /// Last committed timestamp pushed per subscribed key — the change
     /// detector that turns "this drain touched k" into "k's value moved".
@@ -506,8 +471,8 @@ impl<S: NetSender> Lane<S> {
                 seq,
                 client,
                 key,
-                sink,
-            } => self.subscribe(seq, client, key, sink),
+                host,
+            } => self.subscribe(seq, client, key, host),
             Command::Unsubscribe { seq, client, key } => self.unsubscribe(seq, client, key, now),
             Command::InvalAck { client, key } => self.ack_push(client, key, now),
             Command::DropClient { client } => self.drop_client(client, now),
@@ -522,7 +487,7 @@ impl<S: NetSender> Lane<S> {
                 // are the keys with work in flight.)
                 let moved = self.node.on_membership_update(view, &mut self.fx);
                 for &key in &moved {
-                    self.mirror_key(key, false);
+                    self.mirror_key(key);
                 }
                 self.refresh_peers();
                 // Subscribers must not serve entries cached under the old
@@ -727,19 +692,18 @@ impl<S: NetSender> Lane<S> {
     /// §4.1) so other threads serve lock-free local reads. A key with
     /// unacked cache pushes is mirrored as not readable whatever its state:
     /// until its subscribers ack, the transition is visible nowhere, and a
-    /// read of it belongs at this lane, held with everything else (§8); so
-    /// is a `hidden` one.
+    /// read of it belongs at this lane, held with everything else (§8).
     /// Called on every transition; the store copies the value only when the
     /// timestamp moved, so a VAL, a commit or a released hold costs the
     /// metadata words.
     /// Only a key the engine holds is mirrored: the engine's default for
     /// any other would overwrite the key's only copy.
-    fn mirror_key(&self, key: Key, hidden: bool) {
+    fn mirror_key(&self, key: Key) {
         let Some(e) = self.node.entry(key) else {
             debug_assert!(false, "{key} mirrored from an engine that does not hold it");
             return;
         };
-        let (ts, readable) = (e.ts, !hidden && !self.subs.pending.contains_key(&key));
+        let (ts, readable) = (e.ts, !self.subs.pending.contains_key(&key));
         let meta = if e.state == KeyState::Valid && readable {
             SlotMeta::valid(ts.version, ts.cid)
         } else {
@@ -760,7 +724,7 @@ impl<S: NetSender> Lane<S> {
     /// transition, if any — it already dropped its cached entry at submit
     /// time and is excluded from the invalidation fan-out.
     ///
-    /// While the touched key has unacked invalidation pushes to remote
+    /// While the touched key has unacked invalidation pushes to its
     /// subscribers, every message/reply effect for it is *held*: the write
     /// must not become visible anywhere (follower ACKs, the coordinator's
     /// INV broadcast, the client's `WriteOk`) before each subscriber can no
@@ -880,12 +844,11 @@ impl<S: NetSender> Lane<S> {
     }
 
     /// Mirrors `key`, and fans an invalidation push out to its subscribers
-    /// when its committed timestamp moved since the last push. Remote
-    /// subscribers become ack waiters (their pushes gate this drain's
-    /// effects); in-proc sinks are synchronously coherent and never wait.
-    /// The order is the mirror rule's: waiters are registered first, so
-    /// that the mirror write already shows the key held, and the pushes
-    /// leave after it.
+    /// when its committed timestamp moved since the last push. Every
+    /// subscriber pushed to becomes an ack waiter (its push gates this
+    /// drain's effects). The order is the mirror rule's: waiters are
+    /// registered first, so that the mirror write already shows the key
+    /// held, and the pushes leave after it.
     fn mirror_and_push(&mut self, key: Key, issuer: Option<ClientId>, now: Instant) {
         let ts = self.key_ts(key);
         let subscribers = self.subs.by_key.get(&key);
@@ -897,35 +860,19 @@ impl<S: NetSender> Lane<S> {
             .into_iter()
             .flatten()
             .filter(|(&client, _)| issuer.is_none_or(|c| c.0 != client));
-        let owing: Vec<u64> = pushed
-            .clone()
-            .filter(|(_, sink)| sink.acks_invalidations())
-            .map(|(&client, _)| client)
-            .collect();
-        if !owing.is_empty() {
+        for (&client, _) in pushed.clone() {
             let waiters = self.subs.pending.entry(key).or_default();
-            for client in owing {
-                waiters.entry(client).or_default().push_back(now);
-            }
+            waiters.entry(client).or_default().push_back(now);
         }
-        // An in-process subscriber owes no ack, so no waiter hides the key
-        // while its push is on the way; yet in a one-member view a write is
-        // `Valid` in the step that moves its timestamp. Shown before the
-        // pushes, it could be read from the mirror on another session's
-        // thread while the subscriber still serves the superseded value.
-        let hide = pushed.clone().any(|(_, sink)| !sink.acks_invalidations());
-        self.mirror_key(key, hide);
+        self.mirror_key(key);
         let epoch = self.node.view().epoch.0;
-        for (&client, sink) in pushed {
+        for (&client, host) in pushed {
             self.obs.pushes.inc();
-            sink.send(ClientId(client), ServerFrame::Invalidate { key, epoch });
-        }
-        if hide {
-            self.mirror_key(key, false);
+            host.frame(ClientId(client), ServerFrame::Invalidate { key, epoch });
         }
     }
 
-    /// One remote subscriber acknowledged one invalidation push for `key`:
+    /// One subscriber acknowledged one invalidation push for `key`:
     /// its oldest. Pushes are counted per client — an ack for an older push
     /// must not release effects a newer, still-unacked push is guarding.
     fn ack_push(&mut self, client: ClientId, key: Key, now: Instant) {
@@ -969,7 +916,7 @@ impl<S: NetSender> Lane<S> {
         self.cur_trace = TraceId::NONE;
         // Nobody owes an ack for the key any more: it is readable again,
         // and by the mirror rule says so before what was held goes out.
-        self.mirror_key(key, false);
+        self.mirror_key(key);
         if let Some(held) = self.subs.held.remove(&key) {
             self.obs.holds_released.add(held.len() as u64);
             for e in held {
@@ -979,7 +926,7 @@ impl<S: NetSender> Lane<S> {
         self.settle(key);
     }
 
-    /// Evicts each remote subscriber whose oldest unacked invalidation
+    /// Evicts each subscriber whose oldest unacked invalidation
     /// push is [`PUSH_ACK_KICK`] old, releasing a key's held effects once
     /// its last waiter is gone. Mirrors the paper's bounded-delay
     /// assumption at the client hop: the subscriber is treated as failed
@@ -993,15 +940,15 @@ impl<S: NetSender> Lane<S> {
             .map(|(key, client, _)| (key, client))
             .collect();
         for (key, client) in overdue {
-            if let Some(sink) = self.remove_subscription(client, key) {
-                sink.evict(ClientId(client));
+            if let Some(host) = self.remove_subscription(client, key) {
+                host.post(Command::Evict(ClientId(client)));
             }
             self.clear_waiter(client, key, now);
         }
     }
 
-    /// Registers `client` for pushes on `key` and acks through `sink`.
-    fn subscribe(&mut self, seq: u64, client: ClientId, key: Key, sink: ClientSink) {
+    /// Registers `client` for pushes on `key` and acks through `host`.
+    fn subscribe(&mut self, seq: u64, client: ClientId, key: Key, host: LaneQueue) {
         // Seed the change detector at the current committed timestamp so
         // the first post-subscribe write pushes exactly once.
         let ts = self.key_ts(key);
@@ -1012,31 +959,31 @@ impl<S: NetSender> Lane<S> {
             .by_key
             .entry(key)
             .or_default()
-            .insert(client.0, sink.clone())
+            .insert(client.0, host.clone())
             .is_none();
         if fresh {
             self.subs.by_client.entry(client.0).or_default().insert(key);
             self.obs.subscriptions.inc();
         }
         self.obs.pushes.inc();
-        sink.send(client, ServerFrame::Subscribed { seq, key, epoch });
+        host.frame(client, ServerFrame::Subscribed { seq, key, epoch });
     }
 
     /// Ends `client`'s subscription to `key`, acking through the removed
-    /// sink.
+    /// host queue.
     fn unsubscribe(&mut self, seq: u64, client: ClientId, key: Key, now: Instant) {
-        if let Some(sink) = self.remove_subscription(client.0, key) {
+        if let Some(host) = self.remove_subscription(client.0, key) {
             self.clear_waiter(client.0, key, now);
             self.obs.pushes.inc();
-            sink.send(client, ServerFrame::Unsubscribed { seq, key });
+            host.frame(client, ServerFrame::Unsubscribed { seq, key });
         }
     }
 
-    /// Removes one (client, key) subscription edge; returns the sink if it
-    /// existed.
-    fn remove_subscription(&mut self, client: u64, key: Key) -> Option<ClientSink> {
+    /// Removes one (client, key) subscription edge; returns the client's
+    /// host queue if it existed.
+    fn remove_subscription(&mut self, client: u64, key: Key) -> Option<LaneQueue> {
         let m = self.subs.by_key.get_mut(&key)?;
-        let sink = m.remove(&client)?;
+        let host = m.remove(&client)?;
         if m.is_empty() {
             self.subs.by_key.remove(&key);
             self.subs.pushed_ts.remove(&key);
@@ -1048,7 +995,7 @@ impl<S: NetSender> Lane<S> {
             }
         }
         self.obs.subscriptions.dec();
-        Some(sink)
+        Some(host)
     }
 
     /// Clears every subscription and pending ack held by a departed
@@ -1071,10 +1018,10 @@ impl<S: NetSender> Lane<S> {
         let epoch = self.node.view().epoch.0;
         let mut seen: HashSet<u64> = HashSet::new();
         for subs in self.subs.by_key.values() {
-            for (&client, sink) in subs {
+            for (&client, host) in subs {
                 if seen.insert(client) {
                     self.obs.pushes.inc();
-                    sink.send(ClientId(client), ServerFrame::Flush { epoch });
+                    host.frame(ClientId(client), ServerFrame::Flush { epoch });
                 }
             }
         }
@@ -1100,7 +1047,7 @@ fn slot_kind(meta: SlotMeta) -> UpdateKind {
 #[cfg(test)]
 impl LaneQueue {
     /// A queue no lane reads, whose commands the caller takes: what a lane
-    /// unit test hands a lane as a remote session's sink.
+    /// unit test hands a lane as a remote session's host queue.
     pub(crate) fn capturing() -> (LaneQueue, crossbeam::channel::Receiver<Command>) {
         let (tx, rx) = crossbeam::channel::unbounded();
         let wait = hermes_net::Wait::new().expect("an epoll and an eventfd");
@@ -1196,7 +1143,7 @@ mod tests {
         t0: Instant,
         a: ClientSink,
         a_events: Receiver<ServerFrame>,
-        b: ClientSink,
+        b: LaneQueue,
         b_inbox: Receiver<Command>,
         /// Whether B's host has been told to tear B down.
         b_evicted: bool,
@@ -1232,7 +1179,7 @@ mod tests {
             t0: crate::host::test_epoch(),
             a: ClientSink::Session(a_tx),
             a_events,
-            b: ClientSink::Remote(host),
+            b: host,
             b_inbox,
             b_evicted: false,
             next_seq: 0,
@@ -1252,7 +1199,7 @@ mod tests {
                 seq: 0,
                 client: B,
                 key,
-                sink: self.b.clone(),
+                host: self.b.clone(),
             };
             self.lane.handle(cmd, self.t0);
             let epoch = 0;
@@ -1266,7 +1213,10 @@ mod tests {
         fn op(&mut self, client: ClientId, key: Key, cop: ClientOp, at: Instant) -> OpId {
             let op = OpId::new(client, self.next_seq);
             self.next_seq += 1;
-            let reply = if client == A { &self.a } else { &self.b }.clone();
+            let reply = match client {
+                A => self.a.clone(),
+                _ => ClientSink::Remote(self.b.clone()),
+            };
             self.lane.handle(
                 Command::Op {
                     op,
@@ -1578,12 +1528,11 @@ mod tests {
         let (k, t0) = (Key(7), r.t0);
         r.subscribe_b(k);
         let (host, p_inbox) = LaneQueue::capturing();
-        let sink = ClientSink::Remote(host);
         let subscribe = Command::Subscribe {
             seq: 0,
             client: P,
             key: k,
-            sink,
+            host,
         };
         r.lane.handle(subscribe, t0);
         let p_pushes = || -> Vec<ServerFrame> {

@@ -564,9 +564,9 @@ impl Shard {
     }
 
     /// Acts on the requests the machine admitted: operations and
-    /// subscription traffic to the lanes owning their keys (replying
-    /// through this lane's queue, [`ClientSink::Remote`]), queries answered
-    /// from the runtime's state.
+    /// subscription traffic to the lanes owning their keys (replies and
+    /// pushes come back through this lane's queue, [`ClientSink::Remote`]),
+    /// queries answered from the runtime's state.
     fn apply_effects(&mut self, token: u64, fx: &mut Vec<Request>, here: &mut dyn FnMut(Command)) {
         let Some(sess) = self.sessions.get_mut(&token) else {
             return fx.clear();
@@ -576,7 +576,6 @@ impl Shard {
         // in the one case below that returns a credit.
         let mut reply = |frame| sess.machine.on_frame(&frame, &mut Vec::new());
         let (lane, lanes) = (self.index, &self.lanes);
-        let sink = || ClientSink::Remote(lanes.queue(lane));
         for request in fx.drain(..) {
             match request {
                 Request::Op { seq, key, cop } => {
@@ -588,7 +587,7 @@ impl Shard {
                         op,
                         key,
                         cop,
-                        reply: sink(),
+                        reply: ClientSink::Remote(lanes.queue(lane)),
                     };
                     if !lanes.route(lane, key, cmd, here) {
                         // Replica shutting down: answer inline. Any frames
@@ -610,7 +609,7 @@ impl Shard {
                         seq,
                         client,
                         key,
-                        sink: sink(),
+                        host: lanes.queue(lane),
                     };
                     lanes.route(lane, key, cmd, here);
                 }

@@ -14,9 +14,11 @@
 //! * [`LaneChannel`] — in-process ([`ThreadCluster::session`]): a read of
 //!   a `Valid` key is answered from the node's mirror on the session's own
 //!   thread, and every other operation goes straight to the worker lane
-//!   owning its key;
+//!   owning its key. The mirror is its cache: it cannot subscribe, so it
+//!   never keeps one of its own;
 //! * [`RemoteChannel`](crate::RemoteChannel) — a real TCP connection to a
-//!   `hermesd` replica daemon's client port.
+//!   `hermesd` replica daemon's client port, over which a session may
+//!   subscribe to keys and cache them (DESIGN.md §8).
 //!
 //! Pipelining is bounded end-to-end by Wings credit-based flow control
 //! (paper §4.2, [`CreditFlow`]): each submission spends a credit, each
@@ -102,15 +104,16 @@ pub trait SessionChannel {
 /// admits (the node's mirror: serving gate, `Valid` slot, no own update of
 /// the key in flight) is answered on the session's own thread, with no
 /// lane woken; every other operation goes straight to the worker lane
-/// owning its key. Completions and push events come back over one
-/// crossbeam channel, preserving each lane's emission order, behind the
-/// replies answered here.
+/// owning its key. Completions come back over one crossbeam channel,
+/// behind the replies answered here. It refuses subscriptions: a read of a
+/// `Valid` key already reaches no lane, so a cache would save nothing.
 #[derive(Debug)]
 pub struct LaneChannel {
     client: ClientId,
     lanes: Lanes,
     reads: LocalReads,
-    /// Replies answered from the mirror, not yet received.
+    /// Replies answered from the mirror, not yet received. Kept off the
+    /// channel: a send there takes the lock the lanes' replies take.
     answered: VecDeque<ServerFrame>,
     events_tx: Sender<ServerFrame>,
     events_rx: Receiver<ServerFrame>,
@@ -128,10 +131,6 @@ impl LaneChannel {
             events_rx,
         }
     }
-
-    fn sink(&self) -> ClientSink {
-        ClientSink::Session(self.events_tx.clone())
-    }
 }
 
 impl SessionChannel for LaneChannel {
@@ -140,7 +139,6 @@ impl SessionChannel for LaneChannel {
     }
 
     fn send(&mut self, request: Request) -> bool {
-        let client = self.client;
         match request {
             Request::Op { seq, key, cop } => {
                 if let Some(reply) = self.reads.answer(key, &cop) {
@@ -148,13 +146,14 @@ impl SessionChannel for LaneChannel {
                     return true;
                 }
                 self.reads.submitted(seq, key, &cop);
-                self.lanes.op(OpId::new(client, seq), key, cop, self.sink())
+                let reply = ClientSink::Session(self.events_tx.clone());
+                self.lanes.op(OpId::new(self.client, seq), key, cop, reply)
             }
-            Request::Subscribe { seq, key } => self.lanes.subscribe(seq, client, key, self.sink()),
-            Request::Unsubscribe { seq, key } => self.lanes.unsubscribe(seq, client, key),
-            // An in-process session owes no acks (`ClientSink::Session`),
-            // and the rest is asked of a daemon, not of its lanes.
-            Request::InvalAck { .. }
+            // No subscription, hence no push to ack; the rest is asked of
+            // a daemon, not of its lanes.
+            Request::Subscribe { .. }
+            | Request::Unsubscribe { .. }
+            | Request::InvalAck { .. }
             | Request::Metrics { .. }
             | Request::Traces { .. }
             | Request::Shutdown { .. } => false,
@@ -162,10 +161,6 @@ impl SessionChannel for LaneChannel {
     }
 
     fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
-        // What was answered here goes first: an `Invalidate` the lanes
-        // emitted after its value was read must land after its cache fill,
-        // or the fill would be permanent. Overtaking frames emitted before
-        // the read is harmless (DESIGN.md §8).
         let frame = self.answered.pop_front().or_else(|| match wait {
             Some(wait) => self.events_rx.recv_timeout(wait).ok(),
             None => self.events_rx.try_recv().ok(),
@@ -178,14 +173,6 @@ impl SessionChannel for LaneChannel {
 
     fn is_alive(&self) -> bool {
         true
-    }
-}
-
-impl Drop for LaneChannel {
-    fn drop(&mut self) {
-        // Lanes keep a clone of `events_tx` per subscription; tell them
-        // the client is gone so the registry (and the gauges) drain.
-        self.lanes.drop_client(self.client);
     }
 }
 
@@ -432,9 +419,9 @@ impl<C: SessionChannel> ClientSession<C> {
     /// the subscription is live. While subscribed, repeat reads of `key`
     /// are served from the local cache with zero round trips, staying
     /// linearizable through the pushed invalidation stream (DESIGN.md §8).
-    /// Returns `false` when the channel cannot carry subscriptions (it
-    /// has no push path, or it died) — the session then simply never
-    /// caches, which is always safe.
+    /// Returns `false` when the channel cannot carry subscriptions (a
+    /// [`LaneChannel`], whose reads the mirror already answers, or a dead
+    /// one) — the session then simply never caches, which is always safe.
     pub fn subscribe(&mut self, key: Key) -> bool {
         if self.cache.subscribed.contains(&key) {
             return true;

@@ -178,14 +178,6 @@ impl Rng {
         -mean * (1.0 - self.gen_f64()).ln()
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -312,18 +304,6 @@ mod tests {
             (mean - mean_target).abs() / mean_target < 0.05,
             "mean {mean} too far from {mean_target}"
         );
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::seeded(1);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        // And actually shuffles (astronomically unlikely to be identity).
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

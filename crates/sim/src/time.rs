@@ -39,12 +39,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds since simulation start, as a float (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The duration elapsed since `earlier`.
     ///
     /// Returns [`SimDuration::ZERO`] if `earlier` is in the future, mirroring
@@ -145,12 +139,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Length in microseconds, as a float (for reporting).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Length in seconds, as a float (for reporting).
@@ -297,7 +285,5 @@ mod tests {
     #[test]
     fn float_views() {
         assert!((SimDuration::millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert!((SimDuration::micros(7).as_micros_f64() - 7.0).abs() < 1e-12);
-        assert!((SimTime::from_nanos(2_000_000).as_millis_f64() - 2.0).abs() < 1e-12);
     }
 }

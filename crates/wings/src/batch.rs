@@ -30,17 +30,6 @@ pub struct BatchStats {
     pub payload_bytes: u64,
 }
 
-impl BatchStats {
-    /// Average number of messages per emitted frame.
-    pub fn avg_batch_size(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.frames as f64
-        }
-    }
-}
-
 /// Opportunistic per-receiver message batching (paper §4.2).
 ///
 /// Messages destined for the same receiver accumulate in a per-peer buffer.
@@ -307,7 +296,6 @@ mod tests {
         assert_eq!(s.messages, 10);
         assert_eq!(s.frames, 1);
         assert_eq!(s.payload_bytes, 100);
-        assert!((s.avg_batch_size() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -28,9 +28,13 @@ pub fn serial() -> MutexGuard<'static, ()> {
 /// A replica in this process, configured as `hermesd` is: `flags` is its
 /// command line. Pass `--no-membership` for a pinned view.
 pub fn serve(flags: &str) -> NodeRuntime {
+    try_serve(flags).expect("replica binds its loopback ports")
+}
+
+/// [`serve`], failing when a port of `flags` is taken.
+pub fn try_serve(flags: &str) -> std::io::Result<NodeRuntime> {
     let args: Vec<String> = flags.split_whitespace().map(str::to_owned).collect();
-    let opts = NodeOptions::parse(&args).expect("hermesd flags");
-    NodeRuntime::serve(opts).expect("replica binds its loopback ports")
+    NodeRuntime::serve(NodeOptions::parse(&args).expect("hermesd flags"))
 }
 
 /// A one-replica daemon with live membership and two lanes.
@@ -41,11 +45,27 @@ pub fn serve_single_node() -> NodeRuntime {
 /// Three replicas in this process under a pinned view, two lanes each, so
 /// that a key is `Invalid` at two of them for the length of every write.
 pub fn serve_three_nodes() -> Vec<NodeRuntime> {
-    let peers = addr_list(&reserve_loopback_addrs(3));
-    let shape = "--client 127.0.0.1:0 --workers 2 --no-membership";
-    (0..3)
-        .map(|i| serve(&format!("--node {i} --peers {peers} {shape}")))
-        .collect()
+    serve_three("--no-membership").1
+}
+
+/// Three replicas in this process on loopback peer ports, ephemeral client
+/// ports and two lanes each, `flags` ending each command line; and those
+/// lines, with which [`serve`] brings a replica back on its peer address
+/// (add `--join` to rejoin a live group). A port is reserved by binding
+/// and releasing it, so another socket may take it before its replica
+/// binds it: then all three start again on fresh ports.
+pub fn serve_three(flags: &str) -> (Vec<String>, Vec<NodeRuntime>) {
+    for _ in 0..5 {
+        let peers = addr_list(&reserve_loopback_addrs(3));
+        let shape = "--client 127.0.0.1:0 --workers 2";
+        let lines: Vec<String> = (0..3)
+            .map(|i| format!("--node {i} --peers {peers} {shape} {flags}"))
+            .collect();
+        if let Ok(nodes) = lines.iter().map(|l| try_serve(l)).collect() {
+            return (lines, nodes);
+        }
+    }
+    panic!("five sets of reserved peer ports were all taken");
 }
 
 /// How long a test waits for a client port to accept, unless it says.
