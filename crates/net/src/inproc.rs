@@ -1,7 +1,7 @@
-use crate::poll::{PollEvent, Wait, Waker};
+use crate::inbox::{Inbox, Post};
+use crate::poll::{PollEvent, Wait};
 use crate::transport::{Endpoint, LaneLinks, NetEvent, NetSender, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::NodeId;
 use hermes_sim::rng::Rng;
 use parking_lot::Mutex;
@@ -9,10 +9,6 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Datagrams a lane takes from its inbox per poll before it turns to its
-/// command queue and timers (what is left rings the lane again).
-const DATAGRAMS_PER_POLL: usize = 64;
 
 /// Probabilistic fault injection applied to an [`InProcNet`].
 ///
@@ -30,21 +26,15 @@ pub struct NetFaults {
 /// A datagram in flight: originating node plus payload.
 type Datagram = (NodeId, Bytes);
 
-/// One lane's inbox as senders see it: its queue and the waker of the
-/// wait its lane blocks in.
-struct Inbox {
-    tx: Sender<Datagram>,
-    waker: Arc<Waker>,
-}
-
-/// One node's inboxes.
+/// One node's inboxes, as senders see them.
 struct NodeInboxes {
-    /// Lane 0's queue, which exists before the node splits: a send that
+    /// Lane 0's inbox, which exists before the node splits: a send that
     /// finds `lanes` unset queues here without a ring, and lane 0's first
     /// poll takes it.
-    first: Sender<Datagram>,
-    /// Per lane; set once, when the node's endpoint splits.
-    lanes: OnceLock<Vec<Inbox>>,
+    first: Post<Datagram>,
+    /// Per lane, ringing the wait the lane blocks in; set once, when the
+    /// node's endpoint splits.
+    lanes: OnceLock<Vec<Post<Datagram>>>,
 }
 
 struct Shared {
@@ -54,7 +44,7 @@ struct Shared {
     nodes: Vec<NodeInboxes>,
 }
 
-/// A real in-process datagram network over crossbeam channels.
+/// A real in-process datagram network over [`Inbox`]es.
 ///
 /// Each node gets an [`InProcEndpoint`] that can be moved to its own thread.
 /// Every lane of a split endpoint has its own inbox: lane *i* sends
@@ -96,28 +86,27 @@ impl InProcNet {
 
     /// Creates a network with fault injection driven by `seed`.
     pub fn with_faults(n: usize, faults: NetFaults, seed: u64) -> Self {
-        let (firsts, receivers): (Vec<Sender<Datagram>>, Vec<_>) =
-            (0..n).map(|_| unbounded()).unzip();
+        let inboxes: Vec<Inbox<Datagram>> = (0..n).map(|_| Inbox::new()).collect();
         let shared = Arc::new(Shared {
             faults: Mutex::new((faults, Rng::seeded(seed))),
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            nodes: (firsts.into_iter())
-                .map(|first| NodeInboxes {
-                    first,
+            nodes: (inboxes.iter())
+                .map(|inbox| NodeInboxes {
+                    first: inbox.poster(None),
                     lanes: OnceLock::new(),
                 })
                 .collect(),
         });
-        let endpoints = receivers
+        let endpoints = inboxes
             .into_iter()
             .enumerate()
-            .map(|(i, rx)| InProcEndpoint {
+            .map(|(i, inbox)| InProcEndpoint {
                 tx: InProcSender {
                     me: NodeId(i as u32),
                     lane: 0,
                     shared: Arc::clone(&shared),
                 },
-                rx,
+                inbox,
             })
             .collect();
         InProcNet { endpoints }
@@ -163,7 +152,8 @@ impl InProcSender {
 
     /// Sends a datagram to `to`. Never blocks; silently drops if the
     /// destination is out of range, crashed, or the fault injector says so.
-    /// Pushes, then rings the receiving lane (the [`Waker`] contract).
+    /// Pushes, then rings the receiving lane (the [`Waker`](crate::Waker)
+    /// contract).
     pub fn send(&self, to: NodeId, payload: Bytes) {
         let Some(node) = self.shared.nodes.get(to.index()) else {
             return;
@@ -179,21 +169,18 @@ impl InProcSender {
             }
             rng.gen_bool(faults.duplicate_prob)
         };
-        // Before the node splits, lane 0's queue takes it unrung.
-        let (tx, waker) = match node.lanes.get() {
-            None => (&node.first, None),
+        // Before the node splits, lane 0's inbox takes it unrung.
+        let post = match node.lanes.get() {
+            None => &node.first,
             Some(lanes) => match lanes.get(self.lane % lanes.len().max(1)) {
-                Some(inbox) => (&inbox.tx, Some(&inbox.waker)),
+                Some(post) => post,
                 None => return,
             },
         };
-        let _ = tx.send((self.me, payload.clone()));
         if duplicate {
-            let _ = tx.send((self.me, payload));
+            post.post((self.me, payload.clone()));
         }
-        if let Some(waker) = waker {
-            waker.wake();
-        }
+        post.post((self.me, payload));
     }
 
     /// Sends `payload` to every node except self (software broadcast — the
@@ -244,7 +231,7 @@ impl std::fmt::Debug for InProcSender {
 /// [`Endpoint::start`].
 pub struct InProcEndpoint {
     tx: InProcSender,
-    rx: Receiver<Datagram>,
+    inbox: Inbox<Datagram>,
 }
 
 impl InProcEndpoint {
@@ -279,23 +266,22 @@ impl Endpoint for InProcEndpoint {
     /// Lane 0 keeps the endpoint's inbox, every other lane gets a fresh
     /// one, and from now on senders ring the lane they push to.
     fn split(self, waits: Vec<Wait>) -> io::Result<Vec<InProcLinks>> {
-        let InProcEndpoint { tx, rx } = self;
-        let node = &tx.shared.nodes[tx.me.index()];
-        let mut first = Some((node.first.clone(), rx));
-        let (inboxes, links) = (waits.into_iter().enumerate())
+        let InProcEndpoint { tx, inbox } = self;
+        let mut first = Some(inbox);
+        let (posts, links) = (waits.into_iter().enumerate())
             .map(|(lane, wait)| {
-                let (queue, inbox) = first.take().unwrap_or_else(unbounded);
+                let inbox = first.take().unwrap_or_default();
+                let post = inbox.poster(Some(wait.waker()));
                 let links = InProcLinks {
                     tx: InProcSender { lane, ..tx.clone() },
                     wait,
                     inbox,
                     ready: Vec::new(),
                 };
-                let waker = links.wait.waker();
-                (Inbox { tx: queue, waker }, links)
+                (post, links)
             })
             .unzip();
-        let fresh = node.lanes.set(inboxes).is_ok();
+        let fresh = tx.shared.nodes[tx.me.index()].lanes.set(posts).is_ok();
         assert!(fresh, "an endpoint splits once: `split` consumes it");
         Ok(links)
     }
@@ -307,7 +293,7 @@ impl Endpoint for InProcEndpoint {
 pub struct InProcLinks {
     tx: InProcSender,
     wait: Wait,
-    inbox: Receiver<Datagram>,
+    inbox: Inbox<Datagram>,
     ready: Vec<PollEvent>,
 }
 
@@ -318,22 +304,17 @@ impl LaneLinks for InProcLinks {
         self.tx.clone()
     }
 
-    /// Waits, then drains the inbox (the wait drains the waker first, so
-    /// whatever a ringer pushed is seen). A crashed node drains it without
-    /// delivering.
+    /// Waits, then takes the whole inbox (the wait drains the waker first,
+    /// so whatever a ringer pushed is seen). A crashed node drops what it
+    /// takes.
     fn poll(&mut self, timeout: Duration, deliver: &mut dyn FnMut(NetEvent) -> bool) {
         self.wait.wait(&mut self.ready, timeout);
-        let silent = self.tx.is_crashed(self.tx.me);
-        for _ in 0..DATAGRAMS_PER_POLL {
-            let Ok((from, frame)) = self.inbox.try_recv() else {
-                return;
-            };
-            if !silent {
+        let datagrams = self.inbox.take();
+        if !self.tx.is_crashed(self.tx.me) {
+            for (from, frame) in datagrams {
                 deliver(NetEvent::Frame(from, frame));
             }
         }
-        // More may be queued behind the batch, whose ring the wait took.
-        self.wait.waker().wake();
     }
 }
 
@@ -353,16 +334,17 @@ mod tests {
     use std::thread;
     use std::time::Instant;
 
-    type Frames = Receiver<(NodeId, Bytes)>;
+    type Frames = Inbox<(NodeId, Bytes)>;
 
-    /// Hosts `ep` on its link thread, forwarding its frames into a channel.
+    /// Hosts `ep` on its link thread, forwarding its frames into an inbox.
     fn start_collecting(ep: InProcEndpoint) -> (IngressGuard, Frames) {
-        let (tx, rx) = unbounded();
+        let frames = Inbox::new();
+        let post = frames.poster(None);
         let guard = ep.start(Arc::new(move |ev| match ev {
-            NetEvent::Frame(from, frame) => tx.send((from, frame)).is_ok(),
+            NetEvent::Frame(from, frame) => post.post((from, frame)),
             _ => true,
         }));
-        (guard, rx)
+        (guard, frames)
     }
 
     /// `n` endpoints, each hosted by [`start_collecting`], and their senders.
@@ -372,8 +354,8 @@ mod tests {
         (senders, eps.into_iter().map(start_collecting).collect())
     }
 
-    fn within(rx: &Frames, timeout: Duration) -> Option<(NodeId, Bytes)> {
-        rx.recv_timeout(timeout).ok()
+    fn within(rx: &mut Frames, timeout: Duration) -> Option<(NodeId, Bytes)> {
+        rx.recv(timeout).ok()
     }
 
     const LONG: Duration = Duration::from_secs(5);
@@ -381,22 +363,22 @@ mod tests {
 
     #[test]
     fn point_to_point_delivery() {
-        let (tx, hosts) = started(InProcNet::new(3));
+        let (tx, mut hosts) = started(InProcNet::new(3));
         tx[0].send(NodeId(1), Bytes::from_static(b"to-b"));
         tx[0].send(NodeId(2), Bytes::from_static(b"to-c"));
         let to_b = (NodeId(0), Bytes::from_static(b"to-b"));
         let to_c = (NodeId(0), Bytes::from_static(b"to-c"));
-        assert_eq!(within(&hosts[1].1, LONG), Some(to_b));
-        assert_eq!(within(&hosts[2].1, LONG), Some(to_c));
-        assert_eq!(within(&hosts[1].1, SHORT), None);
-        assert_eq!(within(&hosts[0].1, SHORT), None);
+        assert_eq!(within(&mut hosts[1].1, LONG), Some(to_b));
+        assert_eq!(within(&mut hosts[2].1, LONG), Some(to_c));
+        assert_eq!(within(&mut hosts[1].1, SHORT), None);
+        assert_eq!(within(&mut hosts[0].1, SHORT), None);
     }
 
     #[test]
     fn broadcast_reaches_all_but_self() {
-        let (tx, hosts) = started(InProcNet::new(4));
+        let (tx, mut hosts) = started(InProcNet::new(4));
         tx[1].broadcast(&Bytes::from_static(b"hi"));
-        for (i, (_, rx)) in hosts.iter().enumerate() {
+        for (i, (_, rx)) in hosts.iter_mut().enumerate() {
             if i == 1 {
                 assert_eq!(within(rx, SHORT), None);
             } else {
@@ -408,11 +390,11 @@ mod tests {
 
     #[test]
     fn cross_thread_traffic() {
-        let (tx, hosts) = started(InProcNet::new(2));
-        let rx = hosts[1].1.clone();
+        let (tx, mut hosts) = started(InProcNet::new(2));
+        let (_guard, mut rx) = hosts.remove(1);
         let handle = thread::spawn(move || {
             let mut got = 0;
-            while got < 100 && within(&rx, LONG).is_some() {
+            while got < 100 && within(&mut rx, LONG).is_some() {
                 got += 1;
             }
             got
@@ -429,9 +411,9 @@ mod tests {
             drop_prob: 1.0,
             duplicate_prob: 0.0,
         };
-        let (tx, hosts) = started(InProcNet::with_faults(2, faults, 1));
+        let (tx, mut hosts) = started(InProcNet::with_faults(2, faults, 1));
         tx[0].send(NodeId(1), Bytes::from_static(b"x"));
-        assert_eq!(within(&hosts[1].1, SHORT), None);
+        assert_eq!(within(&mut hosts[1].1, SHORT), None);
     }
 
     #[test]
@@ -440,29 +422,29 @@ mod tests {
             drop_prob: 0.0,
             duplicate_prob: 1.0,
         };
-        let (tx, hosts) = started(InProcNet::with_faults(2, faults, 1));
+        let (tx, mut hosts) = started(InProcNet::with_faults(2, faults, 1));
         tx[0].send(NodeId(1), Bytes::from_static(b"x"));
-        assert!(within(&hosts[1].1, LONG).is_some());
-        assert!(within(&hosts[1].1, LONG).is_some());
-        assert_eq!(within(&hosts[1].1, SHORT), None);
+        assert!(within(&mut hosts[1].1, LONG).is_some());
+        assert!(within(&mut hosts[1].1, LONG).is_some());
+        assert_eq!(within(&mut hosts[1].1, SHORT), None);
     }
 
     #[test]
     fn crashed_node_goes_silent_both_ways() {
-        let (tx, hosts) = started(InProcNet::new(3));
+        let (tx, mut hosts) = started(InProcNet::new(3));
         tx[0].crash(NodeId(1));
         tx[0].send(NodeId(1), Bytes::from_static(b"dead"));
-        assert_eq!(within(&hosts[1].1, SHORT), None);
+        assert_eq!(within(&mut hosts[1].1, SHORT), None);
         tx[1].send(NodeId(0), Bytes::from_static(b"from-dead"));
-        assert_eq!(within(&hosts[0].1, SHORT), None);
+        assert_eq!(within(&mut hosts[0].1, SHORT), None);
         // Unrelated traffic still flows.
         tx[0].send(NodeId(2), Bytes::from_static(b"alive"));
-        assert!(within(&hosts[2].1, LONG).is_some());
+        assert!(within(&mut hosts[2].1, LONG).is_some());
     }
 
     #[test]
     fn cloned_senders_share_one_node_identity() {
-        let (tx, hosts) = started(InProcNet::new(2));
+        let (tx, mut hosts) = started(InProcNet::new(2));
         // Two "worker threads" of node 0 egress through clones concurrently.
         let workers: Vec<_> = (0..2)
             .map(|w| {
@@ -479,7 +461,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut got = 0;
-        while let Some((from, _)) = within(&hosts[1].1, LONG) {
+        while let Some((from, _)) = within(&mut hosts[1].1, LONG) {
             assert_eq!(from, NodeId(0));
             got += 1;
             if got == 100 {
@@ -610,14 +592,15 @@ mod tests {
         let mut eps = InProcNet::new(2).into_endpoints();
         let mut b = split(eps.pop().unwrap(), 1).remove(0);
         let tx = split(eps.pop().unwrap(), 1).remove(0).sender();
-        let (done_tx, done_rx) = unbounded::<u64>();
+        let mut done = Inbox::new();
+        let done_tx = done.poster(None);
         let consumer = thread::spawn(move || {
             let mut running = true;
             while running {
                 b.poll(Duration::from_secs(10), &mut |ev| {
                     if let NetEvent::Frame(_, frame) = ev {
                         match <[u8; 8]>::try_from(&frame[..]) {
-                            Ok(item) => done_tx.send(u64::from_le_bytes(item)).unwrap(),
+                            Ok(item) => assert!(done_tx.post(u64::from_le_bytes(item))),
                             Err(_) => running = false,
                         }
                     }
@@ -635,7 +618,7 @@ mod tests {
             let posted = Instant::now();
             post(2 * round + 1);
             for want in [2 * round, 2 * round + 1] {
-                let got = done_rx.recv_timeout(Duration::from_secs(20));
+                let got = done.recv(Duration::from_secs(20));
                 assert_eq!(got, Ok(want), "datagram stranded");
             }
             let waited = posted.elapsed();

@@ -9,8 +9,8 @@
 //!   simulations: given a send, it decides delivery times (latency + jitter +
 //!   per-NIC bandwidth serialization), drops, duplicates and partitions, all
 //!   from a seeded RNG so that runs reproduce exactly.
-//! * [`InProcNet`] — a real multi-threaded transport over crossbeam channels
-//!   for in-process clusters (used by examples and integration tests), with
+//! * [`InProcNet`] — a real multi-threaded transport over [`Inbox`]es for
+//!   in-process clusters (used by examples and integration tests), with
 //!   optional probabilistic fault injection.
 //! * [`TcpNet`] / [`TcpEndpoint`] — length-prefixed Wings frames over real
 //!   `std::net` TCP sockets: lane *i* of a node talks to lane *i* of each
@@ -32,7 +32,9 @@
 //! hosts (DESIGN.md §7): a [`Poller`] multiplexes thousands of non-blocking
 //! sockets per thread (`epoll(7)`; the crate is Linux-only), and a
 //! [`Waker`] (an `eventfd`) lets other threads interrupt a blocked wait,
-//! coalescing bursts of wakes into one.
+//! coalescing bursts of wakes into one. An [`Inbox`] is the one queue
+//! that hands work from thread to thread: its posters ring the consumer's
+//! waker, or wake it from [`Inbox::recv`] only when it is parked there.
 //!
 //! # Examples
 //!
@@ -51,12 +53,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod inbox;
 mod inproc;
 mod poll;
 mod simnet;
 mod tcp;
 mod transport;
 
+pub use inbox::{Inbox, Post, RecvError};
 pub use inproc::{InProcEndpoint, InProcLinks, InProcNet, InProcSender, NetFaults};
 pub use poll::{Interest, PollEvent, Poller, Wait, Waker};
 pub use simnet::{DeliveryOutcome, SimNet, SimNetConfig};

@@ -50,6 +50,7 @@
 //!
 //! [`hermes-wings`]: ../../hermes_wings/index.html
 
+use crate::inbox::{Inbox, Post};
 use crate::poll::{Interest, PollEvent, Wait, Waker};
 use crate::transport::{Endpoint, LaneLinks, NetEvent, NetSender, Transport};
 use bytes::Bytes;
@@ -225,8 +226,9 @@ struct LaneShared {
     /// Rings the lane: a link wants its lane, or a connection was handed
     /// over.
     waker: Arc<Waker>,
-    /// Handshaken connections lane 0 accepted for this lane.
-    handed: Mutex<Vec<Inbound>>,
+    /// Handshaken connections lane 0 accepted for this lane; a post rings
+    /// `waker`.
+    handed: Post<Inbound>,
 }
 
 /// What a node's senders, dialers and link sets share.
@@ -553,18 +555,21 @@ impl Endpoint for TcpEndpoint {
             };
             (i != shared.me.index()).then(|| Mutex::new(egress))
         };
-        let lanes = waits.iter().map(|wait| LaneShared {
+        let handed: Vec<Inbox<Inbound>> = waits.iter().map(|_| Inbox::new()).collect();
+        let lanes = waits.iter().zip(&handed).map(|(wait, handed)| LaneShared {
             links: (0..peers).map(link).collect(),
             waker: wait.waker(),
-            handed: Mutex::default(),
+            handed: handed.poster(Some(wait.waker())),
         });
         let fresh = shared.lanes.set(lanes.collect()).is_ok();
         assert!(fresh, "an endpoint splits once: `split` consumes it");
         let mut listener = Some(listener);
-        let links = waits.into_iter().enumerate().map(|(lane, wait)| TcpLinks {
+        let links = waits.into_iter().zip(handed).enumerate();
+        let links = links.map(|(lane, (wait, handed))| TcpLinks {
             shared: Arc::clone(&shared),
             lane,
             wait,
+            handed,
             listener: listener.take(),
             inbound: HashMap::new(),
             next_token: TOKEN_LINK_BASE + peers as u64,
@@ -757,6 +762,8 @@ pub struct TcpLinks {
     shared: Arc<Shared>,
     lane: usize,
     wait: Wait,
+    /// Connections lane 0 handed over, not yet adopted.
+    handed: Inbox<Inbound>,
     listener: Option<TcpListener>,
     inbound: HashMap<u64, Inbound>,
     next_token: u64,
@@ -791,8 +798,7 @@ impl LaneLinks for TcpLinks {
         let mut ready = std::mem::take(&mut self.ready);
         if self.wait.wait(&mut ready, budget) {
             // A sender, a dialer or lane 0 asked for this lane.
-            let handed = std::mem::take(&mut *self.shared.lane(self.lane).handed.lock());
-            for conn in handed {
+            while let Ok(conn) = self.handed.recv(Duration::ZERO) {
                 self.adopt(conn);
             }
             (0..self.shared.addrs.len()).for_each(|i| self.service_link(i, false));
@@ -963,8 +969,8 @@ impl TcpLinks {
                 let conn = self.inbound.remove(&token).expect("read just now");
                 let _ = self.wait.poller.deregister(conn.stream.as_raw_fd());
                 let target = self.shared.lane(owner);
-                target.handed.lock().push(conn);
-                return target.waker.wake();
+                target.handed.post(conn);
+                return;
             }
         }
     }
@@ -1034,19 +1040,19 @@ fn dial(me: NodeId, lane: usize, lanes: usize, addr: SocketAddr) -> io::Result<T
 mod tests {
     use super::*;
     use crate::IngressGuard;
-    use crossbeam::channel::{unbounded as chan, Receiver};
 
-    /// Starts `ep` with a sink forwarding into a channel.
-    fn start_collecting(ep: TcpEndpoint) -> (IngressGuard, Receiver<NetEvent>) {
-        let (tx, rx) = chan();
-        let guard = ep.start(Arc::new(move |ev| tx.send(ev).is_ok()));
-        (guard, rx)
+    /// Starts `ep` with a sink forwarding into an inbox.
+    fn start_collecting(ep: TcpEndpoint) -> (IngressGuard, Inbox<NetEvent>) {
+        let events = Inbox::new();
+        let post = events.poster(None);
+        let guard = ep.start(Arc::new(move |ev| post.post(ev)));
+        (guard, events)
     }
 
-    fn recv_frame(rx: &Receiver<NetEvent>) -> (NodeId, Bytes) {
+    fn recv_frame(rx: &mut Inbox<NetEvent>) -> (NodeId, Bytes) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
-            match rx.recv_timeout(Duration::from_millis(100)) {
+            match rx.recv(Duration::from_millis(100)) {
                 Ok(NetEvent::Frame(from, b)) => return (from, b),
                 Ok(_) => continue,
                 Err(_) => continue,
@@ -1062,13 +1068,13 @@ mod tests {
         let a = eps.pop().unwrap();
         let a_tx = a.sender();
         let b_tx = b.sender();
-        let (ga, ra) = start_collecting(a);
-        let (gb, rb) = start_collecting(b);
+        let (ga, mut ra) = start_collecting(a);
+        let (gb, mut rb) = start_collecting(b);
         a_tx.send(NodeId(1), Bytes::from_static(b"ping"));
-        let (from, data) = recv_frame(&rb);
+        let (from, data) = recv_frame(&mut rb);
         assert_eq!((from, &data[..]), (NodeId(0), &b"ping"[..]));
         b_tx.send(NodeId(0), Bytes::from_static(b"pong"));
-        let (from, data) = recv_frame(&ra);
+        let (from, data) = recv_frame(&mut ra);
         assert_eq!((from, &data[..]), (NodeId(1), &b"pong"[..]));
         assert!(a_tx.stats().frames_sent() >= 1);
         assert!(b_tx.stats().frames_received() >= 1);
@@ -1083,12 +1089,12 @@ mod tests {
         let a = eps.pop().unwrap();
         let a_tx = a.sender();
         let (_ga, _ra) = start_collecting(a);
-        let (gb, rb) = start_collecting(b);
+        let (gb, mut rb) = start_collecting(b);
         for i in 0..500u32 {
             a_tx.send(NodeId(1), Bytes::from(i.to_le_bytes().to_vec()));
         }
         for i in 0..500u32 {
-            let (_, data) = recv_frame(&rb);
+            let (_, data) = recv_frame(&mut rb);
             assert_eq!(data[..], i.to_le_bytes(), "frame {i} out of order");
         }
         gb.stop();
@@ -1102,17 +1108,17 @@ mod tests {
         let a_tx = a.sender();
         let b_stats = b.stats();
         let (_ga, _ra) = start_collecting(a);
-        let (gb, rb) = start_collecting(b);
+        let (gb, mut rb) = start_collecting(b);
 
         a_tx.send(NodeId(1), Bytes::from_static(b"one"));
-        let _ = recv_frame(&rb);
+        let _ = recv_frame(&mut rb);
 
         // Kill the live 0→1 connection; node 1's reader must surface it.
         a_tx.kill_connection(NodeId(1));
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut saw_down = false;
         while Instant::now() < deadline && !saw_down {
-            if let Ok(NetEvent::PeerDown(p)) = rb.recv_timeout(Duration::from_millis(100)) {
+            if let Ok(NetEvent::PeerDown(p)) = rb.recv(Duration::from_millis(100)) {
                 assert_eq!(p, NodeId(0));
                 saw_down = true;
             }
@@ -1133,7 +1139,7 @@ mod tests {
         let mut redelivered = false;
         while Instant::now() < deadline && !redelivered {
             a_tx.send(NodeId(1), Bytes::from_static(b"two"));
-            if let Ok(NetEvent::Frame(_, data)) = rb.recv_timeout(Duration::from_millis(100)) {
+            if let Ok(NetEvent::Frame(_, data)) = rb.recv(Duration::from_millis(100)) {
                 assert_eq!(&data[..], b"two");
                 redelivered = true;
             }
@@ -1173,12 +1179,12 @@ mod tests {
         let mut eps = TcpNet::loopback(1).unwrap().into_endpoints();
         let a = eps.pop().unwrap();
         let addr = a.local_addr().unwrap();
-        let (guard, rx) = start_collecting(a);
+        let (guard, mut rx) = start_collecting(a);
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         drop(s);
         // No Frame/PeerUp/PeerDown may surface from a garbage handshake.
-        assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
+        assert!(rx.recv(Duration::from_millis(300)).is_err());
         guard.stop();
     }
 
@@ -1283,7 +1289,7 @@ mod tests {
         let mut eps = TcpNet::loopback(1).unwrap().into_endpoints();
         let a = eps.pop().unwrap();
         let addr = a.local_addr().unwrap();
-        let (guard, rx) = start_collecting(a);
+        let (guard, mut rx) = start_collecting(a);
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&MAGIC).unwrap(); // Half a handshake, then silence.
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1291,7 +1297,10 @@ mod tests {
         // The poller closes the socket on its own timer: EOF, not a timeout.
         assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0);
         assert!(start.elapsed() >= HANDSHAKE_DEADLINE - Duration::from_millis(50));
-        assert!(rx.try_recv().is_err(), "no peer event for a non-peer");
+        assert!(
+            rx.recv(Duration::ZERO).is_err(),
+            "no peer event for a non-peer"
+        );
         guard.stop();
     }
 
@@ -1304,15 +1313,15 @@ mod tests {
         let a = eps.pop().unwrap();
         let addr = a.local_addr().unwrap();
         let stats = a.stats();
-        let (guard, rx) = start_collecting(a);
+        let (guard, mut rx) = start_collecting(a);
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&[hello(4), 65u32.to_le_bytes().to_vec()].concat())
             .unwrap();
-        let next = || rx.recv_timeout(Duration::from_secs(5));
+        let mut next = || rx.recv(Duration::from_secs(5));
         assert_eq!(next(), Ok(NetEvent::PeerUp(NodeId(4))));
         assert_eq!(next(), Ok(NetEvent::PeerDown(NodeId(4))));
         assert_eq!(s.read(&mut [0u8; 1]).unwrap_or(0), 0, "link was closed");
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        assert!(rx.recv(Duration::from_millis(100)).is_err());
         assert_eq!(stats.disconnects(), 1);
         guard.stop();
     }
@@ -1365,14 +1374,15 @@ mod tests {
     }
 
     /// A raw listener standing in for a peer: the accepted stream comes
-    /// back on the channel, untouched.
-    fn raw_peer() -> (SocketAddr, Receiver<TcpStream>) {
+    /// back in the inbox, untouched.
+    fn raw_peer() -> (SocketAddr, Inbox<TcpStream>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (tx, rx) = chan();
+        let rx = Inbox::new();
+        let tx = rx.poster(None);
         std::thread::spawn(move || {
             if let Ok((s, _)) = listener.accept() {
-                let _ = tx.send(s);
+                tx.post(s);
             }
         });
         (addr, rx)
@@ -1387,7 +1397,7 @@ mod tests {
 
     #[test]
     fn peer_that_never_reads_cannot_grow_the_sender_past_the_outbox_cap() {
-        let (addr, accepted) = raw_peer();
+        let (addr, mut accepted) = raw_peer();
         let ep = endpoint_facing(addr);
         let (tx, stats) = (ep.sender(), ep.stats());
         let (guard, _rx) = start_collecting(ep);
@@ -1395,7 +1405,7 @@ mod tests {
         // itself stays small while the accounted backlog hits the cap.
         let frame = Bytes::from(vec![0x5A; 1 << 20]);
         tx.send(NodeId(1), frame.clone());
-        let _never_read = accepted.recv_timeout(Duration::from_secs(5)).unwrap();
+        let _never_read = accepted.recv(Duration::from_secs(5)).unwrap();
         let start = Instant::now();
         for _ in 0..(OUTBOX_CAP >> 20) + 64 {
             tx.send(NodeId(1), frame.clone());
@@ -1424,7 +1434,7 @@ mod tests {
     fn concurrent_senders_through_a_backed_up_socket_arrive_intact_and_in_order() {
         const FRAMES: u32 = 1_500;
         const LEN: usize = 16 * 1024;
-        let (addr, accepted) = raw_peer();
+        let (addr, mut accepted) = raw_peer();
         let ep = endpoint_facing(addr);
         let (tx, stats) = (ep.sender(), ep.stats());
         let (guard, _rx) = start_collecting(ep);
@@ -1446,7 +1456,7 @@ mod tests {
             .collect();
         senders.into_iter().for_each(|h| h.join().unwrap());
         assert!(stats.egress_backlog_bytes() > 0, "the socket backed up");
-        let mut peer = accepted.recv_timeout(Duration::from_secs(5)).unwrap();
+        let mut peer = accepted.recv(Duration::from_secs(5)).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut greeting = [0u8; HELLO_LEN];

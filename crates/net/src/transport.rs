@@ -2,7 +2,7 @@
 //!
 //! The paper's Hermes runs over RDMA unreliable datagrams; this workspace
 //! runs the same protocol over whichever substrate fits the deployment:
-//! crossbeam channels inside one process ([`InProcNet`]) or length-prefixed
+//! [`Inbox`]es inside one process ([`InProcNet`]) or length-prefixed
 //! frames over real TCP sockets ([`TcpNet`]) for multi-process clusters.
 //! Both implement the same contract so runtimes are written once:
 //!
@@ -23,6 +23,7 @@
 //! and being re-dialed (frames buffered in the dead socket are simply
 //! "dropped datagrams").
 //!
+//! [`Inbox`]: crate::Inbox
 //! [`InProcNet`]: crate::InProcNet
 //! [`TcpNet`]: crate::TcpNet
 

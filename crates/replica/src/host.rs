@@ -27,11 +27,10 @@ use crate::membership::{self, boot_view, MembershipStatus};
 use crate::metrics::NodeObs;
 use crate::poller::Shard;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use hermes_common::{ClientOp, Key, MembershipView, NodeId, Reply, Value};
 use hermes_core::{HermesNode, Msg, ProtocolConfig};
 use hermes_membership::{wire, RmConfig, RmEffect, RmMsg, RmNode};
-use hermes_net::{Endpoint, LaneLinks, NetEvent, NetSender, Wait};
+use hermes_net::{Endpoint, Inbox, LaneLinks, NetEvent, NetSender, Wait};
 use hermes_obs::{obs_info, obs_warn, Phase, Span, TraceSpan};
 use hermes_sim::SimTime;
 use hermes_store::{SlotState, Store, StoreConfig};
@@ -43,10 +42,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Commands a lane takes from its queue per wake-up before it turns to
-/// timers and the batch flush.
-const DRAIN_BATCH: usize = 64;
 
 /// One running replica: its lanes and their threads (each with its share
 /// of the links), and the state they share.
@@ -180,10 +175,9 @@ impl Node {
         let status = Arc::new(MembershipStatus::new(boot, boot.is_serving(me), !join));
         let waits = (0..workers).map(|_| Wait::new());
         let waits: Vec<Wait> = waits.collect::<io::Result<_>>()?;
-        let (txs, rxs): (Vec<_>, Vec<Receiver<Command>>) =
-            (0..workers).map(|_| unbounded()).unzip();
-        let wakers = waits.iter().map(Wait::waker);
-        let lanes = Lanes::new(txs.into_iter().zip(wakers).collect());
+        let queues: Vec<Inbox<Command>> = (0..workers).map(|_| Inbox::new()).collect();
+        let posts = queues.iter().zip(&waits);
+        let lanes = Lanes::new(posts.map(|(q, w)| q.poster(Some(w.waker()))).collect());
         let store = Arc::new(Store::new(StoreConfig::default()));
         let obs = Arc::new(NodeObs::new(me.0 as usize, workers));
         let plane = client_port.map(|(listener, shutdown)| {
@@ -196,7 +190,7 @@ impl Node {
         obs.register_store(&store);
         let running = Arc::new(AtomicBool::new(true));
         let mut threads = Vec::new();
-        for (index, (rx, links)) in rxs.into_iter().zip(links).enumerate() {
+        for (index, (queue, links)) in queues.into_iter().zip(links).enumerate() {
             let shard = shards.as_mut().and_then(Iterator::next);
             let lane = Lane::new(
                 index,
@@ -222,7 +216,7 @@ impl Node {
             let (lanes, running) = (lanes.clone(), Arc::clone(&running));
             let thread = std::thread::Builder::new().name(format!("hermes-lane-{index}"));
             let handle = thread
-                .spawn(move || lane_main(index, lane, links, rx, lanes, running, pump, shard));
+                .spawn(move || lane_main(index, lane, links, queue, lanes, running, pump, shard));
             threads.push(handle.expect("spawn a lane thread"));
         }
         Ok(Node {
@@ -352,9 +346,9 @@ fn inv_delay_us() -> u64 {
 /// the client sessions it hosts share with the links the lane reads, so a
 /// lone client op or a lone frame at an idle node wakes exactly this lane,
 /// at once (no idle-poll latency floor). What the lane reads itself is
-/// handled inline — peer frames, then its sessions' requests; then its
-/// queue, up to [`DRAIN_BATCH`] commands; then its timers and the batch
-/// flush; last, its sessions' writes. Idle sleeps run to the next armed
+/// handled inline — peer frames, then its sessions' requests; then
+/// everything its queue holds, taken in one lock; then its timers and the
+/// batch flush; last, its sessions' writes. Idle sleeps run to the next armed
 /// timer deadline, capped at [`MLT`] so the shutdown flag stays responsive
 /// and the pump's membership agent ticks finer than its heartbeat interval.
 #[allow(clippy::too_many_arguments)]
@@ -362,40 +356,32 @@ fn lane_main<L: LaneLinks>(
     index: usize,
     mut lane: Lane<L::Sender>,
     mut links: L,
-    commands: Receiver<Command>,
+    mut commands: Inbox<Command>,
     lanes: Lanes,
     running: Arc<AtomicBool>,
     mut pump: Option<Pump<L::Sender>>,
     mut shard: Option<Shard>,
 ) {
-    let mut backlog = false;
     'pass: while running.load(Ordering::Relaxed) {
         let wait = (lane.next_deadline()).map_or(MLT, |at| {
             at.saturating_duration_since(Instant::now()).min(MLT)
         });
-        let wait = if backlog { Duration::ZERO } else { wait };
         let mut here = |cmd| run(&mut lane, &mut pump, cmd);
         links.poll(wait, &mut |ev| route(&lanes, ev, index, &mut here));
         if let Some(shard) = shard.as_mut() {
             shard.poll(&mut here);
         }
-        let mut drained = 0;
-        while drained < DRAIN_BATCH {
-            match commands.try_recv() {
-                Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => break 'pass,
-                Ok(cmd @ (Command::Conn(..) | Command::Frame(..) | Command::Evict(_))) => {
+        for cmd in commands.take() {
+            match cmd {
+                Command::Shutdown => break 'pass,
+                cmd @ (Command::Conn(..) | Command::Frame(..) | Command::Evict(_)) => {
                     if let Some(shard) = shard.as_mut() {
                         shard.on_command(cmd, &mut here);
                     }
                 }
-                Ok(cmd) => here(cmd),
-                Err(TryRecvError::Empty) => break,
+                cmd => here(cmd),
             }
-            drained += 1;
         }
-        // A full batch may have left more queued behind it, whose wake the
-        // poll above already consumed: look again without blocking.
-        backlog = drained == DRAIN_BATCH;
         let now = Instant::now();
         if let Some(m) = pump.as_mut().and_then(|p| p.membership.as_mut()) {
             m.tick(&mut lane, now);
@@ -736,8 +722,7 @@ pub(crate) mod tests {
     fn garbage_control_payloads_are_rejected() {
         let me = NodeId(0);
         let view = MembershipView::initial(3);
-        let wait = Wait::new().expect("a wait");
-        let lanes = Lanes::new(vec![(unbounded().0, wait.waker())]);
+        let lanes = Lanes::new(vec![Inbox::new().poster(None)]);
         let status = Arc::new(MembershipStatus::new(view, true, true));
         let obs = Arc::new(NodeObs::new(0, 1));
         let rm = RmNode::new(me, view, RmConfig::default(), SimTime::ZERO);

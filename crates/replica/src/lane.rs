@@ -26,12 +26,11 @@ use crate::membership::MembershipStatus;
 use crate::metrics::NodeObs;
 use crate::timers::DeadlineQueue;
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use hermes_common::{
     ClientId, ClientOp, Effect, Key, MembershipView, NodeId, OpId, Reply, RmwOp, ShardSpec, Value,
 };
 use hermes_core::{Fx, HermesNode, KeyState, Msg, Ts, UpdateKind};
-use hermes_net::{NetEvent, NetSender, Waker};
+use hermes_net::{NetEvent, NetSender, Post};
 use hermes_obs::{Phase, Span, TraceId};
 use hermes_store::{SlotMeta, SlotState, Store, MAX_VALUE};
 use hermes_wings::client::ServerFrame;
@@ -66,7 +65,7 @@ pub(crate) const PUMP_LANE: usize = 0;
 #[derive(Clone, Debug)]
 pub(crate) enum ClientSink {
     /// An in-process session's event queue.
-    Session(Sender<ServerFrame>),
+    Session(Post<ServerFrame>),
     /// The queue of the lane hosting a remote session.
     Remote(LaneQueue),
 }
@@ -75,36 +74,15 @@ impl ClientSink {
     /// Sends `client` one frame.
     pub(crate) fn send(&self, client: ClientId, frame: ServerFrame) {
         match self {
-            ClientSink::Session(tx) => {
-                let _ = tx.send(frame);
-            }
-            ClientSink::Remote(host) => host.frame(client, frame),
-        }
+            ClientSink::Session(tx) => tx.post(frame),
+            ClientSink::Remote(host) => host.post(Command::Frame(client, frame)),
+        };
     }
 }
 
-/// One lane's command queue and the waker of the wait its thread blocks in.
-#[derive(Clone, Debug)]
-pub(crate) struct LaneQueue {
-    tx: Sender<Command>,
-    waker: Arc<Waker>,
-}
-
-impl LaneQueue {
-    /// Queues `cmd` and rings the lane; `false` once the lane is gone.
-    pub(crate) fn post(&self, cmd: Command) -> bool {
-        let sent = self.tx.send(cmd).is_ok();
-        if sent {
-            self.waker.wake();
-        }
-        sent
-    }
-
-    /// Queues `frame` for `client`, a remote session the lane hosts.
-    pub(crate) fn frame(&self, client: ClientId, frame: ServerFrame) {
-        self.post(Command::Frame(client, frame));
-    }
-}
+/// One lane's command queue, ringing the wait its thread blocks in; a post
+/// reports `false` once the lane is gone.
+pub(crate) type LaneQueue = Post<Command>;
 
 /// Events delivered to one worker lane.
 pub(crate) enum Command {
@@ -206,11 +184,10 @@ pub(crate) struct Lanes {
 }
 
 impl Lanes {
-    /// Per lane: its queue, and the waker of the wait its thread blocks in.
-    pub(crate) fn new(queues: Vec<(Sender<Command>, Arc<Waker>)>) -> Self {
+    /// Per lane: a poster to its queue that rings the wait its thread
+    /// blocks in.
+    pub(crate) fn new(queues: Vec<LaneQueue>) -> Self {
         let spec = ShardSpec::new(queues.len());
-        let queues = queues.into_iter();
-        let queues = queues.map(|(tx, waker)| LaneQueue { tx, waker }).collect();
         Lanes { queues, spec }
     }
 
@@ -868,7 +845,8 @@ impl<S: NetSender> Lane<S> {
         let epoch = self.node.view().epoch.0;
         for (&client, host) in pushed {
             self.obs.pushes.inc();
-            host.frame(ClientId(client), ServerFrame::Invalidate { key, epoch });
+            let invalidate = ServerFrame::Invalidate { key, epoch };
+            host.post(Command::Frame(ClientId(client), invalidate));
         }
     }
 
@@ -966,7 +944,8 @@ impl<S: NetSender> Lane<S> {
             self.obs.subscriptions.inc();
         }
         self.obs.pushes.inc();
-        host.frame(client, ServerFrame::Subscribed { seq, key, epoch });
+        let ack = ServerFrame::Subscribed { seq, key, epoch };
+        host.post(Command::Frame(client, ack));
     }
 
     /// Ends `client`'s subscription to `key`, acking through the removed
@@ -975,7 +954,8 @@ impl<S: NetSender> Lane<S> {
         if let Some(host) = self.remove_subscription(client.0, key) {
             self.clear_waiter(client.0, key, now);
             self.obs.pushes.inc();
-            host.frame(client, ServerFrame::Unsubscribed { seq, key });
+            let ack = ServerFrame::Unsubscribed { seq, key };
+            host.post(Command::Frame(client, ack));
         }
     }
 
@@ -1021,7 +1001,8 @@ impl<S: NetSender> Lane<S> {
             for (&client, host) in subs {
                 if seen.insert(client) {
                     self.obs.pushes.inc();
-                    host.frame(ClientId(client), ServerFrame::Flush { epoch });
+                    let flush = ServerFrame::Flush { epoch };
+                    host.post(Command::Frame(ClientId(client), flush));
                 }
             }
         }
@@ -1045,41 +1026,20 @@ fn slot_kind(meta: SlotMeta) -> UpdateKind {
 }
 
 #[cfg(test)]
-impl LaneQueue {
-    /// A queue no lane reads, whose commands the caller takes: what a lane
-    /// unit test hands a lane as a remote session's host queue.
-    pub(crate) fn capturing() -> (LaneQueue, crossbeam::channel::Receiver<Command>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let wait = hermes_net::Wait::new().expect("an epoll and an eventfd");
-        (
-            LaneQueue {
-                tx,
-                waker: wait.waker(),
-            },
-            rx,
-        )
-    }
-
-    /// Queues `cmd` without ringing, as a poster whose ring coalesced into
-    /// an earlier one.
-    pub(crate) fn post_unrung(&self, cmd: Command) {
-        let _ = self.tx.send(cmd);
-    }
-
-    /// Rings the lane.
-    pub(crate) fn ring(&self) {
-        self.waker.wake();
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::timers::DeadlineQueue;
     use bytes::Bytes;
-    use crossbeam::channel::{unbounded, Receiver};
     use hermes_common::{Epoch, RmwOp, Value};
     use hermes_core::{ProtocolConfig, UpdateKind};
+    use hermes_net::Inbox;
+
+    /// A queue no lane reads, whose commands the caller takes: what a lane
+    /// unit test hands a lane as a remote session's host queue.
+    fn capturing() -> (LaneQueue, Inbox<Command>) {
+        let inbox = Inbox::new();
+        (inbox.poster(None), inbox)
+    }
     use hermes_sim::rng::Rng;
     use hermes_store::StoreConfig;
     use hermes_wings::decode_frame;
@@ -1142,9 +1102,9 @@ mod tests {
         obs: Arc<NodeObs>,
         t0: Instant,
         a: ClientSink,
-        a_events: Receiver<ServerFrame>,
+        a_events: Inbox<ServerFrame>,
         b: LaneQueue,
-        b_inbox: Receiver<Command>,
+        b_inbox: Inbox<Command>,
         /// Whether B's host has been told to tear B down.
         b_evicted: bool,
         next_seq: u64,
@@ -1169,15 +1129,15 @@ mod tests {
             Arc::clone(&status),
             Arc::clone(&obs),
         );
-        let (a_tx, a_events) = unbounded();
-        let (host, b_inbox) = LaneQueue::capturing();
+        let a_events = Inbox::new();
+        let (host, b_inbox) = capturing();
         Rig {
             lane,
             net,
             status,
             obs,
             t0: crate::host::test_epoch(),
-            a: ClientSink::Session(a_tx),
+            a: ClientSink::Session(a_events.poster(None)),
             a_events,
             b: host,
             b_inbox,
@@ -1255,7 +1215,7 @@ mod tests {
         /// eviction is noted in `b_evicted`.
         fn b_pushes(&mut self) -> Vec<ServerFrame> {
             let mut out = Vec::new();
-            while let Ok(item) = self.b_inbox.try_recv() {
+            for item in self.b_inbox.take() {
                 match item {
                     Command::Frame(B, frame) => out.push(frame),
                     Command::Evict(B) => self.b_evicted = true,
@@ -1268,7 +1228,7 @@ mod tests {
         /// Every reply released to in-process client A since the last call.
         fn a_replies(&mut self) -> Vec<(OpId, Reply)> {
             let mut out = Vec::new();
-            while let Ok(ev) = self.a_events.try_recv() {
+            for ev in self.a_events.take() {
                 match ev {
                     ServerFrame::Reply(seq, reply) => out.push((OpId::new(A, seq), reply)),
                     other => panic!("A never subscribes, got {other:?}"),
@@ -1527,7 +1487,7 @@ mod tests {
         let mut r = rig(1);
         let (k, t0) = (Key(7), r.t0);
         r.subscribe_b(k);
-        let (host, p_inbox) = LaneQueue::capturing();
+        let (host, mut p_inbox) = capturing();
         let subscribe = Command::Subscribe {
             seq: 0,
             client: P,
@@ -1535,13 +1495,12 @@ mod tests {
             host,
         };
         r.lane.handle(subscribe, t0);
-        let p_pushes = || -> Vec<ServerFrame> {
-            let items = std::iter::from_fn(|| p_inbox.try_recv().ok());
+        let mut p_pushes = || -> Vec<ServerFrame> {
             let frame = |item| match item {
                 Command::Frame(P, frame) => frame,
                 _ => panic!("P is never evicted"),
             };
-            items.map(frame).collect()
+            p_inbox.take().map(frame).collect()
         };
         assert_eq!(
             p_pushes(),

@@ -15,8 +15,8 @@
 //!   Wings-framed datagrams over any pluggable transport, and a
 //!   per-node seqlock KVS mirror serving lock-free local reads (the
 //!   HermesKV architecture of paper §4):
-//!   * [`ThreadCluster`] holds N nodes in one process, over crossbeam
-//!     channels or loopback TCP, reached through pipelined
+//!   * [`ThreadCluster`] holds N nodes in one process, over in-process
+//!     inboxes or loopback TCP, reached through pipelined
 //!     [`ClientSession`]s with many operations in flight;
 //!   * [`NodeRuntime`] holds one node per OS process over the TCP
 //!     transport and adds a client-facing RPC port, across which

@@ -35,9 +35,8 @@
 
 use crate::node::MAX_CLIENT_FRAME;
 use crate::session::{ClientSession, SessionChannel};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use hermes_common::ClientId;
-use hermes_net::{Interest, PollEvent, Poller};
+use hermes_net::{Inbox, Interest, PollEvent, Poller, RecvError};
 use hermes_wings::client::{self as rpc, Request, ServerFrame};
 use hermes_wings::CreditConfig;
 use std::collections::VecDeque;
@@ -312,8 +311,8 @@ pub struct RemoteChannel {
     ready: VecDeque<ServerFrame>,
     /// Once the session has subscribed: the thread that reads the socket
     /// from then on, and the queue it fills. The thread ends with the
-    /// connection, which the session reads off the queue hanging up.
-    reader: Option<(Receiver<ServerFrame>, JoinHandle<()>)>,
+    /// connection, closing the queue: that is how the session reads it.
+    reader: Option<(Inbox<ServerFrame>, JoinHandle<()>)>,
     alive: bool,
 }
 
@@ -389,10 +388,14 @@ impl SessionChannel for RemoteChannel {
         // read half as it stands; frames in `ready` stay ahead of its queue.
         let subscribe = matches!(request, Request::Subscribe { .. });
         if let Some(mut waiter) = self.waiter.take_if(|_| subscribe) {
-            let (conn, (tx, rx)) = (Arc::clone(&self.conn), unbounded());
-            let pump = move |()| conn.pump(|frame| drop(tx.send(frame)));
-            let run = move || while waiter.wait(Some(Duration::MAX)).and_then(&pump).is_ok() {};
-            self.reader = Some((rx, std::thread::spawn(run)));
+            let (conn, queue) = (Arc::clone(&self.conn), Inbox::new());
+            let tx = queue.poster(None);
+            let run = move || {
+                let pump = |()| conn.pump(|frame| _ = tx.post(frame));
+                while waiter.wait(Some(Duration::MAX)).and_then(pump).is_ok() {}
+                tx.close();
+            };
+            self.reader = Some((queue, std::thread::spawn(run)));
         }
         self.alive = self.alive && self.conn.send(&request).is_ok();
         self.alive
@@ -405,14 +408,14 @@ impl SessionChannel for RemoteChannel {
         if !self.alive || !self.ready.is_empty() {
             return self.ready.pop_front();
         }
-        let Some((queue, _)) = &self.reader else {
+        let Some((queue, _)) = &mut self.reader else {
             let waiter = self.waiter.as_mut().expect("kept until a reader takes it");
             let mut pump = || self.conn.pump(|frame| self.ready.push_back(frame));
             self.alive = waiter.wait(wait).and_then(|()| pump()).is_ok();
             return self.ready.pop_front();
         };
-        let got = queue.recv_timeout(wait.unwrap_or_default());
-        self.alive = got != Err(RecvTimeoutError::Disconnected);
+        let got = queue.recv(wait.unwrap_or_default());
+        self.alive = got != Err(RecvError::Closed);
         got.ok()
     }
 

@@ -31,10 +31,10 @@
 
 use crate::host::{LocalReads, Node};
 use crate::lane::{ClientSink, Lanes};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hermes_common::{
     ClientId, ClientOp, Key, NodeId, OpId, Reply, RmwOp, TxnAbort, TxnOp, TxnReply, Value,
 };
+use hermes_net::{Inbox, Post};
 use hermes_obs::{HistogramSnapshot, Quantiles};
 use hermes_txn::{conflict_backoff, TxnConfig, TxnMachine, TxnToken};
 use hermes_wings::client::{Request, ServerFrame};
@@ -104,31 +104,34 @@ pub trait SessionChannel {
 /// admits (the node's mirror: serving gate, `Valid` slot, no own update of
 /// the key in flight) is answered on the session's own thread, with no
 /// lane woken; every other operation goes straight to the worker lane
-/// owning its key. Completions come back over one crossbeam channel,
-/// behind the replies answered here. It refuses subscriptions: a read of a
-/// `Valid` key already reaches no lane, so a cache would save nothing.
+/// owning its key. Completions come back through the session's one
+/// [`Inbox`], behind the replies answered here. It refuses subscriptions:
+/// a read of a `Valid` key already reaches no lane, so a cache would save
+/// nothing.
 #[derive(Debug)]
 pub struct LaneChannel {
     client: ClientId,
     lanes: Lanes,
     reads: LocalReads,
     /// Replies answered from the mirror, not yet received. Kept off the
-    /// channel: a send there takes the lock the lanes' replies take.
+    /// inbox: a post there takes the lock the lanes' replies take.
     answered: VecDeque<ServerFrame>,
-    events_tx: Sender<ServerFrame>,
-    events_rx: Receiver<ServerFrame>,
+    events: Inbox<ServerFrame>,
+    /// Posts into `events`, unrung: a lane wakes the session only when it
+    /// is parked in `recv`.
+    replies: Post<ServerFrame>,
 }
 
 impl LaneChannel {
     pub(crate) fn new(client: ClientId, node: &Node) -> Self {
-        let (events_tx, events_rx) = unbounded();
+        let events = Inbox::new();
         LaneChannel {
             client,
             lanes: node.lanes().clone(),
             reads: LocalReads::new(node.store(), node.status(), node.obs()),
             answered: VecDeque::new(),
-            events_tx,
-            events_rx,
+            replies: events.poster(None),
+            events,
         }
     }
 }
@@ -146,7 +149,7 @@ impl SessionChannel for LaneChannel {
                     return true;
                 }
                 self.reads.submitted(seq, key, &cop);
-                let reply = ClientSink::Session(self.events_tx.clone());
+                let reply = ClientSink::Session(self.replies.clone());
                 self.lanes.op(OpId::new(self.client, seq), key, cop, reply)
             }
             // No subscription, hence no push to ack; the rest is asked of
@@ -161,10 +164,8 @@ impl SessionChannel for LaneChannel {
     }
 
     fn recv(&mut self, wait: Option<Duration>) -> Option<ServerFrame> {
-        let frame = self.answered.pop_front().or_else(|| match wait {
-            Some(wait) => self.events_rx.recv_timeout(wait).ok(),
-            None => self.events_rx.try_recv().ok(),
-        })?;
+        let frame = (self.answered.pop_front())
+            .or_else(|| self.events.recv(wait.unwrap_or_default()).ok())?;
         if let ServerFrame::Reply(seq, _) = &frame {
             self.reads.replied(*seq);
         }

@@ -11,7 +11,8 @@
 //! launches them and gives them a cluster-shaped face.
 //!
 //! The runtime is generic over the [`Transport`](hermes_net::Transport):
-//! crossbeam channels for in-process clusters ([`ThreadCluster::launch`]),
+//! in-process inboxes ([`Inbox`](hermes_net::Inbox)) for in-process
+//! clusters ([`ThreadCluster::launch`]),
 //! loopback TCP sockets for the same shape over the real network stack
 //! ([`ThreadCluster::launch_endpoints`] over a
 //! [`TcpNet`](hermes_net::TcpNet)'s endpoints), and one-node-per-process

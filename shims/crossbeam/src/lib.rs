@@ -1,326 +1,7 @@
 //! Offline stand-in for the [`crossbeam`](https://crates.io/crates/crossbeam)
 //! crate (the workspace builds without network access — see DESIGN.md §0).
 //!
-//! Provides [`channel`]: an unbounded MPMC channel with crossbeam's API shape
-//! — cloneable, `Sync` senders *and* receivers, `Result`-based error
-//! reporting with explicit disconnection. Built on a `Mutex<VecDeque>` plus
-//! `Condvar`, which is slower than crossbeam's lock-free queues but
-//! semantically equivalent for the workloads in this workspace.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-pub mod atomic {
-    //! Atomic cells over arbitrary `Copy` types.
-
-    use std::fmt;
-    use std::sync::Mutex;
-
-    /// A thread-safe mutable cell, like upstream `AtomicCell`.
-    ///
-    /// Upstream specializes to hardware atomics for small types and falls
-    /// back to striped spinlocks otherwise; this shim always takes the lock,
-    /// which is slower but has the same (sequentially consistent per-cell)
-    /// semantics.
-    pub struct AtomicCell<T> {
-        value: Mutex<T>,
-    }
-
-    impl<T: Copy> AtomicCell<T> {
-        /// Creates a cell holding `value`.
-        pub fn new(value: T) -> Self {
-            AtomicCell {
-                value: Mutex::new(value),
-            }
-        }
-
-        /// Returns a copy of the current value.
-        pub fn load(&self) -> T {
-            *self.value.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Replaces the current value.
-        pub fn store(&self, value: T) {
-            *self.value.lock().unwrap_or_else(|e| e.into_inner()) = value;
-        }
-
-        /// Replaces the current value, returning the previous one.
-        pub fn swap(&self, value: T) -> T {
-            let mut guard = self.value.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::replace(&mut *guard, value)
-        }
-    }
-
-    impl<T> fmt::Debug for AtomicCell<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("AtomicCell { .. }")
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn load_store_swap() {
-            let c = AtomicCell::new((1u64, 2u64));
-            assert_eq!(c.load(), (1, 2));
-            c.store((3, 4));
-            assert_eq!(c.swap((5, 6)), (3, 4));
-            assert_eq!(c.load(), (5, 6));
-        }
-    }
-}
-
-pub mod channel {
-    //! Unbounded multi-producer multi-consumer FIFO channels.
-
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
-        ready: Condvar,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-    }
-
-    /// Creates an unbounded channel, returning the sending and receiving halves.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-        });
-        (
-            Sender {
-                inner: Arc::clone(&inner),
-            },
-            Receiver { inner },
-        )
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone;
-    /// carries the unsent message.
-    #[derive(PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        // Like upstream: no `T: Debug` bound, the payload is elided.
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// All senders disconnected and the channel is drained.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived within the timeout.
-        Timeout,
-        /// All senders disconnected and the channel is drained.
-        Disconnected,
-    }
-
-    /// The sending half of a channel; cloneable and shareable across threads.
-    pub struct Sender<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `msg`, failing only if every receiver has been dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            if self.inner.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(SendError(msg));
-            }
-            self.inner
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(msg);
-            self.inner.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.inner.senders.fetch_add(1, Ordering::SeqCst);
-            Sender {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.inner.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last sender gone: wake any blocked receivers so they can
-                // observe disconnection.
-                self.inner.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    /// The receiving half of a channel; cloneable (MPMC) and shareable.
-    pub struct Receiver<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    impl<T> Receiver<T> {
-        fn disconnected(&self) -> bool {
-            self.inner.senders.load(Ordering::SeqCst) == 0
-        }
-
-        /// Dequeues a message without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            match q.pop_front() {
-                Some(msg) => Ok(msg),
-                None if self.disconnected() => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Dequeues a message, blocking until one arrives or all senders
-        /// disconnect.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(msg) = q.pop_front() {
-                    return Ok(msg);
-                }
-                if self.disconnected() {
-                    return Err(RecvError);
-                }
-                q = self.inner.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Dequeues a message, blocking up to `timeout`.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(msg) = q.pop_front() {
-                    return Ok(msg);
-                }
-                if self.disconnected() {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _timed_out) = self
-                    .inner
-                    .ready
-                    .wait_timeout(q, left)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.inner.receivers.fetch_add(1, Ordering::SeqCst);
-            Receiver {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.inner.receivers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::thread;
-
-        #[test]
-        fn fifo_order() {
-            let (tx, rx) = unbounded();
-            for i in 0..10 {
-                tx.send(i).unwrap();
-            }
-            for i in 0..10 {
-                assert_eq!(rx.try_recv(), Ok(i));
-            }
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        }
-
-        #[test]
-        fn cross_thread_recv_timeout() {
-            let (tx, rx) = unbounded();
-            let h = thread::spawn(move || tx.send(42).unwrap());
-            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
-            h.join().unwrap();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Disconnected)
-            );
-        }
-
-        #[test]
-        fn drop_all_senders_disconnects() {
-            let (tx, rx) = unbounded::<u8>();
-            let tx2 = tx.clone();
-            drop(tx);
-            drop(tx2);
-            assert_eq!(rx.recv(), Err(RecvError));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        }
-
-        #[test]
-        fn send_to_dropped_receiver_errors() {
-            let (tx, rx) = unbounded::<u8>();
-            drop(rx);
-            assert_eq!(tx.send(1), Err(SendError(1)));
-        }
-
-        #[test]
-        fn timeout_expires() {
-            let (_tx, rx) = unbounded::<u8>();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(20)),
-                Err(RecvTimeoutError::Timeout)
-            );
-        }
-    }
-}
+//! Empty. Every cross-thread hand-off in the workspace goes through
+//! `hermes_net::Inbox`. The crate stays while three manifests still name
+//! it: dropping an edge rewrites `examples/runtime_bench/Cargo.lock`, the
+//! benchmark's own lock file (ROADMAP item 1(d) removes crate and edges).
